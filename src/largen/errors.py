@@ -63,3 +63,13 @@ class Mismatch(LargenError):
     def __init__(self, message: str, difference=None):
         super().__init__(message)
         self.difference = difference
+
+
+def certify(cond, what: str) -> None:
+    """Raise ``Mismatch(what)`` unless ``cond`` holds.
+
+    Certificates go through this instead of ``assert``, which ``python -O``
+    strips.
+    """
+    if not cond:
+        raise Mismatch(what)

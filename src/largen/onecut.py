@@ -8,11 +8,12 @@ truncated as an ε-series of curve elements, and close each order with the
 string equation ∮ V_λ(λ) U dλ/(2πi) = T.  What changes between the two is
 the coefficient ring and the bookkeeping of orders:
 
-* regular: U and r carry even powers of ε = 1/N; coefficients live in ℚ(ρ)
-  with ρ standing for r₀(T), the curve w² = λ(λ - 4ρ) moves with T, and
-  d/dT acts as f ↦ f'/W'(ρ).  Each even order is solved affinely — the
-  unknown pair (U_k, r_k) enters linearly and the string integral
-  eliminates r_k because ∮ V_λ · 2λ²/w³ = W'(ρ).
+* regular: U and r carry even powers of ε = 1/N; coefficients live in
+  ℚ[ρ, 1/W'(ρ)] with ρ standing for r₀(T), reduced to ℚ(ρ) only on output;
+  the curve w² = λ(λ - 4ρ) moves with T, and d/dT acts as f ↦ f'/W'(ρ).
+  Each even order is solved affinely — the unknown pair (U_k, r_k) enters
+  linearly and the string integral eliminates r_k because
+  ∮ V_λ · 2λ²/w³ = W'(ρ).
 
 * double-scaled: T = T_c + ε̄^{2m} x with ε = ε̄^{2m+1}, so the lattice
   shift T → T ± ε becomes the unit shift x → x ± ε̄ and the curve freezes
@@ -21,7 +22,7 @@ the coefficient ring and the bookkeeping of orders:
   hierarchy at order 2m and the higher flow equations beyond.
 
 Odd orders of the defect must cancel by the ε → -ε symmetry of the
-identity; the engines assert this rather than assume it.
+identity; the engines check this rather than assume it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 import mpmath
 
 from .diffpoly import DiffPoly, XRelation
-from .errors import CriticalPointHit
+from .errors import CriticalPointHit, certify
 from .phase import branch_density_positive, solve_one_cut
 from .polys import Poly, RationalFunc
 from .potential import Potential
@@ -45,18 +46,11 @@ from .scalars import (
     mpf_of,
     scalar_str,
 )
+from .structured import c_weight
 from .wring import EpsSeries, WElem, _padd, _pmul
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-
-
-def _odd_double_factorial(m: int) -> int:
-    """(2m-1)!! with the empty product at m = 0."""
-    out = 1
-    for j in range(1, 2 * m, 2):
-        out *= j
-    return out
 
 
 def ladder_weights(g: Potential, count: int) -> list[RationalFunc]:
@@ -66,11 +60,7 @@ def ladder_weights(g: Potential, count: int) -> list[RationalFunc]:
     string equation: ∮ V_λ U₀/(λ-4ρ)^j dλ/(2πi) = c_j(ρ).
     """
     W = g.hodograph()
-    out = []
-    for j in range(count + 1):
-        scale = Fraction(1, 2**j * _odd_double_factorial(j))
-        out.append(RationalFunc(W.derivative(j) * scale))
-    return out
+    return [RationalFunc(c_weight(W, j)) for j in range(count + 1)]
 
 
 # -- pole-basis extraction ---------------------------------------------------
@@ -223,27 +213,152 @@ class ScaledOneCut:
 # -- the regular engine ---------------------------------------------------------
 
 
+class _WPowers:
+    """W'(ρ), W''(ρ) and the powers W'^k, grown on demand; shared by one ring."""
+
+    __slots__ = ("wp", "wpp", "pows")
+
+    def __init__(self, wp: Poly):
+        self.wp = wp
+        self.wpp = wp.derivative()
+        self.pows = [Poly.one()]
+
+    def __getitem__(self, k: int) -> Poly:
+        pows = self.pows
+        while len(pows) <= k:
+            pows.append(pows[-1] * self.wp)
+        return pows[k]
+
+
+class _WpLoc:
+    """num(ρ) · W'(ρ)^{-e}: an element of ℚ[ρ, 1/W'(ρ)], never reduced.
+
+    W' is the only denominator the regular expansion produces, so sums lift
+    both numerators to the larger exponent and products add exponents; no
+    gcd is taken.  ``ratfunc`` is the one reduction, applied on output.
+    Fraction and int operands act as constants.
+    """
+
+    __slots__ = ("num", "e", "pw")
+
+    def __init__(self, num: Poly, e: int, pw: _WPowers):
+        self.num = num
+        self.e = e if num else 0
+        self.pw = pw
+
+    def _coerce(self, other):
+        if isinstance(other, _WpLoc):
+            return other
+        if is_exact(other):
+            return _WpLoc(Poly.const(other), 0, self.pw)
+        return NotImplemented
+
+    def _lifted(self, other: "_WpLoc") -> tuple[Poly, Poly, int]:
+        """Both numerators over the common denominator W'^e."""
+        e = max(self.e, other.e)
+        a, b = self.num, other.num
+        if self.e < e:
+            a = a * self.pw[e - self.e]
+        if other.e < e:
+            b = b * self.pw[e - other.e]
+        return a, b, e
+
+    def __add__(self, other) -> "_WpLoc":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        a, b, e = self._lifted(other)
+        return _WpLoc(a + b, e, self.pw)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "_WpLoc":
+        return _WpLoc(-self.num, self.e, self.pw)
+
+    def __sub__(self, other) -> "_WpLoc":
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        a, b, e = self._lifted(other)
+        return _WpLoc(a - b, e, self.pw)
+
+    def __rsub__(self, other) -> "_WpLoc":
+        return -(self - other)
+
+    def __mul__(self, other) -> "_WpLoc":
+        if is_exact(other):
+            return _WpLoc(self.num * other, self.e, self.pw)
+        if not isinstance(other, _WpLoc):
+            return NotImplemented
+        return _WpLoc(self.num * other.num, self.e + other.e, self.pw)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "_WpLoc":
+        return _WpLoc(self.num**n, self.e * n, self.pw)
+
+    def div_wp(self) -> "_WpLoc":
+        return _WpLoc(self.num, self.e + 1, self.pw)
+
+    def d_dT(self) -> "_WpLoc":
+        """d/dT = (1/W'(ρ))·d/dρ: (num'·W' - e·num·W'')·W'^{-(e+2)}."""
+        pw = self.pw
+        num = self.num.derivative() * pw.wp
+        if self.e:
+            num = num - self.num * pw.wpp * self.e
+        return _WpLoc(num, self.e + 2, pw)
+
+    def __bool__(self) -> bool:
+        return not self.num.is_zero()
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        a, b, _ = self._lifted(other)
+        return a == b
+
+    def ratfunc(self) -> RationalFunc:
+        return RationalFunc(self.num, self.pw[self.e])
+
+    def __repr__(self) -> str:  # debug aid only
+        return f"_WpLoc(({self.num.render('r0')})/W'^{self.e})"
+
+
 class _RegularEngine:
+    """The regular one-cut expansion with coefficients in ℚ[ρ, 1/W'(ρ)].
+
+    The ring is localised only at W'(ρ), the one denominator the expansion
+    produces; coefficients are reduced to ``RationalFunc`` on output.  Every
+    certificate raises ``Mismatch`` and survives ``python -O``.
+    """
+
     def __init__(self, g: Potential):
         self.g = g
         self.W = g.hodograph()
-        self.Wp = RationalFunc(self.W.derivative())
-        self.rho = RationalFunc.var()
-        self.d1 = RationalFunc(Poly((0, -4)))  # -4ρ
-        self.d0 = RationalFunc.const(0)
+        self.pw = _WPowers(self.W.derivative())
+        self.Wp = self._c(self.pw.wp)
+        self.rho = self._c(Poly.x())
+        self.d1 = self._c(Poly((0, -4)))  # -4ρ
+        self.d0 = self._c(Poly.zero())
+        self.one = self._c(Poly.one())
         self.zero_elem = WElem.zero(self.d1, self.d0)
-        self.u0 = WElem.from_poly(self.d1, self.d0, [RationalFunc.const(0), RationalFunc.const(1)], wpow=1)
+        self.u0 = WElem.from_poly(self.d1, self.d0, [self.d0, self.one], wpow=1)
         self.vp = list(g.v_lambda().coeffs)
-        self._dw2 = [RationalFunc.const(0), RationalFunc.const(-4) / self.Wp]
+        self._dw2 = [self.d0, self._c(Poly.const(-4), 1)]
         # 2U₀²/w = 2λ²/w³, the coefficient of r_k in the order-2k equation
         self.q_elem = (self.u0 * self.u0).scale(Fraction(2)).div_w()
         q_weight = self.q_elem.contour_pair(self.vp)
-        assert q_weight == self.Wp, "string weight of the r_k term must be W'"
+        certify(q_weight == self.Wp, "string weight of the r_k term must be W'")
 
-    def _dT(self, f):
+    def _c(self, num: Poly, e: int = 0) -> _WpLoc:
+        return _WpLoc(num, e, self.pw)
+
+    @staticmethod
+    def _dT(f):
         if isinstance(f, (Fraction, int)):  # slot padding is scalar
             return _F0
-        return f.derivative() / self.Wp
+        return f.d_dT()
 
     def _dT_elem(self, e: WElem) -> WElem:
         return e.d_dT(self._dT, self._dw2)
@@ -264,7 +379,7 @@ class _RegularEngine:
         um = u.shift(Fraction(-1), self._dT_elem)
         up = u.shift(Fraction(1), self._dT_elem)
         lhs = r * ((u + um) * (u + up))
-        one = EpsSeries.constant(self._embed(RationalFunc.const(1)), order, self.zero_elem)
+        one = EpsSeries.constant(self._embed(self.one), order, self.zero_elem)
         rhs = (u * u - one).map(lambda e: e.mul_poly([_F0, _F1]))
         return lhs - rhs
 
@@ -273,22 +388,42 @@ class _RegularEngine:
         r_list: list = [self.rho]
         u_list: list = [self.u0]
         for k in range(1, K + 1):
-            F = self._defect(u_list + [self.zero_elem], r_list + [RationalFunc.const(0)], 2 * k)
+            F = self._defect(u_list + [self.zero_elem], r_list + [self.d0], 2 * k)
             for odd in range(1, 2 * k, 2):
-                assert F.coefficient(odd).is_zero(), "odd defect order survived"
+                certify(F.coefficient(odd).is_zero(), f"odd defect order ε^{odd} survived")
             base = F.coefficient(2 * k).div_w().scale(Fraction(1, 2))
-            r_k = -(base.contour_pair(self.vp)) / self.Wp
+            # contour_pair of an element without odd slots is a scalar 0
+            r_k = -(self.d0 + base.contour_pair(self.vp)).div_wp()
             u_list.append(base + self.q_elem.scale(r_k))
             r_list.append(r_k)
+        # The residual holds for whatever d/dT the ring implements, so the
+        # derivation is checked against the closed form of r₁ instead:
+        # r₁ = ρ (2W''² - W'W''') / (12 W'⁴).
+        if K >= 1:
+            Wpp, W3 = self.pw.wpp, self.W.derivative(3)
+            r1 = self._c(Poly.x() * (Wpp * Wpp * 2 - self.pw.wp * W3) * Fraction(1, 12), 4)
+            certify(r_list[1] == r1, "r₁ differs from ρ(2W''² - W'W''')/(12W'⁴)")
         # residual certificate: the full truncation satisfies the identity
         F = self._defect(u_list, r_list, 2 * K)
         for j in range(2 * K + 1):
-            assert F.coefficient(j).is_zero(), f"defect at ε^{j} is nonzero"
+            certify(F.coefficient(j).is_zero(), f"defect at ε^{j} is nonzero")
         # and the string equation at every computed order
-        assert u_list[0].contour_pair(self.vp) == RationalFunc(self.W)
+        certify(
+            u_list[0].contour_pair(self.vp) == self._c(self.W),
+            "order-0 string equation must give W(ρ) = T",
+        )
         for k in range(1, K + 1):
-            assert not u_list[k].contour_pair(self.vp)
-        return r_list, u_list
+            certify(not u_list[k].contour_pair(self.vp), f"string equation fails at order {k}")
+        d1, d0 = RationalFunc(Poly((0, -4))), RationalFunc.const(0)
+
+        def out(c):  # slot padding stays scalar
+            return c.ratfunc() if isinstance(c, _WpLoc) else c
+
+        u_out = [
+            WElem(d1, d0, {j: [out(c) for c in cs] for j, cs in u.slots.items()})
+            for u in u_list
+        ]
+        return [r.ratfunc() for r in r_list], u_out
 
 
 def expand_regular(
@@ -387,9 +522,7 @@ def find_critical(g: Potential, digits: int | None = None) -> tuple[OneCutCritic
             T_c = W(r_c if root.exact else approx[i])
             if not T_c > 0:
                 continue
-            c_m = W.derivative(m)(r_c) * Fraction(
-                1, 2**m * _odd_double_factorial(m)
-            )
+            c_m = c_weight(W, m)(r_c)
             # the sampling window must stay local to this branch point: never
             # wider than half the gap to the next extremum of the hodograph
             radius = max(mpmath.mpf(1), abs(approx[i])) / 4

@@ -1,7 +1,13 @@
 """One-cut expansions: regular r_k series, pole tables, critical points,
 and the double-scaled ladder through the Painlevé relation."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -12,6 +18,8 @@ from largen.diffpoly import DiffPoly, XRelation
 from largen.errors import CriticalPointHit, NoAdmissibleRoot
 from largen.onecut import (
     OneCutCritical,
+    _WPowers,
+    _WpLoc,
     expand_regular,
     find_critical,
     ladder_weights,
@@ -28,6 +36,7 @@ MERGING = parse_potential("quartic:-2,1")
 SEXTIC = parse_potential("sextic:42,-11,1")
 
 RHO = RationalFunc.var()
+DATA = Path(__file__).parent / "data"
 
 
 def quartic_r1(g2: int, g4: int) -> RationalFunc:
@@ -98,6 +107,12 @@ class TestExpandRegular:
         assert doc["eval"]["T"] == "120"
         assert [F(v) for v in doc["eval"]["values"]] == exp.values()
 
+    def test_quartic_k3_json_pinned(self):
+        # frozen to_json; the benchmark's goldens stop at K = 2
+        doc = expand_regular(QUARTIC, F(2), 3).to_json()
+        want = (DATA / "expand_regular_quartic_1_1_T2_K3.json").read_text(encoding="utf-8")
+        assert json.dumps(doc, ensure_ascii=False) == want.strip()
+
     @given(
         g2=st.integers(min_value=1, max_value=6),
         g4=st.integers(min_value=1, max_value=6),
@@ -106,6 +121,96 @@ class TestExpandRegular:
     def test_quartic_family_r1(self, g2, g4):
         orders = u_series_coefficients(parse_potential(f"quartic:{g2},{g4}"), K=1)
         assert orders[1].poles[0] == quartic_r1(g2, g4) * F(2)
+
+
+RING_WP = {
+    "quartic": QUARTIC.hodograph().derivative(),
+    "sextic": SEXTIC.hodograph().derivative(),
+}
+ring_nums = st.lists(
+    st.fractions(min_value=-5, max_value=5, max_denominator=7), max_size=5
+).map(Poly)
+ring_exps = st.integers(min_value=0, max_value=4)
+
+
+class TestWpLocRing:
+    """ℚ[ρ, 1/W'(ρ)] agrees with RationalFunc once its elements are reduced."""
+
+    @pytest.mark.parametrize("name", sorted(RING_WP))
+    @given(a=ring_nums, ea=ring_exps, b=ring_nums, eb=ring_exps)
+    @settings(max_examples=40, deadline=None)
+    def test_ops_match_rational_functions(self, name, a, ea, b, eb):
+        pw = _WPowers(RING_WP[name])
+        x, y = _WpLoc(a, ea, pw), _WpLoc(b, eb, pw)
+        fx, fy = x.ratfunc(), y.ratfunc()
+        assert (x + y).ratfunc() == fx + fy
+        assert (x - y).ratfunc() == fx - fy
+        assert (x * y).ratfunc() == fx * fy
+        assert (x == y) == (fx == fy)
+        assert x.d_dT().ratfunc() == fx.derivative() / RationalFunc(pw.wp)
+
+    @pytest.mark.parametrize("name", sorted(RING_WP))
+    @given(a=ring_nums, ea=ring_exps, lift=st.integers(min_value=1, max_value=3))
+    @settings(max_examples=20, deadline=None)
+    def test_equality_sees_through_lifting(self, name, a, ea, lift):
+        # num·W'^{-e} and (num·W'^l)·W'^{-(e+l)} are one element
+        pw = _WPowers(RING_WP[name])
+        x, y = _WpLoc(a, ea, pw), _WpLoc(a * pw[lift], ea + lift, pw)
+        assert x == y
+        assert x.d_dT() == y.d_dT()
+        assert not x - y
+
+
+# name -> (patched method, replacement, the certificate that must catch it).
+# The residual re-check holds for whatever derivation the ring implements, so
+# a broken d/dT is caught by the closed form of r₁.
+CORRUPTIONS = {
+    "d_dT-without-W''-term": (
+        "d_dT",
+        "lambda self: W(self.num.derivative() * self.pw.wp, self.e + 2, self.pw)",
+        "r₁ differs",
+    ),
+    "sub-without-lifting": (
+        "__sub__",
+        "lambda self, o: W(self.num - self._coerce(o).num,"
+        " max(self.e, self._coerce(o).e), self.pw)",
+        "defect at ε^2",
+    ),
+    "mul-dropping-exponent": (
+        "__mul__",
+        "lambda self, o: W(self.num * getattr(o, 'num', o), self.e, self.pw)",
+        "odd defect order",
+    ),
+}
+
+
+class TestCertificatesUnderO:
+    @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+    def test_corrupted_ring_raises_mismatch(self, name):
+        attr, body, certificate = CORRUPTIONS[name]
+        script = textwrap.dedent(
+            f"""
+            assert False, "python -O should have stripped this"
+            from largen import onecut
+            from largen.errors import Mismatch
+            from largen.potential import parse_potential
+            W = onecut._WpLoc
+            W.{attr} = {body}
+            try:
+                onecut._RegularEngine(parse_potential("quartic:1,1")).run(2)
+            except Mismatch as exc:
+                print("Mismatch:", exc)
+            """
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith(f"Mismatch: {certificate}"), out.stdout
 
 
 class TestUSeriesTable:
