@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import NotTotalDerivative
+from .errors import NotTotalDerivative, certify
 from .polys import Poly, RationalFunc
 from .scalars import is_exact
 
@@ -505,3 +505,23 @@ class XRelation:
 
     def __repr__(self):
         return f"XRelation({self.render()})"
+
+
+def string_ladder(elems, vp, T_c, critical: int) -> list[XRelation]:
+    """The string relations ∮ V_λ·elems[k] = δ_{k,0}·T_c + δ_{k,critical}·x of
+    a double-scaled series, as p + x·q = 0 (``vp`` is V_λ's coefficient list).
+
+    The order-0 entry is certified to give T_c exactly, which ties the series
+    to the critical point it was built at.
+    """
+    ladder = []
+    for k, e in enumerate(elems):
+        p = DiffPoly.zero() + e.contour_pair(vp)
+        q = DiffPoly.zero()
+        if k == 0:
+            certify(p == DiffPoly.const(T_c), "order-0 string must give T_c")
+            p = p - DiffPoly.const(T_c)
+        elif k == critical:
+            q = DiffPoly.const(-1)
+        ladder.append(XRelation(p, q))
+    return ladder

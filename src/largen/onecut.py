@@ -4,9 +4,10 @@ Both engines expand the same finite-lattice quadratic identity
 
     r(T) · (U + U(T-ε)) · (U + U(T+ε)) = λ (U² - 1),
 
-truncated as an ε-series of curve elements, and close each order with the
-string equation ∮ V_λ(λ) U dλ/(2πi) = T.  What changes between the two is
-the coefficient ring and the bookkeeping of orders:
+truncated as an ε-series of curve elements (``wring.Lattice`` with the
+partner y = U), and close each order with the string equation
+∮ V_λ(λ) U dλ/(2πi) = T.  What changes between the two is the coefficient
+ring, its derivation and the bookkeeping of orders:
 
 * regular: U and r carry even powers of ε = 1/N; coefficients live in
   ℚ[ρ, 1/W'(ρ)] with ρ standing for r₀(T), reduced to ℚ(ρ) only on output;
@@ -32,7 +33,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .diffpoly import DiffPoly, XRelation
+from .diffpoly import DiffPoly, XRelation, string_ladder
 from .errors import CriticalPointHit, certify
 from .phase import branch_density_positive, solve_one_cut
 from .polys import Poly, RationalFunc
@@ -47,7 +48,7 @@ from .scalars import (
     scalar_str,
 )
 from .structured import c_weight
-from .wring import EpsSeries, WElem, _padd, _pmul
+from .wring import Lattice, WElem, _padd, _pmul
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -89,15 +90,8 @@ def _pole_basis(elem: WElem, four_rc, inv_four_rc) -> tuple:
     remainder must be exactly u₀·(μ + 4r_c)^M, or the element was not of the
     claimed shape.
     """
-    Y = elem.mul_w().div_lambda()  # Σ_j u_j/(λ-4r_c)^j on even slots
-    M = Y.max_key() // 2
-    w2 = [_F0, -four_rc, _F1]
-    w2_pow: list[list] = [[_F1]]
-    for _ in range(M):
-        w2_pow.append(_pmul(w2_pow[-1], w2))
-    P: list = []
-    for m in range(M + 1):
-        P = _padd(P, _pmul(Y.slot(2 * m), w2_pow[M - m]))
+    # Σ_j u_j/(λ-4r_c)^j on even slots
+    P, M = elem.mul_w().div_lambda().even_numerator()
     P = _shift_poly(P, four_rc)
 
     binom = [_F1]  # (μ + 4r_c)^M
@@ -112,12 +106,12 @@ def _pole_basis(elem: WElem, four_rc, inv_four_rc) -> tuple:
         poles.append(u)
         if u:
             cur = _padd(cur, [-(b * u) for b in binom])
-        assert not cur or not cur[0], "pole peeling left a nonzero constant"
+        certify(not cur or not cur[0], "pole peeling left a nonzero constant")
         cur = cur[1:]
     u0 = (cur[0] if cur else _F0) * inv_M
     if u0:
         leftover = _padd(cur, [-(b * u0) for b in binom])
-        assert not leftover, "element has a part outside the U₀-pole basis"
+        certify(not leftover, "element has a part outside the U₀-pole basis")
     poles.reverse()  # we peeled from the deepest pole down to j = 1
     return u0, poles
 
@@ -339,13 +333,12 @@ class _RegularEngine:
         self.pw = _WPowers(self.W.derivative())
         self.Wp = self._c(self.pw.wp)
         self.rho = self._c(Poly.x())
-        self.d1 = self._c(Poly((0, -4)))  # -4ρ
-        self.d0 = self._c(Poly.zero())
-        self.one = self._c(Poly.one())
-        self.zero_elem = WElem.zero(self.d1, self.d0)
-        self.u0 = WElem.from_poly(self.d1, self.d0, [self.d0, self.one], wpow=1)
+        d1 = self._c(Poly((0, -4)))  # -4ρ
+        self.d0 = d0 = self._c(Poly.zero())
+        one = self._c(Poly.one())
+        self.lat = Lattice(d1, d0, one, lambda f: f.d_dT(), [d0, self._c(Poly.const(-4), 1)])
+        self.u0 = WElem.from_poly(d1, d0, [d0, one], wpow=1)
         self.vp = list(g.v_lambda().coeffs)
-        self._dw2 = [self.d0, self._c(Poly.const(-4), 1)]
         # 2U₀²/w = 2λ²/w³, the coefficient of r_k in the order-2k equation
         self.q_elem = (self.u0 * self.u0).scale(Fraction(2)).div_w()
         q_weight = self.q_elem.contour_pair(self.vp)
@@ -354,43 +347,15 @@ class _RegularEngine:
     def _c(self, num: Poly, e: int = 0) -> _WpLoc:
         return _WpLoc(num, e, self.pw)
 
-    @staticmethod
-    def _dT(f):
-        if isinstance(f, (Fraction, int)):  # slot padding is scalar
-            return _F0
-        return f.d_dT()
-
-    def _dT_elem(self, e: WElem) -> WElem:
-        return e.d_dT(self._dT, self._dw2)
-
-    def _embed(self, c) -> WElem:
-        return WElem.from_poly(self.d1, self.d0, [c])
-
-    def _even_series(self, entries: list, order: int) -> EpsSeries:
-        cs = []
-        for e in entries:
-            cs.append(e)
-            cs.append(self.zero_elem)
-        return EpsSeries(cs, order, self.zero_elem)
-
-    def _defect(self, u_entries: list, r_entries: list, order: int) -> EpsSeries:
-        u = self._even_series(u_entries, order)
-        r = self._even_series([self._embed(c) for c in r_entries], order)
-        um = u.shift(Fraction(-1), self._dT_elem)
-        up = u.shift(Fraction(1), self._dT_elem)
-        lhs = r * ((u + um) * (u + up))
-        one = EpsSeries.constant(self._embed(self.one), order, self.zero_elem)
-        rhs = (u * u - one).map(lambda e: e.mul_poly([_F0, _F1]))
-        return lhs - rhs
-
     def run(self, K: int) -> tuple[list, list]:
         """Solve orders 2..2K; returns ([r₀..r_K] in ℚ(ρ), [U₀..U_K])."""
+        lat = self.lat
         r_list: list = [self.rho]
         u_list: list = [self.u0]
         for k in range(1, K + 1):
-            F = self._defect(u_list + [self.zero_elem], r_list + [self.d0], 2 * k)
-            for odd in range(1, 2 * k, 2):
-                certify(F.coefficient(odd).is_zero(), f"odd defect order ε^{odd} survived")
+            u = lat.series(u_list, 2 * k, 2)
+            F = lat.defect(u, u, lat.series([lat.embed(c) for c in r_list], 2 * k, 2))
+            lat.certify_vanishing(F, range(1, 2 * k, 2), "odd defect order")
             base = F.coefficient(2 * k).div_w().scale(Fraction(1, 2))
             # contour_pair of an element without odd slots is a scalar 0
             r_k = -(self.d0 + base.contour_pair(self.vp)).div_wp()
@@ -404,9 +369,9 @@ class _RegularEngine:
             r1 = self._c(Poly.x() * (Wpp * Wpp * 2 - self.pw.wp * W3) * Fraction(1, 12), 4)
             certify(r_list[1] == r1, "r₁ differs from ρ(2W''² - W'W''')/(12W'⁴)")
         # residual certificate: the full truncation satisfies the identity
-        F = self._defect(u_list, r_list, 2 * K)
-        for j in range(2 * K + 1):
-            certify(F.coefficient(j).is_zero(), f"defect at ε^{j} is nonzero")
+        u = lat.series(u_list, 2 * K, 2)
+        F = lat.defect(u, u, lat.series([lat.embed(c) for c in r_list], 2 * K, 2))
+        lat.certify_vanishing(F, range(2 * K + 1), "defect")
         # and the string equation at every computed order
         certify(
             u_list[0].contour_pair(self.vp) == self._c(self.W),
@@ -461,7 +426,7 @@ def u_series_coefficients(g: Potential, r0=None, K: int = 1) -> list[USeriesOrde
     out = [USeriesOrder(k=0, element=u_list[0], poles=())]
     for k in range(1, K + 1):
         u0_part, poles = _pole_basis(u_list[k], four, inv_four)
-        assert not u0_part, "U_k acquired a pole-free part"
+        certify(not u0_part, "U_k acquired a pole-free part")
         if r0 is not None:
             x = as_fraction(r0) if is_exact(r0) else mpf_of(r0)
             poles = [p(x) for p in poles]
@@ -552,71 +517,34 @@ class _ScaledEngine:
         self.rc = as_fraction(crit.r_c)
         self.Tc = as_fraction(crit.T_c)
         self.m = crit.m
-        self.d1 = DiffPoly.const(-4 * self.rc)
-        self.d0 = DiffPoly.zero()
-        self.zero_elem = WElem.zero(self.d1, self.d0)
-        self.u0 = WElem.from_poly(
-            self.d1, self.d0, [DiffPoly.zero(), DiffPoly.const(1)], wpow=1
-        )
+        d1, d0 = DiffPoly.const(-4 * self.rc), DiffPoly.zero()
+        self.lat = Lattice(d1, d0, DiffPoly.const(1), lambda c: c.d_dx(), None)
+        self.u0 = WElem.from_poly(d1, d0, [DiffPoly.zero(), DiffPoly.const(1)], wpow=1)
         self.vp = list(g.v_lambda().coeffs)
-
-    def _embed(self, c: DiffPoly) -> WElem:
-        return WElem.from_poly(self.d1, self.d0, [c])
-
-    @staticmethod
-    def _dx_elem(e: WElem) -> WElem:
-        return e.d_dT(
-            lambda c: _F0 if isinstance(c, (Fraction, int)) else c.d_dx(), None
-        )
-
-    def _even_series(self, entries: list, order: int) -> EpsSeries:
-        cs = []
-        for e in entries:
-            cs.append(e)
-            cs.append(self.zero_elem)
-        return EpsSeries(cs, order, self.zero_elem)
-
-    def _defect(self, u_entries: list, r_entries: list, order: int) -> EpsSeries:
-        u = self._even_series(u_entries, order)
-        r = self._even_series([self._embed(c) for c in r_entries], order)
-        um = u.shift(Fraction(-1), self._dx_elem)
-        up = u.shift(Fraction(1), self._dx_elem)
-        lhs = r * ((u + um) * (u + up))
-        one = EpsSeries.constant(self._embed(DiffPoly.const(1)), order, self.zero_elem)
-        rhs = (u * u - one).map(lambda e: e.mul_poly([_F0, _F1]))
-        return lhs - rhs
 
     def run(self, K: int) -> tuple[list, list]:
         """U^{[0]}..U^{[K]} and the string ladder relations."""
-        r_entries = [DiffPoly.const(self.rc)] + [
-            DiffPoly.var(f"r{k}") for k in range(1, K + 1)
+        lat = self.lat
+        r_elems = [lat.embed(DiffPoly.const(self.rc))] + [
+            lat.embed(DiffPoly.var(f"r{k}")) for k in range(1, K + 1)
         ]
         u_list = [self.u0]
         for k in range(1, K + 1):
-            F = self._defect(u_list + [self.zero_elem], r_entries[: k + 1], 2 * k)
-            for odd in range(1, 2 * k, 2):
-                assert F.coefficient(odd).is_zero(), "odd defect order survived"
+            u = lat.series(u_list, 2 * k, 2)
+            F = lat.defect(u, u, lat.series(r_elems[: k + 1], 2 * k, 2))
+            lat.certify_vanishing(F, range(1, 2 * k, 2), "odd scaled defect order")
             u_list.append(F.coefficient(2 * k).div_w().scale(Fraction(1, 2)))
-        F = self._defect(u_list, r_entries, 2 * K)
-        for j in range(2 * K + 1):
-            assert F.coefficient(j).is_zero(), f"scaled defect at ε̄^{j} is nonzero"
+        u = lat.series(u_list, 2 * K, 2)
+        F = lat.defect(u, u, lat.series(r_elems, 2 * K, 2))
+        lat.certify_vanishing(F, range(2 * K + 1), "scaled defect")
 
-        ladder = []
-        for k in range(K + 1):
-            p = DiffPoly.zero() + u_list[k].contour_pair(self.vp)
-            if k == 0:
-                assert p == DiffPoly.const(self.Tc), "order-0 string must give T_c"
-                ladder.append(XRelation(p - DiffPoly.const(self.Tc), DiffPoly.zero()))
-            elif k < self.m:
-                assert p.is_zero(), (
-                    "constraint below the critical order did not vanish; "
-                    "the scaling exponent would be wrong"
-                )
-                ladder.append(XRelation(p, DiffPoly.zero()))
-            elif k == self.m:
-                ladder.append(XRelation(p, DiffPoly.const(-1)))
-            else:
-                ladder.append(XRelation(p, DiffPoly.zero()))
+        ladder = string_ladder(u_list, self.vp, self.Tc, self.m)
+        for k in range(1, min(self.m, K + 1)):
+            certify(
+                ladder[k].p.is_zero(),
+                "constraint below the critical order did not vanish; "
+                "the scaling exponent would be wrong",
+            )
         return u_list, ladder
 
 
@@ -631,7 +559,7 @@ def scaled_series(g: Potential, crit: OneCutCritical, K: int) -> ScaledOneCut:
     orders = [ScaledOrder(k=0, element=u_list[0], poles=())]
     for k in range(1, K + 1):
         u0_part, poles = _pole_basis(u_list[k], four, inv_four)
-        assert not u0_part, "U^[k] acquired a pole-free part"
-        assert len(poles) <= k, "double-scaled pole depth exceeded its order"
+        certify(not u0_part, "U^[k] acquired a pole-free part")
+        certify(len(poles) <= k, "double-scaled pole depth exceeded its order")
         orders.append(ScaledOrder(k=k, element=u_list[k], poles=tuple(poles)))
     return ScaledOneCut(crit=crit, K=K, orders=tuple(orders), ladder=tuple(ladder))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import mpmath
 
-from .errors import NumericallySingular, PrecisionExhausted
+from .errors import NumericallySingular, PrecisionExhausted, certify
 from .potential import Potential
 from .roots import real_roots
 from .scalars import Scalar, default_digits, mpf_of
@@ -54,7 +54,7 @@ class MomentTable:
     moments: tuple
 
     def __post_init__(self):
-        assert all(m > 0 for m in self.moments)
+        certify(all(m > 0 for m in self.moments), "moment table has a nonpositive moment")
 
     @property
     def kmax(self) -> int:
@@ -164,7 +164,10 @@ class RecurrenceTable:
     h: tuple
 
     def __post_init__(self):
-        assert all(v > 0 for v in self.r) and all(v > 0 for v in self.h)
+        certify(
+            all(v > 0 for v in self.r) and all(v > 0 for v in self.h),
+            "recurrence table has a nonpositive r_n or h_n",
+        )
 
     @property
     def nmax(self) -> int:

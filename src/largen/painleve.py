@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diffpoly import DiffPoly, XRelation
-from .errors import Mismatch
+from .errors import Mismatch, certify
 from .onecut import OneCutCritical, scaled_series
 from .polys import RationalFunc
 from .potential import Potential
@@ -71,8 +71,8 @@ def gelfand_dikii(m: int, rc=None) -> DiffPoly:
         R = _GD_CACHE[-1]
         rhs = R.d_dx(3) * _RHO + _U * R.d_dx() * 4 + _U.d_dx() * R * 2
         nxt = rhs.integrate_x()
-        assert nxt.d_dx() == rhs
-        assert nxt.constant_term().is_zero()
+        certify(nxt.d_dx() == rhs, f"R_{len(_GD_CACHE)} does not integrate the recursion")
+        certify(nxt.constant_term().is_zero(), f"R_{len(_GD_CACHE)} has a constant term")
         _GD_CACHE.append(nxt)
     R = _GD_CACHE[m]
     if rc is None:
@@ -102,7 +102,10 @@ def pii_hierarchy(m: int, rc=None) -> tuple:
         Rn = R.d_dx(2) * (-_RHO) + _U * S * 2
         integrand = _U * Rn.d_dx() * (RationalFunc.const(Fraction(1, 2)) / _RHO)
         Sn = integrand.integrate_x()
-        assert Sn.d_dx() * (_RHO * 2) == _U * Rn.d_dx()
+        certify(
+            Sn.d_dx() * (_RHO * 2) == _U * Rn.d_dx(),
+            f"S_{len(_PII_CACHE)} does not integrate the second recursion",
+        )
         _PII_CACHE.append((Rn, Sn))
     R, S = _PII_CACHE[m]
     if rc is None:
@@ -196,14 +199,14 @@ def _substitute_x_pair(P, Q, name, px, qx):
     up cross terms from the explicit x, via dʲ(px + x·qx) = pxʲ + j·qxʲ⁻¹
     + x·qxʲ.
     """
-    assert name not in Q.dependent_vars()
+    certify(name not in Q.dependent_vars(), f"x-coefficient depends on {name}")
     newP = P.substitute({name: DiffPoly.zero()})
     newQ = Q
     for j in range(P.max_order(name) + 1):
         cj = P.partial(name, j)
         if not cj:
             continue
-        assert name not in cj.dependent_vars(), f"ladder not linear in {name}"
+        certify(name not in cj.dependent_vars(), f"ladder not linear in {name}")
         plain = px.d_dx(j)
         if j:
             plain = plain + qx.d_dx(j - 1) * j
@@ -216,7 +219,7 @@ def _eliminate_two_cut(sc, m: int) -> XRelation:
     """Forward-eliminate the even corrections from the merging-point ladder.
 
     Orders 2..2m fix one correction each: the k-th relation must be linear
-    in an undifferentiated 𝔞_k with constant coefficient (asserted, not
+    in an undifferentiated 𝔞_k with constant coefficient (certified, not
     assumed — this is the certificate that the elimination pattern holds),
     and only the order-2m relation carries x.  Substituting everything into
     the order-(2m+1) relation must leave 𝔞₁ alone; the result is the
@@ -236,25 +239,25 @@ def _eliminate_two_cut(sc, m: int) -> XRelation:
             break
         if not P and not Q:
             continue  # odd sub-critical entries collapse once the evens are in
-        assert k % 2 == 0, f"odd ladder entry {k} did not collapse"
+        certify(k % 2 == 0, f"odd ladder entry {k} did not collapse")
         name = f"a{k}"
-        assert P.max_order(name) == 0, f"{name} appears differentiated at its own order"
+        certify(P.max_order(name) == 0, f"{name} appears differentiated at its own order")
         c = P.partial(name, 0)
-        assert not c.dependent_vars(), f"coefficient of {name} is not constant"
+        certify(not c.dependent_vars(), f"coefficient of {name} is not constant")
         cv = c.constant_term()
-        assert c == DiffPoly.const(cv) and cv.is_constant()
+        certify(c == DiffPoly.const(cv) and cv.is_constant(), f"coefficient of {name} depends on ρ")
         val = cv.constant_value()
-        assert val != 0
+        certify(val != 0, f"coefficient of {name} vanishes")
         rest = P.substitute({name: DiffPoly.zero()})
         px = rest * (Fraction(-1) / val)
         qx = Q * (Fraction(-1) / val)
         if not Q:
             plain[name] = px
         else:
-            assert carrying is None and k == 2 * m, "x entered the ladder early"
+            certify(carrying is None and k == 2 * m, "x entered the ladder early")
             carrying = (name, px, qx)
     deps = P.dependent_vars() | Q.dependent_vars()
-    assert deps <= {"a1"}, f"elimination left {sorted(deps - {'a1'})} unresolved"
+    certify(deps <= {"a1"}, f"elimination left {sorted(deps - {'a1'})} unresolved")
     return XRelation(
         P.substitute({"a1": _U}), Q.substitute({"a1": _U})
     ).normalize()

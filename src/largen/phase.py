@@ -21,7 +21,7 @@ and α²β² = (a₀-b₀)², never the irrational endpoints themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -38,6 +38,7 @@ from .potential import Potential
 from .roots import RealRoot, real_roots
 from .scalars import Scalar, as_fraction, default_digits, is_exact, mpf_of, sqrt_scalar
 from .structured import branch_poly_part, branch_residue
+from .wring import _pmul
 
 _ZERO = Fraction(0)
 
@@ -356,21 +357,13 @@ def _two_cut_residuals(vp_f, sigma, tau, T_f):
     return e0, e1
 
 
-def _conv(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] = ca * cb + out[i + j]
-    return out
-
-
 def _two_cut_jacobian(vp_f, sigma, tau):
     d1, d0 = -(sigma + tau), sigma * tau
     half = Fraction(1, 2)
 
     def row(shift):
-        dsig = branch_residue(_conv(vp_f, [-tau, 1]), d1, d0, -3, shift=shift) * half
-        dtau = branch_residue(_conv(vp_f, [-sigma, 1]), d1, d0, -3, shift=shift) * half
+        dsig = branch_residue(_pmul(vp_f, [-tau, 1]), d1, d0, -3, shift=shift) * half
+        dtau = branch_residue(_pmul(vp_f, [-sigma, 1]), d1, d0, -3, shift=shift) * half
         return dsig, dtau
 
     j00, j01 = row(0)
@@ -539,24 +532,6 @@ def _two_cut_result(g: Potential, T, a0, b0, status: str, digits: int) -> PhaseR
     )
 
 
-def _with(p: PhaseResult, **kw) -> PhaseResult:
-    base = {
-        "s": p.s,
-        "endpoints": p.endpoints,
-        "status": p.status,
-        "h": p.h,
-        "T": p.T,
-        "r0": p.r0,
-        "a0": p.a0,
-        "b0": p.b0,
-        "note": p.note,
-        "h_numeric": p.h_numeric,
-        "alternates": p.alternates,
-    }
-    base.update(kw)
-    return PhaseResult(**base)
-
-
 def classify_phase(g: Potential, T, digits: int | None = None) -> PhaseResult:
     """Decide the s = 1 or s = 2 phase at temperature T.
 
@@ -588,9 +563,9 @@ def classify_phase(g: Potential, T, digits: int | None = None) -> PhaseResult:
     if len(regular) == 1:
         chosen = regular[0]
         others = tuple(r for r in results if r is not chosen)
-        return _with(chosen, alternates=others) if others else chosen
+        return replace(chosen, alternates=others) if others else chosen
     if len(regular) > 1:
-        return _with(
+        return replace(
             regular[0],
             status="critical",
             note="ambiguous: both phases admissible at resolution",
@@ -598,7 +573,7 @@ def classify_phase(g: Potential, T, digits: int | None = None) -> PhaseResult:
         )
     chosen = critical[0]
     rest = tuple(critical[1:])
-    return _with(chosen, alternates=rest) if rest else chosen
+    return replace(chosen, alternates=rest) if rest else chosen
 
 
 # -- density -------------------------------------------------------------------------

@@ -3,23 +3,22 @@
 Roots are isolated exactly (Sturm sequences over ``Fraction``), refined with
 bisection/Newton in mpmath, and reported with their multiplicities from a
 Yun squarefree decomposition.  Roots that are in fact rational are detected
-by continued-fraction reconstruction plus an exact check, so downstream
-code can stay in exact arithmetic whenever the data allows it.
+by the rational root theorem plus an exact check, so downstream code can
+stay in exact arithmetic whenever the data allows it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 import mpmath
 
 from .errors import PrecisionExhausted
 from .polys import Poly
-from .scalars import Scalar, default_digits, mpf_of
-
-_MAX_RECON_DEN = 10**6
+from .scalars import Scalar, default_digits, mpf_of, rationalize
 
 
 @dataclass(frozen=True)
@@ -121,12 +120,17 @@ def _isolate(p: Poly, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fracti
     return found
 
 
-def _try_rational(p: Poly, x_mpf, max_den: int = _MAX_RECON_DEN) -> Optional[Fraction]:
-    """Reconstruct a nearby small rational and verify it is an exact root."""
-    try:
-        cand = Fraction(float(x_mpf)).limit_denominator(max_den)
-    except (OverflowError, ValueError):
-        return None
+def _try_rational(p: Poly, x_mpf) -> Optional[Fraction]:
+    """The rational root of p next to x_mpf, if there is one (verified exactly).
+
+    Cleared to primitive integer coefficients with leading coefficient a_n,
+    p can only have rational roots u/a_n with u an integer (rational root
+    theorem), so u is x·a_n rounded.
+    """
+    den = lcm(*(c.denominator for c in p.coeffs))
+    ints = [int(c * den) for c in p.coeffs]
+    a_n = abs(ints[-1]) // gcd(*ints)
+    cand = Fraction(round(rationalize(x_mpf) * a_n), a_n)
     return cand if p(cand) == 0 else None
 
 

@@ -8,9 +8,11 @@ subsequence) together with the pair of curve functions V, W satisfying
     a · (V + W(T-ε)) · (V + W(T+ε)) = λ (V² - 1),
     b · (W + V(T-ε)) · (W + V(T+ε)) = λ (W² - 1),
 
-on the genus-one curve w² = λ² - 2(a₀+b₀)λ + (b₀-a₀)².  Everything is
-symmetric under a ↔ b (swapping the roles of the two subsequences), and the
-engines assert that rather than assume it.
+on the genus-one curve w² = λ² - 2(a₀+b₀)λ + (b₀-a₀)².  Both are the one
+``wring.Lattice`` identity, each with the other function as its partner in
+the shifted slots; the merged limit below takes the partner 𝕍(-ε̄).
+Everything is symmetric under a ↔ b (swapping the roles of the two
+subsequences), and the engines certify that rather than assume it.
 
 The module has three layers:
 
@@ -38,8 +40,8 @@ from fractions import Fraction
 
 import mpmath
 
-from .diffpoly import DiffPoly, XRelation
-from .errors import NoTwoCutSolution, SingularHodograph, TruncationExceeded
+from .diffpoly import DiffPoly, XRelation, string_ladder
+from .errors import NoTwoCutSolution, SingularHodograph, TruncationExceeded, certify
 from .mpolys import MPoly, MRatFunc
 from .phase import solve_two_cut
 from .potential import Potential
@@ -60,7 +62,7 @@ from .structured import (
     psi_poly,
     twocut_hodographs,
 )
-from .wring import EpsSeries, WElem, _padd, _pmul
+from .wring import Lattice, WElem, _padd, _pmul
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -465,7 +467,7 @@ class _TwoCutRegularEngine:
         det_mp = W_a.diff(0) * W_a.diff(0) - W_a.diff(1) * W_b.diff(0)
         if det_mp.is_zero():
             raise SingularHodograph("endpoint Jacobian vanishes identically")
-        assert _swap_poly(det_mp) == det_mp, "Jacobian determinant not symmetric"
+        certify(_swap_poly(det_mp) == det_mp, "Jacobian determinant not symmetric")
         a_mp = MPoly.var(2, 0)
         b_mp = MPoly.var(2, 1)
         self.det_mp = det_mp
@@ -473,89 +475,56 @@ class _TwoCutRegularEngine:
         poly = lambda p: _Loc(ctx, p)
         a0 = self.a0 = poly(a_mp)
         b0 = self.b0 = poly(b_mp)
-        self.d1 = (a0 + b0) * Fraction(-2)
-        self.d0 = (b0 - a0) * (b0 - a0)
-        self.zero_elem = WElem.zero(self.d1, self.d0)
-        self.v0 = WElem.from_poly(self.d1, self.d0, [a0 - b0, _F1], wpow=1)
-        self.w0 = WElem.from_poly(self.d1, self.d0, [b0 - a0, _F1], wpow=1)
+        d1 = (a0 + b0) * Fraction(-2)
+        d0 = (b0 - a0) * (b0 - a0)
+        self.v0 = WElem.from_poly(d1, d0, [a0 - b0, _F1], wpow=1)
+        self.w0 = WElem.from_poly(d1, d0, [b0 - a0, _F1], wpow=1)
         self.vp = list(g.v_lambda().coeffs)
 
         # response kernels: the coefficients of (a_k, b_k) in (V_k, W_k)
-        self.JA = WElem.from_poly(
-            self.d1, self.d0, [_F0, (a0 + b0) * Fraction(-2), Fraction(2)], wpow=3
-        )
-        self.JBa = WElem.from_poly(self.d1, self.d0, [_F0, a0 * Fraction(4)], wpow=3)
-        self.JBb = WElem.from_poly(self.d1, self.d0, [_F0, b0 * Fraction(4)], wpow=3)
+        self.JA = WElem.from_poly(d1, d0, [_F0, (a0 + b0) * Fraction(-2), Fraction(2)], wpow=3)
+        self.JBa = WElem.from_poly(d1, d0, [_F0, a0 * Fraction(4)], wpow=3)
+        self.JBb = WElem.from_poly(d1, d0, [_F0, b0 * Fraction(4)], wpow=3)
 
-        assert self.v0.contour_pair(self.vp) == poly(W_a)
-        assert self.w0.contour_pair(self.vp) == poly(W_b)
+        certify(self.v0.contour_pair(self.vp) == poly(W_a), "string equation for V₀ must give W_a")
+        certify(self.w0.contour_pair(self.vp) == poly(W_b), "string equation for W₀ must give W_b")
         self.s1 = self.JA.contour_pair(self.vp)
         self.s2 = self.JBa.contour_pair(self.vp)
         self.t1 = self.JBb.contour_pair(self.vp)
         # the string responses must be the hodograph Jacobian, entry by entry
-        assert self.s1 == poly(W_a.diff(0)) and self.s1 == poly(W_b.diff(1))
-        assert self.s2 == poly(W_a.diff(1))
-        assert self.t1 == poly(W_b.diff(0))
+        certify(
+            self.s1 == poly(W_a.diff(0)) and self.s1 == poly(W_b.diff(1)),
+            "string response s1 differs from ∂W_a/∂a₀ or ∂W_b/∂b₀",
+        )
+        certify(self.s2 == poly(W_a.diff(1)), "string response s2 differs from ∂W_a/∂b₀")
+        certify(self.t1 == poly(W_b.diff(0)), "string response t1 differs from ∂W_b/∂a₀")
         self.det = self.s1 * self.s1 - self.s2 * self.t1
-        assert self.det == poly(det_mp)
+        certify(self.det == poly(det_mp), "string response determinant differs from the Jacobian")
         # T-motion of the endpoints: d/dT of (W_a = T, W_b = T)
         self.da0 = (self.s1 - self.s2) / self.det
         self.db0 = (self.s1 - self.t1) / self.det
-        self.dw2 = [
+        dw2 = [
             (b0 - a0) * (self.db0 - self.da0) * Fraction(2),
             (self.da0 + self.db0) * Fraction(-2),
         ]
-
-    def _dT(self, c):
-        if isinstance(c, (Fraction, int)):  # slot padding is scalar
-            return _F0
-        return c.diff(0) * self.da0 + c.diff(1) * self.db0
-
-    def _dT_elem(self, e: WElem) -> WElem:
-        return e.d_dT(self._dT, self.dw2)
-
-    def _embed(self, c) -> WElem:
-        return WElem.from_poly(self.d1, self.d0, [c])
-
-    def _even_series(self, entries: list, order: int) -> EpsSeries:
-        cs = []
-        for e in entries:
-            cs.append(e)
-            cs.append(self.zero_elem)
-        return EpsSeries(cs, order, self.zero_elem)
-
-    def _defects(self, v_entries, w_entries, a_entries, b_entries, order):
-        V = self._even_series(v_entries, order)
-        W = self._even_series(w_entries, order)
-        A = self._even_series([self._embed(c) for c in a_entries], order)
-        B = self._even_series([self._embed(c) for c in b_entries], order)
-        Wm = W.shift(Fraction(-1), self._dT_elem)
-        Wp = W.shift(Fraction(1), self._dT_elem)
-        Vm = V.shift(Fraction(-1), self._dT_elem)
-        Vp = V.shift(Fraction(1), self._dT_elem)
-        one = EpsSeries.constant(self._embed(_F1), order, self.zero_elem)
-        lam = lambda s: s.map(lambda e: e.mul_poly([_F0, _F1]))
-        DV = A * ((V + Wm) * (V + Wp)) - lam(V * V - one)
-        DW = B * ((W + Vm) * (W + Vp)) - lam(W * W - one)
-        return DV, DW
+        self.lat = Lattice(
+            d1, d0, _F1, lambda c: c.diff(0) * self.da0 + c.diff(1) * self.db0, dw2
+        )
 
     def run(self, K: int) -> tuple[list, list, list, list]:
+        lat = self.lat
         a_list: list = [self.a0]
         b_list: list = [self.b0]
         v_list: list = [self.v0]
         w_list: list = [self.w0]
         mshift = [(self.a0 + self.b0) * Fraction(-1), _F1]  # λ - a₀ - b₀
         for k in range(1, K + 1):
-            DV, DW = self._defects(
-                v_list + [self.zero_elem],
-                w_list + [self.zero_elem],
-                a_list + [Fraction(0)],
-                b_list + [Fraction(0)],
-                2 * k,
-            )
-            for odd in range(1, 2 * k, 2):
-                assert DV.coefficient(odd).is_zero(), "odd defect order survived"
-                assert DW.coefficient(odd).is_zero(), "odd defect order survived"
+            # each function is the other's partner in the shifted slots
+            V, W = lat.series(v_list, 2 * k, 2), lat.series(w_list, 2 * k, 2)
+            DV = lat.defect(V, W, lat.series([lat.embed(c) for c in a_list], 2 * k, 2))
+            DW = lat.defect(W, V, lat.series([lat.embed(c) for c in b_list], 2 * k, 2))
+            lat.certify_vanishing(DV, range(1, 2 * k, 2), "odd V-defect order")
+            lat.certify_vanishing(DW, range(1, 2 * k, 2), "odd W-defect order")
             R1 = DV.coefficient(2 * k)
             R2 = DW.coefficient(2 * k)
             ZV = R1.mul_poly(mshift) + R2.scale(self.a0 * Fraction(2))
@@ -569,22 +538,23 @@ class _TwoCutRegularEngine:
             b_k = (self.t1 * P - self.s1 * Q) / self.det
             v_k = baseV + self.JA.scale(a_k) + self.JBa.scale(b_k)
             w_k = baseW + self.JBb.scale(a_k) + self.JA.scale(b_k)
-            assert not v_k.contour_pair(self.vp), "string residual at V_k"
-            assert not w_k.contour_pair(self.vp), "string residual at W_k"
+            certify(not v_k.contour_pair(self.vp), f"string residual at V_{k}")
+            certify(not w_k.contour_pair(self.vp), f"string residual at W_{k}")
             a_list.append(a_k)
             b_list.append(b_k)
             v_list.append(v_k)
             w_list.append(w_k)
-        DV, DW = self._defects(v_list, w_list, a_list, b_list, 2 * K)
-        for j in range(2 * K + 1):
-            assert DV.coefficient(j).is_zero(), f"V-defect at ε^{j} is nonzero"
-            assert DW.coefficient(j).is_zero(), f"W-defect at ε^{j} is nonzero"
+        V, W = lat.series(v_list, 2 * K, 2), lat.series(w_list, 2 * K, 2)
+        DV = lat.defect(V, W, lat.series([lat.embed(c) for c in a_list], 2 * K, 2))
+        DW = lat.defect(W, V, lat.series([lat.embed(c) for c in b_list], 2 * K, 2))
+        lat.certify_vanishing(DV, range(2 * K + 1), "V-defect")
+        lat.certify_vanishing(DW, range(2 * K + 1), "W-defect")
         # a ↔ b symmetry of the whole tower
         swap = lambda c: c if isinstance(c, (Fraction, int)) else c.swapped()
         for vk, wk in zip(v_list, w_list):
-            assert wk == vk.map_coeffs(swap), "V/W swap symmetry broken"
+            certify(wk == vk.map_coeffs(swap), "V/W swap symmetry broken")
         for ak, bk in zip(a_list, b_list):
-            assert bk == ak.swapped(), "a/b swap symmetry broken"
+            certify(bk == ak.swapped(), "a/b swap symmetry broken")
         return a_list, b_list, v_list, w_list
 
 
@@ -676,7 +646,7 @@ def build_F(g: Potential, T) -> FreeEnergy:
     t = MPoly.var(2, 1)
     poly = residue + (s + t) * (Tq / 2)
     fe = FreeEnergy(g=g, T=Tq, poly=poly, residue_part=residue)
-    assert fe.epd_defect().is_zero(), "contour term broke the EPD identity"
+    certify(fe.epd_defect().is_zero(), "contour term broke the EPD identity")
     return fe
 
 
@@ -748,7 +718,7 @@ def _div_root(coeffs: list, root) -> list:
         acc = c if acc is None else c + acc * root
         out.append(acc)
     rem = out.pop() if out else None
-    assert rem is None or _is_zero_coeff(rem), "inexact division at a pole"
+    certify(rem is None or _is_zero_coeff(rem), "inexact division at a pole")
     out.reverse()
     return out
 
@@ -762,16 +732,7 @@ def _two_pole_basis(elem: WElem, four_rc: Fraction, zero) -> tuple:
     the partial-fraction data converts linearly into the (C, A_j, B_j)
     table of the basis functions (λ-4r_c)/λ^j and λ/(λ-4r_c)^j.
     """
-    Y = elem.mul_w()
-    M = Y.max_key() // 2
-    assert all(j % 2 == 0 for j in Y.slots), "odd w-power after clearing one"
-    w2 = [_F0, -four_rc, _F1]
-    w2_pow: list[list] = [[_F1]]
-    for _ in range(M):
-        w2_pow.append(_pmul(w2_pow[-1], w2))
-    big: list = []
-    for j in range(M + 1):
-        big = _padd(big, _pmul(Y.slot(2 * j), w2_pow[M - j]))
+    big, M = elem.mul_w().even_numerator()
 
     u_poles: dict = {}
     v_poles: dict = {}
@@ -795,7 +756,7 @@ def _two_pole_basis(elem: WElem, four_rc: Fraction, zero) -> tuple:
         big = _padd(big, [-c for c in lam_i])
         big = _div_root(big, _F0)  # divide by λ, certified exact
         big = _div_root(big, four_rc)
-    assert len(big) <= 1, "two-pole peeling left a λ-dependent remainder"
+    certify(len(big) <= 1, "two-pole peeling left a λ-dependent remainder")
     const = big[0] if big else _F0
 
     A = [zero for _ in range(M)]
@@ -831,41 +792,20 @@ class _SymmetricScaledEngine:
         self.rc = as_fraction(point.r_c)
         self.Tc = as_fraction(point.T_c)
         self.m = point.m
-        self.d1 = DiffPoly.const(-4 * self.rc)
-        self.d0 = DiffPoly.zero()
-        self.zero_elem = WElem.zero(self.d1, self.d0)
-        self.v0 = WElem.from_poly(
-            self.d1, self.d0, [DiffPoly.zero(), DiffPoly.const(1)], wpow=1
-        )
+        d1, d0 = DiffPoly.const(-4 * self.rc), DiffPoly.zero()
+        self.lat = Lattice(d1, d0, DiffPoly.const(1), lambda c: c.d_dx(), None)
+        self.v0 = WElem.from_poly(d1, d0, [DiffPoly.zero(), DiffPoly.const(1)], wpow=1)
         self.vp = list(g.v_lambda().coeffs)
 
-    def _embed(self, c: DiffPoly) -> WElem:
-        return WElem.from_poly(self.d1, self.d0, [c])
-
-    @staticmethod
-    def _dx_elem(e: WElem) -> WElem:
-        return e.d_dT(
-            lambda c: _F0 if isinstance(c, (Fraction, int)) else c.d_dx(), None
-        )
-
-    def _defect(self, v_entries: list, a_entries: list, order: int) -> EpsSeries:
-        V = EpsSeries(v_entries, order, self.zero_elem)
-        A = EpsSeries([self._embed(c) for c in a_entries], order, self.zero_elem)
-        Vm = V.parity_flip().shift(Fraction(-1), self._dx_elem)
-        Vp = V.parity_flip().shift(Fraction(1), self._dx_elem)
-        one = EpsSeries.constant(self._embed(DiffPoly.const(1)), order, self.zero_elem)
-        lhs = A * ((V + Vm) * (V + Vp))
-        rhs = (V * V - one).map(lambda e: e.mul_poly([_F0, _F1]))
-        return lhs - rhs
-
     def run(self, K: int) -> tuple[list, list]:
-        a_entries = [DiffPoly.const(self.rc)] + [
-            DiffPoly.var(f"a{k}") for k in range(1, K + 1)
+        lat = self.lat
+        a_elems = [lat.embed(DiffPoly.const(self.rc))] + [
+            lat.embed(DiffPoly.var(f"a{k}")) for k in range(1, K + 1)
         ]
         v_list = [self.v0]
         for k in range(1, K + 1):
-            F = self._defect(v_list + [self.zero_elem], a_entries[: k + 1], k)
-            R = F.coefficient(k)
+            V = lat.series(v_list, k, 1)
+            R = lat.defect(V, V.parity_flip(), lat.series(a_elems[: k + 1], k, 1)).coefficient(k)
             if k % 2 == 0:
                 # unknown enters as -2w·𝕍^[k]
                 v_k = R.div_w().scale(Fraction(1, 2))
@@ -873,21 +813,10 @@ class _SymmetricScaledEngine:
                 # unknown enters as -2(λ²/w)·𝕍^[k]; division by λ² certified
                 v_k = R.mul_w().div_lambda().div_lambda().scale(Fraction(1, 2))
             v_list.append(v_k)
-        F = self._defect(v_list, a_entries, K)
-        for j in range(K + 1):
-            assert F.coefficient(j).is_zero(), f"merged defect at ε̄^{j} is nonzero"
-
-        ladder = []
-        for k in range(K + 1):
-            p = DiffPoly.zero() + v_list[k].contour_pair(self.vp)
-            if k == 0:
-                assert p == DiffPoly.const(self.Tc), "order-0 string must give T_c"
-                ladder.append(XRelation(p - DiffPoly.const(self.Tc), DiffPoly.zero()))
-            elif k == 2 * self.m:
-                ladder.append(XRelation(p, DiffPoly.const(-1)))
-            else:
-                ladder.append(XRelation(p, DiffPoly.zero()))
-        return v_list, ladder
+        V = lat.series(v_list, K, 1)
+        F = lat.defect(V, V.parity_flip(), lat.series(a_elems, K, 1))
+        lat.certify_vanishing(F, range(K + 1), "merged defect")
+        return v_list, string_ladder(v_list, self.vp, self.Tc, 2 * self.m)
 
 
 def symmetric_scaled_series(g: Potential, point: MergingPoint, K: int) -> SymmetricTwoCut:
@@ -904,11 +833,15 @@ def symmetric_scaled_series(g: Potential, point: MergingPoint, K: int) -> Symmet
     rc = engine.rc
     # the merged strings: ∮V_λ·λ/w_c = T_c and ∮V_λ/w_c = 0
     lam_over_w = engine.v0
-    one_over_w = WElem.from_poly(engine.d1, engine.d0, [DiffPoly.const(1)], wpow=1)
-    assert DiffPoly.zero() + lam_over_w.contour_pair(engine.vp) == DiffPoly.const(
-        engine.Tc
+    one_over_w = WElem.from_poly(engine.lat.d1, engine.lat.d0, [DiffPoly.const(1)], wpow=1)
+    certify(
+        DiffPoly.zero() + lam_over_w.contour_pair(engine.vp) == DiffPoly.const(engine.Tc),
+        "merged string ∮V_λ·λ/w_c must give T_c",
     )
-    assert _is_zero_coeff(DiffPoly.zero() + one_over_w.contour_pair(engine.vp))
+    certify(
+        _is_zero_coeff(DiffPoly.zero() + one_over_w.contour_pair(engine.vp)),
+        "merged string ∮V_λ/w_c must vanish",
+    )
 
     v_list, ladder = engine.run(K)
     four_rc = 4 * rc
@@ -921,7 +854,7 @@ def symmetric_scaled_series(g: Potential, point: MergingPoint, K: int) -> Symmet
     gammas = [gamma_moment(g.gs, j, rc) for j in range(1, K // 2 + 1)]
     for k in range(1, K + 1):
         C, A, B = _two_pole_basis(v_list[k], four_rc, DiffPoly.zero())
-        assert len(A) <= k // 2 and len(B) <= k // 2, "pole depth exceeded k/2"
+        certify(len(A) <= k // 2 and len(B) <= k // 2, "pole depth exceeded k/2")
         # the ladder relation must equal its moment form (C drops out since
         # ∮V_λ/w_c = 0 at a merging point)
         moment = DiffPoly.zero()
@@ -929,6 +862,6 @@ def symmetric_scaled_series(g: Potential, point: MergingPoint, K: int) -> Symmet
             moment = moment + Aj * phis[j - 1]
         for j, Bj in enumerate(B, start=1):
             moment = moment + Bj * gammas[j - 1]
-        assert ladder[k].p == moment, f"ladder/moment mismatch at order {k}"
+        certify(ladder[k].p == moment, f"ladder/moment mismatch at order {k}")
         orders.append(SymmetricScaledOrder(k=k, element=v_list[k], C=C, A=tuple(A), B=tuple(B)))
     return SymmetricTwoCut(point=point, K=K, orders=tuple(orders), ladder=tuple(ladder))

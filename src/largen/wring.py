@@ -1,4 +1,5 @@
-"""Laurent elements on the spectral curve, and truncated ε-series over them.
+"""Laurent elements on the spectral curve, truncated ε-series over them, and
+the lattice identity every large-N engine expands.
 
 The large-N engines manipulate quantities of the shape
 
@@ -14,6 +15,10 @@ points.
 Coefficients only need +, -, *, ** on themselves, coercion of Fraction
 scalars from either side, and truthiness == nonzero.  All arithmetic is
 exact; nothing here touches floating point.
+
+``Lattice`` holds the one identity all four engines solve (one-cut and
+two-cut regular, and the two double-scaled limits); each engine brings
+only its coefficient ring, its derivation and its per-order solve.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from .errors import certify
 from .structured import branch_coeff
 
 _ZERO = Fraction(0)
@@ -65,7 +71,7 @@ class WElem:
 
     ``slots`` maps j ≥ 0 to the coefficient list of N_j (index = λ-power).
     The branch data (d1, d0) ride along on every element; binary operations
-    assert they agree.
+    check they agree.
     """
 
     __slots__ = ("d1", "d0", "slots")
@@ -303,6 +309,20 @@ class WElem:
     def max_key(self) -> int:
         return max(self.slots) if self.slots else 0
 
+    def even_numerator(self) -> tuple[list, int]:
+        """(P, M) with self = P(λ)/w^{2M}, clearing denominators over this
+        element's own curve; only even w-powers may occur (certified)."""
+        certify(all(j % 2 == 0 for j in self.slots), "odd w-power in a rational element")
+        M = self.max_key() // 2
+        w2 = self._w2_poly()
+        w2_pow: list[list] = [[_ONE]]
+        for _ in range(M):
+            w2_pow.append(_pmul(w2_pow[-1], w2))
+        P: list = []
+        for m in range(M + 1):
+            P = _padd(P, _pmul(self.slot(2 * m), w2_pow[M - m]))
+        return P, M
+
     def contour_pair(self, weight: Sequence):
         """∮ weight(λ)·self · dλ/(2πi) over a cycle around both cuts.
 
@@ -431,3 +451,65 @@ class EpsSeries:
 
     def __repr__(self) -> str:
         return f"EpsSeries({self.coeffs!r}, order={self.order})"
+
+
+# -- the lattice identity ----------------------------------------------------
+
+
+class Lattice:
+    """The quadratic lattice identity on one curve,
+
+        a · (x + y(T-ε)) · (x + y(T+ε)) = λ (x² - 1),
+
+    expanded as ε-series of curve elements.  The partner ``y`` in the
+    shifted slots is the only thing that tells the regimes apart: y = x for
+    one cut, the other subsequence's function for two cuts, and
+    x.parity_flip() at a merging point.  T → T ± ε is the Taylor shift of
+    ``d_dT``, built from the coefficient derivation ``derive`` and
+    d(w²)/dT = dw2[0] + dw2[1]·λ (None for a frozen curve); ``one`` is the
+    unit of the coefficient ring.
+    """
+
+    __slots__ = ("d1", "d0", "one", "derive", "dw2", "zero")
+
+    def __init__(self, d1, d0, one, derive: Callable, dw2: Sequence | None):
+        self.d1 = d1
+        self.d0 = d0
+        self.one = one
+        self.derive = derive
+        self.dw2 = dw2
+        self.zero = WElem.zero(d1, d0)
+
+    def embed(self, c) -> WElem:
+        """The coefficient c as a λ-constant curve element."""
+        return WElem.from_poly(self.d1, self.d0, [c])
+
+    def series(self, entries: Sequence, order: int, step: int) -> EpsSeries:
+        """Σ_k entries[k]·ε^{step·k}, truncated at ε^order."""
+        cs: list = []
+        for e in entries:
+            cs.append(e)
+            cs.extend([self.zero] * (step - 1))
+        return EpsSeries(cs, order, self.zero)
+
+    def _derive_coeff(self, c):
+        if isinstance(c, (Fraction, int)):  # slot padding is scalar
+            return _ZERO
+        return self.derive(c)
+
+    def d_dT(self, e: WElem) -> WElem:
+        return e.d_dT(self._derive_coeff, self.dw2)
+
+    def defect(self, x: EpsSeries, y: EpsSeries, a: EpsSeries) -> EpsSeries:
+        """a·(x + y(T-ε))·(x + y(T+ε)) - λ(x² - 1), order by order."""
+        ym = y.shift(Fraction(-1), self.d_dT)
+        yp = y.shift(Fraction(1), self.d_dT)
+        lhs = a * ((x + ym) * (x + yp))
+        one = EpsSeries.constant(self.embed(self.one), x.order, self.zero)
+        return lhs - (x * x - one).map(lambda e: e.mul_poly([_ZERO, _ONE]))
+
+    @staticmethod
+    def certify_vanishing(F: EpsSeries, orders, what: str) -> None:
+        """Raise ``Mismatch`` unless F has no ε^j term for every j in orders."""
+        for j in orders:
+            certify(F.coefficient(j).is_zero(), f"{what} at ε^{j} is nonzero")

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from largen.diffpoly import DiffPoly, XRelation
-from largen.errors import CriticalPointHit, NoAdmissibleRoot
+from largen.errors import CriticalPointHit, Mismatch, NoAdmissibleRoot
 from largen.onecut import (
     OneCutCritical,
     _WPowers,
@@ -161,25 +161,43 @@ class TestWpLocRing:
         assert not x - y
 
 
-# name -> (patched method, replacement, the certificate that must catch it).
-# The residual re-check holds for whatever derivation the ring implements, so
-# a broken d/dT is caught by the closed form of r₁.
+ONE_CUT_RUN = 'onecut._RegularEngine(parse_potential("quartic:1,1")).run(2)'
+TWO_CUT_RUN = 'twocut._TwoCutRegularEngine(parse_potential("quartic:-2,1")).run(1)'
+
+# name -> (patched ring class, method, replacement, engine call, the
+# certificate that must catch it).  The residual re-check holds for whatever
+# derivation the ring implements, so a broken d/dT is caught by the closed
+# form of r₁.
 CORRUPTIONS = {
     "d_dT-without-W''-term": (
+        "onecut._WpLoc",
         "d_dT",
         "lambda self: W(self.num.derivative() * self.pw.wp, self.e + 2, self.pw)",
+        ONE_CUT_RUN,
         "r₁ differs",
     ),
     "sub-without-lifting": (
+        "onecut._WpLoc",
         "__sub__",
         "lambda self, o: W(self.num - self._coerce(o).num,"
         " max(self.e, self._coerce(o).e), self.pw)",
+        ONE_CUT_RUN,
         "defect at ε^2",
     ),
     "mul-dropping-exponent": (
+        "onecut._WpLoc",
         "__mul__",
         "lambda self, o: W(self.num * getattr(o, 'num', o), self.e, self.pw)",
+        ONE_CUT_RUN,
         "odd defect order",
+    ),
+    "two-cut-add-without-lifting": (
+        "twocut._Loc",
+        "__add__",
+        "lambda self, o: W(self.ctx, self.num + self._coerce(o).num,"
+        " max(self.i, self._coerce(o).i), max(self.j, self._coerce(o).j))",
+        TWO_CUT_RUN,
+        "string equation for V₀",
     ),
 }
 
@@ -187,17 +205,17 @@ CORRUPTIONS = {
 class TestCertificatesUnderO:
     @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
     def test_corrupted_ring_raises_mismatch(self, name):
-        attr, body, certificate = CORRUPTIONS[name]
+        ring, attr, body, run, certificate = CORRUPTIONS[name]
         script = textwrap.dedent(
             f"""
             assert False, "python -O should have stripped this"
-            from largen import onecut
+            from largen import onecut, twocut
             from largen.errors import Mismatch
             from largen.potential import parse_potential
-            W = onecut._WpLoc
+            W = {ring}
             W.{attr} = {body}
             try:
-                onecut._RegularEngine(parse_potential("quartic:1,1")).run(2)
+                {run}
             except Mismatch as exc:
                 print("Mismatch:", exc)
             """
@@ -313,6 +331,16 @@ class TestScaledSeries:
         assert sc.orders[3].poles[1] == u32
         assert sc.orders[3].poles[2] == u33
 
+    def test_bmp_k4_documents_pinned(self):
+        # frozen ladder and pole documents of the double-scaled engine
+        sc = scaled_series(BMP, find_critical(BMP)[0], K=4)
+        doc = {
+            "ladder": [rel.to_json() for rel in sc.ladder],
+            "poles": [[p.to_json() for p in o.poles] for o in sc.orders],
+        }
+        want = (DATA / "scaled_series_bmp_K4.json").read_text(encoding="utf-8")
+        assert json.dumps(doc, ensure_ascii=False) == want.strip()
+
     def test_leading_poles_are_twice_rk(self):
         crit = find_critical(BMP)[0]
         sc = scaled_series(BMP, crit, K=4)
@@ -385,5 +413,5 @@ class TestScaledSeries:
     def test_handmade_critical_point_consistency(self):
         # a fabricated point off the hodograph fails the order-0 ladder check
         fake = OneCutCritical(r_c=F(1), T_c=F(59), m=3, c_m=F(3))
-        with pytest.raises(AssertionError):
+        with pytest.raises(Mismatch, match="order-0 string"):
             scaled_series(BMP, fake, K=3)

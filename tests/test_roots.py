@@ -54,6 +54,14 @@ def test_rational_roots_detected_exactly():
     assert all(r.exact and r.multiplicity == 1 for r in got)
 
 
+@pytest.mark.parametrize("root", [Fraction(1, 2**21), Fraction(1, 3**13)], ids=["2^-21", "3^-13"])
+def test_rational_root_with_large_denominator_is_exact(root):
+    # a cubic factor is refined numerically; its rational root must still come back exact
+    p = _poly_from_roots([root]) * Poly([-2, 0, 1])
+    got = [r for r in real_roots(p) if r.exact]
+    assert [r.value for r in got] == [root]
+
+
 def test_irrational_root_refined_to_digits():
     p = Poly([-2, 0, 1])  # x^2 - 2
     got = real_roots(p, digits=40)

@@ -1,7 +1,9 @@
 """Two-cut expansions: interleaved endpoint corrections, the merged-endpoint
 functional with its classification, and the symmetric double-scaled ladder."""
 
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from largen.diffpoly import DiffPoly, XRelation
 from largen.errors import (
+    Mismatch,
     NoTwoCutSolution,
     SingularHodograph,
     TruncationExceeded,
@@ -28,6 +31,8 @@ from largen.twocut import (
 MERGING = parse_potential("quartic:-2,1")
 SEXTIC2 = parse_potential("sextic:-6,-3,1")  # merges at order m = 2
 IRRATIONAL = parse_potential("sextic:-6,-1,1")  # merging point at (1+2√7)/9
+
+DATA = Path(__file__).parent / "data"
 
 A1 = DiffPoly.var("a1")
 A2 = DiffPoly.var("a2")
@@ -110,6 +115,13 @@ class TestRegularExpansion:
         assert doc["eval"]["a"] == ["3/4", "-9/2"]
         assert doc["eval"]["b"] == ["1/4", "5/2"]
         assert doc["eval"]["da0_dT"] == "-1/2"
+
+    def test_quartic_k1_json_pinned(self):
+        # frozen to_json of the regular two-cut engine
+        doc = expand_two_cut_regular(MERGING, F(3, 4), K=1).to_json(30)
+        name = "expand_two_cut_regular_quartic_-2_1_T3_4_K1.json"
+        want = (DATA / name).read_text(encoding="utf-8")
+        assert json.dumps(doc, ensure_ascii=False) == want.strip()
 
     @given(
         g2=st.sampled_from([-2, -3, -4]),
@@ -276,6 +288,19 @@ def dos_table(rc):
 
 
 class TestScaledSeries:
+    def test_quartic_k5_documents_pinned(self):
+        # frozen ladder and pole documents of the merged-cut engine
+        sc = symmetric_scaled_series(MERGING, find_merging(MERGING)[0], K=5)
+        doc = {
+            "ladder": [rel.to_json() for rel in sc.ladder],
+            "poles": [
+                [o.C.to_json(), [a.to_json() for a in o.A], [b.to_json() for b in o.B]]
+                for o in sc.orders
+            ],
+        }
+        want = (DATA / "symmetric_scaled_series_quartic_-2_1_K5.json").read_text(encoding="utf-8")
+        assert json.dumps(doc, ensure_ascii=False) == want.strip()
+
     def test_first_order_element(self):
         pt = find_merging(MERGING)[0]
         sc = symmetric_scaled_series(MERGING, pt, K=3)
@@ -404,5 +429,5 @@ class TestScaledSeries:
 
     def test_fabricated_point_fails_string_check(self):
         fake = MergingPoint(r_c=F(1, 2), T_c=F(2), m=1, phi=(F(-4),), gamma1=F(4))
-        with pytest.raises(AssertionError):
+        with pytest.raises(Mismatch, match="must give T_c"):
             symmetric_scaled_series(MERGING, fake, K=3)
