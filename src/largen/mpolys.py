@@ -10,6 +10,8 @@ cross-multiplication provides.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Mapping
 
 import mpmath
@@ -17,6 +19,14 @@ import mpmath
 from .scalars import as_fraction, is_exact, mpf_of
 
 _ZERO = Fraction(0)
+
+
+def _over_common_den(terms: dict) -> tuple:
+    """(D, [(exps, c·D)]) with D the lcm of the coefficient denominators."""
+    den = 1
+    for c in terms.values():
+        den = lcm(den, c.denominator)
+    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
 
 
 class MPoly:
@@ -35,6 +45,15 @@ class MPoly:
                         raise ValueError("exponent tuple has wrong arity")
                     clean[tuple(exps)] = clean.get(tuple(exps), _ZERO) + c
         self.terms = {e: c for e, c in clean.items() if c}
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict) -> "MPoly":
+        """Wrap a table of Fraction coefficients with arity-``nvars`` tuple keys,
+        dropping cancelled terms and keeping insertion order (``eval`` sums in it)."""
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out.terms = {e: c for e, c in terms.items() if c}
+        return out
 
     @classmethod
     def const(cls, nvars: int, c) -> "MPoly":
@@ -78,12 +97,12 @@ class MPoly:
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, _ZERO) + c
-        return MPoly(self.nvars, out)
+        return MPoly._trusted(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -98,12 +117,18 @@ class MPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[tuple, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, _ZERO) + c1 * c2
-        return MPoly(self.nvars, out)
+        # multiply integer numerators over one common denominator per
+        # factor; the exact sums, and so the terms and their order, are those
+        # of the term-by-term Fraction products
+        den1, ints1 = _over_common_den(self.terms)
+        den2, ints2 = _over_common_den(other.terms)
+        out: dict[tuple, int] = {}
+        for e1, n1 in ints1:
+            for e2, n2 in ints2:
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + n1 * n2
+        den = den1 * den2
+        return MPoly._trusted(self.nvars, {e: Fraction(n, den) for e, n in out.items()})
 
     __rmul__ = __mul__
 
@@ -126,7 +151,7 @@ class MPoly:
                 e2 = list(e)
                 e2[i] -= 1
                 out[tuple(e2)] = out.get(tuple(e2), _ZERO) + c * e[i]
-        return MPoly(self.nvars, out)
+        return MPoly._trusted(self.nvars, out)
 
     def eval(self, point):
         """Evaluate at a point of exact or mpf coordinates."""

@@ -95,11 +95,12 @@ def compute_moments(
 ) -> MomentTable:
     """Certified moment table for the weight e^{-(N/T)V(x)}.
 
-    All kmax+1 moments are integrated in one vector pass per refinement
-    level; the level is accepted when every component agrees with the
-    previous level to ``digits + 5`` decimals (relative).  ``method`` picks
-    the quadrature family — the default double-exponential rule, or
-    ``gauss-legendre`` as an independent scheme for cross-checks.
+    Each of the kmax+1 moments is integrated separately, raising the
+    quadrature degree until two successive levels agree to ``digits + 5``
+    decimals (relative); the moments share one weight function memoised on
+    the node value, since nodes repeat across moments and levels.
+    ``method`` picks the quadrature family — the default double-exponential
+    rule, or ``gauss-legendre`` as an independent scheme for cross-checks.
     """
     digits = default_digits() if digits is None else digits
     if digits < 30:

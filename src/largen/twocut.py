@@ -41,7 +41,13 @@ from fractions import Fraction
 import mpmath
 
 from .diffpoly import DiffPoly, XRelation, string_ladder
-from .errors import NoTwoCutSolution, SingularHodograph, TruncationExceeded, certify
+from .errors import (
+    Mismatch,
+    NoTwoCutSolution,
+    SingularHodograph,
+    TruncationExceeded,
+    certify,
+)
 from .mpolys import MPoly, MRatFunc
 from .phase import solve_two_cut
 from .potential import Potential
@@ -71,7 +77,63 @@ _F1 = Fraction(1)
 # -- coefficient helpers ------------------------------------------------------
 
 
-def _exact_div(p: MPoly, d: MPoly):
+# The modular image φ: ℚ[a₀, b₀] → F_P[a₀], b₀ ↦ _BSTAR, which proves most
+# trial divisions fail before any rational arithmetic is spent on them.
+_P = 2**61 - 1
+_BSTAR = 0x1C6F_3A5E_92B4_D071
+_BPOW = tuple(pow(_BSTAR, k, _P) for k in range(64))
+
+
+def _image(p: MPoly):
+    """φ(p) as a coefficient list in a₀ (lowest first, entries not reduced),
+    or None when some coefficient's denominator is divisible by P."""
+    acc: dict = {}
+    inv: dict = {}
+    for (ea, eb), c in p.terms.items():
+        n, m = c.numerator, c.denominator
+        if m != 1:
+            r = inv.get(m)
+            if r is None:
+                if not m % _P:
+                    return None
+                r = inv[m] = pow(m, -1, _P)
+            n *= r
+        bp = _BPOW[eb] if eb < len(_BPOW) else pow(_BSTAR, eb, _P)
+        acc[ea] = acc.get(ea, 0) + n * bp
+    out = [0] * (max(acc, default=-1) + 1)
+    for ea, v in acc.items():
+        out[ea] = v
+    return out
+
+
+def _monic_image(d: MPoly):
+    """φ(d) made monic, or None when it cannot filter: a denominator of d is
+    divisible by P, or φ(d) is a constant (or zero)."""
+    img = _image(d)
+    if img is None:
+        return None
+    img = [v % _P for v in img]
+    while img and not img[-1]:
+        img.pop()
+    if len(img) < 2:
+        return None
+    inv = pow(img[-1], -1, _P)
+    return [v * inv % _P for v in img]
+
+
+def _image_divisible(f: list, g: list) -> bool:
+    """Whether the monic g divides f in F_P[a₀] (f is consumed)."""
+    n = len(g) - 1
+    for top in range(len(f) - 1, n - 1, -1):
+        c = f[top] % _P
+        if c:
+            base = top - n
+            for k in range(n):
+                f[base + k] -= c * g[k]
+    return not any(v % _P for v in f[:n])
+
+
+def _greedy_div(p: MPoly, d: MPoly):
     """p/d as an MPoly, or None when the division is not exact.
 
     Greedy leading-term division in lex order; for a monomial order this
@@ -99,12 +161,38 @@ def _exact_div(p: MPoly, d: MPoly):
                 rem[ke] = nc
             else:
                 rem.pop(ke, None)
-    return MPoly(p.nvars, out)
+    return MPoly._trusted(p.nvars, out)
+
+
+def _exact_div(p: MPoly, d: MPoly, d_img):
+    """p/d as an MPoly, or None when d does not divide p.
+
+    ``d_img`` is ``_monic_image(d)``.  If p = q·d over ℚ and neither p nor
+    d has a denominator divisible by P, Gauss's lemma over ℤ_(P) makes q
+    P-integral, so φ(d) divides φ(p); a nonzero remainder of φ(p) mod φ(d)
+    therefore proves d ∤ p.  Every other case is decided by ``_greedy_div``.
+    """
+    if d_img is not None:
+        img = _image(p)
+        if img is not None and not _image_divisible(img, d_img):
+            return None
+    return _greedy_div(p, d)
 
 
 def _swap_poly(p: MPoly) -> MPoly:
     """Exchange the two endpoint variables of an exponent table."""
     return MPoly(2, {(e[1], e[0]): c for e, c in p.terms.items()})
+
+
+def _solvable(elem: WElem, times: int, what: str) -> WElem:
+    """elem/λ^times.  The exact division is the solvability certificate of an
+    order, so a remainder raises Mismatch rather than WElem's ValueError."""
+    try:
+        for _ in range(times):
+            elem = elem.div_lambda()
+    except ValueError as exc:
+        raise Mismatch(f"solvability: {what} leaves a remainder on division by λ") from exc
+    return elem
 
 
 def _is_zero_coeff(c) -> bool:
@@ -116,11 +204,13 @@ def _is_zero_coeff(c) -> bool:
 class _LocCtx:
     """Factor data shared by the _Loc coefficients of one endpoint solve."""
 
-    __slots__ = ("det", "bma")
+    __slots__ = ("det", "bma", "det_img", "bma_img")
 
     def __init__(self, det: MPoly, bma: MPoly):
         self.det = det
         self.bma = bma
+        self.det_img = _monic_image(det)
+        self.bma_img = _monic_image(bma)
 
 
 class _Loc:
@@ -130,8 +220,10 @@ class _Loc:
     Unreduced MRatFunc quotients square in size under the d/dT chains the
     lattice shifts generate; tracking the two known denominator factors as
     integer exponents instead keeps all polynomial arithmetic on numerators.
-    Construction re-canonicalizes, so exponents can go negative (factors in
-    the numerator) and values have one representation — cheap equality.
+    Construction re-canonicalizes by trial division, so exponents can go
+    negative (factors in the numerator) and values have one representation —
+    cheap equality.  Most trial divisions fail, and ``_exact_div`` proves
+    that from the image mod P before dividing over ℚ.
     """
 
     __slots__ = ("ctx", "num", "i", "j")
@@ -141,12 +233,12 @@ class _Loc:
             i = j = 0
         elif not canonical:
             while True:
-                q = _exact_div(num, ctx.det)
+                q = _exact_div(num, ctx.det, ctx.det_img)
                 if q is None:
                     break
                 num, i = q, i - 1
             while True:
-                q = _exact_div(num, ctx.bma)
+                q = _exact_div(num, ctx.bma, ctx.bma_img)
                 if q is None:
                     break
                 num, j = q, j - 1
@@ -457,8 +549,9 @@ class _TwoCutRegularEngine:
     from the curve and certified against the hodographs' actual partials.
 
     Coefficients live in the localized ring _Loc, so the only polynomial
-    products are numerator × numerator; fine through k ≈ 3, growing fast
-    beyond that.
+    products are numerator × numerator.  Its derivation is certified against
+    the quotient rule of MRatFunc at construction: the defect and string
+    residuals hold for whatever d/dT the ring implements.
     """
 
     def __init__(self, g: Potential):
@@ -503,6 +596,13 @@ class _TwoCutRegularEngine:
         # T-motion of the endpoints: d/dT of (W_a = T, W_b = T)
         self.da0 = (self.s1 - self.s2) / self.det
         self.db0 = (self.s1 - self.t1) / self.det
+        # the slopes, and a probe with both factor exponents raised
+        for c in (self.da0, self.db0, self.da0 * self.da0 / (b0 - a0)):
+            for v in (0, 1):
+                certify(
+                    c.diff(v).to_ratfunc() == c.to_ratfunc().diff(v),
+                    "two-cut derivation differs from the quotient rule",
+                )
         dw2 = [
             (b0 - a0) * (self.db0 - self.da0) * Fraction(2),
             (self.da0 + self.db0) * Fraction(-2),
@@ -529,9 +629,8 @@ class _TwoCutRegularEngine:
             R2 = DW.coefficient(2 * k)
             ZV = R1.mul_poly(mshift) + R2.scale(self.a0 * Fraction(2))
             ZW = R2.mul_poly(mshift) + R1.scale(self.b0 * Fraction(2))
-            # exact division by λ here is the solvability certificate
-            baseV = ZV.div_lambda().div_w().scale(Fraction(1, 2))
-            baseW = ZW.div_lambda().div_w().scale(Fraction(1, 2))
+            baseV = _solvable(ZV, 1, f"the V-residual at order {k}").div_w().scale(Fraction(1, 2))
+            baseW = _solvable(ZW, 1, f"the W-residual at order {k}").div_w().scale(Fraction(1, 2))
             P = baseV.contour_pair(self.vp)
             Q = baseW.contour_pair(self.vp)
             a_k = (self.s2 * Q - self.s1 * P) / self.det
@@ -810,8 +909,9 @@ class _SymmetricScaledEngine:
                 # unknown enters as -2w·𝕍^[k]
                 v_k = R.div_w().scale(Fraction(1, 2))
             else:
-                # unknown enters as -2(λ²/w)·𝕍^[k]; division by λ² certified
-                v_k = R.mul_w().div_lambda().div_lambda().scale(Fraction(1, 2))
+                # unknown enters as -2(λ²/w)·𝕍^[k]
+                v_k = _solvable(R.mul_w(), 2, f"the merged residual at order {k}")
+                v_k = v_k.scale(Fraction(1, 2))
             v_list.append(v_k)
         V = lat.series(v_list, K, 1)
         F = lat.defect(V, V.parity_flip(), lat.series(a_elems, K, 1))

@@ -167,7 +167,7 @@ TWO_CUT_RUN = 'twocut._TwoCutRegularEngine(parse_potential("quartic:-2,1")).run(
 # name -> (patched ring class, method, replacement, engine call, the
 # certificate that must catch it).  The residual re-check holds for whatever
 # derivation the ring implements, so a broken d/dT is caught by the closed
-# form of r₁.
+# form of r₁ (one cut) or by the quotient rule (two cuts).
 CORRUPTIONS = {
     "d_dT-without-W''-term": (
         "onecut._WpLoc",
@@ -198,6 +198,22 @@ CORRUPTIONS = {
         " max(self.i, self._coerce(o).i), max(self.j, self._coerce(o).j))",
         TWO_CUT_RUN,
         "string equation for V₀",
+    ),
+    "two-cut-diff-without-det-term": (
+        "twocut._Loc",
+        "diff",
+        "lambda self, k: W(self.ctx, self.num.diff(k) * self.ctx.det * self.ctx.bma"
+        " - self.num * (self.ctx.bma.diff(k) * self.ctx.det) * self.j, self.i + 1, self.j + 1)",
+        TWO_CUT_RUN,
+        "two-cut derivation differs from the quotient rule",
+    ),
+    "two-cut-neg-dropping-sign": (
+        "twocut._Loc",
+        "__neg__",
+        "lambda self: W(self.ctx, self.num if self.i >= 2 else -self.num, self.i, self.j,"
+        " canonical=True)",
+        TWO_CUT_RUN,
+        "solvability: the V-residual at order 1",
     ),
 }
 

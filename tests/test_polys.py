@@ -237,3 +237,53 @@ def test_mratfunc_diff_and_eval():
     assert f.eval((Fraction(3), Fraction(4))) == Fraction(3, 4)
     with pytest.raises(ZeroDivisionError):
         f.eval((Fraction(1), Fraction(0)))
+
+
+# MPoly arithmetic builds its results without re-validating them; they must be
+# exactly what the validating constructor makes of the same raw table, down
+# to the insertion order that MPoly.eval sums in.
+
+_mpoly_terms = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    max_size=8,
+)
+
+
+def _same(got: MPoly, want: MPoly):
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert all(type(c) is Fraction and c for c in got.terms.values())
+
+
+@given(_mpoly_terms, _mpoly_terms, st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3))))
+@settings(max_examples=60, deadline=None)
+def test_mpoly_ops_match_validating_constructor(t1, t2, cancel):
+    p = MPoly(2, t1)
+    # some terms of q cancel terms of p exactly
+    q = MPoly(2, {**t2, **{e: -c for e, c in p.terms.items() if e in cancel}})
+    raw = dict(p.terms)
+    for e, c in q.terms.items():
+        raw[e] = raw.get(e, Fraction(0)) + c
+    _same(p + q, MPoly(2, raw))
+    _same(-p, MPoly(2, {e: -c for e, c in p.terms.items()}))
+    raw = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = (e1[0] + e2[0], e1[1] + e2[1])
+            raw[e] = raw.get(e, Fraction(0)) + c1 * c2
+    _same(p * q, MPoly(2, raw))
+    for i in (0, 1):
+        raw = {}
+        for e, c in p.terms.items():
+            if e[i]:
+                e2 = (e[0] - 1, e[1]) if i == 0 else (e[0], e[1] - 1)
+                raw[e2] = raw.get(e2, Fraction(0)) + c * e[i]
+        _same(p.diff(i), MPoly(2, raw))
+
+
+def test_mpoly_ops_drop_cancelled_terms():
+    a, b = MPoly.var(2, 0), MPoly.var(2, 1)
+    assert (a * b + 1 - a * b).terms == {(0, 0): Fraction(1)}
+    assert ((a + b) * (a - b)).terms == {(2, 0): Fraction(1), (0, 2): Fraction(-1)}
+    assert (a + b + (-(a + b))).is_zero()
+    assert (b * b + 3).diff(0).is_zero()

@@ -21,12 +21,20 @@ from largen.mpolys import MPoly
 from largen.potential import Potential, parse_potential
 from largen.structured import gamma_moment, phi_moment, psi_poly
 from largen.twocut import (
+    _P,
     MergingPoint,
+    _exact_div,
+    _greedy_div,
+    _image,
+    _monic_image,
+    _solvable,
+    _TwoCutRegularEngine,
     build_F,
     expand_two_cut_regular,
     find_merging,
     symmetric_scaled_series,
 )
+from largen.wring import WElem
 
 MERGING = parse_potential("quartic:-2,1")
 SEXTIC2 = parse_potential("sextic:-6,-3,1")  # merges at order m = 2
@@ -123,6 +131,13 @@ class TestRegularExpansion:
         want = (DATA / name).read_text(encoding="utf-8")
         assert json.dumps(doc, ensure_ascii=False) == want.strip()
 
+    def test_sextic_k1_json_pinned(self):
+        # the sextic's Jacobian determinant has degree 4, the quartic's 2
+        doc = expand_two_cut_regular(SEXTIC2, F(6), K=1, digits=30).to_json(30)
+        name = "expand_two_cut_regular_sextic_-6_-3_1_T6_K1.json"
+        want = (DATA / name).read_text(encoding="utf-8")
+        assert json.dumps(doc, ensure_ascii=False) == want.strip()
+
     @given(
         g2=st.sampled_from([-2, -3, -4]),
         num=st.integers(min_value=1, max_value=7),
@@ -139,6 +154,64 @@ class TestRegularExpansion:
         expect_a1 = -(F(g2 * g2) + 4 * T - g2 * s) / (2 * disc**2 * s)
         expect_b1 = (F(g2 * g2) + 4 * T + g2 * s) / (2 * disc**2 * s)
         assert exp.values()[1] == (expect_a1, expect_b1)
+
+
+A0, B0 = MPoly.var(2, 0), MPoly.var(2, 1)
+# the factors a _Loc canonicalizes against: two Jacobian determinants and b₀-a₀
+DIVISORS = {
+    "quartic det": _TwoCutRegularEngine(MERGING).det_mp,
+    "sextic det": _TwoCutRegularEngine(SEXTIC2).det_mp,
+    "b0-a0": B0 - A0,
+}
+
+_mpolys = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    max_size=6,
+).map(lambda t: MPoly(2, t))
+
+
+class TestExactDivision:
+    @given(name=st.sampled_from(sorted(DIVISORS)), q=_mpolys)
+    @settings(max_examples=40, deadline=None)
+    def test_multiples_divide_back(self, name, q):
+        d = DIVISORS[name]
+        assert _exact_div(q * d, d, _monic_image(d)) == q
+
+    @given(name=st.sampled_from(sorted(DIVISORS)), p=_mpolys, q=_mpolys)
+    @settings(max_examples=60, deadline=None)
+    def test_filter_agrees_with_greedy_division(self, name, p, q):
+        d = DIVISORS[name]
+        for num in (p, q * d + p, q * d * d):
+            assert _exact_div(num, d, _monic_image(d)) == _greedy_div(num, d)
+
+    def test_filter_skips_the_rational_division(self, monkeypatch):
+        d = DIVISORS["sextic det"]
+        p = d * (A0 * B0 + 3) + 1
+
+        def refuse(p, d):
+            raise AssertionError("the modular image should have decided this")
+
+        monkeypatch.setattr("largen.twocut._greedy_div", refuse)
+        assert _exact_div(p, d, _monic_image(d)) is None
+
+    def test_denominator_divisible_by_p_falls_back(self):
+        d = DIVISORS["quartic det"]
+        q = A0 * B0 * F(1, _P) + B0
+        assert _image(q * d) is None
+        assert _exact_div(q * d, d, _monic_image(d)) == q
+        assert _exact_div(q * d + A0, d, _monic_image(d)) is None
+        assert _monic_image(d * F(1, _P)) is None
+
+    def test_constant_divisor_has_no_filter(self):
+        assert _monic_image(MPoly.const(2, 3)) is None
+        p = A0 * A0 - B0
+        assert _exact_div(p, MPoly.const(2, 3), None) == p * F(1, 3)
+
+    def test_failed_lambda_division_is_a_mismatch(self):
+        one = WElem.from_poly(F(-2), F(1), [F(1)])
+        with pytest.raises(Mismatch, match="solvability: probe"):
+            _solvable(one, 1, "probe")
 
 
 class TestFreeEnergy:
