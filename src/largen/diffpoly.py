@@ -2,10 +2,14 @@
 
 A ``DiffPoly`` is a finite sum  Σ c · Π v_i^{(k_i)}^{e_i}  where each v_i is a
 named dependent variable (a function of x), k_i a derivative order, and the
-coefficients c live in ℚ(ρ) — rational functions of one parameter, so that a
-whole family of expansions can be carried symbolically and evaluated at an
-exact critical point later.  There is no explicit x inside a DiffPoly;
-relations that need a bare x carry it structurally (see ``XRelation``).
+coefficients c live in ℚ(ρ).  A coefficient that depends on the parameter ρ
+is a ``RationalFunc``, so a whole family of expansions (the symbolic Painlevé
+hierarchies) can be carried symbolically and evaluated at an exact critical
+point later.  Every other coefficient is a ``Fraction``, and a constant
+``RationalFunc`` always collapses to it, so term tables are canonical and the
+double-scaled engines run over ℚ, taking no polynomial gcd.  There is no
+explicit x inside a DiffPoly; relations that need a bare x carry it
+structurally (see ``XRelation``).
 
 The one nontrivial operation is ``integrate_x``: inverting d/dx on its image.
 Rather than a term-rewriting loop (whose termination order is fiddly), we
@@ -16,11 +20,13 @@ a small exact linear system; inconsistency raises ``NotTotalDerivative``.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .errors import NotTotalDerivative, certify
 from .polys import Poly, RationalFunc
 from .scalars import is_exact
+from .wring import Lattice, WElem
 
 # a factor (name, order, exponent); a monomial is a sorted tuple of factors
 Factor = tuple[str, int, int]
@@ -40,17 +46,43 @@ def _normalize_monomial(factors: Iterable[tuple[str, int, int]]) -> Monomial:
 
 
 def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    return _normalize_monomial(list(m1) + list(m2))
+    if not m1 or not m2:
+        return m1 or m2
+    agg = {(n, o): e for n, o, e in m1}
+    for n, o, e in m2:
+        agg[n, o] = agg.get((n, o), 0) + e
+    return tuple(sorted((n, o, e) for (n, o), e in agg.items()))
 
 
-def _coerce_coeff(c) -> RationalFunc:
-    if isinstance(c, RationalFunc):
+def _drop(mono: Monomial, idx: int) -> Monomial:
+    """mono with one power of its idx-th factor taken away."""
+    name, order, exp = mono[idx]
+    low = ((name, order, exp - 1),) if exp > 1 else ()
+    return mono[:idx] + low + mono[idx + 1 :]
+
+
+def _canonical(terms: dict) -> dict:
+    """Cancelled terms dropped, constant RationalFuncs lowered to Fractions."""
+    return {
+        m: c.num[0] if type(c) is RationalFunc and c.is_constant() else c
+        for m, c in terms.items()
+        if c
+    }
+
+
+def _coerce_coeff(c):
+    if isinstance(c, (Fraction, RationalFunc)):
         return c
     if isinstance(c, Poly):
         return RationalFunc(c)
     if is_exact(c):
-        return RationalFunc.const(c)
+        return Fraction(c)
     raise TypeError(f"bad DiffPoly coefficient: {type(c).__name__}")
+
+
+def _coeff_text(c, rho: str) -> str:
+    # str(Fraction) is what Poly.render prints for a constant
+    return c.render(rho) if isinstance(c, RationalFunc) else str(c)
 
 
 class DiffPoly:
@@ -59,19 +91,19 @@ class DiffPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, object] | None = None):
-        clean: dict[Monomial, RationalFunc] = {}
-        if terms:
-            for mono, c in terms.items():
-                c = _coerce_coeff(c)
-                if not c.is_zero():
-                    mono = _normalize_monomial(mono)
-                    prev = clean.get(mono)
-                    c = c if prev is None else prev + c
-                    if c.is_zero():
-                        clean.pop(mono, None)
-                    else:
-                        clean[mono] = c
-        self.terms = clean
+        clean: dict = {}
+        for mono, c in (terms or {}).items():
+            mono, c = _normalize_monomial(mono), _coerce_coeff(c)
+            clean[mono] = clean[mono] + c if mono in clean else c
+        self.terms = _canonical(clean)
+
+    @classmethod
+    def _trusted(cls, terms: dict) -> "DiffPoly":
+        """The ring operations' constructor: their monomials are canonical
+        already, so only the coefficients are canonicalised."""
+        out = cls.__new__(cls)
+        out.terms = _canonical(terms)
+        return out
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -106,22 +138,18 @@ class DiffPoly:
         return {name for mono in self.terms for name, _, _ in mono}
 
     def max_order(self, name: str | None = None) -> int:
-        orders = [
-            o
-            for mono in self.terms
-            for n, o, _ in mono
-            if name is None or n == name
-        ]
+        orders = (o for mono in self.terms for n, o, _ in mono if name is None or n == name)
         return max(orders, default=-1)
 
     def total_degree(self) -> int:
         return max((sum(e for _, _, e in m) for m in self.terms), default=0)
 
     def constant_term(self) -> RationalFunc:
-        return self.terms.get((), RationalFunc.const(0))
+        return self.coefficient(())
 
     def coefficient(self, mono) -> RationalFunc:
-        return self.terms.get(_normalize_monomial(mono), RationalFunc.const(0))
+        c = self.terms.get(_normalize_monomial(mono), Fraction(0))
+        return c if isinstance(c, RationalFunc) else RationalFunc.const(c)
 
     # -- ring operations -------------------------------------------------
     @staticmethod
@@ -139,17 +167,13 @@ class DiffPoly:
         out = dict(self.terms)
         for m, c in other.terms.items():
             prev = out.get(m)
-            s = c if prev is None else prev + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return DiffPoly(out)
+            out[m] = c if prev is None else prev + c
+        return DiffPoly._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "DiffPoly":
-        return DiffPoly({m: -c for m, c in self.terms.items()})
+        return DiffPoly._trusted({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -161,21 +185,19 @@ class DiffPoly:
         return -(self - other)
 
     def __mul__(self, other) -> "DiffPoly":
+        if is_exact(other):
+            return DiffPoly._trusted({m: c * other for m, c in self.terms.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[Monomial, RationalFunc] = {}
+        out: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = _mono_mul(m1, m2)
                 c = c1 * c2
                 prev = out.get(m)
-                s = c if prev is None else prev + c
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
-        return DiffPoly(out)
+                out[m] = c if prev is None else prev + c
+        return DiffPoly._trusted(out)
 
     __rmul__ = __mul__
 
@@ -196,40 +218,25 @@ class DiffPoly:
         """Total x-derivative; coefficients are x-independent."""
         p = self
         for _ in range(times):
-            out: dict[Monomial, RationalFunc] = {}
+            out: dict = {}
             for mono, c in p.terms.items():
                 for idx, (name, order, exp) in enumerate(mono):
-                    bumped = list(mono)
-                    bumped[idx] = (name, order, exp - 1)
-                    bumped.append((name, order + 1, 1))
-                    m = _normalize_monomial(bumped)
+                    m = _mono_mul(_drop(mono, idx), ((name, order + 1, 1),))
                     add = c * exp
                     prev = out.get(m)
-                    s = add if prev is None else prev + add
-                    if s.is_zero():
-                        out.pop(m, None)
-                    else:
-                        out[m] = s
-            p = DiffPoly(out)
+                    out[m] = add if prev is None else prev + add
+            p = DiffPoly._trusted(out)
         return p
 
     def partial(self, name: str, order: int) -> "DiffPoly":
         """Formal partial derivative with respect to the jet variable v^(order)."""
-        out: dict[Monomial, RationalFunc] = {}
+        out: dict = {}
         for mono, c in self.terms.items():
             for idx, (n, o, e) in enumerate(mono):
                 if n == name and o == order:
-                    rest = list(mono)
-                    rest[idx] = (n, o, e - 1)
-                    m = _normalize_monomial(rest)
-                    add = c * e
-                    prev = out.get(m)
-                    s = add if prev is None else prev + add
-                    if s.is_zero():
-                        out.pop(m, None)
-                    else:
-                        out[m] = s
-        return DiffPoly(out)
+                    # one factor per (name, order): no other term maps here
+                    out[_drop(mono, idx)] = c * e
+        return DiffPoly._trusted(out)
 
     def euler(self, name: str) -> "DiffPoly":
         """Variational derivative δ/δv: Σ_k (-d/dx)^k ∂/∂v^{(k)}."""
@@ -240,9 +247,7 @@ class DiffPoly:
         return out
 
     def is_total_x_derivative(self) -> bool:
-        if not self.constant_term().is_zero():
-            return False
-        return all(self.euler(v).is_zero() for v in self.dependent_vars())
+        return () not in self.terms and not any(self.euler(v) for v in self.dependent_vars())
 
     def integrate_x(self) -> "DiffPoly":
         """The F with dF/dx = self, no constant term; exact, or raises.
@@ -254,21 +259,18 @@ class DiffPoly:
         """
         if self.is_zero():
             return DiffPoly.zero()
-        if not self.constant_term().is_zero():
+        if () in self.terms:
             raise NotTotalDerivative("nonzero constant term")
         for v in self.dependent_vars():
             if not self.euler(v).is_zero():
                 raise NotTotalDerivative(f"variational derivative in {v} is nonzero")
 
         def predecessors(mono: Monomial) -> list[Monomial]:
-            preds = []
-            for idx, (n, o, e) in enumerate(mono):
-                if o >= 1:
-                    low = list(mono)
-                    low[idx] = (n, o, e - 1)
-                    low.append((n, o - 1, 1))
-                    preds.append(_normalize_monomial(low))
-            return preds
+            return [
+                _mono_mul(_drop(mono, idx), ((n, o - 1, 1),))
+                for idx, (n, o, _) in enumerate(mono)
+                if o >= 1
+            ]
 
         candidates: list[Monomial] = []
         seen: set[Monomial] = set()
@@ -287,18 +289,16 @@ class DiffPoly:
                 frontier.extend(DiffPoly({pm: 1}).d_dx().terms)
 
         d_images = [DiffPoly({m: 1}).d_dx() for m in candidates]
-        eqn_monos: list[Monomial] = []
         eqn_index: dict[Monomial, int] = {}
         for img in d_images:
             for m in img.terms:
-                if m not in eqn_index:
-                    eqn_index[m] = len(eqn_monos)
-                    eqn_monos.append(m)
+                eqn_index.setdefault(m, len(eqn_index))
+        eqn_monos = list(eqn_index)
         for m in self.terms:
             if m not in eqn_index:
                 raise NotTotalDerivative("monomial unreachable from any antiderivative")
 
-        zero = RationalFunc.const(0)
+        zero = Fraction(0)
         rows = [[zero] * len(candidates) for _ in eqn_monos]
         for j, img in enumerate(d_images):
             for m, c in img.terms.items():
@@ -308,7 +308,7 @@ class DiffPoly:
         sol = _solve_exact(rows, rhs)
         if sol is None:
             raise NotTotalDerivative("no antiderivative solves the linear system")
-        return DiffPoly({m: a for m, a in zip(candidates, sol) if not a.is_zero()})
+        return DiffPoly(dict(zip(candidates, sol)))
 
     # -- substitution -------------------------------------------------------
     def substitute(self, mapping: Mapping[str, "DiffPoly"]) -> "DiffPoly":
@@ -318,10 +318,8 @@ class DiffPoly:
         def image(name: str, order: int) -> DiffPoly:
             key = (name, order)
             if key not in cache:
-                if name in mapping:
-                    cache[key] = mapping[name].d_dx(order)
-                else:
-                    cache[key] = DiffPoly.var(name, order)
+                src = mapping.get(name)
+                cache[key] = DiffPoly.var(name, order) if src is None else src.d_dx(order)
             return cache[key]
 
         out = DiffPoly.zero()
@@ -334,20 +332,18 @@ class DiffPoly:
 
     def eval_rho(self, value) -> "DiffPoly":
         """Evaluate the coefficient parameter ρ at an exact rational value."""
-        out: dict[Monomial, RationalFunc] = {}
-        for m, c in self.terms.items():
-            out[m] = RationalFunc.const(c(Fraction(value)))
-        return DiffPoly(out)
+        x = Fraction(value)
+        return DiffPoly(
+            {m: c(x) if isinstance(c, RationalFunc) else c for m, c in self.terms.items()}
+        )
 
     # -- rendering ----------------------------------------------------------
     @staticmethod
     def _mono_sort_key(mono: Monomial):
-        orders = tuple(
-            sorted((o for _, o, e in mono for _ in range(e)), reverse=True)
-        )
+        orders = tuple(sorted((o for _, o, e in mono for _ in range(e)), reverse=True))
         return (orders, sum(e for _, _, e in mono), mono)
 
-    def sorted_terms(self) -> list[tuple[Monomial, RationalFunc]]:
+    def sorted_terms(self) -> list[tuple[Monomial, object]]:
         return sorted(self.terms.items(), key=lambda kv: self._mono_sort_key(kv[0]), reverse=True)
 
     @staticmethod
@@ -371,7 +367,7 @@ class DiffPoly:
                     f = f"{f}^{{{exp}}}" if latex else f"{f}^{exp}"
                 factors.append(f)
             body = (" " if latex else "*").join(factors)
-            cs = c.render(rho)
+            cs = _coeff_text(c, rho)
             if not body:
                 parts.append(cs)
             elif cs == "1":
@@ -388,48 +384,42 @@ class DiffPoly:
         return out
 
     def to_json(self) -> list:
-        out = []
-        for mono, c in self.sorted_terms():
-            entry = {
-                "coeff": c.render("rho"),
-                "factors": [[n, o, e] for n, o, e in mono],
-            }
-            out.append(entry)
-        return out
+        return [
+            {"coeff": _coeff_text(c, "rho"), "factors": [[n, o, e] for n, o, e in mono]}
+            for mono, c in self.sorted_terms()
+        ]
 
     def __repr__(self):
         return f"DiffPoly({self.render()})"
 
 
-def _solve_exact(rows: list[list[RationalFunc]], rhs: list[RationalFunc]):
-    """Gaussian elimination over the fraction field; None if inconsistent.
+def _solve_exact(rows: list[list], rhs: list):
+    """Gaussian elimination over ℚ(ρ) on Fraction and RationalFunc entries;
+    None if inconsistent.
 
     Returns a particular solution (free variables set to zero).
     """
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
+    m, n = len(rows), len(rows[0]) if rows else 0
     aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
+    pivots, r = [], 0
     for col in range(n):
-        pivot = next((i for i in range(r, m) if not aug[i][col].is_zero()), None)
+        pivot = next((i for i in range(r, m) if aug[i][col]), None)
         if pivot is None:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = RationalFunc.const(1) / aug[r][col]
+        inv = 1 / aug[r][col]
         aug[r] = [x * inv for x in aug[r]]
         for i in range(m):
-            if i != r and not aug[i][col].is_zero():
+            if i != r and aug[i][col]:
                 factor = aug[i][col]
                 aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
         pivots.append(col)
         r += 1
         if r == m:
             break
-    for i in range(r, m):
-        if not aug[i][n].is_zero():
-            return None
-    sol = [RationalFunc.const(0)] * n
+    if any(aug[i][n] for i in range(r, m)):
+        return None
+    sol = [Fraction(0)] * n
     for i, col in enumerate(pivots):
         sol[col] = aug[i][n]
     return sol
@@ -454,46 +444,33 @@ class XRelation:
             return NotImplemented
         return self.p == other.p and self.q == other.q
 
-    def all_coeffs(self) -> list[RationalFunc]:
+    def all_coeffs(self) -> list:
         return list(self.p.terms.values()) + list(self.q.terms.values())
 
     def is_numeric(self) -> bool:
-        return all(c.is_constant() for c in self.all_coeffs())
+        return all(isinstance(c, Fraction) for c in self.all_coeffs())
 
     def normalize(self) -> "XRelation":
         """Scale so all coefficients are coprime integers and the leading
         monomial of the highest-derivative part is positive."""
         if not self.is_numeric():
             raise ValueError("normalize needs numeric (rho-free) coefficients")
-        vals = [c.constant_value() for c in self.all_coeffs()]
+        vals = self.all_coeffs()
         if not vals:
             return self
-        from math import gcd
-
-        den_lcm = 1
-        for v in vals:
-            den_lcm = den_lcm * v.denominator // gcd(den_lcm, v.denominator)
-        scaled = [v * den_lcm for v in vals]
-        num_gcd = 0
-        for v in scaled:
-            num_gcd = gcd(num_gcd, abs(v.numerator))
-        scale = Fraction(den_lcm, num_gcd or 1)
-        lead_poly = self.p if self.p.terms else self.q
-        lead_mono = max(lead_poly.terms, key=DiffPoly._mono_sort_key)
-        if lead_poly.terms[lead_mono].constant_value() * scale < 0:
+        den_lcm = lcm(*(v.denominator for v in vals))
+        scale = Fraction(den_lcm, gcd(*(int(v * den_lcm) for v in vals)) or 1)
+        lead = self.p if self.p.terms else self.q
+        if lead.terms[max(lead.terms, key=DiffPoly._mono_sort_key)] < 0:
             scale = -scale
-        k = DiffPoly.const(scale)
-        return XRelation(self.p * k, self.q * k)
+        return XRelation(self.p * scale, self.q * scale)
 
     def render(self, latex: bool = False) -> str:
         ps = self.p.render(latex=latex)
         if self.q.is_zero():
             return f"{ps} = 0"
-        lead = max(self.q.terms, key=DiffPoly._mono_sort_key)
-        q, sign = (self.q, "+")
-        cq = self.q.terms[lead]
-        if cq.is_constant() and cq.constant_value() < 0:
-            q, sign = -self.q, "-"
+        cq = self.q.terms[max(self.q.terms, key=DiffPoly._mono_sort_key)]
+        q, sign = (-self.q, "-") if isinstance(cq, Fraction) and cq < 0 else (self.q, "+")
         qs = q.render(latex=latex)
         xterm = "x" if qs == "1" else (f"x \\, ({qs})" if latex else f"x*({qs})")
         if self.p.is_zero():
@@ -505,6 +482,37 @@ class XRelation:
 
     def __repr__(self):
         return f"XRelation({self.render()})"
+
+
+def certify_d_dx() -> None:
+    """Certify ``DiffPoly.d_dx`` against ``Poly.derivative`` on the probe
+    v²·v′ + v″/2 at v(x) = 1 - x + 3x³.  A double-scaled engine's residual holds
+    for whatever derivation it is given; this is the check that sees a wrong one."""
+    f = Poly((1, -1, 0, 3))
+
+    def at(p: DiffPoly) -> Poly:
+        out = Poly.zero()
+        for mono, c in p.terms.items():
+            for _, order, exp in mono:
+                c = f.derivative(order) ** exp * c
+            out = out + c
+        return out
+
+    probe = DiffPoly.var("v") ** 2 * DiffPoly.var("v", 1) + DiffPoly.var("v", 2) * Fraction(1, 2)
+    for times in (1, 2):
+        certify(
+            at(probe.d_dx(times)) == at(probe).derivative(times),
+            "d/dx of the double-scaled engine differs from Poly.derivative",
+        )
+
+
+def scaled_lattice(rc: Fraction) -> tuple[Lattice, WElem]:
+    """The lattice of a double-scaled engine, its curve frozen at w² = λ(λ - 4r_c)
+    and its derivation d/dx (certified), with the order-0 element λ/w."""
+    certify_d_dx()
+    d1, d0 = DiffPoly.const(-4 * rc), DiffPoly.zero()
+    lat = Lattice(d1, d0, DiffPoly.const(1), lambda c: c.d_dx(), None)
+    return lat, WElem.from_poly(d1, d0, [d0, DiffPoly.const(1)], wpow=1)
 
 
 def string_ladder(elems, vp, T_c, critical: int) -> list[XRelation]:

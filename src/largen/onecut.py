@@ -33,7 +33,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .diffpoly import DiffPoly, XRelation, string_ladder
+from .diffpoly import DiffPoly, XRelation, scaled_lattice, string_ladder
 from .errors import CriticalPointHit, certify
 from .phase import branch_density_positive, solve_one_cut
 from .polys import Poly, RationalFunc
@@ -508,7 +508,7 @@ def find_critical(g: Potential, digits: int | None = None) -> tuple[OneCutCritic
 
 
 class _ScaledEngine:
-    """ε̄-expansion at a one-cut critical point; coefficients are DiffPolys."""
+    """ε̄-expansion at a one-cut critical point; coefficients are DiffPolys over ℚ."""
 
     def __init__(self, g: Potential, crit: OneCutCritical):
         if not is_exact(crit.r_c):
@@ -517,9 +517,7 @@ class _ScaledEngine:
         self.rc = as_fraction(crit.r_c)
         self.Tc = as_fraction(crit.T_c)
         self.m = crit.m
-        d1, d0 = DiffPoly.const(-4 * self.rc), DiffPoly.zero()
-        self.lat = Lattice(d1, d0, DiffPoly.const(1), lambda c: c.d_dx(), None)
-        self.u0 = WElem.from_poly(d1, d0, [DiffPoly.zero(), DiffPoly.const(1)], wpow=1)
+        self.lat, self.u0 = scaled_lattice(self.rc)
         self.vp = list(g.v_lambda().coeffs)
 
     def run(self, K: int) -> tuple[list, list]:

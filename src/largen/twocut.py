@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .diffpoly import DiffPoly, XRelation, string_ladder
+from .diffpoly import DiffPoly, XRelation, scaled_lattice, string_ladder
 from .errors import (
     Mismatch,
     NoTwoCutSolution,
@@ -164,19 +164,29 @@ def _greedy_div(p: MPoly, d: MPoly):
     return MPoly._trusted(p.nvars, out)
 
 
-def _exact_div(p: MPoly, d: MPoly, d_img):
+def _exact_div(p: MPoly, d: MPoly, d_img, img=None):
     """p/d as an MPoly, or None when d does not divide p.
 
-    ``d_img`` is ``_monic_image(d)``.  If p = q·d over ℚ and neither p nor
-    d has a denominator divisible by P, Gauss's lemma over ℤ_(P) makes q
+    ``d_img`` is ``_monic_image(d)``, and ``img`` is ``_image(p)`` when the
+    caller has it (the list is consumed).  If p = q·d over ℚ and neither p
+    nor d has a denominator divisible by P, Gauss's lemma over ℤ_(P) makes q
     P-integral, so φ(d) divides φ(p); a nonzero remainder of φ(p) mod φ(d)
     therefore proves d ∤ p.  Every other case is decided by ``_greedy_div``.
     """
     if d_img is not None:
-        img = _image(p)
+        img = _image(p) if img is None else img
         if img is not None and not _image_divisible(img, d_img):
             return None
     return _greedy_div(p, d)
+
+
+def _divide_out(num: MPoly, d: MPoly, d_img, img) -> tuple:
+    """``_exact_div`` repeated while it succeeds: (quotient, times, its image).
+    ``img`` is ``_image(num)``; it is recomputed only after a division."""
+    times = 0
+    while (q := _exact_div(num, d, d_img, None if img is None else list(img))) is not None:
+        num, times, img = q, times + 1, _image(q)
+    return num, times, img
 
 
 def _swap_poly(p: MPoly) -> MPoly:
@@ -193,12 +203,6 @@ def _solvable(elem: WElem, times: int, what: str) -> WElem:
     except ValueError as exc:
         raise Mismatch(f"solvability: {what} leaves a remainder on division by λ") from exc
     return elem
-
-
-def _is_zero_coeff(c) -> bool:
-    if isinstance(c, (Fraction, int)):
-        return not c
-    return c.is_zero()
 
 
 class _LocCtx:
@@ -232,16 +236,9 @@ class _Loc:
         if not num.terms:
             i = j = 0
         elif not canonical:
-            while True:
-                q = _exact_div(num, ctx.det, ctx.det_img)
-                if q is None:
-                    break
-                num, i = q, i - 1
-            while True:
-                q = _exact_div(num, ctx.bma, ctx.bma_img)
-                if q is None:
-                    break
-                num, j = q, j - 1
+            num, di, img = _divide_out(num, ctx.det, ctx.det_img, _image(num))
+            num, dj, _ = _divide_out(num, ctx.bma, ctx.bma_img, img)
+            i, j = i - di, j - dj
         self.ctx, self.num, self.i, self.j = ctx, num, i, j
 
     def _lift(self, di: int, dj: int) -> MPoly:
@@ -817,7 +814,7 @@ def _div_root(coeffs: list, root) -> list:
         acc = c if acc is None else c + acc * root
         out.append(acc)
     rem = out.pop() if out else None
-    certify(rem is None or _is_zero_coeff(rem), "inexact division at a pole")
+    certify(not rem, "inexact division at a pole")
     out.reverse()
     return out
 
@@ -869,15 +866,15 @@ def _two_pole_basis(elem: WElem, four_rc: Fraction, zero) -> tuple:
         B[i - 1] = (v_poles[i] - prev) * Fraction(1, four_rc)
         prev = B[i - 1]
     C = const - (A[0] if A else zero) - (B[0] if B else zero)
-    while A and _is_zero_coeff(A[-1]):
+    while A and not A[-1]:
         A.pop()
-    while B and _is_zero_coeff(B[-1]):
+    while B and not B[-1]:
         B.pop()
     return C, A, B
 
 
 class _SymmetricScaledEngine:
-    """ε̄-expansion of the single merged equation; coefficients are DiffPolys.
+    """ε̄-expansion of the single merged equation; coefficients are DiffPolys over ℚ.
 
     The pair of equations collapses because 𝔟(ε̄) = 𝔞(-ε̄) and 𝕎 = 𝕍(-ε̄):
     the second equation is the ε̄ → -ε̄ image of the first, so one defect
@@ -891,9 +888,7 @@ class _SymmetricScaledEngine:
         self.rc = as_fraction(point.r_c)
         self.Tc = as_fraction(point.T_c)
         self.m = point.m
-        d1, d0 = DiffPoly.const(-4 * self.rc), DiffPoly.zero()
-        self.lat = Lattice(d1, d0, DiffPoly.const(1), lambda c: c.d_dx(), None)
-        self.v0 = WElem.from_poly(d1, d0, [DiffPoly.zero(), DiffPoly.const(1)], wpow=1)
+        self.lat, self.v0 = scaled_lattice(self.rc)
         self.vp = list(g.v_lambda().coeffs)
 
     def run(self, K: int) -> tuple[list, list]:
@@ -939,7 +934,7 @@ def symmetric_scaled_series(g: Potential, point: MergingPoint, K: int) -> Symmet
         "merged string ∮V_λ·λ/w_c must give T_c",
     )
     certify(
-        _is_zero_coeff(DiffPoly.zero() + one_over_w.contour_pair(engine.vp)),
+        not DiffPoly.zero() + one_over_w.contour_pair(engine.vp),
         "merged string ∮V_λ/w_c must vanish",
     )
 

@@ -12,9 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from largen.diffpoly import RHO, DiffPoly, XRelation
+from largen.diffpoly import RHO, DiffPoly, XRelation, _normalize_monomial
 from largen.errors import NotTotalDerivative
+from largen.onecut import find_critical, scaled_series
 from largen.polys import Poly, RationalFunc
+from largen.potential import Potential, parse_potential
+from largen.twocut import find_merging, symmetric_scaled_series
 
 u = DiffPoly.var("u")
 ux = DiffPoly.var("u", 1)
@@ -143,3 +146,104 @@ def test_xrelation_normalize_requires_numeric():
     rel = XRelation(DiffPoly.const(RHO) * u, DiffPoly.zero())
     with pytest.raises(ValueError):
         rel.normalize()
+
+
+# -- the coefficient representation: Fraction unless ρ is really there ----------
+
+fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+monos = st.lists(
+    st.tuples(st.sampled_from("uv"), st.integers(0, 2), st.integers(1, 2)), max_size=2
+).map(_normalize_monomial)
+rho_coeffs = st.one_of(
+    fracs,
+    st.tuples(fracs, st.integers(-2, 2)).map(lambda t: RHO**t[1] * t[0]),
+    st.tuples(fracs, fracs).map(lambda t: (RHO + t[1] * t[1] + 1) ** -1 * t[0]),
+)
+mixed = st.dictionaries(monos, rho_coeffs, max_size=4).map(DiffPoly)
+
+
+def ref(p: DiffPoly) -> dict:
+    """p's terms with every coefficient a RationalFunc, as before ℚ was split off."""
+    return {m: p.coefficient(m) for m in p.terms}
+
+
+def ref_collect(pairs) -> dict:
+    out: dict = {}
+    for m, c in pairs:
+        out[m] = out.get(m, RationalFunc.const(0)) + c
+    return {m: c for m, c in out.items() if not c.is_zero()}
+
+
+def ref_d_dx(a: dict) -> dict:
+    pairs = []
+    for mono, c in a.items():
+        for idx, (n, o, e) in enumerate(mono):
+            bumped = list(mono)
+            bumped[idx] = (n, o, e - 1)
+            pairs.append((_normalize_monomial(bumped + [(n, o + 1, 1)]), c * e))
+    return ref_collect(pairs)
+
+
+def ref_json(a: dict) -> list:
+    key = lambda kv: DiffPoly._mono_sort_key(kv[0])  # noqa: E731
+    return [
+        {"coeff": c.render("rho"), "factors": [[n, o, e] for n, o, e in m]}
+        for m, c in sorted(a.items(), key=key, reverse=True)
+    ]
+
+
+def only_fractions(p: DiffPoly) -> bool:
+    return all(type(c) is F for c in p.terms.values())
+
+
+@given(mono=monos, c=fracs)
+@settings(max_examples=40, deadline=None)
+def test_constant_ratfunc_and_fraction_are_one_coefficient(mono, c):
+    a, b = DiffPoly({mono: RationalFunc.const(c)}), DiffPoly({mono: c})
+    assert a == b and hash(a) == hash(b)
+    assert a.terms == b.terms and only_fractions(a)
+    assert DiffPoly({mono: Poly.const(c)}) == b
+
+
+@given(mono=monos, c=fracs, k=st.integers(1, 3))
+@settings(max_examples=40, deadline=None)
+def test_cancelling_rho_products_collapse_to_fractions(mono, c, k):
+    p = DiffPoly({mono: RHO**-k * c})
+    q = p * RHO**k + DiffPoly({mono: RHO}) - DiffPoly({mono: RHO})
+    assert q == DiffPoly({mono: c}) and only_fractions(q)
+    assert (u * (RHO + c) - u * RHO).terms == ({} if not c else {(("u", 0, 1),): c})
+
+
+@given(a=mixed, b=mixed)
+@settings(max_examples=60, deadline=None)
+def test_mixed_coefficients_match_ratfunc_reference(a, b):
+    ra, rb = ref(a), ref(b)
+    assert (a + b).to_json() == ref_json(ref_collect([*ra.items(), *rb.items()]))
+    prod = [
+        (_normalize_monomial(m1 + m2), c1 * c2) for m1, c1 in ra.items() for m2, c2 in rb.items()
+    ]
+    assert (a * b).to_json() == ref_json(ref_collect(prod))
+    assert a.d_dx().to_json() == ref_json(ref_d_dx(ra))
+    part = [
+        (_normalize_monomial(mono[:i] + ((n, o, e - 1),) + mono[i + 1 :]), c * e)
+        for mono, c in ra.items()
+        for i, (n, o, e) in enumerate(mono)
+        if (n, o) == ("u", 1)
+    ]
+    assert a.partial("u", 1).to_json() == ref_json(ref_collect(part))
+    # d/dx has one antiderivative without a constant term
+    g = a - DiffPoly.const(a.coefficient(()))
+    assert g.d_dx().integrate_x().to_json() == ref_json(ref(g))
+
+
+def test_double_scaled_engines_run_over_q():
+    bmp = Potential.bmp()
+    sc = scaled_series(bmp, find_critical(bmp)[0], 4)
+    polys = [p for rel in sc.ladder for p in (rel.p, rel.q)]
+    polys += [p for o in sc.orders for p in o.poles]
+    quartic = parse_potential("quartic:-2,1")
+    sym = symmetric_scaled_series(quartic, find_merging(quartic)[0], 5)
+    polys += [p for rel in sym.ladder for p in (rel.p, rel.q)]
+    polys += [p for o in sym.orders for p in (o.C, *o.A, *o.B)]
+    assert sum(len(p.terms) for p in polys) > 100
+    assert all(only_fractions(p) for p in polys)

@@ -163,11 +163,17 @@ class TestWpLocRing:
 
 ONE_CUT_RUN = 'onecut._RegularEngine(parse_potential("quartic:1,1")).run(2)'
 TWO_CUT_RUN = 'twocut._TwoCutRegularEngine(parse_potential("quartic:-2,1")).run(1)'
+SCALED_RUN = 'onecut.scaled_series(g := parse_potential("bmp"), onecut.find_critical(g)[0], 3)'
+SYMMETRIC_RUN = (
+    'twocut.symmetric_scaled_series(g := parse_potential("quartic:-2,1"),'
+    " twocut.find_merging(g)[0], 3)"
+)
 
 # name -> (patched ring class, method, replacement, engine call, the
 # certificate that must catch it).  The residual re-check holds for whatever
 # derivation the ring implements, so a broken d/dT is caught by the closed
-# form of r₁ (one cut) or by the quotient rule (two cuts).
+# form of r₁ (one cut) or by the quotient rule (two cuts), and a broken d/dx
+# of the double-scaled engines by Poly.derivative on a probe.
 CORRUPTIONS = {
     "d_dT-without-W''-term": (
         "onecut._WpLoc",
@@ -214,6 +220,22 @@ CORRUPTIONS = {
         " canonical=True)",
         TWO_CUT_RUN,
         "solvability: the V-residual at order 1",
+    ),
+    "d_dx-without-exponent-factor": (
+        "onecut.DiffPoly",
+        "d_dx",
+        "lambda self, times=1: self if not times else W.d_dx(sum((W({m: c / e}).partial(n, o)"
+        " * W.var(n, o + 1) for m, c in self.terms.items() for n, o, e in m), W.zero()),"
+        " times - 1)",
+        SCALED_RUN,
+        "d/dx of the double-scaled engine differs",
+    ),
+    "d_dx-doubling-every-term": (
+        "onecut.DiffPoly",
+        "d_dx",
+        "lambda self, times=1, f=W.d_dx: f(self, times) * 2",
+        SYMMETRIC_RUN,
+        "d/dx of the double-scaled engine differs",
     ),
 }
 

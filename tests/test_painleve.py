@@ -1,7 +1,9 @@
 """Hierarchy members at critical points: the Gel'fand–Dikii and Painlevé II
 recursions, ODE emission in canonical form, and the series crosscheck."""
 
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,11 @@ IRRATIONAL = parse_potential("sextic:3,-3,1")  # c_2 = -sqrt(6)
 
 RHO = RationalFunc.var()
 U = DiffPoly.var("u")
+DATA = Path(__file__).parent / "data"
+
+
+def pinned(name: str) -> str:
+    return (DATA / name).read_text(encoding="utf-8").strip()
 
 
 def gd_operator(R: DiffPoly) -> DiffPoly:
@@ -74,6 +81,11 @@ class TestGelfandDikii:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             gelfand_dikii(-1)
+
+    def test_symbolic_m4_json_pinned(self):
+        # ρ kept symbolic: the coefficients that stay RationalFunc
+        doc = gelfand_dikii(4).to_json()
+        assert json.dumps(doc, ensure_ascii=False) == pinned("gelfand_dikii_m4.json")
 
     @given(
         m=st.integers(min_value=0, max_value=4),
@@ -124,6 +136,12 @@ class TestPIIHierarchy:
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             pii_hierarchy(-3)
+
+    def test_symbolic_m2_json_pinned(self):
+        # mixes ρ-free (Fraction) and ρ-dependent (RationalFunc) coefficients
+        R, S = pii_hierarchy(2)
+        doc = {"R": R.to_json(), "S": S.to_json()}
+        assert json.dumps(doc, ensure_ascii=False) == pinned("pii_hierarchy_m2.json")
 
 
 class TestEmission:

@@ -23,6 +23,8 @@ from largen.structured import gamma_moment, phi_moment, psi_poly
 from largen.twocut import (
     _P,
     MergingPoint,
+    _Loc,
+    _LocCtx,
     _exact_div,
     _greedy_div,
     _image,
@@ -207,6 +209,24 @@ class TestExactDivision:
         assert _monic_image(MPoly.const(2, 3)) is None
         p = A0 * A0 - B0
         assert _exact_div(p, MPoly.const(2, 3), None) == p * F(1, 3)
+
+    def test_one_image_when_no_division_succeeds(self, monkeypatch):
+        # det and b₀-a₀ are tried against the same image of the numerator
+        ctx = _LocCtx(DIVISORS["sextic det"], B0 - A0)
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return _image(p)
+
+        monkeypatch.setattr("largen.twocut._image", counting)
+        loc = _Loc(ctx, A0 * A0 * B0 + 3)
+        assert (loc.i, loc.j) == (0, 0)
+        assert len(calls) == 1
+        calls.clear()
+        loc = _Loc(ctx, (A0 * B0 + 1) * (B0 - A0) * ctx.det)
+        assert (loc.i, loc.j, loc.num) == (-1, -1, A0 * B0 + 1)
+        assert len(calls) == 3  # once, then once after each division
 
     def test_failed_lambda_division_is_a_mismatch(self):
         one = WElem.from_poly(F(-2), F(1), [F(1)])
