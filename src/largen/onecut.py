@@ -35,7 +35,7 @@ import mpmath
 
 from .diffpoly import DiffPoly, XRelation, scaled_lattice, string_ladder
 from .errors import CriticalPointHit, certify
-from .phase import branch_density_positive, solve_one_cut
+from .phase import _one_cut_candidates, branch_density_positive, solve_one_cut
 from .polys import Poly, RationalFunc
 from .potential import Potential
 from .roots import real_roots
@@ -48,10 +48,7 @@ from .scalars import (
     scalar_str,
 )
 from .structured import c_weight
-from .wring import Lattice, WElem, _padd, _pmul
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+from .wring import Lattice, WElem, _pshift
 
 
 def ladder_weights(g: Potential, count: int) -> list[RationalFunc]:
@@ -67,53 +64,21 @@ def ladder_weights(g: Potential, count: int) -> list[RationalFunc]:
 # -- pole-basis extraction ---------------------------------------------------
 
 
-def _shift_poly(coeffs: list, a) -> list:
-    """p(λ) → p(μ + a) coefficient list, any coefficient ring."""
-    out: list = []
-    for c in reversed(coeffs):
-        out = _padd(_pmul(out, [a, _F1]), [c])
-    return out
-
-
-def _ring_pow(x, n: int):
-    out = None
-    for _ in range(n):
-        out = x if out is None else out * x
-    return out if out is not None else _F1
-
-
-def _pole_basis(elem: WElem, four_rc, inv_four_rc) -> tuple:
+def _pole_basis(elem: WElem, four_rc, zero) -> tuple:
     """Write elem = U₀ · Σ_j u_j/(λ - 4r_c)^j; return (u₀, [u_1, .., u_M]).
 
-    ``four_rc`` is 4r_c as a coefficient-ring element, ``inv_four_rc`` its
-    ring inverse.  The peeling is certified: after removing every pole the
-    remainder must be exactly u₀·(μ + 4r_c)^M, or the element was not of the
-    claimed shape.
+    elem·w/λ = P(λ)/(λ^M (λ - 4r_c)^M), so the claimed shape says exactly
+    that λ^M divides P and that Q(ν) = (P/λ^M)(ν + 4r_c) = Σ_j u_j ν^{M-j}
+    has degree ≤ M; both are certified, and the table is read off Q.  Only
+    ring operations occur, so ``four_rc`` (4r_c) and ``zero`` may live in any
+    coefficient ring; every entry is returned in the ring of ``zero``.
     """
-    # Σ_j u_j/(λ-4r_c)^j on even slots
     P, M = elem.mul_w().div_lambda().even_numerator()
-    P = _shift_poly(P, four_rc)
-
-    binom = [_F1]  # (μ + 4r_c)^M
-    for _ in range(M):
-        binom = _pmul(binom, [four_rc, _F1])
-
-    inv_M = _ring_pow(inv_four_rc, M)
-    poles = []
-    cur = P
-    for _ in range(M, 0, -1):
-        u = (cur[0] if cur else _F0) * inv_M
-        poles.append(u)
-        if u:
-            cur = _padd(cur, [-(b * u) for b in binom])
-        certify(not cur or not cur[0], "pole peeling left a nonzero constant")
-        cur = cur[1:]
-    u0 = (cur[0] if cur else _F0) * inv_M
-    if u0:
-        leftover = _padd(cur, [-(b * u0) for b in binom])
-        certify(not leftover, "element has a part outside the U₀-pole basis")
-    poles.reverse()  # we peeled from the deepest pole down to j = 1
-    return u0, poles
+    certify(not any(P[:M]), "element has a pole at λ = 0")
+    Q = _pshift(P[M:], four_rc)
+    certify(len(Q) <= M + 1, "element has a part outside the U₀-pole basis")
+    Q = [zero + c for c in Q] + [zero] * (M + 1 - len(Q))
+    return Q[M], [Q[M - j] for j in range(1, M + 1)]
 
 
 # -- domain types --------------------------------------------------------------
@@ -323,8 +288,9 @@ class _RegularEngine:
     """The regular one-cut expansion with coefficients in ℚ[ρ, 1/W'(ρ)].
 
     The ring is localised only at W'(ρ), the one denominator the expansion
-    produces; coefficients are reduced to ``RationalFunc`` on output.  Every
-    certificate raises ``Mismatch`` and survives ``python -O``.
+    produces; the pole tables need no other, so callers reduce to
+    ``RationalFunc`` only what they output.  Every certificate raises
+    ``Mismatch`` and survives ``python -O``.
     """
 
     def __init__(self, g: Potential):
@@ -348,7 +314,11 @@ class _RegularEngine:
         return _WpLoc(num, e, self.pw)
 
     def run(self, K: int) -> tuple[list, list]:
-        """Solve orders 2..2K; returns ([r₀..r_K] in ℚ(ρ), [U₀..U_K])."""
+        """Solve orders 2..2K; returns ([r₀..r_K], [U₀..U_K]) in the engine's ring.
+
+        Nothing is reduced here: the callers build ``RationalFunc`` only for
+        what they output.  Scalar slot padding stays ``Fraction``.
+        """
         lat = self.lat
         r_list: list = [self.rho]
         u_list: list = [self.u0]
@@ -379,16 +349,7 @@ class _RegularEngine:
         )
         for k in range(1, K + 1):
             certify(not u_list[k].contour_pair(self.vp), f"string equation fails at order {k}")
-        d1, d0 = RationalFunc(Poly((0, -4))), RationalFunc.const(0)
-
-        def out(c):  # slot padding stays scalar
-            return c.ratfunc() if isinstance(c, _WpLoc) else c
-
-        u_out = [
-            WElem(d1, d0, {j: [out(c) for c in cs] for j, cs in u.slots.items()})
-            for u in u_list
-        ]
-        return [r.ratfunc() for r in r_list], u_out
+        return r_list, u_list
 
 
 def expand_regular(
@@ -410,27 +371,34 @@ def expand_regular(
             f"W'(r0) = 0 at T = {scalar_str(T)}; use the double-scaling path"
         )
     r_list, _ = _RegularEngine(g).run(K)
-    return OneCutExpansion(g=g, T=T, r0=r0, coeffs=tuple(r_list), K=K)
+    return OneCutExpansion(g=g, T=T, r0=r0, coeffs=tuple(r.ratfunc() for r in r_list), K=K)
 
 
 def u_series_coefficients(g: Potential, r0=None, K: int = 1) -> list[USeriesOrder]:
     """U₀..U_K with their pole tables U_{k,j}.
 
+    The tables are read off in the engine's ring ℚ[ρ, 1/W'(ρ)]; each pole and
+    each element coefficient is then reduced once to a ``RationalFunc`` of ρ.
     With r0 = None the tables stay rational functions of ρ; an exact r0
     evaluates them at that point.
     """
     engine = _RegularEngine(g)
     _, u_list = engine.run(K)
-    four = RationalFunc(Poly((0, 4)))
-    inv_four = RationalFunc.const(1) / four
-    out = [USeriesOrder(k=0, element=u_list[0], poles=())]
+    four, zero = engine.rho * 4, engine.d0
+
+    def reduced(c):  # slot padding stays scalar
+        return c.ratfunc() if isinstance(c, _WpLoc) else c
+
+    out = [USeriesOrder(k=0, element=u_list[0].map_coeffs(reduced), poles=())]
     for k in range(1, K + 1):
-        u0_part, poles = _pole_basis(u_list[k], four, inv_four)
+        u0_part, poles = _pole_basis(u_list[k], four, zero)
         certify(not u0_part, "U_k acquired a pole-free part")
+        poles = [p.ratfunc() for p in poles]
         if r0 is not None:
             x = as_fraction(r0) if is_exact(r0) else mpf_of(r0)
             poles = [p(x) for p in poles]
-        out.append(USeriesOrder(k=k, element=u_list[k], poles=tuple(poles)))
+        element = u_list[k].map_coeffs(reduced)
+        out.append(USeriesOrder(k=k, element=element, poles=tuple(poles)))
     return out
 
 
@@ -439,25 +407,12 @@ def u_series_coefficients(g: Potential, r0=None, K: int = 1) -> list[USeriesOrde
 
 def _near_branch_regular(g: Potential, r_c, T_s, radius, digits: int) -> bool:
     """Does W(r) = T_s have a density-positive root within ``radius`` of r_c?"""
-    W = g.hodograph()
-    if is_exact(T_s):
-        roots = [r.value for r in real_roots(W - as_fraction(T_s), digits)]
-    else:
+    with mpmath.workdps(digits + 10):
+        centre, radius = mpf_of(r_c, digits + 10), mpf_of(radius, digits + 10)
+    for root in _one_cut_candidates(g, T_s, digits):
         with mpmath.workdps(digits + 10):
-            cs = [mpf_of(c, digits + 10) for c in W.coeffs]
-            cs[0] -= mpf_of(T_s, digits + 10)
-            roots = [
-                r.real
-                for r in mpmath.polyroots(list(reversed(cs)), maxsteps=200, extraprec=60)
-                if abs(r.imag) < mpmath.mpf(10) ** (-(digits // 2))
-            ]
-    for r in roots:
-        with mpmath.workdps(digits + 10):
-            near = abs(mpf_of(r, digits + 10) - mpf_of(r_c, digits + 10)) <= mpf_of(
-                radius, digits + 10
-            )
-            positive = mpf_of(r, digits + 10) > 0
-        if near and positive and branch_density_positive(g, r, digits):
+            near = abs(mpf_of(root.value, digits + 10) - centre) <= radius
+        if near and branch_density_positive(g, root.value, digits):
             return True
     return False
 
@@ -552,11 +507,9 @@ def scaled_series(g: Potential, crit: OneCutCritical, K: int) -> ScaledOneCut:
         raise ValueError("need K ≥ m to reach the Painlevé relation")
     engine = _ScaledEngine(g, crit)
     u_list, ladder = engine.run(K)
-    four = 4 * engine.rc
-    inv_four = Fraction(1) / four
     orders = [ScaledOrder(k=0, element=u_list[0], poles=())]
     for k in range(1, K + 1):
-        u0_part, poles = _pole_basis(u_list[k], four, inv_four)
+        u0_part, poles = _pole_basis(u_list[k], 4 * engine.rc, DiffPoly.zero())
         certify(not u0_part, "U^[k] acquired a pole-free part")
         certify(len(poles) <= k, "double-scaled pole depth exceeded its order")
         orders.append(ScaledOrder(k=k, element=u_list[k], poles=tuple(poles)))

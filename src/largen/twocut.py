@@ -68,7 +68,7 @@ from .structured import (
     psi_poly,
     twocut_hodographs,
 )
-from .wring import Lattice, WElem, _padd, _pmul
+from .wring import Lattice, WElem, _pmul, _pshift
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -806,66 +806,40 @@ def find_merging(g: Potential, digits: int | None = None) -> tuple[MergingPoint,
 # -- the double-scaled symmetric engine -------------------------------------------
 
 
-def _div_root(coeffs: list, root) -> list:
-    """Exact synthetic division of a coefficient list by (λ - root)."""
-    out: list = []
-    acc = None
-    for c in reversed(coeffs):
-        acc = c if acc is None else c + acc * root
-        out.append(acc)
-    rem = out.pop() if out else None
-    certify(not rem, "inexact division at a pole")
-    out.reverse()
-    return out
+def _principal_part(P: list, a, b, t: int, s: int, zero) -> list:
+    """[c_1, .., c_t] with P(λ)/((λ-a)^t (λ-b)^s) = Σ_j c_j/(λ-a)^j + (regular at a).
+
+    Shift P to ν = λ - a, then multiply by the binomial series
+    (ν + a - b)^{-s} = Σ_n C(-s, n) (a-b)^{-s-n} ν^n; the coefficient of
+    ν^{t-j} is c_j.  Needs s ≥ 1 and a - b a nonzero ``Fraction``; the
+    entries come back in the ring of ``zero``.
+    """
+    inv = _F1 / (a - b)
+    series = [inv**s]
+    for n in range(1, t):
+        series.append(series[-1] * inv * Fraction(-(s + n - 1), n))
+    S = _pmul(_pshift(P, a)[:t], series)
+    S += [_F0] * (t - len(S))
+    return [zero + S[t - j] for j in range(1, t + 1)]
 
 
 def _two_pole_basis(elem: WElem, four_rc: Fraction, zero) -> tuple:
     """Split w_c·𝕍^{[k]} into (C, [A_j], [B_j]) over the two branch points.
 
-    w_c·element has only even w-powers, i.e. it is a rational function with
-    poles at λ = 0 and λ = 4r_c alone.  Clearing denominators and peeling
-    the two pole towers top-down is exact at every step (certified), and
-    the partial-fraction data converts linearly into the (C, A_j, B_j)
-    table of the basis functions (λ-4r_c)/λ^j and λ/(λ-4r_c)^j.
+    X = w_c·element has only even w-powers, so X = big(λ)/(λ^M (λ-4r_c)^M);
+    deg big ≤ 2M is certified, which makes X bounded at infinity and hence
+    X = C + Σ_j A_j (λ-4r_c)/λ^j + Σ_j B_j λ/(λ-4r_c)^j exactly.  A_j is the
+    λ^{-j} coefficient of X/(λ-4r_c) at 0, B_j the (λ-4r_c)^{-j}
+    coefficient of X/λ at 4r_c, and C = big[2M] - A_1 - B_1 is X at
+    infinity minus the basis functions' limits.
     """
     big, M = elem.mul_w().even_numerator()
-
-    u_poles: dict = {}
-    v_poles: dict = {}
-    for i in range(M, 0, -1):
-        at0 = big[0] if big else _F0
-        at4 = None
-        for c in reversed(big):
-            at4 = c if at4 is None else c + at4 * four_rc
-        if at4 is None:
-            at4 = _F0
-        u_i = at0 * Fraction(1, (-four_rc) ** i)
-        v_i = at4 * Fraction(1, four_rc**i)
-        u_poles[i] = u_i
-        v_poles[i] = v_i
-        shifted = [-four_rc, _F1]
-        corr: list = [_F1]
-        for _ in range(i):
-            corr = _pmul(corr, shifted)
-        big = _padd(big, [c * (-u_i) for c in corr])
-        lam_i = [_F0] * i + [v_i]
-        big = _padd(big, [-c for c in lam_i])
-        big = _div_root(big, _F0)  # divide by λ, certified exact
-        big = _div_root(big, four_rc)
-    certify(len(big) <= 1, "two-pole peeling left a λ-dependent remainder")
-    const = big[0] if big else _F0
-
-    A = [zero for _ in range(M)]
-    B = [zero for _ in range(M)]
-    prev = zero
-    for i in range(M, 0, -1):  # u_i = A_{i+1} - 4r_c A_i
-        A[i - 1] = (prev - u_poles[i]) * Fraction(1, four_rc)
-        prev = A[i - 1]
-    prev = zero
-    for i in range(M, 0, -1):  # v_i = B_{i+1} + 4r_c B_i
-        B[i - 1] = (v_poles[i] - prev) * Fraction(1, four_rc)
-        prev = B[i - 1]
-    C = const - (A[0] if A else zero) - (B[0] if B else zero)
+    certify(len(big) <= 2 * M + 1, "w_c·𝕍 grows at infinity")
+    A = _principal_part(big, _F0, four_rc, M, M + 1, zero)
+    B = _principal_part(big, four_rc, _F0, M, M + 1, zero)
+    C = zero + (big[2 * M] if len(big) > 2 * M else _F0)
+    if M:
+        C = C - A[0] - B[0]
     while A and not A[-1]:
         A.pop()
     while B and not B[-1]:
@@ -926,13 +900,9 @@ def symmetric_scaled_series(g: Potential, point: MergingPoint, K: int) -> Symmet
         raise ValueError("need K ≥ 2m+1 to reach the closing pair of relations")
     engine = _SymmetricScaledEngine(g, point)
     rc = engine.rc
-    # the merged strings: ∮V_λ·λ/w_c = T_c and ∮V_λ/w_c = 0
-    lam_over_w = engine.v0
+    # the merged strings: ∮V_λ·λ/w_c = T_c (certified by ``string_ladder``
+    # at order 0) and ∮V_λ/w_c = 0
     one_over_w = WElem.from_poly(engine.lat.d1, engine.lat.d0, [DiffPoly.const(1)], wpow=1)
-    certify(
-        DiffPoly.zero() + lam_over_w.contour_pair(engine.vp) == DiffPoly.const(engine.Tc),
-        "merged string ∮V_λ·λ/w_c must give T_c",
-    )
     certify(
         not DiffPoly.zero() + one_over_w.contour_pair(engine.vp),
         "merged string ∮V_λ/w_c must vanish",

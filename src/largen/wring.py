@@ -66,6 +66,14 @@ def _pscale(a: Sequence, s) -> list:
     return _trim([c * s for c in a])
 
 
+def _pshift(a: Sequence, x) -> list:
+    """a(λ) → a(ν + x) by Horner's rule, in a's own coefficient ring."""
+    out: list = []
+    for c in reversed(a):
+        out = _padd(_pmul(out, [x, _ONE]), [c])
+    return out
+
+
 class WElem:
     """One element Σ_j N_j/w^j of the curve's Laurent module.
 
@@ -293,8 +301,9 @@ class WElem:
         return WElem(self.d1, self.d0, out)
 
     def map_coeffs(self, f: Callable) -> "WElem":
+        """f applied to every coefficient, the branch data d1, d0 included."""
         return WElem(
-            self.d1, self.d0, {j: [f(c) for c in cs] for j, cs in self.slots.items()}
+            f(self.d1), f(self.d0), {j: [f(c) for c in cs] for j, cs in self.slots.items()}
         )
 
     # -- extraction -----------------------------------------------------------

@@ -18,6 +18,7 @@ from largen.diffpoly import DiffPoly, XRelation
 from largen.errors import CriticalPointHit, Mismatch, NoAdmissibleRoot
 from largen.onecut import (
     OneCutCritical,
+    _pole_basis,
     _WPowers,
     _WpLoc,
     expand_regular,
@@ -28,6 +29,7 @@ from largen.onecut import (
 )
 from largen.polys import Poly, RationalFunc
 from largen.potential import Potential, parse_potential
+from largen.wring import WElem
 
 GAUSS = Potential.gaussian()
 BMP = Potential.bmp()
@@ -300,6 +302,71 @@ class TestUSeriesTable:
         orders = u_series_coefficients(QUARTIC, K=1)
         assert orders[1].pole(3) == orders[1].poles[2]
         assert orders[1].pole(7).is_zero()
+
+    def test_tables_json_pinned(self):
+        # every pole and element slot of quartic:1,1 through K = 3, and the
+        # bmp table evaluated at r0 = 2
+        def render(c):
+            return c.render("r0") if isinstance(c, RationalFunc) else str(c)
+
+        doc = {
+            "quartic:1,1": [
+                {
+                    "poles": [render(p) for p in o.poles],
+                    "branch": [render(o.element.d1), render(o.element.d0)],
+                    "slots": {
+                        str(j): [render(c) for c in cs]
+                        for j, cs in sorted(o.element.slots.items())
+                    },
+                }
+                for o in u_series_coefficients(QUARTIC, K=3)
+            ],
+            "bmp:r0=2": [
+                [str(p) for p in o.poles] for o in u_series_coefficients(BMP, r0=F(2), K=1)
+            ],
+        }
+        want = (DATA / "u_series_quartic_1_1_K3.json").read_text(encoding="utf-8")
+        assert json.dumps(doc, ensure_ascii=False) == want.strip()
+
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_expand_regular_reduces_only_its_output(self, K, monkeypatch):
+        # the engine stays in ℚ[ρ, 1/W'(ρ)]; one RationalFunc per r_0..r_K
+        built = []
+        init = RationalFunc.__init__
+
+        def counting(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(RationalFunc, "__init__", counting)
+        exp = expand_regular(QUARTIC, F(2), K)
+        assert len(built) == K + 1
+        assert [id(c) for c in exp.coeffs] == [id(c) for c in built]
+
+
+class TestPoleShapeCertificates:
+    # one-cut curve at r_c = 1: w² = λ(λ - 4)
+    D1, D0 = F(-4), F(0)
+
+    def test_pole_at_zero_refused(self):
+        # 1/w = U₀/λ
+        e = WElem.from_poly(self.D1, self.D0, [F(1)], wpow=1)
+        with pytest.raises(Mismatch, match="pole at λ = 0"):
+            _pole_basis(e, F(4), F(0))
+
+    def test_polynomial_part_refused(self):
+        # λ²/w = U₀·λ
+        e = WElem.from_poly(self.D1, self.D0, [F(0), F(0), F(1)], wpow=1)
+        with pytest.raises(Mismatch, match="outside the U₀-pole basis"):
+            _pole_basis(e, F(4), F(0))
+
+    def test_table_entries_stay_in_the_ring_of_zero(self):
+        # U₀·(3 + 2/(λ-4)²): the j = 1 entry is a padded zero
+        u0 = WElem.from_poly(self.D1, self.D0, [F(0), F(1)], wpow=1)
+        e = u0.scale(F(3)) + u0.div_linear_root(F(4)).div_linear_root(F(4)).scale(F(2))
+        c, poles = _pole_basis(e, F(4), DiffPoly.zero())
+        assert (c, poles) == (DiffPoly.const(3), [DiffPoly.zero(), DiffPoly.const(2)])
+        assert all(isinstance(p, DiffPoly) for p in poles)
 
 
 class TestFindCritical:

@@ -30,6 +30,7 @@ from largen.twocut import (
     _image,
     _monic_image,
     _solvable,
+    _two_pole_basis,
     _TwoCutRegularEngine,
     build_F,
     expand_two_cut_regular,
@@ -524,3 +525,26 @@ class TestScaledSeries:
         fake = MergingPoint(r_c=F(1, 2), T_c=F(2), m=1, phi=(F(-4),), gamma1=F(4))
         with pytest.raises(Mismatch, match="must give T_c"):
             symmetric_scaled_series(MERGING, fake, K=3)
+
+
+class TestTwoPoleBasis:
+    # frozen curve at r_c = 1: w² = λ(λ - 4)
+    D1, D0 = F(-4), F(0)
+
+    def test_growth_at_infinity_refused(self):
+        # w·(λ²/w) = λ² is not bounded at infinity
+        e = WElem.from_poly(self.D1, self.D0, [F(0), F(0), F(1)], wpow=1)
+        with pytest.raises(Mismatch, match="grows at infinity"):
+            _two_pole_basis(e, F(4), DiffPoly.zero())
+
+    def test_basis_functions_are_read_back(self):
+        # w·𝕍 = 5 + 2(λ-4)/λ² - 3λ/(λ-4): C = 5, A = [0, 2], B = [-3]
+        w_inv = WElem.from_poly(self.D1, self.D0, [F(1)], wpow=1)
+        a2 = w_inv.mul_poly([F(-4), F(1)]).div_linear_root(F(0)).div_linear_root(F(0))
+        b1 = w_inv.mul_poly([F(0), F(1)]).div_linear_root(F(4))
+        C, A, B = _two_pole_basis(
+            w_inv.scale(F(5)) + a2.scale(F(2)) + b1.scale(F(-3)), F(4), DiffPoly.zero()
+        )
+        assert C == DiffPoly.const(5)
+        assert A == [DiffPoly.zero(), DiffPoly.const(2)]
+        assert B == [DiffPoly.const(-3)]

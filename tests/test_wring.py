@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from largen.diffpoly import DiffPoly
+from largen.polys import Poly
 from largen.structured import branch_residue, hodograph_poly
-from largen.wring import EpsSeries, WElem
+from largen.twocut import _principal_part
+from largen.wring import EpsSeries, WElem, _pshift
 
 R0 = F(1, 3)
 D1, D0 = -4 * R0, F(0)  # one-cut curve w² = λ(λ - 4r0)
@@ -219,3 +221,44 @@ class TestEpsSeries:
         )
         sh = s.shift(1, der)
         assert sh.coefficient(1) == WElem(D1, D0, {3: [F(0), 2 * c]})
+
+
+small = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+polys = st.lists(small, max_size=7)
+
+
+class TestTaylorShift:
+    @given(p=polys, x=small, at=small)
+    @settings(max_examples=25, deadline=None)
+    def test_shift_is_composition(self, p, x, at):
+        # a(ν + x) at ν = λ - x is a(λ)
+        assert Poly(_pshift(p, x))(at - x) == Poly(p)(at)
+
+    @given(
+        p=polys,
+        a=small,
+        b=small,
+        t=st.integers(min_value=0, max_value=4),
+        s=st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_principal_part_leaves_a_regular_remainder(self, p, a, b, t, s):
+        # P/((λ-a)^t (λ-b)^s) - Σ_j c_j/(λ-a)^j is regular at a exactly when
+        # P - Σ_j c_j (λ-a)^{t-j} (λ-b)^s is divisible by (λ-a)^t
+        if a == b:
+            return
+        cs = _principal_part(p, a, b, t, s, F(0))
+        assert len(cs) == t
+        at_a, at_b = Poly((-a, 1)), Poly((-b, 1))
+        rest = Poly(p)
+        for j, c in enumerate(cs, start=1):
+            rest = rest - at_a ** (t - j) * at_b**s * c
+        assert rest.divmod(at_a**t)[1].is_zero()
+
+    def test_principal_part_keeps_the_ring_of_zero(self):
+        # the shifted product pads with Fraction zeros; entries must not
+        # r/(λ²(λ-2)²) = r/4·(1/λ² + 1/λ) + (regular at 0), so c_3 is a zero
+        r = DiffPoly.var("r1")
+        cs = _principal_part([F(0), r], F(0), F(2), 3, 2, DiffPoly.zero())
+        assert all(isinstance(c, DiffPoly) for c in cs)
+        assert cs == [r * F(1, 4), r * F(1, 4), DiffPoly.zero()]
