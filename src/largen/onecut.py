@@ -44,7 +44,9 @@ from .scalars import (
     as_fraction,
     default_digits,
     is_exact,
+    lifted,
     mpf_of,
+    negligible,
     scalar_str,
 )
 from .structured import c_weight
@@ -96,12 +98,9 @@ class OneCutExpansion:
 
     def values(self, digits: int | None = None) -> list:
         """The coefficients evaluated at this expansion's r₀."""
-        if is_exact(self.r0):
-            x = as_fraction(self.r0)
-            return [c(x) for c in self.coeffs]
         digits = digits or default_digits()
         with mpmath.workdps(digits):
-            x = mpf_of(self.r0, digits)
+            x = lifted(self.r0, digits)
             return [c(x) for c in self.coeffs]
 
     def to_json(self, digits: int | None = None) -> dict:
@@ -361,11 +360,8 @@ def expand_regular(
     digits = digits or default_digits()
     r0 = solve_one_cut(g, T, digits)
     wp = g.hodograph().derivative()
-    if is_exact(r0):
-        singular = wp(as_fraction(r0)) == 0
-    else:
-        with mpmath.workdps(digits):
-            singular = abs(wp(r0)) < mpmath.mpf(10) ** (-(digits // 2))
+    with mpmath.workdps(digits):
+        singular = negligible(wp(lifted(r0, digits)), digits)
     if singular:
         raise CriticalPointHit(
             f"W'(r0) = 0 at T = {scalar_str(T)}; use the double-scaling path"
@@ -395,7 +391,7 @@ def u_series_coefficients(g: Potential, r0=None, K: int = 1) -> list[USeriesOrde
         certify(not u0_part, "U_k acquired a pole-free part")
         poles = [p.ratfunc() for p in poles]
         if r0 is not None:
-            x = as_fraction(r0) if is_exact(r0) else mpf_of(r0)
+            x = lifted(r0)
             poles = [p(x) for p in poles]
         element = u_list[k].map_coeffs(reduced)
         out.append(USeriesOrder(k=k, element=element, poles=tuple(poles)))

@@ -5,8 +5,7 @@ the actual r_{n,N} at finite N from first principles, so the expansions
 have something exact to be compared against.  The chain is
 
     moments  ->  Hankel reduction  ->  r_{n,N}, h_{n,N}
-                                        -> discrete string equation check
-                                        -> generating-function identities.
+                                        -> discrete string equation check.
 
 Moments of the weight e^{-(N/T)V(x)} are computed by high-precision
 quadrature with node-doubling convergence control: the value is accepted
@@ -91,7 +90,6 @@ def compute_moments(
     N: int,
     kmax: int,
     digits: int | None = None,
-    method: str = "tanh-sinh",
 ) -> MomentTable:
     """Certified moment table for the weight e^{-(N/T)V(x)}.
 
@@ -99,8 +97,6 @@ def compute_moments(
     quadrature degree until two successive levels agree to ``digits + 5``
     decimals (relative); the moments share one weight function memoised on
     the node value, since nodes repeat across moments and levels.
-    ``method`` picks the quadrature family — the default double-exponential
-    rule, or ``gauss-legendre`` as an independent scheme for cross-checks.
     """
     digits = default_digits() if digits is None else digits
     if digits < 30:
@@ -136,7 +132,7 @@ def compute_moments(
 
             prev = None
             for degree in range(4, 11):
-                cur = mpmath.quad(integrand, points, method=method, maxdegree=degree)
+                cur = mpmath.quad(integrand, points, maxdegree=degree)
                 if prev is not None and abs(cur - prev) <= tol * abs(cur):
                     moments.append(2 * cur)
                     break
@@ -304,106 +300,3 @@ def check_string_equation(rt: RecurrenceTable, g: Potential | None = None, N: in
             worst = max(worst, abs(val - n / ntil))
         return worst
 
-
-# -- Theorem-level identities for the generating function ---------------------------
-
-
-@dataclass(frozen=True)
-class Theorem1Report:
-    """Coefficient-wise residuals of the linear and quadratic identities.
-
-    ``samples`` holds (n, λ, U_{n,N}(λ)) for the requested sample points,
-    with the series truncated at λ^{-kmax}.
-    """
-
-    kmax: int
-    ns: tuple
-    linear_residual: object
-    quadratic_residual: object
-    samples: tuple
-
-    def residual(self):
-        return max(self.linear_residual, self.quadratic_residual)
-
-    def sample(self, n: int, lam):
-        for sn, sl, val in self.samples:
-            if sn == n and sl == lam:
-                return val
-        raise KeyError((n, lam))
-
-
-def check_theorem1(rt: RecurrenceTable, lambdas=(), kmax: int = 4, ns=None) -> Theorem1Report:
-    """Check both generating-function identities coefficient-wise in λ⁻¹.
-
-    For U_n(λ) = 1 + 2 Σ_k (L^{2k-1})_{n,n-1} λ^{-k} the linear identity
-
-        λ(U_{n+1} - U_n) = r_{n+1}(U_{n+2} + U_{n+1}) - r_n(U_n + U_{n-1})
-
-    and the quadratic identity
-
-        r_n (U_n + U_{n-1})(U_n + U_{n+1}) = λ(U_n² - 1)
-
-    are verified order by order through λ^{-kmax} — the series are carried
-    one order deeper so that the λ-multiplied sides are exact at every
-    checked order.  Sampling in λ alone can hide cancellations, so the
-    λ-samples are reported but never used as the pass criterion.
-    """
-    if kmax < 1:
-        raise ValueError("kmax must be at least 1")
-    depth = kmax + 1
-    top = rt.nmax - 2 * kmax - 2  # row n+2 needs r through n + 2 + 2(kmax+1) - 2
-    if ns is None:
-        if top < 0:
-            raise ValueError("table too short for this truncation depth")
-        ns = tuple(range(top + 1))
-    else:
-        ns = tuple(ns)
-        if ns and max(ns) > top:
-            raise ValueError(f"rows above n = {top} exceed the table's band")
-
-    with mpmath.workdps(rt.digits + 10):
-        rows = range(max(min(ns) - 1, 0), max(ns) + 3) if ns else range(0)
-        u = {
-            n: [mpmath.mpf(1)] + [2 * lax_element(rt.r, n, 2 * k - 1) for k in range(1, depth + 1)]
-            for n in rows
-        }
-
-        def uc(n, k):
-            if n < 0:
-                return mpmath.mpf(0)  # only ever multiplied by r_0 = 0
-            return u[n][k]
-
-        lin = mpmath.mpf(0)
-        quad = mpmath.mpf(0)
-        for n in ns:
-            rn, rn1 = rt.r_at(n), rt.r_at(n + 1)
-            for order in range(kmax + 1):
-                lhs = uc(n + 1, order + 1) - uc(n, order + 1)
-                rhs = rn1 * (uc(n + 2, order) + uc(n + 1, order)) - rn * (
-                    uc(n, order) + uc(n - 1, order)
-                )
-                lin = max(lin, abs(lhs - rhs))
-                prod = mpmath.mpf(0)
-                for i in range(order + 1):
-                    prod += (uc(n, i) + uc(n - 1, i)) * (
-                        uc(n, order - i) + uc(n + 1, order - i)
-                    )
-                square = mpmath.mpf(0)
-                for i in range(order + 2):
-                    square += uc(n, i) * uc(n, order + 1 - i)
-                quad = max(quad, abs(rn * prod - square))
-        samples = []
-        for n in ns:
-            for lam in lambdas:
-                lv = mpf_of(lam, rt.digits + 10)
-                val = mpmath.mpf(1)
-                for k in range(1, kmax + 1):
-                    val += u[n][k] / lv**k
-                samples.append((n, lam, val))
-    return Theorem1Report(
-        kmax=kmax,
-        ns=ns,
-        linear_residual=lin,
-        quadratic_residual=quad,
-        samples=tuple(samples),
-    )

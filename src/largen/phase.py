@@ -36,7 +36,17 @@ from .errors import (
 from .polys import Poly
 from .potential import Potential
 from .roots import RealRoot, real_roots
-from .scalars import Scalar, as_fraction, default_digits, is_exact, mpf_of, sqrt_scalar
+from .scalars import (
+    Scalar,
+    as_fraction,
+    default_digits,
+    is_exact,
+    lifted,
+    mpf_of,
+    negligible,
+    sqrt_scalar,
+    tolerance,
+)
 from .structured import branch_poly_part, branch_residue
 from .wring import _pmul
 
@@ -70,14 +80,12 @@ class PhaseResult:
 
 def _h_curve_coeffs(g: Potential, d1, d0, s: int) -> list:
     """Coefficients of h̃(λ), the polynomial part of V_z/w₁ on the curve
-    w² = λ² + d1·λ + d0.  Exact when d1, d0 are; mpf otherwise."""
-    vp = list(g.v_lambda().coeffs)
-    if not (is_exact(d1) and is_exact(d0)):
-        dps = mpmath.mp.dps
-        vp = [mpf_of(c, dps) for c in vp]
+    w² = λ² + d1·λ + d0.  Exact when d1, d0 are; mpf at the working
+    precision otherwise."""
+    d1, d0, *vp = lifted((d1, d0, *g.v_lambda().coeffs), mpmath.mp.dps)
     nums = [2 * c for c in vp]
     if s == 1:
-        nums = [type(nums[0])(0) if not is_exact(nums[0]) else _ZERO] + nums
+        nums = [0 * nums[0]] + nums
     return branch_poly_part(nums, d1, d0, -1)
 
 
@@ -104,21 +112,31 @@ def branch_density_positive(g: Potential, r0, digits: int | None = None) -> bool
     still meaningful as long as its density stays positive.
     """
     digits = digits or default_digits()
-    if is_exact(r0):
-        r = as_fraction(r0)
-        coeffs = _h_curve_coeffs(g, -4 * r, _ZERO, 1)
-        return _h_status(coeffs, _ZERO, 4 * r, digits) == _CLEAR
+    endpoints, hc = _one_cut_curve(g, r0, digits)
+    return _h_status(hc, *endpoints, digits) == _CLEAR
+
+
+def _one_cut_curve(g: Potential, r0, digits: int) -> tuple:
+    """((0, A), h̃) for the one-cut support, A = 4r₀; exact when r₀ is."""
     with mpmath.workdps(digits + 10):
-        r = mpf_of(r0, digits + 10)
-        coeffs = _h_curve_coeffs(g, -4 * r, _ZERO, 1)
-        return _h_status(coeffs, mpmath.mpf(0), 4 * r, digits) == _CLEAR
+        A = 4 * lifted(r0, digits + 10)
+        return (_ZERO, A), _h_curve_coeffs(g, -A, _ZERO, 1)
+
+
+def _two_cut_curve(g: Potential, a0, b0, digits: int) -> Optional[tuple]:
+    """((α², β²), h̃) for the two-cut phase at (a₀, b₀), or None unless
+    a₀ > b₀ > 0.  h̃ is exact when a₀ and b₀ are; the endpoints are mpf."""
+    with mpmath.workdps(digits + 10):
+        a0, b0 = lifted((a0, b0), digits + 10)
+        if not (b0 > 0 and a0 > b0):
+            return None
+        hc = _h_curve_coeffs(g, -2 * (a0 + b0), (a0 - b0) ** 2, 2)
+        a0, b0 = mpf_of(a0, digits + 10), mpf_of(b0, digits + 10)
+        sab, s_sum = mpmath.sqrt(a0 * b0), a0 + b0
+        return (s_sum - 2 * sab, s_sum + 2 * sab), hc
 
 
 # -- sign analysis ------------------------------------------------------------
-
-
-def _tol(digits: int):
-    return mpmath.mpf(10) ** (-(digits // 2))
 
 
 def _poly_real_roots_numeric(coeffs, digits: int) -> list:
@@ -130,9 +148,7 @@ def _poly_real_roots_numeric(coeffs, digits: int) -> list:
         if len(cs) <= 1:
             return []
         roots = mpmath.polyroots(list(reversed(cs)), maxsteps=200, extraprec=80)
-        tol = _tol(digits)
-        out = sorted(r.real for r in roots if abs(r.imag) < tol)
-        return out
+        return sorted(r.real for r in roots if negligible(r.imag, digits))
 
 
 def _eval_numeric(coeffs, x, digits: int):
@@ -175,7 +191,7 @@ def _h_status_exact(h: Poly, lo: Fraction, hi: Fraction, digits: int) -> str:
 def _h_status_numeric(coeffs, lo, hi, digits: int) -> str:
     with mpmath.workdps(digits + 10):
         lo_f, hi_f = mpf_of(lo, digits + 10), mpf_of(hi, digits + 10)
-        tol = _tol(digits)
+        tol = tolerance(digits)
         roots = [
             r
             for r in _poly_real_roots_numeric(coeffs, digits)
@@ -186,7 +202,7 @@ def _h_status_numeric(coeffs, lo, hi, digits: int) -> str:
         vals = [_eval_numeric(coeffs, x, digits + 10) for x in probes]
         if any(v < -tol for v in vals):
             return _BAD
-        if roots or any(abs(v) <= tol for v in vals):
+        if roots or any(negligible(v, digits) for v in vals):
             return _TOUCH
         return _CLEAR
 
@@ -200,6 +216,19 @@ def _h_status(coeffs, lo, hi, digits: int) -> str:
 # -- effective-potential inequalities ------------------------------------------
 
 
+def _running_integral(integrand, start, stops, digits: int) -> str:
+    """Sign of ∫_start^x integrand over every x in ``stops``: bad if one is
+    negative beyond the tolerance, touch if one is negligible, else clear."""
+    verdict = _CLEAR
+    for x in stops:
+        val = mpmath.quad(integrand, [start, x])
+        if val < -tolerance(digits):
+            return _BAD
+        if negligible(val, digits):
+            verdict = _TOUCH
+    return verdict
+
+
 def _outside_inequality(h_coeffs, lam_roots, digits: int) -> str:
     """∫_β^x h·w₁ ≥ 0 for x > β (the left inequality follows by parity).
 
@@ -208,13 +237,10 @@ def _outside_inequality(h_coeffs, lam_roots, digits: int) -> str:
     support decides the inequality.
     """
     with mpmath.workdps(digits + 10):
-        tol = _tol(digits)
+        tol = tolerance(digits)
         top = mpf_of(max(lam_roots, key=lambda r: mpf_of(r, digits + 10)), digits + 10)
         hroots = [r for r in _poly_real_roots_numeric(h_coeffs, digits) if r > top + tol]
-        if not hroots:
-            return _CLEAR
         two_cut = len(lam_roots) == 2
-        beta = mpmath.sqrt(top)
         roots_f = [mpf_of(r, digits + 10) for r in lam_roots]
 
         def integrand(x):
@@ -226,14 +252,8 @@ def _outside_inequality(h_coeffs, lam_roots, digits: int) -> str:
             h = _eval_numeric(h_coeffs, lam, digits + 10)
             return (x * h if two_cut else h) * w
 
-        verdict = _CLEAR
-        for lam_r in hroots:
-            g_val = mpmath.quad(integrand, [beta, mpmath.sqrt(lam_r)])
-            if g_val < -tol:
-                return _BAD
-            if abs(g_val) <= tol:
-                verdict = _TOUCH
-        return verdict
+        stops = [mpmath.sqrt(r) for r in hroots]
+        return _running_integral(integrand, mpmath.sqrt(top), stops, digits)
 
 
 def _gap_inequality(h_coeffs, alpha2, beta2, digits: int) -> str:
@@ -244,14 +264,12 @@ def _gap_inequality(h_coeffs, alpha2, beta2, digits: int) -> str:
     inequality is strict for free.  Only a sign dip of h̃ inside the gap
     forces numeric evaluation at the interior critical points.
     """
+    if _h_status(h_coeffs, _ZERO, alpha2, digits) != _BAD:
+        return _CLEAR
     with mpmath.workdps(digits + 10):
-        tol = _tol(digits)
+        tol = tolerance(digits)
         a2 = mpf_of(alpha2, digits + 10)
         b2 = mpf_of(beta2, digits + 10)
-        st = _h_status(h_coeffs, Fraction(0), alpha2, digits)
-        if st in (_CLEAR, _TOUCH):
-            return _CLEAR
-        alpha = mpmath.sqrt(a2)
 
         def integrand(x):
             lam = x * x
@@ -261,17 +279,8 @@ def _gap_inequality(h_coeffs, alpha2, beta2, digits: int) -> str:
         hroots = [
             r for r in _poly_real_roots_numeric(h_coeffs, digits) if tol < r < a2 - tol
         ]
-        candidates = sorted(
-            [mpmath.sqrt(r) for r in hroots] + [-mpmath.sqrt(r) for r in hroots]
-        )
-        verdict = _CLEAR
-        for x_c in candidates:
-            val = mpmath.quad(integrand, [-alpha, x_c])
-            if val < -tol:
-                return _BAD
-            if abs(val) <= tol:
-                verdict = _TOUCH
-        return verdict
+        stops = sorted([mpmath.sqrt(r) for r in hroots] + [-mpmath.sqrt(r) for r in hroots])
+        return _running_integral(integrand, -mpmath.sqrt(a2), stops, digits)
 
 
 # -- one-cut --------------------------------------------------------------------
@@ -288,22 +297,15 @@ def _one_cut_candidates(g: Potential, T, digits: int) -> list[RealRoot]:
         return [RealRoot(r, 1, False) for r in _poly_real_roots_numeric(coeffs, digits) if r > 0]
 
 
-def _one_cut_verdict(g: Potential, r0, digits: int) -> Optional[str]:
-    """None if inadmissible, else "regular" / "critical"."""
-    if is_exact(r0):
-        A = 4 * as_fraction(r0)
-        hc = _h_curve_coeffs(g, -A, _ZERO, 1)
-    else:
-        with mpmath.workdps(digits + 10):
-            A = 4 * mpf_of(r0, digits + 10)
-            hc = _h_curve_coeffs(g, -A, _ZERO, 1)
-    inside = _h_status(hc, _ZERO if is_exact(A) else mpmath.mpf(0), A, digits)
+def _one_cut_verdict(endpoints, hc, digits: int) -> Optional[str]:
+    """None if inadmissible, else "regular" / "critical"; see ``_one_cut_curve``."""
+    inside = _h_status(hc, *endpoints, digits)
     if inside == _BAD:
         return None
     if inside == _TOUCH:
         # a zero of h on the closed support marks the model critical outright
         return "critical"
-    outside = _outside_inequality(hc, [A], digits)
+    outside = _outside_inequality(hc, [endpoints[1]], digits)
     if outside == _BAD:
         return None
     return "critical" if outside == _TOUCH else "regular"
@@ -318,11 +320,10 @@ def solve_one_cut(g: Potential, T, digits: int | None = None) -> Scalar:
     continuous from T → 0⁺ — is returned.
     """
     digits = digits or default_digits()
-    T_pos = (as_fraction(T) > 0) if is_exact(T) else (T > 0)
-    if not T_pos:
+    if not lifted(T, digits) > 0:
         raise ValueError("need T > 0")
     for root in _one_cut_candidates(g, T, digits):
-        if _one_cut_verdict(g, root.value, digits) is not None:
+        if _one_cut_verdict(*_one_cut_curve(g, root.value, digits), digits) is not None:
             return root.value
     raise NoAdmissibleRoot(f"no admissible one-cut solution at T={T}")
 
@@ -335,16 +336,10 @@ def _quartic_two_cut(g: Potential, T, digits: int):
     disc = g2 * g2 - 4 * as_fraction(T) * g4
     if disc <= 0:
         raise NoTwoCutSolution("inside the one-cut region (discriminant ≤ 0)")
-    root = sqrt_scalar(disc, digits)
-    if is_exact(root):
-        a0 = (root - g2) / (4 * g4)
-        b0 = (-root - g2) / (4 * g4)
-    else:
-        with mpmath.workdps(digits + 5):
-            g2_f = mpf_of(g2, digits + 5)
-            den = mpf_of(4 * g4, digits + 5)
-            a0 = (root - g2_f) / den
-            b0 = (-root - g2_f) / den
+    with mpmath.workdps(digits + 5):
+        root, g2, den = lifted((sqrt_scalar(disc, digits), g2, 4 * g4), digits + 5)
+        a0 = (root - g2) / den
+        b0 = (-root - g2) / den
     if b0 <= 0:
         raise NoTwoCutSolution("lower endpoint collapsed: b₀ ≤ 0")
     return a0, b0
@@ -437,29 +432,12 @@ def solve_two_cut(g: Potential, T, digits: int | None = None):
         return a0, b0
 
 
-def _two_cut_verdict(g: Potential, a0, b0, digits: int) -> Optional[str]:
-    if is_exact(a0) and is_exact(b0):
-        a0x, b0x = as_fraction(a0), as_fraction(b0)
-        if not (b0x > 0 and a0x > b0x):
-            return None
-        d1 = -2 * (a0x + b0x)
-        d0 = (a0x - b0x) ** 2
-        hc = _h_curve_coeffs(g, d1, d0, 2)
-    else:
-        with mpmath.workdps(digits + 10):
-            a0f, b0f = mpf_of(a0, digits + 10), mpf_of(b0, digits + 10)
-            if not (b0f > 0 and a0f > b0f):
-                return None
-            d1 = -2 * (a0f + b0f)
-            d0 = (a0f - b0f) ** 2
-            hc = _h_curve_coeffs(g, d1, d0, 2)
+def _two_cut_verdict(endpoints, hc, digits: int) -> Optional[str]:
+    """None if inadmissible, else "regular" / "critical"; see ``_two_cut_curve``."""
+    a2, b2 = endpoints
     with mpmath.workdps(digits + 10):
-        mid = -mpf_of(d1, digits + 10) / 2
-        root = mpmath.sqrt(mid * mid - mpf_of(d0, digits + 10))
-        a2, b2 = mid - root, mid + root
-        tol = _tol(digits)
-        if a2 <= tol:
-            return "critical" if a2 > -tol else None
+        if a2 <= tolerance(digits):
+            return "critical" if negligible(a2, digits) else None
         on_support = _h_status(hc, a2, b2, digits)
         if on_support == _BAD:
             return None
@@ -477,58 +455,13 @@ def _two_cut_verdict(g: Potential, a0, b0, digits: int) -> Optional[str]:
 # -- classification ----------------------------------------------------------------
 
 
-def _one_cut_result(g: Potential, T, root, status: str, digits: int) -> PhaseResult:
-    if is_exact(root):
-        r0 = as_fraction(root)
-        A = 4 * r0
-        return PhaseResult(
-            s=1,
-            endpoints=(_ZERO, A),
-            status=status,
-            h=Poly(_h_curve_coeffs(g, -A, _ZERO, 1)),
-            T=T,
-            r0=r0,
-        )
-    with mpmath.workdps(digits + 10):
-        A = 4 * mpf_of(root, digits + 10)
-        hc = _h_curve_coeffs(g, -A, _ZERO, 1)
+def _phase_result(s: int, endpoints, hc, status: str, T, **point) -> PhaseResult:
+    """The result for one admissible candidate; h̃ goes to ``h`` when exact."""
+    if all(is_exact(c) for c in hc):
+        return PhaseResult(s, endpoints, status, Poly(hc), T, **point)
     return PhaseResult(
-        s=1,
-        endpoints=(_ZERO, A),
-        status=status,
-        h=Poly(()),
-        T=T,
-        r0=root,
-        h_numeric=tuple(hc),
-        note="h carried numerically",
-    )
-
-
-def _two_cut_result(g: Potential, T, a0, b0, status: str, digits: int) -> PhaseResult:
-    if is_exact(a0) and is_exact(b0):
-        a0, b0 = as_fraction(a0), as_fraction(b0)
-        d1, d0 = -2 * (a0 + b0), (a0 - b0) ** 2
-        h = Poly(_h_curve_coeffs(g, d1, d0, 2))
-        h_num = ()
-    else:
-        with mpmath.workdps(digits + 10):
-            d1 = -2 * (mpf_of(a0, digits + 10) + mpf_of(b0, digits + 10))
-            d0 = (mpf_of(a0, digits + 10) - mpf_of(b0, digits + 10)) ** 2
-            h_num = tuple(_h_curve_coeffs(g, d1, d0, 2))
-        h = Poly(())
-    with mpmath.workdps(digits + 10):
-        sab = mpmath.sqrt(mpf_of(a0, digits + 10) * mpf_of(b0, digits + 10))
-        s_sum = mpf_of(a0, digits + 10) + mpf_of(b0, digits + 10)
-        alpha2, beta2 = s_sum - 2 * sab, s_sum + 2 * sab
-    return PhaseResult(
-        s=2,
-        endpoints=(alpha2, beta2),
-        status=status,
-        h=h,
-        T=T,
-        a0=a0,
-        b0=b0,
-        h_numeric=h_num,
+        s, endpoints, status, Poly(()), T, note="h carried numerically", h_numeric=tuple(hc),
+        **point,
     )
 
 
@@ -544,18 +477,20 @@ def classify_phase(g: Potential, T, digits: int | None = None) -> PhaseResult:
     digits = digits or default_digits()
     results: list[PhaseResult] = []
     for root in _one_cut_candidates(g, T, digits):
-        verdict = _one_cut_verdict(g, root.value, digits)
+        curve = _one_cut_curve(g, root.value, digits)
+        verdict = _one_cut_verdict(*curve, digits)
         if verdict is not None:
-            results.append(_one_cut_result(g, T, root.value, verdict, digits))
+            results.append(_phase_result(1, *curve, verdict, T, r0=root.value))
             break  # smallest admissible root is the physical branch
     try:
         a0, b0 = solve_two_cut(g, T, digits)
     except (NoTwoCutSolution, Unclassifiable):
         a0 = b0 = None
-    if a0 is not None:
-        verdict = _two_cut_verdict(g, a0, b0, digits)
+    curve = None if a0 is None else _two_cut_curve(g, a0, b0, digits)
+    if curve is not None:
+        verdict = _two_cut_verdict(*curve, digits)
         if verdict is not None:
-            results.append(_two_cut_result(g, T, a0, b0, verdict, digits))
+            results.append(_phase_result(2, *curve, verdict, T, a0=a0, b0=b0))
     if not results:
         raise Unclassifiable(f"no admissible phase found at T={T}")
     regular = [r for r in results if r.status == "regular"]
@@ -589,7 +524,7 @@ def density(g: Potential, phase: PhaseResult, x, digits: int | None = None):
         xf = mpf_of(x, digits + 10)
         lam = xf * xf
         T_f = mpf_of(phase.T, digits + 10)
-        tol = _tol(digits)
+        tol = tolerance(digits)
         hval = _eval_numeric(hc, lam, digits + 10)
         if phase.s == 1:
             A = mpf_of(phase.endpoints[1], digits + 10)

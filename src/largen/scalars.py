@@ -4,6 +4,8 @@ All series algebra in this package runs on ``fractions.Fraction``.  Decimals
 (mpmath ``mpf``) enter only where the mathematics genuinely leaves the
 rationals: root refinement and quadrature.  A ``Scalar`` is therefore either a
 ``Fraction`` (exact) or an ``mpf`` (correct to a stated number of digits).
+Whether a value goes on exactly is decided by ``lifted``, and whether it
+counts as zero by ``negligible``, here and nowhere else.
 
 The default working precision comes from the ``LARGEN_DIGITS`` environment
 variable (30 when unset).
@@ -64,6 +66,33 @@ def mpf_of(x, digits: int | None = None) -> mpmath.mpf:
         if isinstance(x, Fraction):
             return mpmath.mpf(x.numerator) / x.denominator
         return mpmath.mpf(x)
+
+
+def lifted(x, digits: int | None = None):
+    """x as a Fraction when it is exact, otherwise as an mpf at ``digits``.
+
+    A tuple is lifted as one point: all Fractions when every entry is exact,
+    otherwise all mpf, so that its entries combine with each other.
+    """
+    if isinstance(x, tuple):
+        if all(is_exact(v) for v in x):
+            return tuple(as_fraction(v) for v in x)
+        return tuple(mpf_of(v, digits) for v in x)
+    return as_fraction(x) if is_exact(x) else mpf_of(x, digits)
+
+
+def tolerance(digits: int) -> mpmath.mpf:
+    """10^-(digits//2), at the working precision: the largest |x| that counts
+    as zero for an mpf carried at ``digits``."""
+    return mpmath.mpf(10) ** (-(digits // 2))
+
+
+def negligible(x, digits: int) -> bool:
+    """Is x zero: ``x == 0`` for an exact x, ``|x| <= tolerance(digits)`` for
+    an mpf.  The boundary |x| = tolerance counts as zero."""
+    if is_exact(x):
+        return x == 0
+    return abs(x) <= tolerance(digits)
 
 
 def sqrt_fraction_exact(q: Fraction):

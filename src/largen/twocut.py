@@ -57,7 +57,9 @@ from .scalars import (
     as_fraction,
     default_digits,
     is_exact,
+    lifted,
     mpf_of,
+    negligible,
     rationalize,
     scalar_str,
 )
@@ -385,22 +387,17 @@ class TwoCutExpansion:
             raise TruncationExceeded(f"expansion truncated at ε^{2 * self.K}")
         return self.coeffs[k]
 
-    def _point(self, digits):
-        if is_exact(self.a0) and is_exact(self.b0):
-            return (as_fraction(self.a0), as_fraction(self.b0))
-        return (mpf_of(self.a0, digits), mpf_of(self.b0, digits))
-
     def values(self, digits: int | None = None) -> list:
         """[(a_k, b_k)] evaluated at this expansion's endpoint pair."""
         digits = digits or default_digits()
         with mpmath.workdps(digits):
-            pt = self._point(digits)
+            pt = lifted((self.a0, self.b0), digits)
             return [(ak.eval(pt), bk.eval(pt)) for ak, bk in self.coeffs]
 
     def slope_values(self, digits: int | None = None) -> tuple:
         digits = digits or default_digits()
         with mpmath.workdps(digits):
-            pt = self._point(digits)
+            pt = lifted((self.a0, self.b0), digits)
             return (self.slopes[0].eval(pt), self.slopes[1].eval(pt))
 
     def to_json(self, digits: int | None = None) -> dict:
@@ -654,15 +651,6 @@ class _TwoCutRegularEngine:
         return a_list, b_list, v_list, w_list
 
 
-def _same_scalar(x, y, digits: int) -> bool:
-    if is_exact(x) and is_exact(y):
-        return as_fraction(x) == as_fraction(y)
-    with mpmath.workdps(digits + 5):
-        return abs(mpf_of(x, digits) - mpf_of(y, digits)) < mpmath.mpf(10) ** (
-            -(digits // 2)
-        )
-
-
 _REGULAR_RUNS: dict = {}  # potential couplings -> (K, a_list, b_list, slopes, det)
 
 
@@ -699,20 +687,18 @@ def expand_two_cut_regular(
         # the boundary of the two-cut region is the merging temperature;
         # report it as the degeneracy it is rather than a missing solution
         for pt in find_merging(g, digits):
-            if _same_scalar(T, pt.T_c, digits):
+            with mpmath.workdps(digits + 5):
+                T_x, T_c = lifted((T, pt.T_c), digits)
+                merging = negligible(T_x - T_c, digits)
+            if merging:
                 raise SingularHodograph(
                     f"the cuts merge at T = {scalar_str(pt.T_c)}; "
                     "use the double-scaling path"
                 ) from None
         raise
     a_list, b_list, slopes, det = _regular_run(g, K)
-    if is_exact(a0) and is_exact(b0):
-        pt = (as_fraction(a0), as_fraction(b0))
-        singular = det.eval(pt) == 0
-    else:
-        with mpmath.workdps(digits):
-            pt = (mpf_of(a0, digits), mpf_of(b0, digits))
-            singular = abs(det.eval(pt)) < mpmath.mpf(10) ** (-(digits // 2))
+    with mpmath.workdps(digits):
+        singular = negligible(det.eval(lifted((a0, b0), digits)), digits)
     if singular:
         raise SingularHodograph(
             f"endpoint Jacobian vanishes at T = {scalar_str(T)}; "
@@ -764,7 +750,6 @@ def find_merging(g: Potential, digits: int | None = None) -> tuple[MergingPoint,
     psi = psi_poly(g.gs)
     found = []
     with mpmath.workdps(digits + 10):
-        tol = mpmath.mpf(10) ** (-(digits // 2))
         for root in real_roots(psi, digits):
             r_c = root.value
             approx = mpf_of(r_c, digits + 10)
@@ -784,8 +769,7 @@ def find_merging(g: Potential, digits: int | None = None) -> tuple[MergingPoint,
                 if not root.exact:
                     ph = mpf_of(ph, digits)
                 phis.append(ph)
-                nonzero = bool(ph) if root.exact else abs(ph) > tol
-                if nonzero:
+                if not negligible(ph, digits):
                     m = k
                     break
             if m == 0:
@@ -793,8 +777,7 @@ def find_merging(g: Potential, digits: int | None = None) -> tuple[MergingPoint,
             gamma1 = gamma_moment(g.gs, 1, rc_arg)
             if not root.exact:
                 gamma1 = mpf_of(gamma1, digits)
-            degenerate = (not gamma1) if root.exact else abs(gamma1) <= tol
-            if degenerate:
+            if negligible(gamma1, digits):
                 continue
             found.append(
                 MergingPoint(r_c=r_c, T_c=T_c, m=m, phi=tuple(phis), gamma1=gamma1)

@@ -436,24 +436,28 @@ class EpsSeries:
             self.zero,
         )
 
-    def shift(self, s, derive: Callable) -> "EpsSeries":
-        """Taylor shift e^{s·ε·D}: new c_k = Σ_i s^i/i! · D^i c_{k-i}."""
-        # iterated derivatives computed lazily per source coefficient
+    def shift(self, steps: Sequence, derive: Callable) -> list["EpsSeries"]:
+        """Taylor shifts e^{s·ε·D}, one per s in ``steps``, from one tower of
+        derivatives: new c_k = Σ_i s^i/i! · D^i c_{k-i}."""
+        # iterated derivatives computed lazily per source coefficient, shared by every step
         derivs = [[c] for c in self.coeffs]
-        out = []
-        for k in range(self.order + 1):
-            acc = self.coeffs[k]
-            fact = Fraction(1)
-            for i in range(1, k + 1):
-                fact = fact * s / i
-                row = derivs[k - i]
-                while len(row) <= i:
-                    row.append(derive(row[-1]))
-                term = row[i]
-                if term:
-                    acc = acc + term * fact
-            out.append(acc)
-        return EpsSeries(out, self.order, self.zero)
+        shifted = []
+        for s in steps:
+            out = []
+            for k in range(self.order + 1):
+                acc = self.coeffs[k]
+                fact = Fraction(1)
+                for i in range(1, k + 1):
+                    fact = fact * s / i
+                    row = derivs[k - i]
+                    while len(row) <= i:
+                        row.append(derive(row[-1]))
+                    term = row[i]
+                    if term:
+                        acc = acc + term * fact
+                out.append(acc)
+            shifted.append(EpsSeries(out, self.order, self.zero))
+        return shifted
 
     def map(self, f: Callable) -> "EpsSeries":
         return EpsSeries([f(c) for c in self.coeffs], self.order, self.zero)
@@ -511,8 +515,7 @@ class Lattice:
 
     def defect(self, x: EpsSeries, y: EpsSeries, a: EpsSeries) -> EpsSeries:
         """a·(x + y(T-ε))·(x + y(T+ε)) - λ(x² - 1), order by order."""
-        ym = y.shift(Fraction(-1), self.d_dT)
-        yp = y.shift(Fraction(1), self.d_dT)
+        ym, yp = y.shift((Fraction(-1), Fraction(1)), self.d_dT)
         lhs = a * ((x + ym) * (x + yp))
         one = EpsSeries.constant(self.embed(self.one), x.order, self.zero)
         return lhs - (x * x - one).map(lambda e: e.mul_poly([_ZERO, _ONE]))

@@ -1,4 +1,5 @@
-"""Package-wide: every correctness certificate survives ``python -O``."""
+"""Package-wide checks: certificates survive ``python -O``, and the zero
+tolerance lives in one place."""
 
 import ast
 from pathlib import Path
@@ -13,3 +14,13 @@ def test_package_has_no_assert_statement():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_zero_tolerance_is_defined_once():
+    # when an mpf counts as zero is decided by scalars.tolerance alone
+    found = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "digits // 2" in path.read_text(encoding="utf-8")
+    ]
+    assert found == ["scalars.py"]

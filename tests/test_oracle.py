@@ -1,5 +1,5 @@
-"""The finite-N oracle: Lax-operator matrix elements, the discrete string
-equation and the generating-function identities on one certified table."""
+"""The finite-N oracle: Lax-operator matrix elements and the discrete string
+equation on one certified table."""
 
 import dataclasses
 from fractions import Fraction as F
@@ -7,8 +7,7 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
-from largen import oracle
-from largen.oracle import check_string_equation, check_theorem1, lax_element, oracle_table
+from largen.oracle import check_string_equation, lax_element, oracle_table
 from largen.potential import parse_potential
 
 QUARTIC = parse_potential("quartic:1,1")
@@ -66,47 +65,3 @@ class TestStringEquation:
         with pytest.raises(ValueError, match="too short"):
             check_string_equation(short)
 
-
-class TestTheorem1:
-    def test_identities_hold(self, table):
-        rep = check_theorem1(table, kmax=2)
-        assert rep.ns == tuple(range(7))
-        assert rep.linear_residual < mpmath.mpf(10) ** -(table.digits + 5)
-        assert rep.quadratic_residual < mpmath.mpf(10) ** -(table.digits + 5)
-
-    def test_identities_do_not_see_r(self, table):
-        # both identities hold for every Jacobi sequence r: a wrong r_4 passes
-        # them and only the string equation catches it
-        bad = perturbed(table, 4, "1e-5")
-        assert check_theorem1(bad, kmax=2).residual() < mpmath.mpf(10) ** -(table.digits + 5)
-        assert check_string_equation(bad) > mpmath.mpf(10) ** -7
-
-    def test_corrupted_matrix_element_fails(self, table, monkeypatch):
-        exact = oracle.lax_element
-        monkeypatch.setattr(
-            oracle,
-            "lax_element",
-            lambda r, n, p: exact(r, n, p) * (1 + mpmath.mpf(10) ** -20 * (p == 3)),
-        )
-        assert check_theorem1(table, kmax=2).residual() > mpmath.mpf(10) ** -25
-
-    def test_samples(self, table):
-        lam = F(3)
-        rep = check_theorem1(table, lambdas=(lam,), kmax=2, ns=(2,))
-        r1, r2, r3 = table.r[:3]
-        with mpmath.workdps(table.digits + 10):
-            want = 1 + 2 * r2 / 3 + 2 * r2 * (r1 + r2 + r3) / 9
-            assert abs(rep.sample(2, lam) - want) < mpmath.mpf(10) ** -(table.digits + 5)
-        with pytest.raises(KeyError):
-            rep.sample(3, lam)
-        with pytest.raises(KeyError):
-            rep.sample(2, F(4))
-
-    def test_refusals(self, table):
-        with pytest.raises(ValueError, match="kmax"):
-            check_theorem1(table, kmax=0)
-        with pytest.raises(ValueError, match="exceed the table's band"):
-            check_theorem1(table, kmax=2, ns=(7,))
-        short = dataclasses.replace(table, r=table.r[:5], h=table.h[:6])
-        with pytest.raises(ValueError, match="too short"):
-            check_theorem1(short, kmax=2)

@@ -225,3 +225,41 @@ class TestScan:
     def test_invalid_row(self):
         rows = phase_scan(SEXTIC, [F(20)])
         assert rows[0]["status"] == "invalid" and rows[0]["s"] == 0
+
+
+class TestExactness:
+    """Exact data stay exact through classification; irrational data go mpf."""
+
+    def test_one_cut_rational_root(self):
+        p = classify_phase(parse_potential("quartic:1,1"), F(2))
+        assert p.r0 == F(1, 3) and isinstance(p.r0, F)
+        assert p.endpoints == (F(0), F(4, 3))
+        assert p.h.coeffs and all(isinstance(c, F) for c in p.h.coeffs)
+        assert p.h_numeric == () and p.note == ""
+
+    def test_two_cut_rational_endpoints(self):
+        p = classify_phase(QUARTIC, F(3, 4))
+        assert p.s == 2
+        assert (p.a0, p.b0) == (F(3, 4), F(1, 4))
+        assert all(isinstance(v, F) for v in (p.a0, p.b0))
+        assert list(p.h.coeffs) == [F(4)] and p.h_numeric == ()
+
+    def test_irrational_points_carry_h_numerically(self):
+        one = classify_phase(parse_potential("quartic:1,1"), F(1))
+        two = classify_phase(QUARTIC, F(1, 2))
+        for p, point in ((one, (one.r0,)), (two, (two.a0, two.b0))):
+            assert all(isinstance(v, mpmath.mpf) for v in point)
+            assert p.h.degree < 0 and p.h_numeric
+            assert all(isinstance(c, mpmath.mpf) for c in p.h_numeric)
+            assert p.note == "h carried numerically"
+            assert p.h_coeffs() == list(p.h_numeric)
+
+
+@pytest.mark.xfail(raises=TypeError, strict=True)
+@pytest.mark.parametrize("T", [F(6), F(9)], ids=["T=6", "T=9"])
+def test_sextic_outside_inequality_radicand_rounds_negative(T):
+    # Known defect: at x = β rounding leaves the radicand of w₁ in the
+    # outside inequality slightly negative, mpmath.sqrt returns an mpc, and
+    # comparing the running integral raises TypeError.  Clamping the radicand
+    # at zero gives one-cut regular phases (r₀ ≈ 0.0814732486, 0.1334188186).
+    classify_phase(SEXTIC, T)

@@ -174,7 +174,8 @@ class TestEpsSeries:
         u = DiffPoly.var("u")
         s = EpsSeries([u, u * u, u.d_dx()], 2, DiffPoly.zero())
         d = lambda p: p.d_dx()
-        rt = s.shift(1, d).shift(-1, d)
+        (up,) = s.shift((1,), d)
+        (rt,) = up.shift((-1,), d)
         for k in range(3):
             assert rt.coefficient(k) == s.coefficient(k)
 
@@ -182,10 +183,26 @@ class TestEpsSeries:
         u = DiffPoly.var("u")
         d = lambda p: p.d_dx()
         s = EpsSeries([u * u * u, u, DiffPoly.zero(), u.d_dx()], 3, DiffPoly.zero())
-        assert all(
-            s.shift(1, d).shift(1, d).coefficient(k) == s.shift(2, d).coefficient(k)
-            for k in range(4)
-        )
+        one, two = s.shift((1, 2), d)
+        (twice,) = one.shift((1,), d)
+        assert all(twice.coefficient(k) == two.coefficient(k) for k in range(4))
+
+    def test_one_tower_for_both_steps(self):
+        # the ±1 shifts of the lattice identity share every D^i c_j: each
+        # tower entry is derived once, and the results match single shifts
+        u = DiffPoly.var("u")
+        s = EpsSeries([u * u, u, u.d_dx() * u, DiffPoly.zero()], 3, DiffPoly.zero())
+        calls = []
+
+        def d(p):
+            calls.append(p)
+            return p.d_dx()
+
+        minus, plus = s.shift((-1, 1), d)
+        assert len(calls) == 3 + 2 + 1  # D^1..D^{3-j} of c_j, j = 0..2
+        for step, got in ((-1, minus), (1, plus)):
+            (alone,) = s.shift((step,), lambda p: p.d_dx())
+            assert all(got.coefficient(k) == alone.coefficient(k) for k in range(4))
 
     def test_cauchy_product(self):
         u = DiffPoly.var("u")
@@ -219,7 +236,7 @@ class TestEpsSeries:
             1,
             WElem.zero(D1, D0),
         )
-        sh = s.shift(1, der)
+        (sh,) = s.shift((1,), der)
         assert sh.coefficient(1) == WElem(D1, D0, {3: [F(0), 2 * c]})
 
 
