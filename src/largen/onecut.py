@@ -88,7 +88,10 @@ def _pole_basis(elem: WElem, four_rc, zero) -> tuple:
 
 @dataclass(frozen=True)
 class OneCutExpansion:
-    """r(T, ε) ≃ Σ_k r_k ε^{2k} with each r_k an exact rational function of r₀."""
+    """r(T, ε) ≃ Σ_k r_k ε^{2k} with each r_k an exact rational function of r₀.
+
+    For the weight e^{-(N/T)V}, ε = T/N: r_{N,N} ≃ Σ_k r_k (T/N)^{2k}.
+    """
 
     g: Potential
     T: Scalar

@@ -7,9 +7,11 @@ have something exact to be compared against.  The chain is
     moments  ->  Hankel reduction  ->  r_{n,N}, h_{n,N}
                                         -> discrete string equation check.
 
-Moments of the weight e^{-(N/T)V(x)} are computed by high-precision
-quadrature with node-doubling convergence control: the value is accepted
-only when two successive refinements agree to ``digits + 5`` decimals.
+Moments of the weight e^{-(N/T)V(x)} come from one tanh-sinh pass over node
+levels 1..10, shared by every moment.  On each interval between split points a
+moment's level sum stops refining where mpmath's error estimate reaches eps/8,
+as ``mpmath.quad`` would; the moment is accepted at the first level d ≥ 5 whose
+total agrees with the total at level d - 1 to ``digits + 5`` decimals.
 The reduction to recurrence coefficients uses the classical three-term
 bootstrap on the mixed table s(k, j) = ∫ π_k(x) x^j dμ,
 
@@ -25,9 +27,12 @@ than return garbage.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import mpmath
+from mpmath.calculus.quadrature import TanhSinh
+from mpmath.libmp import mpf_add, mpf_exp, mpf_mul, mpf_neg, round_nearest
 
 from .errors import NumericallySingular, PrecisionExhausted, certify
 from .potential import Potential
@@ -36,6 +41,9 @@ from .scalars import Scalar, default_digits, mpf_of
 
 # a recurrence entry is unusable once fewer than this many digits survive
 _TRUST_FLOOR = 10
+# tanh-sinh rule, its node caches unused so a table costs the same whatever ran
+# before; bits kept past the working precision in moment sums, nodes summed per chunk
+_TANH_SINH, _GUARD, _CHUNK = TanhSinh(mpmath.mp), 32, 64
 
 
 @dataclass(frozen=True)
@@ -84,19 +92,54 @@ def _split_points(g: Potential, digits: int) -> list:
     return pts
 
 
-def compute_moments(
-    g: Potential,
-    T,
-    N: int,
-    kmax: int,
-    digits: int | None = None,
-) -> MomentTable:
+def _node_sums(nodes, nscale, vc, kmax):
+    """Σ_j w_j x_j^{2k} e^{nscale·V(x_j²)} for k = 0..kmax, at working precision.
+
+    ``nscale`` = -N/T and ``vc``, V's coefficients in x² from the highest, are
+    raw mpf tuples.  The weight is evaluated once per node; each moment's term
+    is the previous one times x², cut to _GUARD bits past the precision.  The
+    terms are positive, so each sum is exact in integer units of 2^f (f: the
+    lowest exponent of the largest term so far) and rounded once at the end.
+    """
+    prec, rnd = mpmath.mp.prec, round_nearest
+    width = prec + _GUARD
+    acc, low = [0] * (kmax + 1), [None] * (kmax + 1)
+    for start in range(0, len(nodes), _CHUNK):  # chunks keep memory flat
+        mans, exps = [[] for _ in acc], [[] for _ in acc]
+        for x, w in nodes[start : start + _CHUNK]:
+            x = x._mpf_
+            lam = mpf_mul(x, x, prec, rnd)
+            v = vc[0]
+            for c in vc[1:]:
+                v = mpf_add(mpf_mul(v, lam, prec, rnd), c, prec, rnd)
+            _, m, e, _ = mpf_exp(mpf_mul(nscale, v, prec, rnd), prec, rnd)
+            (_, wm, we, _), (_, xm, xe, _) = w._mpf_, x
+            m, e, xm, xe = m * wm, e + we, xm * xm, 2 * xe
+            for ms, es in zip(mans, exps):
+                cut = m.bit_length() - width
+                m = m >> cut if cut >= 0 else m << -cut
+                e += cut
+                ms.append(m)
+                es.append(e)
+                m, e = m * xm, e + xe
+        for k, (ms, es) in enumerate(zip(mans, exps)):
+            f = max(es)
+            if low[k] is not None:  # rescale the sum so far to the larger unit
+                f = max(f, low[k])
+                acc[k] >>= f - low[k]
+            low[k] = f
+            acc[k] += sum(map(operator.rshift, ms, [f - e for e in es]))
+    return [mpmath.mpf(pair) for pair in zip(acc, low)]
+
+
+def compute_moments(g: Potential, T, N: int, kmax: int, digits: int | None = None) -> MomentTable:
     """Certified moment table for the weight e^{-(N/T)V(x)}.
 
-    Each of the kmax+1 moments is integrated separately, raising the
-    quadrature degree until two successive levels agree to ``digits + 5``
-    decimals (relative); the moments share one weight function memoised on
-    the node value, since nodes repeat across moments and levels.
+    One tanh-sinh pass over levels 1..10 serves every moment.  On each
+    interval a moment's level sum freezes where mpmath's error estimate
+    reaches eps/8, as ``mpmath.quad`` stops; the moment is accepted at the
+    first level d ≥ 5 whose total agrees with level d - 1's to ``digits + 5``
+    decimals (relative), else ``PrecisionExhausted`` names it.
     """
     digits = default_digits() if digits is None else digits
     if digits < 30:
@@ -105,42 +148,39 @@ def compute_moments(
         raise ValueError("kmax must be nonnegative and N positive")
     wp = digits + 12
     with mpmath.workdps(wp):
-        scale = mpmath.mpf(N) / mpf_of(T, wp)
-        vc = [mpf_of(c, wp) for c in g.v().coeffs]
-        cache = {}
-
-        def weight(x):
-            # quadrature nodes repeat across moments and refinement levels,
-            # so the exp is worth memoizing on the node value
-            w = cache.get(x)
-            if w is None:
-                lam = x * x
-                v = vc[-1]
-                for c in reversed(vc[:-1]):
-                    v = v * lam + c
-                w = mpmath.exp(-scale * v)
-                cache[x] = w
-            return w
-
+        nscale = mpf_neg((mpmath.mpf(N) / mpf_of(T, wp))._mpf_)
+        vc = [mpf_of(c, wp)._mpf_ for c in reversed(g.v().coeffs)]
         points = _split_points(g, min(digits, 30))
+        prec, eps = mpmath.mp.prec, mpmath.eps / 8
         tol = mpmath.mpf(10) ** (-(digits + 5))
-        moments = []
-        for k in range(kmax + 1):
-
-            def integrand(x, two_k=2 * k):
-                return x**two_k * weight(x)
-
-            prev = None
-            for degree in range(4, 11):
-                cur = mpmath.quad(integrand, points, maxdegree=degree)
-                if prev is not None and abs(cur - prev) <= tol * abs(cur):
-                    moments.append(2 * cur)
-                    break
-                prev = cur
-            else:
-                raise PrecisionExhausted(
-                    f"m_{2 * k} did not stabilize to {digits + 5} digits"
-                )
+        # per interval: each moment's level sums, and the moments whose sum froze
+        levels = [([[] for _ in range(kmax + 1)], set()) for _ in points[1:]]
+        moments = [None] * (kmax + 1)
+        for degree in range(1, 11):
+            with mpmath.workprec(prec + 20):
+                h, std = mpmath.ldexp(1, -degree), None  # std: this level's nodes on [-1, 1]
+                for a, b, (sums, done) in zip(points, points[1:], levels):
+                    if len(done) <= kmax:
+                        std = std or _TANH_SINH.calc_nodes(degree, prec)
+                        nodes = _TANH_SINH.transform_nodes(std, a, b)
+                        for k, s in enumerate(_node_sums(nodes, nscale, vc, kmax)):
+                            if k not in done:
+                                res = sums[k]
+                                res.append(h * (res[-1] / (2 * h) + s) if res else h * s)
+                                if degree > 1 and _TANH_SINH.estimate_error(res, prec, eps) <= eps:
+                                    done.add(k)
+                totals = [sum(sums[k][-1] for sums, _ in levels) for k in range(kmax + 1)]
+            cur = [+t for t in totals]
+            for k, c in enumerate(cur):
+                if degree >= 5 and moments[k] is None and abs(c - prev[k]) <= tol * abs(c):
+                    moments[k] = 2 * c
+            if None not in moments:
+                break
+            prev = cur
+        else:
+            raise PrecisionExhausted(
+                f"m_{2 * moments.index(None)} did not stabilize to {digits + 5} digits"
+            )
     return MomentTable(g=g, T=T, N=N, digits=digits, moments=tuple(moments))
 
 

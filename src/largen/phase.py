@@ -332,11 +332,11 @@ def solve_one_cut(g: Potential, T, digits: int | None = None) -> Scalar:
 
 
 def _quartic_two_cut(g: Potential, T, digits: int):
-    g2, g4 = g.gs
-    disc = g2 * g2 - 4 * as_fraction(T) * g4
-    if disc <= 0:
-        raise NoTwoCutSolution("inside the one-cut region (discriminant ≤ 0)")
     with mpmath.workdps(digits + 5):
+        g2, g4, T = lifted((*g.gs, T), digits + 5)
+        disc = g2 * g2 - 4 * T * g4
+        if disc <= 0:
+            raise NoTwoCutSolution("inside the one-cut region (discriminant ≤ 0)")
         root, g2, den = lifted((sqrt_scalar(disc, digits), g2, 4 * g4), digits + 5)
         a0 = (root - g2) / den
         b0 = (-root - g2) / den

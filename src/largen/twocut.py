@@ -368,6 +368,8 @@ class _Loc:
 class TwoCutExpansion:
     """a(T, ε) ≃ Σ a_k ε^{2k}, b(T, ε) ≃ Σ b_k ε^{2k} on a two-cut branch.
 
+    ε = T/N for the weight e^{-(N/T)V}: r_{N,N} ≃ Σ b_k ε^{2k} (N even), Σ a_k ε^{2k} (N odd).
+
     ``coeffs[k]`` is the pair (a_k, b_k) as rational functions of the
     endpoints; coeffs[0] is the endpoint pair itself.  ``slopes`` holds
     (da₀/dT, db₀/dT) in the same ring — the T-derivatives that the lattice

@@ -20,6 +20,8 @@ from largen.phase import (
     solve_two_cut,
 )
 from largen.potential import Potential, parse_potential
+from largen.scalars import mpf_of
+from largen.twocut import expand_two_cut_regular
 
 QUARTIC = parse_potential("quartic:-2,1")
 BMP = Potential.bmp()
@@ -254,6 +256,36 @@ class TestExactness:
             assert p.note == "h carried numerically"
             assert p.h_coeffs() == list(p.h_numeric)
 
+
+
+# (potential, T, cuts) with T an mpf: the quartic closed form takes it like the Newton path
+MPF_POINTS = [
+    (name, mpmath.mpf(T), s)
+    for name, cuts in (("quartic:1,1", (1, 1)), ("quartic:-2,1", (2, 1)),
+                       ("quartic:-1,2", (1, 1)), ("quartic:-3,1", (2, 2)))
+    for T, s in zip(("0.7", "1.3"), cuts)
+]
+
+
+class TestMpfTemperature:
+    @pytest.mark.parametrize("name,T,s", MPF_POINTS, ids=[f"{p[0]}:T={p[1]}" for p in MPF_POINTS])
+    def test_classifies(self, name, T, s):
+        g = parse_potential(name)
+        p = classify_phase(g, T)
+        assert (p.s, p.status) == (s, "regular")
+        with mpmath.workdps(30):
+            if s == 1:
+                assert abs(g.hodograph()(p.r0) - T) < mpmath.mpf(10) ** -12
+            else:
+                assert solve_two_cut(g, T) == (p.a0, p.b0)
+                g2, g4 = (mpf_of(c, 30) for c in g.gs)
+                disc = g2 * g2 - 4 * T * g4
+                root = mpmath.sqrt(disc)
+                a1 = -g4 * (g2 * g2 + 4 * T * g4 - g2 * root) / (2 * disc**2 * root)
+                got = expand_two_cut_regular(g, T, 1).values(30)[1][0]
+                assert abs(got - a1) < mpmath.mpf(10) ** -20 * abs(a1)
+                if name == "quartic:-2,1":
+                    assert mpmath.nstr(got, 8) == "-2.8498341"
 
 @pytest.mark.xfail(raises=TypeError, strict=True)
 @pytest.mark.parametrize("T", [F(6), F(9)], ids=["T=6", "T=9"])
