@@ -1,13 +1,12 @@
-"""Differential polynomials in x-dependent functions, with exact coefficients.
+"""Differential polynomials in x-dependent functions, with rational coefficients.
 
 A ``DiffPoly`` is a finite sum  Σ c · Π v_i^{(k_i)}^{e_i}  where each v_i is a
-named dependent variable (a function of x), k_i a derivative order, and the
-coefficients c live in ℚ(ρ).  A coefficient that depends on the parameter ρ
-is a ``RationalFunc``, so a whole family of expansions (the symbolic Painlevé
-hierarchies) can be carried symbolically and evaluated at an exact critical
-point later.  Every other coefficient is a ``Fraction``, and a constant
-``RationalFunc`` always collapses to it, so term tables are canonical and the
-double-scaled engines run over ℚ, taking no polynomial gcd.  There is no
+named dependent variable (a function of x), k_i a derivative order, and every
+coefficient c is a ``Fraction``; cancelled terms are dropped, so term tables
+are canonical and equality is structural.  The double-scaled engines and the
+Painlevé recursions all run over ℚ, taking no polynomial gcd: a parameter such
+as the critical radius ρ enters as a number, never as a coefficient (the
+symbolic-ρ hierarchies in ``painleve`` restore ρ at output).  There is no
 explicit x inside a DiffPoly; relations that need a bare x carry it
 structurally (see ``XRelation``).
 
@@ -24,15 +23,13 @@ from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .errors import NotTotalDerivative, certify
-from .polys import Poly, RationalFunc
+from .polys import Poly
 from .scalars import is_exact
 from .wring import Lattice, WElem
 
 # a factor (name, order, exponent); a monomial is a sorted tuple of factors
 Factor = tuple[str, int, int]
 Monomial = tuple[Factor, ...]
-
-RHO = RationalFunc.var()
 
 
 def _normalize_monomial(factors: Iterable[tuple[str, int, int]]) -> Monomial:
@@ -61,28 +58,10 @@ def _drop(mono: Monomial, idx: int) -> Monomial:
     return mono[:idx] + low + mono[idx + 1 :]
 
 
-def _canonical(terms: dict) -> dict:
-    """Cancelled terms dropped, constant RationalFuncs lowered to Fractions."""
-    return {
-        m: c.num[0] if type(c) is RationalFunc and c.is_constant() else c
-        for m, c in terms.items()
-        if c
-    }
-
-
-def _coerce_coeff(c):
-    if isinstance(c, (Fraction, RationalFunc)):
-        return c
-    if isinstance(c, Poly):
-        return RationalFunc(c)
+def _coerce_coeff(c) -> Fraction:
     if is_exact(c):
         return Fraction(c)
     raise TypeError(f"bad DiffPoly coefficient: {type(c).__name__}")
-
-
-def _coeff_text(c, rho: str) -> str:
-    # str(Fraction) is what Poly.render prints for a constant
-    return c.render(rho) if isinstance(c, RationalFunc) else str(c)
 
 
 class DiffPoly:
@@ -94,15 +73,16 @@ class DiffPoly:
         clean: dict = {}
         for mono, c in (terms or {}).items():
             mono, c = _normalize_monomial(mono), _coerce_coeff(c)
-            clean[mono] = clean[mono] + c if mono in clean else c
-        self.terms = _canonical(clean)
+            clean[mono] = clean.get(mono, 0) + c
+        self.terms = {m: c for m, c in clean.items() if c}
 
     @classmethod
     def _trusted(cls, terms: dict) -> "DiffPoly":
         """The ring operations' constructor: their monomials are canonical
-        already, so only the coefficients are canonicalised."""
+        and their coefficients Fractions already, so only cancelled terms
+        are dropped."""
         out = cls.__new__(cls)
-        out.terms = _canonical(terms)
+        out.terms = {m: c for m, c in terms.items() if c}
         return out
 
     # -- constructors ---------------------------------------------------
@@ -144,19 +124,18 @@ class DiffPoly:
     def total_degree(self) -> int:
         return max((sum(e for _, _, e in m) for m in self.terms), default=0)
 
-    def constant_term(self) -> RationalFunc:
+    def constant_term(self) -> Fraction:
         return self.coefficient(())
 
-    def coefficient(self, mono) -> RationalFunc:
-        c = self.terms.get(_normalize_monomial(mono), Fraction(0))
-        return c if isinstance(c, RationalFunc) else RationalFunc.const(c)
+    def coefficient(self, mono) -> Fraction:
+        return self.terms.get(_normalize_monomial(mono), Fraction(0))
 
     # -- ring operations -------------------------------------------------
     @staticmethod
     def _coerce(other):
         if isinstance(other, DiffPoly):
             return other
-        if isinstance(other, (RationalFunc, Poly)) or is_exact(other):
+        if is_exact(other):
             return DiffPoly.const(other)
         return NotImplemented
 
@@ -330,20 +309,13 @@ class DiffPoly:
             out = out + term
         return out
 
-    def eval_rho(self, value) -> "DiffPoly":
-        """Evaluate the coefficient parameter ρ at an exact rational value."""
-        x = Fraction(value)
-        return DiffPoly(
-            {m: c(x) if isinstance(c, RationalFunc) else c for m, c in self.terms.items()}
-        )
-
     # -- rendering ----------------------------------------------------------
     @staticmethod
     def _mono_sort_key(mono: Monomial):
         orders = tuple(sorted((o for _, o, e in mono for _ in range(e)), reverse=True))
         return (orders, sum(e for _, _, e in mono), mono)
 
-    def sorted_terms(self) -> list[tuple[Monomial, object]]:
+    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         return sorted(self.terms.items(), key=lambda kv: self._mono_sort_key(kv[0]), reverse=True)
 
     @staticmethod
@@ -355,7 +327,7 @@ class DiffPoly:
             return f"{name}_{{{sub}}}" if sub else f"{name}^{{({order})}}"
         return name + "_" + "x" * order if order <= 4 else f"{name}^({order})"
 
-    def render(self, latex: bool = False, rho: str = "rho") -> str:
+    def render(self, latex: bool = False) -> str:
         if not self.terms:
             return "0"
         parts = []
@@ -367,7 +339,7 @@ class DiffPoly:
                     f = f"{f}^{{{exp}}}" if latex else f"{f}^{exp}"
                 factors.append(f)
             body = (" " if latex else "*").join(factors)
-            cs = _coeff_text(c, rho)
+            cs = str(c)
             if not body:
                 parts.append(cs)
             elif cs == "1":
@@ -385,7 +357,7 @@ class DiffPoly:
 
     def to_json(self) -> list:
         return [
-            {"coeff": _coeff_text(c, "rho"), "factors": [[n, o, e] for n, o, e in mono]}
+            {"coeff": str(c), "factors": [[n, o, e] for n, o, e in mono]}
             for mono, c in self.sorted_terms()
         ]
 
@@ -394,8 +366,7 @@ class DiffPoly:
 
 
 def _solve_exact(rows: list[list], rhs: list):
-    """Gaussian elimination over ℚ(ρ) on Fraction and RationalFunc entries;
-    None if inconsistent.
+    """Gaussian elimination over ℚ; None if inconsistent.
 
     Returns a particular solution (free variables set to zero).
     """
@@ -408,11 +379,11 @@ def _solve_exact(rows: list[list], rhs: list):
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
         inv = 1 / aug[r][col]
-        aug[r] = [x * inv for x in aug[r]]
+        aug[r] = [x * inv if x else x for x in aug[r]]
         for i in range(m):
             if i != r and aug[i][col]:
                 factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], aug[r])]
+                aug[i] = [a - factor * b if b else a for a, b in zip(aug[i], aug[r])]
         pivots.append(col)
         r += 1
         if r == m:
@@ -428,9 +399,8 @@ def _solve_exact(rows: list[list], rhs: list):
 class XRelation:
     """A relation  p(u, ...) + x·q(u, ...) = 0  between differential polynomials.
 
-    ``normalize`` clears denominators and fixes the overall sign/scale when
-    every coefficient is rational, so emitted equations are canonical and
-    byte-stable.
+    ``normalize`` clears denominators and fixes the overall sign/scale, so
+    emitted equations are canonical and byte-stable.
     """
 
     __slots__ = ("p", "q")
@@ -447,14 +417,9 @@ class XRelation:
     def all_coeffs(self) -> list:
         return list(self.p.terms.values()) + list(self.q.terms.values())
 
-    def is_numeric(self) -> bool:
-        return all(isinstance(c, Fraction) for c in self.all_coeffs())
-
     def normalize(self) -> "XRelation":
         """Scale so all coefficients are coprime integers and the leading
         monomial of the highest-derivative part is positive."""
-        if not self.is_numeric():
-            raise ValueError("normalize needs numeric (rho-free) coefficients")
         vals = self.all_coeffs()
         if not vals:
             return self
@@ -470,7 +435,7 @@ class XRelation:
         if self.q.is_zero():
             return f"{ps} = 0"
         cq = self.q.terms[max(self.q.terms, key=DiffPoly._mono_sort_key)]
-        q, sign = (-self.q, "-") if isinstance(cq, Fraction) and cq < 0 else (self.q, "+")
+        q, sign = (-self.q, "-") if cq < 0 else (self.q, "+")
         qs = q.render(latex=latex)
         xterm = "x" if qs == "1" else (f"x \\, ({qs})" if latex else f"x*({qs})")
         if self.p.is_zero():

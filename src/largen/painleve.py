@@ -10,9 +10,8 @@ where R_m is the m-th Gel'fand–Dikii differential polynomial, generated by
     ∂ₓ R_{k+1} = (ρ ∂ₓ³ + 4u ∂ₓ + 2uₓ) R_k,        R₀ = 1,
 
 with the integration constant fixed to zero for every k ≥ 1 (ρ is the
-critical radius, kept symbolic until a point is chosen).  At a two-cut
-merging point of order m the parity-split pair collapses instead to a
-Painlevé II hierarchy member,
+critical radius).  At a two-cut merging point of order m the parity-split
+pair collapses instead to a Painlevé II hierarchy member,
 
     2 r_c φ_m · R_m(u) + x·u = 0,
 
@@ -26,6 +25,13 @@ condition 2ρ ∂ₓS₀ = u ∂ₓR₀ forces S₀ once R₀ is chosen, and onl
 the recursion) makes R₁ = uₓₓ/2 - u³/(4ρ²) come out with the weights that
 match the merging-point ladder.  m = 1 gives the Painlevé II equation
 itself once the constants are cleared.
+
+Both recursions are homogeneous of degree k in (u, ρ), so
+R_k(u; ρ) = ρ^k R_k(u/ρ; 1): the coefficient c of a monomial of degree d in
+u at ρ = 1 is c·ρ^{k−d} at any ρ.  Each recursion therefore runs once, over
+ℚ at ρ = 1, and ρ is restored at output: at an exact r_c as the number
+c·r_c^{k−d}, and with ρ kept symbolic as a ``Homogeneous`` member, which
+renders c·ρ^{k−d}.
 
 ``emit_critical_ode`` turns a classified critical point into the fully
 numeric ODE in canonical form (integer coprime coefficients, positive
@@ -49,18 +55,56 @@ from .scalars import as_fraction, is_exact, scalar_str
 from .twocut import MergingPoint, symmetric_scaled_series
 
 _U = DiffPoly.var("u")
-_RHO = RationalFunc.var()
 
 
 # -- the two recursions ----------------------------------------------------------
 
+
+def _u_degree(mono) -> int:
+    return sum(e for _, _, e in mono)
+
+
+@dataclass(frozen=True)
+class Homogeneous:
+    """A hierarchy member with ρ symbolic: its table at ρ = 1 and its index m.
+
+    The coefficient c of a monomial of degree d in u stands for c·ρ^{m−d}.
+    """
+
+    unit: DiffPoly
+    m: int
+
+    def at(self, rc) -> DiffPoly:
+        """The member at ρ = rc, an exact rational."""
+        rc = as_fraction(rc)
+        return DiffPoly(
+            {mono: c * rc ** (self.m - _u_degree(mono)) for mono, c in self.unit.terms.items()}
+        )
+
+    def to_json(self) -> list:
+        rho = RationalFunc.var()
+        return [
+            {
+                "coeff": (rho ** (self.m - _u_degree(mono)) * c).render("rho"),
+                "factors": [[n, o, e] for n, o, e in mono],
+            }
+            for mono, c in self.unit.sorted_terms()
+        ]
+
+
+def _at(unit: DiffPoly, m: int, rc):
+    member = Homogeneous(unit, m)
+    return member if rc is None else member.at(rc)
+
+
 _GD_CACHE: list = [DiffPoly.const(1)]
 
 
-def gelfand_dikii(m: int, rc=None) -> DiffPoly:
-    """R_m of the Painlevé I / KdV hierarchy; ``rc=None`` keeps ρ symbolic.
+def gelfand_dikii(m: int, rc=None) -> DiffPoly | Homogeneous:
+    """R_m of the Painlevé I / KdV hierarchy at ρ = rc; ``rc=None`` keeps ρ
+    symbolic and returns the ``Homogeneous`` member.
 
-    Each step integrates the third-order operator image exactly; the
+    Each step integrates the third-order operator image at ρ = 1 exactly; the
     integration is an existence proof (it raises if the image is not a
     total derivative), and the derivative is checked against the operator
     once more after the fact.
@@ -69,49 +113,38 @@ def gelfand_dikii(m: int, rc=None) -> DiffPoly:
         raise ValueError("hierarchy index must be nonnegative")
     while len(_GD_CACHE) <= m:
         R = _GD_CACHE[-1]
-        rhs = R.d_dx(3) * _RHO + _U * R.d_dx() * 4 + _U.d_dx() * R * 2
+        rhs = R.d_dx(3) + _U * R.d_dx() * 4 + _U.d_dx() * R * 2
         nxt = rhs.integrate_x()
         certify(nxt.d_dx() == rhs, f"R_{len(_GD_CACHE)} does not integrate the recursion")
-        certify(nxt.constant_term().is_zero(), f"R_{len(_GD_CACHE)} has a constant term")
+        certify(not nxt.constant_term(), f"R_{len(_GD_CACHE)} has a constant term")
         _GD_CACHE.append(nxt)
-    R = _GD_CACHE[m]
-    if rc is None:
-        return R
-    return R.eval_rho(as_fraction(rc))
+    return _at(_GD_CACHE[m], m, rc)
 
 
-_PII_CACHE: list = [
-    (
-        _U * (RationalFunc.const(Fraction(-1, 2)) / _RHO),
-        _U * _U * (RationalFunc.const(Fraction(-1, 8)) / (_RHO * _RHO)),
-    )
-]
+_PII_CACHE: list = [(_U * Fraction(-1, 2), _U * _U * Fraction(-1, 8))]
 
 
 def pii_hierarchy(m: int, rc=None) -> tuple:
-    """(R_m, S_m) of the Painlevé II hierarchy; ``rc=None`` keeps ρ symbolic.
+    """(R_m, S_m) of the Painlevé II hierarchy at ρ = rc; ``rc=None`` keeps ρ
+    symbolic and returns the pair of ``Homogeneous`` members.
 
     m = 0 returns the seed pair.  S_{k+1} is produced by exact integration
-    of u·∂ₓR_{k+1}/(2ρ), which certifies that the second recursion relation
-    is solvable at every order.
+    of u·∂ₓR_{k+1}/2 at ρ = 1, which certifies that the second recursion
+    relation is solvable at every order.
     """
     if m < 0:
         raise ValueError("hierarchy index must be nonnegative")
     while len(_PII_CACHE) <= m:
         R, S = _PII_CACHE[-1]
-        Rn = R.d_dx(2) * (-_RHO) + _U * S * 2
-        integrand = _U * Rn.d_dx() * (RationalFunc.const(Fraction(1, 2)) / _RHO)
-        Sn = integrand.integrate_x()
+        Rn = -R.d_dx(2) + _U * S * 2
+        Sn = (_U * Rn.d_dx() * Fraction(1, 2)).integrate_x()
         certify(
-            Sn.d_dx() * (_RHO * 2) == _U * Rn.d_dx(),
+            Sn.d_dx() * 2 == _U * Rn.d_dx(),
             f"S_{len(_PII_CACHE)} does not integrate the second recursion",
         )
         _PII_CACHE.append((Rn, Sn))
     R, S = _PII_CACHE[m]
-    if rc is None:
-        return R, S
-    rc = as_fraction(rc)
-    return R.eval_rho(rc), S.eval_rho(rc)
+    return _at(R, m, rc), _at(S, m, rc)
 
 
 # -- emission ---------------------------------------------------------------------
@@ -244,8 +277,7 @@ def _eliminate_two_cut(sc, m: int) -> XRelation:
         certify(P.max_order(name) == 0, f"{name} appears differentiated at its own order")
         c = P.partial(name, 0)
         certify(not c.dependent_vars(), f"coefficient of {name} is not constant")
-        val = c.terms.get((), 0)
-        certify(not isinstance(val, RationalFunc), f"coefficient of {name} depends on ρ")
+        val = c.constant_term()
         certify(val != 0, f"coefficient of {name} vanishes")
         rest = P.substitute({name: DiffPoly.zero()})
         px = rest * (Fraction(-1) / val)

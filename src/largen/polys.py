@@ -2,7 +2,7 @@
 
 ``Poly`` is dense with ``Fraction`` coefficients; it backs everything
 univariate in the package (polynomials in the spectral variable, hodograph
-polynomials, the coefficient field of differential polynomials).
+polynomials).
 ``RationalFunc`` is a reduced quotient of two ``Poly``s with a monic
 denominator, which makes equality structural.
 """
@@ -277,14 +277,6 @@ class RationalFunc:
 
     def __bool__(self) -> bool:
         return not self.is_zero()
-
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"not a constant: {self.render()}")
-        return self.num[0]
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)

@@ -1,5 +1,5 @@
-"""Package-wide checks: certificates survive ``python -O``, and the zero
-tolerance lives in one place."""
+"""Package-wide checks: certificates survive ``python -O``, the zero
+tolerance lives in one place, and differential polynomials stay over ℚ."""
 
 import ast
 from pathlib import Path
@@ -24,3 +24,15 @@ def test_zero_tolerance_is_defined_once():
         if "digits // 2" in path.read_text(encoding="utf-8")
     ]
     assert found == ["scalars.py"]
+
+
+def test_diffpoly_never_names_rationalfunc():
+    # DiffPoly coefficients are Fractions; ρ-dependent coefficients are built
+    # only where a symbolic hierarchy member is rendered (painleve)
+    found = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "RationalFunc" in path.read_text(encoding="utf-8")
+    ]
+    assert "diffpoly.py" not in found
+    assert found == ["onecut.py", "painleve.py", "polys.py"]

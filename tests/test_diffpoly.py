@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from largen.diffpoly import RHO, DiffPoly, XRelation, _normalize_monomial
+from largen.diffpoly import DiffPoly, XRelation, _normalize_monomial
 from largen.errors import NotTotalDerivative
 from largen.onecut import find_critical, scaled_series
 from largen.polys import Poly, RationalFunc
@@ -39,7 +39,8 @@ def test_monomials_merge_exponents():
     assert m.total_degree() == 3
     assert m.max_order() == 1
     assert m.max_order("u") == 1
-    assert m.coefficient((("u", 0, 2), ("u", 1, 1))) == RationalFunc.const(1)
+    assert m.coefficient((("u", 0, 2), ("u", 1, 1))) == 1
+    assert m.constant_term() == 0 and type(m.constant_term()) is F
 
 
 def test_d_dx_product_rule():
@@ -104,13 +105,17 @@ def test_substitute_with_chain_rule():
     assert (u * w).substitute({"u": v}) == v * w
 
 
-def test_rho_coefficients_and_eval():
-    f = DiffPoly.const(RHO) * uxx + DiffPoly.const(2) * u
-    g = f.eval_rho(F(1, 2))
-    assert g == DiffPoly.const(F(1, 2)) * uxx + 2 * u
-    # division by rho stays exact
-    h = DiffPoly.const(RationalFunc(Poly.one(), Poly([0, 2]))) * u  # u/(2 rho)
-    assert h.eval_rho(F(1, 4)) == 2 * u
+def test_ratfunc_and_poly_coefficients_are_refused():
+    # coefficients are Fractions only: a parameter enters as a number
+    for bad in (RationalFunc.var(), RationalFunc.const(2), Poly.const(2), Poly.x(), 0.5):
+        with pytest.raises(TypeError):
+            DiffPoly({(("u", 0, 1),): bad})
+        with pytest.raises(TypeError):
+            DiffPoly.const(bad)
+        with pytest.raises(TypeError):
+            u * bad
+        with pytest.raises(TypeError):
+            u + bad
 
 
 def test_render_text_and_latex():
@@ -118,14 +123,17 @@ def test_render_text_and_latex():
     s = f.render()
     assert s == "2*u_xxxx + 3*u*u_xx + u^3"
     assert f.render(latex=True) == "2 u_{xxxx} + 3 u u_{xx} + u^{3}"
-    g = DiffPoly.const(RHO) * uxx - u
-    assert g.render() == "rho*u_xx - u"
+    g = DiffPoly.const(F(-1, 2)) * uxx - u
+    assert g.render() == "(-1/2)*u_xx - u"
     assert DiffPoly.var("u", 5).render() == "u^(5)"
 
 
 def test_to_json_structure():
-    f = DiffPoly.const(RHO) * uxx
-    assert f.to_json() == [{"coeff": "rho", "factors": [["u", 2, 1]]}]
+    f = DiffPoly.const(F(3, 4)) * uxx - 2 * u * ux
+    assert f.to_json() == [
+        {"coeff": "3/4", "factors": [["u", 2, 1]]},
+        {"coeff": "-2", "factors": [["u", 0, 1], ["u", 1, 1]]},
+    ]
 
 
 def test_xrelation_normalize_and_render():
@@ -142,36 +150,20 @@ def test_xrelation_normalize_and_render():
     assert rel2.render() == "2*u_xx - x*(u) = 0"
 
 
-def test_xrelation_normalize_requires_numeric():
-    rel = XRelation(DiffPoly.const(RHO) * u, DiffPoly.zero())
-    with pytest.raises(ValueError):
-        rel.normalize()
-
-
-# -- the coefficient representation: Fraction unless ρ is really there ----------
+# -- the coefficient ring: ℚ, against a term-by-term reference ------------------
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 monos = st.lists(
     st.tuples(st.sampled_from("uv"), st.integers(0, 2), st.integers(1, 2)), max_size=2
 ).map(_normalize_monomial)
-rho_coeffs = st.one_of(
-    fracs,
-    st.tuples(fracs, st.integers(-2, 2)).map(lambda t: RHO**t[1] * t[0]),
-    st.tuples(fracs, fracs).map(lambda t: (RHO + t[1] * t[1] + 1) ** -1 * t[0]),
-)
-mixed = st.dictionaries(monos, rho_coeffs, max_size=4).map(DiffPoly)
-
-
-def ref(p: DiffPoly) -> dict:
-    """p's terms with every coefficient a RationalFunc, as before ℚ was split off."""
-    return {m: p.coefficient(m) for m in p.terms}
+rational = st.dictionaries(monos, fracs, max_size=4).map(DiffPoly)
 
 
 def ref_collect(pairs) -> dict:
     out: dict = {}
     for m, c in pairs:
-        out[m] = out.get(m, RationalFunc.const(0)) + c
-    return {m: c for m, c in out.items() if not c.is_zero()}
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
 
 
 def ref_d_dx(a: dict) -> dict:
@@ -187,7 +179,7 @@ def ref_d_dx(a: dict) -> dict:
 def ref_json(a: dict) -> list:
     key = lambda kv: DiffPoly._mono_sort_key(kv[0])  # noqa: E731
     return [
-        {"coeff": c.render("rho"), "factors": [[n, o, e] for n, o, e in m]}
+        {"coeff": str(c), "factors": [[n, o, e] for n, o, e in m]}
         for m, c in sorted(a.items(), key=key, reverse=True)
     ]
 
@@ -196,28 +188,10 @@ def only_fractions(p: DiffPoly) -> bool:
     return all(type(c) is F for c in p.terms.values())
 
 
-@given(mono=monos, c=fracs)
-@settings(max_examples=40, deadline=None)
-def test_constant_ratfunc_and_fraction_are_one_coefficient(mono, c):
-    a, b = DiffPoly({mono: RationalFunc.const(c)}), DiffPoly({mono: c})
-    assert a == b and hash(a) == hash(b)
-    assert a.terms == b.terms and only_fractions(a)
-    assert DiffPoly({mono: Poly.const(c)}) == b
-
-
-@given(mono=monos, c=fracs, k=st.integers(1, 3))
-@settings(max_examples=40, deadline=None)
-def test_cancelling_rho_products_collapse_to_fractions(mono, c, k):
-    p = DiffPoly({mono: RHO**-k * c})
-    q = p * RHO**k + DiffPoly({mono: RHO}) - DiffPoly({mono: RHO})
-    assert q == DiffPoly({mono: c}) and only_fractions(q)
-    assert (u * (RHO + c) - u * RHO).terms == ({} if not c else {(("u", 0, 1),): c})
-
-
-@given(a=mixed, b=mixed)
+@given(a=rational, b=rational)
 @settings(max_examples=60, deadline=None)
-def test_mixed_coefficients_match_ratfunc_reference(a, b):
-    ra, rb = ref(a), ref(b)
+def test_rational_coefficients_match_reference(a, b):
+    ra, rb = dict(a.terms), dict(b.terms)
     assert (a + b).to_json() == ref_json(ref_collect([*ra.items(), *rb.items()]))
     prod = [
         (_normalize_monomial(m1 + m2), c1 * c2) for m1, c1 in ra.items() for m2, c2 in rb.items()
@@ -232,8 +206,11 @@ def test_mixed_coefficients_match_ratfunc_reference(a, b):
     ]
     assert a.partial("u", 1).to_json() == ref_json(ref_collect(part))
     # d/dx has one antiderivative without a constant term
-    g = a - DiffPoly.const(a.coefficient(()))
-    assert g.d_dx().integrate_x().to_json() == ref_json(ref(g))
+    g = a - DiffPoly.const(a.constant_term())
+    assert g.d_dx().integrate_x().to_json() == ref_json(g.terms)
+    # ints and Fractions are one coefficient, and every result is over ℚ
+    assert a * 2 == a * F(2) and hash(a * 2) == hash(a * F(2))
+    assert all(only_fractions(p) for p in (a + b, a * b, a.d_dx(), -a, a * 3))
 
 
 def test_double_scaled_engines_run_over_q():

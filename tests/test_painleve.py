@@ -2,6 +2,10 @@
 recursions, ODE emission in canonical form, and the series crosscheck."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -20,7 +24,6 @@ from largen.painleve import (
     gelfand_dikii,
     pii_hierarchy,
 )
-from largen.polys import RationalFunc
 from largen.potential import Potential, parse_potential
 from largen.twocut import MergingPoint, find_merging
 
@@ -30,18 +33,19 @@ MERGING = parse_potential("quartic:-2,1")
 SEXTIC2 = parse_potential("sextic:-6,-3,1")  # m = 2 merging point
 IRRATIONAL = parse_potential("sextic:3,-3,1")  # c_2 = -sqrt(6)
 
-RHO = RationalFunc.var()
 U = DiffPoly.var("u")
 DATA = Path(__file__).parent / "data"
+# nonzero exact critical radii, of either sign: homogeneity holds at every one
+RADII = st.fractions(min_value=-10, max_value=10, max_denominator=12).filter(bool)
 
 
 def pinned(name: str) -> str:
     return (DATA / name).read_text(encoding="utf-8").strip()
 
 
-def gd_operator(R: DiffPoly) -> DiffPoly:
-    """(ρ ∂³ + 4u ∂ + 2uₓ) applied to R."""
-    return R.d_dx(3) * RHO + U * R.d_dx() * 4 + U.d_dx() * R * 2
+def gd_operator(R: DiffPoly, rc) -> DiffPoly:
+    """(r_c ∂³ + 4u ∂ + 2uₓ) applied to R."""
+    return R.d_dx(3) * rc + U * R.d_dx() * 4 + U.d_dx() * R * 2
 
 
 def grading(p: DiffPoly) -> set:
@@ -53,95 +57,153 @@ def grading(p: DiffPoly) -> set:
     return {sum(e * (o + 2) for _, o, e in mono) for mono in p.terms}
 
 
+def test_symbolic_members_match_pinned_reference():
+    # ρ kept symbolic, pinned from the recursions run over ℚ(ρ): ρ = 1 tables
+    # restored as c·ρ^{m−d} must render every coefficient the same way
+    ref = json.loads(pinned("painleve_symbolic_gd8_pii6.json"))
+    assert [gelfand_dikii(m).to_json() for m in range(9)] == ref["gelfand_dikii"]
+    pairs = (pii_hierarchy(m) for m in range(7))
+    assert [{"R": R.to_json(), "S": S.to_json()} for R, S in pairs] == ref["pii_hierarchy"]
+
+
 class TestGelfandDikii:
-    def test_first_members(self):
-        assert gelfand_dikii(0) == DiffPoly.const(1)
-        assert gelfand_dikii(1) == U * 2
-        assert gelfand_dikii(2) == U.d_dx(2) * (RHO * 2) + U**2 * 6
+    @given(rc=RADII)
+    @settings(max_examples=10, deadline=None)
+    def test_first_members(self, rc):
+        assert gelfand_dikii(0, rc) == DiffPoly.const(1)
+        assert gelfand_dikii(1, rc) == U * 2
+        assert gelfand_dikii(2, rc) == U.d_dx(2) * (2 * rc) + U**2 * 6
 
     def test_third_member_at_unit_radius(self):
         R3 = gelfand_dikii(3, 1)
         expected = (U.d_dx(4) + U * U.d_dx(2) * 10 + U.d_dx() ** 2 * 5 + U**3 * 10) * 2
         assert R3 == expected
 
-    def test_recursion_is_exact_through_m_eight(self):
-        # d/dx R_{m+1} must equal the operator image of R_m on the nose —
-        # the recursion never needs a correction term.
+    @given(rc=RADII)
+    @settings(max_examples=5, deadline=None)
+    def test_recursion_is_exact_through_m_eight(self, rc):
+        # d/dx R_{m+1} must equal the operator image of R_m on the nose, at
+        # every radius the ρ = 1 tables are rescaled to
         for m in range(8):
-            assert gelfand_dikii(m + 1).d_dx() == gd_operator(gelfand_dikii(m))
+            assert gelfand_dikii(m + 1, rc).d_dx() == gd_operator(gelfand_dikii(m, rc), rc)
 
     def test_no_integration_constants(self):
         for m in range(1, 9):
-            assert gelfand_dikii(m).constant_term().is_zero()
+            assert gelfand_dikii(m).unit.constant_term() == 0
 
     def test_homogeneous_grading(self):
-        for m in range(1, 5):
-            assert grading(gelfand_dikii(m)) == {2 * m}
+        for m in range(1, 9):
+            assert grading(gelfand_dikii(m).unit) == {2 * m}
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             gelfand_dikii(-1)
 
     def test_symbolic_m4_json_pinned(self):
-        # ρ kept symbolic: the coefficients that stay RationalFunc
+        # ρ kept symbolic: the coefficients that carry a power of ρ
         doc = gelfand_dikii(4).to_json()
         assert json.dumps(doc, ensure_ascii=False) == pinned("gelfand_dikii_m4.json")
 
-    @given(
-        m=st.integers(min_value=0, max_value=4),
-        rc=st.fractions(min_value=F(1, 10), max_value=F(10), max_denominator=12),
-    )
+    @given(m=st.integers(min_value=0, max_value=4), rc=RADII)
     @settings(max_examples=20, deadline=None)
     def test_evaluation_commutes_with_recursion(self, m, rc):
-        stepped = gd_operator(gelfand_dikii(m)).eval_rho(rc).integrate_x()
+        # one step of the recursion run at r_c, against the ρ = 1 step rescaled
+        stepped = gd_operator(gelfand_dikii(m, rc), rc).integrate_x()
         assert stepped == gelfand_dikii(m + 1, rc)
 
 
 class TestPIIHierarchy:
-    def test_seed_pair(self):
-        R0, S0 = pii_hierarchy(0)
-        assert R0 == U * (RationalFunc.const(F(-1, 2)) / RHO)
-        assert S0 == U**2 * (RationalFunc.const(F(-1, 8)) / RHO**2)
+    @given(rc=RADII)
+    @settings(max_examples=10, deadline=None)
+    def test_seed_pair(self, rc):
+        R0, S0 = pii_hierarchy(0, rc)
+        assert R0 == U * (-1 / (2 * rc))
+        assert S0 == U**2 * (-1 / (8 * rc**2))
 
-    def test_seed_compatibility(self):
-        # 2ρ ∂ₓS₀ and u ∂ₓR₀ are both -u·uₓ/(2ρ)
-        R0, S0 = pii_hierarchy(0)
-        both = U * U.d_dx() * (RationalFunc.const(F(-1, 2)) / RHO)
-        assert S0.d_dx() * (RHO * 2) == both
+    @given(rc=RADII)
+    @settings(max_examples=10, deadline=None)
+    def test_seed_compatibility(self, rc):
+        # 2r_c ∂ₓS₀ and u ∂ₓR₀ are both -u·uₓ/(2r_c)
+        R0, S0 = pii_hierarchy(0, rc)
+        both = U * U.d_dx() * (-1 / (2 * rc))
+        assert S0.d_dx() * (2 * rc) == both
         assert U * R0.d_dx() == both
 
-    def test_first_member(self):
-        R1, S1 = pii_hierarchy(1)
-        assert R1 == U.d_dx(2) * F(1, 2) + U**3 * (RationalFunc.const(F(-1, 4)) / RHO**2)
+    @given(rc=RADII)
+    @settings(max_examples=10, deadline=None)
+    def test_first_member(self, rc):
+        R1, S1 = pii_hierarchy(1, rc)
+        assert R1 == U.d_dx(2) * F(1, 2) + U**3 * (-1 / (4 * rc**2))
         expected_s = (
-            U * U.d_dx(2) * (RationalFunc.const(F(1, 4)) / RHO)
-            + U.d_dx() ** 2 * (RationalFunc.const(F(-1, 8)) / RHO)
-            + U**4 * (RationalFunc.const(F(-3, 32)) / RHO**3)
+            U * U.d_dx(2) * (1 / (4 * rc))
+            + U.d_dx() ** 2 * (-1 / (8 * rc))
+            + U**4 * (-3 / (32 * rc**3))
         )
         assert S1 == expected_s
 
-    def test_recursion_is_exact_through_m_six(self):
+    @given(rc=RADII)
+    @settings(max_examples=5, deadline=None)
+    def test_recursion_is_exact_through_m_six(self, rc):
         for m in range(6):
-            R, S = pii_hierarchy(m)
-            Rn, Sn = pii_hierarchy(m + 1)
-            assert Rn == R.d_dx(2) * (-RHO) + U * S * 2
-            assert Sn.d_dx() * (RHO * 2) == U * Rn.d_dx()
+            R, S = pii_hierarchy(m, rc)
+            Rn, Sn = pii_hierarchy(m + 1, rc)
+            assert Rn == R.d_dx(2) * (-rc) + U * S * 2
+            assert Sn.d_dx() * (2 * rc) == U * Rn.d_dx()
 
-    def test_numeric_radius_evaluates_both(self):
-        R, S = pii_hierarchy(2, F(1, 2))
-        Rs, Ss = pii_hierarchy(2)
-        assert R == Rs.eval_rho(F(1, 2))
-        assert S == Ss.eval_rho(F(1, 2))
+    @given(rc=RADII)
+    @settings(max_examples=5, deadline=None)
+    def test_numeric_radius_evaluates_both(self, rc):
+        # R_m(u; r_c) = r_c^m R_m(u/r_c; 1), read off by substitution
+        for m in range(7):
+            pair = pii_hierarchy(m, rc)
+            for at_rc, symbolic in zip(pair, pii_hierarchy(m)):
+                assert at_rc == symbolic.unit.substitute({"u": U * (1 / rc)}) * rc**m
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             pii_hierarchy(-3)
 
     def test_symbolic_m2_json_pinned(self):
-        # mixes ρ-free (Fraction) and ρ-dependent (RationalFunc) coefficients
+        # mixes ρ-free and ρ-dependent coefficients
         R, S = pii_hierarchy(2)
         doc = {"R": R.to_json(), "S": S.to_json()}
         assert json.dumps(doc, ensure_ascii=False) == pinned("pii_hierarchy_m2.json")
+
+
+class TestCertificatesUnderO:
+    # integrate_x corrupted to return twice its result, in a fresh -O
+    # interpreter (so the hierarchy caches are empty and asserts stripped)
+    @pytest.mark.parametrize(
+        "run, certificate",
+        [
+            ("painleve.gelfand_dikii(2)", "R_1 does not integrate the recursion"),
+            ("painleve.pii_hierarchy(1)", "S_1 does not integrate the second recursion"),
+        ],
+    )
+    def test_corrupted_integration_raises_mismatch(self, run, certificate):
+        script = textwrap.dedent(
+            f"""
+            assert False, "python -O should have stripped this"
+            from largen import painleve
+            from largen.diffpoly import DiffPoly
+            from largen.errors import Mismatch
+            integrate = DiffPoly.integrate_x
+            DiffPoly.integrate_x = lambda self: integrate(self) * 2
+            try:
+                {run}
+            except Mismatch as exc:
+                print("Mismatch:", exc)
+            """
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith(f"Mismatch: {certificate}"), out.stdout
 
 
 class TestEmission:

@@ -173,15 +173,6 @@ def test_ratfunc_eval_and_pole():
         f(Fraction(2))
 
 
-def test_ratfunc_constant_value():
-    f = RationalFunc.const(Fraction(5, 3))
-    assert f.is_constant() and f.constant_value() == Fraction(5, 3)
-    g = RationalFunc.var()
-    assert not g.is_constant()
-    with pytest.raises(ValueError):
-        g.constant_value()
-
-
 @given(small_polys, small_polys, small_polys, small_polys)
 @settings(max_examples=40)
 def test_ratfunc_field_axioms(an, ad, bn, bd):
