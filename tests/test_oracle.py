@@ -27,6 +27,11 @@ DATA = Path(__file__).parent / "data"
 
 QUARTIC = parse_potential("quartic:1,1")
 R = [mpmath.mpf(v) for v in (2, 3, 5, 7, 11)]  # r_1..r_5
+# the 80-digit moment tables of the oracle benchmark, pinned bit for bit
+PINNED_80 = [
+    ("quartic:1,1", F(1), 24, "compute_moments_quartic_1_1_T1_N24_k25_d80.json"),
+    ("quartic:-2,1", F(1, 2), 16, "compute_moments_quartic_-2_1_T1_2_N16_k17_d80.json"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -89,8 +94,10 @@ def reprs(values, dps):
 
 
 class TestPinned:
-    """Moments and tables equal, bit for bit, those of the per-moment quadrature
-    they replaced (files written by it)."""
+    """Moments and tables equal, bit for bit, the files written before each
+    rewrite of the quadrature: the 40- and 50-digit ones by the per-moment
+    ``mpmath.quad`` calls, the 80-digit ones by the one-pass rule on mpmath's
+    own nodes."""
 
     def test_one_interval_table(self, table):
         want = json.loads((DATA / "oracle_table_quartic_1_1_T1_N8_n12_d40.json").read_text())
@@ -104,6 +111,13 @@ class TestPinned:
         want = json.loads((DATA / name).read_text())
         mt = compute_moments(parse_potential("sextic:-6,-3,1"), F(6), 10, 11, 50)
         assert reprs(mt.moments, 62) == want["moments"]
+
+    @pytest.mark.parametrize("name,T,N,fname", PINNED_80,
+                             ids=["quartic:1,1 N24", "quartic:-2,1 N16"])
+    def test_benchmark_tables_at_80_digits(self, name, T, N, fname):
+        want = json.loads((DATA / fname).read_text())
+        mt = compute_moments(parse_potential(name), T, N, N + 1, 80)
+        assert reprs(mt.moments, 92) == want["moments"]
 
 
 class TestRefusals:
