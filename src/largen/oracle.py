@@ -8,10 +8,11 @@ have something exact to be compared against.  The chain is
                                         -> discrete string equation check.
 
 Moments of the weight e^{-(N/T)V(x)} come from one tanh-sinh pass over node
-levels 1..10, shared by every moment.  On each interval between split points a
-moment's level sum stops refining where mpmath's error estimate reaches eps/8,
-as ``mpmath.quad`` would; the moment is accepted at the first level d ≥ 5 whose
-total agrees with the total at level d - 1 to ``digits + 5`` decimals.
+levels 1..10, shared by every moment: mpmath's nodes, rebuilt bit for bit in
+raw ``libmp`` tuples and streamed, less those whose terms provably vanish.  On
+each interval a moment's level sum stops refining where mpmath's error estimate
+reaches eps/8, as ``mpmath.quad`` would; the moment is accepted at the first
+level d ≥ 5 whose total agrees with level d - 1's to ``digits + 5`` decimals.
 The reduction to recurrence coefficients uses the classical three-term
 bootstrap on the mixed table s(k, j) = ∫ π_k(x) x^j dμ,
 
@@ -29,10 +30,12 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import islice
 
 import mpmath
 from mpmath.calculus.quadrature import TanhSinh
-from mpmath.libmp import mpf_add, mpf_exp, mpf_mul, mpf_neg, round_nearest
+from mpmath.libmp import (finf, fone, fzero, from_man_exp, mpf_abs, mpf_add, mpf_div, mpf_exp,
+                          mpf_le, mpf_mul, mpf_neg, mpf_pi, mpf_shift, mpf_sub, round_nearest)
 
 from .errors import NumericallySingular, PrecisionExhausted, certify
 from .potential import Potential
@@ -41,8 +44,8 @@ from .scalars import Scalar, default_digits, mpf_of
 
 # a recurrence entry is unusable once fewer than this many digits survive
 _TRUST_FLOOR = 10
-# tanh-sinh rule, its node caches unused so a table costs the same whatever ran
-# before; bits kept past the working precision in moment sums, nodes summed per chunk
+# tanh-sinh rule, used only for estimate_error (nodes are streamed and die with their
+# table); bits kept past the working precision in moment sums, nodes summed per chunk
 _TANH_SINH, _GUARD, _CHUNK = TanhSinh(mpmath.mp), 32, 64
 
 
@@ -92,28 +95,74 @@ def _split_points(g: Potential, digits: int) -> list:
     return pts
 
 
+def _standard_nodes(degree: int, prec: int) -> list:
+    """Level ``degree``'s nodes on [-1, 1] as raw (x, w): mpmath 1.3.0's ``calc_nodes``
+    under ``get_nodes`` (prec + 40 bits), its rounded operations replayed in order."""
+    wp, rnd = prec + 40, round_nearest
+    tol, t0 = from_man_exp(1, -prec - 10), from_man_exp(1, -degree)
+    pi4, expt0 = mpf_shift(mpf_pi(wp, rnd), -2), mpf_exp(t0, wp, rnd)
+    nodes = [(fzero, mpf_shift(pi4, 1))] if degree == 1 else []
+    udelta = mpf_exp(t0 if degree == 1 else mpf_shift(t0, 1), wp, rnd)
+    urdelta = mpf_div(fone, udelta, wp, rnd)
+    a, b = mpf_mul(pi4, expt0, wp, rnd), mpf_div(pi4, expt0, wp, rnd)
+    for _ in range(20 * 2**degree + 1):
+        c = mpf_exp(mpf_sub(a, b, wp, rnd), wp, rnd)  # e^{π/2·sinh t}
+        d = mpf_div(fone, c, wp, rnd)
+        co = mpf_shift(mpf_add(c, d, wp, rnd), -1)
+        x = mpf_div(mpf_shift(mpf_sub(c, d, wp, rnd), -1), co, wp, rnd)
+        if mpf_le(mpf_abs(mpf_sub(x, fone, wp, rnd)), tol):
+            break
+        w = mpf_div(mpf_add(a, b, wp, rnd), mpf_mul(co, co, wp, rnd), wp, rnd)
+        nodes += (x, w), (mpf_neg(x), w)
+        a, b = mpf_mul(a, udelta, wp, rnd), mpf_mul(b, urdelta, wp, rnd)
+    return nodes
+
+
+def _interval_nodes(std, a, b, prec: int):
+    """Stream raw ``std`` mapped to [a, b], b finite or +inf: ``transform_nodes``, replayed."""
+    wp, rnd = prec + 20, round_nearest
+    if b == finf:  # x -> a - 1 + u, u = 2/(x + 1)
+        a1 = mpf_sub(a, fone, wp, rnd)
+        for x, w in std:
+            u = mpf_shift(mpf_div(fone, mpf_add(x, fone, wp, rnd), wp, rnd), 1)
+            u2 = mpf_shift(mpf_mul(u, u, wp, rnd), -1)
+            yield mpf_add(a1, u, wp, rnd), mpf_mul(w, u2, wp, rnd)
+    else:  # x -> (b + a)/2 + (b - a)/2·x
+        c, d = mpf_shift(mpf_sub(b, a, wp, rnd), -1), mpf_shift(mpf_add(b, a, wp, rnd), -1)
+        for x, w in std:
+            yield mpf_add(d, mpf_mul(c, x, wp, rnd), wp, rnd), mpf_mul(c, w, wp, rnd)
+
+
 def _node_sums(nodes, nscale, vc, kmax):
     """Σ_j w_j x_j^{2k} e^{nscale·V(x_j²)} for k = 0..kmax, at working precision.
 
-    ``nscale`` = -N/T and ``vc``, V's coefficients in x² from the highest, are
-    raw mpf tuples.  The weight is evaluated once per node; each moment's term
-    is the previous one times x², cut to _GUARD bits past the precision.  The
-    terms are positive, so each sum is exact in integer units of 2^f (f: the
-    lowest exponent of the largest term so far) and rounded once at the end.
+    ``nodes`` yields raw (x, w); ``nscale`` = -N/T and ``vc`` (V's coefficients
+    in x², highest first) are raw mpf.  Each node's weight is evaluated once;
+    each moment's term is the previous one times x², cut to _GUARD bits past the
+    precision.  The terms are positive, so each sum is exact in integer units of
+    2^f (f: the lowest exponent of the largest term so far), rounded at the end.
+    Past the first chunk, a node whose terms are all provably below 2^{f-1} adds
+    0 and is skipped before its exponential (w, x < 2^{exp+bc}; for arg < 0 the
+    computed e^{arg} < 2^{1-⌊|arg|⌋·1.442695}).
     """
     prec, rnd = mpmath.mp.prec, round_nearest
     width = prec + _GUARD
     acc, low = [0] * (kmax + 1), [None] * (kmax + 1)
-    for start in range(0, len(nodes), _CHUNK):  # chunks keep memory flat
+    nodes = iter(nodes)
+    while chunk := list(islice(nodes, _CHUNK)):  # chunks keep memory flat
         mans, exps = [[] for _ in acc], [[] for _ in acc]
-        for x, w in nodes[start : start + _CHUNK]:
-            x = x._mpf_
+        for x, w in chunk:
             lam = mpf_mul(x, x, prec, rnd)
             v = vc[0]
             for c in vc[1:]:
                 v = mpf_add(mpf_mul(v, lam, prec, rnd), c, prec, rnd)
-            _, m, e, _ = mpf_exp(mpf_mul(nscale, v, prec, rnd), prec, rnd)
-            (_, wm, we, _), (_, xm, xe, _) = w._mpf_, x
+            sign, am, ae, _ = arg = mpf_mul(nscale, v, prec, rnd)
+            if sign and low[0] is not None:  # V > 0 and the units are set
+                top = w[2] + w[3] + 2 - (am >> -ae if ae < 0 else am << ae) * 1442695 // 10**6
+                if all(top + 2 * k * (x[2] + x[3]) <= f for k, f in enumerate(low)):
+                    continue
+            _, m, e, _ = mpf_exp(arg, prec, rnd)
+            (_, wm, we, _), (_, xm, xe, _) = w, x
             m, e, xm, xe = m * wm, e + we, xm * xm, 2 * xe
             for ms, es in zip(mans, exps):
                 cut = m.bit_length() - width
@@ -123,7 +172,7 @@ def _node_sums(nodes, nscale, vc, kmax):
                 es.append(e)
                 m, e = m * xm, e + xe
         for k, (ms, es) in enumerate(zip(mans, exps)):
-            f = max(es)
+            f = max(es, default=low[k])
             if low[k] is not None:  # rescale the sum so far to the larger unit
                 f = max(f, low[k])
                 acc[k] >>= f - low[k]
@@ -135,11 +184,11 @@ def _node_sums(nodes, nscale, vc, kmax):
 def compute_moments(g: Potential, T, N: int, kmax: int, digits: int | None = None) -> MomentTable:
     """Certified moment table for the weight e^{-(N/T)V(x)}.
 
-    One tanh-sinh pass over levels 1..10 serves every moment.  On each
-    interval a moment's level sum freezes where mpmath's error estimate
-    reaches eps/8, as ``mpmath.quad`` stops; the moment is accepted at the
-    first level d ≥ 5 whose total agrees with level d - 1's to ``digits + 5``
-    decimals (relative), else ``PrecisionExhausted`` names it.
+    One tanh-sinh pass over levels 1..10, each level's nodes built once and
+    streamed per interval, serves every moment.  A moment's level sum freezes
+    where ``estimate_error`` reaches eps/8, as ``mpmath.quad`` stops; it is
+    accepted at the first level d ≥ 5 whose total agrees with level d - 1's to
+    ``digits + 5`` decimals (relative), else ``PrecisionExhausted`` names it.
     """
     digits = default_digits() if digits is None else digits
     if digits < 30:
@@ -161,8 +210,8 @@ def compute_moments(g: Potential, T, N: int, kmax: int, digits: int | None = Non
                 h, std = mpmath.ldexp(1, -degree), None  # std: this level's nodes on [-1, 1]
                 for a, b, (sums, done) in zip(points, points[1:], levels):
                     if len(done) <= kmax:
-                        std = std or _TANH_SINH.calc_nodes(degree, prec)
-                        nodes = _TANH_SINH.transform_nodes(std, a, b)
+                        std = std or _standard_nodes(degree, prec)
+                        nodes = _interval_nodes(std, a._mpf_, b._mpf_, prec)
                         for k, s in enumerate(_node_sums(nodes, nscale, vc, kmax)):
                             if k not in done:
                                 res = sums[k]

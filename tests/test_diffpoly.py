@@ -82,6 +82,11 @@ def test_integrate_x_rejects_non_derivatives():
     for bad in (u, u * u, DiffPoly.const(1) + u * ux):
         with pytest.raises(NotTotalDerivative):
             bad.integrate_x()
+    # every monomial is reachable, but the linear system is inconsistent
+    for bad in (ux * ux, u * uxx, DiffPoly.var("v", 1) * w):
+        assert not bad.is_total_x_derivative()
+        with pytest.raises(NotTotalDerivative, match="linear system"):
+            bad.integrate_x()
 
 
 def test_is_total_x_derivative():

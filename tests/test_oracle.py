@@ -4,12 +4,20 @@ table, and r_{N,N} against the expansions at ε = T/N."""
 
 import dataclasses
 import json
+import operator
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
 from pathlib import Path
 
 import mpmath
 import pytest
+from mpmath.calculus.quadrature import TanhSinh
+from mpmath.libmp import mpf_add, mpf_exp, mpf_mul, round_nearest
 
+from largen import oracle
 from largen.errors import NumericallySingular
 from largen.onecut import expand_regular
 from largen.oracle import (
@@ -27,6 +35,7 @@ DATA = Path(__file__).parent / "data"
 
 QUARTIC = parse_potential("quartic:1,1")
 R = [mpmath.mpf(v) for v in (2, 3, 5, 7, 11)]  # r_1..r_5
+SPLIT_PIN = "compute_moments_sextic_-6_-3_1_T6_N10_k11_d50.json"
 # the 80-digit moment tables of the oracle benchmark, pinned bit for bit
 PINNED_80 = [
     ("quartic:1,1", F(1), 24, "compute_moments_quartic_1_1_T1_N24_k25_d80.json"),
@@ -107,8 +116,7 @@ class TestPinned:
         assert got == want
 
     def test_split_interval_moments(self):
-        name = "compute_moments_sextic_-6_-3_1_T6_N10_k11_d50.json"
-        want = json.loads((DATA / name).read_text())
+        want = json.loads((DATA / SPLIT_PIN).read_text())
         mt = compute_moments(parse_potential("sextic:-6,-3,1"), F(6), 10, 11, 50)
         assert reprs(mt.moments, 62) == want["moments"]
 
@@ -118,6 +126,131 @@ class TestPinned:
         want = json.loads((DATA / fname).read_text())
         mt = compute_moments(parse_potential(name), T, N, N + 1, 80)
         assert reprs(mt.moments, 92) == want["moments"]
+
+
+def reference_node_sums(nodes, nscale, vc, kmax):
+    """``oracle._node_sums`` as it was before nodes were streamed and skipped:
+    every node of the list pays its exponential."""
+    prec, rnd = mpmath.mp.prec, round_nearest
+    width = prec + 32
+    acc, low = [0] * (kmax + 1), [None] * (kmax + 1)
+    for start in range(0, len(nodes), 64):
+        mans, exps = [[] for _ in acc], [[] for _ in acc]
+        for x, w in nodes[start : start + 64]:
+            lam = mpf_mul(x, x, prec, rnd)
+            v = vc[0]
+            for c in vc[1:]:
+                v = mpf_add(mpf_mul(v, lam, prec, rnd), c, prec, rnd)
+            _, m, e, _ = mpf_exp(mpf_mul(nscale, v, prec, rnd), prec, rnd)
+            (_, wm, we, _), (_, xm, xe, _) = w, x
+            m, e, xm, xe = m * wm, e + we, xm * xm, 2 * xe
+            for ms, es in zip(mans, exps):
+                cut = m.bit_length() - width
+                m = m >> cut if cut >= 0 else m << -cut
+                e += cut
+                ms.append(m)
+                es.append(e)
+                m, e = m * xm, e + xe
+        for k, (ms, es) in enumerate(zip(mans, exps)):
+            f = max(es)
+            if low[k] is not None:
+                f = max(f, low[k])
+                acc[k] >>= f - low[k]
+            low[k] = f
+            acc[k] += sum(map(operator.rshift, ms, [f - e for e in es]))
+    return [mpmath.mpf(pair) for pair in zip(acc, low)]
+
+
+def quadrature_setup(name, T, N, digits):
+    """(prec, nscale, vc, split points) as ``compute_moments`` builds them;
+    call inside ``mpmath.workdps(digits + 12)``."""
+    g = parse_potential(name)
+    nscale = (-mpmath.mpf(N) / mpf_of(T, digits + 12))._mpf_
+    vc = [mpf_of(c, digits + 12)._mpf_ for c in reversed(g.v().coeffs)]
+    return mpmath.mp.prec, nscale, vc, oracle._split_points(g, min(digits, 30))
+
+
+class TestNodeStream:
+    """The streamed nodes are mpmath's, and skipping vanishing terms changes
+    no sum."""
+
+    @pytest.mark.parametrize("digits", [30, 80])
+    def test_nodes_are_mpmaths(self, digits):
+        rule = TanhSinh(mpmath.mp)
+        with mpmath.workdps(digits + 12):
+            prec = mpmath.mp.prec
+            s = quadrature_setup("sextic:-6,-3,1", 6, 10, digits)[3][1]
+            with mpmath.workprec(prec + 20):
+                for degree in range(1, 10):
+                    std = rule.calc_nodes(degree, prec)
+                    raw = oracle._standard_nodes(degree, prec)
+                    assert raw == [(x._mpf_, w._mpf_) for x, w in std]
+                    for a, b in ((0, mpmath.inf), (0, s), (s, mpmath.inf)):
+                        a, b = mpmath.mpf(a), mpmath.mpf(b)
+                        want = [(x._mpf_, w._mpf_) for x, w in rule.transform_nodes(std, a, b)]
+                        assert list(oracle._interval_nodes(raw, a._mpf_, b._mpf_, prec)) == want
+
+    @pytest.mark.parametrize("name,T,N,digits", [
+        ("quartic:1,1", 1, 8, 80), ("quartic:-2,1", F(1, 2), 16, 50), ("bmp", 60, 8, 50),
+    ])
+    def test_sums_match_every_node_summed(self, name, T, N, digits):
+        with mpmath.workdps(digits + 12):
+            prec, nscale, vc, points = quadrature_setup(name, T, N, digits)
+            with mpmath.workprec(prec + 20):
+                for degree in range(1, 9):
+                    std = oracle._standard_nodes(degree, prec)
+                    for a, b in zip(points, points[1:]):
+                        nodes = list(oracle._interval_nodes(std, a._mpf_, b._mpf_, prec))
+                        got = oracle._node_sums(iter(nodes), nscale, vc, N + 1)
+                        want = reference_node_sums(nodes, nscale, vc, N + 1)
+                        assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
+
+    def test_vanishing_nodes_skip_the_exponential(self, monkeypatch):
+        seen, exps = [0], [0]
+        node_sums, exp = oracle._node_sums, oracle.mpf_exp
+
+        def counted_exp(*args):
+            exps[0] += 1
+            return exp(*args)
+
+        def counted(nodes, *args):
+            nodes = list(nodes)
+            seen[0] += len(nodes)
+            monkeypatch.setattr(oracle, "mpf_exp", counted_exp)
+            try:
+                return node_sums(nodes, *args)
+            finally:
+                monkeypatch.setattr(oracle, "mpf_exp", exp)
+
+        monkeypatch.setattr(oracle, "_node_sums", counted)
+        compute_moments(QUARTIC, F(1), 8, 9, 80)  # one interval, [0, ∞)
+        assert seen[0] and exps[0] <= seen[0] * 2 / 3, (exps[0], seen[0])
+
+    def test_pinned_table_under_python_O(self):
+        script = textwrap.dedent(
+            f"""
+            assert False, "python -O should have stripped this"
+            import json
+            from fractions import Fraction
+            import mpmath
+            from largen.oracle import compute_moments
+            from largen.potential import parse_potential
+            mt = compute_moments(parse_potential("sextic:-6,-3,1"), Fraction(6), 10, 11, 50)
+            with mpmath.workdps(62):
+                got = [repr(v) for v in mt.moments]
+            want = json.loads(open({str(DATA / SPLIT_PIN)!r}).read())["moments"]
+            print("match" if got == want else "differ")
+            """
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "match"
 
 
 class TestRefusals:
