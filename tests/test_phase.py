@@ -1,10 +1,13 @@
 """Phase classification, h-polynomial, density, endpoint solving."""
 
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath
 import pytest
 
+from largen import errors
 from largen.errors import (
     NoAdmissibleRoot,
     NoTwoCutSolution,
@@ -21,12 +24,16 @@ from largen.phase import (
 )
 from largen.potential import Potential, parse_potential
 from largen.scalars import mpf_of
+from largen.structured import twocut_hodographs
 from largen.twocut import expand_two_cut_regular
 
 QUARTIC = parse_potential("quartic:-2,1")
 BMP = Potential.bmp()
 GAUSS = Potential.gaussian()
 SEXTIC = parse_potential("sextic:42,-11,1")
+NEWTON_PIN = json.loads(
+    (Path(__file__).parent / "data" / "solve_two_cut_newton_d30.json").read_text()
+)
 
 
 class TestSolveOneCut:
@@ -79,6 +86,46 @@ class TestSolveTwoCut:
         # disc = 4e-6 has a rational square root: both endpoints exact
         assert a0 == F(1, 2) + F(1, 2000)
         assert b0 == F(1, 2) - F(1, 2000)
+
+
+class TestTwoCutNewton:
+    """The damped Newton that solves every non-quartic two-cut point, against
+    ``solve_two_cut_newton_d30.json``: written at 30 digits by the Newton that
+    summed the endpoint residues over mpf, before they became exact
+    polynomials.  ``sextic:-6,-3,1`` at T = 12, its merging double root, is
+    left out: the Newton reaches it only to about 1e-8, so its digits would
+    pin noise."""
+
+    @pytest.mark.parametrize("case", NEWTON_PIN["solved"],
+                             ids=[f"{c['potential']}:T={c['T']}" for c in NEWTON_PIN["solved"]])
+    def test_endpoints_match_pin(self, case):
+        g = parse_potential(case["potential"])
+        a0, b0 = solve_two_cut(g, F(case["T"]), NEWTON_PIN["digits"])
+        with mpmath.workdps(40):
+            for got, want in ((a0, case["a0"]), (b0, case["b0"])):
+                want = mpmath.mpf(want)
+                assert abs(got - want) <= mpmath.mpf(10) ** -29 * abs(want)
+
+    @pytest.mark.parametrize("case", NEWTON_PIN["solved"],
+                             ids=[f"{c['potential']}:T={c['T']}" for c in NEWTON_PIN["solved"]])
+    def test_endpoints_solve_the_two_cut_hodographs(self, case):
+        # the (a₀, b₀) string equations of the two-cut engine, independent of
+        # the (σ, τ) residues the Newton drives to zero
+        g = parse_potential(case["potential"])
+        T = F(case["T"])
+        a0, b0 = solve_two_cut(g, T, NEWTON_PIN["digits"])
+        with mpmath.workdps(60):
+            for W in twocut_hodographs(g.gs):
+                assert abs(W.eval((a0, b0)) - T) < mpmath.mpf(10) ** -25
+
+    @pytest.mark.parametrize("case", NEWTON_PIN["refused"],
+                             ids=[f"{c['potential']}:T={c['T']}" for c in NEWTON_PIN["refused"]])
+    def test_no_solution_refusals_match_pin(self, case):
+        g = parse_potential(case["potential"])
+        with pytest.raises(getattr(errors, case["error"])) as info:
+            solve_two_cut(g, F(case["T"]), NEWTON_PIN["digits"])
+        assert type(info.value).__name__ == case["error"]
+        assert str(info.value) == case["message"]
 
 
 class TestComputeH:
