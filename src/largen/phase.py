@@ -16,7 +16,9 @@ polynomial h̃ in λ:
 and the density is ρ(x) = h(x)·w₁₊(x)/(2πi·T), normalized to ∫ρ = 1.
 Everything stays in exact rational arithmetic whenever the data allows:
 the two-cut case needs only the rational combinations α² + β² = 2(a₀+b₀)
-and α²β² = (a₀-b₀)², never the irrational endpoints themselves.
+and α²β² = (a₀-b₀)², never the irrational endpoints themselves.  Beyond
+quartics the two-cut endpoint equations e₀(σ, τ) = 0, e₁(σ, τ) = T are
+exact polynomials in (σ, τ) = (α², β²), and so is their Jacobian.
 """
 
 from __future__ import annotations
@@ -47,8 +49,7 @@ from .scalars import (
     sqrt_scalar,
     tolerance,
 )
-from .structured import branch_poly_part, branch_residue
-from .wring import _pmul
+from .structured import branch_poly_part, endpoint_residues
 
 _ZERO = Fraction(0)
 
@@ -345,25 +346,28 @@ def _quartic_two_cut(g: Potential, T, digits: int):
     return a0, b0
 
 
-def _two_cut_residuals(vp_f, sigma, tau, T_f):
-    d1, d0 = -(sigma + tau), sigma * tau
-    e0 = branch_residue(vp_f, d1, d0, -1)
-    e1 = branch_residue(vp_f, d1, d0, -1, shift=1) - T_f
-    return e0, e1
+def _endpoint_equations(g: Potential, T, digits: int):
+    """(residuals, jacobian) of e₀ = 0, e₁ = T at mpf (σ, τ): the exact
+    ``endpoint_residues`` and their partials, lifted once at ``digits`` and
+    each summed by one ``fdot`` over shared monomials in σ and τ."""
+    e0, e1 = endpoint_residues(g.gs)
+    polys = [[(e, mpf_of(c, digits)) for e, c in p.terms.items()]
+             for p in (e0, e1, e0.diff(0), e0.diff(1), e1.diff(0), e1.diff(1))]
+    top, T_f = e1.total_degree(), mpf_of(T, digits)
 
+    def dots(rows, sigma, tau):
+        sp, tp = [mpmath.mpf(1)], [mpmath.mpf(1)]
+        for _ in range(top):
+            sp.append(sp[-1] * sigma)
+            tp.append(tp[-1] * tau)
+        mon = {(i, j): sp[i] * tp[j] for i in range(top + 1) for j in range(top + 1 - i)}
+        return [mpmath.fdot((c, mon[e]) for e, c in row) for row in rows]
 
-def _two_cut_jacobian(vp_f, sigma, tau):
-    d1, d0 = -(sigma + tau), sigma * tau
-    half = Fraction(1, 2)
+    def residuals(sigma, tau):
+        e0, e1 = dots(polys[:2], sigma, tau)
+        return e0, e1 - T_f
 
-    def row(shift):
-        dsig = branch_residue(_pmul(vp_f, [-tau, 1]), d1, d0, -3, shift=shift) * half
-        dtau = branch_residue(_pmul(vp_f, [-sigma, 1]), d1, d0, -3, shift=shift) * half
-        return dsig, dtau
-
-    j00, j01 = row(0)
-    j10, j11 = row(1)
-    return j00, j01, j10, j11
+    return residuals, lambda sigma, tau: dots(polys[2:], sigma, tau)
 
 
 def solve_two_cut(g: Potential, T, digits: int | None = None):
@@ -371,13 +375,15 @@ def solve_two_cut(g: Potential, T, digits: int | None = None):
 
     Quartic families use the closed form; higher-degree potentials run a
     damped Newton iteration on (σ, τ) = (α², β²) seeded from a coarse grid.
+    Its equations e₀ = 0, e₁ = T are the exact polynomials of
+    ``structured.endpoint_residues``, built once per call, and its Jacobian
+    is their exact derivative.
     """
     digits = digits or default_digits()
     if len(g.gs) == 2:
         return _quartic_two_cut(g, T, digits)
     with mpmath.workdps(2 * digits):
-        T_f = mpf_of(T, 2 * digits)
-        vp_f = [mpf_of(c, 2 * digits) for c in g.v_lambda().coeffs]
+        residuals, jacobian = _endpoint_equations(g, T, 2 * digits)
         W = g.hodograph()
         scales = [mpmath.mpf(1)]
         if W.derivative().degree >= 1:
@@ -391,7 +397,7 @@ def solve_two_cut(g: Potential, T, digits: int | None = None):
             tau = r_scale * i
             for jf in range(1, 8):
                 sigma = tau * Fraction(jf, 8)
-                e0, e1 = _two_cut_residuals(vp_f, sigma, tau, T_f)
+                e0, e1 = residuals(sigma, tau)
                 n = abs(e0) + abs(e1)
                 if best is None or n < best[0]:
                     best = (n, sigma, tau)
@@ -400,11 +406,11 @@ def solve_two_cut(g: Potential, T, digits: int | None = None):
         tol = mpmath.mpf(10) ** (-digits)
         converged = False
         for _ in range(160):
-            e0, e1 = _two_cut_residuals(vp_f, sigma, tau, T_f)
+            e0, e1 = residuals(sigma, tau)
             if abs(e0) + abs(e1) < tol:
                 converged = True
                 break
-            j00, j01, j10, j11 = _two_cut_jacobian(vp_f, sigma, tau)
+            j00, j01, j10, j11 = jacobian(sigma, tau)
             det = j00 * j11 - j01 * j10
             if det == 0:
                 raise NoTwoCutSolution("singular endpoint Jacobian")
@@ -415,7 +421,7 @@ def solve_two_cut(g: Potential, T, digits: int | None = None):
             while step > mpmath.mpf(2) ** -40:
                 s_new, t_new = sigma + step * dsig, tau + step * dtau
                 if 0 < s_new < t_new:
-                    n0, n1 = _two_cut_residuals(vp_f, s_new, t_new, T_f)
+                    n0, n1 = residuals(s_new, t_new)
                     if abs(n0) + abs(n1) < abs(e0) + abs(e1):
                         sigma, tau = s_new, t_new
                         improved = True

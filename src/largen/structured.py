@@ -192,18 +192,32 @@ def twocut_hodographs(gs: Sequence) -> tuple[MPoly, MPoly]:
     return shiftpart + (a - b) * flatpart, shiftpart + (b - a) * flatpart
 
 
+# The λ-cut [σ, τ]: var 0 is σ, var 1 is τ, and w² = (λ-σ)(λ-τ), i.e.
+# d1 = -(σ+τ), d0 = στ.
+
+
+def _cut_residue(gs: Sequence, p: int, shift: int) -> MPoly:
+    s = MPoly.var(2, 0)
+    t = MPoly.var(2, 1)
+    vp = [MPoly.const(2, c) for c in v_prime(gs).coeffs]
+    return branch_residue(vp, -(s + t), s * t, p, shift=shift)
+
+
+def endpoint_residues(gs: Sequence) -> tuple[MPoly, MPoly]:
+    """(e₀, e₁) = (∮ V'/w, ∮ λ·V'/w) as polynomials in (σ, τ).
+
+    The λ-cut [σ, τ] carries a two-cut solution at temperature T exactly
+    when e₀ = 0 and e₁ = T.  Since ∂_σ(1/w) = (λ-τ)/(2w³), the partials
+    are ½∮ V'·(λ-τ)/w³ and its σ ↔ τ mirror (times λ for e₁).
+    """
+    return _cut_residue(gs, -1, 0), _cut_residue(gs, -1, 1)
+
+
 def merging_free_energy(gs: Sequence) -> MPoly:
     """∮ V'(λ)·w as a polynomial in the endpoints (σ, τ) of the λ-cut.
 
-    Here w² = (λ-σ)(λ-τ), i.e. d1 = -(σ+τ), d0 = στ.  The full planar
-    functional is this plus (T/2)(σ+τ); its σ- and τ-gradients vanish on
-    solutions, and it satisfies the Euler-Poisson-Darboux equation
-    2(τ-σ)F_στ = F_σ - F_τ identically.
+    The full planar functional is this plus (T/2)(σ+τ); its σ- and
+    τ-gradients vanish on solutions, and it satisfies the
+    Euler-Poisson-Darboux equation 2(τ-σ)F_στ = F_σ - F_τ identically.
     """
-    s = MPoly.var(2, 0)
-    t = MPoly.var(2, 1)
-    d1 = -(s + t)
-    d0 = s * t
-    vp = v_prime(gs)
-    lead = [MPoly.const(2, c) for c in vp.coeffs]
-    return branch_residue(lead, d1, d0, 1, shift=0)
+    return _cut_residue(gs, 1, 0)

@@ -36,6 +36,10 @@ NEWTON_PIN = json.loads(
 )
 
 
+def pin_id(case):
+    return f"{case['potential']}:T={case['T']}"
+
+
 class TestSolveOneCut:
     def test_gaussian(self):
         assert solve_one_cut(GAUSS, F(1)) == F(1, 2)
@@ -96,8 +100,7 @@ class TestTwoCutNewton:
     left out: the Newton reaches it only to about 1e-8, so its digits would
     pin noise."""
 
-    @pytest.mark.parametrize("case", NEWTON_PIN["solved"],
-                             ids=[f"{c['potential']}:T={c['T']}" for c in NEWTON_PIN["solved"]])
+    @pytest.mark.parametrize("case", NEWTON_PIN["solved"], ids=pin_id)
     def test_endpoints_match_pin(self, case):
         g = parse_potential(case["potential"])
         a0, b0 = solve_two_cut(g, F(case["T"]), NEWTON_PIN["digits"])
@@ -106,8 +109,7 @@ class TestTwoCutNewton:
                 want = mpmath.mpf(want)
                 assert abs(got - want) <= mpmath.mpf(10) ** -29 * abs(want)
 
-    @pytest.mark.parametrize("case", NEWTON_PIN["solved"],
-                             ids=[f"{c['potential']}:T={c['T']}" for c in NEWTON_PIN["solved"]])
+    @pytest.mark.parametrize("case", NEWTON_PIN["solved"], ids=pin_id)
     def test_endpoints_solve_the_two_cut_hodographs(self, case):
         # the (a₀, b₀) string equations of the two-cut engine, independent of
         # the (σ, τ) residues the Newton drives to zero
@@ -118,8 +120,7 @@ class TestTwoCutNewton:
             for W in twocut_hodographs(g.gs):
                 assert abs(W.eval((a0, b0)) - T) < mpmath.mpf(10) ** -25
 
-    @pytest.mark.parametrize("case", NEWTON_PIN["refused"],
-                             ids=[f"{c['potential']}:T={c['T']}" for c in NEWTON_PIN["refused"]])
+    @pytest.mark.parametrize("case", NEWTON_PIN["refused"], ids=pin_id)
     def test_no_solution_refusals_match_pin(self, case):
         g = parse_potential(case["potential"])
         with pytest.raises(getattr(errors, case["error"])) as info:

@@ -29,6 +29,7 @@ from largen.structured import (
     branch_residue,
     c_weight,
     double_factorial_odd,
+    endpoint_residues,
     gamma_moment,
     gen_binom,
     hodograph_poly,
@@ -40,10 +41,17 @@ from largen.structured import (
     v_poly,
     v_prime,
 )
+from largen.wring import _pmul
 
 QUARTIC = [F(-2), F(1)]
 BMP = [F(90), F(-15), F(1)]
 MERGE2 = [F(-6), F(-3), F(1)]
+NO_TWO_CUT = [F(42), F(-11), F(1)]
+OCTIC = [F(-6), F(-1), F(1), F(1)]
+ENDPOINT_CASES = pytest.mark.parametrize(
+    "gs", [NO_TWO_CUT, MERGE2, BMP, OCTIC],
+    ids=["sextic:42,-11,1", "sextic:-6,-3,1", "bmp", "octic:-6,-1,1,1"],
+)
 
 
 def test_double_factorial_odd():
@@ -160,6 +168,32 @@ def test_merging_free_energy_sigma_derivatives_give_phi():
             got = d.eval((F(0), 4 * rc))
             want = -F(double_factorial_odd(k), 2 ** (k + 1)) * phi_moment(gs, k, rc)
             assert got == want, (gs, k)
+
+
+def _mirror_partial(gs, shift: int, var: int) -> MPoly:
+    """½∮ V'·λ^shift·(λ - other endpoint)/w³ over MPoly: the partial of
+    e_shift in ``var`` (0 for σ, 1 for τ) read off ∂(1/w) = (λ - other)/(2w³)."""
+    s, t = MPoly.var(2, 0), MPoly.var(2, 1)
+    vp = [MPoly.const(2, c) for c in v_prime(gs).coeffs]
+    other = t if var == 0 else s
+    return branch_residue(_pmul(vp, [-other, 1]), -(s + t), s * t, -3, shift=shift) * F(1, 2)
+
+
+@ENDPOINT_CASES
+def test_endpoint_residue_partials_are_the_mirror_residues(gs):
+    for shift, e in enumerate(endpoint_residues(gs)):
+        for var in (0, 1):
+            assert e.diff(var) == _mirror_partial(gs, shift, var), (shift, var)
+
+
+@ENDPOINT_CASES
+def test_endpoint_residues_evaluate_to_branch_residues(gs):
+    vp = list(v_prime(gs).coeffs)
+    e0, e1 = endpoint_residues(gs)
+    for sigma, tau in ((F(1, 3), F(2)), (F(-5, 7), F(9, 4)), (F(3), F(11, 2))):
+        d1, d0 = -(sigma + tau), sigma * tau
+        assert e0.eval((sigma, tau)) == branch_residue(vp, d1, d0, -1)
+        assert e1.eval((sigma, tau)) == branch_residue(vp, d1, d0, -1, shift=1)
 
 
 def test_branch_poly_part_quartic_h():
