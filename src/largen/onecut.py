@@ -50,7 +50,7 @@ from .scalars import (
     scalar_str,
 )
 from .structured import c_weight
-from .wring import Lattice, WElem, _pshift
+from .wring import Defect, Lattice, WElem, _pshift
 
 
 def ladder_weights(g: Potential, count: int) -> list[RationalFunc]:
@@ -318,21 +318,23 @@ class _RegularEngine:
     def run(self, K: int) -> tuple[list, list]:
         """Solve orders 2..2K; returns ([r₀..r_K], [U₀..U_K]) in the engine's ring.
 
+        Order k solves only the ε^{2k} coefficient on kept derivative towers
+        (``wring.Defect``), certifying ε^{2k-1} before and ε^{2k} after it:
+        every ε^j, j ≤ 2K, of the defect once, on its final value.
         Nothing is reduced here: the callers build ``RationalFunc`` only for
         what they output.  Scalar slot padding stays ``Fraction``.
         """
-        lat = self.lat
-        r_list: list = [self.rho]
-        u_list: list = [self.u0]
+        r_list, u_list = [self.rho], [self.u0]
+        F = Defect(self.lat, u_list, u_list, r_list, 2)
+        F.certify(0, "defect")
         for k in range(1, K + 1):
-            u = lat.series(u_list, 2 * k, 2)
-            F = lat.defect(u, u, lat.series([lat.embed(c) for c in r_list], 2 * k, 2))
-            lat.certify_vanishing(F, range(1, 2 * k, 2), "odd defect order")
+            F.certify(2 * k - 1, "odd defect order")
             base = F.coefficient(2 * k).div_w().scale(Fraction(1, 2))
             # contour_pair of an element without odd slots is a scalar 0
             r_k = -(self.d0 + base.contour_pair(self.vp)).div_wp()
             u_list.append(base + self.q_elem.scale(r_k))
             r_list.append(r_k)
+            F.certify(2 * k, "defect")
         # The residual holds for whatever d/dT the ring implements, so the
         # derivation is checked against the closed form of r₁ instead:
         # r₁ = ρ (2W''² - W'W''') / (12 W'⁴).
@@ -340,10 +342,6 @@ class _RegularEngine:
             Wpp, W3 = self.pw.wpp, self.W.derivative(3)
             r1 = self._c(Poly.x() * (Wpp * Wpp * 2 - self.pw.wp * W3) * Fraction(1, 12), 4)
             certify(r_list[1] == r1, "r₁ differs from ρ(2W''² - W'W''')/(12W'⁴)")
-        # residual certificate: the full truncation satisfies the identity
-        u = lat.series(u_list, 2 * K, 2)
-        F = lat.defect(u, u, lat.series([lat.embed(c) for c in r_list], 2 * K, 2))
-        lat.certify_vanishing(F, range(2 * K + 1), "defect")
         # and the string equation at every computed order
         certify(
             u_list[0].contour_pair(self.vp) == self._c(self.W),
@@ -475,20 +473,16 @@ class _ScaledEngine:
         self.vp = list(g.v_lambda().coeffs)
 
     def run(self, K: int) -> tuple[list, list]:
-        """U^{[0]}..U^{[K]} and the string ladder relations."""
-        lat = self.lat
-        r_elems = [lat.embed(DiffPoly.const(self.rc))] + [
-            lat.embed(DiffPoly.var(f"r{k}")) for k in range(1, K + 1)
-        ]
+        """U^{[0]}..U^{[K]} and the string ladder relations, solved and
+        certified per order as in ``_RegularEngine.run``."""
+        r_list = [DiffPoly.const(self.rc)] + [DiffPoly.var(f"r{k}") for k in range(1, K + 1)]
         u_list = [self.u0]
+        F = Defect(self.lat, u_list, u_list, r_list, 2)
+        F.certify(0, "scaled defect")
         for k in range(1, K + 1):
-            u = lat.series(u_list, 2 * k, 2)
-            F = lat.defect(u, u, lat.series(r_elems[: k + 1], 2 * k, 2))
-            lat.certify_vanishing(F, range(1, 2 * k, 2), "odd scaled defect order")
+            F.certify(2 * k - 1, "odd scaled defect order")
             u_list.append(F.coefficient(2 * k).div_w().scale(Fraction(1, 2)))
-        u = lat.series(u_list, 2 * K, 2)
-        F = lat.defect(u, u, lat.series(r_elems, 2 * K, 2))
-        lat.certify_vanishing(F, range(2 * K + 1), "scaled defect")
+            F.certify(2 * k, "scaled defect")
 
         ladder = string_ladder(u_list, self.vp, self.Tc, self.m)
         for k in range(1, min(self.m, K + 1)):

@@ -133,33 +133,35 @@ def _interval_nodes(std, a, b, prec: int):
             yield mpf_add(d, mpf_mul(c, x, wp, rnd), wp, rnd), mpf_mul(c, w, wp, rnd)
 
 
-def _node_sums(nodes, nscale, vc, kmax):
-    """Σ_j w_j x_j^{2k} e^{nscale·V(x_j²)} for k = 0..kmax, at working precision.
+def _node_sums(nodes, nscale, vc, kmax, done=()):
+    """Σ_j w_j x_j^{2k} e^{nscale·V(x_j²)} for the open k ≤ kmax, at working
+    precision: a k in ``done`` gets None, and the list ends at the last open k.
 
     ``nodes`` yields raw (x, w); ``nscale`` = -N/T and ``vc`` (V's coefficients
     in x², highest first) are raw mpf.  Each node's weight is evaluated once;
     each moment's term is the previous one times x², cut to _GUARD bits past the
-    precision.  The terms are positive, so each sum is exact in integer units of
-    2^f (f: the lowest exponent of the largest term so far), rounded at the end.
-    Past the first chunk, a node whose terms are all provably below 2^{f-1} adds
-    0 and is skipped before its exponential (w, x < 2^{exp+bc}; for arg < 0 the
-    computed e^{arg} < 2^{1-⌊|arg|⌋·1.442695}).
+    precision; only open terms are kept.  The terms are positive, so each sum is
+    exact in integer units of 2^f (f: the lowest exponent of the largest term so
+    far), rounded at the end.  Past the first chunk, a node whose open terms are
+    all provably below 2^{f-1} adds 0 and is skipped before its exponential
+    (w, x < 2^{exp+bc}; for arg < 0 the computed e^{arg} < 2^{1-⌊|arg|⌋·1.442695}).
     """
     prec, rnd = mpmath.mp.prec, round_nearest
     width = prec + _GUARD
-    acc, low = [0] * (kmax + 1), [None] * (kmax + 1)
+    ks = [k for k in range(kmax + 1) if k not in done]
+    acc, low = [0] * (ks[-1] + 1), [None] * (ks[-1] + 1)
     nodes = iter(nodes)
     while chunk := list(islice(nodes, _CHUNK)):  # chunks keep memory flat
-        mans, exps = [[] for _ in acc], [[] for _ in acc]
+        mans, exps = [None if k in done else [] for k in range(len(acc))], [[] for _ in acc]
         for x, w in chunk:
             lam = mpf_mul(x, x, prec, rnd)
             v = vc[0]
             for c in vc[1:]:
                 v = mpf_add(mpf_mul(v, lam, prec, rnd), c, prec, rnd)
             sign, am, ae, _ = arg = mpf_mul(nscale, v, prec, rnd)
-            if sign and low[0] is not None:  # V > 0 and the units are set
+            if sign and low[ks[0]] is not None:  # V > 0 and the units are set
                 top = w[2] + w[3] + 2 - (am >> -ae if ae < 0 else am << ae) * 1442695 // 10**6
-                if all(top + 2 * k * (x[2] + x[3]) <= f for k, f in enumerate(low)):
+                if all(top + 2 * k * (x[2] + x[3]) <= low[k] for k in ks):
                     continue
             _, m, e, _ = mpf_exp(arg, prec, rnd)
             (_, wm, we, _), (_, xm, xe, _) = w, x
@@ -168,17 +170,19 @@ def _node_sums(nodes, nscale, vc, kmax):
                 cut = m.bit_length() - width
                 m = m >> cut if cut >= 0 else m << -cut
                 e += cut
-                ms.append(m)
-                es.append(e)
+                if ms is not None:
+                    ms.append(m)
+                    es.append(e)
                 m, e = m * xm, e + xe
-        for k, (ms, es) in enumerate(zip(mans, exps)):
+        for k in ks:
+            ms, es = mans[k], exps[k]
             f = max(es, default=low[k])
             if low[k] is not None:  # rescale the sum so far to the larger unit
                 f = max(f, low[k])
                 acc[k] >>= f - low[k]
             low[k] = f
             acc[k] += sum(map(operator.rshift, ms, [f - e for e in es]))
-    return [mpmath.mpf(pair) for pair in zip(acc, low)]
+    return [None if k in done else mpmath.mpf((acc[k], low[k])) for k in range(len(acc))]
 
 
 def compute_moments(g: Potential, T, N: int, kmax: int, digits: int | None = None) -> MomentTable:
@@ -212,7 +216,7 @@ def compute_moments(g: Potential, T, N: int, kmax: int, digits: int | None = Non
                     if len(done) <= kmax:
                         std = std or _standard_nodes(degree, prec)
                         nodes = _interval_nodes(std, a._mpf_, b._mpf_, prec)
-                        for k, s in enumerate(_node_sums(nodes, nscale, vc, kmax)):
+                        for k, s in enumerate(_node_sums(nodes, nscale, vc, kmax, done)):
                             if k not in done:
                                 res = sums[k]
                                 res.append(h * (res[-1] / (2 * h) + s) if res else h * s)

@@ -70,7 +70,7 @@ from .structured import (
     psi_poly,
     twocut_hodographs,
 )
-from .wring import Lattice, WElem, _pmul, _pshift
+from .wring import Defect, Lattice, WElem, _pmul, _pshift
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -257,9 +257,6 @@ class _Loc:
         if isinstance(other, (Fraction, int)):
             return _Loc(self.ctx, MPoly.const(self.num.nvars, other), 0, 0, canonical=True)
         return None
-
-    def is_zero(self) -> bool:
-        return not self.num.terms
 
     def __bool__(self) -> bool:
         return bool(self.num.terms)
@@ -608,27 +605,25 @@ class _TwoCutRegularEngine:
         )
 
     def run(self, K: int) -> tuple[list, list, list, list]:
-        lat = self.lat
-        a_list: list = [self.a0]
-        b_list: list = [self.b0]
-        v_list: list = [self.v0]
-        w_list: list = [self.w0]
+        """([a₀..a_K], [b₀..b_K], [V₀..V_K], [W₀..W_K]) in _Loc.  Order k solves
+        only the ε^{2k} coefficients of both defects on kept derivative towers
+        (``wring.Defect``), certifying ε^{2k-1} before and ε^{2k} after it."""
+        a_list, b_list, v_list, w_list = [self.a0], [self.b0], [self.v0], [self.w0]
+        # each function is the other's partner in the shifted slots
+        DV = Defect(self.lat, v_list, w_list, a_list, 2)
+        DW = Defect(self.lat, w_list, v_list, b_list, 2)
+        DV.certify(0, "V-defect")
+        DW.certify(0, "W-defect")
         mshift = [(self.a0 + self.b0) * Fraction(-1), _F1]  # λ - a₀ - b₀
         for k in range(1, K + 1):
-            # each function is the other's partner in the shifted slots
-            V, W = lat.series(v_list, 2 * k, 2), lat.series(w_list, 2 * k, 2)
-            DV = lat.defect(V, W, lat.series([lat.embed(c) for c in a_list], 2 * k, 2))
-            DW = lat.defect(W, V, lat.series([lat.embed(c) for c in b_list], 2 * k, 2))
-            lat.certify_vanishing(DV, range(1, 2 * k, 2), "odd V-defect order")
-            lat.certify_vanishing(DW, range(1, 2 * k, 2), "odd W-defect order")
-            R1 = DV.coefficient(2 * k)
-            R2 = DW.coefficient(2 * k)
+            DV.certify(2 * k - 1, "odd V-defect order")
+            DW.certify(2 * k - 1, "odd W-defect order")
+            R1, R2 = DV.coefficient(2 * k), DW.coefficient(2 * k)
             ZV = R1.mul_poly(mshift) + R2.scale(self.a0 * Fraction(2))
             ZW = R2.mul_poly(mshift) + R1.scale(self.b0 * Fraction(2))
             baseV = _solvable(ZV, 1, f"the V-residual at order {k}").div_w().scale(Fraction(1, 2))
             baseW = _solvable(ZW, 1, f"the W-residual at order {k}").div_w().scale(Fraction(1, 2))
-            P = baseV.contour_pair(self.vp)
-            Q = baseW.contour_pair(self.vp)
+            P, Q = baseV.contour_pair(self.vp), baseW.contour_pair(self.vp)
             a_k = (self.s2 * Q - self.s1 * P) / self.det
             b_k = (self.t1 * P - self.s1 * Q) / self.det
             v_k = baseV + self.JA.scale(a_k) + self.JBa.scale(b_k)
@@ -639,11 +634,8 @@ class _TwoCutRegularEngine:
             b_list.append(b_k)
             v_list.append(v_k)
             w_list.append(w_k)
-        V, W = lat.series(v_list, 2 * K, 2), lat.series(w_list, 2 * K, 2)
-        DV = lat.defect(V, W, lat.series([lat.embed(c) for c in a_list], 2 * K, 2))
-        DW = lat.defect(W, V, lat.series([lat.embed(c) for c in b_list], 2 * K, 2))
-        lat.certify_vanishing(DV, range(2 * K + 1), "V-defect")
-        lat.certify_vanishing(DW, range(2 * K + 1), "W-defect")
+            DV.certify(2 * k, "V-defect")
+            DW.certify(2 * k, "W-defect")
         # a ↔ b symmetry of the whole tower
         swap = lambda c: c if isinstance(c, (Fraction, int)) else c.swapped()
         for vk, wk in zip(v_list, w_list):
@@ -653,7 +645,8 @@ class _TwoCutRegularEngine:
         return a_list, b_list, v_list, w_list
 
 
-_REGULAR_RUNS: dict = {}  # potential couplings -> (K, a_list, b_list, slopes, det)
+_REGULAR_RUNS_KEPT = 32  # potentials whose solve is shared; the oldest goes first
+_REGULAR_RUNS: dict = {}  # potential couplings -> (K, a_list, b_list, slopes, det), oldest first
 
 
 def _regular_run(g: Potential, K: int):
@@ -668,6 +661,8 @@ def _regular_run(g: Potential, K: int):
     b_list = [c.to_ratfunc() for c in b_loc]
     slopes = (engine.da0.to_ratfunc(), engine.db0.to_ratfunc())
     _REGULAR_RUNS[g.gs] = (K, a_list, b_list, slopes, engine.det_mp)
+    if len(_REGULAR_RUNS) > _REGULAR_RUNS_KEPT:
+        del _REGULAR_RUNS[next(iter(_REGULAR_RUNS))]
     return a_list, b_list, slopes, engine.det_mp
 
 
@@ -851,14 +846,15 @@ class _SymmetricScaledEngine:
         self.vp = list(g.v_lambda().coeffs)
 
     def run(self, K: int) -> tuple[list, list]:
-        lat = self.lat
-        a_elems = [lat.embed(DiffPoly.const(self.rc))] + [
-            lat.embed(DiffPoly.var(f"a{k}")) for k in range(1, K + 1)
-        ]
-        v_list = [self.v0]
+        """𝕍^{[0]}..𝕍^{[K]} and the string ladder relations.  Order k solves
+        only the ε̄^k coefficient on kept derivative towers (``wring.Defect``,
+        partner 𝕍(-ε̄)) and certifies it right after, on its final value."""
+        a_list = [DiffPoly.const(self.rc)] + [DiffPoly.var(f"a{k}") for k in range(1, K + 1)]
+        v_list, flipped = [self.v0], [self.v0]
+        F = Defect(self.lat, v_list, flipped, a_list, 1)
+        F.certify(0, "merged defect")
         for k in range(1, K + 1):
-            V = lat.series(v_list, k, 1)
-            R = lat.defect(V, V.parity_flip(), lat.series(a_elems[: k + 1], k, 1)).coefficient(k)
+            R = F.coefficient(k)
             if k % 2 == 0:
                 # unknown enters as -2w·𝕍^[k]
                 v_k = R.div_w().scale(Fraction(1, 2))
@@ -867,9 +863,8 @@ class _SymmetricScaledEngine:
                 v_k = _solvable(R.mul_w(), 2, f"the merged residual at order {k}")
                 v_k = v_k.scale(Fraction(1, 2))
             v_list.append(v_k)
-        V = lat.series(v_list, K, 1)
-        F = lat.defect(V, V.parity_flip(), lat.series(a_elems, K, 1))
-        lat.certify_vanishing(F, range(K + 1), "merged defect")
+            flipped.append(-v_k if k % 2 else v_k)
+            F.certify(k, "merged defect")
         return v_list, string_ladder(v_list, self.vp, self.Tc, 2 * self.m)
 
 

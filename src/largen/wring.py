@@ -31,6 +31,7 @@ from .structured import branch_coeff
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_LAMBDA = [_ZERO, _ONE]
 
 
 def _trim(coeffs: list) -> list:
@@ -85,9 +86,7 @@ class WElem:
     __slots__ = ("d1", "d0", "slots")
 
     def __init__(self, d1, d0, slots: dict | None = None):
-        self.d1 = d1
-        self.d0 = d0
-        self.slots = {}
+        self.d1, self.d0, self.slots = d1, d0, {}
         if slots:
             for j, coeffs in slots.items():
                 cs = _trim(list(coeffs))
@@ -308,28 +307,18 @@ class WElem:
 
     # -- extraction -----------------------------------------------------------
 
-    def slot(self, j: int) -> list:
-        return list(self.slots.get(j, []))
-
-    def coeff(self, j: int, power: int):
-        cs = self.slots.get(j, [])
-        return cs[power] if power < len(cs) else _ZERO
-
-    def max_key(self) -> int:
-        return max(self.slots) if self.slots else 0
-
     def even_numerator(self) -> tuple[list, int]:
         """(P, M) with self = P(λ)/w^{2M}, clearing denominators over this
         element's own curve; only even w-powers may occur (certified)."""
         certify(all(j % 2 == 0 for j in self.slots), "odd w-power in a rational element")
-        M = self.max_key() // 2
+        M = max(self.slots, default=0) // 2
         w2 = self._w2_poly()
         w2_pow: list[list] = [[_ONE]]
         for _ in range(M):
             w2_pow.append(_pmul(w2_pow[-1], w2))
         P: list = []
         for m in range(M + 1):
-            P = _padd(P, _pmul(self.slot(2 * m), w2_pow[M - m]))
+            P = _padd(P, _pmul(self.slots.get(2 * m, []), w2_pow[M - m]))
         return P, M
 
     def contour_pair(self, weight: Sequence):
@@ -353,10 +342,8 @@ class WElem:
         return acc if acc is not None else _ZERO
 
     def __repr__(self) -> str:  # debug aid only
-        bits = []
-        for j in sorted(self.slots):
-            bits.append(f"w^-{j}*{self.slots[j]!r}")
-        return "WElem(" + " + ".join(bits) + ")" if bits else "WElem(0)"
+        bits = " + ".join(f"w^-{j}*{self.slots[j]!r}" for j in sorted(self.slots))
+        return f"WElem({bits or 0})"
 
 
 def _reciprocal(c):
@@ -388,10 +375,6 @@ class EpsSeries:
             cs.append(zero)
         self.coeffs = cs
 
-    @classmethod
-    def constant(cls, c, order: int, zero) -> "EpsSeries":
-        return cls([c], order, zero)
-
     def coefficient(self, k: int):
         if k > self.order:
             raise IndexError(f"series truncated at ε^{self.order}")
@@ -399,17 +382,8 @@ class EpsSeries:
 
     def __add__(self, other: "EpsSeries") -> "EpsSeries":
         order = min(self.order, other.order)
-        return EpsSeries(
-            [self.coeffs[k] + other.coeffs[k] for k in range(order + 1)],
-            order,
-            self.zero,
-        )
-
-    def __neg__(self) -> "EpsSeries":
-        return EpsSeries([-c for c in self.coeffs], self.order, self.zero)
-
-    def __sub__(self, other: "EpsSeries") -> "EpsSeries":
-        return self + (-other)
+        cs = [self.coeffs[k] + other.coeffs[k] for k in range(order + 1)]
+        return EpsSeries(cs, order, self.zero)
 
     def __mul__(self, other: "EpsSeries") -> "EpsSeries":
         order = min(self.order, other.order)
@@ -425,16 +399,10 @@ class EpsSeries:
                 out[i + j] = out[i + j] + ci * cj
         return EpsSeries(out, order, self.zero)
 
-    def scale(self, s) -> "EpsSeries":
-        return EpsSeries([c * s for c in self.coeffs], self.order, self.zero)
-
     def parity_flip(self) -> "EpsSeries":
         """ε → -ε."""
-        return EpsSeries(
-            [c if k % 2 == 0 else -c for k, c in enumerate(self.coeffs)],
-            self.order,
-            self.zero,
-        )
+        flipped = [c if k % 2 == 0 else -c for k, c in enumerate(self.coeffs)]
+        return EpsSeries(flipped, self.order, self.zero)
 
     def shift(self, steps: Sequence, derive: Callable) -> list["EpsSeries"]:
         """Taylor shifts e^{s·ε·D}, one per s in ``steps``, from one tower of
@@ -459,9 +427,6 @@ class EpsSeries:
             shifted.append(EpsSeries(out, self.order, self.zero))
         return shifted
 
-    def map(self, f: Callable) -> "EpsSeries":
-        return EpsSeries([f(c) for c in self.coeffs], self.order, self.zero)
-
     def __repr__(self) -> str:
         return f"EpsSeries({self.coeffs!r}, order={self.order})"
 
@@ -480,48 +445,110 @@ class Lattice:
     x.parity_flip() at a merging point.  T → T ± ε is the Taylor shift of
     ``d_dT``, built from the coefficient derivation ``derive`` and
     d(w²)/dT = dw2[0] + dw2[1]·λ (None for a frozen curve); ``one`` is the
-    unit of the coefficient ring.
+    unit of the coefficient ring.  The engines solve it one order at a time
+    through ``Defect``; ``defect``, the whole truncated series, is its reference.
     """
 
     __slots__ = ("d1", "d0", "one", "derive", "dw2", "zero")
 
     def __init__(self, d1, d0, one, derive: Callable, dw2: Sequence | None):
-        self.d1 = d1
-        self.d0 = d0
-        self.one = one
-        self.derive = derive
-        self.dw2 = dw2
+        self.d1, self.d0, self.one, self.derive, self.dw2 = d1, d0, one, derive, dw2
         self.zero = WElem.zero(d1, d0)
 
     def embed(self, c) -> WElem:
         """The coefficient c as a λ-constant curve element."""
         return WElem.from_poly(self.d1, self.d0, [c])
 
-    def series(self, entries: Sequence, order: int, step: int) -> EpsSeries:
-        """Σ_k entries[k]·ε^{step·k}, truncated at ε^order."""
-        cs: list = []
-        for e in entries:
-            cs.append(e)
-            cs.extend([self.zero] * (step - 1))
-        return EpsSeries(cs, order, self.zero)
-
-    def _derive_coeff(self, c):
-        if isinstance(c, (Fraction, int)):  # slot padding is scalar
-            return _ZERO
-        return self.derive(c)
-
     def d_dT(self, e: WElem) -> WElem:
-        return e.d_dT(self._derive_coeff, self.dw2)
+        scalar = (Fraction, int)  # slot padding is scalar
+        return e.d_dT(lambda c: _ZERO if isinstance(c, scalar) else self.derive(c), self.dw2)
 
     def defect(self, x: EpsSeries, y: EpsSeries, a: EpsSeries) -> EpsSeries:
         """a·(x + y(T-ε))·(x + y(T+ε)) - λ(x² - 1), order by order."""
         ym, yp = y.shift((Fraction(-1), Fraction(1)), self.d_dT)
-        lhs = a * ((x + ym) * (x + yp))
-        one = EpsSeries.constant(self.embed(self.one), x.order, self.zero)
-        return lhs - (x * x - one).map(lambda e: e.mul_poly([_ZERO, _ONE]))
+        lhs, sq = a * ((x + ym) * (x + yp)), x * x
+        sq.coeffs[0] = sq.coeffs[0] - self.embed(self.one)
+        out = [c - q.mul_poly(_LAMBDA) for c, q in zip(lhs.coeffs, sq.coeffs)]
+        return EpsSeries(out, lhs.order, self.zero)
 
-    @staticmethod
-    def certify_vanishing(F: EpsSeries, orders, what: str) -> None:
-        """Raise ``Mismatch`` unless F has no ε^j term for every j in orders."""
-        for j in orders:
-            certify(F.coefficient(j).is_zero(), f"{what} at ε^{j} is nonzero")
+
+class Defect:
+    """``Lattice.defect`` over entry lists that only grow, one ε^n at a time.
+
+    Entry j of the element lists ``x``, ``y`` and of the coefficient list
+    ``a`` stands at ε^{step·j}; the caller appends, never changes an entry,
+    and ``coefficient(n)`` counts missing entries as 0.  With P, Q = x + y(T∓ε)
+    it keeps the Taylor terms Dⁱy_j/i!, P_n, Q_n and (P·Q)_n once final, and
+    the ε^n coefficient at n = step·L, L = len(x) = len(y), which no other
+    entry reaches: once x_L, y_L are appended it gains only
+    2·a₀·P₀·δ + a_L·P₀² - 2λ·x₀·x_L, δ = x_L + y_L (a_L if it was missing).
+    """
+
+    __slots__ = ("lat", "x", "y", "a", "step", "towers", "sums", "prods", "pending")
+
+    def __init__(self, lat: Lattice, x: list, y: list, a: list, step: int):
+        self.lat, self.x, self.y, self.a, self.step = lat, x, y, a, step
+        self.towers, self.sums, self.prods = [], [], []  # Dⁱy_j/i!, final (P_n, Q_n), (P·Q)_n
+        self.pending = None  # (n, list lengths, (P·Q)_n, ε^n coefficient) before x_L, y_L
+
+    def _kept(self, memo: list, n: int, fresh: Callable):
+        while len(memo) <= n and len(memo) < self.step * min(len(self.x), len(self.y)):
+            memo.append(fresh(len(memo)))  # final: every entry reaching ε^n is known
+        return memo[n] if n < len(memo) else fresh(n)
+
+    def _sum(self, n: int) -> tuple:
+        return self._kept(self.sums, n, self._shift)
+
+    def _shift(self, n: int) -> tuple:
+        s, x, zero = self.step, self.x, self.lat.zero
+        # x_{n/s} plus Σ Dⁱy_j/i! over i + s·j = n, split by the parity of i
+        parts = [x[n // s] if n % s == 0 and n // s < len(x) else zero, zero]
+        for j in range(min(n // s + 1, len(self.y))):
+            if j == len(self.towers):
+                self.towers.append([self.y[j]])
+            row, i = self.towers[j], n - s * j
+            while len(row) <= i:
+                row.append(self.lat.d_dT(row[-1]).scale(Fraction(1, len(row))))
+            parts[i % 2] = parts[i % 2] + row[i]
+        return parts[0] + parts[1].scale(-_ONE), parts[0] + parts[1]
+
+    def _prod(self, n: int) -> WElem:
+        def fresh(m):
+            out = self.lat.zero
+            for q in range(m + 1):
+                p, r = self._sum(q)[0], self._sum(m - q)[1]
+                if p and r:
+                    out = out + p * r
+            return out
+
+        return self._kept(self.prods, n, fresh)
+
+    def coefficient(self, n: int) -> WElem:
+        """The ε^n coefficient of the defect on the entries given so far."""
+        lat, x, y, a, s = self.lat, self.x, self.y, self.a, self.step
+        lengths = (len(x), len(y), len(a))
+        pend = self.pending
+        if pend and pend[0] == n and min(lengths) > pend[1][0]:
+            _, before, pq, value = pend
+            L, self.pending = before[0], None
+            cross = (self._sum(0)[0] * (x[L] + y[L])).scale(2)  # (P·Q)_n gains P₀δ + δQ₀
+            if len(self.prods) == n:
+                self.prods.append(pq + cross)
+            value = value + lat.embed(a[0]) * cross - (x[0] * x[L]).scale(2).mul_poly(_LAMBDA)
+            return value + lat.embed(a[L]) * self._prod(0) if before[2] == L else value
+        pq, value, sq = self._prod(n), lat.zero, lat.zero
+        for p in range(min(n // s + 1, len(a))):
+            c = self._prod(n - s * p) if p else pq
+            if c:
+                value = value + lat.embed(a[p]) * c
+        if n % s == 0:
+            for p in range(max(0, n // s + 1 - len(x)), min(n // s + 1, len(x))):
+                sq = sq + x[p] * x[n // s - p]
+        value = value - (sq - lat.embed(lat.one) if n == 0 else sq).mul_poly(_LAMBDA)
+        if n and n % s == 0 and lengths[0] == lengths[1] == n // s <= lengths[2]:
+            self.pending = (n, lengths, pq, value)
+        return value
+
+    def certify(self, n: int, what: str) -> None:
+        """Raise ``Mismatch`` unless the ε^n coefficient vanishes."""
+        certify(self.coefficient(n).is_zero(), f"{what} at ε^{n} is nonzero")

@@ -115,6 +115,12 @@ class TestExpandRegular:
         want = (DATA / "expand_regular_quartic_1_1_T2_K3.json").read_text(encoding="utf-8")
         assert json.dumps(doc, ensure_ascii=False) == want.strip()
 
+    def test_quartic_k4_json_pinned(self):
+        # frozen from the engine that rebuilt the whole defect at every order
+        doc = expand_regular(QUARTIC, F(2), 4).to_json()
+        want = (DATA / "expand_regular_quartic_1_1_T2_K4.json").read_text(encoding="utf-8")
+        assert json.dumps(doc, ensure_ascii=False) == want.strip()
+
     @given(
         g2=st.integers(min_value=1, max_value=6),
         g4=st.integers(min_value=1, max_value=6),
@@ -171,11 +177,13 @@ SYMMETRIC_RUN = (
     " twocut.find_merging(g)[0], 3)"
 )
 
-# name -> (patched ring class, method, replacement, engine call, the
-# certificate that must catch it).  The residual re-check holds for whatever
-# derivation the ring implements, so a broken d/dT is caught by the closed
-# form of r₁ (one cut) or by the quotient rule (two cuts), and a broken d/dx
-# of the double-scaled engines by Poly.derivative on a probe.
+# name -> (patched class, method, replacement, engine call, the certificate
+# that must catch it).  The residual re-check holds for whatever derivation
+# the ring implements, so a broken d/dT is caught by the closed form of r₁
+# (one cut) or by the quotient rule (two cuts), and a broken d/dx of the
+# double-scaled engines by Poly.derivative on a probe.  A solved r_k or a_k
+# that reaches the identity perturbed (every embedded coefficient with a
+# W'- or det-denominator, shifted by 1) fails its own order's residual.
 CORRUPTIONS = {
     "d_dT-without-W''-term": (
         "onecut._WpLoc",
@@ -222,6 +230,20 @@ CORRUPTIONS = {
         " canonical=True)",
         TWO_CUT_RUN,
         "solvability: the V-residual at order 1",
+    ),
+    "perturbed-r_k": (
+        "onecut.Lattice",
+        "embed",
+        "lambda self, c, f=W.embed: f(self, c + 1 if getattr(c, 'e', 0) else c)",
+        ONE_CUT_RUN,
+        "defect at ε^2",
+    ),
+    "two-cut-perturbed-a_k": (
+        "twocut.Lattice",
+        "embed",
+        "lambda self, c, f=W.embed: f(self, c + 1 if getattr(c, 'i', 0) else c)",
+        TWO_CUT_RUN,
+        "V-defect at ε^2",
     ),
     "d_dx-without-exponent-factor": (
         "onecut.DiffPoly",
@@ -444,6 +466,16 @@ class TestScaledSeries:
             "poles": [[p.to_json() for p in o.poles] for o in sc.orders],
         }
         want = (DATA / "scaled_series_bmp_K4.json").read_text(encoding="utf-8")
+        assert json.dumps(doc, ensure_ascii=False) == want.strip()
+
+    def test_bmp_k6_documents_pinned(self):
+        # frozen from the engine that rebuilt the whole defect at every order
+        sc = scaled_series(BMP, find_critical(BMP)[0], K=6)
+        doc = {
+            "ladder": [rel.to_json() for rel in sc.ladder],
+            "poles": [[p.to_json() for p in o.poles] for o in sc.orders],
+        }
+        want = (DATA / "scaled_series_bmp_K6.json").read_text(encoding="utf-8")
         assert json.dumps(doc, ensure_ascii=False) == want.strip()
 
     def test_leading_poles_are_twice_rk(self):

@@ -205,6 +205,27 @@ class TestNodeStream:
                         want = reference_node_sums(nodes, nscale, vc, N + 1)
                         assert [v._mpf_ for v in got] == [v._mpf_ for v in want]
 
+    @pytest.mark.parametrize("name,T,N,digits", [
+        ("quartic:1,1", 1, 24, 80), ("quartic:-2,1", F(1, 2), 16, 50),
+    ])
+    def test_open_moments_alone_keep_every_bit(self, name, T, N, digits):
+        # frozen moments are neither kept nor summed, and nodes may be skipped
+        # on the open ones alone; each open sum is still the all-moment one
+        with mpmath.workdps(digits + 12):
+            prec, nscale, vc, points = quadrature_setup(name, T, N, digits)
+            with mpmath.workprec(prec + 20):
+                for degree in (3, 7):
+                    std = oracle._standard_nodes(degree, prec)
+                    for a, b in zip(points, points[1:]):
+                        nodes = list(oracle._interval_nodes(std, a._mpf_, b._mpf_, prec))
+                        full = oracle._node_sums(iter(nodes), nscale, vc, N + 1)
+                        for done in ({N + 1}, {0, 1, 2}, set(range(0, N + 2, 2)), set(range(N))):
+                            got = oracle._node_sums(iter(nodes), nscale, vc, N + 1, done)
+                            last = max(set(range(N + 2)) - done)
+                            assert len(got) == last + 1
+                            for k, v in enumerate(got):
+                                assert v is None if k in done else v._mpf_ == full[k]._mpf_
+
     def test_vanishing_nodes_skip_the_exponential(self, monkeypatch):
         seen, exps = [0], [0]
         node_sums, exp = oracle._node_sums, oracle.mpf_exp

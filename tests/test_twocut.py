@@ -23,6 +23,7 @@ from largen.structured import gamma_moment, phi_moment, psi_poly
 from largen.twocut import (
     _P,
     MergingPoint,
+    _regular_run,
     _Loc,
     _LocCtx,
     _exact_div,
@@ -37,6 +38,7 @@ from largen.twocut import (
     find_merging,
     symmetric_scaled_series,
 )
+from largen import twocut
 from largen.wring import WElem
 
 MERGING = parse_potential("quartic:-2,1")
@@ -140,6 +142,34 @@ class TestRegularExpansion:
         name = "expand_two_cut_regular_sextic_-6_-3_1_T6_K1.json"
         want = (DATA / name).read_text(encoding="utf-8")
         assert json.dumps(doc, ensure_ascii=False) == want.strip()
+
+    def test_engine_k2_pinned(self):
+        # a_k, b_k through K = 2, frozen from the engine that rebuilt the
+        # whole defect at every order
+        a_list, b_list, _, _ = _TwoCutRegularEngine(MERGING).run(2)
+        names = ("a0", "b0")
+        doc = {
+            "a": [c.to_ratfunc().render(names) for c in a_list],
+            "b": [c.to_ratfunc().render(names) for c in b_list],
+        }
+        want = (DATA / "two_cut_engine_quartic_-2_1_K2.json").read_text(encoding="utf-8")
+        assert json.dumps(doc, ensure_ascii=False) == want.strip()
+
+    def test_shared_solves_are_bounded(self, monkeypatch):
+        # the per-potential memo keeps at most _REGULAR_RUNS_KEPT potentials,
+        # dropping the oldest, and a hit hands back the stored coefficients
+        monkeypatch.setattr(twocut, "_REGULAR_RUNS", {})
+        monkeypatch.setattr(twocut, "_REGULAR_RUNS_KEPT", 2)
+        gs = [parse_potential(f"quartic:{g2},1") for g2 in (-2, -3, -4, -5)]
+        for g in gs:
+            _regular_run(g, 0)
+            assert len(twocut._REGULAR_RUNS) <= 2
+        assert list(twocut._REGULAR_RUNS) == [gs[2].gs, gs[3].gs]
+        again = _regular_run(gs[3], 0)
+        monkeypatch.setattr(twocut, "_TwoCutRegularEngine", None)  # a miss would fail
+        hit = _regular_run(gs[3], 0)
+        assert all(x is y for x, y in zip(hit[0] + hit[1], again[0] + again[1]))
+        assert hit[2] is again[2] and hit[3] is again[3]
 
     @given(
         g2=st.sampled_from([-2, -3, -4]),
@@ -393,6 +423,19 @@ class TestScaledSeries:
             ],
         }
         want = (DATA / "symmetric_scaled_series_quartic_-2_1_K5.json").read_text(encoding="utf-8")
+        assert json.dumps(doc, ensure_ascii=False) == want.strip()
+
+    def test_quartic_k8_documents_pinned(self):
+        # frozen from the engine that rebuilt the whole defect at every order
+        sc = symmetric_scaled_series(MERGING, find_merging(MERGING)[0], K=8)
+        doc = {
+            "ladder": [rel.to_json() for rel in sc.ladder],
+            "poles": [
+                [o.C.to_json(), [a.to_json() for a in o.A], [b.to_json() for b in o.B]]
+                for o in sc.orders
+            ],
+        }
+        want = (DATA / "symmetric_scaled_series_quartic_-2_1_K8.json").read_text(encoding="utf-8")
         assert json.dumps(doc, ensure_ascii=False) == want.strip()
 
     def test_first_order_element(self):

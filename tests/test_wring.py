@@ -6,10 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from largen import wring
 from largen.diffpoly import DiffPoly
+from largen.onecut import _RegularEngine, _ScaledEngine, find_critical
 from largen.polys import Poly
+from largen.potential import parse_potential
 from largen.structured import branch_residue, hodograph_poly
-from largen.twocut import _principal_part
+from largen.twocut import (
+    _principal_part,
+    _SymmetricScaledEngine,
+    _TwoCutRegularEngine,
+    find_merging,
+)
 from largen.wring import EpsSeries, WElem, _pshift
 
 R0 = F(1, 3)
@@ -238,6 +246,67 @@ class TestEpsSeries:
         )
         (sh,) = s.shift((1,), der)
         assert sh.coefficient(1) == WElem(D1, D0, {3: [F(0), 2 * c]})
+
+
+def padded(lat, entries, order, step):
+    """Σ_k entries[k]·ε^{step·k} as a series truncated at ε^order."""
+    cs = []
+    for e in entries:
+        cs += [e] + [lat.zero] * (step - 1)
+    return EpsSeries(cs, order, lat.zero)
+
+
+class TestGrowingDefect:
+    """Every ε^n coefficient of ``wring.Defect`` equals the whole-series
+    ``Lattice.defect`` of the same lists, before and after each solve."""
+
+    @staticmethod
+    def checked(monkeypatch, top):
+        """Make every engine query of a growing defect first compare its
+        ε^0..ε^top coefficients with the reference; returns the (len(x), n)
+        of each query."""
+        queries = []
+        coefficient = wring.Defect.coefficient
+
+        def checking(self, n):
+            lat, s = self.lat, self.step
+            x = padded(lat, self.x, top, s)
+            y = x.parity_flip() if s == 1 else padded(lat, self.y, top, s)
+            ref = lat.defect(x, y, padded(lat, [lat.embed(c) for c in self.a], top, s))
+            for m in range(top + 1):
+                assert coefficient(self, m) == ref.coefficient(m), (len(self.x), m)
+            queries.append((len(self.x), n))
+            got = coefficient(self, n)
+            assert got == ref.coefficient(n)
+            return got
+
+        monkeypatch.setattr(wring.Defect, "coefficient", checking)
+        return queries
+
+    @pytest.mark.parametrize("regime", ["one-cut", "two-cut", "scaled", "merged"])
+    def test_matches_whole_series(self, monkeypatch, regime):
+        quartic, merging, bmp = map(parse_potential, ("quartic:1,1", "quartic:-2,1", "bmp"))
+        K, step, engine = {
+            "one-cut": (3, 2, lambda: _RegularEngine(quartic)),
+            "two-cut": (1, 2, lambda: _TwoCutRegularEngine(merging)),
+            "scaled": (3, 2, lambda: _ScaledEngine(bmp, find_critical(bmp)[0])),
+            "merged": (4, 1, lambda: _SymmetricScaledEngine(merging, find_merging(merging)[0])),
+        }[regime]
+        queries = self.checked(monkeypatch, step * K)
+        engine().run(K)
+        # each order k is queried on k entries (before its solve) and on k + 1 (after)
+        for k in range(1, K + 1):
+            assert (k, step * k) in queries and (k + 1, step * k) in queries
+
+    def test_missing_entries_count_as_zero(self):
+        # an ε^n beyond the entries given: the Lattice.defect of the padded series
+        eng = _RegularEngine(parse_potential("quartic:1,1"))
+        lat = eng.lat
+        x, a = [eng.u0], [eng.rho]
+        defect = wring.Defect(lat, x, x, a, 2)
+        u = padded(lat, x, 5, 2)
+        ref = lat.defect(u, u, padded(lat, [lat.embed(eng.rho)], 5, 2))
+        assert all(defect.coefficient(n) == ref.coefficient(n) for n in (5, 3, 0, 4, 1, 2))
 
 
 small = st.fractions(min_value=-4, max_value=4, max_denominator=5)
