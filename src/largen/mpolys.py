@@ -203,6 +203,51 @@ class MPoly:
         return f"MPoly({self.render()})"
 
 
+def greedy_div(p: MPoly, d: MPoly):
+    """p/d as an MPoly, or None when the division is not exact.
+
+    Greedy leading-term division in lex order; for a monomial order this
+    succeeds if and only if d divides p, which is all the callers need.
+    """
+    lead = max(d.terms)
+    lc = d.terms[lead]
+    rem, out = dict(p.terms), {}
+    while rem:
+        e = max(rem)
+        q = tuple(a - b for a, b in zip(e, lead))
+        if min(q) < 0:
+            return None
+        c = out[q] = rem.pop(e) / lc
+        for de, dc in d.terms.items():
+            if de != lead:
+                ke = tuple(a + b for a, b in zip(q, de))
+                nc = rem.get(ke, _ZERO) - c * dc
+                if nc:
+                    rem[ke] = nc
+                else:
+                    del rem[ke]
+    return MPoly._trusted(p.nvars, out)
+
+
+def bareiss_det(rows: list) -> MPoly:
+    """Determinant of a square matrix of MPolys by fraction-free (Bareiss)
+    elimination, each division by the previous pivot exact."""
+    rows = [list(r) for r in rows]
+    n, sign, prev = len(rows), 1, MPoly.const(rows[0][0].nvars, 1)
+    for k in range(n - 1):
+        piv = next((i for i in range(k, n) if rows[i][k]), None)
+        if piv is None:
+            return prev * 0
+        if piv != k:
+            rows[k], rows[piv], sign = rows[piv], rows[k], -sign
+        top = rows[k]
+        for row in rows[k + 1:]:
+            for j in range(k + 1, n):
+                row[j] = greedy_div(top[k] * row[j] - row[k] * top[j], prev)
+        prev = top[k]
+    return rows[-1][-1] * sign
+
+
 class MRatFunc:
     """Quotient of MPolys, kept unreduced; equality by cross-multiplication."""
 

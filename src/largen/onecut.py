@@ -406,10 +406,10 @@ def _near_branch_regular(g: Potential, r_c, T_s, radius, digits: int) -> bool:
     """Does W(r) = T_s have a density-positive root within ``radius`` of r_c?"""
     with mpmath.workdps(digits + 10):
         centre, radius = mpf_of(r_c, digits + 10), mpf_of(radius, digits + 10)
-    for root in _one_cut_candidates(g, T_s, digits):
+    for r0 in _one_cut_candidates(g, T_s, digits):
         with mpmath.workdps(digits + 10):
-            near = abs(mpf_of(root.value, digits + 10) - centre) <= radius
-        if near and branch_density_positive(g, root.value, digits):
+            near = abs(mpf_of(r0, digits + 10) - centre) <= radius
+        if near and branch_density_positive(g, r0, digits):
             return True
     return False
 

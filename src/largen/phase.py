@@ -16,9 +16,14 @@ polynomial h̃ in λ:
 and the density is ρ(x) = h(x)·w₁₊(x)/(2πi·T), normalized to ∫ρ = 1.
 Everything stays in exact rational arithmetic whenever the data allows:
 the two-cut case needs only the rational combinations α² + β² = 2(a₀+b₀)
-and α²β² = (a₀-b₀)², never the irrational endpoints themselves.  Beyond
-quartics the two-cut endpoint equations e₀(σ, τ) = 0, e₁(σ, τ) = T are
-exact polynomials in (σ, τ) = (α², β²), and so is their Jacobian.
+and α²β² = (a₀-b₀)², never the irrational endpoints themselves.
+
+The two-cut endpoints solve W_a(a₀, b₀) = T = W_b(a₀, b₀) by exact
+elimination: W_a − W_b = (a₀ − b₀)·L on the T-free branch curve L, and both
+endpoints of every real solution are real roots of R(b₀, T) = Res_{a₀}(L,
+W_a − T), isolated exactly at an exact T (a double root stays exact) and
+numerically at an mpf T.  Quartics keep the closed form, which is this
+elimination for p = 2 with no resultant to build.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .errors import (
 )
 from .polys import Poly
 from .potential import Potential
-from .roots import RealRoot, real_roots
+from .roots import real_roots
 from .scalars import (
     Scalar,
     as_fraction,
@@ -49,7 +54,7 @@ from .scalars import (
     sqrt_scalar,
     tolerance,
 )
-from .structured import branch_poly_part, endpoint_residues
+from .structured import branch_curve, branch_poly_part, branch_resultant, twocut_hodographs
 
 _ZERO = Fraction(0)
 
@@ -124,13 +129,11 @@ def _one_cut_curve(g: Potential, r0, digits: int) -> tuple:
         return (_ZERO, A), _h_curve_coeffs(g, -A, _ZERO, 1)
 
 
-def _two_cut_curve(g: Potential, a0, b0, digits: int) -> Optional[tuple]:
-    """((α², β²), h̃) for the two-cut phase at (a₀, b₀), or None unless
-    a₀ > b₀ > 0.  h̃ is exact when a₀ and b₀ are; the endpoints are mpf."""
+def _two_cut_curve(g: Potential, a0, b0, digits: int) -> tuple:
+    """((α², β²), h̃) for the two-cut phase at (a₀, b₀), a₀ > b₀ > 0.  h̃ is
+    exact when a₀ and b₀ are; the endpoints are mpf."""
     with mpmath.workdps(digits + 10):
         a0, b0 = lifted((a0, b0), digits + 10)
-        if not (b0 > 0 and a0 > b0):
-            return None
         hc = _h_curve_coeffs(g, -2 * (a0 + b0), (a0 - b0) ** 2, 2)
         a0, b0 = mpf_of(a0, digits + 10), mpf_of(b0, digits + 10)
         sab, s_sum = mpmath.sqrt(a0 * b0), a0 + b0
@@ -150,6 +153,14 @@ def _poly_real_roots_numeric(coeffs, digits: int) -> list:
             return []
         roots = mpmath.polyroots(list(reversed(cs)), maxsteps=200, extraprec=80)
         return sorted(r.real for r in roots if negligible(r.imag, digits))
+
+
+def _real_roots_of(coeffs, digits: int) -> list:
+    """Real roots of Σ coeffs[k]·x^k, ascending: isolated exactly (rational
+    ones stay Fractions) when every coefficient is exact, else numeric."""
+    if all(is_exact(c) for c in coeffs):
+        return [r.value for r in real_roots(Poly(coeffs), digits)]
+    return _poly_real_roots_numeric(coeffs, digits)
 
 
 def _eval_numeric(coeffs, x, digits: int):
@@ -287,15 +298,12 @@ def _gap_inequality(h_coeffs, alpha2, beta2, digits: int) -> str:
 # -- one-cut --------------------------------------------------------------------
 
 
-def _one_cut_candidates(g: Potential, T, digits: int) -> list[RealRoot]:
-    W = g.hodograph()
-    if is_exact(T):
-        p = W - Poly.const(as_fraction(T))
-        return [r for r in real_roots(p, digits) if r.value > 0]
+def _one_cut_candidates(g: Potential, T, digits: int) -> list:
+    """The roots r₀ > 0 of W(r₀) = T, ascending."""
     with mpmath.workdps(digits + 10):
-        coeffs = [mpf_of(c, digits + 10) for c in W.coeffs]
-        coeffs[0] -= mpf_of(T, digits + 10)
-        return [RealRoot(r, 1, False) for r in _poly_real_roots_numeric(coeffs, digits) if r > 0]
+        *cs, t = lifted((*g.hodograph().coeffs, T), digits + 10)
+        cs[0] -= t
+        return [r for r in _real_roots_of(cs, digits) if r > 0]
 
 
 def _one_cut_verdict(endpoints, hc, digits: int) -> Optional[str]:
@@ -323,9 +331,9 @@ def solve_one_cut(g: Potential, T, digits: int | None = None) -> Scalar:
     digits = digits or default_digits()
     if not lifted(T, digits) > 0:
         raise ValueError("need T > 0")
-    for root in _one_cut_candidates(g, T, digits):
-        if _one_cut_verdict(*_one_cut_curve(g, root.value, digits), digits) is not None:
-            return root.value
+    for r0 in _one_cut_candidates(g, T, digits):
+        if _one_cut_verdict(*_one_cut_curve(g, r0, digits), digits) is not None:
+            return r0
     raise NoAdmissibleRoot(f"no admissible one-cut solution at T={T}")
 
 
@@ -346,96 +354,43 @@ def _quartic_two_cut(g: Potential, T, digits: int):
     return a0, b0
 
 
-def _endpoint_equations(g: Potential, T, digits: int):
-    """(residuals, jacobian) of e₀ = 0, e₁ = T at mpf (σ, τ): the exact
-    ``endpoint_residues`` and their partials, lifted once at ``digits`` and
-    each summed by one ``fdot`` over shared monomials in σ and τ."""
-    e0, e1 = endpoint_residues(g.gs)
-    polys = [[(e, mpf_of(c, digits)) for e, c in p.terms.items()]
-             for p in (e0, e1, e0.diff(0), e0.diff(1), e1.diff(0), e1.diff(1))]
-    top, T_f = e1.total_degree(), mpf_of(T, digits)
-
-    def dots(rows, sigma, tau):
-        sp, tp = [mpmath.mpf(1)], [mpmath.mpf(1)]
-        for _ in range(top):
-            sp.append(sp[-1] * sigma)
-            tp.append(tp[-1] * tau)
-        mon = {(i, j): sp[i] * tp[j] for i in range(top + 1) for j in range(top + 1 - i)}
-        return [mpmath.fdot((c, mon[e]) for e, c in row) for row in rows]
-
-    def residuals(sigma, tau):
-        e0, e1 = dots(polys[:2], sigma, tau)
-        return e0, e1 - T_f
-
-    return residuals, lambda sigma, tau: dots(polys[2:], sigma, tau)
+def _two_cut_candidates(g: Potential, T, digits: int) -> list[tuple]:
+    """Every (a₀, b₀) with a₀ > b₀ > 0 solving W_a = T = W_b, by increasing
+    a₀, or NoTwoCutSolution with its reason.  Beyond quartics the real
+    solutions are the pairs x ≥ y of real roots of R(·, T) with L(x, y) and
+    W_a(x, y) − T negligible (module notes)."""
+    if len(g.gs) == 2:
+        return [_quartic_two_cut(g, T, digits)]
+    W_a, W_b = twocut_hodographs(g.gs)
+    L = branch_curve(W_a, W_b)
+    R = branch_resultant(L, W_a)
+    solutions = []
+    with mpmath.workdps(digits + 10):
+        cs = [0] * (max(e[0] for e in R.terms) + 1)
+        for (k, j), c in R.terms.items():
+            c, t = lifted((c, T), digits + 10)
+            cs[k] += c * t**j
+        roots = _real_roots_of(cs, digits)
+        for i, x in enumerate(roots):
+            for y in roots[: i + 1]:
+                a0, b0, t = lifted((x, y, T), digits + 10)
+                residues = (L.eval((a0, b0)), W_a.eval((a0, b0)) - t)
+                if all(negligible(r, digits) for r in residues):
+                    solutions.append((a0, b0))
+    if not solutions:
+        raise NoTwoCutSolution("no real solution of W_a = T = W_b")
+    ordered = [(a0, b0) for a0, b0 in solutions if a0 > b0 > 0]
+    if not ordered:
+        raise NoTwoCutSolution("no solution with a₀ > b₀ > 0")
+    return ordered
 
 
 def solve_two_cut(g: Potential, T, digits: int | None = None):
-    """Endpoint data (a₀, b₀) with a₀ > b₀ > 0 for the two-cut phase.
-
-    Quartic families use the closed form; higher-degree potentials run a
-    damped Newton iteration on (σ, τ) = (α², β²) seeded from a coarse grid.
-    Its equations e₀ = 0, e₁ = T are the exact polynomials of
-    ``structured.endpoint_residues``, built once per call, and its Jacobian
-    is their exact derivative.
-    """
-    digits = digits or default_digits()
-    if len(g.gs) == 2:
-        return _quartic_two_cut(g, T, digits)
-    with mpmath.workdps(2 * digits):
-        residuals, jacobian = _endpoint_equations(g, T, 2 * digits)
-        W = g.hodograph()
-        scales = [mpmath.mpf(1)]
-        if W.derivative().degree >= 1:
-            scales += [
-                abs(mpf_of(r.value, 2 * digits)) * 4
-                for r in real_roots(W.derivative(), digits)
-            ]
-        r_scale = max(scales)
-        best = None
-        for i in range(1, 9):
-            tau = r_scale * i
-            for jf in range(1, 8):
-                sigma = tau * Fraction(jf, 8)
-                e0, e1 = residuals(sigma, tau)
-                n = abs(e0) + abs(e1)
-                if best is None or n < best[0]:
-                    best = (n, sigma, tau)
-        _, sigma, tau = best
-        sigma, tau = mpmath.mpf(sigma) * 1, tau * 1
-        tol = mpmath.mpf(10) ** (-digits)
-        converged = False
-        for _ in range(160):
-            e0, e1 = residuals(sigma, tau)
-            if abs(e0) + abs(e1) < tol:
-                converged = True
-                break
-            j00, j01, j10, j11 = jacobian(sigma, tau)
-            det = j00 * j11 - j01 * j10
-            if det == 0:
-                raise NoTwoCutSolution("singular endpoint Jacobian")
-            dsig = (-e0 * j11 + e1 * j01) / det
-            dtau = (-e1 * j00 + e0 * j10) / det
-            step = mpmath.mpf(1)
-            improved = False
-            while step > mpmath.mpf(2) ** -40:
-                s_new, t_new = sigma + step * dsig, tau + step * dtau
-                if 0 < s_new < t_new:
-                    n0, n1 = residuals(s_new, t_new)
-                    if abs(n0) + abs(n1) < abs(e0) + abs(e1):
-                        sigma, tau = s_new, t_new
-                        improved = True
-                        break
-                step /= 2
-            if not improved:
-                raise NoTwoCutSolution("Newton iteration stalled")
-        if not converged:
-            raise NoTwoCutSolution("Newton iteration did not converge")
-        if not 0 < sigma < tau:
-            raise NoTwoCutSolution("endpoints out of order")
-        a0 = (mpmath.sqrt(sigma) + mpmath.sqrt(tau)) ** 2 / 4
-        b0 = (mpmath.sqrt(tau) - mpmath.sqrt(sigma)) ** 2 / 4
-        return a0, b0
+    """Endpoint data (a₀, b₀) with a₀ > b₀ > 0 for the two-cut phase: the
+    closed form for quartics, else exact elimination on the branch curve
+    (module notes).  The first candidate, smallest a₀, is returned; a refusal
+    says whether there is no real solution or none with a₀ > b₀ > 0."""
+    return _two_cut_candidates(g, T, digits or default_digits())[0]
 
 
 def _two_cut_verdict(endpoints, hc, digits: int) -> Optional[str]:
@@ -482,21 +437,22 @@ def classify_phase(g: Potential, T, digits: int | None = None) -> PhaseResult:
     """
     digits = digits or default_digits()
     results: list[PhaseResult] = []
-    for root in _one_cut_candidates(g, T, digits):
-        curve = _one_cut_curve(g, root.value, digits)
+    for r0 in _one_cut_candidates(g, T, digits):
+        curve = _one_cut_curve(g, r0, digits)
         verdict = _one_cut_verdict(*curve, digits)
         if verdict is not None:
-            results.append(_phase_result(1, *curve, verdict, T, r0=root.value))
+            results.append(_phase_result(1, *curve, verdict, T, r0=r0))
             break  # smallest admissible root is the physical branch
     try:
-        a0, b0 = solve_two_cut(g, T, digits)
-    except (NoTwoCutSolution, Unclassifiable):
-        a0 = b0 = None
-    curve = None if a0 is None else _two_cut_curve(g, a0, b0, digits)
-    if curve is not None:
+        pairs = _two_cut_candidates(g, T, digits)
+    except NoTwoCutSolution:
+        pairs = []
+    for a0, b0 in pairs:
+        curve = _two_cut_curve(g, a0, b0, digits)
         verdict = _two_cut_verdict(*curve, digits)
         if verdict is not None:
             results.append(_phase_result(2, *curve, verdict, T, a0=a0, b0=b0))
+            break  # the first admissible pair, as for one cut
     if not results:
         raise Unclassifiable(f"no admissible phase found at T={T}")
     regular = [r for r in results if r.status == "regular"]

@@ -16,7 +16,6 @@ from typing import Optional
 
 import mpmath
 
-from .errors import PrecisionExhausted
 from .polys import Poly
 from .scalars import Scalar, default_digits, mpf_of, rationalize
 
@@ -134,33 +133,23 @@ def _try_rational(p: Poly, x_mpf) -> Optional[Fraction]:
     return cand if p(cand) == 0 else None
 
 
-def _refine(p: Poly, lo: Fraction, hi: Fraction, digits: int):
-    """Shrink (lo, hi) around its single root, then Newton-polish in mpf.
-
-    Returns (value, lo, hi) where value is a Fraction when bisection landed
-    on the root exactly, else an mpf.
-    """
-    f_lo = p(lo)
-    if f_lo == 0:
-        return lo, lo, lo
-    target = Fraction(1, 10 ** (digits + 5))
-    sign_lo = f_lo > 0
-    for _ in range(20000):
-        if hi - lo < target:
-            break
+def _halve(lo: Fraction, hi: Fraction, width: Fraction, above) -> tuple:
+    """Bisect (lo, hi) to below ``width``; ``above(mid)`` says whether the
+    root lies above mid, or is None when mid is the root, giving (mid, mid)."""
+    while hi - lo >= width:
         mid = (lo + hi) / 2
-        v = p(mid)
-        if v == 0:
-            return mid, mid, mid
-        if (v > 0) == sign_lo:
-            lo = mid
-        else:
-            hi = mid
-    else:  # pragma: no cover - loop bound is generous
-        raise PrecisionExhausted("bisection failed to converge")
+        side = above(mid)
+        if side is None:
+            return mid, mid
+        lo, hi = (mid, hi) if side else (lo, mid)
+    return lo, hi
+
+
+def _newton(p: Poly, lo: Fraction, hi: Fraction, digits: int):
+    """The root of p in (lo, hi), by mpf Newton from the midpoint."""
+    dp = p.derivative()
     with mpmath.workdps(digits + 10):
         x = (mpf_of(lo, digits + 10) + mpf_of(hi, digits + 10)) / 2
-        dp = p.derivative()
         for _ in range(50):
             d = dp(x)
             if d == 0:
@@ -169,8 +158,33 @@ def _refine(p: Poly, lo: Fraction, hi: Fraction, digits: int):
             x -= step
             if abs(step) < mpmath.mpf(10) ** (-(digits + 6)):
                 break
-        x_out = +x
-    return x_out, lo, hi
+        return +x
+
+
+def _refine(p: Poly, lo: Fraction, hi: Fraction, digits: int):
+    """(value, lo, hi): (lo, hi) shrunk inside the given bracket to below
+    10^−(digits+5), and its root as a Fraction when a midpoint hits it, else
+    Newton-polished in mpf.  Exact bisection stops at about 2⁻⁶⁰ of the
+    endpoints' size; a Newton root steers the remaining halvings, and exact
+    signs at both ends certify their bracket (else exact bisection goes on),
+    so bracket and value are those of exact bisection all the way."""
+    f_lo = p(lo)
+
+    def exact(mid):
+        v = p(mid)
+        return None if v == 0 else (v > 0) == (f_lo > 0)
+
+    width = Fraction(1, 10 ** (digits + 5))
+    rough = max(max(abs(lo), abs(hi)) / 2**60, width)
+    lo, hi = (lo, lo) if f_lo == 0 else _halve(lo, hi, rough, exact)
+    if lo < hi:
+        guide = rationalize(_newton(p, lo, hi, digits))
+        steered = _halve(lo, hi, width, lambda mid: mid < guide)
+        certified = exact(steered[0]) is True and exact(steered[1]) is False
+        lo, hi = steered if certified else _halve(lo, hi, width, exact)
+    if lo == hi:
+        return lo, lo, lo
+    return _newton(p, lo, hi, digits), lo, hi
 
 
 def real_roots(p: Poly, digits: int | None = None,

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .mpolys import MPoly
+from .mpolys import MPoly, bareiss_det, greedy_div
 from .polys import Poly
 
 _ZERO = Fraction(0)
@@ -192,32 +192,45 @@ def twocut_hodographs(gs: Sequence) -> tuple[MPoly, MPoly]:
     return shiftpart + (a - b) * flatpart, shiftpart + (b - a) * flatpart
 
 
-# The λ-cut [σ, τ]: var 0 is σ, var 1 is τ, and w² = (λ-σ)(λ-τ), i.e.
-# d1 = -(σ+τ), d0 = στ.
+def branch_curve(W_a: MPoly, W_b: MPoly) -> MPoly:
+    """L(a0, b0) = (W_a - W_b)/(a0 - b0), an exact division.  W_a = T = W_b
+    forces W_a - W_b = 0 at every T, so the two-cut branch lies on the T-free
+    curve L = 0, of degree p - 1 for a potential of degree 2p."""
+    a, b, _, _ = _endpoint_curve()
+    return greedy_div(W_a - W_b, a - b)
 
 
-def _cut_residue(gs: Sequence, p: int, shift: int) -> MPoly:
-    s = MPoly.var(2, 0)
-    t = MPoly.var(2, 1)
-    vp = [MPoly.const(2, c) for c in v_prime(gs).coeffs]
-    return branch_residue(vp, -(s + t), s * t, p, shift=shift)
+def _in_a(p: MPoly) -> list:
+    """[c_n, ..., c_0] with p = Σ c_i·a0^i, the c_i in (b0, T)."""
+    cs: dict = {}
+    for (ea, eb), c in p.terms.items():
+        cs.setdefault(ea, {})[(eb, 0)] = c
+    return [MPoly(2, cs.get(i)) for i in range(max(cs), -1, -1)]
 
 
-def endpoint_residues(gs: Sequence) -> tuple[MPoly, MPoly]:
-    """(e₀, e₁) = (∮ V'/w, ∮ λ·V'/w) as polynomials in (σ, τ).
-
-    The λ-cut [σ, τ] carries a two-cut solution at temperature T exactly
-    when e₀ = 0 and e₁ = T.  Since ∂_σ(1/w) = (λ-τ)/(2w³), the partials
-    are ½∮ V'·(λ-τ)/w³ and its σ ↔ τ mirror (times λ for e₁).
-    """
-    return _cut_residue(gs, -1, 0), _cut_residue(gs, -1, 1)
+def branch_resultant(L: MPoly, W_a: MPoly) -> MPoly:
+    """R(b0, T) = Res_{a0}(L, W_a - T), the Sylvester determinant over
+    ℚ[b0, T] taken fraction-free.  A solution (a0, b0) of W_a = T = W_b has
+    R(b0, T) = 0, and so does its mirror (b0, a0), since L is swap-symmetric
+    and W_a = W_b on L = 0: the real roots of R(·, T) hold both endpoints of
+    every real solution."""
+    f, g, zero = _in_a(L), _in_a(W_a), MPoly(2)
+    g[-1] = g[-1] - MPoly.var(2, 1)
+    m, n = len(f) - 1, len(g) - 1
+    rows = [[zero] * i + f + [zero] * (n - 1 - i) for i in range(n)]
+    rows += [[zero] * i + g + [zero] * (m - 1 - i) for i in range(m)]
+    return bareiss_det(rows)
 
 
 def merging_free_energy(gs: Sequence) -> MPoly:
-    """∮ V'(λ)·w as a polynomial in the endpoints (σ, τ) of the λ-cut.
+    """∮ V'(λ)·w as a polynomial in the endpoints (σ, τ) of the λ-cut
+    w² = (λ-σ)(λ-τ).
 
     The full planar functional is this plus (T/2)(σ+τ); its σ- and
     τ-gradients vanish on solutions, and it satisfies the
     Euler-Poisson-Darboux equation 2(τ-σ)F_στ = F_σ - F_τ identically.
     """
-    return _cut_residue(gs, 1, 0)
+    s = MPoly.var(2, 0)
+    t = MPoly.var(2, 1)
+    vp = [MPoly.const(2, c) for c in v_prime(gs).coeffs]
+    return branch_residue(vp, -(s + t), s * t, 1)

@@ -48,7 +48,7 @@ from .errors import (
     TruncationExceeded,
     certify,
 )
-from .mpolys import MPoly, MRatFunc
+from .mpolys import MPoly, MRatFunc, greedy_div
 from .phase import solve_two_cut
 from .potential import Potential
 from .roots import real_roots
@@ -135,37 +135,6 @@ def _image_divisible(f: list, g: list) -> bool:
     return not any(v % _P for v in f[:n])
 
 
-def _greedy_div(p: MPoly, d: MPoly):
-    """p/d as an MPoly, or None when the division is not exact.
-
-    Greedy leading-term division in lex order; for a monomial order this
-    succeeds if and only if d divides p, which is all the callers need.
-    """
-    if p.is_zero():
-        return p
-    lead = max(d.terms)
-    lc = d.terms[lead]
-    rem = dict(p.terms)
-    out = {}
-    while rem:
-        e = max(rem)
-        q = tuple(a - b for a, b in zip(e, lead))
-        if any(x < 0 for x in q):
-            return None
-        c = rem.pop(e) / lc
-        out[q] = c
-        for de, dc in d.terms.items():
-            if de == lead:
-                continue
-            ke = tuple(a + b for a, b in zip(q, de))
-            nc = rem.get(ke, _F0) - c * dc
-            if nc:
-                rem[ke] = nc
-            else:
-                rem.pop(ke, None)
-    return MPoly._trusted(p.nvars, out)
-
-
 def _exact_div(p: MPoly, d: MPoly, d_img, img=None):
     """p/d as an MPoly, or None when d does not divide p.
 
@@ -173,13 +142,13 @@ def _exact_div(p: MPoly, d: MPoly, d_img, img=None):
     caller has it (the list is consumed).  If p = q·d over ℚ and neither p
     nor d has a denominator divisible by P, Gauss's lemma over ℤ_(P) makes q
     P-integral, so φ(d) divides φ(p); a nonzero remainder of φ(p) mod φ(d)
-    therefore proves d ∤ p.  Every other case is decided by ``_greedy_div``.
+    therefore proves d ∤ p.  Every other case is decided by ``greedy_div``.
     """
     if d_img is not None:
         img = _image(p) if img is None else img
         if img is not None and not _image_divisible(img, d_img):
             return None
-    return _greedy_div(p, d)
+    return greedy_div(p, d)
 
 
 def _divide_out(num: MPoly, d: MPoly, d_img, img) -> tuple:

@@ -1,10 +1,14 @@
 """Package-wide checks: certificates survive ``python -O``, the zero
-tolerance lives in one place, and differential polynomials stay over ℚ."""
+tolerance lives in one place, differential polynomials stay over ℚ, and
+every name the benchmark's spans wrap still exists."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "largen"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "largen"
 
 
 def test_package_has_no_assert_statement():
@@ -36,3 +40,25 @@ def test_diffpoly_never_names_rationalfunc():
     ]
     assert "diffpoly.py" not in found
     assert found == ["onecut.py", "painleve.py", "polys.py"]
+
+
+def test_benchmark_span_targets_resolve():
+    # perfbench/spans.py wraps largen names from outside; a deleted name
+    # drops its layer and leaves a traced benchmark run malformed.  Resolved
+    # here by import and getattr alone, installing no wrapper.
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for targets in spans.LAYERS.values():
+        for target in targets:
+            modname, _, path = target.partition(":")
+            obj = importlib.import_module(f"largen.{modname}")
+            for name in path.split("."):
+                obj = getattr(obj, name, None)
+            if not callable(obj):
+                missing.append(target)
+    assert not missing, missing
+    assert {"phase:solve_two_cut", "roots:real_roots", "structured:branch_coeff"} <= {
+        t for targets in spans.LAYERS.values() for t in targets
+    }

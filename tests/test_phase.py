@@ -12,6 +12,7 @@ from largen.errors import (
     NoAdmissibleRoot,
     NoTwoCutSolution,
     OutsideSupport,
+    SingularHodograph,
     Unclassifiable,
 )
 from largen.phase import (
@@ -22,15 +23,19 @@ from largen.phase import (
     solve_one_cut,
     solve_two_cut,
 )
+from largen.polys import Poly
 from largen.potential import Potential, parse_potential
+from largen.roots import real_roots
 from largen.scalars import mpf_of
-from largen.structured import twocut_hodographs
+from largen.structured import branch_curve, branch_resultant, twocut_hodographs
 from largen.twocut import expand_two_cut_regular
 
 QUARTIC = parse_potential("quartic:-2,1")
 BMP = Potential.bmp()
 GAUSS = Potential.gaussian()
 SEXTIC = parse_potential("sextic:42,-11,1")
+MERGE2 = parse_potential("sextic:-6,-3,1")
+OUT_OF_ORDER = "no solution with a₀ > b₀ > 0"
 NEWTON_PIN = json.loads(
     (Path(__file__).parent / "data" / "solve_two_cut_newton_d30.json").read_text()
 )
@@ -93,12 +98,13 @@ class TestSolveTwoCut:
 
 
 class TestTwoCutNewton:
-    """The damped Newton that solves every non-quartic two-cut point, against
-    ``solve_two_cut_newton_d30.json``: written at 30 digits by the Newton that
-    summed the endpoint residues over mpf, before they became exact
-    polynomials.  ``sextic:-6,-3,1`` at T = 12, its merging double root, is
-    left out: the Newton reaches it only to about 1e-8, so its digits would
-    pin noise."""
+    """Non-quartic two-cut points against ``solve_two_cut_newton_d30.json``:
+    written at 30 digits by the damped Newton that solved them before the
+    exact elimination.  ``sextic:-6,-3,1`` at T = 12, its merging double root,
+    is left out: the Newton reached it only to about 1e-8, so its digits
+    would pin noise (``TestTwoCutElimination`` covers it).  The pinned
+    refusals keep their error class; their messages were the Newton's, and
+    the elimination names its reason instead."""
 
     @pytest.mark.parametrize("case", NEWTON_PIN["solved"], ids=pin_id)
     def test_endpoints_match_pin(self, case):
@@ -111,8 +117,8 @@ class TestTwoCutNewton:
 
     @pytest.mark.parametrize("case", NEWTON_PIN["solved"], ids=pin_id)
     def test_endpoints_solve_the_two_cut_hodographs(self, case):
-        # the (a₀, b₀) string equations of the two-cut engine, independent of
-        # the (σ, τ) residues the Newton drives to zero
+        # both string equations of the two-cut engine, of which the
+        # elimination uses only W_a and the branch curve
         g = parse_potential(case["potential"])
         T = F(case["T"])
         a0, b0 = solve_two_cut(g, T, NEWTON_PIN["digits"])
@@ -126,7 +132,56 @@ class TestTwoCutNewton:
         with pytest.raises(getattr(errors, case["error"])) as info:
             solve_two_cut(g, F(case["T"]), NEWTON_PIN["digits"])
         assert type(info.value).__name__ == case["error"]
-        assert str(info.value) == case["message"]
+        assert str(info.value) == OUT_OF_ORDER
+
+
+def resultant_at(g, T) -> Poly:
+    """R(·, T) = Res_{a₀}(L, W_a − T) as a polynomial in b₀ over ℚ."""
+    wa, wb = twocut_hodographs(g.gs)
+    R = branch_resultant(branch_curve(wa, wb), wa)
+    cs = [F(0)] * (max(e[0] for e in R.terms) + 1)
+    for (k, j), c in R.terms.items():
+        cs[k] += c * T**j
+    return Poly(cs)
+
+
+class TestTwoCutElimination:
+    @pytest.mark.parametrize("T,pair", [(12, (-0.313, 2.866)), (21, (-0.459, 2.729))],
+                             ids=["T=12", "T=21"])
+    def test_real_solutions_out_of_order_are_refused(self, T, pair):
+        # the only real roots of R form one mirror pair with b₀ < 0
+        roots = real_roots(resultant_at(SEXTIC, F(T)), 30)
+        assert tuple(round(float(r.value), 3) for r in roots) == pair
+        with pytest.raises(NoTwoCutSolution, match="^no solution with a₀ > b₀ > 0$"):
+            solve_two_cut(SEXTIC, F(T))
+
+    def test_no_real_solution_is_its_own_reason(self):
+        # W_a − W_b = 2(a₀ − b₀) for the Gaussian: L is a nonzero constant
+        with pytest.raises(NoTwoCutSolution, match="^no real solution of W_a = T = W_b$"):
+            solve_two_cut(GAUSS, F(1))
+
+    def test_merging_double_root(self):
+        # at T_c = 12 the branch curve meets the diagonal: b₀ = 1 is an exact
+        # root of R, of multiplicity 4 (W_a − 12 vanishes to fourth order
+        # along L = 0 there), and its only pair is a₀ = b₀ = 1
+        roots = real_roots(resultant_at(MERGE2, F(12)), 30)
+        assert [(r.value, r.multiplicity) for r in roots if r.exact] == [(F(1), 4)]
+        with pytest.raises(NoTwoCutSolution, match="^no solution with a₀ > b₀ > 0$"):
+            solve_two_cut(MERGE2, F(12))
+        p = classify_phase(MERGE2, F(12))
+        assert (p.s, p.status, p.endpoints, p.alternates) == (1, "critical", (F(0), F(4)), ())
+        with pytest.raises(SingularHodograph, match="^the cuts merge at T = 12; "):
+            expand_two_cut_regular(MERGE2, F(12), 1)
+
+    @pytest.mark.parametrize("T", [6, 10], ids=["T=6", "T=10"])
+    def test_mpf_temperature_matches_exact(self, T):
+        exact = solve_two_cut(MERGE2, F(T), 30)
+        with mpmath.workdps(30):
+            numeric = solve_two_cut(MERGE2, mpmath.mpf(T), 30)
+        assert all(isinstance(v, mpmath.mpf) for v in numeric)
+        with mpmath.workdps(40):
+            for got, want in zip(numeric, exact):
+                assert abs(got - want) <= mpmath.mpf(10) ** -25 * abs(want)
 
 
 class TestComputeH:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from largen.polys import Poly
+from largen import roots
 from largen.roots import RealRoot, positive_roots, real_roots, yun_squarefree
 
 SQRT2_40 = "1.414213562373095048801688724209698078570"
@@ -130,3 +131,60 @@ def test_sqrt_of_integer_accuracy(n):
     with mpmath.workdps(30):
         err = abs(mpf_of(got[0].value, 30) - mpmath.sqrt(n))
         assert err < mpmath.mpf(10) ** -22
+
+
+# R(b₀, 6) = Res_{a₀}(L, W_a − 6) for sextic:-6,-3,1: degree 6, four real roots
+RESULTANT_T6 = Poly([7776, -93312, 279936, -93312, -93312, 186624, -62208])
+
+
+def _isolated(p):
+    bound = roots._root_bound(p)
+    return roots._isolate(p, -bound, bound)
+
+
+def _bisect_then_newton(p, lo, hi, digits):
+    """Exact bisection down to 10^−(digits+5), then the mpf Newton polish."""
+    lo, hi = roots._halve(lo, hi, Fraction(1, 10 ** (digits + 5)),
+                          lambda mid: None if p(mid) == 0 else (p(mid) > 0) == (p(lo) > 0))
+    return roots._newton(p, lo, hi, digits), lo, hi
+
+
+def test_refine_evaluates_the_polynomial_at_most_90_times_per_root(monkeypatch):
+    # exact bisection to 10^-35 alone takes about 117 evaluations per root;
+    # here about 60 halvings are exact and Newton steers the rest
+    calls = []
+    evaluate = Poly.__call__
+    monkeypatch.setattr(Poly, "__call__", lambda p, x: calls.append(x) or evaluate(p, x))
+    brackets = _isolated(RESULTANT_T6)
+    assert len(brackets) == 4
+    for lo, hi in brackets:
+        calls.clear()
+        roots._refine(RESULTANT_T6, lo, hi, 30)
+        assert len(calls) <= 90
+
+
+@pytest.mark.parametrize("p", [RESULTANT_T6, Poly([-2, 0, 1]), _poly_from_roots([Fraction(1, 3), 5]) + 1],
+                         ids=["resultant", "x^2-2", "perturbed"])
+def test_refine_returns_what_exact_bisection_returns(p):
+    # the guided halvings reach the bisection bracket, so the value is bit for bit the same
+    for lo, hi in _isolated(p):
+        value, flo, fhi = roots._refine(p, lo, hi, 30)
+        assert lo <= flo < fhi <= hi
+        assert (value, flo, fhi) == _bisect_then_newton(p, lo, hi, 30)
+
+
+def test_refine_falls_back_when_the_guide_misleads(monkeypatch):
+    newton = roots._newton
+    guides = []
+
+    def misled(p, lo, hi, digits):
+        guides.append(lo)
+        x = newton(p, lo, hi, digits)
+        return x + (hi - lo) / 4 if len(guides) == 1 else x
+
+    monkeypatch.setattr(roots, "_newton", misled)
+    lo, hi = _isolated(RESULTANT_T6)[1]
+    got = roots._refine(RESULTANT_T6, lo, hi, 30)
+    monkeypatch.undo()
+    assert got == _bisect_then_newton(RESULTANT_T6, lo, hi, 30)
+    assert len(guides) == 2

@@ -17,19 +17,23 @@ matching comments):
 
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from largen.mpolys import MPoly
 from largen.polys import Poly
+from largen.roots import real_roots
+from largen.scalars import mpf_of
 from largen.structured import (
     branch_coeff,
+    branch_curve,
     branch_poly_part,
     branch_residue,
+    branch_resultant,
     c_weight,
     double_factorial_odd,
-    endpoint_residues,
     gamma_moment,
     gen_binom,
     hodograph_poly,
@@ -149,6 +153,53 @@ def test_twocut_reduces_to_onecut_on_diagonal(r):
     assert wb.eval((r, r)) == w(r)
 
 
+A0, B0 = MPoly.var(2, 0), MPoly.var(2, 1)
+
+
+@pytest.mark.parametrize("gs,want", [
+    (QUARTIC, A0 + B0 - 1),
+    (MERGE2, A0 * A0 + 4 * A0 * B0 + B0 * B0 - 2 * A0 - 2 * B0 - 2),
+], ids=["quartic:-2,1", "sextic:-6,-3,1"])
+def test_branch_curve_closed_forms(gs, want):
+    wa, wb = twocut_hodographs(gs)
+    L = branch_curve(wa, wb)
+    c = L.terms[max(L.terms)]
+    assert L == want * c
+    assert wa - wb == (A0 - B0) * L
+
+
+def test_branch_curve_of_an_octic_is_a_swap_symmetric_cubic():
+    wa, wb = twocut_hodographs(OCTIC)
+    L = branch_curve(wa, wb)
+    assert L.total_degree() == 3
+    assert L == MPoly(2, {(e[1], e[0]): c for e, c in L.terms.items()})
+    assert wa - wb == (A0 - B0) * L
+
+
+@ENDPOINT_CASES
+def test_branch_resultant_vanishes_at_both_endpoints(gs):
+    # each real point (a₀, b₀) of L = 0 solves W_a = T = W_b at T = W_a
+    # there, so R(·, T) vanishes at b₀ and, by the a₀ ↔ b₀ mirror, at a₀
+    wa, wb = twocut_hodographs(gs)
+    L = branch_curve(wa, wb)
+    R = branch_resultant(L, wa)
+    points = []
+    for b0 in (F(1, 3), F(3), F(-3)):
+        in_a = [F(0)] * (L.total_degree() + 1)
+        for (i, j), c in L.terms.items():
+            in_a[i] += c * b0**j
+        points += [(r.value, b0) for r in real_roots(Poly(in_a), 40)]
+    assert points
+    scale = sum(abs(c) for c in R.terms.values())
+    with mpmath.workdps(40):
+        for a0, b0 in points:
+            a0, b0 = mpf_of(a0, 40), mpf_of(b0, 40)
+            T = wa.eval((a0, b0))
+            for x in (a0, b0):
+                size = scale * (1 + abs(x) + abs(T)) ** R.total_degree()
+                assert abs(R.eval((x, T))) < mpmath.mpf(10) ** -30 * size
+
+
 def test_merging_free_energy_epd_identity():
     for gs in (QUARTIC, MERGE2, BMP):
         f = merging_free_energy(gs)
@@ -170,6 +221,14 @@ def test_merging_free_energy_sigma_derivatives_give_phi():
             assert got == want, (gs, k)
 
 
+def _endpoint_residues(gs) -> tuple:
+    """(e₀, e₁) = (∮ V'/w, ∮ λ·V'/w) over MPoly in the λ-cut chart (σ, τ),
+    w² = (λ-σ)(λ-τ): the residue calculus ``merging_free_energy`` runs on."""
+    s, t = MPoly.var(2, 0), MPoly.var(2, 1)
+    vp = [MPoly.const(2, c) for c in v_prime(gs).coeffs]
+    return tuple(branch_residue(vp, -(s + t), s * t, -1, shift=k) for k in (0, 1))
+
+
 def _mirror_partial(gs, shift: int, var: int) -> MPoly:
     """½∮ V'·λ^shift·(λ - other endpoint)/w³ over MPoly: the partial of
     e_shift in ``var`` (0 for σ, 1 for τ) read off ∂(1/w) = (λ - other)/(2w³)."""
@@ -181,7 +240,7 @@ def _mirror_partial(gs, shift: int, var: int) -> MPoly:
 
 @ENDPOINT_CASES
 def test_endpoint_residue_partials_are_the_mirror_residues(gs):
-    for shift, e in enumerate(endpoint_residues(gs)):
+    for shift, e in enumerate(_endpoint_residues(gs)):
         for var in (0, 1):
             assert e.diff(var) == _mirror_partial(gs, shift, var), (shift, var)
 
@@ -189,7 +248,7 @@ def test_endpoint_residue_partials_are_the_mirror_residues(gs):
 @ENDPOINT_CASES
 def test_endpoint_residues_evaluate_to_branch_residues(gs):
     vp = list(v_prime(gs).coeffs)
-    e0, e1 = endpoint_residues(gs)
+    e0, e1 = _endpoint_residues(gs)
     for sigma, tau in ((F(1, 3), F(2)), (F(-5, 7), F(9, 4)), (F(3), F(11, 2))):
         d1, d0 = -(sigma + tau), sigma * tau
         assert e0.eval((sigma, tau)) == branch_residue(vp, d1, d0, -1)

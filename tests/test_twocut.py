@@ -17,7 +17,7 @@ from largen.errors import (
     SingularHodograph,
     TruncationExceeded,
 )
-from largen.mpolys import MPoly
+from largen.mpolys import MPoly, greedy_div
 from largen.potential import Potential, parse_potential
 from largen.structured import gamma_moment, phi_moment, psi_poly
 from largen.twocut import (
@@ -27,7 +27,6 @@ from largen.twocut import (
     _Loc,
     _LocCtx,
     _exact_div,
-    _greedy_div,
     _image,
     _monic_image,
     _solvable,
@@ -216,7 +215,7 @@ class TestExactDivision:
     def test_filter_agrees_with_greedy_division(self, name, p, q):
         d = DIVISORS[name]
         for num in (p, q * d + p, q * d * d):
-            assert _exact_div(num, d, _monic_image(d)) == _greedy_div(num, d)
+            assert _exact_div(num, d, _monic_image(d)) == greedy_div(num, d)
 
     def test_filter_skips_the_rational_division(self, monkeypatch):
         d = DIVISORS["sextic det"]
@@ -225,7 +224,7 @@ class TestExactDivision:
         def refuse(p, d):
             raise AssertionError("the modular image should have decided this")
 
-        monkeypatch.setattr("largen.twocut._greedy_div", refuse)
+        monkeypatch.setattr("largen.twocut.greedy_div", refuse)
         assert _exact_div(p, d, _monic_image(d)) is None
 
     def test_denominator_divisible_by_p_falls_back(self):
