@@ -1,16 +1,24 @@
 """Sparse multivariate polynomials over the rationals.
 
 Used where the coefficient field has two generators (the leading endpoint
-functions of a two-cut expansion).  ``MRatFunc`` deliberately skips gcd
-reduction — multivariate gcds are expensive and nothing downstream needs
-canonical forms, only exact arithmetic and a reliable equality test, which
-cross-multiplication provides.
+functions of a two-cut expansion).  An ``MPoly`` is a table of integer
+numerators over one positive denominator, {exponent tuple: int} / den, with
+gcd(den, numerators) = 1 and no zero entry, so equal polynomials have equal
+tables and the arithmetic runs on ints alone; ``terms`` is the read-only
+{exponents: Fraction} view, in the table's insertion order.  Exact division
+(``greedy_div``) divides by the primitive part of the divisor's numerators:
+by Gauss's lemma an exact quotient then has integer coefficients, so a
+leading coefficient that does not divide proves the division inexact.
+
+``MRatFunc`` deliberately skips gcd reduction — multivariate gcds are
+expensive and nothing downstream needs canonical forms, only exact
+arithmetic and a reliable equality test, which cross-multiplication provides.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import Mapping
 
@@ -21,21 +29,12 @@ from .scalars import as_fraction, is_exact, mpf_of
 _ZERO = Fraction(0)
 
 
-def _over_common_den(terms: dict) -> tuple:
-    """(D, [(exps, c·D)]) with D the lcm of the coefficient denominators."""
-    den = 1
-    for c in terms.values():
-        den = lcm(den, c.denominator)
-    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
-
-
 class MPoly:
-    """Polynomial in ``nvars`` variables, stored as {exponent tuple: coeff}."""
+    """Polynomial in ``nvars`` variables: ``nums`` {exponent tuple: int} over ``den``."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "den", "nums")
 
     def __init__(self, nvars: int, terms: Mapping[tuple, object] | None = None):
-        self.nvars = nvars
         clean: dict[tuple, Fraction] = {}
         if terms:
             for exps, c in terms.items():
@@ -44,42 +43,55 @@ class MPoly:
                     if len(exps) != nvars:
                         raise ValueError("exponent tuple has wrong arity")
                     clean[tuple(exps)] = clean.get(tuple(exps), _ZERO) + c
-        self.terms = {e: c for e, c in clean.items() if c}
+        # over the lcm of the reduced denominators, numerators share no factor with it
+        den = lcm(*(c.denominator for c in clean.values()))
+        self.nvars, self.den = nvars, den
+        self.nums = {e: c.numerator * (den // c.denominator) for e, c in clean.items() if c}
 
     @classmethod
-    def _trusted(cls, nvars: int, terms: dict) -> "MPoly":
-        """Wrap a table of Fraction coefficients with arity-``nvars`` tuple keys,
-        dropping cancelled terms and keeping insertion order (``eval`` sums in it)."""
+    def _trusted(cls, nvars: int, den: int, nums: dict) -> "MPoly":
+        """Wrap numerators over ``den`` > 0, dropping zeros and any factor common
+        to den and all numerators; insertion order is kept (``eval`` sums in it)."""
+        nums = {e: n for e, n in nums.items() if n}
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {e: n // g for e, n in nums.items()}
         out = cls.__new__(cls)
-        out.nvars = nvars
-        out.terms = {e: c for e, c in terms.items() if c}
+        out.nvars, out.den, out.nums = nvars, den, nums
         return out
 
     @classmethod
     def const(cls, nvars: int, c) -> "MPoly":
         c = as_fraction(c)
-        return cls(nvars, {(0,) * nvars: c} if c else {})
+        return cls._trusted(nvars, c.denominator, {(0,) * nvars: c.numerator})
 
     @classmethod
     def var(cls, nvars: int, i: int) -> "MPoly":
         e = [0] * nvars
         e[i] = 1
-        return cls(nvars, {tuple(e): Fraction(1)})
+        return cls._trusted(nvars, 1, {tuple(e): 1})
+
+    @property
+    def terms(self) -> dict:
+        """{exponents: Fraction coefficient}, a fresh dict in insertion order."""
+        return {e: Fraction(n, self.den) for e, n in self.nums.items()}
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.nums.items())))
 
     def _coerce(self, other):
         if isinstance(other, MPoly):
@@ -94,15 +106,17 @@ class MPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, _ZERO) + c
-        return MPoly._trusted(self.nvars, out)
+        den = lcm(self.den, other.den)
+        m1, m2 = den // self.den, den // other.den
+        out = dict(self.nums) if m1 == 1 else {e: n * m1 for e, n in self.nums.items()}
+        for e, n in other.nums.items():
+            out[e] = out.get(e, 0) + n * m2
+        return MPoly._trusted(self.nvars, den, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return MPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MPoly._trusted(self.nvars, self.den, {e: -n for e, n in self.nums.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -117,18 +131,13 @@ class MPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        # multiply integer numerators over one common denominator per
-        # factor; the exact sums, and so the terms and their order, are those
-        # of the term-by-term Fraction products
-        den1, ints1 = _over_common_den(self.terms)
-        den2, ints2 = _over_common_den(other.terms)
         out: dict[tuple, int] = {}
-        for e1, n1 in ints1:
-            for e2, n2 in ints2:
+        get = out.get
+        for e1, n1 in self.nums.items():
+            for e2, n2 in other.nums.items():
                 e = tuple(map(add, e1, e2))
-                out[e] = out.get(e, 0) + n1 * n2
-        den = den1 * den2
-        return MPoly._trusted(self.nvars, {e: Fraction(n, den) for e, n in out.items()})
+                out[e] = get(e, 0) + n1 * n2
+        return MPoly._trusted(self.nvars, self.den * other.den, out)
 
     __rmul__ = __mul__
 
@@ -145,13 +154,13 @@ class MPoly:
         return result
 
     def diff(self, i: int) -> "MPoly":
-        out: dict[tuple, Fraction] = {}
-        for e, c in self.terms.items():
+        out: dict[tuple, int] = {}
+        for e, n in self.nums.items():
             if e[i]:
                 e2 = list(e)
                 e2[i] -= 1
-                out[tuple(e2)] = out.get(tuple(e2), _ZERO) + c * e[i]
-        return MPoly._trusted(self.nvars, out)
+                out[tuple(e2)] = n * e[i]
+        return MPoly._trusted(self.nvars, self.den, out)
 
     def eval(self, point):
         """Evaluate at a point of exact or mpf coordinates."""
@@ -171,15 +180,16 @@ class MPoly:
         return acc
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
+        return max((sum(e) for e in self.nums), default=-1)
 
     def render(self, names=None) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         names = names or [f"x{i}" for i in range(self.nvars)]
         parts = []
-        for e in sorted(self.terms, key=lambda t: (sum(t), t), reverse=True):
-            c = self.terms[e]
+        for e in sorted(terms, key=lambda t: (sum(t), t), reverse=True):
+            c = terms[e]
             mons = [
                 names[i] if k == 1 else f"{names[i]}^{k}"
                 for i, k in enumerate(e)
@@ -206,27 +216,34 @@ class MPoly:
 def greedy_div(p: MPoly, d: MPoly):
     """p/d as an MPoly, or None when the division is not exact.
 
-    Greedy leading-term division in lex order; for a monomial order this
-    succeeds if and only if d divides p, which is all the callers need.
+    Greedy leading-term division in lex order of p's numerators by the
+    primitive part of d's, which for a monomial order succeeds if and only
+    if d | p.  An exact quotient is then integral (Gauss's lemma), so a
+    leading coefficient that does not divide ends it early.
     """
-    lead = max(d.terms)
-    lc = d.terms[lead]
-    rem, out = dict(p.terms), {}
+    content = gcd(*d.nums.values())
+    dn = {e: n // content for e, n in d.nums.items()}
+    lead = max(dn)
+    lc = dn.pop(lead)
+    rem, out = dict(p.nums), {}
     while rem:
         e = max(rem)
         q = tuple(a - b for a, b in zip(e, lead))
         if min(q) < 0:
             return None
-        c = out[q] = rem.pop(e) / lc
-        for de, dc in d.terms.items():
-            if de != lead:
-                ke = tuple(a + b for a, b in zip(q, de))
-                nc = rem.get(ke, _ZERO) - c * dc
-                if nc:
-                    rem[ke] = nc
-                else:
-                    del rem[ke]
-    return MPoly._trusted(p.nvars, out)
+        c, r = divmod(rem.pop(e), lc)
+        if r:
+            return None
+        out[q] = c
+        for de, dc in dn.items():
+            ke = tuple(map(add, q, de))
+            nc = rem.get(ke, 0) - c * dc
+            if nc:
+                rem[ke] = nc
+            else:
+                del rem[ke]
+    # p/d = (p.den·p)/d' · d.den/(p.den·content)
+    return MPoly._trusted(p.nvars, p.den * content, {e: n * d.den for e, n in out.items()})
 
 
 def bareiss_det(rows: list) -> MPoly:
@@ -246,6 +263,30 @@ def bareiss_det(rows: list) -> MPoly:
                 row[j] = greedy_div(top[k] * row[j] - row[k] * top[j], prev)
         prev = top[k]
     return rows[-1][-1] * sign
+
+
+# The modular image φ: ℚ[x₀, x₁] → F_P[x₀], x₁ ↦ _BSTAR, with which
+# ``twocut`` proves most trial divisions fail before dividing over ℚ.
+MOD_P = 2**61 - 1
+_BSTAR = 0x1C6F_3A5E_92B4_D071
+_BPOW = tuple(pow(_BSTAR, k, MOD_P) for k in range(64))
+
+
+def mod_image(p: MPoly):
+    """φ(den·p) of a bivariate p, as a coefficient list in x₀ (lowest first,
+    entries not reduced), or None when P divides den.  den is a unit mod P
+    otherwise, so this is φ(p) up to that unit, which divisibility ignores."""
+    if not p.den % MOD_P:
+        return None
+    out = [0] * (max((e[0] for e in p.nums), default=-1) + 1)
+    for (ea, eb), n in p.nums.items():
+        out[ea] += n * (_BPOW[eb] if eb < len(_BPOW) else pow(_BSTAR, eb, MOD_P))
+    return out
+
+
+def swap_vars(p: MPoly) -> MPoly:
+    """p with its two variables exchanged."""
+    return MPoly._trusted(2, p.den, {(e[1], e[0]): n for e, n in p.nums.items()})
 
 
 class MRatFunc:
@@ -295,7 +336,7 @@ class MRatFunc:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den.terms == other.den.terms:
+        if self.den == other.den:
             return MRatFunc(self.num + other.num, self.den)
         return MRatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 

@@ -1,8 +1,8 @@
 """Real root finding for exact polynomials.
 
-Roots are isolated exactly (Sturm sequences over ``Fraction``), refined with
-bisection/Newton in mpmath, and reported with their multiplicities from a
-Yun squarefree decomposition.  Roots that are in fact rational are detected
+Roots are isolated exactly (Sturm sequences, their signs taken over the
+integers), refined with bisection/Newton in mpmath, and reported with their
+multiplicities from a Yun squarefree decomposition.  Roots that are in fact rational are detected
 by the rational root theorem plus an exact check, so downstream code can
 stay in exact arithmetic whenever the data allows it.
 """
@@ -56,22 +56,37 @@ def yun_squarefree(p: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-def _sturm_chain(p: Poly) -> list[Poly]:
+def _int_coeffs(p: Poly) -> list[int]:
+    """p's coefficients (lowest first) times the lcm of their denominators:
+    integers, and a positive multiple of p, so of p's sign everywhere."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    return [c.numerator * (den // c.denominator) for c in p.coeffs]
+
+
+def _sign(ints: list[int], x: Fraction) -> int:
+    """The sign of p(x) from ``_int_coeffs(p)``.  With x = u/v, v > 0, it is
+    the sign of v^n·p(x) = Σ c_i·u^i·v^(n−i), by Horner over the integers."""
+    u, v = x.numerator, x.denominator
+    acc, w = 0, 1
+    for c in reversed(ints):
+        acc = acc * u + c * w
+        w *= v
+    return (acc > 0) - (acc < 0)
+
+
+def _sturm_chain(p: Poly) -> list[list[int]]:
+    """The Sturm sequence of p, each member as ``_int_coeffs``."""
     chain = [p, p.derivative()]
     while chain[-1].degree > 0:
         r = chain[-2] % chain[-1]
         if r.is_zero():
             break
         chain.append(-r)
-    return chain
+    return [_int_coeffs(q) for q in chain]
 
 
-def _sign_changes(chain: list[Poly], x: Fraction) -> int:
-    signs = []
-    for q in chain:
-        v = q(x)
-        if v:
-            signs.append(1 if v > 0 else -1)
+def _sign_changes(chain: list[list[int]], x: Fraction) -> int:
+    signs = [s for s in (_sign(q, x) for q in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -91,11 +106,11 @@ def _isolate(p: Poly, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fracti
     """Intervals (lo, hi] each containing exactly one root of squarefree p."""
     chain = _sturm_chain(p)
     eps = Fraction(1, 2)
-    while p(lo) == 0:
+    while not _sign(chain[0], lo):
         lo -= eps
         eps /= 2
     eps = Fraction(1, 2)
-    while p(hi) == 0:
+    while not _sign(chain[0], hi):
         hi += eps
         eps /= 2
     work = [(lo, hi)]
@@ -110,7 +125,7 @@ def _isolate(p: Poly, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fracti
             continue
         mid = (a + b) / 2
         attempts = 0
-        while p(mid) == 0:
+        while not _sign(chain[0], mid):
             mid += (b - a) / Fraction(1009 + attempts)
             attempts += 1
         work.append((a, mid))
@@ -126,8 +141,7 @@ def _try_rational(p: Poly, x_mpf) -> Optional[Fraction]:
     p can only have rational roots u/a_n with u an integer (rational root
     theorem), so u is x·a_n rounded.
     """
-    den = lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * den) for c in p.coeffs]
+    ints = _int_coeffs(p)
     a_n = abs(ints[-1]) // gcd(*ints)
     cand = Fraction(round(rationalize(x_mpf) * a_n), a_n)
     return cand if p(cand) == 0 else None
@@ -168,15 +182,16 @@ def _refine(p: Poly, lo: Fraction, hi: Fraction, digits: int):
     endpoints' size; a Newton root steers the remaining halvings, and exact
     signs at both ends certify their bracket (else exact bisection goes on),
     so bracket and value are those of exact bisection all the way."""
-    f_lo = p(lo)
+    ints = _int_coeffs(p)
+    s_lo = _sign(ints, lo)
 
     def exact(mid):
-        v = p(mid)
-        return None if v == 0 else (v > 0) == (f_lo > 0)
+        s = _sign(ints, mid)
+        return None if s == 0 else s == s_lo
 
     width = Fraction(1, 10 ** (digits + 5))
     rough = max(max(abs(lo), abs(hi)) / 2**60, width)
-    lo, hi = (lo, lo) if f_lo == 0 else _halve(lo, hi, rough, exact)
+    lo, hi = (lo, lo) if s_lo == 0 else _halve(lo, hi, rough, exact)
     if lo < hi:
         guide = rationalize(_newton(p, lo, hi, digits))
         steered = _halve(lo, hi, width, lambda mid: mid < guide)

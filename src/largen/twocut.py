@@ -48,7 +48,7 @@ from .errors import (
     TruncationExceeded,
     certify,
 )
-from .mpolys import MPoly, MRatFunc, greedy_div
+from .mpolys import MOD_P, MPoly, MRatFunc, greedy_div, mod_image, swap_vars
 from .phase import solve_two_cut
 from .potential import Potential
 from .roots import real_roots
@@ -79,73 +79,47 @@ _F1 = Fraction(1)
 # -- coefficient helpers ------------------------------------------------------
 
 
-# The modular image φ: ℚ[a₀, b₀] → F_P[a₀], b₀ ↦ _BSTAR, which proves most
-# trial divisions fail before any rational arithmetic is spent on them.
-_P = 2**61 - 1
-_BSTAR = 0x1C6F_3A5E_92B4_D071
-_BPOW = tuple(pow(_BSTAR, k, _P) for k in range(64))
-
-
-def _image(p: MPoly):
-    """φ(p) as a coefficient list in a₀ (lowest first, entries not reduced),
-    or None when some coefficient's denominator is divisible by P."""
-    acc: dict = {}
-    inv: dict = {}
-    for (ea, eb), c in p.terms.items():
-        n, m = c.numerator, c.denominator
-        if m != 1:
-            r = inv.get(m)
-            if r is None:
-                if not m % _P:
-                    return None
-                r = inv[m] = pow(m, -1, _P)
-            n *= r
-        bp = _BPOW[eb] if eb < len(_BPOW) else pow(_BSTAR, eb, _P)
-        acc[ea] = acc.get(ea, 0) + n * bp
-    out = [0] * (max(acc, default=-1) + 1)
-    for ea, v in acc.items():
-        out[ea] = v
-    return out
-
-
 def _monic_image(d: MPoly):
-    """φ(d) made monic, or None when it cannot filter: a denominator of d is
-    divisible by P, or φ(d) is a constant (or zero)."""
-    img = _image(d)
+    """φ(d) made monic, or None when it cannot filter: the denominator of d
+    is divisible by P, or φ(d) is a constant (or zero)."""
+    img = mod_image(d)
     if img is None:
         return None
-    img = [v % _P for v in img]
+    img = [v % MOD_P for v in img]
     while img and not img[-1]:
         img.pop()
     if len(img) < 2:
         return None
-    inv = pow(img[-1], -1, _P)
-    return [v * inv % _P for v in img]
+    inv = pow(img[-1], -1, MOD_P)
+    return [v * inv % MOD_P for v in img]
 
 
 def _image_divisible(f: list, g: list) -> bool:
     """Whether the monic g divides f in F_P[a₀] (f is consumed)."""
     n = len(g) - 1
     for top in range(len(f) - 1, n - 1, -1):
-        c = f[top] % _P
+        c = f[top] % MOD_P
         if c:
             base = top - n
             for k in range(n):
                 f[base + k] -= c * g[k]
-    return not any(v % _P for v in f[:n])
+    return not any(v % MOD_P for v in f[:n])
 
 
 def _exact_div(p: MPoly, d: MPoly, d_img, img=None):
     """p/d as an MPoly, or None when d does not divide p.
 
-    ``d_img`` is ``_monic_image(d)``, and ``img`` is ``_image(p)`` when the
-    caller has it (the list is consumed).  If p = q·d over ℚ and neither p
-    nor d has a denominator divisible by P, Gauss's lemma over ℤ_(P) makes q
-    P-integral, so φ(d) divides φ(p); a nonzero remainder of φ(p) mod φ(d)
-    therefore proves d ∤ p.  Every other case is decided by ``greedy_div``.
+    ``d_img`` is ``_monic_image(d)``, and ``img`` is ``mod_image(p)`` when
+    the caller has it (the list is consumed).  φ, b₀ ↦ a fixed residue mod P
+    (``mpolys.mod_image``), reads the integer numerators of p and d directly.
+    If p = q·d over ℚ and neither denominator is divisible by P, Gauss's
+    lemma over ℤ_(P) makes q P-integral, so φ(d) divides φ(p); a nonzero
+    remainder of φ(p) mod φ(d) therefore proves d ∤ p.  Every other case is
+    decided by ``greedy_div``, whose integer leading-coefficient test (Gauss's
+    lemma over ℤ) can stop it early.
     """
     if d_img is not None:
-        img = _image(p) if img is None else img
+        img = mod_image(p) if img is None else img
         if img is not None and not _image_divisible(img, d_img):
             return None
     return greedy_div(p, d)
@@ -153,16 +127,11 @@ def _exact_div(p: MPoly, d: MPoly, d_img, img=None):
 
 def _divide_out(num: MPoly, d: MPoly, d_img, img) -> tuple:
     """``_exact_div`` repeated while it succeeds: (quotient, times, its image).
-    ``img`` is ``_image(num)``; it is recomputed only after a division."""
+    ``img`` is ``mod_image(num)``; it is recomputed only after a division."""
     times = 0
     while (q := _exact_div(num, d, d_img, None if img is None else list(img))) is not None:
-        num, times, img = q, times + 1, _image(q)
+        num, times, img = q, times + 1, mod_image(q)
     return num, times, img
-
-
-def _swap_poly(p: MPoly) -> MPoly:
-    """Exchange the two endpoint variables of an exponent table."""
-    return MPoly(2, {(e[1], e[0]): c for e, c in p.terms.items()})
 
 
 def _solvable(elem: WElem, times: int, what: str) -> WElem:
@@ -198,16 +167,17 @@ class _Loc:
     Construction re-canonicalizes by trial division, so exponents can go
     negative (factors in the numerator) and values have one representation —
     cheap equality.  Most trial divisions fail, and ``_exact_div`` proves
-    that from the image mod P before dividing over ℚ.
+    that from the image mod P of the integer numerators before dividing; a
+    division it lets through runs on those integers too (``greedy_div``).
     """
 
     __slots__ = ("ctx", "num", "i", "j")
 
     def __init__(self, ctx: _LocCtx, num: MPoly, i: int = 0, j: int = 0, canonical: bool = False):
-        if not num.terms:
+        if not num:
             i = j = 0
         elif not canonical:
-            num, di, img = _divide_out(num, ctx.det, ctx.det_img, _image(num))
+            num, di, img = _divide_out(num, ctx.det, ctx.det_img, mod_image(num))
             num, dj, _ = _divide_out(num, ctx.bma, ctx.bma_img, img)
             i, j = i - di, j - dj
         self.ctx, self.num, self.i, self.j = ctx, num, i, j
@@ -228,7 +198,7 @@ class _Loc:
         return None
 
     def __bool__(self) -> bool:
-        return bool(self.num.terms)
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
@@ -308,9 +278,7 @@ class _Loc:
 
     def swapped(self) -> "_Loc":
         """The image under a₀ ↔ b₀ (det is symmetric, b₀-a₀ flips sign)."""
-        num = _swap_poly(self.num)
-        if self.j % 2:
-            num = num * Fraction(-1)
+        num = -swap_vars(self.num) if self.j % 2 else swap_vars(self.num)
         return _Loc(self.ctx, num, self.i, self.j, canonical=True)
 
     def to_ratfunc(self) -> MRatFunc:
@@ -522,7 +490,7 @@ class _TwoCutRegularEngine:
         det_mp = W_a.diff(0) * W_a.diff(0) - W_a.diff(1) * W_b.diff(0)
         if det_mp.is_zero():
             raise SingularHodograph("endpoint Jacobian vanishes identically")
-        certify(_swap_poly(det_mp) == det_mp, "Jacobian determinant not symmetric")
+        certify(swap_vars(det_mp) == det_mp, "Jacobian determinant not symmetric")
         a_mp = MPoly.var(2, 0)
         b_mp = MPoly.var(2, 1)
         self.det_mp = det_mp

@@ -514,9 +514,17 @@ class Defect:
 
     def _prod(self, n: int) -> WElem:
         def fresh(m):
+            # at step 2, Q_q = (−1)^q·P_q, so at even m the terms q and m − q
+            # agree; odd m, the odd-order certificates, sum every term
+            half = self.step == 2 and m % 2 == 0
             out = self.lat.zero
-            for q in range(m + 1):
+            for q in range(m // 2 if half else m + 1):
                 p, r = self._sum(q)[0], self._sum(m - q)[1]
+                if p and r:
+                    out = out + p * r
+            if half:
+                out = out.scale(2)
+                p, r = self._sum(m // 2)
                 if p and r:
                     out = out + p * r
             return out

@@ -1,10 +1,14 @@
 """Package-wide checks: certificates survive ``python -O``, the zero
 tolerance lives in one place, differential polynomials stay over ℚ, and
-every name the benchmark's spans wrap still exists."""
+every name the benchmark's spans wrap still exists and installs."""
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -62,3 +66,16 @@ def test_benchmark_span_targets_resolve():
     assert {"phase:solve_two_cut", "roots:real_roots", "structured:branch_coeff"} <= {
         t for targets in spans.LAYERS.values() for t in targets
     }
+
+
+def test_benchmark_spans_install_with_no_target_missing():
+    # what a traced benchmark run does first: wrap every target for real, in a
+    # fresh interpreter, and report the ones it could not find
+    code = ("import json, spans; present, missing = spans.install(spans.Recorder()); "
+            "print(json.dumps([sorted(present), missing]))")
+    path = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])
+    run = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=120, check=True)
+    present, missing = json.loads(run.stdout.splitlines()[-1])
+    assert missing == []
+    assert {"mpolys.mpoly_ops", "twocut.loc_ops", "twocut.engine_run"} <= set(present)

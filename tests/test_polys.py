@@ -1,13 +1,14 @@
 """Tests for the exact univariate and multivariate polynomial layers."""
 
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from largen.mpolys import MPoly, MRatFunc
+from largen.mpolys import MOD_P, MPoly, MRatFunc, greedy_div, mod_image, swap_vars
 from largen.polys import Poly, RationalFunc, poly_from_pairs
 
 small_fracs = st.fractions(
@@ -232,7 +233,8 @@ def test_mratfunc_diff_and_eval():
 
 # MPoly arithmetic builds its results without re-validating them; they must be
 # exactly what the validating constructor makes of the same raw table, down
-# to the insertion order that MPoly.eval sums in.
+# to the insertion order that MPoly.eval sums in, and keep the integer table
+# canonical: den > 0, gcd(den, numerators) = 1, no zero numerator.
 
 _mpoly_terms = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)),
@@ -244,6 +246,37 @@ _mpoly_terms = st.dictionaries(
 def _same(got: MPoly, want: MPoly):
     assert list(got.terms.items()) == list(want.terms.items())
     assert all(type(c) is Fraction and c for c in got.terms.values())
+    for p in (got, want):
+        assert p.den > 0 and gcd(p.den, *p.nums.values()) == 1
+        assert all(type(n) is int and n for n in p.nums.values())
+    assert (got.den, got.nums) == (want.den, want.nums)
+
+
+def _divide_over_q(p: MPoly, d: MPoly):
+    """p/d for d | p, by greedy lex division term by term over Fraction: the
+    quotient's terms in the order found."""
+    rest = d.terms
+    lead = max(rest)
+    lc = rest.pop(lead)
+    rem, out = p.terms, {}
+    while rem:
+        e = max(rem)
+        q = (e[0] - lead[0], e[1] - lead[1])
+        c = out[q] = rem.pop(e) / lc
+        for de, dc in rest.items():
+            ke = (q[0] + de[0], q[1] + de[1])
+            rem[ke] = rem.get(ke, Fraction(0)) - c * dc
+            if not rem[ke]:
+                del rem[ke]
+    return out
+
+
+def _image_over_q(p: MPoly, b):
+    """φ(den·p) mod P from the Fraction terms, x₁ ↦ b: lowest x₀-power first."""
+    out = [0] * (max((e[0] for e in p.nums), default=-1) + 1)
+    for (ea, eb), c in p.terms.items():
+        out[ea] = (out[ea] + int(c * p.den) * pow(b, eb, MOD_P)) % MOD_P
+    return out
 
 
 @given(_mpoly_terms, _mpoly_terms, st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3))))
@@ -270,6 +303,29 @@ def test_mpoly_ops_match_validating_constructor(t1, t2, cancel):
                 e2 = (e[0] - 1, e[1]) if i == 0 else (e[0], e[1] - 1)
                 raw[e2] = raw.get(e2, Fraction(0)) + c * e[i]
         _same(p.diff(i), MPoly(2, raw))
+    # exact division: q·d == p exactly when d | p, else None; an exact
+    # quotient is that of dividing term by term over ℚ, term order included
+    if q:
+        for num, d in ((p * q, q), (p * q * Fraction(3, 5), q * 7)):
+            got = greedy_div(num, d)
+            _same(got, MPoly(2, _divide_over_q(num, d)))
+            assert got * d == num
+        if q.total_degree() > 0:
+            assert greedy_div(p * q + 1, q) is None
+    if p:
+        got = greedy_div(q, p)
+        assert got is None or got * p == q
+    # the mod-P image: None exactly when P | den, else φ(den·p)
+    b = mod_image(MPoly.var(2, 1))[0]
+    for r in (p, p * Fraction(1, MOD_P), q * Fraction(5, 2 * MOD_P) + p, p * MOD_P):
+        img = mod_image(r)
+        assert (img is None) == (r.den % MOD_P == 0)
+        if img is not None:
+            assert [v % MOD_P for v in img] == _image_over_q(r, b)
+    # the swap is an involution, keeps term order, and is a ring map
+    _same(swap_vars(swap_vars(p)), p)
+    assert list(swap_vars(p).terms) == [(e[1], e[0]) for e in p.terms]
+    assert swap_vars(p * q + p) == swap_vars(p) * swap_vars(q) + swap_vars(p)
 
 
 def test_mpoly_ops_drop_cancelled_terms():

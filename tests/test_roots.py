@@ -152,9 +152,11 @@ def _bisect_then_newton(p, lo, hi, digits):
 def test_refine_evaluates_the_polynomial_at_most_90_times_per_root(monkeypatch):
     # exact bisection to 10^-35 alone takes about 117 evaluations per root;
     # here about 60 halvings are exact and Newton steers the rest
+    # an evaluation is an exact sign over the integers or an mpf value
     calls = []
-    evaluate = Poly.__call__
+    evaluate, sign = Poly.__call__, roots._sign
     monkeypatch.setattr(Poly, "__call__", lambda p, x: calls.append(x) or evaluate(p, x))
+    monkeypatch.setattr(roots, "_sign", lambda ints, x: calls.append(x) or sign(ints, x))
     brackets = _isolated(RESULTANT_T6)
     assert len(brackets) == 4
     for lo, hi in brackets:

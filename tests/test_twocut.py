@@ -17,17 +17,15 @@ from largen.errors import (
     SingularHodograph,
     TruncationExceeded,
 )
-from largen.mpolys import MPoly, greedy_div
+from largen.mpolys import MOD_P, MPoly, greedy_div, mod_image
 from largen.potential import Potential, parse_potential
 from largen.structured import gamma_moment, phi_moment, psi_poly
 from largen.twocut import (
-    _P,
     MergingPoint,
     _regular_run,
     _Loc,
     _LocCtx,
     _exact_div,
-    _image,
     _monic_image,
     _solvable,
     _two_pole_basis,
@@ -229,11 +227,11 @@ class TestExactDivision:
 
     def test_denominator_divisible_by_p_falls_back(self):
         d = DIVISORS["quartic det"]
-        q = A0 * B0 * F(1, _P) + B0
-        assert _image(q * d) is None
+        q = A0 * B0 * F(1, MOD_P) + B0
+        assert mod_image(q * d) is None
         assert _exact_div(q * d, d, _monic_image(d)) == q
         assert _exact_div(q * d + A0, d, _monic_image(d)) is None
-        assert _monic_image(d * F(1, _P)) is None
+        assert _monic_image(d * F(1, MOD_P)) is None
 
     def test_constant_divisor_has_no_filter(self):
         assert _monic_image(MPoly.const(2, 3)) is None
@@ -247,9 +245,9 @@ class TestExactDivision:
 
         def counting(p):
             calls.append(p)
-            return _image(p)
+            return mod_image(p)
 
-        monkeypatch.setattr("largen.twocut._image", counting)
+        monkeypatch.setattr("largen.twocut.mod_image", counting)
         loc = _Loc(ctx, A0 * A0 * B0 + 3)
         assert (loc.i, loc.j) == (0, 0)
         assert len(calls) == 1

@@ -298,6 +298,31 @@ class TestGrowingDefect:
         for k in range(1, K + 1):
             assert (k, step * k) in queries and (k + 1, step * k) in queries
 
+    @pytest.mark.parametrize("regime", ["one-cut", "two-cut"])
+    def test_even_products_equal_the_full_convolution(self, monkeypatch, regime):
+        # at step 2, Q_q = (−1)^q·P_q, so an even (P·Q)_n is kept from half
+        # its terms; each must equal the whole sum Σ_q P_q·Q_{n−q}
+        made = []
+        init = wring.Defect.__init__
+        monkeypatch.setattr(wring.Defect, "__init__", lambda d, *args: made.append(d) or init(d, *args))
+        engine, K = {
+            "one-cut": (lambda: _RegularEngine(parse_potential("quartic:1,1")), 3),
+            "two-cut": (lambda: _TwoCutRegularEngine(parse_potential("quartic:-2,1")), 1),
+        }[regime]
+        engine().run(K)
+        even = 0
+        for d in made:
+            for q in range(len(d.prods)):
+                p, r = d._sum(q)
+                assert r == (p if q % 2 == 0 else p.scale(-1))
+            for n in range(0, len(d.prods), 2):
+                full = d.lat.zero
+                for q in range(n + 1):
+                    full = full + d._sum(q)[0] * d._sum(n - q)[1]
+                assert d.prods[n] == full, n
+                even += 1
+        assert even >= 4  # n = 0 and some even n > 0 on every engine
+
     def test_missing_entries_count_as_zero(self):
         # an ε^n beyond the entries given: the Lattice.defect of the padded series
         eng = _RegularEngine(parse_potential("quartic:1,1"))
