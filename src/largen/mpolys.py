@@ -1,14 +1,18 @@
-"""Sparse multivariate polynomials over the rationals.
+"""Sparse multivariate polynomials over the rationals, and the localised
+ring both regular engines compute in.
 
-Used where the coefficient field has two generators (the leading endpoint
-functions of a two-cut expansion).  An ``MPoly`` is a table of integer
-numerators over one positive denominator, {exponent tuple: int} / den, with
-gcd(den, numerators) = 1 and no zero entry, so equal polynomials have equal
-tables and the arithmetic runs on ints alone; ``terms`` is the read-only
-{exponents: Fraction} view, in the table's insertion order.  Exact division
+An ``MPoly`` carries ρ = r₀ on one cut and the leading endpoints (a₀, b₀)
+on two.  It is a table of integer numerators over one positive denominator,
+{exponent tuple: int} / den, with gcd(den, numerators) = 1 and no zero
+entry, so equal polynomials have equal tables and the arithmetic runs on
+ints alone; ``terms`` is the read-only {exponents: Fraction} view, in the
+table's insertion order.  Exact division
 (``greedy_div``) divides by the primitive part of the divisor's numerators:
 by Gauss's lemma an exact quotient then has integer coefficients, so a
 leading coefficient that does not divide proves the division inexact.
+
+``_Loc`` is ℚ[x][1/f_1, .., 1/f_k] for fixed factors f_i, kept canonical
+by trial division that a modular image filters.
 
 ``MRatFunc`` deliberately skips gcd reduction — multivariate gcds are
 expensive and nothing downstream needs canonical forms, only exact
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add, sub
 from typing import Mapping
 
 import mpmath
@@ -265,20 +269,25 @@ def bareiss_det(rows: list) -> MPoly:
     return rows[-1][-1] * sign
 
 
-# The modular image φ: ℚ[x₀, x₁] → F_P[x₀], x₁ ↦ _BSTAR, with which
-# ``twocut`` proves most trial divisions fail before dividing over ℚ.
+# The modular image φ: ℚ[x₀, x₁] → F_P[x₀], x₁ ↦ _BSTAR (ℚ[x₀] → F_P[x₀]
+# in one variable), with which ``_Loc`` proves most trial divisions fail
+# before dividing over ℚ.
 MOD_P = 2**61 - 1
 _BSTAR = 0x1C6F_3A5E_92B4_D071
 _BPOW = tuple(pow(_BSTAR, k, MOD_P) for k in range(64))
 
 
 def mod_image(p: MPoly):
-    """φ(den·p) of a bivariate p, as a coefficient list in x₀ (lowest first,
-    entries not reduced), or None when P divides den.  den is a unit mod P
-    otherwise, so this is φ(p) up to that unit, which divisibility ignores."""
+    """φ(den·p) of a uni- or bivariate p, as a coefficient list in x₀ (lowest
+    first, entries not reduced), or None when P divides den.  den is a unit
+    mod P otherwise, so this is φ(p) up to that unit, which divisibility ignores."""
     if not p.den % MOD_P:
         return None
     out = [0] * (max((e[0] for e in p.nums), default=-1) + 1)
+    if p.nvars == 1:
+        for (ea,), n in p.nums.items():
+            out[ea] += n
+        return out
     for (ea, eb), n in p.nums.items():
         out[ea] += n * (_BPOW[eb] if eb < len(_BPOW) else pow(_BSTAR, eb, MOD_P))
     return out
@@ -397,3 +406,226 @@ class MRatFunc:
 
     def __repr__(self):
         return f"MRatFunc({self.render()})"
+
+
+# -- the localised ring ---------------------------------------------------------
+
+
+def _monic_image(d: MPoly):
+    """φ(d) made monic, or None when it cannot filter: the denominator of d
+    is divisible by P, or φ(d) is a constant (or zero)."""
+    img = mod_image(d)
+    if img is None:
+        return None
+    img = [v % MOD_P for v in img]
+    while img and not img[-1]:
+        img.pop()
+    if len(img) < 2:
+        return None
+    inv = pow(img[-1], -1, MOD_P)
+    return [v * inv % MOD_P for v in img]
+
+
+def _image_divisible(f: list, g: list) -> bool:
+    """Whether the monic g divides f in F_P[x₀] (f is consumed)."""
+    n = len(g) - 1
+    for top in range(len(f) - 1, n - 1, -1):
+        c = f[top] % MOD_P
+        if c:
+            base = top - n
+            for k in range(n):
+                f[base + k] -= c * g[k]
+    return not any(v % MOD_P for v in f[:n])
+
+
+def _exact_div(p: MPoly, d: MPoly, d_img, img=None):
+    """p/d as an MPoly, or None when d does not divide p.
+
+    ``d_img`` is ``_monic_image(d)``, and ``img`` is ``mod_image(p)`` when
+    the caller has it (the list is consumed).  φ (``mod_image``) reads the
+    integer numerators of p and d directly.  If p = q·d over ℚ and neither
+    denominator is divisible by P, Gauss's lemma over ℤ_(P) makes q
+    P-integral, so φ(d) divides φ(p); a nonzero remainder of φ(p) mod φ(d)
+    therefore proves d ∤ p.  Every other case is decided by ``greedy_div``,
+    whose integer leading-coefficient test (Gauss's lemma over ℤ) can stop
+    it early.
+    """
+    if d_img is not None:
+        img = mod_image(p) if img is None else img
+        if img is not None and not _image_divisible(img, d_img):
+            return None
+    return greedy_div(p, d)
+
+
+def _divide_out(num: MPoly, d: MPoly, d_img, img) -> tuple:
+    """``_exact_div`` repeated while it succeeds: (quotient, times, its image).
+    ``img`` is ``mod_image(num)``; it is recomputed only after a division."""
+    times = 0
+    while (q := _exact_div(num, d, d_img, None if img is None else list(img))) is not None:
+        num, times, img = q, times + 1, mod_image(q)
+    return num, times, img
+
+
+def loc_factors(*factors: MPoly) -> tuple:
+    """The fixed factors f_i of a localised ring, as ``_Loc`` shares them:
+    (factors, trial divisors, swap signs).  A trial divisor is (i, f_i,
+    ``_monic_image(f_i)``) for each f_i of positive degree; a unit is never
+    trial-divided, since ``greedy_div`` by a constant always succeeds.  The
+    swap sign is ±1 when f_i(x₁, x₀) = ±f_i(x₀, x₁), else None."""
+    trials = tuple(
+        (i, f, _monic_image(f)) for i, f in enumerate(factors) if f.total_degree() > 0
+    )
+    swaps = [swap_vars(f) if f.nvars == 2 else None for f in factors]
+    signs = tuple(1 if s == f else -1 if s == -f else None for f, s in zip(factors, swaps))
+    return factors, trials, signs
+
+
+class _Loc:
+    """num · Π f_i^{-e_i}: the polynomial ring localised at the fixed factors
+    (``loc_factors``) every denominator of a regular expansion is built from —
+    W'(ρ) on one cut, the hodograph Jacobian det and b₀-a₀ on two.
+
+    Unreduced quotients square in size under the d/dT chains the lattice
+    shifts generate; tracking the known factors as integer exponents instead
+    keeps all polynomial arithmetic on numerators.  Construction
+    re-canonicalizes by trial division, so exponents can go negative
+    (factors in the numerator) and values have one representation — cheap
+    equality.  Most trial divisions fail, and ``_exact_div`` proves that from
+    the image mod P of the integer numerators before dividing; a division it
+    lets through runs on those integers too (``greedy_div``).  Fraction and
+    int operands act as constants.  Every result is built in a fixed
+    operation order, since an MPoly's term order fixes how ``eval`` sums it.
+    """
+
+    __slots__ = ("fs", "num", "e")
+
+    def __init__(self, fs: tuple, num: MPoly, e: tuple | None = None, canonical: bool = False):
+        if not num or e is None:
+            e = (0,) * len(fs[0])
+        if num and not canonical:
+            img = mod_image(num)
+            for i, f, f_img in fs[1]:
+                num, times, img = _divide_out(num, f, f_img, img)
+                if times:
+                    e = e[:i] + (e[i] - times,) + e[i + 1:]
+        self.fs, self.num, self.e = fs, num, e
+
+    def _lift(self, E: tuple) -> MPoly:
+        """The numerator over Π f^{-E}, for E ≥ e entrywise."""
+        out = self.num
+        if E == self.e:
+            return out
+        for f, top, e in zip(self.fs[0], E, self.e):
+            for _ in range(top - e):
+                out = out * f
+        return out
+
+    def _coerce(self, other):
+        if isinstance(other, _Loc):
+            return other
+        if isinstance(other, (Fraction, int)):
+            return _Loc(self.fs, MPoly.const(self.num.nvars, other), canonical=True)
+        return None
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
+    def __eq__(self, other) -> bool:
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        E = tuple(map(max, self.e, o.e))
+        return self._lift(E) == o._lift(E)
+
+    def __add__(self, other) -> "_Loc":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        E = tuple(map(max, self.e, o.e))
+        return _Loc(self.fs, self._lift(E) + o._lift(E), E)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "_Loc":
+        return _Loc(self.fs, -self.num, self.e, canonical=True)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return -(self - other)
+
+    def __mul__(self, other):
+        if isinstance(other, (Fraction, int)):
+            return _Loc(self.fs, self.num * other, self.e, canonical=True)
+        if not isinstance(other, _Loc):
+            return NotImplemented
+        return _Loc(self.fs, self.num * other.num, tuple(map(add, self.e, other.e)))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "_Loc":
+        if n < 0:
+            raise ValueError("negative powers only via division")
+        out = _Loc(self.fs, MPoly.const(self.num.nvars, 1), canonical=True)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __truediv__(self, other) -> "_Loc":
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if o.num.total_degree() != 0:
+            raise TypeError("division only by factor monomials in the localized ring")
+        c = next(iter(o.num.terms.values()))
+        return _Loc(self.fs, self.num * (1 / c), tuple(map(sub, self.e, o.e)), canonical=True)
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o / self
+
+    def diff(self, k: int) -> "_Loc":
+        """∂/∂x_k: (num_k·Π f - Σ_i e_i·num·f_i,k·Π_{j≠i} f_j) · Π f^{-(e+1)}."""
+        factors = self.fs[0]
+        num = self.num.diff(k)
+        for f in factors:
+            num = num * f
+        for i, e in enumerate(self.e):
+            if e:
+                rest = factors[i].diff(k)
+                for j, f in enumerate(factors):
+                    if j != i:
+                        rest = rest * f
+                num = num - self.num * rest * e
+        return _Loc(self.fs, num, tuple(e + 1 for e in self.e))
+
+    def swapped(self) -> "_Loc":
+        """The image under x₀ ↔ x₁ (a₀ ↔ b₀ on two cuts), each factor mapped
+        to its own swap sign times itself."""
+        negate = False
+        for s, e in zip(self.fs[2], self.e):
+            if e % 2:
+                if s is None:
+                    raise ValueError("a factor has no image under the swap")
+                negate ^= s < 0
+        num = swap_vars(self.num)
+        return _Loc(self.fs, -num if negate else num, self.e, canonical=True)
+
+    def to_ratfunc(self) -> MRatFunc:
+        num, den = self.num, MPoly.const(self.num.nvars, 1)
+        for f, e in zip(self.fs[0], self.e):
+            for _ in range(abs(e)):
+                if e > 0:
+                    den = den * f
+                else:
+                    num = num * f
+        return MRatFunc(num, den)
+
+    def __repr__(self):
+        return f"_Loc({self.num.render()!s}, exponents {self.e})"

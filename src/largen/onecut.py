@@ -10,8 +10,10 @@ partner y = U), and close each order with the string equation
 ring, its derivation and the bookkeeping of orders:
 
 * regular: U and r carry even powers of ε = 1/N; coefficients live in
-  ℚ[ρ, 1/W'(ρ)] with ρ standing for r₀(T), reduced to ℚ(ρ) only on output;
-  the curve w² = λ(λ - 4ρ) moves with T, and d/dT acts as f ↦ f'/W'(ρ).
+  ℚ[ρ, 1/W'(ρ)] with ρ standing for r₀(T) — the localised ring
+  ``mpolys._Loc`` the two-cut engine uses too, which divides W' out of
+  every numerator — and are reduced to ℚ(ρ) only on output; the curve
+  w² = λ(λ - 4ρ) moves with T, and d/dT acts as f ↦ f'/W'(ρ).
   Each even order is solved affinely — the unknown pair (U_k, r_k) enters
   linearly and the string integral eliminates r_k because
   ∮ V_λ · 2λ²/w³ = W'(ρ).
@@ -35,8 +37,9 @@ import mpmath
 
 from .diffpoly import DiffPoly, XRelation, scaled_lattice, string_ladder
 from .errors import CriticalPointHit, certify
+from .mpolys import MPoly, _Loc, loc_factors
 from .phase import _one_cut_candidates, branch_density_positive, solve_one_cut
-from .polys import Poly, RationalFunc
+from .polys import Poly, RationalFunc, poly_from_pairs
 from .potential import Potential
 from .roots import real_roots
 from .scalars import (
@@ -174,146 +177,50 @@ class ScaledOneCut:
 # -- the regular engine ---------------------------------------------------------
 
 
-class _WPowers:
-    """W'(ρ), W''(ρ) and the powers W'^k, grown on demand; shared by one ring."""
-
-    __slots__ = ("wp", "wpp", "pows")
-
-    def __init__(self, wp: Poly):
-        self.wp = wp
-        self.wpp = wp.derivative()
-        self.pows = [Poly.one()]
-
-    def __getitem__(self, k: int) -> Poly:
-        pows = self.pows
-        while len(pows) <= k:
-            pows.append(pows[-1] * self.wp)
-        return pows[k]
+def _mpoly(p: Poly) -> MPoly:
+    return MPoly(1, {(k,): c for k, c in enumerate(p.coeffs)})
 
 
-class _WpLoc:
-    """num(ρ) · W'(ρ)^{-e}: an element of ℚ[ρ, 1/W'(ρ)], never reduced.
+def _poly(p: MPoly) -> Poly:
+    return poly_from_pairs([(k, c) for (k,), c in p.terms.items()])
 
-    W' is the only denominator the regular expansion produces, so sums lift
-    both numerators to the larger exponent and products add exponents; no
-    gcd is taken.  ``ratfunc`` is the one reduction, applied on output.
-    Fraction and int operands act as constants.
-    """
 
-    __slots__ = ("num", "e", "pw")
-
-    def __init__(self, num: Poly, e: int, pw: _WPowers):
-        self.num = num
-        self.e = e if num else 0
-        self.pw = pw
-
-    def _coerce(self, other):
-        if isinstance(other, _WpLoc):
-            return other
-        if is_exact(other):
-            return _WpLoc(Poly.const(other), 0, self.pw)
-        return NotImplemented
-
-    def _lifted(self, other: "_WpLoc") -> tuple[Poly, Poly, int]:
-        """Both numerators over the common denominator W'^e."""
-        e = max(self.e, other.e)
-        a, b = self.num, other.num
-        if self.e < e:
-            a = a * self.pw[e - self.e]
-        if other.e < e:
-            b = b * self.pw[e - other.e]
-        return a, b, e
-
-    def __add__(self, other) -> "_WpLoc":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b, e = self._lifted(other)
-        return _WpLoc(a + b, e, self.pw)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "_WpLoc":
-        return _WpLoc(-self.num, self.e, self.pw)
-
-    def __sub__(self, other) -> "_WpLoc":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b, e = self._lifted(other)
-        return _WpLoc(a - b, e, self.pw)
-
-    def __rsub__(self, other) -> "_WpLoc":
-        return -(self - other)
-
-    def __mul__(self, other) -> "_WpLoc":
-        if is_exact(other):
-            return _WpLoc(self.num * other, self.e, self.pw)
-        if not isinstance(other, _WpLoc):
-            return NotImplemented
-        return _WpLoc(self.num * other.num, self.e + other.e, self.pw)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "_WpLoc":
-        return _WpLoc(self.num**n, self.e * n, self.pw)
-
-    def div_wp(self) -> "_WpLoc":
-        return _WpLoc(self.num, self.e + 1, self.pw)
-
-    def d_dT(self) -> "_WpLoc":
-        """d/dT = (1/W'(ρ))·d/dρ: (num'·W' - e·num·W'')·W'^{-(e+2)}."""
-        pw = self.pw
-        num = self.num.derivative() * pw.wp
-        if self.e:
-            num = num - self.num * pw.wpp * self.e
-        return _WpLoc(num, self.e + 2, pw)
-
-    def __bool__(self) -> bool:
-        return not self.num.is_zero()
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        a, b, _ = self._lifted(other)
-        return a == b
-
-    def ratfunc(self) -> RationalFunc:
-        return RationalFunc(self.num, self.pw[self.e])
-
-    def __repr__(self) -> str:  # debug aid only
-        return f"_WpLoc(({self.num.render('r0')})/W'^{self.e})"
+def _ratfunc(c: _Loc) -> RationalFunc:
+    """The one reduction of an engine coefficient, applied on output."""
+    q = c.to_ratfunc()
+    return RationalFunc(_poly(q.num), _poly(q.den))
 
 
 class _RegularEngine:
     """The regular one-cut expansion with coefficients in ℚ[ρ, 1/W'(ρ)].
 
-    The ring is localised only at W'(ρ), the one denominator the expansion
-    produces; the pole tables need no other, so callers reduce to
-    ``RationalFunc`` only what they output.  Every certificate raises
-    ``Mismatch`` and survives ``python -O``.
+    The ring is ``mpolys._Loc`` localised only at W'(ρ), the one
+    denominator the expansion produces, where d/dT = (1/W')·d/dρ; the pole
+    tables need no other, so callers reduce to ``RationalFunc`` only what
+    they output.  Every certificate raises ``Mismatch`` and survives
+    ``python -O``.
     """
 
     def __init__(self, g: Potential):
         self.g = g
         self.W = g.hodograph()
-        self.pw = _WPowers(self.W.derivative())
-        self.Wp = self._c(self.pw.wp)
+        self.fs = loc_factors(_mpoly(self.W.derivative()))
+        self.Wp = Wp = self._c(self.W.derivative())
         self.rho = self._c(Poly.x())
         d1 = self._c(Poly((0, -4)))  # -4ρ
         self.d0 = d0 = self._c(Poly.zero())
         one = self._c(Poly.one())
-        self.lat = Lattice(d1, d0, one, lambda f: f.d_dT(), [d0, self._c(Poly.const(-4), 1)])
+        dw2 = [d0, self._c(Poly.const(-4)) / Wp]  # d(w²)/dT = -4λ·dρ/dT
+        self.lat = Lattice(d1, d0, one, lambda f: f.diff(0) / Wp, dw2)
         self.u0 = WElem.from_poly(d1, d0, [d0, one], wpow=1)
         self.vp = list(g.v_lambda().coeffs)
         # 2U₀²/w = 2λ²/w³, the coefficient of r_k in the order-2k equation
         self.q_elem = (self.u0 * self.u0).scale(Fraction(2)).div_w()
         q_weight = self.q_elem.contour_pair(self.vp)
-        certify(q_weight == self.Wp, "string weight of the r_k term must be W'")
+        certify(q_weight == Wp, "string weight of the r_k term must be W'")
 
-    def _c(self, num: Poly, e: int = 0) -> _WpLoc:
-        return _WpLoc(num, e, self.pw)
+    def _c(self, p: Poly) -> _Loc:
+        return _Loc(self.fs, _mpoly(p))
 
     def run(self, K: int) -> tuple[list, list]:
         """Solve orders 2..2K; returns ([r₀..r_K], [U₀..U_K]) in the engine's ring.
@@ -321,7 +228,7 @@ class _RegularEngine:
         Order k solves only the ε^{2k} coefficient on kept derivative towers
         (``wring.Defect``), certifying ε^{2k-1} before and ε^{2k} after it:
         every ε^j, j ≤ 2K, of the defect once, on its final value.
-        Nothing is reduced here: the callers build ``RationalFunc`` only for
+        No gcd is taken here: the callers build ``RationalFunc`` only for
         what they output.  Scalar slot padding stays ``Fraction``.
         """
         r_list, u_list = [self.rho], [self.u0]
@@ -331,7 +238,7 @@ class _RegularEngine:
             F.certify(2 * k - 1, "odd defect order")
             base = F.coefficient(2 * k).div_w().scale(Fraction(1, 2))
             # contour_pair of an element without odd slots is a scalar 0
-            r_k = -(self.d0 + base.contour_pair(self.vp)).div_wp()
+            r_k = -(self.d0 + base.contour_pair(self.vp)) / self.Wp
             u_list.append(base + self.q_elem.scale(r_k))
             r_list.append(r_k)
             F.certify(2 * k, "defect")
@@ -339,8 +246,8 @@ class _RegularEngine:
         # derivation is checked against the closed form of r₁ instead:
         # r₁ = ρ (2W''² - W'W''') / (12 W'⁴).
         if K >= 1:
-            Wpp, W3 = self.pw.wpp, self.W.derivative(3)
-            r1 = self._c(Poly.x() * (Wpp * Wpp * 2 - self.pw.wp * W3) * Fraction(1, 12), 4)
+            Wp, Wpp, W3 = (self.W.derivative(n) for n in (1, 2, 3))
+            r1 = self._c(Poly.x() * (Wpp * Wpp * 2 - Wp * W3) * Fraction(1, 12)) / self.Wp**4
             certify(r_list[1] == r1, "r₁ differs from ρ(2W''² - W'W''')/(12W'⁴)")
         # and the string equation at every computed order
         certify(
@@ -368,7 +275,7 @@ def expand_regular(
             f"W'(r0) = 0 at T = {scalar_str(T)}; use the double-scaling path"
         )
     r_list, _ = _RegularEngine(g).run(K)
-    return OneCutExpansion(g=g, T=T, r0=r0, coeffs=tuple(r.ratfunc() for r in r_list), K=K)
+    return OneCutExpansion(g=g, T=T, r0=r0, coeffs=tuple(_ratfunc(r) for r in r_list), K=K)
 
 
 def u_series_coefficients(g: Potential, r0=None, K: int = 1) -> list[USeriesOrder]:
@@ -384,13 +291,13 @@ def u_series_coefficients(g: Potential, r0=None, K: int = 1) -> list[USeriesOrde
     four, zero = engine.rho * 4, engine.d0
 
     def reduced(c):  # slot padding stays scalar
-        return c.ratfunc() if isinstance(c, _WpLoc) else c
+        return _ratfunc(c) if isinstance(c, _Loc) else c
 
     out = [USeriesOrder(k=0, element=u_list[0].map_coeffs(reduced), poles=())]
     for k in range(1, K + 1):
         u0_part, poles = _pole_basis(u_list[k], four, zero)
         certify(not u0_part, "U_k acquired a pole-free part")
-        poles = [p.ratfunc() for p in poles]
+        poles = [_ratfunc(p) for p in poles]
         if r0 is not None:
             x = lifted(r0)
             poles = [p(x) for p in poles]

@@ -48,7 +48,10 @@ from .errors import (
     TruncationExceeded,
     certify,
 )
-from .mpolys import MOD_P, MPoly, MRatFunc, greedy_div, mod_image, swap_vars
+# ``_Loc`` is bound to the shared ring class itself, not a subclass: the
+# benchmark's spans wrap ``twocut:_Loc``'s operations by looking each one up
+# in the class's own __dict__, where a subclass would have none of them.
+from .mpolys import MPoly, _Loc, loc_factors, swap_vars
 from .phase import solve_two_cut
 from .potential import Potential
 from .roots import real_roots
@@ -79,61 +82,6 @@ _F1 = Fraction(1)
 # -- coefficient helpers ------------------------------------------------------
 
 
-def _monic_image(d: MPoly):
-    """φ(d) made monic, or None when it cannot filter: the denominator of d
-    is divisible by P, or φ(d) is a constant (or zero)."""
-    img = mod_image(d)
-    if img is None:
-        return None
-    img = [v % MOD_P for v in img]
-    while img and not img[-1]:
-        img.pop()
-    if len(img) < 2:
-        return None
-    inv = pow(img[-1], -1, MOD_P)
-    return [v * inv % MOD_P for v in img]
-
-
-def _image_divisible(f: list, g: list) -> bool:
-    """Whether the monic g divides f in F_P[a₀] (f is consumed)."""
-    n = len(g) - 1
-    for top in range(len(f) - 1, n - 1, -1):
-        c = f[top] % MOD_P
-        if c:
-            base = top - n
-            for k in range(n):
-                f[base + k] -= c * g[k]
-    return not any(v % MOD_P for v in f[:n])
-
-
-def _exact_div(p: MPoly, d: MPoly, d_img, img=None):
-    """p/d as an MPoly, or None when d does not divide p.
-
-    ``d_img`` is ``_monic_image(d)``, and ``img`` is ``mod_image(p)`` when
-    the caller has it (the list is consumed).  φ, b₀ ↦ a fixed residue mod P
-    (``mpolys.mod_image``), reads the integer numerators of p and d directly.
-    If p = q·d over ℚ and neither denominator is divisible by P, Gauss's
-    lemma over ℤ_(P) makes q P-integral, so φ(d) divides φ(p); a nonzero
-    remainder of φ(p) mod φ(d) therefore proves d ∤ p.  Every other case is
-    decided by ``greedy_div``, whose integer leading-coefficient test (Gauss's
-    lemma over ℤ) can stop it early.
-    """
-    if d_img is not None:
-        img = mod_image(p) if img is None else img
-        if img is not None and not _image_divisible(img, d_img):
-            return None
-    return greedy_div(p, d)
-
-
-def _divide_out(num: MPoly, d: MPoly, d_img, img) -> tuple:
-    """``_exact_div`` repeated while it succeeds: (quotient, times, its image).
-    ``img`` is ``mod_image(num)``; it is recomputed only after a division."""
-    times = 0
-    while (q := _exact_div(num, d, d_img, None if img is None else list(img))) is not None:
-        num, times, img = q, times + 1, mod_image(q)
-    return num, times, img
-
-
 def _solvable(elem: WElem, times: int, what: str) -> WElem:
     """elem/λ^times.  The exact division is the solvability certificate of an
     order, so a remainder raises Mismatch rather than WElem's ValueError."""
@@ -143,156 +91,6 @@ def _solvable(elem: WElem, times: int, what: str) -> WElem:
     except ValueError as exc:
         raise Mismatch(f"solvability: {what} leaves a remainder on division by λ") from exc
     return elem
-
-
-class _LocCtx:
-    """Factor data shared by the _Loc coefficients of one endpoint solve."""
-
-    __slots__ = ("det", "bma", "det_img", "bma_img")
-
-    def __init__(self, det: MPoly, bma: MPoly):
-        self.det = det
-        self.bma = bma
-        self.det_img = _monic_image(det)
-        self.bma_img = _monic_image(bma)
-
-
-class _Loc:
-    """num · det^{-i} · (b₀-a₀)^{-j}: ℚ[a₀, b₀] localized at the two factors
-    every denominator of the two-cut solve is built from.
-
-    Unreduced MRatFunc quotients square in size under the d/dT chains the
-    lattice shifts generate; tracking the two known denominator factors as
-    integer exponents instead keeps all polynomial arithmetic on numerators.
-    Construction re-canonicalizes by trial division, so exponents can go
-    negative (factors in the numerator) and values have one representation —
-    cheap equality.  Most trial divisions fail, and ``_exact_div`` proves
-    that from the image mod P of the integer numerators before dividing; a
-    division it lets through runs on those integers too (``greedy_div``).
-    """
-
-    __slots__ = ("ctx", "num", "i", "j")
-
-    def __init__(self, ctx: _LocCtx, num: MPoly, i: int = 0, j: int = 0, canonical: bool = False):
-        if not num:
-            i = j = 0
-        elif not canonical:
-            num, di, img = _divide_out(num, ctx.det, ctx.det_img, mod_image(num))
-            num, dj, _ = _divide_out(num, ctx.bma, ctx.bma_img, img)
-            i, j = i - di, j - dj
-        self.ctx, self.num, self.i, self.j = ctx, num, i, j
-
-    def _lift(self, di: int, dj: int) -> MPoly:
-        out = self.num
-        for _ in range(di):
-            out = out * self.ctx.det
-        for _ in range(dj):
-            out = out * self.ctx.bma
-        return out
-
-    def _coerce(self, other):
-        if isinstance(other, _Loc):
-            return other
-        if isinstance(other, (Fraction, int)):
-            return _Loc(self.ctx, MPoly.const(self.num.nvars, other), 0, 0, canonical=True)
-        return None
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        I, J = max(self.i, o.i), max(self.j, o.j)
-        return self._lift(I - self.i, J - self.j) == o._lift(I - o.i, J - o.j)
-
-    def __add__(self, other) -> "_Loc":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        I, J = max(self.i, o.i), max(self.j, o.j)
-        return _Loc(
-            self.ctx,
-            self._lift(I - self.i, J - self.j) + o._lift(I - o.i, J - o.j),
-            I,
-            J,
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "_Loc":
-        return _Loc(self.ctx, -self.num, self.i, self.j, canonical=True)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        if isinstance(other, (Fraction, int)):
-            return _Loc(self.ctx, self.num * other, self.i, self.j, canonical=True)
-        if not isinstance(other, _Loc):
-            return NotImplemented
-        return _Loc(self.ctx, self.num * other.num, self.i + other.i, self.j + other.j)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "_Loc":
-        if n < 0:
-            raise ValueError("negative powers only via division")
-        out = _Loc(self.ctx, MPoly.const(self.num.nvars, 1), 0, 0, canonical=True)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __truediv__(self, other) -> "_Loc":
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if o.num.total_degree() != 0:
-            raise TypeError("division only by factor monomials in the localized ring")
-        c = next(iter(o.num.terms.values()))
-        return _Loc(
-            self.ctx, self.num * (_F1 / c), self.i - o.i, self.j - o.j, canonical=True
-        )
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def diff(self, k: int) -> "_Loc":
-        det, bma = self.ctx.det, self.ctx.bma
-        num = self.num.diff(k) * det * bma
-        if self.i:
-            num = num - self.num * (det.diff(k) * bma) * self.i
-        if self.j:
-            num = num - self.num * (bma.diff(k) * det) * self.j
-        return _Loc(self.ctx, num, self.i + 1, self.j + 1)
-
-    def swapped(self) -> "_Loc":
-        """The image under a₀ ↔ b₀ (det is symmetric, b₀-a₀ flips sign)."""
-        num = -swap_vars(self.num) if self.j % 2 else swap_vars(self.num)
-        return _Loc(self.ctx, num, self.i, self.j, canonical=True)
-
-    def to_ratfunc(self) -> MRatFunc:
-        num, den = self.num, MPoly.const(self.num.nvars, 1)
-        for f, e in ((self.ctx.det, self.i), (self.ctx.bma, self.j)):
-            for _ in range(abs(e)):
-                if e > 0:
-                    den = den * f
-                else:
-                    num = num * f
-        return MRatFunc(num, den)
-
-    def __repr__(self):
-        return f"_Loc({self.num.render()!s}, det^-{self.i}, bma^-{self.j})"
 
 
 # -- domain types -------------------------------------------------------------
@@ -478,10 +276,11 @@ class _TwoCutRegularEngine:
     that is the Jacobian of the planar hodograph system — computed here
     from the curve and certified against the hodographs' actual partials.
 
-    Coefficients live in the localized ring _Loc, so the only polynomial
-    products are numerator × numerator.  Its derivation is certified against
-    the quotient rule of MRatFunc at construction: the defect and string
-    residuals hold for whatever d/dT the ring implements.
+    Coefficients live in ``mpolys._Loc`` over ℚ[a₀, b₀] localised at the
+    factors (det, b₀-a₀), so the only polynomial products are numerator ×
+    numerator.  Its derivation is certified against the quotient rule of
+    MRatFunc at construction: the defect and string residuals hold for
+    whatever d/dT the ring implements.
     """
 
     def __init__(self, g: Potential):
@@ -494,8 +293,8 @@ class _TwoCutRegularEngine:
         a_mp = MPoly.var(2, 0)
         b_mp = MPoly.var(2, 1)
         self.det_mp = det_mp
-        self.ctx = ctx = _LocCtx(det_mp, b_mp - a_mp)
-        poly = lambda p: _Loc(ctx, p)
+        fs = loc_factors(det_mp, b_mp - a_mp)
+        poly = lambda p: _Loc(fs, p)
         a0 = self.a0 = poly(a_mp)
         b0 = self.b0 = poly(b_mp)
         d1 = (a0 + b0) * Fraction(-2)

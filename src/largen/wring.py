@@ -6,8 +6,8 @@ The large-N engines manipulate quantities of the shape
     Σ_j  N_j(λ) / w^j,        w² = λ² + d1·λ + d0   (monic),
 
 with the N_j polynomials in λ over some exact coefficient ring (Fractions,
-univariate or multivariate rational functions, or differential
-polynomials).  ``WElem`` stores them in a normal form — deg N_j ≤ 1 for
+the localised polynomial ring ``mpolys._Loc`` of the regular engines, or
+differential polynomials).  ``WElem`` stores them in a normal form — deg N_j ≤ 1 for
 j ≥ 2, arbitrary degree at j ∈ {0, 1} — closed under ring operations,
 division by w² and by linear polynomials, and d/dT with moving branch
 points.

@@ -1,6 +1,7 @@
 """Package-wide checks: certificates survive ``python -O``, the zero
 tolerance lives in one place, differential polynomials stay over ℚ, and
-every name the benchmark's spans wrap still exists and installs."""
+every name the benchmark's spans wrap still exists and installs; both
+regular engines compute in one localised ring."""
 
 import ast
 import importlib
@@ -10,6 +11,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from largen.onecut import _RegularEngine
+from largen.potential import parse_potential
+from largen.twocut import _TwoCutRegularEngine
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "largen"
@@ -79,3 +84,10 @@ def test_benchmark_spans_install_with_no_target_missing():
     present, missing = json.loads(run.stdout.splitlines()[-1])
     assert missing == []
     assert {"mpolys.mpoly_ops", "twocut.loc_ops", "twocut.engine_run"} <= set(present)
+
+
+def test_both_regular_engines_share_one_ring():
+    # one localised ring class serves the one-cut and the two-cut engine
+    one_cut = _RegularEngine(parse_potential("quartic:1,1")).rho
+    two_cut = _TwoCutRegularEngine(parse_potential("quartic:-2,1")).a0
+    assert type(one_cut) is type(two_cut)

@@ -19,8 +19,6 @@ from largen.errors import CriticalPointHit, Mismatch, NoAdmissibleRoot
 from largen.onecut import (
     OneCutCritical,
     _pole_basis,
-    _WPowers,
-    _WpLoc,
     expand_regular,
     find_critical,
     ladder_weights,
@@ -131,44 +129,6 @@ class TestExpandRegular:
         assert orders[1].poles[0] == quartic_r1(g2, g4) * F(2)
 
 
-RING_WP = {
-    "quartic": QUARTIC.hodograph().derivative(),
-    "sextic": SEXTIC.hodograph().derivative(),
-}
-ring_nums = st.lists(
-    st.fractions(min_value=-5, max_value=5, max_denominator=7), max_size=5
-).map(Poly)
-ring_exps = st.integers(min_value=0, max_value=4)
-
-
-class TestWpLocRing:
-    """ℚ[ρ, 1/W'(ρ)] agrees with RationalFunc once its elements are reduced."""
-
-    @pytest.mark.parametrize("name", sorted(RING_WP))
-    @given(a=ring_nums, ea=ring_exps, b=ring_nums, eb=ring_exps)
-    @settings(max_examples=40, deadline=None)
-    def test_ops_match_rational_functions(self, name, a, ea, b, eb):
-        pw = _WPowers(RING_WP[name])
-        x, y = _WpLoc(a, ea, pw), _WpLoc(b, eb, pw)
-        fx, fy = x.ratfunc(), y.ratfunc()
-        assert (x + y).ratfunc() == fx + fy
-        assert (x - y).ratfunc() == fx - fy
-        assert (x * y).ratfunc() == fx * fy
-        assert (x == y) == (fx == fy)
-        assert x.d_dT().ratfunc() == fx.derivative() / RationalFunc(pw.wp)
-
-    @pytest.mark.parametrize("name", sorted(RING_WP))
-    @given(a=ring_nums, ea=ring_exps, lift=st.integers(min_value=1, max_value=3))
-    @settings(max_examples=20, deadline=None)
-    def test_equality_sees_through_lifting(self, name, a, ea, lift):
-        # num·W'^{-e} and (num·W'^l)·W'^{-(e+l)} are one element
-        pw = _WPowers(RING_WP[name])
-        x, y = _WpLoc(a, ea, pw), _WpLoc(a * pw[lift], ea + lift, pw)
-        assert x == y
-        assert x.d_dT() == y.d_dT()
-        assert not x - y
-
-
 ONE_CUT_RUN = 'onecut._RegularEngine(parse_potential("quartic:1,1")).run(2)'
 TWO_CUT_RUN = 'twocut._TwoCutRegularEngine(parse_potential("quartic:-2,1")).run(1)'
 SCALED_RUN = 'onecut.scaled_series(g := parse_potential("bmp"), onecut.find_critical(g)[0], 3)'
@@ -183,50 +143,52 @@ SYMMETRIC_RUN = (
 # (one cut) or by the quotient rule (two cuts), and a broken d/dx of the
 # double-scaled engines by Poly.derivative on a probe.  A solved r_k or a_k
 # that reaches the identity perturbed (every embedded coefficient with a
-# W'- or det-denominator, shifted by 1) fails its own order's residual.
+# nonzero W'- or det-exponent, shifted by 1) fails its own order's residual.
+# Both engines run on the one shared ring, ``mpolys._Loc``.
 CORRUPTIONS = {
     "d_dT-without-W''-term": (
-        "onecut._WpLoc",
-        "d_dT",
-        "lambda self: W(self.num.derivative() * self.pw.wp, self.e + 2, self.pw)",
+        "onecut._Loc",
+        "diff",
+        "lambda self, k: W(self.fs, self.num.diff(k) * self.fs[0][0], (self.e[0] + 1,))",
         ONE_CUT_RUN,
         "r₁ differs",
     ),
     "sub-without-lifting": (
-        "onecut._WpLoc",
+        "onecut._Loc",
         "__sub__",
-        "lambda self, o: W(self.num - self._coerce(o).num,"
-        " max(self.e, self._coerce(o).e), self.pw)",
+        "lambda self, o: W(self.fs, self.num - self._coerce(o).num,"
+        " tuple(map(max, self.e, self._coerce(o).e)))",
         ONE_CUT_RUN,
         "defect at ε^2",
     ),
     "mul-dropping-exponent": (
-        "onecut._WpLoc",
+        "onecut._Loc",
         "__mul__",
-        "lambda self, o: W(self.num * getattr(o, 'num', o), self.e, self.pw)",
+        "lambda self, o: W(self.fs, self.num * getattr(o, 'num', o), self.e)",
         ONE_CUT_RUN,
         "odd defect order",
     ),
     "two-cut-add-without-lifting": (
         "twocut._Loc",
         "__add__",
-        "lambda self, o: W(self.ctx, self.num + self._coerce(o).num,"
-        " max(self.i, self._coerce(o).i), max(self.j, self._coerce(o).j))",
+        "lambda self, o: W(self.fs, self.num + self._coerce(o).num,"
+        " tuple(map(max, self.e, self._coerce(o).e)))",
         TWO_CUT_RUN,
         "string equation for V₀",
     ),
     "two-cut-diff-without-det-term": (
         "twocut._Loc",
         "diff",
-        "lambda self, k: W(self.ctx, self.num.diff(k) * self.ctx.det * self.ctx.bma"
-        " - self.num * (self.ctx.bma.diff(k) * self.ctx.det) * self.j, self.i + 1, self.j + 1)",
+        "lambda self, k: W(self.fs, self.num.diff(k) * self.fs[0][0]"
+        " * self.fs[0][1] - self.num * (self.fs[0][1].diff(k) * self.fs[0][0]) * self.e[1],"
+        " (self.e[0] + 1, self.e[1] + 1))",
         TWO_CUT_RUN,
         "two-cut derivation differs from the quotient rule",
     ),
     "two-cut-neg-dropping-sign": (
         "twocut._Loc",
         "__neg__",
-        "lambda self: W(self.ctx, self.num if self.i >= 2 else -self.num, self.i, self.j,"
+        "lambda self: W(self.fs, self.num if self.e[0] >= 2 else -self.num, self.e,"
         " canonical=True)",
         TWO_CUT_RUN,
         "solvability: the V-residual at order 1",
@@ -234,14 +196,14 @@ CORRUPTIONS = {
     "perturbed-r_k": (
         "onecut.Lattice",
         "embed",
-        "lambda self, c, f=W.embed: f(self, c + 1 if getattr(c, 'e', 0) else c)",
+        "lambda self, c, f=W.embed: f(self, c + 1 if getattr(c, 'e', (0,))[0] else c)",
         ONE_CUT_RUN,
         "defect at ε^2",
     ),
     "two-cut-perturbed-a_k": (
         "twocut.Lattice",
         "embed",
-        "lambda self, c, f=W.embed: f(self, c + 1 if getattr(c, 'i', 0) else c)",
+        "lambda self, c, f=W.embed: f(self, c + 1 if getattr(c, 'e', (0,))[0] else c)",
         TWO_CUT_RUN,
         "V-defect at ε^2",
     ),

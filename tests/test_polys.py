@@ -328,6 +328,21 @@ def test_mpoly_ops_match_validating_constructor(t1, t2, cancel):
     assert swap_vars(p * q + p) == swap_vars(p) * swap_vars(q) + swap_vars(p)
 
 
+@given(st.dictionaries(st.integers(0, 5), small_fracs, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_mod_image_of_one_variable(cs):
+    # in one variable φ substitutes nothing: φ(den·p) is den·p mod P
+    p = MPoly(1, {(k,): c for k, c in cs.items()})
+    for r in (p, p * Fraction(1, MOD_P), p * Fraction(5, 2 * MOD_P) + 1, p * MOD_P):
+        img = mod_image(r)
+        assert (img is None) == (r.den % MOD_P == 0)
+        if img is not None:
+            want = [0] * (r.total_degree() + 1)
+            for (k,), c in r.terms.items():
+                want[k] = int(c * r.den) % MOD_P
+            assert [v % MOD_P for v in img] == want
+
+
 def test_mpoly_ops_drop_cancelled_terms():
     a, b = MPoly.var(2, 0), MPoly.var(2, 1)
     assert (a * b + 1 - a * b).terms == {(0, 0): Fraction(1)}

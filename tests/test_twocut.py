@@ -17,16 +17,25 @@ from largen.errors import (
     SingularHodograph,
     TruncationExceeded,
 )
-from largen.mpolys import MOD_P, MPoly, greedy_div, mod_image
+from largen.mpolys import (
+    MOD_P,
+    MPoly,
+    MRatFunc,
+    _exact_div,
+    _Loc,
+    _monic_image,
+    greedy_div,
+    loc_factors,
+    mod_image,
+    swap_vars,
+)
+from largen.onecut import _RegularEngine, _mpoly, _ratfunc
+from largen.polys import RationalFunc
 from largen.potential import Potential, parse_potential
 from largen.structured import gamma_moment, phi_moment, psi_poly
 from largen.twocut import (
     MergingPoint,
     _regular_run,
-    _Loc,
-    _LocCtx,
-    _exact_div,
-    _monic_image,
     _solvable,
     _two_pole_basis,
     _TwoCutRegularEngine,
@@ -187,31 +196,37 @@ class TestRegularExpansion:
 
 
 A0, B0 = MPoly.var(2, 0), MPoly.var(2, 1)
-# the factors a _Loc canonicalizes against: two Jacobian determinants and b₀-a₀
+# the factors a _Loc canonicalizes against: two Jacobian determinants, b₀-a₀
+# and a one-cut W'(ρ)
 DIVISORS = {
     "quartic det": _TwoCutRegularEngine(MERGING).det_mp,
     "sextic det": _TwoCutRegularEngine(SEXTIC2).det_mp,
     "b0-a0": B0 - A0,
+    "sextic W'": _mpoly(parse_potential("sextic:42,-11,1").hodograph().derivative()),
 }
 
-_mpolys = st.dictionaries(
-    st.tuples(st.integers(0, 4), st.integers(0, 4)),
-    st.fractions(min_value=-5, max_value=5, max_denominator=7),
-    max_size=6,
-).map(lambda t: MPoly(2, t))
+
+def _mpolys(nvars: int):
+    return st.dictionaries(
+        st.tuples(*[st.integers(0, 4)] * nvars),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7),
+        max_size=6,
+    ).map(lambda t: MPoly(nvars, t))
 
 
 class TestExactDivision:
-    @given(name=st.sampled_from(sorted(DIVISORS)), q=_mpolys)
+    @given(name=st.sampled_from(sorted(DIVISORS)), data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_multiples_divide_back(self, name, q):
+    def test_multiples_divide_back(self, name, data):
         d = DIVISORS[name]
+        q = data.draw(_mpolys(d.nvars))
         assert _exact_div(q * d, d, _monic_image(d)) == q
 
-    @given(name=st.sampled_from(sorted(DIVISORS)), p=_mpolys, q=_mpolys)
+    @given(name=st.sampled_from(sorted(DIVISORS)), data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_filter_agrees_with_greedy_division(self, name, p, q):
+    def test_filter_agrees_with_greedy_division(self, name, data):
         d = DIVISORS[name]
+        p, q = data.draw(_mpolys(d.nvars)), data.draw(_mpolys(d.nvars))
         for num in (p, q * d + p, q * d * d):
             assert _exact_div(num, d, _monic_image(d)) == greedy_div(num, d)
 
@@ -222,7 +237,7 @@ class TestExactDivision:
         def refuse(p, d):
             raise AssertionError("the modular image should have decided this")
 
-        monkeypatch.setattr("largen.twocut.greedy_div", refuse)
+        monkeypatch.setattr("largen.mpolys.greedy_div", refuse)
         assert _exact_div(p, d, _monic_image(d)) is None
 
     def test_denominator_divisible_by_p_falls_back(self):
@@ -240,26 +255,109 @@ class TestExactDivision:
 
     def test_one_image_when_no_division_succeeds(self, monkeypatch):
         # det and b₀-a₀ are tried against the same image of the numerator
-        ctx = _LocCtx(DIVISORS["sextic det"], B0 - A0)
+        det = DIVISORS["sextic det"]
+        fs = loc_factors(det, B0 - A0)
         calls = []
 
         def counting(p):
             calls.append(p)
             return mod_image(p)
 
-        monkeypatch.setattr("largen.twocut.mod_image", counting)
-        loc = _Loc(ctx, A0 * A0 * B0 + 3)
-        assert (loc.i, loc.j) == (0, 0)
+        monkeypatch.setattr("largen.mpolys.mod_image", counting)
+        loc = _Loc(fs, A0 * A0 * B0 + 3)
+        assert loc.e == (0, 0)
         assert len(calls) == 1
         calls.clear()
-        loc = _Loc(ctx, (A0 * B0 + 1) * (B0 - A0) * ctx.det)
-        assert (loc.i, loc.j, loc.num) == (-1, -1, A0 * B0 + 1)
+        loc = _Loc(fs, (A0 * B0 + 1) * (B0 - A0) * det)
+        assert (loc.e, loc.num) == ((-1, -1), A0 * B0 + 1)
         assert len(calls) == 3  # once, then once after each division
 
     def test_failed_lambda_division_is_a_mismatch(self):
         one = WElem.from_poly(F(-2), F(1), [F(1)])
         with pytest.raises(Mismatch, match="solvability: probe"):
             _solvable(one, 1, "probe")
+
+
+# the localised rings of both regular engines: W'(ρ) of a quartic and of a
+# sextic on one cut, (det, b₀-a₀) on two cuts
+LOC_FACTORS = {
+    "quartic": (_mpoly(parse_potential("quartic:1,1").hodograph().derivative()),),
+    "sextic": (DIVISORS["sextic W'"],),
+    "two-cut": (DIVISORS["quartic det"], B0 - A0),
+}
+
+
+def _quotient(x: _Loc):
+    """x in the fraction field it lies in: RationalFunc of ρ, or MRatFunc."""
+    return _ratfunc(x) if x.num.nvars == 1 else x.to_ratfunc()
+
+
+def _loc_element(data, fs) -> tuple:
+    factors = fs[0]
+    num = data.draw(_mpolys(factors[0].nvars))
+    return num, data.draw(st.tuples(*[st.integers(-2, 4)] * len(factors)))
+
+
+class TestLocRing:
+    """mpolys._Loc agrees with the fraction field it localises, over one
+    variable (against RationalFunc) and over two (against MRatFunc)."""
+
+    @pytest.mark.parametrize("name", sorted(LOC_FACTORS))
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_ops_match_quotients(self, name, data):
+        fs = loc_factors(*LOC_FACTORS[name])
+        x, y = (_Loc(fs, *_loc_element(data, fs)) for _ in range(2))
+        fx, fy = _quotient(x), _quotient(y)
+        assert _quotient(x + y) == fx + fy
+        assert _quotient(x - y) == fx - fy
+        assert _quotient(x * y) == fx * fy
+        assert (x == y) == (fx == fy)
+        if isinstance(fx, RationalFunc):
+            assert _quotient(x.diff(0)) == fx.derivative()
+        else:
+            for k in (0, 1):
+                assert _quotient(x.diff(k)) == fx.diff(k)
+            assert _quotient(x.swapped()) == MRatFunc(swap_vars(fx.num), swap_vars(fx.den))
+
+    @pytest.mark.parametrize("name", sorted(LOC_FACTORS))
+    @given(data=st.data(), lift=st.integers(min_value=1, max_value=3))
+    @settings(max_examples=20, deadline=None)
+    def test_equality_sees_through_lifting(self, name, data, lift):
+        # num·Π f^{-e} and (num·f_i^l)·f_i^{-(e_i+l)} are one element, whether
+        # construction divides the f_i^l back out or is told not to try
+        fs = loc_factors(*LOC_FACTORS[name])
+        num, e = _loc_element(data, fs)
+        i = data.draw(st.integers(0, len(e) - 1))
+        x = _Loc(fs, num, e)
+        e_up = tuple(v + lift if k == i else v for k, v in enumerate(e))
+        for y in (_Loc(fs, num * fs[0][i] ** lift, e_up),
+                  _Loc(fs, num * fs[0][i] ** lift, e_up, canonical=True)):
+            assert x == y
+            assert x.diff(0) == y.diff(0)
+            assert not x - y
+
+    def test_unit_factor_is_never_trial_divided(self, monkeypatch):
+        # greedy_div by a constant always succeeds, so dividing a unit out
+        # would never stop; the Gaussian's W' = 2g₂ is one.  The divisions
+        # are counted, so a regression fails here instead of hanging.
+        divisors = []
+
+        def bounded(p, d):
+            divisors.append(d)
+            assert len(divisors) < 20, "trial division does not stop"
+            return greedy_div(p, d)
+
+        monkeypatch.setattr("largen.mpolys.greedy_div", bounded)
+        rho = MPoly.var(1, 0)
+        x = _Loc(loc_factors(MPoly.const(1, 6)), rho * rho + 1, (2,))
+        assert (x.num, x.e) == (rho * rho + 1, (2,))
+        assert x.to_ratfunc() == MRatFunc(rho * rho + 1, MPoly.const(1, 36))
+        y = _Loc(loc_factors(MPoly.const(2, 3), B0 - A0), (A0 * B0 + 1) * (B0 - A0))
+        assert (y.num, y.e) == (A0 * B0 + 1, (0, -1))
+        gauss = _RegularEngine(Potential.gaussian())
+        assert gauss.rho.e == (0,) and gauss.rho / gauss.Wp == gauss.rho * F(1, 2)
+        assert all(d.total_degree() > 0 for d in divisors)
 
 
 class TestFreeEnergy:
