@@ -2,8 +2,10 @@
 
 A ``DiffPoly`` is a finite sum  Σ c · Π v_i^{(k_i)}^{e_i}  where each v_i is a
 named dependent variable (a function of x), k_i a derivative order, and every
-coefficient c is a ``Fraction``; cancelled terms are dropped, so term tables
-are canonical and equality is structural.  The double-scaled engines and the
+coefficient c is rational.  Like ``MPoly`` it is an ``mpolys.IntTable`` of
+integer numerators {monomial: int} over one denominator, in lowest terms, so
+equality is structural and the ring operations run on ints alone; ``terms``
+is the read-only {monomial: Fraction} view.  The double-scaled engines and the
 Painlevé recursions all run over ℚ, taking no polynomial gcd: a parameter such
 as the critical radius ρ enters as a number, never as a coefficient (the
 symbolic-ρ hierarchies in ``painleve`` restore ρ at output).  There is no
@@ -23,6 +25,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .errors import NotTotalDerivative, certify
+from .mpolys import IntTable, reduced
 from .polys import Poly
 from .scalars import is_exact
 from .wring import Lattice, WElem
@@ -64,71 +67,58 @@ def _coerce_coeff(c) -> Fraction:
     raise TypeError(f"bad DiffPoly coefficient: {type(c).__name__}")
 
 
-class DiffPoly:
+class DiffPoly(IntTable):
     """Exact differential polynomial; immutable by convention."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping[Monomial, object] | None = None):
         clean: dict = {}
         for mono, c in (terms or {}).items():
             mono, c = _normalize_monomial(mono), _coerce_coeff(c)
             clean[mono] = clean.get(mono, 0) + c
-        self.terms = {m: c for m, c in clean.items() if c}
+        den = lcm(*(c.denominator for c in clean.values()))
+        self.den, self.nums = reduced(
+            den, {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
+        )
 
     @classmethod
-    def _trusted(cls, terms: dict) -> "DiffPoly":
-        """The ring operations' constructor: their monomials are canonical
-        and their coefficients Fractions already, so only cancelled terms
-        are dropped."""
+    def _trusted(cls, den: int, nums: dict) -> "DiffPoly":
+        """The ring operations' constructor: canonical monomials, ``reduced``."""
         out = cls.__new__(cls)
-        out.terms = {m: c for m, c in terms.items() if c}
+        out.den, out.nums = reduced(den, nums)
         return out
 
     # -- constructors ---------------------------------------------------
     @classmethod
     def zero(cls) -> "DiffPoly":
-        return cls()
+        return cls._trusted(1, {})
 
     @classmethod
     def const(cls, c) -> "DiffPoly":
-        return cls({(): c})
+        c = _coerce_coeff(c)
+        return cls._trusted(c.denominator, {(): c.numerator})
 
     @classmethod
     def var(cls, name: str, order: int = 0) -> "DiffPoly":
         return cls({((name, order, 1),): 1})
 
     # -- queries ----------------------------------------------------------
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def dependent_vars(self) -> set[str]:
-        return {name for mono in self.terms for name, _, _ in mono}
+        return {name for mono in self.nums for name, _, _ in mono}
 
     def max_order(self, name: str | None = None) -> int:
-        orders = (o for mono in self.terms for n, o, _ in mono if name is None or n == name)
+        orders = (o for mono in self.nums for n, o, _ in mono if name is None or n == name)
         return max(orders, default=-1)
 
     def total_degree(self) -> int:
-        return max((sum(e for _, _, e in m) for m in self.terms), default=0)
+        return max((sum(e for _, _, e in m) for m in self.nums), default=0)
 
     def constant_term(self) -> Fraction:
         return self.coefficient(())
 
     def coefficient(self, mono) -> Fraction:
-        return self.terms.get(_normalize_monomial(mono), Fraction(0))
+        return Fraction(self.nums.get(_normalize_monomial(mono), 0), self.den)
 
     # -- ring operations -------------------------------------------------
     @staticmethod
@@ -140,19 +130,18 @@ class DiffPoly:
         return NotImplemented
 
     def __add__(self, other) -> "DiffPoly":
+        # a zero operand returns the other one as it is
+        if (isinstance(other, DiffPoly) or is_exact(other)) and not other:
+            return self
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            prev = out.get(m)
-            out[m] = c if prev is None else prev + c
-        return DiffPoly._trusted(out)
+        return DiffPoly._trusted(*self._sum(other)) if self.nums else other
 
     __radd__ = __add__
 
     def __neg__(self) -> "DiffPoly":
-        return DiffPoly._trusted({m: -c for m, c in self.terms.items()})
+        return DiffPoly._trusted(self.den, {m: -n for m, n in self.nums.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -165,18 +154,19 @@ class DiffPoly:
 
     def __mul__(self, other) -> "DiffPoly":
         if is_exact(other):
-            return DiffPoly._trusted({m: c * other for m, c in self.terms.items()})
+            k = other.numerator
+            return DiffPoly._trusted(self.den * other.denominator,
+                                     {m: n * k for m, n in self.nums.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        get = out.get
+        for m1, n1 in self.nums.items():
+            for m2, n2 in other.nums.items():
                 m = _mono_mul(m1, m2)
-                c = c1 * c2
-                prev = out.get(m)
-                out[m] = c if prev is None else prev + c
-        return DiffPoly._trusted(out)
+                out[m] = get(m, 0) + n1 * n2
+        return DiffPoly._trusted(self.den * other.den, out)
 
     __rmul__ = __mul__
 
@@ -198,24 +188,23 @@ class DiffPoly:
         p = self
         for _ in range(times):
             out: dict = {}
-            for mono, c in p.terms.items():
+            get = out.get
+            for mono, n in p.nums.items():
                 for idx, (name, order, exp) in enumerate(mono):
                     m = _mono_mul(_drop(mono, idx), ((name, order + 1, 1),))
-                    add = c * exp
-                    prev = out.get(m)
-                    out[m] = add if prev is None else prev + add
-            p = DiffPoly._trusted(out)
+                    out[m] = get(m, 0) + n * exp
+            p = DiffPoly._trusted(p.den, out)
         return p
 
     def partial(self, name: str, order: int) -> "DiffPoly":
         """Formal partial derivative with respect to the jet variable v^(order)."""
         out: dict = {}
-        for mono, c in self.terms.items():
+        for mono, c in self.nums.items():
             for idx, (n, o, e) in enumerate(mono):
                 if n == name and o == order:
                     # one factor per (name, order): no other term maps here
                     out[_drop(mono, idx)] = c * e
-        return DiffPoly._trusted(out)
+        return DiffPoly._trusted(self.den, out)
 
     def euler(self, name: str) -> "DiffPoly":
         """Variational derivative δ/δv: Σ_k (-d/dx)^k ∂/∂v^{(k)}."""
@@ -226,7 +215,7 @@ class DiffPoly:
         return out
 
     def is_total_x_derivative(self) -> bool:
-        return () not in self.terms and not any(self.euler(v) for v in self.dependent_vars())
+        return () not in self.nums and not any(self.euler(v) for v in self.dependent_vars())
 
     def integrate_x(self) -> "DiffPoly":
         """The F with dF/dx = self, no constant term; exact, or raises.
@@ -238,7 +227,7 @@ class DiffPoly:
         """
         if self.is_zero():
             return DiffPoly.zero()
-        if () in self.terms:
+        if () in self.nums:
             raise NotTotalDerivative("nonzero constant term")
 
         def predecessors(mono: Monomial) -> list[Monomial]:
@@ -250,7 +239,7 @@ class DiffPoly:
 
         candidates: list[Monomial] = []
         seen: set[Monomial] = set()
-        frontier = list(self.terms)
+        frontier = list(self.nums)
         while frontier:
             fresh = []
             for mono in frontier:
@@ -262,15 +251,15 @@ class DiffPoly:
             # closure: derivatives of new candidates expose sibling monomials
             frontier = []
             for pm in fresh:
-                frontier.extend(DiffPoly({pm: 1}).d_dx().terms)
+                frontier.extend(DiffPoly({pm: 1}).d_dx().nums)
 
         d_images = [DiffPoly({m: 1}).d_dx() for m in candidates]
         eqn_index: dict[Monomial, int] = {}
         for img in d_images:
-            for m in img.terms:
+            for m in img.nums:
                 eqn_index.setdefault(m, len(eqn_index))
         eqn_monos = list(eqn_index)
-        for m in self.terms:
+        for m in self.nums:
             if m not in eqn_index:
                 raise NotTotalDerivative("monomial unreachable from any antiderivative")
 
@@ -279,7 +268,8 @@ class DiffPoly:
         for j, img in enumerate(d_images):
             for m, c in img.terms.items():
                 rows[eqn_index[m]][j] = c
-        rhs = [self.terms.get(m, zero) for m in eqn_monos]
+        terms = self.terms
+        rhs = [terms.get(m, zero) for m in eqn_monos]
 
         sol = _solve_exact(rows, rhs)
         if sol is None:
@@ -299,8 +289,8 @@ class DiffPoly:
             return cache[key]
 
         out = DiffPoly.zero()
-        for mono, c in self.terms.items():
-            term = DiffPoly.const(c)
+        for mono, n in self.nums.items():
+            term = DiffPoly._trusted(self.den, {(): n})
             for name, order, exp in mono:
                 term = term * image(name, order) ** exp
             out = out + term
@@ -325,7 +315,7 @@ class DiffPoly:
         return name + "_" + "x" * order if order <= 4 else f"{name}^({order})"
 
     def render(self, latex: bool = False) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts = []
         for mono, c in self.sorted_terms():
@@ -411,27 +401,25 @@ class XRelation:
             return NotImplemented
         return self.p == other.p and self.q == other.q
 
-    def all_coeffs(self) -> list:
-        return list(self.p.terms.values()) + list(self.q.terms.values())
-
     def normalize(self) -> "XRelation":
         """Scale so all coefficients are coprime integers and the leading
         monomial of the highest-derivative part is positive."""
-        vals = self.all_coeffs()
-        if not vals:
+        p, q = self.p, self.q
+        if not (p.nums or q.nums):
             return self
-        den_lcm = lcm(*(v.denominator for v in vals))
-        scale = Fraction(den_lcm, gcd(*(int(v * den_lcm) for v in vals)) or 1)
-        lead = self.p if self.p.terms else self.q
-        if lead.terms[max(lead.terms, key=DiffPoly._mono_sort_key)] < 0:
+        den = lcm(p.den, q.den)
+        scale = Fraction(den, gcd(*(n * (den // p.den) for n in p.nums.values()),
+                                  *(n * (den // q.den) for n in q.nums.values())))
+        lead = p if p.nums else q
+        if lead.nums[max(lead.nums, key=DiffPoly._mono_sort_key)] < 0:
             scale = -scale
-        return XRelation(self.p * scale, self.q * scale)
+        return XRelation(p * scale, q * scale)
 
     def render(self, latex: bool = False) -> str:
         ps = self.p.render(latex=latex)
         if self.q.is_zero():
             return f"{ps} = 0"
-        cq = self.q.terms[max(self.q.terms, key=DiffPoly._mono_sort_key)]
+        cq = self.q.nums[max(self.q.nums, key=DiffPoly._mono_sort_key)]
         q, sign = (-self.q, "-") if cq < 0 else (self.q, "+")
         qs = q.render(latex=latex)
         xterm = "x" if qs == "1" else (f"x \\, ({qs})" if latex else f"x*({qs})")

@@ -2,11 +2,11 @@
 ring both regular engines compute in.
 
 An ``MPoly`` carries ρ = r₀ on one cut and the leading endpoints (a₀, b₀)
-on two.  It is a table of integer numerators over one positive denominator,
-{exponent tuple: int} / den, with gcd(den, numerators) = 1 and no zero
-entry, so equal polynomials have equal tables and the arithmetic runs on
-ints alone; ``terms`` is the read-only {exponents: Fraction} view, in the
-table's insertion order.  Exact division
+on two.  It is an ``IntTable``, as is ``diffpoly.DiffPoly``: integer
+numerators over one positive denominator, {exponent tuple: int} / den, with
+gcd(den, numerators) = 1 and no zero entry, so equal polynomials have equal
+tables and the arithmetic runs on ints alone; ``terms`` is the read-only
+{exponents: Fraction} view, in the table's insertion order.  Exact division
 (``greedy_div``) divides by the primitive part of the divisor's numerators:
 by Gauss's lemma an exact quotient then has integer coefficients, so a
 leading coefficient that does not divide proves the division inexact.
@@ -33,10 +33,58 @@ from .scalars import as_fraction, is_exact, mpf_of
 _ZERO = Fraction(0)
 
 
-class MPoly:
+def reduced(den: int, nums: dict) -> tuple[int, dict]:
+    """(den, nums) in lowest terms: zero entries dropped, any factor common to
+    den > 0 and all numerators divided out, insertion order kept."""
+    nums = {k: n for k, n in nums.items() if n}
+    if den != 1:
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {k: n // g for k, n in nums.items()}
+    return den, nums
+
+
+class IntTable:
+    """Integer numerators ``nums`` {key: int} over ``den``, as ``reduced``
+    leaves them; subclasses supply ``_coerce`` and the ring operations."""
+
+    __slots__ = ("den", "nums")
+
+    @property
+    def terms(self) -> dict:
+        """{key: Fraction coefficient}, a fresh dict in insertion order."""
+        return {k: Fraction(n, self.den) for k, n in self.nums.items()}
+
+    def is_zero(self) -> bool:
+        return not self.nums
+
+    def __bool__(self) -> bool:
+        return bool(self.nums)
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.den == other.den and self.nums == other.nums
+
+    def __hash__(self):
+        return hash((self.den, frozenset(self.nums.items())))
+
+    def _sum(self, other: "IntTable") -> tuple[int, dict]:
+        """The numerators of self + other over the lcm of the denominators."""
+        den = lcm(self.den, other.den)
+        m1, m2 = den // self.den, den // other.den
+        out = dict(self.nums) if m1 == 1 else {k: n * m1 for k, n in self.nums.items()}
+        for k, n in other.nums.items():
+            out[k] = out.get(k, 0) + n * m2
+        return den, out
+
+
+class MPoly(IntTable):
     """Polynomial in ``nvars`` variables: ``nums`` {exponent tuple: int} over ``den``."""
 
-    __slots__ = ("nvars", "den", "nums")
+    __slots__ = ("nvars",)
 
     def __init__(self, nvars: int, terms: Mapping[tuple, object] | None = None):
         clean: dict[tuple, Fraction] = {}
@@ -54,16 +102,11 @@ class MPoly:
 
     @classmethod
     def _trusted(cls, nvars: int, den: int, nums: dict) -> "MPoly":
-        """Wrap numerators over ``den`` > 0, dropping zeros and any factor common
-        to den and all numerators; insertion order is kept (``eval`` sums in it)."""
-        nums = {e: n for e, n in nums.items() if n}
-        if den != 1:
-            g = gcd(den, *nums.values())
-            if g != 1:
-                den //= g
-                nums = {e: n // g for e, n in nums.items()}
+        """Wrap numerators over ``den`` > 0 in lowest terms (``reduced``), in
+        their insertion order (``eval`` sums in it)."""
         out = cls.__new__(cls)
-        out.nvars, out.den, out.nums = nvars, den, nums
+        out.nvars = nvars
+        out.den, out.nums = reduced(den, nums)
         return out
 
     @classmethod
@@ -76,26 +119,6 @@ class MPoly:
         e = [0] * nvars
         e[i] = 1
         return cls._trusted(nvars, 1, {tuple(e): 1})
-
-    @property
-    def terms(self) -> dict:
-        """{exponents: Fraction coefficient}, a fresh dict in insertion order."""
-        return {e: Fraction(n, self.den) for e, n in self.nums.items()}
-
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    def __bool__(self) -> bool:
-        return bool(self.nums)
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.den == other.den and self.nums == other.nums
-
-    def __hash__(self):
-        return hash((self.den, frozenset(self.nums.items())))
 
     def _coerce(self, other):
         if isinstance(other, MPoly):
@@ -110,12 +133,7 @@ class MPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        den = lcm(self.den, other.den)
-        m1, m2 = den // self.den, den // other.den
-        out = dict(self.nums) if m1 == 1 else {e: n * m1 for e, n in self.nums.items()}
-        for e, n in other.nums.items():
-            out[e] = out.get(e, 0) + n * m2
-        return MPoly._trusted(self.nvars, den, out)
+        return MPoly._trusted(self.nvars, *self._sum(other))
 
     __radd__ = __add__
 

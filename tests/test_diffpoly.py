@@ -7,6 +7,7 @@ Integration oracles (checked by differentiating back, plus frozen forms):
 """
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -193,6 +194,14 @@ def only_fractions(p: DiffPoly) -> bool:
     return all(type(c) is F for c in p.terms.values())
 
 
+def in_lowest_terms(p: DiffPoly) -> bool:
+    """The stored form: nonzero int numerators over den > 0, gcd 1."""
+    return (
+        type(p.den) is int and p.den > 0 and gcd(p.den, *p.nums.values()) == 1
+        and all(type(n) is int and n for n in p.nums.values())
+    )
+
+
 @given(a=rational, b=rational)
 @settings(max_examples=60, deadline=None)
 def test_rational_coefficients_match_reference(a, b):
@@ -213,9 +222,26 @@ def test_rational_coefficients_match_reference(a, b):
     # d/dx has one antiderivative without a constant term
     g = a - DiffPoly.const(a.constant_term())
     assert g.d_dx().integrate_x().to_json() == ref_json(g.terms)
-    # ints and Fractions are one coefficient, and every result is over ℚ
+    # ints and Fractions are one coefficient, and every result is over ℚ,
+    # stored in lowest terms
     assert a * 2 == a * F(2) and hash(a * 2) == hash(a * F(2))
-    assert all(only_fractions(p) for p in (a + b, a * b, a.d_dx(), -a, a * 3))
+    results = (a, a + b, a - b, a * b, a.d_dx(), a.partial("u", 1), -a, a * 3, a * F(-2, 3),
+               a * 0, a + F(1, 6), b.substitute({"u": a}), g.d_dx().integrate_x())
+    assert all(only_fractions(p) and in_lowest_terms(p) for p in results)
+    assert (a * 0).den == 1
+
+
+@given(a=rational, k=st.integers(-4, 4))
+@settings(max_examples=40, deadline=None)
+def test_int_and_fraction_scalars_agree(a, k):
+    for op in (
+        lambda p, c: p + c, lambda p, c: c + p, lambda p, c: p - c, lambda p, c: c - p,
+        lambda p, c: p * c, lambda p, c: c * p, lambda p, c: DiffPoly.const(c) * p,
+    ):
+        got, want = op(a, k), op(a, F(k))
+        assert got == want and hash(got) == hash(want)
+        assert in_lowest_terms(got)
+    assert a + 0 is a and a + F(0) is a and 0 + a is a and a + DiffPoly.zero() is a
 
 
 def test_double_scaled_engines_run_over_q():
@@ -228,4 +254,4 @@ def test_double_scaled_engines_run_over_q():
     polys += [p for rel in sym.ladder for p in (rel.p, rel.q)]
     polys += [p for o in sym.orders for p in (o.C, *o.A, *o.B)]
     assert sum(len(p.terms) for p in polys) > 100
-    assert all(only_fractions(p) for p in polys)
+    assert all(only_fractions(p) and in_lowest_terms(p) for p in polys)

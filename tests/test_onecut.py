@@ -143,8 +143,9 @@ SYMMETRIC_RUN = (
 # (one cut) or by the quotient rule (two cuts), and a broken d/dx of the
 # double-scaled engines by Poly.derivative on a probe.  A solved r_k or a_k
 # that reaches the identity perturbed (every embedded coefficient with a
-# nonzero W'- or det-exponent, shifted by 1) fails its own order's residual.
-# Both engines run on the one shared ring, ``mpolys._Loc``.
+# nonzero W'- or det-exponent, shifted by 1) fails its own order's residual,
+# and so does a DiffPoly sum with one numerator off (only sums that carry
+# r₁, so the d/dx probe is untouched).  Both engines run on the one shared ring, ``mpolys._Loc``.
 CORRUPTIONS = {
     "d_dT-without-W''-term": (
         "onecut._Loc",
@@ -215,6 +216,14 @@ CORRUPTIONS = {
         " times - 1)",
         SCALED_RUN,
         "d/dx of the double-scaled engine differs",
+    ),
+    "diffpoly-add-perturbing-a-numerator": (
+        "onecut.DiffPoly",
+        "__add__",
+        "lambda self, o, f=W.__add__: (lambda s: f(s, W._trusted(s.den, {next(iter(s.nums)): 1}))"
+        " if 'r1' in s.dependent_vars() else s)(f(self, o))",
+        SCALED_RUN,
+        "scaled defect at ε^2",
     ),
     "d_dx-doubling-every-term": (
         "onecut.DiffPoly",
