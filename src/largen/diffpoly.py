@@ -11,20 +11,16 @@ as the critical radius ρ enters as a number, never as a coefficient (the
 symbolic-ρ hierarchies in ``painleve`` restore ρ at output).  There is no
 explicit x inside a DiffPoly; relations that need a bare x carry it
 structurally (see ``XRelation``).
-
-The one nontrivial operation is ``integrate_x``: inverting d/dx on its image.
-Rather than a term-rewriting loop (whose termination order is fiddly), we
-enumerate candidate antiderivative monomials by predecessor closure and solve
-a small exact linear system; inconsistency raises ``NotTotalDerivative``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
-from .errors import NotTotalDerivative, certify
+from .errors import certify
 from .mpolys import IntTable, reduced
 from .polys import Poly
 from .scalars import is_exact
@@ -206,76 +202,6 @@ class DiffPoly(IntTable):
                     out[_drop(mono, idx)] = c * e
         return DiffPoly._trusted(self.den, out)
 
-    def euler(self, name: str) -> "DiffPoly":
-        """Variational derivative δ/δv: Σ_k (-d/dx)^k ∂/∂v^{(k)}."""
-        out = DiffPoly.zero()
-        for k in range(self.max_order(name) + 1):
-            piece = self.partial(name, k).d_dx(k)
-            out = out + (piece if k % 2 == 0 else -piece)
-        return out
-
-    def is_total_x_derivative(self) -> bool:
-        return () not in self.nums and not any(self.euler(v) for v in self.dependent_vars())
-
-    def integrate_x(self) -> "DiffPoly":
-        """The F with dF/dx = self, no constant term; exact, or raises.
-
-        Candidate monomials of F are found by predecessor closure (lower one
-        derivative order of one factor), then an exact linear system pins the
-        coefficients.  Raises NotTotalDerivative when no antiderivative
-        exists in the differential-polynomial ring.
-        """
-        if self.is_zero():
-            return DiffPoly.zero()
-        if () in self.nums:
-            raise NotTotalDerivative("nonzero constant term")
-
-        def predecessors(mono: Monomial) -> list[Monomial]:
-            return [
-                _mono_mul(_drop(mono, idx), ((n, o - 1, 1),))
-                for idx, (n, o, _) in enumerate(mono)
-                if o >= 1
-            ]
-
-        candidates: list[Monomial] = []
-        seen: set[Monomial] = set()
-        frontier = list(self.nums)
-        while frontier:
-            fresh = []
-            for mono in frontier:
-                for pm in predecessors(mono):
-                    if pm and pm not in seen:
-                        seen.add(pm)
-                        candidates.append(pm)
-                        fresh.append(pm)
-            # closure: derivatives of new candidates expose sibling monomials
-            frontier = []
-            for pm in fresh:
-                frontier.extend(DiffPoly({pm: 1}).d_dx().nums)
-
-        d_images = [DiffPoly({m: 1}).d_dx() for m in candidates]
-        eqn_index: dict[Monomial, int] = {}
-        for img in d_images:
-            for m in img.nums:
-                eqn_index.setdefault(m, len(eqn_index))
-        eqn_monos = list(eqn_index)
-        for m in self.nums:
-            if m not in eqn_index:
-                raise NotTotalDerivative("monomial unreachable from any antiderivative")
-
-        zero = Fraction(0)
-        rows = [[zero] * len(candidates) for _ in eqn_monos]
-        for j, img in enumerate(d_images):
-            for m, c in img.terms.items():
-                rows[eqn_index[m]][j] = c
-        terms = self.terms
-        rhs = [terms.get(m, zero) for m in eqn_monos]
-
-        sol = _solve_exact(rows, rhs)
-        if sol is None:
-            raise NotTotalDerivative("no antiderivative solves the linear system")
-        return DiffPoly(dict(zip(candidates, sol)))
-
     # -- substitution -------------------------------------------------------
     def substitute(self, mapping: Mapping[str, "DiffPoly"]) -> "DiffPoly":
         """Replace variables by differential polynomials, v^{(k)} -> d^k(image)."""
@@ -352,37 +278,6 @@ class DiffPoly(IntTable):
         return f"DiffPoly({self.render()})"
 
 
-def _solve_exact(rows: list[list], rhs: list):
-    """Gaussian elimination over ℚ; None if inconsistent.
-
-    Returns a particular solution (free variables set to zero).
-    """
-    m, n = len(rows), len(rows[0]) if rows else 0
-    aug = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivots, r = [], 0
-    for col in range(n):
-        pivot = next((i for i in range(r, m) if aug[i][col]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [x * inv if x else x for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b if b else a for a, b in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    if any(aug[i][n] for i in range(r, m)):
-        return None
-    sol = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        sol[col] = aug[i][n]
-    return sol
-
-
 class XRelation:
     """A relation  p(u, ...) + x·q(u, ...) = 0  between differential polynomials.
 
@@ -434,24 +329,38 @@ class XRelation:
         return f"XRelation({self.render()})"
 
 
+_PROBE_V = Poly((1, -1, 0, 3))  # v(x) in the probe of certify_d_dx
+
+
+@cache
+def _at_probe_v(mono: Monomial) -> Poly:
+    """A monomial evaluated at v = ``_PROBE_V``, as a polynomial in x."""
+    out = Poly.const(1)
+    for _, order, exp in mono:
+        out = out * _PROBE_V.derivative(order) ** exp
+    return out
+
+
+@cache
+def _probe_reference(times: int) -> Poly:
+    """d^times/dx^times of v²·v′ + v″/2 at v = ``_PROBE_V``, in ``Poly`` alone."""
+    v = _PROBE_V
+    return (v * v * v.derivative() + v.derivative(2) * Fraction(1, 2)).derivative(times)
+
+
 def certify_d_dx() -> None:
     """Certify ``DiffPoly.d_dx`` against ``Poly.derivative`` on the probe
     v²·v′ + v″/2 at v(x) = 1 - x + 3x³.  A double-scaled engine's residual holds
-    for whatever derivation it is given; this is the check that sees a wrong one."""
-    f = Poly((1, -1, 0, 3))
+    for whatever derivation it is given; this is the check that sees a wrong one.
 
-    def at(p: DiffPoly) -> Poly:
-        out = Poly.zero()
-        for mono, c in p.terms.items():
-            for _, order, exp in mono:
-                c = f.derivative(order) ** exp * c
-            out = out + c
-        return out
-
+    The probe is built and differentiated on every call, so a derivation
+    changed after the first call is still seen; the ``Poly`` side is computed
+    once per process."""
     probe = DiffPoly.var("v") ** 2 * DiffPoly.var("v", 1) + DiffPoly.var("v", 2) * Fraction(1, 2)
     for times in (1, 2):
+        image = probe.d_dx(times).terms.items()
         certify(
-            at(probe.d_dx(times)) == at(probe).derivative(times),
+            sum((_at_probe_v(mono) * c for mono, c in image), Poly.zero()) == _probe_reference(times),
             "d/dx of the double-scaled engine differs from Poly.derivative",
         )
 

@@ -1,8 +1,9 @@
 """Error taxonomy shared by the whole package.
 
-Every failure mode that callers are expected to handle gets its own class so
-that the CLI can map exceptions to machine-readable error objects.  Plain
-``ZeroDivisionError`` is used for scalar/rational-function division by zero.
+Every failure mode that callers are expected to handle gets its own class, so
+a caller can tell failures apart and map each to a machine-readable error
+object.  Plain ``ZeroDivisionError`` is used for scalar/rational-function
+division by zero.
 """
 
 
@@ -12,10 +13,6 @@ class LargenError(Exception):
 
 class PrecisionExhausted(LargenError):
     """Requested digits cannot be certified (quadrature or root refinement)."""
-
-
-class NotTotalDerivative(LargenError):
-    """integrate_exact was asked to invert d/dx on something outside its image."""
 
 
 class NoAdmissibleRoot(LargenError):
@@ -73,3 +70,13 @@ def certify(cond, what: str) -> None:
     """
     if not cond:
         raise Mismatch(what)
+
+
+def checked_index(k: int, top: int, what: str) -> int:
+    """k itself when 0 ≤ k ≤ top; ``ValueError`` below, and
+    ``TruncationExceeded(what)`` above, the computed range."""
+    if k < 0:
+        raise ValueError(f"index must be nonnegative, got {k}")
+    if k > top:
+        raise TruncationExceeded(what)
+    return k

@@ -43,9 +43,9 @@ from .polys import Poly, RationalFunc, poly_from_pairs
 from .potential import Potential
 from .roots import real_roots
 from .scalars import (
+    DEFAULT_DIGITS,
     Scalar,
     as_fraction,
-    default_digits,
     is_exact,
     lifted,
     mpf_of,
@@ -104,7 +104,7 @@ class OneCutExpansion:
 
     def values(self, digits: int | None = None) -> list:
         """The coefficients evaluated at this expansion's r₀."""
-        digits = digits or default_digits()
+        digits = digits or DEFAULT_DIGITS
         with mpmath.workdps(digits):
             x = lifted(self.r0, digits)
             return [c(x) for c in self.coeffs]
@@ -265,7 +265,7 @@ def expand_regular(
     """Large-N coefficients r₀..r_K on the one-cut branch through (g, T)."""
     if K < 0:
         raise ValueError("truncation order must be nonnegative")
-    digits = digits or default_digits()
+    digits = digits or DEFAULT_DIGITS
     r0 = solve_one_cut(g, T, digits)
     wp = g.hodograph().derivative()
     with mpmath.workdps(digits):
@@ -330,7 +330,7 @@ def find_critical(g: Potential, digits: int | None = None) -> tuple[OneCutCritic
     from the support may already fail there — a critical point reached along
     a metastable branch is still a critical point.)
     """
-    digits = digits or default_digits()
+    digits = digits or DEFAULT_DIGITS
     W = g.hodograph()
     Wp = W.derivative()
     delta = Fraction(1, 1000)

@@ -37,10 +37,10 @@ from mpmath.calculus.quadrature import TanhSinh
 from mpmath.libmp import (finf, fone, fzero, from_man_exp, mpf_abs, mpf_add, mpf_div, mpf_exp,
                           mpf_le, mpf_mul, mpf_neg, mpf_pi, mpf_shift, mpf_sub, round_nearest)
 
-from .errors import NumericallySingular, PrecisionExhausted, certify
+from .errors import NumericallySingular, PrecisionExhausted, certify, checked_index
 from .potential import Potential
 from .roots import real_roots
-from .scalars import Scalar, default_digits, mpf_of
+from .scalars import DEFAULT_DIGITS, Scalar, mpf_of
 
 # a recurrence entry is unusable once fewer than this many digits survive
 _TRUST_FLOOR = 10
@@ -71,9 +71,8 @@ class MomentTable:
         return len(self.moments) - 1
 
     def moment(self, two_k: int):
-        if two_k % 2:
-            return mpmath.mpf(0)
-        return self.moments[two_k // 2]
+        checked_index(two_k, 2 * self.kmax, f"moments computed through m_{2 * self.kmax}")
+        return mpmath.mpf(0) if two_k % 2 else self.moments[two_k // 2]
 
 
 def _split_points(g: Potential, digits: int) -> list:
@@ -194,7 +193,7 @@ def compute_moments(g: Potential, T, N: int, kmax: int, digits: int | None = Non
     accepted at the first level d ≥ 5 whose total agrees with level d - 1's to
     ``digits + 5`` decimals (relative), else ``PrecisionExhausted`` names it.
     """
-    digits = default_digits() if digits is None else digits
+    digits = DEFAULT_DIGITS if digits is None else digits
     if digits < 30:
         raise ValueError("moment tables need at least 30 digits")
     if kmax < 0 or N < 1:
@@ -265,9 +264,8 @@ class RecurrenceTable:
 
     def r_at(self, n: int):
         """r_{n,N}, with the r_{0,N} = 0 convention."""
-        if n == 0:
-            return mpmath.mpf(0)
-        return self.r[n - 1]
+        checked_index(n, self.nmax, f"recurrence table computed through r_{self.nmax}")
+        return self.r[n - 1] if n else mpmath.mpf(0)
 
 
 def recurrence_from_moments(mt: MomentTable, nmax: int) -> RecurrenceTable:
@@ -370,14 +368,13 @@ def lax_element(r, n: int, power: int):
     return c.get(n - 1, mpmath.mpf(0))
 
 
-def check_string_equation(rt: RecurrenceTable, g: Potential | None = None, N: int | None = None):
+def check_string_equation(rt: RecurrenceTable):
     """Max residual of V_z(L)_{n,n-1} = nT/N over every checkable row.
 
     The weight carries N/T where the bare string equation has N, so the
     right-hand side is n·T/N.  Row zero is the trivial 0 = 0 check.
     """
-    g = rt.g if g is None else g
-    N = rt.N if N is None else N
+    g, N = rt.g, rt.N
     p = len(g.gs)
     with mpmath.workdps(rt.digits + 10):
         ntil = mpmath.mpf(N) / mpf_of(rt.T, rt.digits + 10)

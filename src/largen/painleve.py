@@ -5,13 +5,17 @@ collapses to a member of the Painlevé I hierarchy,
 
     c_m · R_m(u) - x = 0,
 
-where R_m is the m-th Gel'fand–Dikii differential polynomial, generated by
+where R_m is the m-th Gel'fand–Dikii differential polynomial: the ζ^{-m}
+coefficient of the resolvent R = Σ R_k ζ^{-k} of the Lax operator, R₀ = 1,
+with ρ the critical radius.  The recursion ∂ₓ R_{k+1} = (ρ ∂ₓ³ + 4u ∂ₓ + 2uₓ) R_k
+has the first integral (Gel'fand & Dikii, Russ. Math. Surveys 30:5, 1975)
 
-    ∂ₓ R_{k+1} = (ρ ∂ₓ³ + 4u ∂ₓ + 2uₓ) R_k,        R₀ = 1,
+    ρ (R R″ - R′²/2) + 2u R² - ζ R²/2 = -ζ/2,
 
-with the integration constant fixed to zero for every k ≥ 1 (ρ is the
-critical radius).  At a two-cut merging point of order m the parity-split
-pair collapses instead to a Painlevé II hierarchy member,
+whose ζ^{-k} coefficient gives R_{k+1} from R₀..R_k by algebra alone.  Each
+step is certified against the recursion and for a zero constant term.  At a
+two-cut merging point of order m the parity-split pair collapses instead to
+a Painlevé II hierarchy member,
 
     2 r_c φ_m · R_m(u) + x·u = 0,
 
@@ -24,7 +28,9 @@ condition 2ρ ∂ₓS₀ = u ∂ₓR₀ forces S₀ once R₀ is chosen, and onl
 (not its derivative, which also floats around in informal statements of
 the recursion) makes R₁ = uₓₓ/2 - u³/(4ρ²) come out with the weights that
 match the merging-point ladder.  m = 1 gives the Painlevé II equation
-itself once the constants are cleared.
+itself once the constants are cleared.  S_{k+1} is the ζ^{-k} coefficient
+of the first integral ζ R²/2 + ρ R′²/2 - 2ρ S² + ζ S = 0, certified against
+the second recursion and for a zero constant term.
 
 Both recursions are homogeneous of degree k in (u, ρ), so
 R_k(u; ρ) = ρ^k R_k(u/ρ; 1): the coefficient c of a monomial of degree d in
@@ -97,6 +103,11 @@ def _at(unit: DiffPoly, m: int, rc):
     return member if rc is None else member.at(rc)
 
 
+def _product(a: list, b: list, k: int) -> DiffPoly:
+    """Σ_{i+j=k} a_i·b_j: the ζ^{-k} coefficient of the product of two series."""
+    return sum((a[i] * b[k - i] for i in range(k + 1)), DiffPoly.zero())
+
+
 _GD_CACHE: list = [DiffPoly.const(1)]
 
 
@@ -104,21 +115,26 @@ def gelfand_dikii(m: int, rc=None) -> DiffPoly | Homogeneous:
     """R_m of the Painlevé I / KdV hierarchy at ρ = rc; ``rc=None`` keeps ρ
     symbolic and returns the ``Homogeneous`` member.
 
-    Each step integrates the third-order operator image at ρ = 1 exactly; the
-    integration is an existence proof (it raises if the image is not a
-    total derivative), and the derivative is checked against the operator
-    once more after the fact.
+    Each step reads R_{k+1} off the ζ^{-k} coefficient of the first integral
+    at ρ = 1, and certifies that its derivative is the operator image of R_k
+    and that it has no constant term.
     """
     if m < 0:
         raise ValueError("hierarchy index must be nonnegative")
-    while len(_GD_CACHE) <= m:
-        R = _GD_CACHE[-1]
-        rhs = R.d_dx(3) + _U * R.d_dx() * 4 + _U.d_dx() * R * 2
-        nxt = rhs.integrate_x()
-        certify(nxt.d_dx() == rhs, f"R_{len(_GD_CACHE)} does not integrate the recursion")
-        certify(not nxt.constant_term(), f"R_{len(_GD_CACHE)} has a constant term")
-        _GD_CACHE.append(nxt)
-    return _at(_GD_CACHE[m], m, rc)
+    R = _GD_CACHE
+    while len(R) <= m:
+        k = len(R) - 1
+        D1 = [r.d_dx() for r in R]
+        D2 = [r.d_dx() for r in D1]
+        nxt = (
+            _product(R, D2, k) - _product(D1, D1, k) * Fraction(1, 2) + _U * _product(R, R, k) * 2
+            - _product(R[1:], R[1:], k - 1) * Fraction(1, 2)
+        )
+        rhs = D2[k].d_dx() + _U * D1[k] * 4 + _U.d_dx() * R[k] * 2
+        certify(nxt.d_dx() == rhs, f"R_{k + 1} does not integrate the recursion")
+        certify(not nxt.constant_term(), f"R_{k + 1} has a constant term")
+        R.append(nxt)
+    return _at(R[m], m, rc)
 
 
 _PII_CACHE: list = [(_U * Fraction(-1, 2), _U * _U * Fraction(-1, 8))]
@@ -128,21 +144,26 @@ def pii_hierarchy(m: int, rc=None) -> tuple:
     """(R_m, S_m) of the Painlevé II hierarchy at ρ = rc; ``rc=None`` keeps ρ
     symbolic and returns the pair of ``Homogeneous`` members.
 
-    m = 0 returns the seed pair.  S_{k+1} is produced by exact integration
-    of u·∂ₓR_{k+1}/2 at ρ = 1, which certifies that the second recursion
-    relation is solvable at every order.
+    m = 0 returns the seed pair.  R_{k+1} comes from the first recursion and
+    S_{k+1} from the ζ^{-k} coefficient of the first integral at ρ = 1; S_{k+1}
+    is certified against the second recursion, and neither carries a constant
+    term.
     """
     if m < 0:
         raise ValueError("hierarchy index must be nonnegative")
     while len(_PII_CACHE) <= m:
-        R, S = _PII_CACHE[-1]
-        Rn = -R.d_dx(2) + _U * S * 2
-        Sn = (_U * Rn.d_dx() * Fraction(1, 2)).integrate_x()
-        certify(
-            Sn.d_dx() * 2 == _U * Rn.d_dx(),
-            f"S_{len(_PII_CACHE)} does not integrate the second recursion",
+        k = len(_PII_CACHE) - 1
+        R, S = (list(col) for col in zip(*_PII_CACHE))
+        R.append(-R[k].d_dx(2) + _U * S[k] * 2)
+        D1 = [r.d_dx() for r in R]
+        Sn = (
+            _product(S, S, k) * 2 - _product(R, R, k + 1) * Fraction(1, 2)
+            - _product(D1, D1, k) * Fraction(1, 2)
         )
-        _PII_CACHE.append((Rn, Sn))
+        certify(Sn.d_dx() * 2 == _U * D1[-1], f"S_{k + 1} does not integrate the second recursion")
+        certify(not R[-1].constant_term(), f"R_{k + 1} has a constant term")
+        certify(not Sn.constant_term(), f"S_{k + 1} has a constant term")
+        _PII_CACHE.append((R[-1], Sn))
     R, S = _PII_CACHE[m]
     return _at(R, m, rc), _at(S, m, rc)
 

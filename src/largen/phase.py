@@ -44,9 +44,9 @@ from .polys import Poly
 from .potential import Potential
 from .roots import real_roots
 from .scalars import (
+    DEFAULT_DIGITS,
     Scalar,
     as_fraction,
-    default_digits,
     is_exact,
     lifted,
     mpf_of,
@@ -117,7 +117,7 @@ def branch_density_positive(g: Potential, r0, digits: int | None = None) -> bool
     measure has already jumped to another configuration, where the branch is
     still meaningful as long as its density stays positive.
     """
-    digits = digits or default_digits()
+    digits = digits or DEFAULT_DIGITS
     endpoints, hc = _one_cut_curve(g, r0, digits)
     return _h_status(hc, *endpoints, digits) == _CLEAR
 
@@ -328,7 +328,7 @@ def solve_one_cut(g: Potential, T, digits: int | None = None) -> Scalar:
     inequality holds; if several qualify, the smallest — the branch
     continuous from T → 0⁺ — is returned.
     """
-    digits = digits or default_digits()
+    digits = digits or DEFAULT_DIGITS
     if not lifted(T, digits) > 0:
         raise ValueError("need T > 0")
     for r0 in _one_cut_candidates(g, T, digits):
@@ -390,7 +390,7 @@ def solve_two_cut(g: Potential, T, digits: int | None = None):
     closed form for quartics, else exact elimination on the branch curve
     (module notes).  The first candidate, smallest a₀, is returned; a refusal
     says whether there is no real solution or none with a₀ > b₀ > 0."""
-    return _two_cut_candidates(g, T, digits or default_digits())[0]
+    return _two_cut_candidates(g, T, digits or DEFAULT_DIGITS)[0]
 
 
 def _two_cut_verdict(endpoints, hc, digits: int) -> Optional[str]:
@@ -435,7 +435,7 @@ def classify_phase(g: Potential, T, digits: int | None = None) -> PhaseResult:
     (possible only on the critical curve) the result is reported critical
     with the competing candidate attached.
     """
-    digits = digits or default_digits()
+    digits = digits or DEFAULT_DIGITS
     results: list[PhaseResult] = []
     for r0 in _one_cut_candidates(g, T, digits):
         curve = _one_cut_curve(g, r0, digits)
@@ -478,7 +478,7 @@ def classify_phase(g: Potential, T, digits: int | None = None) -> PhaseResult:
 
 def density(g: Potential, phase: PhaseResult, x, digits: int | None = None):
     """Eigenvalue density ρ(x) = h(x)·w₁₊(x)/(2πi·T) on the closed support."""
-    digits = digits or default_digits()
+    digits = digits or DEFAULT_DIGITS
     hc = phase.h_coeffs()
     if not hc:
         raise ValueError("phase carries no h-polynomial data")
@@ -507,7 +507,7 @@ def density(g: Potential, phase: PhaseResult, x, digits: int | None = None):
 
 def phase_scan(g: Potential, T_values: Sequence, digits: int | None = None) -> list[dict]:
     """Rows (g2, g4, T, s, alpha2, beta2, status) across a temperature sweep."""
-    digits = digits or default_digits()
+    digits = digits or DEFAULT_DIGITS
     g2 = g.gs[0]
     g4 = g.gs[1] if len(g.gs) > 1 else _ZERO
     rows = []

@@ -17,7 +17,7 @@ from typing import Optional
 import mpmath
 
 from .polys import Poly
-from .scalars import Scalar, default_digits, mpf_of, rationalize
+from .scalars import DEFAULT_DIGITS, Scalar, mpf_of, rationalize
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ def real_roots(p: Poly, digits: int | None = None,
     Exact rational roots come back as Fractions with ``exact=True``;
     the rest are mpf values accurate to roughly ``digits`` digits.
     """
-    digits = digits or default_digits()
+    digits = digits or DEFAULT_DIGITS
     if p.is_zero():
         raise ValueError("zero polynomial has every point as a root")
     roots: list[RealRoot] = []

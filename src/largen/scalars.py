@@ -7,13 +7,11 @@ rationals: root refinement and quadrature.  A ``Scalar`` is therefore either a
 Whether a value goes on exactly is decided by ``lifted``, and whether it
 counts as zero by ``negligible``, here and nowhere else.
 
-The default working precision comes from the ``LARGEN_DIGITS`` environment
-variable (30 when unset).
+The default working precision is ``DEFAULT_DIGITS`` decimal digits.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import isqrt
 from typing import Union
@@ -22,18 +20,7 @@ import mpmath
 
 Scalar = Union[Fraction, mpmath.mpf]
 
-DIGITS_ENV = "LARGEN_DIGITS"
 DEFAULT_DIGITS = 30
-
-
-def default_digits() -> int:
-    raw = os.environ.get(DIGITS_ENV)
-    if raw is None:
-        return DEFAULT_DIGITS
-    digits = int(raw)
-    if digits < 5:
-        raise ValueError(f"{DIGITS_ENV} must be at least 5, got {digits}")
-    return digits
 
 
 def is_exact(x) -> bool:
@@ -61,7 +48,7 @@ def rationalize(x) -> Fraction:
 
 def mpf_of(x, digits: int | None = None) -> mpmath.mpf:
     """Convert a Scalar to mpf at the given precision (plus small guard)."""
-    digits = default_digits() if digits is None else digits
+    digits = DEFAULT_DIGITS if digits is None else digits
     with mpmath.workdps(digits + 5):
         if isinstance(x, Fraction):
             return mpmath.mpf(x.numerator) / x.denominator
@@ -113,10 +100,10 @@ def sqrt_scalar(x, digits: int | None = None) -> Scalar:
         root = sqrt_fraction_exact(q)
         if root is not None:
             return root
-        digits = default_digits() if digits is None else digits
+        digits = DEFAULT_DIGITS if digits is None else digits
         with mpmath.workdps(digits + 5):
             return mpmath.sqrt(mpf_of(q, digits))
-    with mpmath.workdps((default_digits() if digits is None else digits) + 5):
+    with mpmath.workdps((DEFAULT_DIGITS if digits is None else digits) + 5):
         return mpmath.sqrt(x)
 
 
@@ -126,5 +113,5 @@ def scalar_str(x, digits: int | None = None) -> str:
         return str(x)
     if isinstance(x, int):
         return str(x)
-    digits = default_digits() if digits is None else digits
+    digits = DEFAULT_DIGITS if digits is None else digits
     return mpmath.nstr(x, digits)

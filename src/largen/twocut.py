@@ -45,8 +45,8 @@ from .errors import (
     Mismatch,
     NoTwoCutSolution,
     SingularHodograph,
-    TruncationExceeded,
     certify,
+    checked_index,
 )
 # ``_Loc`` is bound to the shared ring class itself, not a subclass: the
 # benchmark's spans wrap ``twocut:_Loc``'s operations by looking each one up
@@ -56,9 +56,9 @@ from .phase import solve_two_cut
 from .potential import Potential
 from .roots import real_roots
 from .scalars import (
+    DEFAULT_DIGITS,
     Scalar,
     as_fraction,
-    default_digits,
     is_exact,
     lifted,
     mpf_of,
@@ -117,19 +117,17 @@ class TwoCutExpansion:
     K: int
 
     def pair(self, k: int) -> tuple:
-        if k > self.K:
-            raise TruncationExceeded(f"expansion truncated at ε^{2 * self.K}")
-        return self.coeffs[k]
+        return self.coeffs[checked_index(k, self.K, f"expansion truncated at ε^{2 * self.K}")]
 
     def values(self, digits: int | None = None) -> list:
         """[(a_k, b_k)] evaluated at this expansion's endpoint pair."""
-        digits = digits or default_digits()
+        digits = digits or DEFAULT_DIGITS
         with mpmath.workdps(digits):
             pt = lifted((self.a0, self.b0), digits)
             return [(ak.eval(pt), bk.eval(pt)) for ak, bk in self.coeffs]
 
     def slope_values(self, digits: int | None = None) -> tuple:
-        digits = digits or default_digits()
+        digits = digits or DEFAULT_DIGITS
         with mpmath.workdps(digits):
             pt = lifted((self.a0, self.b0), digits)
             return (self.slopes[0].eval(pt), self.slopes[1].eval(pt))
@@ -254,14 +252,10 @@ class SymmetricTwoCut:
     ladder: tuple
 
     def order(self, k: int) -> SymmetricScaledOrder:
-        if k > self.K:
-            raise TruncationExceeded(f"series truncated at ε̄^{self.K}")
-        return self.orders[k]
+        return self.orders[checked_index(k, self.K, f"series truncated at ε̄^{self.K}")]
 
     def relation(self, k: int) -> XRelation:
-        if k > self.K:
-            raise TruncationExceeded(f"ladder truncated at ε̄^{self.K}")
-        return self.ladder[k]
+        return self.ladder[checked_index(k, self.K, f"ladder truncated at ε̄^{self.K}")]
 
 
 # -- the regular engine --------------------------------------------------------
@@ -413,7 +407,7 @@ def expand_two_cut_regular(
     """
     if K < 0:
         raise ValueError("truncation order must be nonnegative")
-    digits = digits or default_digits()
+    digits = digits or DEFAULT_DIGITS
     try:
         a0, b0 = solve_two_cut(g, T, digits)
     except NoTwoCutSolution:
@@ -478,7 +472,7 @@ def find_merging(g: Potential, digits: int | None = None) -> tuple[MergingPoint,
     sampling — because the defining moments already are the derivatives of
     the endpoint functional.
     """
-    digits = digits or default_digits()
+    digits = digits or DEFAULT_DIGITS
     W = g.hodograph()
     psi = psi_poly(g.gs)
     found = []

@@ -2,10 +2,6 @@
 and the double-scaled ladder through the Painlevé relation."""
 
 import json
-import os
-import subprocess
-import sys
-import textwrap
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -237,9 +233,9 @@ CORRUPTIONS = {
 
 class TestCertificatesUnderO:
     @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
-    def test_corrupted_ring_raises_mismatch(self, name):
+    def test_corrupted_ring_raises_mismatch(self, name, run_under_O):
         ring, attr, body, run, certificate = CORRUPTIONS[name]
-        script = textwrap.dedent(
+        out = run_under_O(
             f"""
             assert False, "python -O should have stripped this"
             from largen import onecut, twocut
@@ -253,15 +249,28 @@ class TestCertificatesUnderO:
                 print("Mismatch:", exc)
             """
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
+        assert out.startswith(f"Mismatch: {certificate}"), out
+
+    def test_derivation_corrupted_after_the_first_engine(self, run_under_O):
+        # the d/dx certificate keeps its reference once per process: a d_dx
+        # changed between two engines must still be seen by the second one
+        out = run_under_O(
+            f"""
+            assert False, "python -O should have stripped this"
+            from largen import onecut, twocut
+            from largen.diffpoly import DiffPoly
+            from largen.errors import Mismatch
+            from largen.potential import parse_potential
+            {SCALED_RUN}
+            d_dx = DiffPoly.d_dx
+            DiffPoly.d_dx = lambda self, times=1: d_dx(self, times) * 2
+            try:
+                {SYMMETRIC_RUN}
+            except Mismatch as exc:
+                print("Mismatch:", exc)
+            """
         )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.startswith(f"Mismatch: {certificate}"), out.stdout
+        assert out.startswith("Mismatch: d/dx of the double-scaled engine differs"), out
 
 
 class TestUSeriesTable:

@@ -5,10 +5,6 @@ table, and r_{N,N} against the expansions at ε = T/N."""
 import dataclasses
 import json
 import operator
-import os
-import subprocess
-import sys
-import textwrap
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -18,7 +14,7 @@ from mpmath.calculus.quadrature import TanhSinh
 from mpmath.libmp import mpf_add, mpf_exp, mpf_mul, round_nearest
 
 from largen import oracle
-from largen.errors import NumericallySingular
+from largen.errors import NumericallySingular, TruncationExceeded
 from largen.onecut import expand_regular
 from largen.oracle import (
     check_string_equation,
@@ -247,8 +243,8 @@ class TestNodeStream:
         compute_moments(QUARTIC, F(1), 8, 9, 80)  # one interval, [0, ∞)
         assert seen[0] and exps[0] <= seen[0] * 2 / 3, (exps[0], seen[0])
 
-    def test_pinned_table_under_python_O(self):
-        script = textwrap.dedent(
+    def test_pinned_table_under_python_O(self, run_under_O):
+        out = run_under_O(
             f"""
             assert False, "python -O should have stripped this"
             import json
@@ -263,15 +259,7 @@ class TestNodeStream:
             print("match" if got == want else "differ")
             """
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "match"
+        assert out.strip() == "match"
 
 
 class TestRefusals:
@@ -292,6 +280,24 @@ class TestRefusals:
     def test_odd_moments_vanish(self):
         mt = compute_moments(QUARTIC, F(1), 8, 3, 30)
         assert mt.moment(3) == 0 and mt.moment(4) == mt.moments[2] > 0
+
+    def test_moment_index_range(self):
+        # m_0..m_6 were computed: a negative index must not wrap to the top
+        mt = compute_moments(QUARTIC, F(1), 8, 3, 30)
+        assert mt.moment(6) == mt.moments[3] and mt.moment(5) == 0
+        for bad in (-1, -2):
+            with pytest.raises(ValueError, match="nonnegative"):
+                mt.moment(bad)
+        for past in (7, 8):
+            with pytest.raises(TruncationExceeded, match="through m_6"):
+                mt.moment(past)
+
+    def test_r_at_index_range(self, table):
+        assert table.r_at(0) == 0 and table.r_at(12) == table.r[11]
+        with pytest.raises(ValueError, match="nonnegative"):
+            table.r_at(-1)
+        with pytest.raises(TruncationExceeded, match="through r_12"):
+            table.r_at(13)
 
     def test_trusted_index(self):
         # the benchmark's trusted case: 30 digits certify r_n only through n = 24

@@ -2,10 +2,6 @@
 recursions, ODE emission in canonical form, and the series crosscheck."""
 
 import json
-import os
-import subprocess
-import sys
-import textwrap
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -55,6 +51,14 @@ def grading(p: DiffPoly) -> set:
     Σ e·(k+2) over its factors; homogeneity of R_m means a single weight.
     """
     return {sum(e * (o + 2) for _, o, e in mono) for mono in p.terms}
+
+
+def series_product(a: list, b: list, k: int) -> DiffPoly:
+    """The ζ^{-k} coefficient of (Σ a_i ζ^{-i})(Σ b_j ζ^{-j})."""
+    out = DiffPoly.zero()
+    for i in range(k + 1):
+        out = out + a[i] * b[k - i]
+    return out
 
 
 def test_symbolic_members_match_pinned_reference():
@@ -108,8 +112,24 @@ class TestGelfandDikii:
     @settings(max_examples=20, deadline=None)
     def test_evaluation_commutes_with_recursion(self, m, rc):
         # one step of the recursion run at r_c, against the ρ = 1 step rescaled
-        stepped = gd_operator(gelfand_dikii(m, rc), rc).integrate_x()
-        assert stepped == gelfand_dikii(m + 1, rc)
+        stepped = gelfand_dikii(m + 1, rc)
+        assert stepped.d_dx() == gd_operator(gelfand_dikii(m, rc), rc)
+        assert stepped.constant_term() == 0
+
+    @pytest.mark.parametrize("rc", [1, F(7, 15), F(-3, 2)])
+    def test_first_integral_through_m_ten(self, rc):
+        # ρ(RR″ - R′²/2) + 2uR² - ζR²/2 = -ζ/2 for R = Σ R_k ζ^{-k}: the ζ
+        # coefficient is -R₀²/2, and every ζ^{-k} coefficient vanishes
+        R = [gelfand_dikii(m, rc) for m in range(11)]
+        D1 = [r.d_dx() for r in R]
+        D2 = [r.d_dx(2) for r in R]
+        assert R[0] * R[0] == DiffPoly.const(1)
+        for k in range(10):
+            coeff = (
+                (series_product(R, D2, k) - series_product(D1, D1, k) * F(1, 2)) * rc
+                + U * series_product(R, R, k) * 2 - series_product(R, R, k + 1) * F(1, 2)
+            )
+            assert coeff.is_zero(), k
 
 
 class TestPIIHierarchy:
@@ -159,6 +179,20 @@ class TestPIIHierarchy:
             for at_rc, symbolic in zip(pair, pii_hierarchy(m)):
                 assert at_rc == symbolic.unit.substitute({"u": U * (1 / rc)}) * rc**m
 
+    @pytest.mark.parametrize("rc", [1, F(1, 2), F(-3, 2)])
+    def test_first_integral_through_m_eight(self, rc):
+        # ζR²/2 + ρR′²/2 - 2ρS² + ζS = 0 for the series pair: the ζ
+        # coefficient is R₀²/2 + S₀, and every ζ^{-k} coefficient vanishes
+        R, S = (list(col) for col in zip(*(pii_hierarchy(m, rc) for m in range(9))))
+        D1 = [r.d_dx() for r in R]
+        assert (R[0] * R[0] * F(1, 2) + S[0]).is_zero()
+        for k in range(8):
+            coeff = (
+                series_product(R, R, k + 1) * F(1, 2) + S[k + 1]
+                + (series_product(D1, D1, k) * F(1, 2) - series_product(S, S, k) * 2) * rc
+            )
+            assert coeff.is_zero(), k
+
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
             pii_hierarchy(-3)
@@ -171,8 +205,9 @@ class TestPIIHierarchy:
 
 
 class TestCertificatesUnderO:
-    # integrate_x corrupted to return twice its result, in a fresh -O
-    # interpreter (so the hierarchy caches are empty and asserts stripped)
+    # the series product that reads each new coefficient off a first integral
+    # corrupted to return twice its value, in a fresh -O interpreter (so the
+    # hierarchy caches are empty and asserts stripped)
     @pytest.mark.parametrize(
         "run, certificate",
         [
@@ -180,30 +215,21 @@ class TestCertificatesUnderO:
             ("painleve.pii_hierarchy(1)", "S_1 does not integrate the second recursion"),
         ],
     )
-    def test_corrupted_integration_raises_mismatch(self, run, certificate):
-        script = textwrap.dedent(
+    def test_corrupted_integration_raises_mismatch(self, run, certificate, run_under_O):
+        out = run_under_O(
             f"""
             assert False, "python -O should have stripped this"
             from largen import painleve
-            from largen.diffpoly import DiffPoly
             from largen.errors import Mismatch
-            integrate = DiffPoly.integrate_x
-            DiffPoly.integrate_x = lambda self: integrate(self) * 2
+            product = painleve._product
+            painleve._product = lambda a, b, k: product(a, b, k) * 2
             try:
                 {run}
             except Mismatch as exc:
                 print("Mismatch:", exc)
             """
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.startswith(f"Mismatch: {certificate}"), out.stdout
+        assert out.startswith(f"Mismatch: {certificate}"), out
 
 
 class TestEmission:

@@ -126,6 +126,9 @@ class TestRegularExpansion:
         assert exp.pair(1) == exp.coeffs[1]
         with pytest.raises(TruncationExceeded):
             exp.pair(2)
+        # a negative index must not wrap round to the top order
+        with pytest.raises(ValueError, match="nonnegative"):
+            exp.pair(-1)
 
     def test_json_document(self):
         doc = expand_two_cut_regular(MERGING, F(3, 4), K=1).to_json()
@@ -658,6 +661,9 @@ class TestScaledSeries:
             sc.order(4)
         with pytest.raises(TruncationExceeded):
             sc.relation(4)
+        for accessor in (sc.order, sc.relation):
+            with pytest.raises(ValueError, match="nonnegative"):
+                accessor(-1)
 
     def test_fabricated_point_fails_string_check(self):
         fake = MergingPoint(r_c=F(1, 2), T_c=F(2), m=1, phi=(F(-4),), gamma1=F(4))
