@@ -9,10 +9,14 @@ have something exact to be compared against.  The chain is
 
 Moments of the weight e^{-(N/T)V(x)} come from one tanh-sinh pass over node
 levels 1..10, shared by every moment: mpmath's nodes, rebuilt bit for bit in
-raw ``libmp`` tuples and streamed, less those whose terms provably vanish.  On
-each interval a moment's level sum stops refining where mpmath's error estimate
-reaches eps/8, as ``mpmath.quad`` would; the moment is accepted at the first
-level d ≥ 5 whose total agrees with level d - 1's to ``digits + 5`` decimals.
+raw ``libmp`` tuples once per process for each level and precision, and
+streamed per interval, less those whose terms provably vanish.  The intervals
+end at the stationary radii of V and at the radii where (N/T)·V(x²) reaches
+fixed levels (``_LEVELS``), so that each holds one scale of the weight.  On
+each interval a moment's level sum stops refining where mpmath's error
+estimate, relative to the moment's total at the previous level, reaches
+eps/8; the moment is accepted at the first level d ≥ 5 whose total agrees
+with level d - 1's to ``digits + 5`` decimals, relative.
 The reduction to recurrence coefficients uses the classical three-term
 bootstrap on the mixed table s(k, j) = ∫ π_k(x) x^j dμ,
 
@@ -30,7 +34,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
+from math import lcm
 
 import mpmath
 from mpmath.calculus.quadrature import TanhSinh
@@ -40,13 +46,20 @@ from mpmath.libmp import (finf, fone, fzero, from_man_exp, mpf_abs, mpf_add, mpf
 from .errors import NumericallySingular, PrecisionExhausted, certify, checked_index
 from .potential import Potential
 from .roots import real_roots
-from .scalars import DEFAULT_DIGITS, Scalar, mpf_of
+from .scalars import Scalar, mpf_of, rationalize
 
 # a recurrence entry is unusable once fewer than this many digits survive
 _TRUST_FLOOR = 10
-# tanh-sinh rule, used only for estimate_error (nodes are streamed and die with their
-# table); bits kept past the working precision in moment sums, nodes summed per chunk
+# the fewest digits a moment table takes, and the digits the Hankel reduction
+# loses per recurrence index (measured 1.2-2.1 at N = 64, rising slowly with N)
+_MIN_DIGITS, _LOSS_PER_INDEX = 30, 2
+# tanh-sinh rule, used only for estimate_error; bits kept past the working precision
+# in moment sums, nodes summed per chunk
 _TANH_SINH, _GUARD, _CHUNK = TanhSinh(mpmath.mp), 32, 64
+# levels of (N/T)·V(x²) whose outer radii are breakpoints, and their significant bits
+_LEVELS, _LEVEL_BITS = (200, 2000), 8
+# standard node levels kept per process: levels 1..10 at four precisions
+_NODE_LEVELS = 40
 
 
 @dataclass(frozen=True)
@@ -54,7 +67,8 @@ class MomentTable:
     """Even moments m_{2k} = ∫ x^{2k} e^{-(N/T)V(x)} dx, k = 0..kmax.
 
     Odd moments vanish by symmetry and are never stored.  Values are mpf,
-    certified to ``digits + 5`` decimals by quadrature refinement.
+    each certified to ``digits + 5`` decimals relative to itself by quadrature
+    refinement.
     """
 
     g: Potential
@@ -75,12 +89,17 @@ class MomentTable:
         return mpmath.mpf(0) if two_k % 2 else self.moments[two_k // 2]
 
 
-def _split_points(g: Potential, digits: int) -> list:
-    """Quadrature breakpoints: 0, the stationary radii of V, and infinity.
+def _split_points(g: Potential, T, N: int, digits: int) -> list:
+    """Quadrature breakpoints: 0, the stationary radii of V, the scale radii, and infinity.
 
     tanh-sinh clusters nodes at interval ends, so a deep well away from the
     origin (g₂ < 0 at large N/T) must be made an endpoint or the peak can
-    slip between nodes.
+    slip between nodes.  Past the outermost stationary radius s, (N/T)·V(x²)
+    increases; where it first exceeds each of _LEVELS (if it is below it at
+    s) is a scale radius, so that the bulk, the tail and the negligible rest
+    of the weight each get their own interval.  A scale radius is the
+    _LEVEL_BITS-bit dyadic rational just past that crossing, found by exact
+    integer bisection, so it is the same number at every precision.
     """
     pts = [mpmath.mpf(0)]
     vp = g.v_lambda()
@@ -90,13 +109,49 @@ def _split_points(g: Potential, digits: int) -> list:
             if lam > 0:
                 pts.append(mpmath.sqrt(lam))
     pts.sort()
+    s, v = pts[-1], [N / rationalize(T) * c for c in g.v().coeffs]  # (N/T)·V(λ)
+    for level in _LEVELS:
+        shifted = [v[0] - level, *v[1:]]
+        den = lcm(*(c.denominator for c in shifted))
+        ints = [int(c * den) for c in shifted]  # den·((N/T)·V(λ) - level), low degree first
+
+        def past(m, t, ints=ints):  # is m·2^t beyond the crossing?
+            return mpmath.ldexp(m, t) > s and _sign_at(ints, m, t) > 0
+
+        if _sign_at(ints, *s._mpf_[1:3]) >= 0:  # (N/T)·V(s²) is already at the level
+            continue
+        e = 0
+        while not past(1, e):
+            e += 1
+        while past(1, e - 1):
+            e -= 1
+        lo, hi = 1 << (_LEVEL_BITS - 1), 1 << _LEVEL_BITS  # 2^e·[1/2, 1] in 2^-_LEVEL_BITS steps
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if past(mid, e - _LEVEL_BITS) else (mid, hi)
+        pts.append(mpmath.ldexp(hi, e - _LEVEL_BITS))
     pts.append(mpmath.inf)
     return pts
 
 
-def _standard_nodes(degree: int, prec: int) -> list:
+def _sign_at(ints, m: int, t: int) -> int:
+    """An integer with the sign of Σ ints[i]·λ^i at λ = (m·2^t)²: the sum times
+    2^(-2t·deg) when t < 0, evaluated in integers."""
+    lam, shift, acc = m * m, 2 * t, 0
+    if shift >= 0:
+        for c in reversed(ints):
+            acc = acc * (lam << shift) + c
+    else:
+        for i, c in enumerate(reversed(ints)):
+            acc = acc * lam + (c << (-shift * i))
+    return acc
+
+
+@lru_cache(maxsize=_NODE_LEVELS)
+def _standard_nodes(degree: int, prec: int) -> tuple:
     """Level ``degree``'s nodes on [-1, 1] as raw (x, w): mpmath 1.3.0's ``calc_nodes``
-    under ``get_nodes`` (prec + 40 bits), its rounded operations replayed in order."""
+    under ``get_nodes`` (prec + 40 bits), its rounded operations replayed in order.
+    Built once per process for each (degree, prec) that stays in the cache."""
     wp, rnd = prec + 40, round_nearest
     tol, t0 = from_man_exp(1, -prec - 10), from_man_exp(1, -degree)
     pi4, expt0 = mpf_shift(mpf_pi(wp, rnd), -2), mpf_exp(t0, wp, rnd)
@@ -114,7 +169,7 @@ def _standard_nodes(degree: int, prec: int) -> list:
         w = mpf_div(mpf_add(a, b, wp, rnd), mpf_mul(co, co, wp, rnd), wp, rnd)
         nodes += (x, w), (mpf_neg(x), w)
         a, b = mpf_mul(a, udelta, wp, rnd), mpf_mul(b, urdelta, wp, rnd)
-    return nodes
+    return tuple(nodes)
 
 
 def _interval_nodes(std, a, b, prec: int):
@@ -187,22 +242,27 @@ def _node_sums(nodes, nscale, vc, kmax, done=()):
 def compute_moments(g: Potential, T, N: int, kmax: int, digits: int | None = None) -> MomentTable:
     """Certified moment table for the weight e^{-(N/T)V(x)}.
 
-    One tanh-sinh pass over levels 1..10, each level's nodes built once and
-    streamed per interval, serves every moment.  A moment's level sum freezes
-    where ``estimate_error`` reaches eps/8, as ``mpmath.quad`` stops; it is
-    accepted at the first level d ≥ 5 whose total agrees with level d - 1's to
-    ``digits + 5`` decimals (relative), else ``PrecisionExhausted`` names it.
+    One tanh-sinh pass over levels 1..10 on the intervals of ``_split_points``
+    serves every moment; each level's nodes are built once per process at each
+    precision (``_standard_nodes``) and streamed per interval.  A moment's sum
+    on one interval freezes where ``estimate_error`` of its level sums, divided
+    by the moment's total at the previous level, reaches eps/8, so a small
+    moment is refined as far as a large one.  The moment is accepted at the
+    first level d ≥ 5 whose total agrees with level d - 1's to ``digits + 5``
+    decimals (relative), else ``PrecisionExhausted`` names it.  Without
+    ``digits``, the table takes 30 + 2·kmax: the Hankel reduction loses about
+    two decimals per recurrence index.
     """
-    digits = DEFAULT_DIGITS if digits is None else digits
-    if digits < 30:
-        raise ValueError("moment tables need at least 30 digits")
     if kmax < 0 or N < 1:
         raise ValueError("kmax must be nonnegative and N positive")
+    digits = _MIN_DIGITS + _LOSS_PER_INDEX * kmax if digits is None else digits
+    if digits < _MIN_DIGITS:
+        raise ValueError(f"moment tables need at least {_MIN_DIGITS} digits")
     wp = digits + 12
     with mpmath.workdps(wp):
         nscale = mpf_neg((mpmath.mpf(N) / mpf_of(T, wp))._mpf_)
         vc = [mpf_of(c, wp)._mpf_ for c in reversed(g.v().coeffs)]
-        points = _split_points(g, min(digits, 30))
+        points = _split_points(g, T, N, min(digits, 30))
         prec, eps = mpmath.mp.prec, mpmath.eps / 8
         tol = mpmath.mpf(10) ** (-(digits + 5))
         # per interval: each moment's level sums, and the moments whose sum froze
@@ -219,7 +279,10 @@ def compute_moments(g: Potential, T, N: int, kmax: int, digits: int | None = Non
                             if k not in done:
                                 res = sums[k]
                                 res.append(h * (res[-1] / (2 * h) + s) if res else h * s)
-                                if degree > 1 and _TANH_SINH.estimate_error(res, prec, eps) <= eps:
+                                # relative to the last level's total: estimate_error
+                                # caps its estimate at 1 and floors it at 10^-prec
+                                if degree > 1 and _TANH_SINH.estimate_error(
+                                        [r / prev[k] for r in res[-3:]], prec, eps) <= eps:
                                     done.add(k)
                 totals = [sum(sums[k][-1] for sums, _ in levels) for k in range(kmax + 1)]
             cur = [+t for t in totals]
@@ -291,7 +354,7 @@ def recurrence_from_moments(mt: MomentTable, nmax: int) -> RecurrenceTable:
         beta_err = []
         h = [prev1[0]]
         h_err = [prev1_err[0]]
-        worst = mpmath.mpf(0)
+        rels = []  # relative error bounds of r_1, r_2, ...
         for k in range(1, nmax + 1):
             top = 2 * nmax - k
             cur = {}
@@ -306,28 +369,21 @@ def recurrence_from_moments(mt: MomentTable, nmax: int) -> RecurrenceTable:
                 cur_err[j] = e
             hk, hk_err = cur[k], cur_err[k]
             if not hk > hk_err:
-                raise NumericallySingular(
-                    f"norm h_{k} lost positivity at {mt.digits} digits; "
-                    f"entries below n = {k} are certified",
-                    trusted_n=k - 1,
-                )
+                raise _refusal(mt, rels + [mpmath.mpf(1)], nmax, f"norm h_{k} lost positivity")
             bk = hk / h[-1]
             bk_err = bk * (hk_err / hk + h_err[-1] / h[-1])
             rel = bk_err / bk
+            rels.append(rel)
             if rel > mpmath.mpf(10) ** (-_TRUST_FLOOR):
-                raise NumericallySingular(
-                    f"fewer than {_TRUST_FLOOR} digits of r_{k} survive the "
-                    f"reduction; increase digits (trusted through n = {k - 1})",
-                    trusted_n=k - 1,
-                )
-            worst = max(worst, rel)
+                raise _refusal(mt, rels, nmax,
+                               f"fewer than {_TRUST_FLOOR} digits of r_{k} survive the reduction")
             beta.append(bk)
             beta_err.append(bk_err)
             h.append(hk)
             h_err.append(hk_err)
             prev2, prev2_err = prev1, prev1_err
             prev1, prev1_err = cur, cur_err
-        certified = int(mpmath.floor(-mpmath.log10(worst))) if worst > 0 else wp
+        certified = int(mpmath.floor(-mpmath.log10(max(rels))))
     return RecurrenceTable(
         g=mt.g,
         T=mt.T,
@@ -336,6 +392,24 @@ def recurrence_from_moments(mt: MomentTable, nmax: int) -> RecurrenceTable:
         certified_digits=min(certified, mt.digits),
         r=tuple(beta),
         h=tuple(h),
+    )
+
+
+def _refusal(mt: MomentTable, rels: list, nmax: int, what: str) -> NumericallySingular:
+    """The refusal at r_k, k = len(rels), whose relative error rels[-1] is too large.
+
+    It names the table digits that would leave r_nmax _TRUST_FLOOR decimals:
+    the shortfall at k, plus the decimals lost per index over the eight
+    before it (at least _LOSS_PER_INDEX) for each index from k to nmax.
+    """
+    k, kept = len(rels), [-mpmath.log10(r) for r in rels[-10:]]  # decimals that survive
+    last = kept[:-1]
+    rate = max(_LOSS_PER_INDEX, (last[0] - last[-1]) / (len(last) - 1) if len(last) > 1 else 0)
+    need = mt.digits + _TRUST_FLOOR - max(0, int(kept[-1])) + int(mpmath.ceil(rate * (nmax - k)))
+    return NumericallySingular(
+        f"{what} at {mt.digits} digits; r_{nmax} needs about {need} digits "
+        f"(trusted through n = {k - 1})",
+        trusted_n=k - 1,
     )
 
 

@@ -5,6 +5,7 @@ table, and r_{N,N} against the expansions at ε = T/N."""
 import dataclasses
 import json
 import operator
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -34,9 +35,11 @@ R = [mpmath.mpf(v) for v in (2, 3, 5, 7, 11)]  # r_1..r_5
 SPLIT_PIN = "compute_moments_sextic_-6_-3_1_T6_N10_k11_d50.json"
 # the 80-digit moment tables of the oracle benchmark, pinned bit for bit
 PINNED_80 = [
-    ("quartic:1,1", F(1), 24, "compute_moments_quartic_1_1_T1_N24_k25_d80.json"),
+    ("quartic:1,1", F(1), 24, "compute_moments_quartic_1_1_T1_N24_k25_d80_relative.json"),
     ("quartic:-2,1", F(1, 2), 16, "compute_moments_quartic_-2_1_T1_2_N16_k17_d80.json"),
 ]
+# the same quartic:1,1 table as the absolute stop rule left it: m_50 is off by 9.1e-80
+ABSOLUTE_STOP_PIN = "compute_moments_quartic_1_1_T1_N24_k25_d80.json"
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +105,8 @@ class TestPinned:
     """Moments and tables equal, bit for bit, the files written before each
     rewrite of the quadrature: the 40- and 50-digit ones by the per-moment
     ``mpmath.quad`` calls, the 80-digit ones by the one-pass rule on mpmath's
-    own nodes."""
+    own nodes, except quartic:1,1, which the scale breakpoints and the
+    relative stop rule re-pinned (its old file is checked to 1e-79)."""
 
     def test_one_interval_table(self, table):
         want = json.loads((DATA / "oracle_table_quartic_1_1_T1_N8_n12_d40.json").read_text())
@@ -122,6 +126,37 @@ class TestPinned:
         want = json.loads((DATA / fname).read_text())
         mt = compute_moments(parse_potential(name), T, N, N + 1, 80)
         assert reprs(mt.moments, 92) == want["moments"]
+
+    def test_absolute_stop_pin_agrees_to_its_error(self):
+        # the absolute stop rule froze m_50's sum early: 9.1e-80 relative against a
+        # 130-digit table, where the relative rule's m_50 is within 3e-94
+        old = json.loads((DATA / ABSOLUTE_STOP_PIN).read_text())["moments"]
+        mt = compute_moments(QUARTIC, F(1), 24, 25, 80)
+        with mpmath.workdps(92):
+            err = [abs(mpmath.mpf(v[5:-2]) / m - 1) for v, m in zip(old, mt.moments)]
+            assert len(err) == 26 and max(err) < mpmath.mpf("1e-79")
+            assert max(err) > mpmath.mpf("1e-80")  # the file still holds the wrong m_50
+
+
+class TestAccuracy:
+    """Every moment agrees with the same table at 50 more digits to digits + 5
+    decimals, relative.  An absolute stop rule freezes small moments early: on a
+    single interval it missed the first two tables (m_50 by 9.1e-80, m_82 by
+    5.6e-31); with the scale breakpoints it still misses the third (1.4e-75)."""
+
+    @pytest.mark.parametrize("T,N,digits", [(1, 24, 80), (1, 40, 30), (F(1, 4), 24, 80)])
+    def test_against_fifty_more_digits(self, T, N, digits):
+        mt = compute_moments(QUARTIC, F(T), N, N + 1, digits)
+        ref = compute_moments(QUARTIC, F(T), N, N + 1, digits + 50)
+        with mpmath.workdps(digits + 60):
+            worst = max(abs(m / r - 1) for m, r in zip(mt.moments, ref.moments))
+        assert worst < mpmath.mpf(10) ** -(digits + 5), mpmath.nstr(worst, 3)
+
+    @pytest.mark.parametrize("name,T,N,digits", [("bmp", 60, 8, 90), ("quartic:1,1", 2, 24, 160)])
+    def test_broad_weights_certify(self, name, T, N, digits):
+        # one interval over [0, ∞) left both unresolved (PrecisionExhausted)
+        rt = oracle_table(parse_potential(name), F(T), N, N + 1, digits)
+        assert rt.certified_digits >= 80
 
 
 def reference_node_sums(nodes, nscale, vc, kmax):
@@ -163,7 +198,7 @@ def quadrature_setup(name, T, N, digits):
     g = parse_potential(name)
     nscale = (-mpmath.mpf(N) / mpf_of(T, digits + 12))._mpf_
     vc = [mpf_of(c, digits + 12)._mpf_ for c in reversed(g.v().coeffs)]
-    return mpmath.mp.prec, nscale, vc, oracle._split_points(g, min(digits, 30))
+    return mpmath.mp.prec, nscale, vc, oracle._split_points(g, T, N, min(digits, 30))
 
 
 class TestNodeStream:
@@ -180,7 +215,8 @@ class TestNodeStream:
                 for degree in range(1, 10):
                     std = rule.calc_nodes(degree, prec)
                     raw = oracle._standard_nodes(degree, prec)
-                    assert raw == [(x._mpf_, w._mpf_) for x, w in std]
+                    assert raw == tuple((x._mpf_, w._mpf_) for x, w in std)
+                    assert oracle._standard_nodes(degree, prec) is raw  # built once
                     for a, b in ((0, mpmath.inf), (0, s), (s, mpmath.inf)):
                         a, b = mpmath.mpf(a), mpmath.mpf(b)
                         want = [(x._mpf_, w._mpf_) for x, w in rule.transform_nodes(std, a, b)]
@@ -223,25 +259,36 @@ class TestNodeStream:
                                 assert v is None if k in done else v._mpf_ == full[k]._mpf_
 
     def test_vanishing_nodes_skip_the_exponential(self, monkeypatch):
-        seen, exps = [0], [0]
-        node_sums, exp = oracle._node_sums, oracle.mpf_exp
+        # per interval: nodes streamed and exponentials taken
+        seen, exps, where = {}, {}, [None]
+        interval_nodes, node_sums, exp = oracle._interval_nodes, oracle._node_sums, oracle.mpf_exp
+
+        def tagged(std, a, b, prec):
+            where[0] = (a, b)
+            return interval_nodes(std, a, b, prec)
 
         def counted_exp(*args):
-            exps[0] += 1
+            exps[where[0]] = exps.get(where[0], 0) + 1
             return exp(*args)
 
         def counted(nodes, *args):
             nodes = list(nodes)
-            seen[0] += len(nodes)
+            seen[where[0]] = seen.get(where[0], 0) + len(nodes)
             monkeypatch.setattr(oracle, "mpf_exp", counted_exp)
             try:
                 return node_sums(nodes, *args)
             finally:
                 monkeypatch.setattr(oracle, "mpf_exp", exp)
 
+        monkeypatch.setattr(oracle, "_interval_nodes", tagged)
         monkeypatch.setattr(oracle, "_node_sums", counted)
-        compute_moments(QUARTIC, F(1), 8, 9, 80)  # one interval, [0, ∞)
-        assert seen[0] and exps[0] <= seen[0] * 2 / 3, (exps[0], seen[0])
+        compute_moments(QUARTIC, F(1), 24, 25, 80)
+        with mpmath.workdps(92):
+            zero, inner, outer, inf = (x._mpf_ for x in oracle._split_points(QUARTIC, F(1), 24, 30))
+        # between the two scale radii, 452 of 633 nodes pay an exponential; with
+        # the skip gone, all 633 would
+        assert set(seen) == {(zero, inner), (inner, outer), (outer, inf)}
+        assert exps[inner, outer] <= seen[inner, outer] * 3 / 4, (exps, seen)
 
     def test_pinned_table_under_python_O(self, run_under_O):
         out = run_under_O(
@@ -304,6 +351,17 @@ class TestRefusals:
         with pytest.raises(NumericallySingular) as err:
             oracle_table(QUARTIC, F(1), 40, 41, 30)
         assert err.value.trusted_n == 24
+
+    def test_refusal_names_digits_that_suffice(self):
+        with pytest.raises(NumericallySingular, match=r"r_41 needs about \d+ digits") as err:
+            oracle_table(QUARTIC, F(1), 40, 41, 30)
+        need = int(re.search(r"about (\d+) digits", str(err.value)).group(1))
+        assert oracle_table(QUARTIC, F(1), 40, 41, need).certified_digits >= 10
+
+    def test_digits_from_n(self):
+        # no digits given: 30 + 2 per unit of N, which the reduction loses
+        rt = oracle_table(parse_potential("quartic:-2,1"), F(1, 2), 29, 29)
+        assert rt.digits == 88 and rt.nmax == 29 and rt.certified_digits >= 10
 
 
 class TestAgainstExpansion:
