@@ -56,16 +56,6 @@ from .structured import c_weight
 from .wring import Defect, Lattice, WElem, _pshift
 
 
-def ladder_weights(g: Potential, count: int) -> list[RationalFunc]:
-    """c_j(ρ) = W^{(j)}(ρ) / (2^j (2j-1)!!) for j = 0..count.
-
-    These are the weights with which the pole coefficients U_{k,j} enter the
-    string equation: ∮ V_λ U₀/(λ-4ρ)^j dλ/(2πi) = c_j(ρ).
-    """
-    W = g.hodograph()
-    return [RationalFunc(c_weight(W, j)) for j in range(count + 1)]
-
-
 # -- pole-basis extraction ---------------------------------------------------
 
 
@@ -286,6 +276,8 @@ def u_series_coefficients(g: Potential, r0=None, K: int = 1) -> list[USeriesOrde
     With r0 = None the tables stay rational functions of ρ; an exact r0
     evaluates them at that point.
     """
+    if K < 0:
+        raise ValueError("truncation order must be nonnegative")
     engine = _RegularEngine(g)
     _, u_list = engine.run(K)
     four, zero = engine.rho * 4, engine.d0

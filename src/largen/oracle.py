@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from math import lcm
 
 import mpmath
 from mpmath.calculus.quadrature import TanhSinh
@@ -45,7 +45,8 @@ from mpmath.libmp import (finf, fone, fzero, from_man_exp, mpf_abs, mpf_add, mpf
 
 from .errors import NumericallySingular, PrecisionExhausted, certify, checked_index
 from .potential import Potential
-from .roots import real_roots
+from .polys import Poly
+from .roots import _int_coeffs, _sign, real_roots
 from .scalars import Scalar, mpf_of, rationalize
 
 # a recurrence entry is unusable once fewer than this many digits survive
@@ -111,14 +112,12 @@ def _split_points(g: Potential, T, N: int, digits: int) -> list:
     pts.sort()
     s, v = pts[-1], [N / rationalize(T) * c for c in g.v().coeffs]  # (N/T)·V(λ)
     for level in _LEVELS:
-        shifted = [v[0] - level, *v[1:]]
-        den = lcm(*(c.denominator for c in shifted))
-        ints = [int(c * den) for c in shifted]  # den·((N/T)·V(λ) - level), low degree first
+        ints = _int_coeffs(Poly([v[0] - level, *v[1:]]))  # (N/T)·V(λ) - level, times a c > 0
 
         def past(m, t, ints=ints):  # is m·2^t beyond the crossing?
-            return mpmath.ldexp(m, t) > s and _sign_at(ints, m, t) > 0
+            return mpmath.ldexp(m, t) > s and _sign(ints, (m * Fraction(2) ** t) ** 2) > 0
 
-        if _sign_at(ints, *s._mpf_[1:3]) >= 0:  # (N/T)·V(s²) is already at the level
+        if _sign(ints, rationalize(s) ** 2) >= 0:  # (N/T)·V(s²) is already at the level
             continue
         e = 0
         while not past(1, e):
@@ -132,19 +131,6 @@ def _split_points(g: Potential, T, N: int, digits: int) -> list:
         pts.append(mpmath.ldexp(hi, e - _LEVEL_BITS))
     pts.append(mpmath.inf)
     return pts
-
-
-def _sign_at(ints, m: int, t: int) -> int:
-    """An integer with the sign of Σ ints[i]·λ^i at λ = (m·2^t)²: the sum times
-    2^(-2t·deg) when t < 0, evaluated in integers."""
-    lam, shift, acc = m * m, 2 * t, 0
-    if shift >= 0:
-        for c in reversed(ints):
-            acc = acc * (lam << shift) + c
-    else:
-        for i, c in enumerate(reversed(ints)):
-            acc = acc * lam + (c << (-shift * i))
-    return acc
 
 
 @lru_cache(maxsize=_NODE_LEVELS)
@@ -253,6 +239,8 @@ def compute_moments(g: Potential, T, N: int, kmax: int, digits: int | None = Non
     ``digits``, the table takes 30 + 2·kmax: the Hankel reduction loses about
     two decimals per recurrence index.
     """
+    if not T > 0:
+        raise ValueError("need T > 0")
     if kmax < 0 or N < 1:
         raise ValueError("kmax must be nonnegative and N positive")
     digits = _MIN_DIGITS + _LOSS_PER_INDEX * kmax if digits is None else digits

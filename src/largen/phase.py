@@ -506,13 +506,12 @@ def density(g: Potential, phase: PhaseResult, x, digits: int | None = None):
 
 
 def phase_scan(g: Potential, T_values: Sequence, digits: int | None = None) -> list[dict]:
-    """Rows (g2, g4, T, s, alpha2, beta2, status) across a temperature sweep."""
+    """Rows (g2, g4, .., g_{2p}, T, s, alpha2, beta2, status) across a temperature sweep."""
     digits = digits or DEFAULT_DIGITS
-    g2 = g.gs[0]
-    g4 = g.gs[1] if len(g.gs) > 1 else _ZERO
+    couplings = {f"g{2 * k}": c for k, c in enumerate(g.gs, start=1)}
     rows = []
     for T in T_values:
-        row = {"g2": g2, "g4": g4, "T": T, "s": 0, "alpha2": "", "beta2": "", "status": "invalid"}
+        row = {**couplings, "T": T, "s": 0, "alpha2": "", "beta2": "", "status": "invalid"}
         try:
             p = classify_phase(g, T, digits)
         except Unclassifiable:

@@ -52,10 +52,6 @@ class Poly:
     def const(cls, c) -> "Poly":
         return cls((as_fraction(c),))
 
-    @classmethod
-    def monomial(cls, k: int, c=1) -> "Poly":
-        return cls([0] * k + [as_fraction(c)])
-
     # -- basic queries -------------------------------------------------
     @property
     def degree(self) -> int:
@@ -187,24 +183,6 @@ class Poly:
         for _ in range(order):
             p = Poly([i * c for i, c in enumerate(p.coeffs)][1:])
         return p
-
-    def shift(self, a) -> "Poly":
-        """Compose with x -> x + a (Taylor shift), exactly."""
-        a = as_fraction(a)
-        out = Poly.zero()
-        for c in reversed(self.coeffs):
-            out = out * Poly((a, 1)) + c
-        return out
-
-    def rebase(self, base: "Poly") -> list["Poly"]:
-        """Write self = sum_i rem_i * base**i with deg(rem_i) < deg(base)."""
-        if base.degree < 1:
-            raise ValueError("rebase needs a base of degree >= 1")
-        rems, p = [], self
-        while not p.is_zero():
-            p, r = p.divmod(base)
-            rems.append(r)
-        return rems or [Poly.zero()]
 
     # -- evaluation and rendering ---------------------------------------
     def __call__(self, x):

@@ -11,11 +11,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import LargenError
 from .polys import Poly
-from .structured import hodograph_poly, psi_poly, v_poly, v_prime
+from .structured import hodograph_poly, v_poly, v_prime
 
 
 class BadPotential(LargenError):
@@ -70,11 +69,6 @@ class Potential:
 
     # -- basic shape --------------------------------------------------------
 
-    @property
-    def degree(self) -> int:
-        """Degree in the matrix variable z (= 2·deg in λ)."""
-        return 2 * len(self.gs)
-
     def v(self) -> Poly:
         """V(λ)."""
         return v_poly(self.gs)
@@ -83,20 +77,9 @@ class Potential:
         """V'(λ)."""
         return v_prime(self.gs)
 
-    def v_z_coeffs(self) -> list:
-        """Odd-polynomial V_z(z) = Σ 2k·g_{2k} z^{2k-1} as coefficients of z."""
-        out = [Fraction(0)] * self.degree
-        for k, g in enumerate(self.gs, start=1):
-            out[2 * k - 1] = 2 * k * g
-        return out
-
     def hodograph(self) -> Poly:
         """W(r) = Σ C(2k,k)·k·g_{2k}·r^k; the planar string equation is W(r0)=T."""
         return hodograph_poly(self.gs)
-
-    def psi(self) -> Poly:
-        """Ψ(r) = Σ C(2k-2,k-1)·k·g_{2k}·r^{k-1}; vanishes at symmetric merging."""
-        return psi_poly(self.gs)
 
     # -- serialization --------------------------------------------------------
 

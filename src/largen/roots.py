@@ -247,8 +247,3 @@ def real_roots(p: Poly, digits: int | None = None,
 
     roots.sort(key=_key)
     return roots
-
-
-def positive_roots(p: Poly, digits: int | None = None) -> list[RealRoot]:
-    """Real roots with value > 0, ascending."""
-    return [r for r in real_roots(p, digits) if r.value > 0]

@@ -93,10 +93,10 @@ def branch_residue(num_coeffs: Sequence, d1, d0, p: int, shift: int = 0):
     return branch_coeff(num_coeffs, d1, d0, p, shift, -1)
 
 
-def branch_poly_part(num_coeffs: Sequence, d1, d0, p: int, shift: int = 0) -> list:
+def branch_poly_part(num_coeffs: Sequence, d1, d0, p: int) -> list:
     """Coefficients [λ^0, λ^1, ...] of the polynomial part at infinity."""
-    top = len(num_coeffs) - 1 + shift + p
-    return [branch_coeff(num_coeffs, d1, d0, p, shift, j) for j in range(top + 1)]
+    top = len(num_coeffs) - 1 + p
+    return [branch_coeff(num_coeffs, d1, d0, p, 0, j) for j in range(top + 1)]
 
 
 # -- potential helpers -------------------------------------------------
@@ -152,27 +152,15 @@ def gamma_moment(gs: Sequence, j: int, rc):
     return branch_residue(list(num.coeffs), -4 * rc, _ZERO, -(2 * j + 1), shift=j + 1)
 
 
-def onecut_h_poly(gs: Sequence, r0) -> Poly:
-    """h(λ): the polynomial factor of the one-cut density.
-
-    h is the polynomial part at infinity of 2V'(λ)·λ/w0 with
-    w0² = λ(λ-4r0); the density is then h(x²)·sqrt(4r0 - x²) up to
-    normalization.  For a quartic this is 4g4·λ + 2g2 + 8g4·r0.
-    """
-    num = 2 * v_prime(gs)
-    cs = branch_poly_part(list(num.coeffs), -4 * r0, _ZERO, -1, shift=1)
-    return Poly(cs)
-
-
 # -- two-cut functionals ------------------------------------------------
 #
 # Cut endpoint variables: var 0 is the odd-index limit a0, var 1 the
 # even-index limit b0.  The curve is w² = λ² - 2(a0+b0)λ + (b0-a0)².
 
 
-def _endpoint_curve(nvars: int = 2):
-    a = MPoly.var(nvars, 0)
-    b = MPoly.var(nvars, 1)
+def _endpoint_curve():
+    a = MPoly.var(2, 0)
+    b = MPoly.var(2, 1)
     d1 = -2 * (a + b)
     d0 = (b - a) * (b - a)
     return a, b, d1, d0

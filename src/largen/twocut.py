@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 
@@ -193,16 +194,6 @@ class FreeEnergy:
     T: Fraction
     poly: MPoly
     residue_part: MPoly
-
-    def gradient(self) -> tuple:
-        return (self.poly.diff(0), self.poly.diff(1))
-
-    def sigma_derivative(self, k: int) -> MPoly:
-        """∂^k F / ∂σ^k as a polynomial in (σ, τ)."""
-        out = self.poly
-        for _ in range(k):
-            out = out.diff(0)
-        return out
 
     def epd_defect(self) -> MPoly:
         s = MPoly.var(2, 0)
@@ -375,24 +366,14 @@ class _TwoCutRegularEngine:
         return a_list, b_list, v_list, w_list
 
 
-_REGULAR_RUNS_KEPT = 32  # potentials whose solve is shared; the oldest goes first
-_REGULAR_RUNS: dict = {}  # potential couplings -> (K, a_list, b_list, slopes, det), oldest first
-
-
+@lru_cache(maxsize=32)
 def _regular_run(g: Potential, K: int):
     """The symbolic solve is temperature-independent, so share it per potential."""
-    hit = _REGULAR_RUNS.get(g.gs)
-    if hit is not None and hit[0] >= K:
-        kmax, a_list, b_list, slopes, det = hit
-        return a_list[: K + 1], b_list[: K + 1], slopes, det
     engine = _TwoCutRegularEngine(g)
     a_loc, b_loc, _, _ = engine.run(K)
-    a_list = [c.to_ratfunc() for c in a_loc]
-    b_list = [c.to_ratfunc() for c in b_loc]
+    a_list = tuple(c.to_ratfunc() for c in a_loc)
+    b_list = tuple(c.to_ratfunc() for c in b_loc)
     slopes = (engine.da0.to_ratfunc(), engine.db0.to_ratfunc())
-    _REGULAR_RUNS[g.gs] = (K, a_list, b_list, slopes, engine.det_mp)
-    if len(_REGULAR_RUNS) > _REGULAR_RUNS_KEPT:
-        del _REGULAR_RUNS[next(iter(_REGULAR_RUNS))]
     return a_list, b_list, slopes, engine.det_mp
 
 

@@ -202,12 +202,6 @@ class WElem:
 
     # -- w-moves ----------------------------------------------------------
 
-    def mul_w2(self) -> "WElem":
-        return self.mul_poly(self._w2_poly())
-
-    def div_w2(self) -> "WElem":
-        return WElem(self.d1, self.d0, {j + 2: cs for j, cs in self.slots.items()})
-
     def mul_w(self) -> "WElem":
         out: dict = {}
         for j, cs in self.slots.items():

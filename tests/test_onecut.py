@@ -17,12 +17,12 @@ from largen.onecut import (
     _pole_basis,
     expand_regular,
     find_critical,
-    ladder_weights,
     scaled_series,
     u_series_coefficients,
 )
 from largen.polys import Poly, RationalFunc
 from largen.potential import Potential, parse_potential
+from largen.structured import c_weight
 from largen.wring import WElem
 
 GAUSS = Potential.gaussian()
@@ -42,19 +42,18 @@ def quartic_r1(g2: int, g4: int) -> RationalFunc:
 
 class TestLadderWeights:
     def test_order_zero_is_hodograph(self):
-        cs = ladder_weights(QUARTIC, 2)
-        assert cs[0] == RationalFunc(QUARTIC.hodograph())
+        W = QUARTIC.hodograph()
+        assert c_weight(W, 0) == W
 
     def test_order_one_is_half_derivative(self):
-        cs = ladder_weights(BMP, 1)
-        assert cs[1] * F(2) == RationalFunc(BMP.hodograph().derivative())
+        W = BMP.hodograph()
+        assert c_weight(W, 1) * F(2) == W.derivative()
 
     def test_double_factorial_scaling(self):
         # c_2 = W''/(2²·3!!), c_3 = W'''/(2³·5!!)
         W = SEXTIC.hodograph()
-        cs = ladder_weights(SEXTIC, 3)
-        assert cs[2] == RationalFunc(W.derivative(2) * F(1, 12))
-        assert cs[3] == RationalFunc(W.derivative(3) * F(1, 120))
+        assert c_weight(W, 2) == W.derivative(2) * F(1, 12)
+        assert c_weight(W, 3) == W.derivative(3) * F(1, 120)
 
 
 class TestExpandRegular:
@@ -299,6 +298,10 @@ class TestUSeriesTable:
     def test_evaluated_table(self):
         orders = u_series_coefficients(BMP, r0=F(2), K=1)
         assert orders[1].poles[0] == F(1, 16200)  # 2·r1(2)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            u_series_coefficients(QUARTIC, K=-1)
 
     def test_pole_helper_bounds(self):
         orders = u_series_coefficients(QUARTIC, K=1)

@@ -25,7 +25,8 @@ from largen.oracle import (
     recurrence_from_moments,
 )
 from largen.potential import parse_potential
-from largen.scalars import mpf_of
+from largen.roots import real_roots
+from largen.scalars import mpf_of, rationalize
 from largen.twocut import expand_two_cut_regular
 
 DATA = Path(__file__).parent / "data"
@@ -309,13 +310,55 @@ class TestNodeStream:
         assert out.strip() == "match"
 
 
+# (potential, T, N, scale radii): at quartic:1,1, N/T = 1024 the first lies below 1/2,
+# and at sextic:3,-3,1 (N/T)·V(s²) = 500 is past the first level already
+SCALE_CASES = [
+    ("quartic:1,1", F(1), 24, 2),
+    ("quartic:1,1", F(1, 4), 256, 2),
+    ("quartic:-2,1", F(1, 2), 16, 2),
+    ("bmp", F(60), 8, 2),
+    ("sextic:-6,-3,1", F(6), 10, 2),
+    ("sextic:3,-3,1", F(1), 500, 1),
+]
+
+
+class TestScaleRadii:
+    @pytest.mark.parametrize("name,T,N,count", SCALE_CASES,
+                             ids=[f"{c[0]}:N/T={c[2] / c[1]}" for c in SCALE_CASES])
+    def test_each_radius_is_just_past_its_level(self, name, T, N, count):
+        # in exact arithmetic: a scale radius p with 2^(e-1) < p <= 2^e is past
+        # its level, and p - 2^(e - _LEVEL_BITS) is at or inside s or not past it
+        g = parse_potential(name)
+
+        def weight(x):  # (N/T)·V(x²)
+            return N / T * g.v()(x * x)
+
+        inner = sum(1 for r in real_roots(g.v_lambda(), 30) if r.value > 0)
+        pts = oracle._split_points(g, T, N, 30)
+        assert pts[-1] == mpmath.inf
+        s, radii = rationalize(pts[inner]), [rationalize(p) for p in pts[inner + 1 : -1]]
+        levels = [lv for lv in oracle._LEVELS if weight(s) < lv]
+        assert len(radii) == len(levels) == count
+        for p, level in zip(radii, levels):
+            e = 0
+            while F(2) ** e < p:
+                e += 1
+            while F(2) ** (e - 1) >= p:
+                e -= 1
+            step = F(2) ** (e - oracle._LEVEL_BITS)
+            assert (p / step).denominator == 1
+            assert weight(p) > level
+            assert p - step <= s or weight(p - step) <= level
+
+
 class TestRefusals:
-    @pytest.mark.parametrize("args", [(8, 4, 29), (8, -1, 30), (0, 4, 30)],
-                             ids=["digits<30", "kmax<0", "N<1"])
+    @pytest.mark.parametrize("args", [(1, 8, 4, 29), (1, 8, -1, 30), (1, 0, 4, 30),
+                                      (0, 8, 3, 30), (-1, 8, 3, 30)],
+                             ids=["digits<30", "kmax<0", "N<1", "T=0", "T<0"])
     def test_compute_moments(self, args):
-        N, kmax, digits = args
+        T, N, kmax, digits = args
         with pytest.raises(ValueError):
-            compute_moments(QUARTIC, F(1), N, kmax, digits)
+            compute_moments(QUARTIC, F(T), N, kmax, digits)
 
     def test_recurrence_from_moments(self):
         mt = compute_moments(QUARTIC, F(1), 8, 3, 30)

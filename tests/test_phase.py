@@ -330,6 +330,9 @@ class TestScan:
     def test_invalid_row(self):
         rows = phase_scan(SEXTIC, [F(20)])
         assert rows[0]["status"] == "invalid" and rows[0]["s"] == 0
+        # one key per coupling of sextic:42,-11,1, ahead of T
+        assert list(rows[0])[:4] == ["g2", "g4", "g6", "T"]
+        assert (rows[0]["g2"], rows[0]["g4"], rows[0]["g6"]) == (42, -11, 1)
 
 
 class TestExactness:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from largen.mpolys import MOD_P, MPoly, MRatFunc, greedy_div, mod_image, swap_vars
 from largen.polys import Poly, RationalFunc, poly_from_pairs
+from largen.wring import _pshift
 
 small_fracs = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -68,21 +69,9 @@ def test_poly_derivative_and_shift():
     assert p.derivative() == 3 * x**2 - 6
     assert p.derivative(2) == 6 * x
     assert p.derivative(5).is_zero()
-    # (x+2)^3 - 6(x+2) expanded
-    s = p.shift(2)
+    # (x+2)^3 - 6(x+2) expanded, by the production Taylor shift
+    s = Poly(_pshift(p.coeffs, 2))
     assert s == x**3 + 6 * x**2 + 6 * x - 4
-
-
-def test_poly_rebase():
-    x = Poly.x()
-    base = x - 4  # stand-in for a localized denominator
-    p = x**3 + 1
-    rems = p.rebase(base)
-    recon = Poly.zero()
-    for i, r in enumerate(rems):
-        assert r.degree < base.degree
-        recon = recon + r * base**i
-    assert recon == p
 
 
 def test_poly_eval_exact_and_float():
@@ -124,13 +113,6 @@ def test_poly_divmod_identity(a, b):
     q, r = a.divmod(b)
     assert q * b + r == a
     assert r.degree < b.degree
-
-
-@given(small_polys, small_fracs)
-@settings(max_examples=40)
-def test_poly_shift_matches_eval(p, a):
-    x0 = Fraction(3, 7)
-    assert p.shift(a)(x0) == p(x0 + a)
 
 
 # -- RationalFunc ------------------------------------------------------

@@ -3,12 +3,12 @@ from fractions import Fraction as F
 import pytest
 
 from largen.potential import BadPotential, Potential, parse_potential
+from largen.structured import psi_poly
 
 
 def test_quartic_named_form():
     p = parse_potential("quartic:-2,1")
     assert p.gs == (F(-2), F(1))
-    assert p.degree == 4
 
 
 def test_bmp_couplings_and_hodograph():
@@ -55,12 +55,6 @@ def test_json_round_trip():
     assert again.gs == p.gs
 
 
-def test_v_z_coeffs_odd_only():
-    p = parse_potential("quartic:-2,1")
-    # V_z = 2g2 z + 4g4 z³ = -4z + 4z³
-    assert p.v_z_coeffs() == [F(0), F(-4), F(0), F(4)]
-
-
 @pytest.mark.parametrize(
     "bad",
     [
@@ -88,5 +82,5 @@ def test_float_coupling_rejected():
 def test_psi_matches_quartic_closed_form():
     p = parse_potential("quartic:-2,1")
     # Ψ(r) = g2 + 4 g4 r
-    psi = p.psi()
+    psi = psi_poly(p.gs)
     assert psi(F(0)) == F(-2) and psi(F(1, 2)) == F(0)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from largen.polys import Poly
 from largen import roots
-from largen.roots import RealRoot, positive_roots, real_roots, yun_squarefree
+from largen.roots import RealRoot, real_roots, yun_squarefree
 
 SQRT2_40 = "1.414213562373095048801688724209698078570"
 
@@ -84,12 +84,6 @@ def test_window_restriction():
     p = _poly_from_roots([-3, 1, 10])
     got = real_roots(p, lo=Fraction(0), hi=Fraction(5))
     assert [r.value for r in got] == [Fraction(1)]
-
-
-def test_positive_roots_filters_sign():
-    p = _poly_from_roots([-2, 0, 3]) * Poly([0, 1])  # extra factor x
-    got = positive_roots(p)
-    assert [r.value for r in got] == [Fraction(3)]
 
 
 def test_close_roots_separated():

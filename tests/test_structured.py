@@ -38,7 +38,6 @@ from largen.structured import (
     gen_binom,
     hodograph_poly,
     merging_free_energy,
-    onecut_h_poly,
     phi_moment,
     psi_poly,
     twocut_hodographs,
@@ -129,12 +128,6 @@ def test_gamma_moment_sextic():
     # generic formula γ1 = g2 + 12 g4 r + 90 g6 r² at another point
     r = F(1, 3)
     assert gamma_moment(MERGE2, 1, r) == F(-6) + 12 * F(-3) * r + 90 * r**2
-
-
-def test_onecut_h_poly_quartic():
-    g2, g4, r0 = F(-2), F(1), F(1, 5)
-    h = onecut_h_poly([g2, g4], r0)
-    assert h == Poly([2 * g2 + 8 * g4 * r0, 4 * g4])
 
 
 def test_twocut_hodograph_exact_quartic_point():
@@ -256,10 +249,11 @@ def test_endpoint_residues_evaluate_to_branch_residues(gs):
 
 
 def test_branch_poly_part_quartic_h():
-    # polynomial part of 2V'·λ/w0
-    num = 2 * v_prime(QUARTIC)
-    cs = branch_poly_part(list(num.coeffs), -4 * F(1, 5), F(0), -1, shift=1)
-    assert Poly(cs) == onecut_h_poly(QUARTIC, F(1, 5))
+    # polynomial part of 2V'·λ/w0, w0² = λ(λ - 4r0): 2g2 + 8g4·r0 + 4g4·λ
+    g2, g4, r0 = F(-2), F(1), F(1, 5)
+    num = 2 * v_prime([g2, g4]) * Poly.x()
+    cs = branch_poly_part(list(num.coeffs), -4 * r0, F(0), -1)
+    assert cs == [2 * g2 + 8 * g4 * r0, 4 * g4]
 
 
 def test_branch_residue_rejects_even_power():

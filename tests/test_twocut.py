@@ -165,20 +165,16 @@ class TestRegularExpansion:
         assert json.dumps(doc, ensure_ascii=False) == want.strip()
 
     def test_shared_solves_are_bounded(self, monkeypatch):
-        # the per-potential memo keeps at most _REGULAR_RUNS_KEPT potentials,
-        # dropping the oldest, and a hit hands back the stored coefficients
-        monkeypatch.setattr(twocut, "_REGULAR_RUNS", {})
-        monkeypatch.setattr(twocut, "_REGULAR_RUNS_KEPT", 2)
-        gs = [parse_potential(f"quartic:{g2},1") for g2 in (-2, -3, -4, -5)]
-        for g in gs:
-            _regular_run(g, 0)
-            assert len(twocut._REGULAR_RUNS) <= 2
-        assert list(twocut._REGULAR_RUNS) == [gs[2].gs, gs[3].gs]
-        again = _regular_run(gs[3], 0)
+        # the per-potential memo is bounded, and a hit hands back the stored
+        # coefficients as tuples, which no caller can change
+        assert _regular_run.cache_info().maxsize == 32
+        _regular_run.cache_clear()
+        g = parse_potential("quartic:-3,1")
+        again = _regular_run(g, 0)
         monkeypatch.setattr(twocut, "_TwoCutRegularEngine", None)  # a miss would fail
-        hit = _regular_run(gs[3], 0)
-        assert all(x is y for x, y in zip(hit[0] + hit[1], again[0] + again[1]))
-        assert hit[2] is again[2] and hit[3] is again[3]
+        hit = _regular_run(parse_potential("gs:-3,1"), 0)  # equal couplings, another label
+        assert hit is again and _regular_run.cache_info().hits == 1
+        assert isinstance(hit[0], tuple) and isinstance(hit[1], tuple)
 
     @given(
         g2=st.sampled_from([-2, -3, -4]),
@@ -389,7 +385,7 @@ class TestFreeEnergy:
             ra = mpmath.sqrt(mpmath.mpf(3)) / 2
             rb = mpmath.mpf(1) / 2
             pt = ((ra - rb) ** 2, (ra + rb) ** 2)
-            fs, ft = fe.gradient()
+            fs, ft = fe.poly.diff(0), fe.poly.diff(1)
             assert abs(fs.eval(pt)) < mpmath.mpf(10) ** -30
             assert abs(ft.eval(pt)) < mpmath.mpf(10) ** -30
 
@@ -398,9 +394,9 @@ class TestFreeEnergy:
         # and ∂²F/∂τ² stays away from zero (the surviving endpoint is regular)
         fe = build_F(MERGING, F(1))
         pc = (F(0), F(2))
-        fs, ft = fe.gradient()
+        fs, ft = fe.poly.diff(0), fe.poly.diff(1)
         assert fs.eval(pc) == 0 and ft.eval(pc) == 0
-        assert fe.sigma_derivative(2).eval(pc) == F(1)
+        assert fs.diff(0).eval(pc) == F(1)
         assert fe.poly.diff(1).diff(1).eval(pc) == F(-1)
 
     def test_exact_temperature_required(self):

@@ -95,8 +95,6 @@ class TestWMoves:
         x = elem({0: [F(1), F(2), F(3)], 3: [F(5), F(7)]})
         assert x.mul_w().div_w() == x
         assert x.div_w().mul_w() == x
-        assert x.mul_w2().div_w2() == x
-        assert x.div_w2().mul_w2() == x
 
     def test_div_by_branch_roots(self):
         q = one().div_linear_root(F(0))
