@@ -15,6 +15,18 @@ The package computes, exactly where possible:
 
 Everything symbolic runs over ``fractions.Fraction``; floating point enters
 only at evaluation boundaries, via mpmath at a caller-chosen precision.
+
+Process-global caches.  Each large-N engine is kept per process and resumed
+order by order, so a call re-solves no order an earlier call solved; each
+memo is a ``functools.lru_cache(maxsize=32)``, emptied by its
+``cache_clear()`` and also when an extension raises:
+``onecut._regular_engine`` and ``twocut._two_cut_engine`` keyed by the
+potential (their solve does not depend on T), ``onecut._scaled_engine`` by
+(potential, critical point) and ``twocut._symmetric_engine`` by (potential,
+merging point).  ``oracle._standard_nodes`` keeps the tanh-sinh node levels
+per (level, precision), ``diffpoly.certify_d_dx`` the ``Poly`` side of its
+probe per derivative order, and ``painleve`` its two hierarchy tables, which
+only grow.
 """
 
 __version__ = "0.1.0"

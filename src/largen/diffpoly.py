@@ -374,15 +374,16 @@ def scaled_lattice(rc: Fraction) -> tuple[Lattice, WElem]:
     return lat, WElem.from_poly(d1, d0, [d0, DiffPoly.const(1)], wpow=1)
 
 
-def string_ladder(elems, vp, T_c, critical: int) -> list[XRelation]:
+def string_ladder(elems, vp, T_c, critical: int, start: int) -> list[XRelation]:
     """The string relations ∮ V_λ·elems[k] = δ_{k,0}·T_c + δ_{k,critical}·x of
-    a double-scaled series, as p + x·q = 0 (``vp`` is V_λ's coefficient list).
+    a double-scaled series, as p + x·q = 0 (``vp`` is V_λ's coefficient list),
+    for k = start, .., len(elems) - 1.
 
     The order-0 entry is certified to give T_c exactly, which ties the series
     to the critical point it was built at.
     """
     ladder = []
-    for k, e in enumerate(elems):
+    for k, e in enumerate(elems[start:], start):
         p = DiffPoly.zero() + e.contour_pair(vp)
         q = DiffPoly.zero()
         if k == 0:

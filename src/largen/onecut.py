@@ -30,12 +30,13 @@ identity; the engines check this rather than assume it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 
-from .diffpoly import DiffPoly, XRelation, scaled_lattice, string_ladder
+from .diffpoly import DiffPoly, XRelation, certify_d_dx, scaled_lattice, string_ladder
 from .errors import CriticalPointHit, certify
 from .mpolys import MPoly, _Loc, loc_factors
 from .phase import _one_cut_candidates, branch_density_positive, solve_one_cut
@@ -53,7 +54,7 @@ from .scalars import (
     scalar_str,
 )
 from .structured import c_weight
-from .wring import Defect, Lattice, WElem, _pshift
+from .wring import Defect, Lattice, WElem, _pshift, resumed
 
 
 # -- pole-basis extraction ---------------------------------------------------
@@ -208,23 +209,39 @@ class _RegularEngine:
         self.q_elem = (self.u0 * self.u0).scale(Fraction(2)).div_w()
         q_weight = self.q_elem.contour_pair(self.vp)
         certify(q_weight == Wp, "string weight of the r_k term must be W'")
+        self.r_list, self.u_list = [self.rho], [self.u0]
+        self.F = Defect(self.lat, self.u_list, self.u_list, self.r_list, 2)
+        self.solved = 0
+        self.coeffs = []  # _ratfunc(r_k) per solved order
+        self.tables = []  # u_series_coefficients' USeriesOrder per order, built on demand
 
     def _c(self, p: Poly) -> _Loc:
         return _Loc(self.fs, _mpoly(p))
 
-    def run(self, K: int) -> tuple[list, list]:
-        """Solve orders 2..2K; returns ([r₀..r_K], [U₀..U_K]) in the engine's ring.
+    def run(self, K: int) -> tuple[tuple, tuple]:
+        """Resume the solve through order K; returns ((r₀..r_K), (U₀..U_K)) in its ring.
 
-        Order k solves only the ε^{2k} coefficient on kept derivative towers
-        (``wring.Defect``), certifying ε^{2k-1} before and ε^{2k} after it:
-        every ε^j, j ≤ 2K, of the defect once, on its final value.
-        No gcd is taken here: the callers build ``RationalFunc`` only for
-        what they output.  Scalar slot padding stays ``Fraction``.
+        Orders below ``solved`` are kept from earlier calls; before they are
+        extended, d/dρ is certified again against the quotient rule on ρ/W'²,
+        since the r₁ closed form below sees the derivation only at order 1.
+        Each new order k solves only the ε^{2k} coefficient on kept derivative
+        towers (``wring.Defect``), certifying ε^{2k-1} before and ε^{2k} after
+        it: every ε^j, j ≤ 2K, of the defect once, on its final value.  Each
+        r_k is reduced to a ``RationalFunc`` once, into ``coeffs``; no other
+        gcd is taken here.  Scalar slot padding stays ``Fraction``.
         """
-        r_list, u_list = [self.rho], [self.u0]
-        F = Defect(self.lat, u_list, u_list, r_list, 2)
-        F.certify(0, "defect")
-        for k in range(1, K + 1):
+        if self.solved:
+            c = self.rho / self.Wp**2
+            certify(
+                _ratfunc(c.diff(0)) == _ratfunc(c).derivative(),
+                "one-cut derivation differs from the quotient rule",
+            )
+        new = range(self.solved, K + 1)
+        F, r_list, u_list = self.F, self.r_list, self.u_list
+        for k in new:
+            if not k:
+                F.certify(0, "defect")
+                continue
             F.certify(2 * k - 1, "odd defect order")
             base = F.coefficient(2 * k).div_w().scale(Fraction(1, 2))
             # contour_pair of an element without odd slots is a scalar 0
@@ -235,18 +252,28 @@ class _RegularEngine:
         # The residual holds for whatever d/dT the ring implements, so the
         # derivation is checked against the closed form of r₁ instead:
         # r₁ = ρ (2W''² - W'W''') / (12 W'⁴).
-        if K >= 1:
+        if 1 in new:
             Wp, Wpp, W3 = (self.W.derivative(n) for n in (1, 2, 3))
             r1 = self._c(Poly.x() * (Wpp * Wpp * 2 - Wp * W3) * Fraction(1, 12)) / self.Wp**4
             certify(r_list[1] == r1, "r₁ differs from ρ(2W''² - W'W''')/(12W'⁴)")
-        # and the string equation at every computed order
-        certify(
-            u_list[0].contour_pair(self.vp) == self._c(self.W),
-            "order-0 string equation must give W(ρ) = T",
-        )
-        for k in range(1, K + 1):
-            certify(not u_list[k].contour_pair(self.vp), f"string equation fails at order {k}")
-        return r_list, u_list
+        # and the string equation at every new order
+        for k in new:
+            if k:
+                certify(not u_list[k].contour_pair(self.vp), f"string equation fails at order {k}")
+            else:
+                certify(
+                    u_list[0].contour_pair(self.vp) == self._c(self.W),
+                    "order-0 string equation must give W(ρ) = T",
+                )
+        self.coeffs += [_ratfunc(r) for r in r_list[self.solved : K + 1]]
+        self.solved = max(self.solved, K + 1)
+        return tuple(r_list[: K + 1]), tuple(u_list[: K + 1])
+
+
+@lru_cache(maxsize=32)
+def _regular_engine(g: Potential) -> _RegularEngine:
+    """The process's one regular engine per potential; its solve does not depend on T."""
+    return _RegularEngine(g)
 
 
 def expand_regular(
@@ -264,38 +291,39 @@ def expand_regular(
         raise CriticalPointHit(
             f"W'(r0) = 0 at T = {scalar_str(T)}; use the double-scaling path"
         )
-    r_list, _ = _RegularEngine(g).run(K)
-    return OneCutExpansion(g=g, T=T, r0=r0, coeffs=tuple(_ratfunc(r) for r in r_list), K=K)
+    engine = resumed(_regular_engine, K, g)
+    return OneCutExpansion(g=g, T=T, r0=r0, coeffs=tuple(engine.coeffs[: K + 1]), K=K)
 
 
 def u_series_coefficients(g: Potential, r0=None, K: int = 1) -> list[USeriesOrder]:
     """U₀..U_K with their pole tables U_{k,j}.
 
     The tables are read off in the engine's ring ℚ[ρ, 1/W'(ρ)]; each pole and
-    each element coefficient is then reduced once to a ``RationalFunc`` of ρ.
+    each element coefficient is then reduced once to a ``RationalFunc`` of ρ,
+    and kept with the engine for later calls.
     With r0 = None the tables stay rational functions of ρ; an exact r0
     evaluates them at that point.
     """
     if K < 0:
         raise ValueError("truncation order must be nonnegative")
-    engine = _RegularEngine(g)
-    _, u_list = engine.run(K)
-    four, zero = engine.rho * 4, engine.d0
+    engine = resumed(_regular_engine, K, g)
+    tables, four, zero = engine.tables, engine.rho * 4, engine.d0
 
     def reduced(c):  # slot padding stays scalar
         return _ratfunc(c) if isinstance(c, _Loc) else c
 
-    out = [USeriesOrder(k=0, element=u_list[0].map_coeffs(reduced), poles=())]
-    for k in range(1, K + 1):
-        u0_part, poles = _pole_basis(u_list[k], four, zero)
-        certify(not u0_part, "U_k acquired a pole-free part")
-        poles = [_ratfunc(p) for p in poles]
-        if r0 is not None:
-            x = lifted(r0)
-            poles = [p(x) for p in poles]
-        element = u_list[k].map_coeffs(reduced)
-        out.append(USeriesOrder(k=k, element=element, poles=tuple(poles)))
-    return out
+    while len(tables) <= K:
+        k = len(tables)
+        u_k, poles = engine.u_list[k], ()
+        if k:
+            u0_part, poles = _pole_basis(u_k, four, zero)
+            certify(not u0_part, "U_k acquired a pole-free part")
+            poles = tuple(_ratfunc(p) for p in poles)
+        tables.append(USeriesOrder(k=k, element=u_k.map_coeffs(reduced), poles=poles))
+    if r0 is None:
+        return tables[: K + 1]
+    x = lifted(r0)
+    return [replace(o, poles=tuple(p(x) for p in o.poles)) for o in tables[: K + 1]]
 
 
 # -- critical points -------------------------------------------------------------
@@ -370,39 +398,63 @@ class _ScaledEngine:
         self.m = crit.m
         self.lat, self.u0 = scaled_lattice(self.rc)
         self.vp = list(g.v_lambda().coeffs)
+        self.r_list, self.u_list = [DiffPoly.const(self.rc)], [self.u0]
+        self.F = Defect(self.lat, self.u_list, self.u_list, self.r_list, 2)
+        self.solved = 0
+        self.orders, self.ladder = [], []  # per solved order: ScaledOrder and string relation
 
-    def run(self, K: int) -> tuple[list, list]:
-        """U^{[0]}..U^{[K]} and the string ladder relations, solved and
-        certified per order as in ``_RegularEngine.run``."""
-        r_list = [DiffPoly.const(self.rc)] + [DiffPoly.var(f"r{k}") for k in range(1, K + 1)]
-        u_list = [self.u0]
-        F = Defect(self.lat, u_list, u_list, r_list, 2)
-        F.certify(0, "scaled defect")
-        for k in range(1, K + 1):
+    def run(self, K: int) -> tuple[tuple, tuple]:
+        """Resume through order K; returns the orders U^{[0]}..U^{[K]} with their
+        pole tables, and the string ladder relations.  Orders below ``solved``
+        are kept from earlier calls; each new one is solved and certified as
+        in ``_RegularEngine.run``, then laddered and tabled."""
+        if self.solved:  # d/dx may have changed since the lattice certified it
+            certify_d_dx()
+        new = range(self.solved, K + 1)
+        F, u_list = self.F, self.u_list
+        self.r_list += [DiffPoly.var(f"r{k}") for k in range(len(self.r_list), K + 1)]
+        for k in new:
+            if not k:
+                F.certify(0, "scaled defect")
+                continue
             F.certify(2 * k - 1, "odd scaled defect order")
             u_list.append(F.coefficient(2 * k).div_w().scale(Fraction(1, 2)))
             F.certify(2 * k, "scaled defect")
 
-        ladder = string_ladder(u_list, self.vp, self.Tc, self.m)
-        for k in range(1, min(self.m, K + 1)):
-            certify(
-                ladder[k].p.is_zero(),
-                "constraint below the critical order did not vanish; "
-                "the scaling exponent would be wrong",
-            )
-        return u_list, ladder
+        self.ladder += string_ladder(u_list, self.vp, self.Tc, self.m, self.solved)
+        for k in new:
+            if 1 <= k < self.m:
+                certify(
+                    self.ladder[k].p.is_zero(),
+                    "constraint below the critical order did not vanish; "
+                    "the scaling exponent would be wrong",
+                )
+        for k in new:
+            poles = ()
+            if k:
+                u0_part, poles = _pole_basis(u_list[k], 4 * self.rc, DiffPoly.zero())
+                certify(not u0_part, "U^[k] acquired a pole-free part")
+                certify(len(poles) <= k, "double-scaled pole depth exceeded its order")
+            self.orders.append(ScaledOrder(k=k, element=u_list[k], poles=tuple(poles)))
+        self.solved = max(self.solved, K + 1)
+        return tuple(self.orders[: K + 1]), tuple(self.ladder[: K + 1])
+
+
+@lru_cache(maxsize=32)
+def _scaled_engine(g: Potential, crit: OneCutCritical) -> _ScaledEngine:
+    """The process's one double-scaled engine per potential and critical point."""
+    return _ScaledEngine(g, crit)
 
 
 def scaled_series(g: Potential, crit: OneCutCritical, K: int) -> ScaledOneCut:
     """Double-scaled one-cut series to order ε̄^{2K} with its constraint ladder."""
+    if not isinstance(crit, OneCutCritical):
+        raise TypeError(
+            f"scaled_series needs a OneCutCritical from find_critical, not a "
+            f"{type(crit).__name__}; a merging point goes to twocut.symmetric_scaled_series"
+        )
     if K < crit.m:
         raise ValueError("need K ≥ m to reach the Painlevé relation")
-    engine = _ScaledEngine(g, crit)
-    u_list, ladder = engine.run(K)
-    orders = [ScaledOrder(k=0, element=u_list[0], poles=())]
-    for k in range(1, K + 1):
-        u0_part, poles = _pole_basis(u_list[k], 4 * engine.rc, DiffPoly.zero())
-        certify(not u0_part, "U^[k] acquired a pole-free part")
-        certify(len(poles) <= k, "double-scaled pole depth exceeded its order")
-        orders.append(ScaledOrder(k=k, element=u_list[k], poles=tuple(poles)))
-    return ScaledOneCut(crit=crit, K=K, orders=tuple(orders), ladder=tuple(ladder))
+    engine = resumed(_scaled_engine, K, g, crit)
+    orders, ladder = tuple(engine.orders[: K + 1]), tuple(engine.ladder[: K + 1])
+    return ScaledOneCut(crit=crit, K=K, orders=orders, ladder=ladder)

@@ -32,6 +32,7 @@ than return garbage.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,8 +55,8 @@ _TRUST_FLOOR = 10
 # the fewest digits a moment table takes, and the digits the Hankel reduction
 # loses per recurrence index (measured 1.2-2.1 at N = 64, rising slowly with N)
 _MIN_DIGITS, _LOSS_PER_INDEX = 30, 2
-# tanh-sinh rule, used only for estimate_error; bits kept past the working precision
-# in moment sums, nodes summed per chunk
+# tanh-sinh rule, used only for estimate_error (in ``_settled``); bits kept past the
+# working precision in moment sums, nodes summed per chunk
 _TANH_SINH, _GUARD, _CHUNK = TanhSinh(mpmath.mp), 32, 64
 # levels of (N/T)·V(x²) whose outer radii are breakpoints, and their significant bits
 _LEVELS, _LEVEL_BITS = (200, 2000), 8
@@ -131,6 +132,30 @@ def _split_points(g: Potential, T, N: int, digits: int) -> list:
         pts.append(mpmath.ldexp(hi, e - _LEVEL_BITS))
     pts.append(mpmath.inf)
     return pts
+
+
+def _log10(x) -> float:
+    """log10|x| of a nonzero mpf, in floating point."""
+    _, man, exp, _ = x._mpf_
+    return math.log10(man) + exp * math.log10(2)
+
+
+def _settled(vals, prec: int, eps) -> bool:
+    """``_TANH_SINH.estimate_error(vals, prec, eps) <= eps``, mostly in floats.
+
+    mpmath estimates 10^int(D4), D4 = min(0, max(D1²/D2, 2·D1, -prec)) with
+    D1, D2 = log10|v₃ - v₂|, log10|v₃ - v₁|.  D4 and log10(eps) from float
+    logarithms are off by far less than 1e-6, which decides the comparison
+    unless either is that close to an integer; those cases, fewer than three
+    values and equal values are left to mpmath.
+    """
+    if len(vals) == 3 and vals[2] != vals[1] and vals[2] != vals[0]:
+        d1, d2, e = _log10(vals[2] - vals[1]), _log10(vals[2] - vals[0]), _log10(eps)
+        if d2:
+            d4 = min(0.0, max(d1 * d1 / d2, 2 * d1, -prec))
+            if abs(d4 - round(d4)) > 1e-6 and abs(e - round(e)) > 1e-6:
+                return int(d4) <= math.floor(e)
+    return _TANH_SINH.estimate_error(vals, prec, eps) <= eps
 
 
 @lru_cache(maxsize=_NODE_LEVELS)
@@ -231,13 +256,14 @@ def compute_moments(g: Potential, T, N: int, kmax: int, digits: int | None = Non
     One tanh-sinh pass over levels 1..10 on the intervals of ``_split_points``
     serves every moment; each level's nodes are built once per process at each
     precision (``_standard_nodes``) and streamed per interval.  A moment's sum
-    on one interval freezes where ``estimate_error`` of its level sums, divided
-    by the moment's total at the previous level, reaches eps/8, so a small
-    moment is refined as far as a large one.  The moment is accepted at the
-    first level d ≥ 5 whose total agrees with level d - 1's to ``digits + 5``
-    decimals (relative), else ``PrecisionExhausted`` names it.  Without
-    ``digits``, the table takes 30 + 2·kmax: the Hankel reduction loses about
-    two decimals per recurrence index.
+    on one interval freezes where ``estimate_error`` of its level sums (as
+    ``_settled`` decides it), divided by the moment's total at the previous
+    level, reaches eps/8, so a small moment is refined as far as a large one.
+    The moment is accepted at the first level d ≥ 5 whose total agrees with
+    level d - 1's to ``digits + 5`` decimals (relative), else
+    ``PrecisionExhausted`` names it.  Without ``digits``, the table takes
+    30 + 2·kmax: the Hankel reduction loses about two decimals per recurrence
+    index.
     """
     if not T > 0:
         raise ValueError("need T > 0")
@@ -269,8 +295,8 @@ def compute_moments(g: Potential, T, N: int, kmax: int, digits: int | None = Non
                                 res.append(h * (res[-1] / (2 * h) + s) if res else h * s)
                                 # relative to the last level's total: estimate_error
                                 # caps its estimate at 1 and floors it at 10^-prec
-                                if degree > 1 and _TANH_SINH.estimate_error(
-                                        [r / prev[k] for r in res[-3:]], prec, eps) <= eps:
+                                if degree > 1 and _settled(
+                                        [r / prev[k] for r in res[-3:]], prec, eps):
                                     done.add(k)
                 totals = [sum(sums[k][-1] for sums, _ in levels) for k in range(kmax + 1)]
             cur = [+t for t in totals]

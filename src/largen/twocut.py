@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .diffpoly import DiffPoly, XRelation, scaled_lattice, string_ladder
+from .diffpoly import DiffPoly, XRelation, certify_d_dx, scaled_lattice, string_ladder
 from .errors import (
     Mismatch,
     NoTwoCutSolution,
@@ -74,7 +74,7 @@ from .structured import (
     psi_poly,
     twocut_hodographs,
 )
-from .wring import Defect, Lattice, WElem, _pmul, _pshift
+from .wring import Defect, Lattice, WElem, _pmul, _pshift, resumed
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -311,12 +311,8 @@ class _TwoCutRegularEngine:
         self.da0 = (self.s1 - self.s2) / self.det
         self.db0 = (self.s1 - self.t1) / self.det
         # the slopes, and a probe with both factor exponents raised
-        for c in (self.da0, self.db0, self.da0 * self.da0 / (b0 - a0)):
-            for v in (0, 1):
-                certify(
-                    c.diff(v).to_ratfunc() == c.to_ratfunc().diff(v),
-                    "two-cut derivation differs from the quotient rule",
-                )
+        self.probes = (self.da0, self.db0, self.da0 * self.da0 / (b0 - a0))
+        self._certify_derivation()
         dw2 = [
             (b0 - a0) * (self.db0 - self.da0) * Fraction(2),
             (self.da0 + self.db0) * Fraction(-2),
@@ -324,19 +320,39 @@ class _TwoCutRegularEngine:
         self.lat = Lattice(
             d1, d0, _F1, lambda c: c.diff(0) * self.da0 + c.diff(1) * self.db0, dw2
         )
-
-    def run(self, K: int) -> tuple[list, list, list, list]:
-        """([a₀..a_K], [b₀..b_K], [V₀..V_K], [W₀..W_K]) in _Loc.  Order k solves
-        only the ε^{2k} coefficients of both defects on kept derivative towers
-        (``wring.Defect``), certifying ε^{2k-1} before and ε^{2k} after it."""
-        a_list, b_list, v_list, w_list = [self.a0], [self.b0], [self.v0], [self.w0]
+        self.slopes = (self.da0.to_ratfunc(), self.db0.to_ratfunc())
+        self.a_list, self.b_list, self.v_list, self.w_list = [a0], [b0], [self.v0], [self.w0]
         # each function is the other's partner in the shifted slots
-        DV = Defect(self.lat, v_list, w_list, a_list, 2)
-        DW = Defect(self.lat, w_list, v_list, b_list, 2)
-        DV.certify(0, "V-defect")
-        DW.certify(0, "W-defect")
+        self.DV = Defect(self.lat, self.v_list, self.w_list, self.a_list, 2)
+        self.DW = Defect(self.lat, self.w_list, self.v_list, self.b_list, 2)
+        self.solved = 0
+        self.coeffs = []  # (a_k, b_k) reduced to MRatFunc, per solved order
+
+    def _certify_derivation(self) -> None:
+        for c in self.probes:
+            for v in (0, 1):
+                certify(
+                    c.diff(v).to_ratfunc() == c.to_ratfunc().diff(v),
+                    "two-cut derivation differs from the quotient rule",
+                )
+
+    def run(self, K: int) -> tuple[tuple, tuple, tuple, tuple]:
+        """Resume through order K; returns ((a₀..a_K), (b₀..b_K), (V₀..V_K),
+        (W₀..W_K)) in _Loc.  Orders below ``solved`` are kept from earlier
+        calls, and the derivation is certified again before they are
+        extended; each new order k solves only the ε^{2k} coefficients of
+        both defects on kept derivative towers (``wring.Defect``), certifying
+        ε^{2k-1} before and ε^{2k} after it, and is reduced into ``coeffs``."""
+        if self.solved:
+            self._certify_derivation()
+        a_list, b_list, v_list, w_list = self.a_list, self.b_list, self.v_list, self.w_list
+        DV, DW, new = self.DV, self.DW, range(self.solved, K + 1)
         mshift = [(self.a0 + self.b0) * Fraction(-1), _F1]  # λ - a₀ - b₀
-        for k in range(1, K + 1):
+        for k in new:
+            if not k:
+                DV.certify(0, "V-defect")
+                DW.certify(0, "W-defect")
+                continue
             DV.certify(2 * k - 1, "odd V-defect order")
             DW.certify(2 * k - 1, "odd W-defect order")
             R1, R2 = DV.coefficient(2 * k), DW.coefficient(2 * k)
@@ -357,24 +373,22 @@ class _TwoCutRegularEngine:
             w_list.append(w_k)
             DV.certify(2 * k, "V-defect")
             DW.certify(2 * k, "W-defect")
-        # a ↔ b symmetry of the whole tower
+        # a ↔ b symmetry of the new orders
         swap = lambda c: c if isinstance(c, (Fraction, int)) else c.swapped()
-        for vk, wk in zip(v_list, w_list):
-            certify(wk == vk.map_coeffs(swap), "V/W swap symmetry broken")
-        for ak, bk in zip(a_list, b_list):
-            certify(bk == ak.swapped(), "a/b swap symmetry broken")
-        return a_list, b_list, v_list, w_list
+        for k in new:
+            certify(w_list[k] == v_list[k].map_coeffs(swap), "V/W swap symmetry broken")
+        for k in new:
+            certify(b_list[k] == a_list[k].swapped(), "a/b swap symmetry broken")
+        self.coeffs += [(a_list[k].to_ratfunc(), b_list[k].to_ratfunc()) for k in new]
+        self.solved = max(self.solved, K + 1)
+        cut = slice(K + 1)
+        return tuple(a_list[cut]), tuple(b_list[cut]), tuple(v_list[cut]), tuple(w_list[cut])
 
 
 @lru_cache(maxsize=32)
-def _regular_run(g: Potential, K: int):
-    """The symbolic solve is temperature-independent, so share it per potential."""
-    engine = _TwoCutRegularEngine(g)
-    a_loc, b_loc, _, _ = engine.run(K)
-    a_list = tuple(c.to_ratfunc() for c in a_loc)
-    b_list = tuple(c.to_ratfunc() for c in b_loc)
-    slopes = (engine.da0.to_ratfunc(), engine.db0.to_ratfunc())
-    return a_list, b_list, slopes, engine.det_mp
+def _two_cut_engine(g: Potential) -> _TwoCutRegularEngine:
+    """The process's one two-cut engine per potential; its solve does not depend on T."""
+    return _TwoCutRegularEngine(g)
 
 
 def expand_two_cut_regular(
@@ -404,9 +418,9 @@ def expand_two_cut_regular(
                     "use the double-scaling path"
                 ) from None
         raise
-    a_list, b_list, slopes, det = _regular_run(g, K)
+    engine = resumed(_two_cut_engine, K, g)
     with mpmath.workdps(digits):
-        singular = negligible(det.eval(lifted((a0, b0), digits)), digits)
+        singular = negligible(engine.det_mp.eval(lifted((a0, b0), digits)), digits)
     if singular:
         raise SingularHodograph(
             f"endpoint Jacobian vanishes at T = {scalar_str(T)}; "
@@ -417,8 +431,8 @@ def expand_two_cut_regular(
         T=T,
         a0=a0,
         b0=b0,
-        coeffs=tuple(zip(a_list, b_list)),
-        slopes=slopes,
+        coeffs=tuple(engine.coeffs[: K + 1]),
+        slopes=engine.slopes,
         K=K,
     )
 
@@ -555,16 +569,35 @@ class _SymmetricScaledEngine:
         self.m = point.m
         self.lat, self.v0 = scaled_lattice(self.rc)
         self.vp = list(g.v_lambda().coeffs)
+        # the merged strings: ∮V_λ·λ/w_c = T_c (certified by ``string_ladder``
+        # at order 0) and ∮V_λ/w_c = 0
+        one_over_w = WElem.from_poly(self.lat.d1, self.lat.d0, [DiffPoly.const(1)], wpow=1)
+        certify(
+            not DiffPoly.zero() + one_over_w.contour_pair(self.vp),
+            "merged string ∮V_λ/w_c must vanish",
+        )
+        self.a_list, self.v_list, self.flipped = [DiffPoly.const(self.rc)], [self.v0], [self.v0]
+        self.F = Defect(self.lat, self.v_list, self.flipped, self.a_list, 1)
+        self.solved = 0
+        # per solved order: its SymmetricScaledOrder and string relation; φ_j, γ_j as needed
+        self.orders, self.ladder, self.phis, self.gammas = [], [], [], []
 
-    def run(self, K: int) -> tuple[list, list]:
-        """𝕍^{[0]}..𝕍^{[K]} and the string ladder relations.  Order k solves
-        only the ε̄^k coefficient on kept derivative towers (``wring.Defect``,
-        partner 𝕍(-ε̄)) and certifies it right after, on its final value."""
-        a_list = [DiffPoly.const(self.rc)] + [DiffPoly.var(f"a{k}") for k in range(1, K + 1)]
-        v_list, flipped = [self.v0], [self.v0]
-        F = Defect(self.lat, v_list, flipped, a_list, 1)
-        F.certify(0, "merged defect")
-        for k in range(1, K + 1):
+    def run(self, K: int) -> tuple[tuple, tuple]:
+        """Resume through order K; returns the orders 𝕍^{[0]}..𝕍^{[K]} with their
+        two-pole tables, and the string ladder relations.  Orders below
+        ``solved`` are kept from earlier calls; each new order k solves only the
+        ε̄^k coefficient on kept derivative towers (``wring.Defect``, partner
+        𝕍(-ε̄)) and certifies it right after, on its final value, then its
+        ladder entry against the moment form."""
+        if self.solved:  # d/dx may have changed since the lattice certified it
+            certify_d_dx()
+        F, v_list, flipped = self.F, self.v_list, self.flipped
+        new = range(self.solved, K + 1)
+        self.a_list += [DiffPoly.var(f"a{k}") for k in range(len(self.a_list), K + 1)]
+        for k in new:
+            if not k:
+                F.certify(0, "merged defect")
+                continue
             R = F.coefficient(k)
             if k % 2 == 0:
                 # unknown enters as -2w·𝕍^[k]
@@ -576,7 +609,36 @@ class _SymmetricScaledEngine:
             v_list.append(v_k)
             flipped.append(-v_k if k % 2 else v_k)
             F.certify(k, "merged defect")
-        return v_list, string_ladder(v_list, self.vp, self.Tc, 2 * self.m)
+        self.ladder += string_ladder(v_list, self.vp, self.Tc, 2 * self.m, self.solved)
+        zero, gs = DiffPoly.zero(), self.g.gs
+        for k in new:
+            if not k:
+                self.orders.append(SymmetricScaledOrder(k=0, element=v_list[0], C=zero, A=(), B=()))
+                continue
+            C, A, B = _two_pole_basis(v_list[k], 4 * self.rc, zero)
+            certify(len(A) <= k // 2 and len(B) <= k // 2, "pole depth exceeded k/2")
+            for j in range(len(self.phis) + 1, k // 2 + 1):
+                self.phis.append(phi_moment(gs, j, self.rc))
+                self.gammas.append(gamma_moment(gs, j, self.rc))
+            # the ladder relation must equal its moment form (C drops out since
+            # ∮V_λ/w_c = 0 at a merging point)
+            moment = zero
+            for Aj, phi in zip(A, self.phis):
+                moment = moment + Aj * phi
+            for Bj, gamma in zip(B, self.gammas):
+                moment = moment + Bj * gamma
+            certify(self.ladder[k].p == moment, f"ladder/moment mismatch at order {k}")
+            self.orders.append(
+                SymmetricScaledOrder(k=k, element=v_list[k], C=C, A=tuple(A), B=tuple(B))
+            )
+        self.solved = max(self.solved, K + 1)
+        return tuple(self.orders[: K + 1]), tuple(self.ladder[: K + 1])
+
+
+@lru_cache(maxsize=32)
+def _symmetric_engine(g: Potential, point: MergingPoint) -> _SymmetricScaledEngine:
+    """The process's one merged engine per potential and merging point."""
+    return _SymmetricScaledEngine(g, point)
 
 
 def symmetric_scaled_series(g: Potential, point: MergingPoint, K: int) -> SymmetricTwoCut:
@@ -587,37 +649,13 @@ def symmetric_scaled_series(g: Potential, point: MergingPoint, K: int) -> Symmet
     returned, which ties the contour integrals to the pole tables and to
     the classification data of the merging point.
     """
+    if not isinstance(point, MergingPoint):
+        raise TypeError(
+            f"symmetric_scaled_series needs a MergingPoint from find_merging, not a "
+            f"{type(point).__name__}; a one-cut critical point goes to onecut.scaled_series"
+        )
     if K < 2 * point.m + 1:
         raise ValueError("need K ≥ 2m+1 to reach the closing pair of relations")
-    engine = _SymmetricScaledEngine(g, point)
-    rc = engine.rc
-    # the merged strings: ∮V_λ·λ/w_c = T_c (certified by ``string_ladder``
-    # at order 0) and ∮V_λ/w_c = 0
-    one_over_w = WElem.from_poly(engine.lat.d1, engine.lat.d0, [DiffPoly.const(1)], wpow=1)
-    certify(
-        not DiffPoly.zero() + one_over_w.contour_pair(engine.vp),
-        "merged string ∮V_λ/w_c must vanish",
-    )
-
-    v_list, ladder = engine.run(K)
-    four_rc = 4 * rc
-    orders = [
-        SymmetricScaledOrder(
-            k=0, element=v_list[0], C=DiffPoly.zero(), A=(), B=()
-        )
-    ]
-    phis = [phi_moment(g.gs, j, rc) for j in range(1, K // 2 + 1)]
-    gammas = [gamma_moment(g.gs, j, rc) for j in range(1, K // 2 + 1)]
-    for k in range(1, K + 1):
-        C, A, B = _two_pole_basis(v_list[k], four_rc, DiffPoly.zero())
-        certify(len(A) <= k // 2 and len(B) <= k // 2, "pole depth exceeded k/2")
-        # the ladder relation must equal its moment form (C drops out since
-        # ∮V_λ/w_c = 0 at a merging point)
-        moment = DiffPoly.zero()
-        for j, Aj in enumerate(A, start=1):
-            moment = moment + Aj * phis[j - 1]
-        for j, Bj in enumerate(B, start=1):
-            moment = moment + Bj * gammas[j - 1]
-        certify(ladder[k].p == moment, f"ladder/moment mismatch at order {k}")
-        orders.append(SymmetricScaledOrder(k=k, element=v_list[k], C=C, A=tuple(A), B=tuple(B)))
-    return SymmetricTwoCut(point=point, K=K, orders=tuple(orders), ladder=tuple(ladder))
+    engine = resumed(_symmetric_engine, K, g, point)
+    orders, ladder = tuple(engine.orders[: K + 1]), tuple(engine.ladder[: K + 1])
+    return SymmetricTwoCut(point=point, K=K, orders=orders, ladder=ladder)

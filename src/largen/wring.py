@@ -554,3 +554,21 @@ class Defect:
     def certify(self, n: int, what: str) -> None:
         """Raise ``Mismatch`` unless the ε^n coefficient vanishes."""
         certify(self.coefficient(n).is_zero(), f"{what} at ε^{n} is nonzero")
+
+
+def resumed(factory: Callable, K: int, *key):
+    """``factory(*key)``, solved and certified through order K.
+
+    ``factory`` is an ``lru_cache`` that keeps one engine per key, with
+    ``solved`` orders done; only a call that needs a new order runs it.  A
+    run that raises clears the memo, so no later call sees a partly extended
+    engine.
+    """
+    engine = factory(*key)
+    if engine.solved <= K:
+        try:
+            engine.run(K)
+        except BaseException:
+            factory.cache_clear()
+            raise
+    return engine

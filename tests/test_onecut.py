@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from largen.diffpoly import DiffPoly, XRelation
+from largen import onecut
 from largen.errors import CriticalPointHit, Mismatch, NoAdmissibleRoot
 from largen.onecut import (
     OneCutCritical,
@@ -23,6 +24,7 @@ from largen.onecut import (
 from largen.polys import Poly, RationalFunc
 from largen.potential import Potential, parse_potential
 from largen.structured import c_weight
+from largen.twocut import find_merging
 from largen.wring import WElem
 
 GAUSS = Potential.gaussian()
@@ -335,7 +337,10 @@ class TestUSeriesTable:
 
     @pytest.mark.parametrize("K", [1, 2])
     def test_expand_regular_reduces_only_its_output(self, K, monkeypatch):
-        # the engine stays in ℚ[ρ, 1/W'(ρ)]; one RationalFunc per r_0..r_K
+        # the engine stays in ℚ[ρ, 1/W'(ρ)]: a fresh engine builds one
+        # RationalFunc per r_0..r_K, and the kept engine serves a second call
+        # without building any
+        onecut._regular_engine.cache_clear()
         built = []
         init = RationalFunc.__init__
 
@@ -347,6 +352,9 @@ class TestUSeriesTable:
         exp = expand_regular(QUARTIC, F(2), K)
         assert len(built) == K + 1
         assert [id(c) for c in exp.coeffs] == [id(c) for c in built]
+        again = expand_regular(QUARTIC, F(2), K)
+        assert len(built) == K + 1
+        assert [id(c) for c in again.coeffs] == [id(c) for c in built]
 
 
 class TestPoleShapeCertificates:
@@ -529,6 +537,16 @@ class TestScaledSeries:
         crit = find_critical(parse_potential("sextic:3,-3,1"))[0]
         with pytest.raises(ValueError):
             scaled_series(parse_potential("sextic:3,-3,1"), crit, K=2)
+
+    @pytest.mark.parametrize("name", ["quartic:-2,1", "sextic:-6,-3,1"])
+    def test_merging_point_refused(self, name):
+        # a MergingPoint duck-types as a critical point; it once gave a wrong
+        # relation (quartic) or a misleading Mismatch (sextic)
+        g = parse_potential(name)
+        point, before = find_merging(g)[0], onecut._scaled_engine.cache_info()
+        with pytest.raises(TypeError, match="symmetric_scaled_series"):
+            scaled_series(g, point, 3)
+        assert onecut._scaled_engine.cache_info() == before  # refused before the memo
 
     def test_handmade_critical_point_consistency(self):
         # a fabricated point off the hodograph fails the order-0 ladder check

@@ -310,6 +310,56 @@ class TestNodeStream:
         assert out.strip() == "match"
 
 
+def _fallbacks(prec):
+    """(vals, eps) that ``_settled`` must leave to mpmath at working precision prec."""
+    eps, one = mpmath.eps / 8, mpmath.mpf(1)
+    return [
+        ([one + mpmath.mpf(10) ** -5, one], eps),  # two values
+        ([one, one, one], eps),  # equal values
+        ([one + mpmath.mpf(10) ** -9, one, one], eps),  # the last two equal
+        ([one - mpmath.mpf(10) ** -2, one - mpmath.mpf(10) ** -4, one], eps),  # D4 ≈ -8
+        ([one + 3, one - 5, one], eps),  # D4 = 0
+        ([one + 3 * mpmath.mpf(10) ** -20, one + 7 * mpmath.mpf(10) ** -31, one],
+         mpmath.mpf(10) ** -(prec // 4)),  # log10(eps) an integer
+    ]
+
+
+class TestSettled:
+    """``_settled`` gives ``estimate_error``'s verdict, from floats where they
+    cannot be wrong and from mpmath elsewhere."""
+
+    @pytest.mark.parametrize("prec", [120, 306, 570])
+    def test_agrees_with_estimate_error(self, prec):
+        with mpmath.workprec(prec + 20):
+            eps, one = mpmath.eps / 8, mpmath.mpf(1)
+            cases = _fallbacks(prec)
+            for a in range(1, prec // 3, 4):
+                for b in range(1, prec // 2, 6):
+                    vals = [one + 3 * mpmath.mpf(10) ** -a, one - 7 * mpmath.mpf(10) ** -b, one]
+                    cases += [(vals, eps), (vals[::-1], eps)]
+            verdicts = set()
+            for vals, e in cases:
+                want = oracle._TANH_SINH.estimate_error(vals, prec, e) <= e
+                assert oracle._settled(vals, prec, e) == want, (vals, e)
+                verdicts.add(want)
+            assert verdicts == {True, False}
+
+    def test_only_the_fallback_cases_call_mpmath(self, monkeypatch):
+        prec = 306
+        calls = []
+        estimate = oracle._TANH_SINH.estimate_error
+        monkeypatch.setattr(oracle._TANH_SINH, "estimate_error",
+                            lambda *args: calls.append(args) or estimate(*args))
+        with mpmath.workprec(prec + 20):
+            one = mpmath.mpf(1)
+            for vals, eps in _fallbacks(prec):
+                oracle._settled(vals, prec, eps)
+            assert len(calls) == len(_fallbacks(prec))
+            oracle._settled([one + mpmath.mpf(10) ** -20, one + mpmath.mpf(10) ** -31, one],
+                            prec, mpmath.eps / 8)
+            assert len(calls) == len(_fallbacks(prec))
+
+
 # (potential, T, N, scale radii): at quartic:1,1, N/T = 1024 the first lies below 1/2,
 # and at sextic:3,-3,1 (N/T)·V(s²) = 500 is past the first level already
 SCALE_CASES = [

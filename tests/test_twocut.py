@@ -29,13 +29,12 @@ from largen.mpolys import (
     mod_image,
     swap_vars,
 )
-from largen.onecut import _RegularEngine, _mpoly, _ratfunc
+from largen.onecut import _RegularEngine, _mpoly, _ratfunc, find_critical
 from largen.polys import RationalFunc
 from largen.potential import Potential, parse_potential
 from largen.structured import gamma_moment, phi_moment, psi_poly
 from largen.twocut import (
     MergingPoint,
-    _regular_run,
     _solvable,
     _two_pole_basis,
     _TwoCutRegularEngine,
@@ -165,16 +164,19 @@ class TestRegularExpansion:
         assert json.dumps(doc, ensure_ascii=False) == want.strip()
 
     def test_shared_solves_are_bounded(self, monkeypatch):
-        # the per-potential memo is bounded, and a hit hands back the stored
-        # coefficients as tuples, which no caller can change
-        assert _regular_run.cache_info().maxsize == 32
-        _regular_run.cache_clear()
-        g = parse_potential("quartic:-3,1")
-        again = _regular_run(g, 0)
+        # one kept engine per potential in a bounded memo: equal couplings under
+        # another label hit it, and a K = 1 call is served from a K = 2 run,
+        # handing back the stored pairs in a tuple, which no caller can change
+        memo = twocut._two_cut_engine
+        assert memo.cache_info().maxsize == 32
+        memo.cache_clear()
+        full = expand_two_cut_regular(parse_potential("quartic:-3,1"), F(1), 2)
+        monkeypatch.setattr(twocut._TwoCutRegularEngine, "run", None)  # a run would fail
         monkeypatch.setattr(twocut, "_TwoCutRegularEngine", None)  # a miss would fail
-        hit = _regular_run(parse_potential("gs:-3,1"), 0)  # equal couplings, another label
-        assert hit is again and _regular_run.cache_info().hits == 1
-        assert isinstance(hit[0], tuple) and isinstance(hit[1], tuple)
+        part = expand_two_cut_regular(parse_potential("gs:-3,1"), F(1), 1)
+        assert memo.cache_info().hits == 1 and memo.cache_info().misses == 1
+        assert isinstance(part.coeffs, tuple) and part.coeffs == full.coeffs[:2]
+        assert part.coeffs[1] is full.coeffs[1] and part.slopes is full.slopes
 
     @given(
         g2=st.sampled_from([-2, -3, -4]),
@@ -660,6 +662,14 @@ class TestScaledSeries:
         for accessor in (sc.order, sc.relation):
             with pytest.raises(ValueError, match="nonnegative"):
                 accessor(-1)
+
+    def test_one_cut_critical_point_refused(self):
+        # it once failed the merged string check with a misleading Mismatch
+        g = parse_potential("sextic:42,-11,1")
+        crit, before = find_critical(g)[0], twocut._symmetric_engine.cache_info()
+        with pytest.raises(TypeError, match="onecut.scaled_series"):
+            symmetric_scaled_series(g, crit, 5)
+        assert twocut._symmetric_engine.cache_info() == before  # refused before the memo
 
     def test_fabricated_point_fails_string_check(self):
         fake = MergingPoint(r_c=F(1, 2), T_c=F(2), m=1, phi=(F(-4),), gamma1=F(4))
