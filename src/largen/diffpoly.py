@@ -156,13 +156,18 @@ class DiffPoly(IntTable):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        den = self.den * other.den
+        for c, p in ((other, self), (self, other)):  # a constant factor scales
+            if len(c.nums) == 1 and () in c.nums:
+                k = c.nums[()]
+                return DiffPoly._trusted(den, {m: n * k for m, n in p.nums.items()})
         out: dict = {}
         get = out.get
         for m1, n1 in self.nums.items():
             for m2, n2 in other.nums.items():
                 m = _mono_mul(m1, m2)
                 out[m] = get(m, 0) + n1 * n2
-        return DiffPoly._trusted(self.den * other.den, out)
+        return DiffPoly._trusted(den, out)
 
     __rmul__ = __mul__
 
@@ -374,16 +379,15 @@ def scaled_lattice(rc: Fraction) -> tuple[Lattice, WElem]:
     return lat, WElem.from_poly(d1, d0, [d0, DiffPoly.const(1)], wpow=1)
 
 
-def string_ladder(elems, vp, T_c, critical: int, start: int) -> list[XRelation]:
+def string_ladder(elems, vp, T_c, critical: int) -> list[XRelation]:
     """The string relations ∮ V_λ·elems[k] = δ_{k,0}·T_c + δ_{k,critical}·x of
-    a double-scaled series, as p + x·q = 0 (``vp`` is V_λ's coefficient list),
-    for k = start, .., len(elems) - 1.
+    a double-scaled series, as p + x·q = 0 (``vp`` is V_λ's coefficient list).
 
     The order-0 entry is certified to give T_c exactly, which ties the series
     to the critical point it was built at.
     """
     ladder = []
-    for k, e in enumerate(elems[start:], start):
+    for k, e in enumerate(elems):
         p = DiffPoly.zero() + e.contour_pair(vp)
         q = DiffPoly.zero()
         if k == 0:

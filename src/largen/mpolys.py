@@ -36,7 +36,8 @@ _ZERO = Fraction(0)
 def reduced(den: int, nums: dict) -> tuple[int, dict]:
     """(den, nums) in lowest terms: zero entries dropped, any factor common to
     den > 0 and all numerators divided out, insertion order kept."""
-    nums = {k: n for k, n in nums.items() if n}
+    if 0 in nums.values():
+        nums = {k: n for k, n in nums.items() if n}
     if den != 1:
         g = gcd(den, *nums.values())
         if g != 1:

@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .diffpoly import DiffPoly, XRelation, certify_d_dx, scaled_lattice, string_ladder
+from .diffpoly import DiffPoly, XRelation, scaled_lattice, string_ladder
 from .errors import CriticalPointHit, certify
 from .mpolys import MPoly, _Loc, loc_factors
 from .phase import _one_cut_candidates, branch_density_positive, solve_one_cut
@@ -398,52 +398,45 @@ class _ScaledEngine:
         self.m = crit.m
         self.lat, self.u0 = scaled_lattice(self.rc)
         self.vp = list(g.v_lambda().coeffs)
-        self.r_list, self.u_list = [DiffPoly.const(self.rc)], [self.u0]
-        self.F = Defect(self.lat, self.u_list, self.u_list, self.r_list, 2)
-        self.solved = 0
-        self.orders, self.ladder = [], []  # per solved order: ScaledOrder and string relation
 
-    def run(self, K: int) -> tuple[tuple, tuple]:
-        """Resume through order K; returns the orders U^{[0]}..U^{[K]} with their
-        pole tables, and the string ladder relations.  Orders below ``solved``
-        are kept from earlier calls; each new one is solved and certified as
-        in ``_RegularEngine.run``, then laddered and tabled."""
-        if self.solved:  # d/dx may have changed since the lattice certified it
-            certify_d_dx()
-        new = range(self.solved, K + 1)
-        F, u_list = self.F, self.u_list
-        self.r_list += [DiffPoly.var(f"r{k}") for k in range(len(self.r_list), K + 1)]
-        for k in new:
-            if not k:
-                F.certify(0, "scaled defect")
-                continue
+    def run(self, K: int) -> tuple[list, list]:
+        """U^{[0]}..U^{[K]} and the string ladder relations, solved and
+        certified per order as in ``_RegularEngine.run``."""
+        r_list = [DiffPoly.const(self.rc)] + [DiffPoly.var(f"r{k}") for k in range(1, K + 1)]
+        u_list = [self.u0]
+        F = Defect(self.lat, u_list, u_list, r_list, 2)
+        F.certify(0, "scaled defect")
+        for k in range(1, K + 1):
             F.certify(2 * k - 1, "odd scaled defect order")
             u_list.append(F.coefficient(2 * k).div_w().scale(Fraction(1, 2)))
             F.certify(2 * k, "scaled defect")
 
-        self.ladder += string_ladder(u_list, self.vp, self.Tc, self.m, self.solved)
-        for k in new:
-            if 1 <= k < self.m:
-                certify(
-                    self.ladder[k].p.is_zero(),
-                    "constraint below the critical order did not vanish; "
-                    "the scaling exponent would be wrong",
-                )
-        for k in new:
-            poles = ()
-            if k:
-                u0_part, poles = _pole_basis(u_list[k], 4 * self.rc, DiffPoly.zero())
-                certify(not u0_part, "U^[k] acquired a pole-free part")
-                certify(len(poles) <= k, "double-scaled pole depth exceeded its order")
-            self.orders.append(ScaledOrder(k=k, element=u_list[k], poles=tuple(poles)))
-        self.solved = max(self.solved, K + 1)
-        return tuple(self.orders[: K + 1]), tuple(self.ladder[: K + 1])
+        ladder = string_ladder(u_list, self.vp, self.Tc, self.m)
+        for k in range(1, min(self.m, K + 1)):
+            certify(
+                ladder[k].p.is_zero(),
+                "constraint below the critical order did not vanish; "
+                "the scaling exponent would be wrong",
+            )
+        return u_list, ladder
 
 
 @lru_cache(maxsize=32)
-def _scaled_engine(g: Potential, crit: OneCutCritical) -> _ScaledEngine:
-    """The process's one double-scaled engine per potential and critical point."""
-    return _ScaledEngine(g, crit)
+def _scaled(g: Potential, crit: OneCutCritical, K: int) -> ScaledOneCut:
+    """``scaled_series`` once per process for each (potential, critical point, K).
+
+    Every call solves orders 0..K afresh, so its cost does not depend on what
+    the process asked for before; only a repeat of the same K is served.
+    """
+    engine = _ScaledEngine(g, crit)
+    u_list, ladder = engine.run(K)
+    orders = [ScaledOrder(k=0, element=u_list[0], poles=())]
+    for k in range(1, K + 1):
+        u0_part, poles = _pole_basis(u_list[k], 4 * engine.rc, DiffPoly.zero())
+        certify(not u0_part, "U^[k] acquired a pole-free part")
+        certify(len(poles) <= k, "double-scaled pole depth exceeded its order")
+        orders.append(ScaledOrder(k=k, element=u_list[k], poles=tuple(poles)))
+    return ScaledOneCut(crit=crit, K=K, orders=tuple(orders), ladder=tuple(ladder))
 
 
 def scaled_series(g: Potential, crit: OneCutCritical, K: int) -> ScaledOneCut:
@@ -455,6 +448,4 @@ def scaled_series(g: Potential, crit: OneCutCritical, K: int) -> ScaledOneCut:
         )
     if K < crit.m:
         raise ValueError("need K ≥ m to reach the Painlevé relation")
-    engine = resumed(_scaled_engine, K, g, crit)
-    orders, ladder = tuple(engine.orders[: K + 1]), tuple(engine.ladder[: K + 1])
-    return ScaledOneCut(crit=crit, K=K, orders=orders, ladder=ladder)
+    return _scaled(g, crit, K)

@@ -41,7 +41,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .diffpoly import DiffPoly, XRelation, certify_d_dx, scaled_lattice, string_ladder
+from .diffpoly import DiffPoly, XRelation, scaled_lattice, string_ladder
 from .errors import (
     Mismatch,
     NoTwoCutSolution,
@@ -569,35 +569,16 @@ class _SymmetricScaledEngine:
         self.m = point.m
         self.lat, self.v0 = scaled_lattice(self.rc)
         self.vp = list(g.v_lambda().coeffs)
-        # the merged strings: ∮V_λ·λ/w_c = T_c (certified by ``string_ladder``
-        # at order 0) and ∮V_λ/w_c = 0
-        one_over_w = WElem.from_poly(self.lat.d1, self.lat.d0, [DiffPoly.const(1)], wpow=1)
-        certify(
-            not DiffPoly.zero() + one_over_w.contour_pair(self.vp),
-            "merged string ∮V_λ/w_c must vanish",
-        )
-        self.a_list, self.v_list, self.flipped = [DiffPoly.const(self.rc)], [self.v0], [self.v0]
-        self.F = Defect(self.lat, self.v_list, self.flipped, self.a_list, 1)
-        self.solved = 0
-        # per solved order: its SymmetricScaledOrder and string relation; φ_j, γ_j as needed
-        self.orders, self.ladder, self.phis, self.gammas = [], [], [], []
 
-    def run(self, K: int) -> tuple[tuple, tuple]:
-        """Resume through order K; returns the orders 𝕍^{[0]}..𝕍^{[K]} with their
-        two-pole tables, and the string ladder relations.  Orders below
-        ``solved`` are kept from earlier calls; each new order k solves only the
-        ε̄^k coefficient on kept derivative towers (``wring.Defect``, partner
-        𝕍(-ε̄)) and certifies it right after, on its final value, then its
-        ladder entry against the moment form."""
-        if self.solved:  # d/dx may have changed since the lattice certified it
-            certify_d_dx()
-        F, v_list, flipped = self.F, self.v_list, self.flipped
-        new = range(self.solved, K + 1)
-        self.a_list += [DiffPoly.var(f"a{k}") for k in range(len(self.a_list), K + 1)]
-        for k in new:
-            if not k:
-                F.certify(0, "merged defect")
-                continue
+    def run(self, K: int) -> tuple[list, list]:
+        """𝕍^{[0]}..𝕍^{[K]} and the string ladder relations.  Order k solves
+        only the ε̄^k coefficient on kept derivative towers (``wring.Defect``,
+        partner 𝕍(-ε̄)) and certifies it right after, on its final value."""
+        a_list = [DiffPoly.const(self.rc)] + [DiffPoly.var(f"a{k}") for k in range(1, K + 1)]
+        v_list, flipped = [self.v0], [self.v0]
+        F = Defect(self.lat, v_list, flipped, a_list, 1)
+        F.certify(0, "merged defect")
+        for k in range(1, K + 1):
             R = F.coefficient(k)
             if k % 2 == 0:
                 # unknown enters as -2w·𝕍^[k]
@@ -609,36 +590,49 @@ class _SymmetricScaledEngine:
             v_list.append(v_k)
             flipped.append(-v_k if k % 2 else v_k)
             F.certify(k, "merged defect")
-        self.ladder += string_ladder(v_list, self.vp, self.Tc, 2 * self.m, self.solved)
-        zero, gs = DiffPoly.zero(), self.g.gs
-        for k in new:
-            if not k:
-                self.orders.append(SymmetricScaledOrder(k=0, element=v_list[0], C=zero, A=(), B=()))
-                continue
-            C, A, B = _two_pole_basis(v_list[k], 4 * self.rc, zero)
-            certify(len(A) <= k // 2 and len(B) <= k // 2, "pole depth exceeded k/2")
-            for j in range(len(self.phis) + 1, k // 2 + 1):
-                self.phis.append(phi_moment(gs, j, self.rc))
-                self.gammas.append(gamma_moment(gs, j, self.rc))
-            # the ladder relation must equal its moment form (C drops out since
-            # ∮V_λ/w_c = 0 at a merging point)
-            moment = zero
-            for Aj, phi in zip(A, self.phis):
-                moment = moment + Aj * phi
-            for Bj, gamma in zip(B, self.gammas):
-                moment = moment + Bj * gamma
-            certify(self.ladder[k].p == moment, f"ladder/moment mismatch at order {k}")
-            self.orders.append(
-                SymmetricScaledOrder(k=k, element=v_list[k], C=C, A=tuple(A), B=tuple(B))
-            )
-        self.solved = max(self.solved, K + 1)
-        return tuple(self.orders[: K + 1]), tuple(self.ladder[: K + 1])
+        return v_list, string_ladder(v_list, self.vp, self.Tc, 2 * self.m)
 
 
 @lru_cache(maxsize=32)
-def _symmetric_engine(g: Potential, point: MergingPoint) -> _SymmetricScaledEngine:
-    """The process's one merged engine per potential and merging point."""
-    return _SymmetricScaledEngine(g, point)
+def _symmetric(g: Potential, point: MergingPoint, K: int) -> SymmetricTwoCut:
+    """``symmetric_scaled_series`` once per process for each (potential,
+    merging point, K).
+
+    Every call solves orders 0..K afresh, so its cost does not depend on what
+    the process asked for before; only a repeat of the same K is served.
+    """
+    engine = _SymmetricScaledEngine(g, point)
+    rc = engine.rc
+    # the merged strings: ∮V_λ·λ/w_c = T_c (certified by ``string_ladder``
+    # at order 0) and ∮V_λ/w_c = 0
+    one_over_w = WElem.from_poly(engine.lat.d1, engine.lat.d0, [DiffPoly.const(1)], wpow=1)
+    certify(
+        not DiffPoly.zero() + one_over_w.contour_pair(engine.vp),
+        "merged string ∮V_λ/w_c must vanish",
+    )
+
+    v_list, ladder = engine.run(K)
+    four_rc = 4 * rc
+    orders = [
+        SymmetricScaledOrder(
+            k=0, element=v_list[0], C=DiffPoly.zero(), A=(), B=()
+        )
+    ]
+    phis = [phi_moment(g.gs, j, rc) for j in range(1, K // 2 + 1)]
+    gammas = [gamma_moment(g.gs, j, rc) for j in range(1, K // 2 + 1)]
+    for k in range(1, K + 1):
+        C, A, B = _two_pole_basis(v_list[k], four_rc, DiffPoly.zero())
+        certify(len(A) <= k // 2 and len(B) <= k // 2, "pole depth exceeded k/2")
+        # the ladder relation must equal its moment form (C drops out since
+        # ∮V_λ/w_c = 0 at a merging point)
+        moment = DiffPoly.zero()
+        for j, Aj in enumerate(A, start=1):
+            moment = moment + Aj * phis[j - 1]
+        for j, Bj in enumerate(B, start=1):
+            moment = moment + Bj * gammas[j - 1]
+        certify(ladder[k].p == moment, f"ladder/moment mismatch at order {k}")
+        orders.append(SymmetricScaledOrder(k=k, element=v_list[k], C=C, A=tuple(A), B=tuple(B)))
+    return SymmetricTwoCut(point=point, K=K, orders=tuple(orders), ladder=tuple(ladder))
 
 
 def symmetric_scaled_series(g: Potential, point: MergingPoint, K: int) -> SymmetricTwoCut:
@@ -656,6 +650,4 @@ def symmetric_scaled_series(g: Potential, point: MergingPoint, K: int) -> Symmet
         )
     if K < 2 * point.m + 1:
         raise ValueError("need K ≥ 2m+1 to reach the closing pair of relations")
-    engine = resumed(_symmetric_engine, K, g, point)
-    orders, ladder = tuple(engine.orders[: K + 1]), tuple(engine.ladder[: K + 1])
-    return SymmetricTwoCut(point=point, K=K, orders=orders, ladder=ladder)
+    return _symmetric(g, point, K)

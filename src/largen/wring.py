@@ -52,15 +52,18 @@ def _padd(a: list, b: list) -> list:
 def _pmul(a: Sequence, b: Sequence) -> list:
     if not a or not b:
         return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
+    # None marks a power no product reached yet: its first product is stored
+    # as it is, not added to a scalar 0 through the operands' reflected add
+    out: list = [None] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if not ca:
             continue
         for j, cb in enumerate(b):
             if not cb:
                 continue
-            out[i + j] = out[i + j] + ca * cb
-    return _trim(out)
+            k, p = i + j, ca * cb
+            out[k] = p if out[k] is None else out[k] + p
+    return _trim([_ZERO if c is None else c for c in out])
 
 
 def _pscale(a: Sequence, s) -> list:
@@ -111,7 +114,10 @@ class WElem:
     def _normalize(self) -> None:
         # Reduce λ² ≡ w² - d1·λ - d0 in every slot with j ≥ 2.  The w²
         # overflow drops exactly two keys, so walking j downward one step
-        # at a time also catches slots the pass itself creates.
+        # at a time also catches slots the pass itself creates.  Slots come
+        # in trimmed and nonempty, so with no slot j ≥ 2 past λ¹ there is nothing to do.
+        if all(len(cs) <= 2 for j, cs in self.slots.items() if j >= 2):
+            return
         top = max(self.slots, default=0)
         for j in range(top, 1, -1):
             if j not in self.slots:

@@ -1,7 +1,8 @@
-"""The kept engines: one per potential (and critical or merging point) per
-process, resumed order by order.  No output may depend on what the process
-computed before, a hit runs no engine, and a failed extension leaves nothing
-behind."""
+"""The process-global memos of the large-N entry points.  The two regular
+engines are kept per potential and resumed order by order; the double-scaled
+series are kept whole per (potential, point, K).  No output may depend on what
+the process computed before, a hit runs no engine, and a call that raises
+leaves nothing behind."""
 
 import json
 import os
@@ -29,9 +30,10 @@ HERE = Path(__file__).resolve().parent
 KINDS = {
     "one-cut": (onecut._regular_engine, onecut._RegularEngine, (1, 2, 3)),
     "two-cut": (twocut._two_cut_engine, twocut._TwoCutRegularEngine, (0, 1, 2)),
-    "scaled": (onecut._scaled_engine, onecut._ScaledEngine, (3, 4, 5)),
-    "merged": (twocut._symmetric_engine, twocut._SymmetricScaledEngine, (3, 4, 5)),
+    "scaled": (onecut._scaled, onecut._ScaledEngine, (3, 4, 5)),
+    "merged": (twocut._symmetric, twocut._SymmetricScaledEngine, (3, 4, 5)),
 }
+KEPT = ("one-cut", "two-cut")  # the engines resumed across calls
 
 
 def document(kind: str, K: int) -> str:
@@ -115,34 +117,38 @@ def _double_d_dx(monkeypatch):
     monkeypatch.setattr(DiffPoly, "d_dx", lambda self, times=1: d_dx(self, times) * 2)
 
 
-# kind -> (key, order to warm, corruption, order whose extension must fail)
+# kind -> (engine key, order to warm, corruption, order whose solve must fail)
 FAILURES = {
     "one-cut": ((QUARTIC,), 1, _perturb_embedded, 2),
     "two-cut": ((MERGING,), 0, _perturb_embedded, 1),
-    "scaled": ((BMP, find_critical(BMP)[0]), 3, _double_d_dx, 4),
-    "merged": ((MERGING, find_merging(MERGING)[0]), 3, _double_d_dx, 4),
+    "scaled": (None, 3, _double_d_dx, 4),
+    "merged": (None, 3, _double_d_dx, 4),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(FAILURES))
-def test_failed_extension_is_evicted(kind, monkeypatch, reference):
+def test_failed_call_leaves_nothing(kind, monkeypatch, reference):
     memo = KINDS[kind][0]
     key, warm, corrupt, K = FAILURES[kind]
     memo.cache_clear()
     document(kind, warm)
-    engine = memo(*key)
+    engine = memo(*key) if key else None
     with monkeypatch.context() as patched:
         corrupt(patched)
         with pytest.raises(Mismatch):
             document(kind, K)
-    assert memo.cache_info().currsize == 0
+    # a kept engine that failed to extend is evicted; a whole series that
+    # failed was never stored, and the warm one stays
+    assert memo.cache_info().currsize == (0 if key else 1)
     assert document(kind, K) == reference[f"{kind}:{K}"]
-    assert memo(*key) is not engine
+    if key:
+        assert memo(*key) is not engine
 
 
-def test_resumed_engine_sees_a_changed_derivation(run_under_O):
-    # each engine certifies its derivation again before it resumes: the defect
-    # and string residuals hold for whatever derivation the ring implements
+def test_warm_memo_sees_a_changed_derivation(run_under_O):
+    # a kept engine certifies its derivation again before it resumes, and a
+    # double-scaled series at a new K builds a lattice that certifies it: the
+    # defect and string residuals hold for whatever derivation the ring implements
     out = run_under_O(
         """
         assert False, "python -O should have stripped this"
@@ -184,11 +190,14 @@ def test_a_hit_runs_no_engine(kind, monkeypatch):
     run = engine.run
     monkeypatch.setattr(engine, "run", lambda self, K: runs.append(K) or run(self, K))
     document(kind, orders[1])
-    document(kind, orders[0])
     assert runs == []
+    # a kept engine serves a lower order too; a double-scaled series at a new
+    # K is solved from order 0
+    document(kind, orders[0])
+    assert runs == ([] if kind in KEPT else [orders[0]])
     document(kind, orders[2])
-    assert runs == [orders[2]]
+    assert runs[-1] == orders[2]
 
 
-def test_each_memo_keeps_32_engines():
+def test_each_memo_keeps_32_entries():
     assert [memo.cache_info().maxsize for memo, _, _ in KINDS.values()] == [32] * 4

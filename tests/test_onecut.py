@@ -543,10 +543,10 @@ class TestScaledSeries:
         # a MergingPoint duck-types as a critical point; it once gave a wrong
         # relation (quartic) or a misleading Mismatch (sextic)
         g = parse_potential(name)
-        point, before = find_merging(g)[0], onecut._scaled_engine.cache_info()
+        point, before = find_merging(g)[0], onecut._scaled.cache_info()
         with pytest.raises(TypeError, match="symmetric_scaled_series"):
             scaled_series(g, point, 3)
-        assert onecut._scaled_engine.cache_info() == before  # refused before the memo
+        assert onecut._scaled.cache_info() == before  # refused before the memo
 
     def test_handmade_critical_point_consistency(self):
         # a fabricated point off the hodograph fails the order-0 ladder check

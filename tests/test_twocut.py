@@ -666,10 +666,10 @@ class TestScaledSeries:
     def test_one_cut_critical_point_refused(self):
         # it once failed the merged string check with a misleading Mismatch
         g = parse_potential("sextic:42,-11,1")
-        crit, before = find_critical(g)[0], twocut._symmetric_engine.cache_info()
+        crit, before = find_critical(g)[0], twocut._symmetric.cache_info()
         with pytest.raises(TypeError, match="onecut.scaled_series"):
             symmetric_scaled_series(g, crit, 5)
-        assert twocut._symmetric_engine.cache_info() == before  # refused before the memo
+        assert twocut._symmetric.cache_info() == before  # refused before the memo
 
     def test_fabricated_point_fails_string_check(self):
         fake = MergingPoint(r_c=F(1, 2), T_c=F(2), m=1, phi=(F(-4),), gamma1=F(4))
