@@ -25,6 +25,8 @@ extension raises.  The double-scaled series are kept whole, per K:
 ``onecut._scaled`` by (potential, critical point, K) and ``twocut._symmetric``
 by (potential, merging point, K); a call at a new K solves orders 0..K
 afresh, so its cost does not depend on which calls came before it.
+``phase._branch_elimination`` keeps the two-cut elimination (W_a, L, R) per
+potential, since none of it depends on T.
 ``oracle._standard_nodes`` keeps the tanh-sinh node levels
 per (level, precision), ``diffpoly.certify_d_dx`` the ``Poly`` side of its
 probe per derivative order, and ``painleve`` its two hierarchy tables, which

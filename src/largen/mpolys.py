@@ -28,7 +28,7 @@ from typing import Mapping
 
 import mpmath
 
-from .scalars import as_fraction, is_exact, mpf_of
+from .scalars import as_fraction, is_exact, mpfs_of
 
 _ZERO = Fraction(0)
 
@@ -44,6 +44,18 @@ def reduced(den: int, nums: dict) -> tuple[int, dict]:
             den //= g
             nums = {k: n // g for k, n in nums.items()}
     return den, nums
+
+
+def eval_terms(terms, point, zero):
+    """Σ c·Π v^k over (exponents k, c), summed in order, else ``zero``.  An mpf
+    c stays on the left: Fraction.__op__(mpf) is NotImplemented."""
+    acc = None
+    for e, c in terms:
+        for v, k in zip(point, e):
+            if k:
+                c = c * v**k
+        acc = c if acc is None else acc + c
+    return zero if acc is None else acc
 
 
 class IntTable:
@@ -189,18 +201,15 @@ class MPoly(IntTable):
         """Evaluate at a point of exact or mpf coordinates."""
         if len(point) != self.nvars:
             raise ValueError("point has wrong arity")
-        exact = all(is_exact(v) for v in point)
-        acc = None
-        for e, c in self.terms.items():
-            # keep any mpf on the left: Fraction.__op__(mpf) is NotImplemented
-            val = c if exact else mpf_of(c, mpmath.mp.dps)
-            for v, k in zip(point, e):
-                if k:
-                    val = val * v**k
-            acc = val if acc is None else acc + val
-        if acc is None:
-            return _ZERO if exact else mpmath.mpf(0)
-        return acc
+        if all(is_exact(v) for v in point):
+            return eval_terms(self.terms.items(), point, _ZERO)
+        return eval_terms(self.lift(mpmath.mp.dps), point, mpmath.mpf(0))
+
+    def lift(self, digits: int) -> list:
+        """[(exponents, ``mpf_of(c, digits)``)] in ``eval``'s order, for
+        ``eval_terms`` at many mpf points."""
+        terms = self.terms
+        return list(zip(terms, mpfs_of(terms.values(), digits)))
 
     def total_degree(self) -> int:
         return max((sum(e) for e in self.nums), default=-1)

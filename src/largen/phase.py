@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import mpmath
@@ -40,6 +41,7 @@ from .errors import (
     OutsideSupport,
     Unclassifiable,
 )
+from .mpolys import eval_terms
 from .polys import Poly
 from .potential import Potential
 from .roots import real_roots
@@ -50,6 +52,7 @@ from .scalars import (
     is_exact,
     lifted,
     mpf_of,
+    mpfs_of,
     negligible,
     sqrt_scalar,
     tolerance,
@@ -119,7 +122,7 @@ def branch_density_positive(g: Potential, r0, digits: int | None = None) -> bool
     """
     digits = digits or DEFAULT_DIGITS
     endpoints, hc = _one_cut_curve(g, r0, digits)
-    return _h_status(hc, *endpoints, digits) == _CLEAR
+    return _h_status(_HTilde(hc, digits), *endpoints) == _CLEAR
 
 
 def _one_cut_curve(g: Potential, r0, digits: int) -> tuple:
@@ -145,8 +148,8 @@ def _two_cut_curve(g: Potential, a0, b0, digits: int) -> tuple:
 
 def _poly_real_roots_numeric(coeffs, digits: int) -> list:
     """Real roots of a polynomial given by mpf/Fraction coefficients."""
+    cs = mpfs_of(coeffs, digits + 10)
     with mpmath.workdps(digits + 10):
-        cs = [mpf_of(c, digits + 10) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         if len(cs) <= 1:
@@ -163,13 +166,30 @@ def _real_roots_of(coeffs, digits: int) -> list:
     return _poly_real_roots_numeric(coeffs, digits)
 
 
-def _eval_numeric(coeffs, x, digits: int):
+def _eval_numeric(cs: list, x):
+    """Σ cs[k]·x^k, power by power, from coefficients lifted by ``mpfs_of``."""
     acc = mpmath.mpf(0)
     xp = mpmath.mpf(1)
-    for c in coeffs:
-        acc += mpf_of(c, digits) * xp
+    for c in cs:
+        acc += c * xp
         xp *= x
     return acc
+
+
+class _HTilde:
+    """h̃ of one candidate, shared by its verdict's checks: the coefficients,
+    and their mpf lift and numeric real roots, each made once, when first asked."""
+
+    def __init__(self, coeffs, digits: int):
+        self.coeffs, self.digits = coeffs, digits
+
+    @cached_property
+    def lifted(self) -> list:
+        return mpfs_of(self.coeffs, self.digits + 10)
+
+    @cached_property
+    def roots(self) -> list:
+        return _poly_real_roots_numeric(self.coeffs, self.digits)
 
 
 def _h_status_exact(h: Poly, lo: Fraction, hi: Fraction, digits: int) -> str:
@@ -200,18 +220,15 @@ def _h_status_exact(h: Poly, lo: Fraction, hi: Fraction, digits: int) -> str:
     return _TOUCH if roots else _CLEAR
 
 
-def _h_status_numeric(coeffs, lo, hi, digits: int) -> str:
+def _h_status_numeric(h: _HTilde, lo, hi) -> str:
+    digits = h.digits
     with mpmath.workdps(digits + 10):
         lo_f, hi_f = mpf_of(lo, digits + 10), mpf_of(hi, digits + 10)
         tol = tolerance(digits)
-        roots = [
-            r
-            for r in _poly_real_roots_numeric(coeffs, digits)
-            if lo_f - tol <= r <= hi_f + tol
-        ]
+        roots = [r for r in h.roots if lo_f - tol <= r <= hi_f + tol]
         pts = sorted({lo_f, hi_f, *roots})
         probes = list(pts) + [(a + b) / 2 for a, b in zip(pts, pts[1:])]
-        vals = [_eval_numeric(coeffs, x, digits + 10) for x in probes]
+        vals = [_eval_numeric(h.lifted, x) for x in probes]
         if any(v < -tol for v in vals):
             return _BAD
         if roots or any(negligible(v, digits) for v in vals):
@@ -219,10 +236,10 @@ def _h_status_numeric(coeffs, lo, hi, digits: int) -> str:
         return _CLEAR
 
 
-def _h_status(coeffs, lo, hi, digits: int) -> str:
-    if all(is_exact(c) for c in coeffs) and is_exact(lo) and is_exact(hi):
-        return _h_status_exact(Poly(coeffs), as_fraction(lo), as_fraction(hi), digits)
-    return _h_status_numeric(coeffs, lo, hi, digits)
+def _h_status(h: _HTilde, lo, hi) -> str:
+    if all(is_exact(c) for c in h.coeffs) and is_exact(lo) and is_exact(hi):
+        return _h_status_exact(Poly(h.coeffs), as_fraction(lo), as_fraction(hi), h.digits)
+    return _h_status_numeric(h, lo, hi)
 
 
 # -- effective-potential inequalities ------------------------------------------
@@ -241,19 +258,21 @@ def _running_integral(integrand, start, stops, digits: int) -> str:
     return verdict
 
 
-def _outside_inequality(h_coeffs, lam_roots, digits: int) -> str:
+def _outside_inequality(h: _HTilde, lam_roots) -> str:
     """∫_β^x h·w₁ ≥ 0 for x > β (the left inequality follows by parity).
 
     ``lam_roots`` are the λ-plane branch points.  The running integral is
     monotone between zeros of h̃, so testing it at every zero beyond the
     support decides the inequality.
     """
+    digits = h.digits
     with mpmath.workdps(digits + 10):
         tol = tolerance(digits)
         top = mpf_of(max(lam_roots, key=lambda r: mpf_of(r, digits + 10)), digits + 10)
-        hroots = [r for r in _poly_real_roots_numeric(h_coeffs, digits) if r > top + tol]
+        hroots = [r for r in h.roots if r > top + tol]
         two_cut = len(lam_roots) == 2
         roots_f = [mpf_of(r, digits + 10) for r in lam_roots]
+        cs = h.lifted
 
         def integrand(x):
             lam = x * x
@@ -261,14 +280,14 @@ def _outside_inequality(h_coeffs, lam_roots, digits: int) -> str:
             for r in roots_f:
                 acc *= lam - r
             w = mpmath.sqrt(acc)
-            h = _eval_numeric(h_coeffs, lam, digits + 10)
-            return (x * h if two_cut else h) * w
+            hval = _eval_numeric(cs, lam)
+            return (x * hval if two_cut else hval) * w
 
         stops = [mpmath.sqrt(r) for r in hroots]
         return _running_integral(integrand, mpmath.sqrt(top), stops, digits)
 
 
-def _gap_inequality(h_coeffs, alpha2, beta2, digits: int) -> str:
+def _gap_inequality(h: _HTilde, alpha2, beta2) -> str:
     """Two-cut only: ∫_{-α}^x h·w₁ ≥ 0 across the gap (-α, α).
 
     When h̃ ≥ 0 on [0, α²] the running integral is a strict interior hump
@@ -276,21 +295,21 @@ def _gap_inequality(h_coeffs, alpha2, beta2, digits: int) -> str:
     inequality is strict for free.  Only a sign dip of h̃ inside the gap
     forces numeric evaluation at the interior critical points.
     """
-    if _h_status(h_coeffs, _ZERO, alpha2, digits) != _BAD:
+    if _h_status(h, _ZERO, alpha2) != _BAD:
         return _CLEAR
+    digits = h.digits
     with mpmath.workdps(digits + 10):
         tol = tolerance(digits)
         a2 = mpf_of(alpha2, digits + 10)
         b2 = mpf_of(beta2, digits + 10)
+        cs = h.lifted
 
         def integrand(x):
             lam = x * x
             w_gap = -mpmath.sqrt((a2 - lam) * (b2 - lam))  # w₁ < 0 in the gap
-            return x * _eval_numeric(h_coeffs, lam, digits + 10) * w_gap
+            return x * _eval_numeric(cs, lam) * w_gap
 
-        hroots = [
-            r for r in _poly_real_roots_numeric(h_coeffs, digits) if tol < r < a2 - tol
-        ]
+        hroots = [r for r in h.roots if tol < r < a2 - tol]
         stops = sorted([mpmath.sqrt(r) for r in hroots] + [-mpmath.sqrt(r) for r in hroots])
         return _running_integral(integrand, -mpmath.sqrt(a2), stops, digits)
 
@@ -308,13 +327,14 @@ def _one_cut_candidates(g: Potential, T, digits: int) -> list:
 
 def _one_cut_verdict(endpoints, hc, digits: int) -> Optional[str]:
     """None if inadmissible, else "regular" / "critical"; see ``_one_cut_curve``."""
-    inside = _h_status(hc, *endpoints, digits)
+    h = _HTilde(hc, digits)
+    inside = _h_status(h, *endpoints)
     if inside == _BAD:
         return None
     if inside == _TOUCH:
         # a zero of h on the closed support marks the model critical outright
         return "critical"
-    outside = _outside_inequality(hc, [endpoints[1]], digits)
+    outside = _outside_inequality(h, [endpoints[1]])
     if outside == _BAD:
         return None
     return "critical" if outside == _TOUCH else "regular"
@@ -354,6 +374,15 @@ def _quartic_two_cut(g: Potential, T, digits: int):
     return a0, b0
 
 
+@lru_cache(maxsize=32)
+def _branch_elimination(g: Potential) -> tuple:
+    """(W_a, L, R) for ``g``'s two-cut endpoint equations, once per process
+    for each potential: none of them depends on T (module notes)."""
+    W_a, W_b = twocut_hodographs(g.gs)
+    L = branch_curve(W_a, W_b)
+    return W_a, L, branch_resultant(L, W_a)
+
+
 def _two_cut_candidates(g: Potential, T, digits: int) -> list[tuple]:
     """Every (a₀, b₀) with a₀ > b₀ > 0 solving W_a = T = W_b, by increasing
     a₀, or NoTwoCutSolution with its reason.  Beyond quartics the real
@@ -361,9 +390,7 @@ def _two_cut_candidates(g: Potential, T, digits: int) -> list[tuple]:
     W_a(x, y) − T negligible (module notes)."""
     if len(g.gs) == 2:
         return [_quartic_two_cut(g, T, digits)]
-    W_a, W_b = twocut_hodographs(g.gs)
-    L = branch_curve(W_a, W_b)
-    R = branch_resultant(L, W_a)
+    W_a, L, R = _branch_elimination(g)
     solutions = []
     with mpmath.workdps(digits + 10):
         cs = [0] * (max(e[0] for e in R.terms) + 1)
@@ -371,10 +398,15 @@ def _two_cut_candidates(g: Potential, T, digits: int) -> list[tuple]:
             c, t = lifted((c, T), digits + 10)
             cs[k] += c * t**j
         roots = _real_roots_of(cs, digits)
+        L_f, W_f, zero = L.lift(digits + 10), W_a.lift(digits + 10), mpmath.mpf(0)
         for i, x in enumerate(roots):
             for y in roots[: i + 1]:
                 a0, b0, t = lifted((x, y, T), digits + 10)
-                residues = (L.eval((a0, b0)), W_a.eval((a0, b0)) - t)
+                if is_exact(t):
+                    residues = (L.eval((a0, b0)), W_a.eval((a0, b0)) - t)
+                else:
+                    residues = (eval_terms(L_f, (a0, b0), zero),
+                                eval_terms(W_f, (a0, b0), zero) - t)
                 if all(negligible(r, digits) for r in residues):
                     solutions.append((a0, b0))
     if not solutions:
@@ -399,15 +431,16 @@ def _two_cut_verdict(endpoints, hc, digits: int) -> Optional[str]:
     with mpmath.workdps(digits + 10):
         if a2 <= tolerance(digits):
             return "critical" if negligible(a2, digits) else None
-        on_support = _h_status(hc, a2, b2, digits)
+        h = _HTilde(hc, digits)
+        on_support = _h_status(h, a2, b2)
         if on_support == _BAD:
             return None
         if on_support == _TOUCH:
             return "critical"
-        gap = _gap_inequality(hc, a2, b2, digits)
+        gap = _gap_inequality(h, a2, b2)
         if gap == _BAD:
             return None
-        outside = _outside_inequality(hc, [a2, b2], digits)
+        outside = _outside_inequality(h, [a2, b2])
         if outside == _BAD:
             return None
     return "critical" if _TOUCH in (gap, outside) else "regular"
@@ -487,7 +520,7 @@ def density(g: Potential, phase: PhaseResult, x, digits: int | None = None):
         lam = xf * xf
         T_f = mpf_of(phase.T, digits + 10)
         tol = tolerance(digits)
-        hval = _eval_numeric(hc, lam, digits + 10)
+        hval = _eval_numeric(mpfs_of(hc, digits + 10), lam)
         if phase.s == 1:
             A = mpf_of(phase.endpoints[1], digits + 10)
             if lam > A + tol:

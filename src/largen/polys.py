@@ -14,10 +14,19 @@ from typing import Iterable, Sequence
 
 import mpmath
 
-from .scalars import as_fraction, is_exact, mpf_of
+from .scalars import as_fraction, is_exact, mpfs_of
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def horner(cs: Sequence, x):
+    """Σ cs[i]·x^i by Horner's rule at an mpf x, from coefficients lifted by
+    ``mpfs_of``: ``Poly.__call__`` when the lift is made once for many x."""
+    acc = mpmath.mpf(0)
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
 
 
 class Poly:
@@ -192,10 +201,7 @@ class Poly:
             for c in reversed(self.coeffs):
                 acc = acc * x + c
             return acc
-        acc = mpmath.mpf(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + mpf_of(c, mpmath.mp.dps)
-        return acc
+        return horner(mpfs_of(self.coeffs, mpmath.mp.dps), x)
 
     def __repr__(self) -> str:
         return f"Poly({self.render()})"

@@ -16,8 +16,8 @@ from typing import Optional
 
 import mpmath
 
-from .polys import Poly
-from .scalars import DEFAULT_DIGITS, Scalar, mpf_of, rationalize
+from .polys import Poly, horner
+from .scalars import DEFAULT_DIGITS, Scalar, mpf_of, mpfs_of, rationalize
 
 
 @dataclass(frozen=True)
@@ -161,16 +161,18 @@ def _halve(lo: Fraction, hi: Fraction, width: Fraction, above) -> tuple:
 
 def _newton(p: Poly, lo: Fraction, hi: Fraction, digits: int):
     """The root of p in (lo, hi), by mpf Newton from the midpoint."""
-    dp = p.derivative()
-    with mpmath.workdps(digits + 10):
-        x = (mpf_of(lo, digits + 10) + mpf_of(hi, digits + 10)) / 2
+    wp = digits + 10
+    cs, dcs = mpfs_of(p.coeffs, wp), mpfs_of(p.derivative().coeffs, wp)
+    with mpmath.workdps(wp):
+        x = (mpf_of(lo, wp) + mpf_of(hi, wp)) / 2
+        stop = mpmath.mpf(10) ** (-(digits + 6))
         for _ in range(50):
-            d = dp(x)
+            d = horner(dcs, x)
             if d == 0:
                 break
-            step = p(x) / d
+            step = horner(cs, x) / d
             x -= step
-            if abs(step) < mpmath.mpf(10) ** (-(digits + 6)):
+            if abs(step) < stop:
                 break
         return +x
 

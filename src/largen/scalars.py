@@ -46,13 +46,24 @@ def rationalize(x) -> Fraction:
     return Fraction(int(p), int(q))
 
 
+def _to_mpf(x) -> mpmath.mpf:
+    if isinstance(x, Fraction):
+        return mpmath.mpf(x.numerator) / x.denominator
+    return mpmath.mpf(x)
+
+
 def mpf_of(x, digits: int | None = None) -> mpmath.mpf:
     """Convert a Scalar to mpf at the given precision (plus small guard)."""
     digits = DEFAULT_DIGITS if digits is None else digits
     with mpmath.workdps(digits + 5):
-        if isinstance(x, Fraction):
-            return mpmath.mpf(x.numerator) / x.denominator
-        return mpmath.mpf(x)
+        return _to_mpf(x)
+
+
+def mpfs_of(xs, digits: int) -> list:
+    """``mpf_of(x, digits)`` of each x, under one precision context: the lift
+    of a polynomial's coefficients, made once and evaluated many times."""
+    with mpmath.workdps(digits + 5):
+        return [_to_mpf(x) for x in xs]
 
 
 def lifted(x, digits: int | None = None):

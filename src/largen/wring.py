@@ -45,7 +45,9 @@ def _padd(a: list, b: list) -> list:
         a, b = b, a
     out = list(a)
     for i, c in enumerate(b):
-        out[i] = out[i] + c
+        o = out[i]
+        # a scalar zero entry takes the addend as it is, not through its reflected add
+        out[i] = c if type(o) is Fraction and not o else o + c
     return _trim(out)
 
 
@@ -123,6 +125,7 @@ class WElem:
             if j not in self.slots:
                 continue
             cs = self.slots[j]
+            # None marks a power no quotient term reached, as in ``_pmul``
             overflow: list = []
             while len(cs) > 2:
                 top = cs.pop()
@@ -130,13 +133,14 @@ class WElem:
                 if not top:
                     continue
                 while len(overflow) <= k:
-                    overflow.append(_ZERO)
-                overflow[k] = overflow[k] + top
+                    overflow.append(None)
+                overflow[k] = top if overflow[k] is None else overflow[k] + top
                 cs[k + 1] = cs[k + 1] - top * self.d1
                 cs[k] = cs[k] - top * self.d0
             _trim(cs)
             if not cs:
                 del self.slots[j]
+            overflow = [_ZERO if c is None else c for c in overflow]
             if _trim(overflow):
                 tgt = j - 2
                 self.slots[tgt] = _padd(self.slots.get(tgt, []), overflow)

@@ -1,8 +1,9 @@
 """The process-global memos of the large-N entry points.  The two regular
 engines are kept per potential and resumed order by order; the double-scaled
-series are kept whole per (potential, point, K).  No output may depend on what
-the process computed before, a hit runs no engine, and a call that raises
-leaves nothing behind."""
+series are kept whole per (potential, point, K); phase classification keeps
+the two-cut elimination per potential.  No output may depend on what the
+process computed before, a hit runs no engine, and a call that raises leaves
+nothing behind."""
 
 import json
 import os
@@ -13,17 +14,22 @@ from pathlib import Path
 
 import pytest
 
-from largen import onecut, twocut, wring
+from largen import onecut, phase, twocut, wring
 from largen.diffpoly import DiffPoly
 from largen.errors import Mismatch
 from largen.onecut import expand_regular, find_critical, scaled_series, u_series_coefficients
 from largen.painleve import crosscheck_via_series
+from largen.phase import classify_phase
 from largen.potential import parse_potential
+from largen.scalars import rationalize
 from largen.twocut import expand_two_cut_regular, find_merging, symmetric_scaled_series
 
 QUARTIC = parse_potential("quartic:1,1")
 MERGING = parse_potential("quartic:-2,1")
 BMP = parse_potential("bmp")
+DOUBLE_WELL = parse_potential("sextic:-6,-3,1")
+# two cuts below the merging temperature T = 12, one cut from there on
+PHASE_GRID = (2, 6, 10, 12, 14, 20)
 HERE = Path(__file__).resolve().parent
 
 # kind -> (memo, engine class, orders asked for)
@@ -62,13 +68,31 @@ def document(kind: str, K: int) -> str:
     return json.dumps(doc, ensure_ascii=False)
 
 
+def _exact(x):
+    return None if x is None else str(rationalize(x))
+
+
+def phase_document(T) -> str:
+    """``classify_phase(DOUBLE_WELL, T)`` with every number as its exact value."""
+    p = classify_phase(DOUBLE_WELL, F(T), 30)
+    return json.dumps({"s": p.s, "status": p.status, "note": p.note,
+                       "endpoints": [_exact(e) for e in p.endpoints],
+                       "point": [_exact(x) for x in (p.r0, p.a0, p.b0)],
+                       "h": [_exact(c) for c in p.h_coeffs()],
+                       "alternates": len(p.alternates)})
+
+
 def fresh_documents() -> dict:
-    """Every kind's documents, each from an engine built for that call alone."""
+    """Every kind's documents, each from an engine built for that call alone,
+    and each grid point's classification from an empty elimination memo."""
     out = {}
     for kind, (memo, _, orders) in KINDS.items():
         for K in orders:
             memo.cache_clear()
             out[f"{kind}:{K}"] = document(kind, K)
+    for T in PHASE_GRID:
+        phase._branch_elimination.cache_clear()
+        out[f"phase:{T}"] = phase_document(T)
     return out
 
 
@@ -201,3 +225,27 @@ def test_a_hit_runs_no_engine(kind, monkeypatch):
 
 def test_each_memo_keeps_32_entries():
     assert [memo.cache_info().maxsize for memo, _, _ in KINDS.values()] == [32] * 4
+
+
+@pytest.mark.parametrize("sequence", ["ascending", "descending"])
+def test_phase_grid_does_not_depend_on_the_call_order(sequence, reference):
+    phase._branch_elimination.cache_clear()
+    for T in sorted(PHASE_GRID, reverse=sequence == "descending"):
+        assert phase_document(T) == reference[f"phase:{T}"], T
+
+
+def test_the_elimination_is_built_once_per_potential(monkeypatch):
+    memo = phase._branch_elimination
+    assert memo.cache_info().maxsize == 32
+    built = []
+    resultant = phase.branch_resultant
+    monkeypatch.setattr(phase, "branch_resultant",
+                        lambda L, W_a: built.append(L) or resultant(L, W_a))
+    memo.cache_clear()
+    classify_phase(DOUBLE_WELL, F(6), 30)
+    classify_phase(DOUBLE_WELL, F(14), 30)  # one cut: the two-cut candidates are still sought
+    assert len(built) == 1 and memo.cache_info().currsize == 1
+    memo.cache_clear()
+    assert memo.cache_info().currsize == 0
+    classify_phase(DOUBLE_WELL, F(10), 30)
+    assert len(built) == 2

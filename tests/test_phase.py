@@ -7,7 +7,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from largen import errors
+from largen import errors, phase
 from largen.errors import (
     NoAdmissibleRoot,
     NoTwoCutSolution,
@@ -26,7 +26,7 @@ from largen.phase import (
 from largen.polys import Poly
 from largen.potential import Potential, parse_potential
 from largen.roots import real_roots
-from largen.scalars import mpf_of
+from largen.scalars import mpf_of, scalar_str
 from largen.structured import branch_curve, branch_resultant, twocut_hodographs
 from largen.twocut import expand_two_cut_regular
 
@@ -401,3 +401,35 @@ def test_sextic_outside_inequality_radicand_rounds_negative(T):
     # comparing the running integral raises TypeError.  Clamping the radicand
     # at zero gives one-cut regular phases (r₀ ≈ 0.0814732486, 0.1334188186).
     classify_phase(SEXTIC, T)
+
+
+# (potential, T, PhaseResult fields, numeric root sets of h̃ per verdict): the
+# exact one-cut check at bmp's critical T = 60 finds h̃'s zero exactly and
+# needs none
+ONE_ROOT_SET = [
+    ("sextic:-6,-3,1", 6, (2, "regular", "1.389544668567463194791389",
+                           "3.674633103908448946018182"), [1, 1]),
+    ("sextic:-6,-3,1", 14, (1, "regular", "0", "4.080860757505204332376188"), [1]),
+    ("bmp", 60, (1, "critical", "0", "4"), [0]),
+]
+
+
+@pytest.mark.parametrize("name,T,want,per_verdict", ONE_ROOT_SET,
+                         ids=[f"{c[0]}:T={c[1]}" for c in ONE_ROOT_SET])
+def test_each_verdict_finds_the_roots_of_h_once(name, T, want, per_verdict, monkeypatch):
+    calls, per = [], []
+    numeric = phase._poly_real_roots_numeric
+    monkeypatch.setattr(phase, "_poly_real_roots_numeric",
+                        lambda cs, digits: calls.append(digits) or numeric(cs, digits))
+    for verdict in ("_one_cut_verdict", "_two_cut_verdict"):
+        def counted(*args, _verdict=getattr(phase, verdict)):
+            before = len(calls)
+            try:
+                return _verdict(*args)
+            finally:
+                per.append(len(calls) - before)
+        monkeypatch.setattr(phase, verdict, counted)
+    p = classify_phase(parse_potential(name), F(T), 30)
+    assert per == per_verdict
+    assert (p.s, p.status, *(scalar_str(e, 25) for e in p.endpoints)) == want
+    assert p.alternates == ()

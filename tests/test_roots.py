@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from largen.polys import Poly
 from largen import roots
 from largen.roots import RealRoot, real_roots, yun_squarefree
+from largen.scalars import mpf_of
 
 SQRT2_40 = "1.414213562373095048801688724209698078570"
 
@@ -146,10 +147,11 @@ def _bisect_then_newton(p, lo, hi, digits):
 def test_refine_evaluates_the_polynomial_at_most_90_times_per_root(monkeypatch):
     # exact bisection to 10^-35 alone takes about 117 evaluations per root;
     # here about 60 halvings are exact and Newton steers the rest
-    # an evaluation is an exact sign over the integers or an mpf value
+    # an evaluation is an exact sign over the integers or an mpf value from
+    # the coefficients Newton lifted once
     calls = []
-    evaluate, sign = Poly.__call__, roots._sign
-    monkeypatch.setattr(Poly, "__call__", lambda p, x: calls.append(x) or evaluate(p, x))
+    evaluate, sign = roots.horner, roots._sign
+    monkeypatch.setattr(roots, "horner", lambda cs, x: calls.append(x) or evaluate(cs, x))
     monkeypatch.setattr(roots, "_sign", lambda ints, x: calls.append(x) or sign(ints, x))
     brackets = _isolated(RESULTANT_T6)
     assert len(brackets) == 4
@@ -184,3 +186,41 @@ def test_refine_falls_back_when_the_guide_misleads(monkeypatch):
     monkeypatch.undo()
     assert got == _bisect_then_newton(RESULTANT_T6, lo, hi, 30)
     assert len(guides) == 2
+
+
+def _converted_per_step(p, x):
+    acc = mpmath.mpf(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + mpf_of(c, mpmath.mp.dps)
+    return acc
+
+
+def _newton_per_step(p, lo, hi, digits):
+    """``_newton`` as it was written first: every coefficient is converted to
+    mpf on every step."""
+    dp = p.derivative()
+    with mpmath.workdps(digits + 10):
+        x = (mpf_of(lo, digits + 10) + mpf_of(hi, digits + 10)) / 2
+        for _ in range(50):
+            d = _converted_per_step(dp, x)
+            if d == 0:
+                break
+            step = _converted_per_step(p, x) / d
+            x -= step
+            if abs(step) < mpmath.mpf(10) ** (-(digits + 6)):
+                break
+        return +x
+
+
+@given(st.lists(st.integers(min_value=-60, max_value=60), min_size=3, max_size=8),
+       st.sampled_from([30, 60]))
+@settings(max_examples=40, deadline=None)
+def test_newton_lifted_once_is_bit_for_bit_the_per_step_loop(cs, digits):
+    p = Poly(cs)
+    if p.degree < 2:
+        return
+    for factor, _ in yun_squarefree(p):
+        for lo, hi in _isolated(factor):
+            got = roots._newton(factor, lo, hi, digits)
+            want = _newton_per_step(factor, lo, hi, digits)
+            assert got._mpf_ == want._mpf_
