@@ -17,14 +17,14 @@ Everything symbolic runs over ``fractions.Fraction``; floating point enters
 only at evaluation boundaries, via mpmath at a caller-chosen precision.
 
 Process-global caches.  Each memo is a ``functools.lru_cache(maxsize=32)``,
-emptied by its ``cache_clear()``.  The two regular engines are kept per
-process and resumed order by order, so a call re-solves no order an earlier
-call solved: ``onecut._regular_engine`` and ``twocut._two_cut_engine``, keyed
-by the potential (their solve does not depend on T), also emptied when an
-extension raises.  The double-scaled series are kept whole, per K:
-``onecut._scaled`` by (potential, critical point, K) and ``twocut._symmetric``
-by (potential, merging point, K); a call at a new K solves orders 0..K
-afresh, so its cost does not depend on which calls came before it.
+emptied by its ``cache_clear()``.  The four large-N engines share one policy:
+a memo keeps an entry point's finished output per (potential, K), and a miss
+builds a fresh engine, solves orders 0..K and drops the engine, so a call's
+cost does not depend on which calls came before it and only a repeat of the
+same K is served.  ``onecut._regular`` and ``twocut._two_cut`` are keyed by
+the potential and K (their solve does not depend on T), ``onecut._scaled``
+by (potential, critical point, K) and ``twocut._symmetric`` by (potential,
+merging point, K); a call that raises stores nothing.
 ``phase._branch_elimination`` keeps the two-cut elimination (W_a, L, R) per
 potential, since none of it depends on T.
 ``oracle._standard_nodes`` keeps the tanh-sinh node levels

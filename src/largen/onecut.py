@@ -54,7 +54,7 @@ from .scalars import (
     scalar_str,
 )
 from .structured import c_weight
-from .wring import Defect, Lattice, WElem, _pshift, resumed
+from .wring import Defect, Lattice, WElem, _pshift
 
 
 # -- pole-basis extraction ---------------------------------------------------
@@ -209,39 +209,22 @@ class _RegularEngine:
         self.q_elem = (self.u0 * self.u0).scale(Fraction(2)).div_w()
         q_weight = self.q_elem.contour_pair(self.vp)
         certify(q_weight == Wp, "string weight of the r_k term must be W'")
-        self.r_list, self.u_list = [self.rho], [self.u0]
-        self.F = Defect(self.lat, self.u_list, self.u_list, self.r_list, 2)
-        self.solved = 0
-        self.coeffs = []  # _ratfunc(r_k) per solved order
-        self.tables = []  # u_series_coefficients' USeriesOrder per order, built on demand
 
     def _c(self, p: Poly) -> _Loc:
         return _Loc(self.fs, _mpoly(p))
 
     def run(self, K: int) -> tuple[tuple, tuple]:
-        """Resume the solve through order K; returns ((r₀..r_K), (U₀..U_K)) in its ring.
+        """Solve orders 0..K; returns ((r₀..r_K), (U₀..U_K)) in its ring.
 
-        Orders below ``solved`` are kept from earlier calls; before they are
-        extended, d/dρ is certified again against the quotient rule on ρ/W'²,
-        since the r₁ closed form below sees the derivation only at order 1.
-        Each new order k solves only the ε^{2k} coefficient on kept derivative
-        towers (``wring.Defect``), certifying ε^{2k-1} before and ε^{2k} after
-        it: every ε^j, j ≤ 2K, of the defect once, on its final value.  Each
-        r_k is reduced to a ``RationalFunc`` once, into ``coeffs``; no other
-        gcd is taken here.  Scalar slot padding stays ``Fraction``.
+        Order k solves only the ε^{2k} coefficient on derivative towers kept
+        for this run (``wring.Defect``), certifying ε^{2k-1} before and ε^{2k}
+        after it: every ε^j, j ≤ 2K, of the defect once, on its final value.
+        No gcd is taken here.  Scalar slot padding stays ``Fraction``.
         """
-        if self.solved:
-            c = self.rho / self.Wp**2
-            certify(
-                _ratfunc(c.diff(0)) == _ratfunc(c).derivative(),
-                "one-cut derivation differs from the quotient rule",
-            )
-        new = range(self.solved, K + 1)
-        F, r_list, u_list = self.F, self.r_list, self.u_list
-        for k in new:
-            if not k:
-                F.certify(0, "defect")
-                continue
+        r_list, u_list = [self.rho], [self.u0]
+        F = Defect(self.lat, u_list, u_list, r_list, 2)
+        F.certify(0, "defect")
+        for k in range(1, K + 1):
             F.certify(2 * k - 1, "odd defect order")
             base = F.coefficient(2 * k).div_w().scale(Fraction(1, 2))
             # contour_pair of an element without odd slots is a scalar 0
@@ -252,28 +235,32 @@ class _RegularEngine:
         # The residual holds for whatever d/dT the ring implements, so the
         # derivation is checked against the closed form of r₁ instead:
         # r₁ = ρ (2W''² - W'W''') / (12 W'⁴).
-        if 1 in new:
+        if K:
             Wp, Wpp, W3 = (self.W.derivative(n) for n in (1, 2, 3))
             r1 = self._c(Poly.x() * (Wpp * Wpp * 2 - Wp * W3) * Fraction(1, 12)) / self.Wp**4
             certify(r_list[1] == r1, "r₁ differs from ρ(2W''² - W'W''')/(12W'⁴)")
-        # and the string equation at every new order
-        for k in new:
-            if k:
-                certify(not u_list[k].contour_pair(self.vp), f"string equation fails at order {k}")
-            else:
-                certify(
-                    u_list[0].contour_pair(self.vp) == self._c(self.W),
-                    "order-0 string equation must give W(ρ) = T",
-                )
-        self.coeffs += [_ratfunc(r) for r in r_list[self.solved : K + 1]]
-        self.solved = max(self.solved, K + 1)
-        return tuple(r_list[: K + 1]), tuple(u_list[: K + 1])
+        # and the string equation at every order
+        certify(
+            u_list[0].contour_pair(self.vp) == self._c(self.W),
+            "order-0 string equation must give W(ρ) = T",
+        )
+        for k in range(1, K + 1):
+            certify(not u_list[k].contour_pair(self.vp), f"string equation fails at order {k}")
+        return tuple(r_list), tuple(u_list)
 
 
 @lru_cache(maxsize=32)
-def _regular_engine(g: Potential) -> _RegularEngine:
-    """The process's one regular engine per potential; its solve does not depend on T."""
-    return _RegularEngine(g)
+def _regular(g: Potential, K: int) -> tuple[tuple, tuple]:
+    """r₀..r_K, each reduced once to a ``RationalFunc`` of ρ, and U₀..U_K in
+    the engine's ring, once per process for each (potential, K); the solve
+    does not depend on T.
+
+    Every call solves orders 0..K afresh, so its cost does not depend on what
+    the process asked for before; only a repeat of the same K is served.  The
+    engine and its derivative towers are dropped on return.
+    """
+    r_list, u_list = _RegularEngine(g).run(K)
+    return tuple(_ratfunc(r) for r in r_list), u_list
 
 
 def expand_regular(
@@ -291,39 +278,40 @@ def expand_regular(
         raise CriticalPointHit(
             f"W'(r0) = 0 at T = {scalar_str(T)}; use the double-scaling path"
         )
-    engine = resumed(_regular_engine, K, g)
-    return OneCutExpansion(g=g, T=T, r0=r0, coeffs=tuple(engine.coeffs[: K + 1]), K=K)
+    coeffs, _ = _regular(g, K)
+    return OneCutExpansion(g=g, T=T, r0=r0, coeffs=coeffs, K=K)
 
 
 def u_series_coefficients(g: Potential, r0=None, K: int = 1) -> list[USeriesOrder]:
     """U₀..U_K with their pole tables U_{k,j}.
 
-    The tables are read off in the engine's ring ℚ[ρ, 1/W'(ρ)]; each pole and
-    each element coefficient is then reduced once to a ``RationalFunc`` of ρ,
-    and kept with the engine for later calls.
+    The tables are read off the memo's U_k in the engine's ring
+    ℚ[ρ, 1/W'(ρ)] on every call; each pole and each element coefficient is
+    then reduced once to a ``RationalFunc`` of ρ.
     With r0 = None the tables stay rational functions of ρ; an exact r0
     evaluates them at that point.
     """
     if K < 0:
         raise ValueError("truncation order must be nonnegative")
-    engine = resumed(_regular_engine, K, g)
-    tables, four, zero = engine.tables, engine.rho * 4, engine.d0
+    _, u_list = _regular(g, K)
+    # U₀ lives on w² = λ(λ - 4ρ): its branch data are d1 = -4ρ and d0 = 0
+    four, zero = -u_list[0].d1, u_list[0].d0
 
     def reduced(c):  # slot padding stays scalar
         return _ratfunc(c) if isinstance(c, _Loc) else c
 
-    while len(tables) <= K:
-        k = len(tables)
-        u_k, poles = engine.u_list[k], ()
+    tables = []
+    for k, u_k in enumerate(u_list):
+        poles = ()
         if k:
             u0_part, poles = _pole_basis(u_k, four, zero)
             certify(not u0_part, "U_k acquired a pole-free part")
             poles = tuple(_ratfunc(p) for p in poles)
         tables.append(USeriesOrder(k=k, element=u_k.map_coeffs(reduced), poles=poles))
     if r0 is None:
-        return tables[: K + 1]
+        return tables
     x = lifted(r0)
-    return [replace(o, poles=tuple(p(x) for p in o.poles)) for o in tables[: K + 1]]
+    return [replace(o, poles=tuple(p(x) for p in o.poles)) for o in tables]
 
 
 # -- critical points -------------------------------------------------------------

@@ -34,11 +34,13 @@ from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import mpmath
+from mpmath.libmp import NoConvergence
 
 from .errors import (
     NoAdmissibleRoot,
     NoTwoCutSolution,
     OutsideSupport,
+    PrecisionExhausted,
     Unclassifiable,
 )
 from .mpolys import eval_terms
@@ -154,7 +156,14 @@ def _poly_real_roots_numeric(coeffs, digits: int) -> list:
             cs.pop()
         if len(cs) <= 1:
             return []
-        roots = mpmath.polyroots(list(reversed(cs)), maxsteps=200, extraprec=80)
+        try:
+            roots = mpmath.polyroots(list(reversed(cs)), maxsteps=200, extraprec=80)
+        except NoConvergence as exc:
+            # a (near-)multiple root, as at a critical or merging temperature
+            raise PrecisionExhausted(
+                f"the roots of a degree-{len(cs) - 1} polynomial did not converge "
+                f"at {digits} digits"
+            ) from exc
         return sorted(r.real for r in roots if negligible(r.imag, digits))
 
 

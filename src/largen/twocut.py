@@ -74,7 +74,7 @@ from .structured import (
     psi_poly,
     twocut_hodographs,
 )
-from .wring import Defect, Lattice, WElem, _pmul, _pshift, resumed
+from .wring import Defect, Lattice, WElem, _pmul, _pshift
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -265,7 +265,8 @@ class _TwoCutRegularEngine:
     factors (det, b₀-a₀), so the only polynomial products are numerator ×
     numerator.  Its derivation is certified against the quotient rule of
     MRatFunc at construction: the defect and string residuals hold for
-    whatever d/dT the ring implements.
+    whatever d/dT the ring implements.  ``_two_cut`` builds one engine per
+    solve of orders 0..K and keeps only what it outputs.
     """
 
     def __init__(self, g: Potential):
@@ -308,51 +309,34 @@ class _TwoCutRegularEngine:
         self.det = self.s1 * self.s1 - self.s2 * self.t1
         certify(self.det == poly(det_mp), "string response determinant differs from the Jacobian")
         # T-motion of the endpoints: d/dT of (W_a = T, W_b = T)
-        self.da0 = (self.s1 - self.s2) / self.det
-        self.db0 = (self.s1 - self.t1) / self.det
+        da0 = (self.s1 - self.s2) / self.det
+        db0 = (self.s1 - self.t1) / self.det
         # the slopes, and a probe with both factor exponents raised
-        self.probes = (self.da0, self.db0, self.da0 * self.da0 / (b0 - a0))
-        self._certify_derivation()
-        dw2 = [
-            (b0 - a0) * (self.db0 - self.da0) * Fraction(2),
-            (self.da0 + self.db0) * Fraction(-2),
-        ]
-        self.lat = Lattice(
-            d1, d0, _F1, lambda c: c.diff(0) * self.da0 + c.diff(1) * self.db0, dw2
-        )
-        self.slopes = (self.da0.to_ratfunc(), self.db0.to_ratfunc())
-        self.a_list, self.b_list, self.v_list, self.w_list = [a0], [b0], [self.v0], [self.w0]
-        # each function is the other's partner in the shifted slots
-        self.DV = Defect(self.lat, self.v_list, self.w_list, self.a_list, 2)
-        self.DW = Defect(self.lat, self.w_list, self.v_list, self.b_list, 2)
-        self.solved = 0
-        self.coeffs = []  # (a_k, b_k) reduced to MRatFunc, per solved order
-
-    def _certify_derivation(self) -> None:
-        for c in self.probes:
+        for c in (da0, db0, da0 * da0 / (b0 - a0)):
             for v in (0, 1):
                 certify(
                     c.diff(v).to_ratfunc() == c.to_ratfunc().diff(v),
                     "two-cut derivation differs from the quotient rule",
                 )
+        dw2 = [(b0 - a0) * (db0 - da0) * Fraction(2), (da0 + db0) * Fraction(-2)]
+        # the derivation closes over the slopes, not the engine, so that the
+        # engine is freed when its solve returns
+        self.lat = Lattice(d1, d0, _F1, lambda c: c.diff(0) * da0 + c.diff(1) * db0, dw2)
+        self.slopes = (da0.to_ratfunc(), db0.to_ratfunc())
 
     def run(self, K: int) -> tuple[tuple, tuple, tuple, tuple]:
-        """Resume through order K; returns ((a₀..a_K), (b₀..b_K), (V₀..V_K),
-        (W₀..W_K)) in _Loc.  Orders below ``solved`` are kept from earlier
-        calls, and the derivation is certified again before they are
-        extended; each new order k solves only the ε^{2k} coefficients of
-        both defects on kept derivative towers (``wring.Defect``), certifying
-        ε^{2k-1} before and ε^{2k} after it, and is reduced into ``coeffs``."""
-        if self.solved:
-            self._certify_derivation()
-        a_list, b_list, v_list, w_list = self.a_list, self.b_list, self.v_list, self.w_list
-        DV, DW, new = self.DV, self.DW, range(self.solved, K + 1)
+        """Solve orders 0..K; returns ((a₀..a_K), (b₀..b_K), (V₀..V_K),
+        (W₀..W_K)) in _Loc.  Order k solves only the ε^{2k} coefficients of
+        both defects on derivative towers kept for this run (``wring.Defect``),
+        certifying ε^{2k-1} before and ε^{2k} after it."""
+        a_list, b_list, v_list, w_list = [self.a0], [self.b0], [self.v0], [self.w0]
+        # each function is the other's partner in the shifted slots
+        DV = Defect(self.lat, v_list, w_list, a_list, 2)
+        DW = Defect(self.lat, w_list, v_list, b_list, 2)
         mshift = [(self.a0 + self.b0) * Fraction(-1), _F1]  # λ - a₀ - b₀
-        for k in new:
-            if not k:
-                DV.certify(0, "V-defect")
-                DW.certify(0, "W-defect")
-                continue
+        DV.certify(0, "V-defect")
+        DW.certify(0, "W-defect")
+        for k in range(1, K + 1):
             DV.certify(2 * k - 1, "odd V-defect order")
             DW.certify(2 * k - 1, "odd W-defect order")
             R1, R2 = DV.coefficient(2 * k), DW.coefficient(2 * k)
@@ -373,22 +357,29 @@ class _TwoCutRegularEngine:
             w_list.append(w_k)
             DV.certify(2 * k, "V-defect")
             DW.certify(2 * k, "W-defect")
-        # a ↔ b symmetry of the new orders
+        # a ↔ b symmetry of every order
         swap = lambda c: c if isinstance(c, (Fraction, int)) else c.swapped()
-        for k in new:
-            certify(w_list[k] == v_list[k].map_coeffs(swap), "V/W swap symmetry broken")
-        for k in new:
-            certify(b_list[k] == a_list[k].swapped(), "a/b swap symmetry broken")
-        self.coeffs += [(a_list[k].to_ratfunc(), b_list[k].to_ratfunc()) for k in new]
-        self.solved = max(self.solved, K + 1)
-        cut = slice(K + 1)
-        return tuple(a_list[cut]), tuple(b_list[cut]), tuple(v_list[cut]), tuple(w_list[cut])
+        for v_k, w_k in zip(v_list, w_list):
+            certify(w_k == v_k.map_coeffs(swap), "V/W swap symmetry broken")
+        for a_k, b_k in zip(a_list, b_list):
+            certify(b_k == a_k.swapped(), "a/b swap symmetry broken")
+        return tuple(a_list), tuple(b_list), tuple(v_list), tuple(w_list)
 
 
 @lru_cache(maxsize=32)
-def _two_cut_engine(g: Potential) -> _TwoCutRegularEngine:
-    """The process's one two-cut engine per potential; its solve does not depend on T."""
-    return _TwoCutRegularEngine(g)
+def _two_cut(g: Potential, K: int) -> tuple[tuple, tuple, MPoly]:
+    """The pairs (a_k, b_k), k ≤ K, reduced to MRatFunc, with the slopes and
+    the Jacobian determinant, once per process for each (potential, K); the
+    solve does not depend on T.
+
+    Every call solves orders 0..K afresh, so its cost does not depend on what
+    the process asked for before; only a repeat of the same K is served.  The
+    engine and its derivative towers are dropped on return.
+    """
+    engine = _TwoCutRegularEngine(g)
+    a_list, b_list, _, _ = engine.run(K)
+    coeffs = tuple((a.to_ratfunc(), b.to_ratfunc()) for a, b in zip(a_list, b_list))
+    return coeffs, engine.slopes, engine.det_mp
 
 
 def expand_two_cut_regular(
@@ -418,9 +409,9 @@ def expand_two_cut_regular(
                     "use the double-scaling path"
                 ) from None
         raise
-    engine = resumed(_two_cut_engine, K, g)
+    coeffs, slopes, det_mp = _two_cut(g, K)
     with mpmath.workdps(digits):
-        singular = negligible(engine.det_mp.eval(lifted((a0, b0), digits)), digits)
+        singular = negligible(det_mp.eval(lifted((a0, b0), digits)), digits)
     if singular:
         raise SingularHodograph(
             f"endpoint Jacobian vanishes at T = {scalar_str(T)}; "
@@ -431,8 +422,8 @@ def expand_two_cut_regular(
         T=T,
         a0=a0,
         b0=b0,
-        coeffs=tuple(engine.coeffs[: K + 1]),
-        slopes=engine.slopes,
+        coeffs=coeffs,
+        slopes=slopes,
         K=K,
     )
 

@@ -51,6 +51,12 @@ def _padd(a: list, b: list) -> list:
     return _trim(out)
 
 
+def _minus(entry, prod):
+    # a scalar entry takes the product's own subtraction, negated, not its
+    # reflected one: the same value, without Fraction's failed forward op
+    return -(prod - entry) if type(entry) is Fraction else entry - prod
+
+
 def _pmul(a: Sequence, b: Sequence) -> list:
     if not a or not b:
         return []
@@ -135,8 +141,8 @@ class WElem:
                 while len(overflow) <= k:
                     overflow.append(None)
                 overflow[k] = top if overflow[k] is None else overflow[k] + top
-                cs[k + 1] = cs[k + 1] - top * self.d1
-                cs[k] = cs[k] - top * self.d0
+                cs[k + 1] = _minus(cs[k + 1], top * self.d1)
+                cs[k] = _minus(cs[k], top * self.d0)
             _trim(cs)
             if not cs:
                 del self.slots[j]
@@ -565,20 +571,3 @@ class Defect:
         """Raise ``Mismatch`` unless the ε^n coefficient vanishes."""
         certify(self.coefficient(n).is_zero(), f"{what} at ε^{n} is nonzero")
 
-
-def resumed(factory: Callable, K: int, *key):
-    """``factory(*key)``, solved and certified through order K.
-
-    ``factory`` is an ``lru_cache`` that keeps one engine per key, with
-    ``solved`` orders done; only a call that needs a new order runs it.  A
-    run that raises clears the memo, so no later call sees a partly extended
-    engine.
-    """
-    engine = factory(*key)
-    if engine.solved <= K:
-        try:
-            engine.run(K)
-        except BaseException:
-            factory.cache_clear()
-            raise
-    return engine

@@ -1,14 +1,17 @@
-"""The process-global memos of the large-N entry points.  The two regular
-engines are kept per potential and resumed order by order; the double-scaled
-series are kept whole per (potential, point, K); phase classification keeps
-the two-cut elimination per potential.  No output may depend on what the
-process computed before, a hit runs no engine, and a call that raises leaves
-nothing behind."""
+"""The process-global memos of the large-N entry points.  All four engines
+share one policy: the finished output is kept per (potential, K) for the
+regular engines and per (potential, point, K) for the double-scaled ones,
+and a miss solves orders 0..K on an engine built for that call alone; phase
+classification keeps the two-cut elimination per potential.  No output may
+depend on what the process computed before, a hit runs no engine, no engine
+outlives its call, and a call that raises leaves nothing behind."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -34,12 +37,11 @@ HERE = Path(__file__).resolve().parent
 
 # kind -> (memo, engine class, orders asked for)
 KINDS = {
-    "one-cut": (onecut._regular_engine, onecut._RegularEngine, (1, 2, 3)),
-    "two-cut": (twocut._two_cut_engine, twocut._TwoCutRegularEngine, (0, 1, 2)),
+    "one-cut": (onecut._regular, onecut._RegularEngine, (1, 2, 3)),
+    "two-cut": (twocut._two_cut, twocut._TwoCutRegularEngine, (0, 1, 2)),
     "scaled": (onecut._scaled, onecut._ScaledEngine, (3, 4, 5)),
     "merged": (twocut._symmetric, twocut._SymmetricScaledEngine, (3, 4, 5)),
 }
-KEPT = ("one-cut", "two-cut")  # the engines resumed across calls
 
 
 def document(kind: str, K: int) -> str:
@@ -141,38 +143,36 @@ def _double_d_dx(monkeypatch):
     monkeypatch.setattr(DiffPoly, "d_dx", lambda self, times=1: d_dx(self, times) * 2)
 
 
-# kind -> (engine key, order to warm, corruption, order whose solve must fail)
+# kind -> (order to warm, corruption, order whose solve must fail)
 FAILURES = {
-    "one-cut": ((QUARTIC,), 1, _perturb_embedded, 2),
-    "two-cut": ((MERGING,), 0, _perturb_embedded, 1),
-    "scaled": (None, 3, _double_d_dx, 4),
-    "merged": (None, 3, _double_d_dx, 4),
+    "one-cut": (1, _perturb_embedded, 2),
+    "two-cut": (0, _perturb_embedded, 1),
+    "scaled": (3, _double_d_dx, 4),
+    "merged": (3, _double_d_dx, 4),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(FAILURES))
 def test_failed_call_leaves_nothing(kind, monkeypatch, reference):
     memo = KINDS[kind][0]
-    key, warm, corrupt, K = FAILURES[kind]
+    warm, corrupt, K = FAILURES[kind]
     memo.cache_clear()
     document(kind, warm)
-    engine = memo(*key) if key else None
     with monkeypatch.context() as patched:
         corrupt(patched)
         with pytest.raises(Mismatch):
             document(kind, K)
-    # a kept engine that failed to extend is evicted; a whole series that
-    # failed was never stored, and the warm one stays
-    assert memo.cache_info().currsize == (0 if key else 1)
+    # the output that failed was never stored, and the warm one stays
+    assert memo.cache_info().currsize == 1
     assert document(kind, K) == reference[f"{kind}:{K}"]
-    if key:
-        assert memo(*key) is not engine
 
 
 def test_warm_memo_sees_a_changed_derivation(run_under_O):
-    # a kept engine certifies its derivation again before it resumes, and a
-    # double-scaled series at a new K builds a lattice that certifies it: the
-    # defect and string residuals hold for whatever derivation the ring implements
+    # a call at a new K builds a fresh engine, which certifies its derivation:
+    # the one-cut engine by the closed form of r₁, the two-cut one by the
+    # quotient rule, and the double-scaled lattices by Poly.derivative on a
+    # probe; the defect and string residuals hold for whatever derivation the
+    # ring implements
     out = run_under_O(
         """
         assert False, "python -O should have stripped this"
@@ -200,7 +200,7 @@ def test_warm_memo_sees_a_changed_derivation(run_under_O):
         """
     )
     assert out.splitlines() == [
-        "Mismatch: one-cut derivation differs from the quotient rule",
+        "Mismatch: r₁ differs from ρ(2W''² - W'W''')/(12W'⁴)",
         "Mismatch: two-cut derivation differs from the quotient rule",
     ] + ["Mismatch: d/dx of the double-scaled engine differs from Poly.derivative"] * 2, out
 
@@ -215,12 +215,32 @@ def test_a_hit_runs_no_engine(kind, monkeypatch):
     monkeypatch.setattr(engine, "run", lambda self, K: runs.append(K) or run(self, K))
     document(kind, orders[1])
     assert runs == []
-    # a kept engine serves a lower order too; a double-scaled series at a new
-    # K is solved from order 0
+    # any other K, lower or higher, is solved from order 0
     document(kind, orders[0])
-    assert runs == ([] if kind in KEPT else [orders[0]])
+    assert runs == [orders[0]]
     document(kind, orders[2])
-    assert runs[-1] == orders[2]
+    assert runs == [orders[0], orders[2]]
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_no_engine_outlives_its_call(kind, monkeypatch):
+    # only the finished output is kept: the engine and its wring.Defect
+    # towers go once the call returns.  The collector stays off, so an engine
+    # held by a reference cycle (a derivation closing over the engine) fails.
+    memo, engine, orders = KINDS[kind]
+    memo.cache_clear()
+    built = []
+    init = engine.__init__
+    monkeypatch.setattr(engine, "__init__",
+                        lambda self, *args: built.append(weakref.ref(self)) or init(self, *args))
+    gc.disable()
+    try:
+        for K in orders:
+            document(kind, K)
+        assert len(built) == len(orders)
+        assert [ref() for ref in built] == [None] * len(orders)
+    finally:
+        gc.enable()
 
 
 def test_each_memo_keeps_32_entries():

@@ -337,10 +337,10 @@ class TestUSeriesTable:
 
     @pytest.mark.parametrize("K", [1, 2])
     def test_expand_regular_reduces_only_its_output(self, K, monkeypatch):
-        # the engine stays in ℚ[ρ, 1/W'(ρ)]: a fresh engine builds one
-        # RationalFunc per r_0..r_K, and the kept engine serves a second call
-        # without building any
-        onecut._regular_engine.cache_clear()
+        # the engine stays in ℚ[ρ, 1/W'(ρ)]: a fresh solve builds one
+        # RationalFunc per r_0..r_K, and the memo serves a second call at the
+        # same K without building any
+        onecut._regular.cache_clear()
         built = []
         init = RationalFunc.__init__
 

@@ -393,6 +393,17 @@ class TestMpfTemperature:
                 if name == "quartic:-2,1":
                     assert mpmath.nstr(got, 8) == "-2.8498341"
 
+    @pytest.mark.parametrize("name,T,degree", [("bmp", 60, 3), ("sextic:-6,-3,1", 12, 6)])
+    def test_multiple_root_exhausts_precision(self, name, T, degree):
+        # at a critical (bmp) or merging (sextic) temperature the numeric
+        # root finder meets a (near-)double root and does not converge; the
+        # same temperature as a Fraction is isolated exactly
+        g = parse_potential(name)
+        with pytest.raises(errors.PrecisionExhausted, match=f"degree-{degree} .* 30 digits") as info:
+            classify_phase(g, mpmath.mpf(T), 30)
+        assert type(info.value.__cause__).__name__ == "NoConvergence"
+        assert classify_phase(g, F(T), 30).status == "critical"
+
 @pytest.mark.xfail(raises=TypeError, strict=True)
 @pytest.mark.parametrize("T", [F(6), F(9)], ids=["T=6", "T=9"])
 def test_sextic_outside_inequality_radicand_rounds_negative(T):

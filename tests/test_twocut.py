@@ -164,19 +164,19 @@ class TestRegularExpansion:
         assert json.dumps(doc, ensure_ascii=False) == want.strip()
 
     def test_shared_solves_are_bounded(self, monkeypatch):
-        # one kept engine per potential in a bounded memo: equal couplings under
-        # another label hit it, and a K = 1 call is served from a K = 2 run,
-        # handing back the stored pairs in a tuple, which no caller can change
-        memo = twocut._two_cut_engine
+        # one output per (potential, K) in a bounded memo: equal couplings
+        # under another label hit it at the same K, handing back the stored
+        # pairs in a tuple, which no caller can change
+        memo = twocut._two_cut
         assert memo.cache_info().maxsize == 32
         memo.cache_clear()
-        full = expand_two_cut_regular(parse_potential("quartic:-3,1"), F(1), 2)
+        first = expand_two_cut_regular(parse_potential("quartic:-3,1"), F(1), 2)
         monkeypatch.setattr(twocut._TwoCutRegularEngine, "run", None)  # a run would fail
         monkeypatch.setattr(twocut, "_TwoCutRegularEngine", None)  # a miss would fail
-        part = expand_two_cut_regular(parse_potential("gs:-3,1"), F(1), 1)
+        again = expand_two_cut_regular(parse_potential("gs:-3,1"), F(1), 2)
         assert memo.cache_info().hits == 1 and memo.cache_info().misses == 1
-        assert isinstance(part.coeffs, tuple) and part.coeffs == full.coeffs[:2]
-        assert part.coeffs[1] is full.coeffs[1] and part.slopes is full.slopes
+        assert isinstance(again.coeffs, tuple) and again.coeffs is first.coeffs
+        assert again.slopes is first.slopes
 
     @given(
         g2=st.sampled_from([-2, -3, -4]),
