@@ -17,14 +17,16 @@ Everything symbolic runs over ``fractions.Fraction``; floating point enters
 only at evaluation boundaries, via mpmath at a caller-chosen precision.
 
 Process-global caches.  Each memo is a ``functools.lru_cache(maxsize=32)``,
-emptied by its ``cache_clear()``.  The four large-N engines share one policy:
-a memo keeps an entry point's finished output per (potential, K), and a miss
-builds a fresh engine, solves orders 0..K and drops the engine, so a call's
-cost does not depend on which calls came before it and only a repeat of the
-same K is served.  ``onecut._regular`` and ``twocut._two_cut`` are keyed by
-the potential and K (their solve does not depend on T), ``onecut._scaled``
-by (potential, critical point, K) and ``twocut._symmetric`` by (potential,
-merging point, K); a call that raises stores nothing.
+emptied by its ``cache_clear()``.  The four large-N expansions share one
+policy: a memo keeps an entry point's finished output per (potential, K), and
+a miss solves orders 0..K afresh and keeps none of the solve's working state,
+so a call's cost does not depend on which calls came before it and only a
+repeat of the same K is served.  ``onecut._regular`` and ``twocut._two_cut``
+are keyed by the potential and K (their solve does not depend on T) and
+build an engine per miss, which is dropped on return; ``onecut._scaled``,
+keyed by (potential, critical point, K), and ``twocut._symmetric``, keyed by
+(potential, merging point, K), solve in the memo function itself.  A call
+that raises stores nothing.
 ``phase._branch_elimination`` keeps the two-cut elimination (W_a, L, R) per
 potential, since none of it depends on T.
 ``oracle._standard_nodes`` keeps the tanh-sinh node levels

@@ -344,10 +344,6 @@ class MRatFunc:
     def const(cls, nvars: int, c) -> "MRatFunc":
         return cls(MPoly.const(nvars, c))
 
-    @classmethod
-    def var(cls, nvars: int, i: int) -> "MRatFunc":
-        return cls(MPoly.var(nvars, i))
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 

@@ -193,7 +193,6 @@ class _RegularEngine:
     """
 
     def __init__(self, g: Potential):
-        self.g = g
         self.W = g.hodograph()
         self.fs = loc_factors(_mpoly(self.W.derivative()))
         self.Wp = Wp = self._c(self.W.derivative())
@@ -371,56 +370,44 @@ def find_critical(g: Potential, digits: int | None = None) -> tuple[OneCutCritic
     return tuple(found)
 
 
-# -- the double-scaled engine ------------------------------------------------------
-
-
-class _ScaledEngine:
-    """ε̄-expansion at a one-cut critical point; coefficients are DiffPolys over ℚ."""
-
-    def __init__(self, g: Potential, crit: OneCutCritical):
-        if not is_exact(crit.r_c):
-            raise ValueError("double-scaled series needs an exact critical point")
-        self.g = g
-        self.rc = as_fraction(crit.r_c)
-        self.Tc = as_fraction(crit.T_c)
-        self.m = crit.m
-        self.lat, self.u0 = scaled_lattice(self.rc)
-        self.vp = list(g.v_lambda().coeffs)
-
-    def run(self, K: int) -> tuple[list, list]:
-        """U^{[0]}..U^{[K]} and the string ladder relations, solved and
-        certified per order as in ``_RegularEngine.run``."""
-        r_list = [DiffPoly.const(self.rc)] + [DiffPoly.var(f"r{k}") for k in range(1, K + 1)]
-        u_list = [self.u0]
-        F = Defect(self.lat, u_list, u_list, r_list, 2)
-        F.certify(0, "scaled defect")
-        for k in range(1, K + 1):
-            F.certify(2 * k - 1, "odd scaled defect order")
-            u_list.append(F.coefficient(2 * k).div_w().scale(Fraction(1, 2)))
-            F.certify(2 * k, "scaled defect")
-
-        ladder = string_ladder(u_list, self.vp, self.Tc, self.m)
-        for k in range(1, min(self.m, K + 1)):
-            certify(
-                ladder[k].p.is_zero(),
-                "constraint below the critical order did not vanish; "
-                "the scaling exponent would be wrong",
-            )
-        return u_list, ladder
+# -- the double-scaled series ------------------------------------------------------
 
 
 @lru_cache(maxsize=32)
 def _scaled(g: Potential, crit: OneCutCritical, K: int) -> ScaledOneCut:
     """``scaled_series`` once per process for each (potential, critical point, K).
 
-    Every call solves orders 0..K afresh, so its cost does not depend on what
-    the process asked for before; only a repeat of the same K is served.
+    The ε̄-expansion at a one-cut critical point, with DiffPoly coefficients
+    over ℚ: U^{[0]}..U^{[K]} are solved and certified per order as in
+    ``_RegularEngine.run``, on a ``wring.Defect`` local to this call, then
+    the string ladder and the pole tables are read off them.  Every call
+    solves orders 0..K afresh, so its cost does not depend on what the
+    process asked for before; only a repeat of the same K is served.
     """
-    engine = _ScaledEngine(g, crit)
-    u_list, ladder = engine.run(K)
-    orders = [ScaledOrder(k=0, element=u_list[0], poles=())]
+    if not is_exact(crit.r_c):
+        raise ValueError("double-scaled series needs an exact critical point")
+    rc, Tc = as_fraction(crit.r_c), as_fraction(crit.T_c)
+    lat, u0 = scaled_lattice(rc)
+    vp = list(g.v_lambda().coeffs)
+    r_list = [DiffPoly.const(rc)] + [DiffPoly.var(f"r{k}") for k in range(1, K + 1)]
+    u_list = [u0]
+    F = Defect(lat, u_list, u_list, r_list, 2)
+    F.certify(0, "scaled defect")
     for k in range(1, K + 1):
-        u0_part, poles = _pole_basis(u_list[k], 4 * engine.rc, DiffPoly.zero())
+        F.certify(2 * k - 1, "odd scaled defect order")
+        u_list.append(F.coefficient(2 * k).div_w().scale(Fraction(1, 2)))
+        F.certify(2 * k, "scaled defect")
+
+    ladder = string_ladder(u_list, vp, Tc, crit.m)
+    for k in range(1, min(crit.m, K + 1)):
+        certify(
+            ladder[k].p.is_zero(),
+            "constraint below the critical order did not vanish; "
+            "the scaling exponent would be wrong",
+        )
+    orders = [ScaledOrder(k=0, element=u0, poles=())]
+    for k in range(1, K + 1):
+        u0_part, poles = _pole_basis(u_list[k], 4 * rc, DiffPoly.zero())
         certify(not u0_part, "U^[k] acquired a pole-free part")
         certify(len(poles) <= k, "double-scaled pole depth exceeded its order")
         orders.append(ScaledOrder(k=k, element=u_list[k], poles=tuple(poles)))

@@ -55,7 +55,7 @@ from fractions import Fraction
 from .diffpoly import DiffPoly, XRelation
 from .errors import Mismatch, certify
 from .onecut import OneCutCritical, scaled_series
-from .polys import RationalFunc
+from .polys import Poly
 from .potential import Potential
 from .scalars import as_fraction, is_exact, scalar_str
 from .twocut import MergingPoint, symmetric_scaled_series
@@ -88,14 +88,21 @@ class Homogeneous:
         )
 
     def to_json(self) -> list:
-        rho = RationalFunc.var()
         return [
             {
-                "coeff": (rho ** (self.m - _u_degree(mono)) * c).render("rho"),
+                "coeff": _rho_power(c, self.m - _u_degree(mono)),
                 "factors": [[n, o, e] for n, o, e in mono],
             }
             for mono, c in self.unit.sorted_terms()
         ]
+
+
+def _rho_power(c, k: int) -> str:
+    """c·ρ^k rendered as ``RationalFunc.render`` renders it: the polynomial
+    for k ≥ 0, and (c)/(ρ^{-k}) for k < 0."""
+    if k >= 0:
+        return (Poly.x() ** k * c).render("rho")
+    return f"({c})/({(Poly.x() ** -k).render('rho')})"
 
 
 def _at(unit: DiffPoly, m: int, rc):

@@ -44,7 +44,7 @@ from .errors import (
     Unclassifiable,
 )
 from .mpolys import eval_terms
-from .polys import Poly
+from .polys import Poly, horner
 from .potential import Potential
 from .roots import real_roots
 from .scalars import (
@@ -175,16 +175,6 @@ def _real_roots_of(coeffs, digits: int) -> list:
     return _poly_real_roots_numeric(coeffs, digits)
 
 
-def _eval_numeric(cs: list, x):
-    """Σ cs[k]·x^k, power by power, from coefficients lifted by ``mpfs_of``."""
-    acc = mpmath.mpf(0)
-    xp = mpmath.mpf(1)
-    for c in cs:
-        acc += c * xp
-        xp *= x
-    return acc
-
-
 class _HTilde:
     """h̃ of one candidate, shared by its verdict's checks: the coefficients,
     and their mpf lift and numeric real roots, each made once, when first asked."""
@@ -237,7 +227,7 @@ def _h_status_numeric(h: _HTilde, lo, hi) -> str:
         roots = [r for r in h.roots if lo_f - tol <= r <= hi_f + tol]
         pts = sorted({lo_f, hi_f, *roots})
         probes = list(pts) + [(a + b) / 2 for a, b in zip(pts, pts[1:])]
-        vals = [_eval_numeric(h.lifted, x) for x in probes]
+        vals = [horner(h.lifted, x) for x in probes]
         if any(v < -tol for v in vals):
             return _BAD
         if roots or any(negligible(v, digits) for v in vals):
@@ -289,7 +279,7 @@ def _outside_inequality(h: _HTilde, lam_roots) -> str:
             for r in roots_f:
                 acc *= lam - r
             w = mpmath.sqrt(acc)
-            hval = _eval_numeric(cs, lam)
+            hval = horner(cs, lam)
             return (x * hval if two_cut else hval) * w
 
         stops = [mpmath.sqrt(r) for r in hroots]
@@ -316,7 +306,7 @@ def _gap_inequality(h: _HTilde, alpha2, beta2) -> str:
         def integrand(x):
             lam = x * x
             w_gap = -mpmath.sqrt((a2 - lam) * (b2 - lam))  # w₁ < 0 in the gap
-            return x * _eval_numeric(cs, lam) * w_gap
+            return x * horner(cs, lam) * w_gap
 
         hroots = [r for r in h.roots if tol < r < a2 - tol]
         stops = sorted([mpmath.sqrt(r) for r in hroots] + [-mpmath.sqrt(r) for r in hroots])
@@ -529,7 +519,7 @@ def density(g: Potential, phase: PhaseResult, x, digits: int | None = None):
         lam = xf * xf
         T_f = mpf_of(phase.T, digits + 10)
         tol = tolerance(digits)
-        hval = _eval_numeric(mpfs_of(hc, digits + 10), lam)
+        hval = horner(mpfs_of(hc, digits + 10), lam)
         if phase.s == 1:
             A = mpf_of(phase.endpoints[1], digits + 10)
             if lam > A + tol:

@@ -39,9 +39,12 @@ def as_fraction(x) -> Fraction:
 
 
 def rationalize(x) -> Fraction:
-    """The exact Fraction of a Scalar (every mpf is a binary rational)."""
+    """The exact Fraction of a Scalar or a float (every mpf and every float is
+    a binary rational)."""
     if is_exact(x):
         return as_fraction(x)
+    if isinstance(x, float):
+        return Fraction(x)
     p, q = mpmath.libmp.to_rational(x._mpf_)
     return Fraction(int(p), int(q))
 

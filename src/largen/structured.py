@@ -7,8 +7,8 @@ coefficients at infinity of expressions
 
 on the branch with w ~ +λ at infinity.  The coefficient ring is generic —
 Fractions, univariate rational functions, or sparse multivariate
-polynomials all work, which lets the same code produce numbers, hodograph
-polynomials, and the planar free-energy function of cut endpoints.
+polynomials all work, which lets the same code produce numbers and
+hodograph polynomials.
 
 Couplings convention: a potential of degree 2p in the matrix variable is
 given by ``gs = (g2, g4, ..., g_{2p})``; in the squared variable it reads
@@ -209,16 +209,3 @@ def branch_resultant(L: MPoly, W_a: MPoly) -> MPoly:
     rows += [[zero] * i + g + [zero] * (m - 1 - i) for i in range(m)]
     return bareiss_det(rows)
 
-
-def merging_free_energy(gs: Sequence) -> MPoly:
-    """∮ V'(λ)·w as a polynomial in the endpoints (σ, τ) of the λ-cut
-    w² = (λ-σ)(λ-τ).
-
-    The full planar functional is this plus (T/2)(σ+τ); its σ- and
-    τ-gradients vanish on solutions, and it satisfies the
-    Euler-Poisson-Darboux equation 2(τ-σ)F_στ = F_σ - F_τ identically.
-    """
-    s = MPoly.var(2, 0)
-    t = MPoly.var(2, 1)
-    vp = [MPoly.const(2, c) for c in v_prime(gs).coeffs]
-    return branch_residue(vp, -(s + t), s * t, 1)

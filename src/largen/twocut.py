@@ -22,9 +22,10 @@ The module has three layers:
   hodograph system, so regularity of the phase point is exactly its
   nonvanishing.
 
-* ``build_F`` / ``find_merging`` — the planar free-energy functional in the
-  squared-endpoint chart (σ, τ), whose σ-derivatives at σ = 0 grade how the
-  two cuts merge; ``find_merging`` locates and classifies those points.
+* ``find_merging`` — the points where the two cuts touch, as roots of the
+  merged string Ψ(r_c) = ∮ V_λ/w_c = 0 on the curve w_c² = λ(λ - 4r_c);
+  the σ-moments φ_k, the σ-derivatives of the planar endpoint functional
+  ∮ V_λ·w at the pinch, grade how the cuts merge.
 
 * ``symmetric_scaled_series`` — at a merging point of order m the scaling
   T = T_c + ε̄^{2m} x (with N^{-1} = ε̄^{2m+1}) collapses both equations into
@@ -67,13 +68,7 @@ from .scalars import (
     rationalize,
     scalar_str,
 )
-from .structured import (
-    gamma_moment,
-    merging_free_energy,
-    phi_moment,
-    psi_poly,
-    twocut_hodographs,
-)
+from .structured import gamma_moment, phi_moment, psi_poly, twocut_hodographs
 from .wring import Defect, Lattice, WElem, _pmul, _pshift
 
 _F0 = Fraction(0)
@@ -180,29 +175,6 @@ class MergingPoint:
 
 
 @dataclass(frozen=True)
-class FreeEnergy:
-    """Planar endpoint functional F(σ, τ) = ∮ V_λ w + (T/2)(σ + τ).
-
-    ``residue_part`` is the contour term alone; ``poly`` includes the
-    temperature term.  Stationarity in (σ, τ) reproduces the two string
-    equations, and the contour term satisfies the Euler–Poisson–Darboux
-    equation 2(τ-σ) F_στ = F_σ - F_τ identically — ``epd_defect`` returns
-    the (identically zero) difference so callers can certify it.
-    """
-
-    g: Potential
-    T: Fraction
-    poly: MPoly
-    residue_part: MPoly
-
-    def epd_defect(self) -> MPoly:
-        s = MPoly.var(2, 0)
-        t = MPoly.var(2, 1)
-        f = self.poly
-        return (t - s) * f.diff(0).diff(1) * 2 - (f.diff(0) - f.diff(1))
-
-
-@dataclass(frozen=True)
 class SymmetricScaledOrder:
     """𝕍^{[k]} with its two-pole table:
 
@@ -270,7 +242,6 @@ class _TwoCutRegularEngine:
     """
 
     def __init__(self, g: Potential):
-        self.g = g
         W_a, W_b = twocut_hodographs(g.gs)
         det_mp = W_a.diff(0) * W_a.diff(0) - W_a.diff(1) * W_b.diff(0)
         if det_mp.is_zero():
@@ -428,21 +399,7 @@ def expand_two_cut_regular(
     )
 
 
-# -- the merged-endpoint functional ---------------------------------------------
-
-
-def build_F(g: Potential, T) -> FreeEnergy:
-    """F(σ, τ) in the squared-endpoint chart; exact T required."""
-    if not is_exact(T):
-        raise ValueError("the endpoint functional needs an exact temperature")
-    Tq = as_fraction(T)
-    residue = merging_free_energy(g.gs)
-    s = MPoly.var(2, 0)
-    t = MPoly.var(2, 1)
-    poly = residue + (s + t) * (Tq / 2)
-    fe = FreeEnergy(g=g, T=Tq, poly=poly, residue_part=residue)
-    certify(fe.epd_defect().is_zero(), "contour term broke the EPD identity")
-    return fe
+# -- merging points ----------------------------------------------------------------
 
 
 def find_merging(g: Potential, digits: int | None = None) -> tuple[MergingPoint, ...]:
@@ -499,7 +456,7 @@ def find_merging(g: Potential, digits: int | None = None) -> tuple[MergingPoint,
     return tuple(found)
 
 
-# -- the double-scaled symmetric engine -------------------------------------------
+# -- the double-scaled symmetric series --------------------------------------------
 
 
 def _principal_part(P: list, a, b, t: int, s: int, zero) -> list:
@@ -543,72 +500,55 @@ def _two_pole_basis(elem: WElem, four_rc: Fraction, zero) -> tuple:
     return C, A, B
 
 
-class _SymmetricScaledEngine:
-    """ε̄-expansion of the single merged equation; coefficients are DiffPolys over ℚ.
-
-    The pair of equations collapses because 𝔟(ε̄) = 𝔞(-ε̄) and 𝕎 = 𝕍(-ε̄):
-    the second equation is the ε̄ → -ε̄ image of the first, so one defect
-    with parity-flipped shifted slots carries all the content.
-    """
-
-    def __init__(self, g: Potential, point: MergingPoint):
-        if not is_exact(point.r_c):
-            raise ValueError("double-scaled series needs an exact merging point")
-        self.g = g
-        self.rc = as_fraction(point.r_c)
-        self.Tc = as_fraction(point.T_c)
-        self.m = point.m
-        self.lat, self.v0 = scaled_lattice(self.rc)
-        self.vp = list(g.v_lambda().coeffs)
-
-    def run(self, K: int) -> tuple[list, list]:
-        """𝕍^{[0]}..𝕍^{[K]} and the string ladder relations.  Order k solves
-        only the ε̄^k coefficient on kept derivative towers (``wring.Defect``,
-        partner 𝕍(-ε̄)) and certifies it right after, on its final value."""
-        a_list = [DiffPoly.const(self.rc)] + [DiffPoly.var(f"a{k}") for k in range(1, K + 1)]
-        v_list, flipped = [self.v0], [self.v0]
-        F = Defect(self.lat, v_list, flipped, a_list, 1)
-        F.certify(0, "merged defect")
-        for k in range(1, K + 1):
-            R = F.coefficient(k)
-            if k % 2 == 0:
-                # unknown enters as -2w·𝕍^[k]
-                v_k = R.div_w().scale(Fraction(1, 2))
-            else:
-                # unknown enters as -2(λ²/w)·𝕍^[k]
-                v_k = _solvable(R.mul_w(), 2, f"the merged residual at order {k}")
-                v_k = v_k.scale(Fraction(1, 2))
-            v_list.append(v_k)
-            flipped.append(-v_k if k % 2 else v_k)
-            F.certify(k, "merged defect")
-        return v_list, string_ladder(v_list, self.vp, self.Tc, 2 * self.m)
-
-
 @lru_cache(maxsize=32)
 def _symmetric(g: Potential, point: MergingPoint, K: int) -> SymmetricTwoCut:
     """``symmetric_scaled_series`` once per process for each (potential,
     merging point, K).
 
-    Every call solves orders 0..K afresh, so its cost does not depend on what
-    the process asked for before; only a repeat of the same K is served.
+    The ε̄-expansion of the single merged equation, with DiffPoly
+    coefficients over ℚ.  The pair of equations collapses because
+    𝔟(ε̄) = 𝔞(-ε̄) and 𝕎 = 𝕍(-ε̄): the second equation is the ε̄ → -ε̄ image
+    of the first, so one defect with parity-flipped shifted slots carries all
+    the content.  Order k solves only the ε̄^k coefficient on a
+    ``wring.Defect`` local to this call (partner 𝕍(-ε̄)) and certifies it
+    right after, on its final value; the string ladder and the two-pole
+    tables are then read off 𝕍^{[0]}..𝕍^{[K]}.  Every call solves orders
+    0..K afresh, so its cost does not depend on what the process asked for
+    before; only a repeat of the same K is served.
     """
-    engine = _SymmetricScaledEngine(g, point)
-    rc = engine.rc
+    if not is_exact(point.r_c):
+        raise ValueError("double-scaled series needs an exact merging point")
+    rc, Tc = as_fraction(point.r_c), as_fraction(point.T_c)
+    lat, v0 = scaled_lattice(rc)
+    vp = list(g.v_lambda().coeffs)
     # the merged strings: ∮V_λ·λ/w_c = T_c (certified by ``string_ladder``
     # at order 0) and ∮V_λ/w_c = 0
-    one_over_w = WElem.from_poly(engine.lat.d1, engine.lat.d0, [DiffPoly.const(1)], wpow=1)
+    one_over_w = WElem.from_poly(lat.d1, lat.d0, [DiffPoly.const(1)], wpow=1)
     certify(
-        not DiffPoly.zero() + one_over_w.contour_pair(engine.vp),
+        not DiffPoly.zero() + one_over_w.contour_pair(vp),
         "merged string ∮V_λ/w_c must vanish",
     )
 
-    v_list, ladder = engine.run(K)
+    a_list = [DiffPoly.const(rc)] + [DiffPoly.var(f"a{k}") for k in range(1, K + 1)]
+    v_list, flipped = [v0], [v0]
+    F = Defect(lat, v_list, flipped, a_list, 1)
+    F.certify(0, "merged defect")
+    for k in range(1, K + 1):
+        R = F.coefficient(k)
+        if k % 2 == 0:
+            # unknown enters as -2w·𝕍^[k]
+            v_k = R.div_w().scale(Fraction(1, 2))
+        else:
+            # unknown enters as -2(λ²/w)·𝕍^[k]
+            v_k = _solvable(R.mul_w(), 2, f"the merged residual at order {k}")
+            v_k = v_k.scale(Fraction(1, 2))
+        v_list.append(v_k)
+        flipped.append(-v_k if k % 2 else v_k)
+        F.certify(k, "merged defect")
+    ladder = string_ladder(v_list, vp, Tc, 2 * point.m)
+
     four_rc = 4 * rc
-    orders = [
-        SymmetricScaledOrder(
-            k=0, element=v_list[0], C=DiffPoly.zero(), A=(), B=()
-        )
-    ]
+    orders = [SymmetricScaledOrder(k=0, element=v0, C=DiffPoly.zero(), A=(), B=())]
     phis = [phi_moment(g.gs, j, rc) for j in range(1, K // 2 + 1)]
     gammas = [gamma_moment(g.gs, j, rc) for j in range(1, K // 2 + 1)]
     for k in range(1, K + 1):

@@ -1,17 +1,17 @@
-"""The process-global memos of the large-N entry points.  All four engines
+"""The process-global memos of the large-N entry points.  All four expansions
 share one policy: the finished output is kept per (potential, K) for the
-regular engines and per (potential, point, K) for the double-scaled ones,
-and a miss solves orders 0..K on an engine built for that call alone; phase
-classification keeps the two-cut elimination per potential.  No output may
-depend on what the process computed before, a hit runs no engine, no engine
-outlives its call, and a call that raises leaves nothing behind."""
+regular expansions and per (potential, point, K) for the double-scaled ones,
+and a miss solves orders 0..K on a ``wring.Defect`` built for that call
+alone; phase classification keeps the two-cut elimination per potential.  No
+output may depend on what the process computed before, a hit builds no
+defect, no lattice or defect outlives its call, and a call that raises
+leaves nothing behind."""
 
 import gc
 import json
 import os
 import subprocess
 import sys
-import weakref
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -35,12 +35,12 @@ DOUBLE_WELL = parse_potential("sextic:-6,-3,1")
 PHASE_GRID = (2, 6, 10, 12, 14, 20)
 HERE = Path(__file__).resolve().parent
 
-# kind -> (memo, engine class, orders asked for)
+# kind -> (memo, orders asked for)
 KINDS = {
-    "one-cut": (onecut._regular, onecut._RegularEngine, (1, 2, 3)),
-    "two-cut": (twocut._two_cut, twocut._TwoCutRegularEngine, (0, 1, 2)),
-    "scaled": (onecut._scaled, onecut._ScaledEngine, (3, 4, 5)),
-    "merged": (twocut._symmetric, twocut._SymmetricScaledEngine, (3, 4, 5)),
+    "one-cut": (onecut._regular, (1, 2, 3)),
+    "two-cut": (twocut._two_cut, (0, 1, 2)),
+    "scaled": (onecut._scaled, (3, 4, 5)),
+    "merged": (twocut._symmetric, (3, 4, 5)),
 }
 
 
@@ -85,10 +85,10 @@ def phase_document(T) -> str:
 
 
 def fresh_documents() -> dict:
-    """Every kind's documents, each from an engine built for that call alone,
+    """Every kind's documents, each from a solve made for that call alone,
     and each grid point's classification from an empty elimination memo."""
     out = {}
-    for kind, (memo, _, orders) in KINDS.items():
+    for kind, (memo, orders) in KINDS.items():
         for K in orders:
             memo.cache_clear()
             out[f"{kind}:{K}"] = document(kind, K)
@@ -122,7 +122,7 @@ SEQUENCES = [(kind, sequence) for kind in sorted(KINDS)
 
 @pytest.mark.parametrize("kind, sequence", SEQUENCES)
 def test_outputs_do_not_depend_on_the_call_order(kind, sequence, reference):
-    memo, _, orders = KINDS[kind]
+    memo, orders = KINDS[kind]
     memo.cache_clear()
     if sequence == "crosscheck first":
         crosscheck(kind)
@@ -207,44 +207,52 @@ def test_warm_memo_sees_a_changed_derivation(run_under_O):
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_a_hit_runs_no_engine(kind, monkeypatch):
-    memo, engine, orders = KINDS[kind]
+    # every solve runs on wring.Defect towers of its own (two for the
+    # two-cut pair), so a hit is a call that builds none
+    memo, orders = KINDS[kind]
     memo.cache_clear()
     document(kind, orders[1])
-    runs = []
-    run = engine.run
-    monkeypatch.setattr(engine, "run", lambda self, K: runs.append(K) or run(self, K))
+    made = []
+    init = wring.Defect.__init__
+    monkeypatch.setattr(wring.Defect, "__init__",
+                        lambda self, *args: made.append(args) or init(self, *args))
     document(kind, orders[1])
-    assert runs == []
+    assert made == []
     # any other K, lower or higher, is solved from order 0
     document(kind, orders[0])
-    assert runs == [orders[0]]
+    per_solve = len(made)
+    assert per_solve == (2 if kind == "two-cut" else 1)
     document(kind, orders[2])
-    assert runs == [orders[0], orders[2]]
+    assert len(made) == 2 * per_solve
+
+
+def _alive(kinds) -> list:
+    return [o for o in gc.get_objects() if isinstance(o, kinds)]
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
-def test_no_engine_outlives_its_call(kind, monkeypatch):
-    # only the finished output is kept: the engine and its wring.Defect
-    # towers go once the call returns.  The collector stays off, so an engine
-    # held by a reference cycle (a derivation closing over the engine) fails.
-    memo, engine, orders = KINDS[kind]
+def test_no_engine_outlives_its_call(kind):
+    # only the finished output is kept: the lattice and its wring.Defect
+    # towers go once the call returns.  The collector stays off, so a lattice
+    # held by a reference cycle (a derivation closing over the engine that
+    # owns it) fails.  Lattice and Defect have __slots__ and take no weakref,
+    # but both are tracked by the collector, so a live one is in its list.
+    memo, orders = KINDS[kind]
     memo.cache_clear()
-    built = []
-    init = engine.__init__
-    monkeypatch.setattr(engine, "__init__",
-                        lambda self, *args: built.append(weakref.ref(self)) or init(self, *args))
+    kinds = (wring.Lattice, wring.Defect)
+    gc.collect()
     gc.disable()
     try:
+        before = _alive(kinds)
         for K in orders:
             document(kind, K)
-        assert len(built) == len(orders)
-        assert [ref() for ref in built] == [None] * len(orders)
+        assert [o for o in _alive(kinds) if not any(o is b for b in before)] == []
     finally:
         gc.enable()
 
 
 def test_each_memo_keeps_32_entries():
-    assert [memo.cache_info().maxsize for memo, _, _ in KINDS.values()] == [32] * 4
+    assert [memo.cache_info().maxsize for memo, _ in KINDS.values()] == [32] * 4
 
 
 @pytest.mark.parametrize("sequence", ["ascending", "descending"])

@@ -48,6 +48,13 @@ def table():
     return oracle_table(QUARTIC, F(1), 8, 12, 40)
 
 
+def test_a_float_temperature_is_taken_at_its_exact_value():
+    # 1.0 and 1.5 are binary rationals: the tables are the exact ones, bit for bit
+    exact = compute_moments(QUARTIC, F(1), 8, 7, 30)
+    assert compute_moments(QUARTIC, 1.0, 8, 7, 30).moments == exact.moments
+    assert oracle_table(QUARTIC, 1.5, 8, 3).r == oracle_table(QUARTIC, F(3, 2), 8, 3).r
+
+
 def perturbed(rt, n, rel):
     """The table with r_n scaled by (1 + rel), at the table's precision."""
     with mpmath.workdps(2 * rt.digits):

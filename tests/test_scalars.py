@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import mpmath
 
-from largen.scalars import lifted, negligible, tolerance
+from largen.scalars import lifted, negligible, rationalize, tolerance
 
 
 class TestLifted:
@@ -42,3 +42,12 @@ class TestNegligible:
     def test_boundary_counts_as_zero(self):
         tol = tolerance(30)
         assert negligible(tol, 30) and negligible(-tol, 30)
+
+
+def test_rationalize_is_exact_on_every_input():
+    # a float, like an mpf, is a binary rational and is taken at its value
+    assert rationalize(0.1) == F(0.1) != F(1, 10)
+    with mpmath.workprec(200):
+        assert rationalize(mpmath.mpf(1) / 3) != F(1, 3)
+        assert rationalize(mpmath.mpf(0.1)) == F(0.1)
+    assert rationalize(F(1, 3)) == F(1, 3) and rationalize(2) == F(2)

@@ -37,7 +37,6 @@ from largen.structured import (
     gamma_moment,
     gen_binom,
     hodograph_poly,
-    merging_free_energy,
     phi_moment,
     psi_poly,
     twocut_hodographs,
@@ -193,18 +192,18 @@ def test_branch_resultant_vanishes_at_both_endpoints(gs):
                 assert abs(R.eval((x, T))) < mpmath.mpf(10) ** -30 * size
 
 
-def test_merging_free_energy_epd_identity():
-    for gs in (QUARTIC, MERGE2, BMP):
-        f = merging_free_energy(gs)
-        s, t = MPoly.var(2, 0), MPoly.var(2, 1)
-        assert 2 * (t - s) * f.diff(0).diff(1) == f.diff(0) - f.diff(1)
+def _endpoint_functional(gs) -> MPoly:
+    """∮ V'(λ)·w over MPoly in the λ-cut chart (σ, τ), w² = (λ-σ)(λ-τ)."""
+    s, t = MPoly.var(2, 0), MPoly.var(2, 1)
+    vp = [MPoly.const(2, c) for c in v_prime(gs).coeffs]
+    return branch_residue(vp, -(s + t), s * t, 1)
 
 
-def test_merging_free_energy_sigma_derivatives_give_phi():
+def test_endpoint_functional_sigma_derivatives_give_phi():
     # ∂^{k+1}F/∂σ^{k+1} at (0, 4 r_c) equals -((2k-1)!!/2^{k+1}) φ_k
     cases = [(QUARTIC, F(1, 2)), (MERGE2, F(1))]
     for gs, rc in cases:
-        f = merging_free_energy(gs)
+        f = _endpoint_functional(gs)
         for k in (1, 2):
             d = f
             for _ in range(k + 1):
@@ -216,7 +215,7 @@ def test_merging_free_energy_sigma_derivatives_give_phi():
 
 def _endpoint_residues(gs) -> tuple:
     """(e₀, e₁) = (∮ V'/w, ∮ λ·V'/w) over MPoly in the λ-cut chart (σ, τ),
-    w² = (λ-σ)(λ-τ): the residue calculus ``merging_free_energy`` runs on."""
+    w² = (λ-σ)(λ-τ): the residue calculus ``_endpoint_functional`` runs on."""
     s, t = MPoly.var(2, 0), MPoly.var(2, 1)
     vp = [MPoly.const(2, c) for c in v_prime(gs).coeffs]
     return tuple(branch_residue(vp, -(s + t), s * t, -1, shift=k) for k in (0, 1))

@@ -1,5 +1,5 @@
-"""Two-cut expansions: interleaved endpoint corrections, the merged-endpoint
-functional with its classification, and the symmetric double-scaled ladder."""
+"""Two-cut expansions: interleaved endpoint corrections, the classification
+of merging points, and the symmetric double-scaled ladder."""
 
 import json
 from fractions import Fraction as F
@@ -38,7 +38,6 @@ from largen.twocut import (
     _solvable,
     _two_pole_basis,
     _TwoCutRegularEngine,
-    build_F,
     expand_two_cut_regular,
     find_merging,
     symmetric_scaled_series,
@@ -359,63 +358,6 @@ class TestLocRing:
         gauss = _RegularEngine(Potential.gaussian())
         assert gauss.rho.e == (0,) and gauss.rho / gauss.Wp == gauss.rho * F(1, 2)
         assert all(d.total_degree() > 0 for d in divisors)
-
-
-class TestFreeEnergy:
-    def test_quartic_closed_form(self):
-        fe = build_F(MERGING, F(1))
-        expect = MPoly(
-            2,
-            {
-                (3, 0): F(-1, 8),
-                (2, 1): F(1, 8),
-                (1, 2): F(1, 8),
-                (0, 3): F(-1, 8),
-                (2, 0): F(1, 4),
-                (1, 1): F(-1, 2),
-                (0, 2): F(1, 4),
-                (1, 0): F(1, 2),
-                (0, 1): F(1, 2),
-            },
-        )
-        assert fe.poly == expect
-
-    def test_gradient_vanishes_on_two_cut_branch(self):
-        # σ, τ are the squared half-endpoints (√a0 ∓ √b0)²
-        fe = build_F(MERGING, F(3, 4))
-        with mpmath.workdps(40):
-            ra = mpmath.sqrt(mpmath.mpf(3)) / 2
-            rb = mpmath.mpf(1) / 2
-            pt = ((ra - rb) ** 2, (ra + rb) ** 2)
-            fs, ft = fe.poly.diff(0), fe.poly.diff(1)
-            assert abs(fs.eval(pt)) < mpmath.mpf(10) ** -30
-            assert abs(ft.eval(pt)) < mpmath.mpf(10) ** -30
-
-    def test_merging_stationarity_and_grading(self):
-        # at (σ, τ) = (0, 4 r_c): both gradients vanish, ∂²F/∂σ² = -g2/2,
-        # and ∂²F/∂τ² stays away from zero (the surviving endpoint is regular)
-        fe = build_F(MERGING, F(1))
-        pc = (F(0), F(2))
-        fs, ft = fe.poly.diff(0), fe.poly.diff(1)
-        assert fs.eval(pc) == 0 and ft.eval(pc) == 0
-        assert fs.diff(0).eval(pc) == F(1)
-        assert fe.poly.diff(1).diff(1).eval(pc) == F(-1)
-
-    def test_exact_temperature_required(self):
-        with pytest.raises(ValueError):
-            build_F(MERGING, mpmath.mpf(1))
-
-    @given(
-        g2=st.integers(min_value=-5, max_value=5),
-        g4=st.integers(min_value=-5, max_value=5),
-        g6=st.integers(min_value=-5, max_value=5),
-        g8=st.integers(min_value=1, max_value=4),
-        T=st.fractions(min_value=F(1, 4), max_value=4, max_denominator=8),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_euler_poisson_darboux_identity(self, g2, g4, g6, g8, T):
-        g = Potential((F(g2), F(g4), F(g6), F(g8)))
-        assert build_F(g, T).epd_defect().is_zero()
 
 
 class TestFindMerging:
