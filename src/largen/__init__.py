@@ -13,8 +13,12 @@ The package computes, exactly where possible:
 * a finite-N oracle (high-precision Hankel/moment computation) used to
   cross-check every expansion numerically.
 
-Everything symbolic runs over ``fractions.Fraction``; floating point enters
-only at evaluation boundaries, via mpmath at a caller-chosen precision.
+Everything symbolic is exact.  Polynomials in one variable (``Poly``), in
+several (``MPoly``) and differential ones (``DiffPoly``) are all integer
+numerators over one positive denominator, in lowest terms, so their
+arithmetic, gcds and Sturm signs run on Python ints; ``Fraction`` is the
+view they render and evaluate through.  Floating point enters only at
+evaluation boundaries, via mpmath at a caller-chosen precision.
 
 Process-global caches.  Each memo is a ``functools.lru_cache(maxsize=32)``,
 emptied by its ``cache_clear()``.  The four large-N expansions share one

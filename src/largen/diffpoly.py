@@ -171,17 +171,8 @@ class DiffPoly(IntTable):
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "DiffPoly":
-        if n < 0:
-            raise ValueError("negative power of a DiffPoly")
-        result = DiffPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    # bound here, not inherited, like ``MPoly.__pow__``
+    __pow__ = IntTable.__pow__
 
     # -- calculus ----------------------------------------------------------
     def d_dx(self, times: int = 1) -> "DiffPoly":

@@ -60,7 +60,8 @@ def eval_terms(terms, point, zero):
 
 class IntTable:
     """Integer numerators ``nums`` {key: int} over ``den``, as ``reduced``
-    leaves them; subclasses supply ``_coerce`` and the ring operations."""
+    leaves them; subclasses supply ``_coerce`` and the ring operations, and
+    powers come by repeated squaring of their ``__mul__``."""
 
     __slots__ = ("den", "nums")
 
@@ -83,6 +84,17 @@ class IntTable:
 
     def __hash__(self):
         return hash((self.den, frozenset(self.nums.items())))
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError(f"negative power of {type(self).__name__}")
+        result, base = self._coerce(1), self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
 
     def _sum(self, other: "IntTable") -> tuple[int, dict]:
         """The numerators of self + other over the lcm of the denominators."""
@@ -176,17 +188,9 @@ class MPoly(IntTable):
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "MPoly":
-        if n < 0:
-            raise ValueError("negative power of an MPoly")
-        result = MPoly.const(self.nvars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    # bound here, not inherited: the benchmark's spans look MPoly's own
+    # operations up in its __dict__
+    __pow__ = IntTable.__pow__
 
     def diff(self, i: int) -> "MPoly":
         out: dict[tuple, int] = {}

@@ -40,7 +40,7 @@ from .diffpoly import DiffPoly, XRelation, scaled_lattice, string_ladder
 from .errors import CriticalPointHit, certify
 from .mpolys import MPoly, _Loc, loc_factors
 from .phase import _one_cut_candidates, branch_density_positive, solve_one_cut
-from .polys import Poly, RationalFunc, poly_from_pairs
+from .polys import Poly, RationalFunc
 from .potential import Potential
 from .roots import real_roots
 from .scalars import (
@@ -113,16 +113,18 @@ class OneCutExpansion:
 
 @dataclass(frozen=True)
 class USeriesOrder:
-    """U_k = U₀ Σ_j U_{k,j}/(λ-4ρ)^j; poles[j-1] is U_{k,j}."""
+    """U_k = U₀ Σ_j U_{k,j}/(λ-4ρ)^j; poles[j-1] is U_{k,j}, and ``zero``
+    the 0 of their kind: a RationalFunc, or a scalar once evaluated."""
 
     k: int
     element: WElem
     poles: tuple
+    zero: object = RationalFunc.const(0)
 
     def pole(self, j: int):
         if 1 <= j <= len(self.poles):
             return self.poles[j - 1]
-        return RationalFunc.const(0)
+        return self.zero
 
 
 @dataclass(frozen=True)
@@ -169,11 +171,11 @@ class ScaledOneCut:
 
 
 def _mpoly(p: Poly) -> MPoly:
-    return MPoly(1, {(k,): c for k, c in enumerate(p.coeffs)})
+    return MPoly._trusted(1, p.den, {(k,): n for k, n in p.nums.items()})
 
 
 def _poly(p: MPoly) -> Poly:
-    return poly_from_pairs([(k, c) for (k,), c in p.terms.items()])
+    return Poly._trusted(p.den, {k: n for (k,), n in p.nums.items()})
 
 
 def _ratfunc(c: _Loc) -> RationalFunc:
@@ -310,7 +312,7 @@ def u_series_coefficients(g: Potential, r0=None, K: int = 1) -> list[USeriesOrde
     if r0 is None:
         return tables
     x = lifted(r0)
-    return [replace(o, poles=tuple(p(x) for p in o.poles)) for o in tables]
+    return [replace(o, poles=tuple(p(x) for p in o.poles), zero=0 * x) for o in tables]
 
 
 # -- critical points -------------------------------------------------------------

@@ -46,8 +46,7 @@ from mpmath.libmp import (finf, fone, fzero, from_man_exp, mpf_abs, mpf_add, mpf
 
 from .errors import NumericallySingular, PrecisionExhausted, certify, checked_index
 from .potential import Potential
-from .polys import Poly
-from .roots import _int_coeffs, _sign, real_roots
+from .roots import _sign, real_roots
 from .scalars import Scalar, mpf_of, rationalize
 
 # a recurrence entry is unusable once fewer than this many digits survive
@@ -111,14 +110,14 @@ def _split_points(g: Potential, T, N: int, digits: int) -> list:
             if lam > 0:
                 pts.append(mpmath.sqrt(lam))
     pts.sort()
-    s, v = pts[-1], [N / rationalize(T) * c for c in g.v().coeffs]  # (N/T)·V(λ)
+    s, v = pts[-1], g.v() * (N / rationalize(T))  # (N/T)·V(λ)
     for level in _LEVELS:
-        ints = _int_coeffs(Poly([v[0] - level, *v[1:]]))  # (N/T)·V(λ) - level, times a c > 0
+        q = v - level
 
-        def past(m, t, ints=ints):  # is m·2^t beyond the crossing?
-            return mpmath.ldexp(m, t) > s and _sign(ints, (m * Fraction(2) ** t) ** 2) > 0
+        def past(m, t, q=q):  # is m·2^t beyond the crossing?
+            return mpmath.ldexp(m, t) > s and _sign(q, (m * Fraction(2) ** t) ** 2) > 0
 
-        if _sign(ints, rationalize(s) ** 2) >= 0:  # (N/T)·V(s²) is already at the level
+        if _sign(q, rationalize(s) ** 2) >= 0:  # (N/T)·V(s²) is already at the level
             continue
         e = 0
         while not past(1, e):

@@ -467,6 +467,8 @@ def classify_phase(g: Potential, T, digits: int | None = None) -> PhaseResult:
     (possible only on the critical curve) the result is reported critical
     with the competing candidate attached.
     """
+    if not T > 0:
+        raise ValueError("need T > 0")
     digits = digits or DEFAULT_DIGITS
     results: list[PhaseResult] = []
     for r0 in _one_cut_candidates(g, T, digits):

@@ -1,8 +1,14 @@
 """Exact univariate polynomials and rational functions over the rationals.
 
-``Poly`` is dense with ``Fraction`` coefficients; it backs everything
-univariate in the package (polynomials in the spectral variable, hodograph
-polynomials).
+``Poly`` backs everything univariate in the package (polynomials in the
+spectral variable, hodograph polynomials).  It is an ``mpolys.IntTable``, as
+are ``MPoly`` and ``DiffPoly``: integer numerators {power: int} over one
+positive denominator, in lowest terms, so equal polynomials have equal
+tables; ``coeffs`` is the read-only dense ``Fraction`` view.  Division,
+gcds and Sturm sequences run on the numerators alone, by pseudo-division
+(Knuth, TAOCP Vol. 2, §4.6.1): a remainder comes back as a positive multiple
+of the Euclidean one, in primitive form, so no fraction is formed in the
+loop and every sign is kept.
 ``RationalFunc`` is a reduced quotient of two ``Poly``s with a monic
 denominator, which makes equality structural.
 """
@@ -10,14 +16,13 @@ denominator, which makes equality structural.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 import mpmath
 
+from .mpolys import IntTable, MPoly, reduced
 from .scalars import as_fraction, is_exact, mpfs_of
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def horner(cs: Sequence, x):
@@ -29,20 +34,52 @@ def horner(cs: Sequence, x):
     return acc
 
 
-class Poly:
-    """Dense univariate polynomial with Fraction coefficients.
+def _pseudo_divide(a: list, b: list) -> tuple[int, list, list]:
+    """(m, q, r) with m·a = q·b + r over the integers, m > 0 and r shorter
+    than b, for coefficient lists lowest first.  Each step scales by
+    |lc(b)| over its gcd with the term it cancels, so a divisor whose
+    leading coefficient divides leaves m = 1."""
+    lc, n = b[-1], len(b) - 1
+    rem, q, m = list(a), [0] * max(len(a) - n, 0), 1
+    for k in range(len(q) - 1, -1, -1):
+        c = rem[k + n]
+        if not c:
+            continue
+        g = gcd(c, lc)
+        t = abs(lc) // g
+        u = c // g if lc > 0 else -c // g
+        if t != 1:
+            m *= t
+            q = [t * v for v in q]
+            rem = [t * v for v in rem[: k + n]]
+        q[k] = u
+        for j in range(n):
+            rem[k + j] -= u * b[j]
+        del rem[k + n :]
+    return m, q, rem[:n]
+
+
+class Poly(IntTable):
+    """Univariate polynomial: numerators ``nums`` {power: int} over ``den``.
 
     ``coeffs[i]`` is the coefficient of x**i; the zero polynomial has an
     empty coefficient tuple and degree -1.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_ints",)
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        # over the lcm of the reduced denominators, numerators share no factor with it
+        self.den = den = lcm(*(c.denominator for c in cs))
+        self.nums = {i: c.numerator * (den // c.denominator) for i, c in enumerate(cs) if c}
+
+    @classmethod
+    def _trusted(cls, den: int, nums: dict) -> "Poly":
+        """Wrap numerators over ``den`` > 0 in lowest terms (``reduced``)."""
+        out = cls.__new__(cls)
+        out.den, out.nums = reduced(den, nums)
+        return out
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -64,44 +101,41 @@ class Poly:
     # -- basic queries -------------------------------------------------
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._dense()) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
+    @property
+    def coeffs(self) -> tuple:
+        """(c_0, .., c_degree) as Fractions."""
+        return tuple(Fraction(n, self.den) for n in self._dense())
 
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
+    def _dense(self) -> tuple:
+        """(n_0, .., n_degree), made on first use: a Poly does not change."""
+        try:
+            return self._ints
+        except AttributeError:
+            get = self.nums.get
+            self._ints = tuple(get(i, 0) for i in range(max(self.nums, default=-1) + 1))
+            return self._ints
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self[self.degree]
 
     def __getitem__(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else _ZERO
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
-        if is_exact(other):
-            return self == Poly.const(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
+        return Fraction(self.nums.get(k, 0), self.den)
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other) -> "Poly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[i] + other[i] for i in range(n)])
+        return Poly._trusted(*self._sum(other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return Poly._trusted(self.den, {i: -n for i, n in self.nums.items()})
 
     def __sub__(self, other) -> "Poly":
         other = self._coerce(other)
@@ -118,27 +152,14 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Poly.zero()
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
+        out: dict[int, int] = {}
+        get = out.get
+        for i, a in self.nums.items():
+            for j, b in other.nums.items():
+                out[i + j] = get(i + j, 0) + a * b
+        return Poly._trusted(self.den * other.den, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power of a Poly")
-        result, base = Poly.one(), self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     @staticmethod
     def _coerce(other):
@@ -149,28 +170,14 @@ class Poly:
         return NotImplemented
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Euclidean division; exact over the rationals."""
+        """Euclidean division; exact over the rationals.  With A, B the
+        numerators over a, b and m·A = Q·B + R, self = (Q·b/(m·a))·other + R/(m·a)."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly.zero(), self
-        quot = [_ZERO] * (dq + 1)
-        lead = other.leading()
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] / lead
-            quot[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return Poly(quot), Poly(rem[: other.degree] if other.degree > 0 else ())
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[1]
+        m, q, r = _pseudo_divide(self._dense(), other._dense())
+        den = m * self.den
+        return (Poly._trusted(den, {i: v * other.den for i, v in enumerate(q)}),
+                Poly._trusted(den, dict(enumerate(r))))
 
     def exact_div(self, other: "Poly") -> "Poly":
         q, r = self.divmod(other)
@@ -178,11 +185,19 @@ class Poly:
             raise ValueError("exact_div: division is not exact")
         return q
 
+    def prem(self, other: "Poly") -> "Poly":
+        """self mod other times a positive rational, with coprime integer
+        coefficients: the primitive pseudo-remainder, of the Euclidean
+        remainder's sign at every point."""
+        r = _pseudo_divide(self._dense(), other._dense())[2]
+        g = gcd(*r)
+        return Poly._trusted(1, {i: v // g for i, v in enumerate(r) if v})
+
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic gcd via the Euclidean algorithm."""
+        """Monic gcd, by Euclid's algorithm on primitive pseudo-remainders."""
         a, b = self, other
         while not b.is_zero():
-            a, b = b, a % b
+            a, b = b, a.prem(b)
         if a.is_zero():
             return a
         return a * (1 / a.leading())
@@ -190,40 +205,32 @@ class Poly:
     def derivative(self, order: int = 1) -> "Poly":
         p = self
         for _ in range(order):
-            p = Poly([i * c for i, c in enumerate(p.coeffs)][1:])
+            p = Poly._trusted(p.den, {i - 1: i * n for i, n in p.nums.items() if i})
         return p
 
     # -- evaluation and rendering ---------------------------------------
+    def numerator_at(self, x: Fraction) -> int:
+        """den·v^d·p(u/v) for x = u/v with v > 0 and d the degree: an integer
+        of p(x)'s sign, by Horner over the integers."""
+        u, v = x.numerator, x.denominator
+        acc, w = 0, 1
+        for n in reversed(self._dense()):
+            acc = acc * u + n * w
+            w *= v
+        return acc
+
     def __call__(self, x):
         if is_exact(x):
             x = as_fraction(x)
-            acc = _ZERO
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
+            return Fraction(self.numerator_at(x), self.den * x.denominator ** max(self.degree, 0))
         return horner(mpfs_of(self.coeffs, mpmath.mp.dps), x)
 
     def __repr__(self) -> str:
         return f"Poly({self.render()})"
 
     def render(self, var: str = "x") -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(self.degree, -1, -1):
-            c = self[i]
-            if c == 0:
-                continue
-            if i == 0:
-                term = str(c)
-            else:
-                mon = var if i == 1 else f"{var}^{i}"
-                term = mon if c == 1 else (f"-{mon}" if c == -1 else f"{c}*{mon}")
-            parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
-        return out
+        """Highest power first, as the one-variable ``MPoly`` renders."""
+        return MPoly._trusted(1, self.den, {(i,): n for i, n in self.nums.items()}).render([var])
 
 
 class RationalFunc:
@@ -345,13 +352,3 @@ class RationalFunc:
     def __repr__(self) -> str:
         return f"RationalFunc({self.render()})"
 
-
-def poly_from_pairs(pairs: Sequence[tuple[int, object]]) -> Poly:
-    """Build a Poly from (exponent, coefficient) pairs."""
-    if not pairs:
-        return Poly.zero()
-    n = max(k for k, _ in pairs) + 1
-    cs = [_ZERO] * n
-    for k, c in pairs:
-        cs[k] += as_fraction(c)
-    return Poly(cs)

@@ -22,18 +22,19 @@ class BadPotential(LargenError):
 
 
 def _coerce_coupling(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, (list, tuple)) and len(x) == 2:
-        return Fraction(int(x[0]), int(x[1]))
+    """A Fraction, int, rational string or [num, den] pair of ints, as a
+    Fraction; anything else, a bool and a zero denominator included, raises
+    ``BadPotential``."""
     if isinstance(x, float):
         raise BadPotential(
             f"refusing float coupling {x!r}: pass a rational like '1/2' or [1, 2]"
         )
+    pair = isinstance(x, (list, tuple)) and len(x) == 2 and all(type(v) is int for v in x)
+    if pair or isinstance(x, (Fraction, str)) or type(x) is int:
+        try:
+            return Fraction(*x) if pair else Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise BadPotential(f"cannot read coupling {x!r}")
 
 

@@ -1,8 +1,9 @@
 """Real root finding for exact polynomials.
 
-Roots are isolated exactly (Sturm sequences, their signs taken over the
-integers), refined with bisection/Newton in mpmath, and reported with their
-multiplicities from a Yun squarefree decomposition.  Roots that are in fact rational are detected
+Roots are isolated exactly, by Sturm sequences of primitive pseudo-remainders
+whose signs are taken on ``Poly``'s integer numerators, refined with
+bisection/Newton in mpmath, and reported with their multiplicities from a
+Yun squarefree decomposition.  Roots that are in fact rational are detected
 by the rational root theorem plus an exact check, so downstream code can
 stay in exact arithmetic whenever the data allows it.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional
 
 import mpmath
@@ -56,36 +57,25 @@ def yun_squarefree(p: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-def _int_coeffs(p: Poly) -> list[int]:
-    """p's coefficients (lowest first) times the lcm of their denominators:
-    integers, and a positive multiple of p, so of p's sign everywhere."""
-    den = lcm(*(c.denominator for c in p.coeffs))
-    return [c.numerator * (den // c.denominator) for c in p.coeffs]
+def _sign(p: Poly, x: Fraction) -> int:
+    """The sign of p(x), from the integer ``Poly.numerator_at``."""
+    n = p.numerator_at(x)
+    return (n > 0) - (n < 0)
 
 
-def _sign(ints: list[int], x: Fraction) -> int:
-    """The sign of p(x) from ``_int_coeffs(p)``.  With x = u/v, v > 0, it is
-    the sign of v^n·p(x) = Σ c_i·u^i·v^(n−i), by Horner over the integers."""
-    u, v = x.numerator, x.denominator
-    acc, w = 0, 1
-    for c in reversed(ints):
-        acc = acc * u + c * w
-        w *= v
-    return (acc > 0) - (acc < 0)
-
-
-def _sturm_chain(p: Poly) -> list[list[int]]:
-    """The Sturm sequence of p, each member as ``_int_coeffs``."""
+def _sturm_chain(p: Poly) -> list[Poly]:
+    """The Sturm sequence of p, each member a positive multiple of the
+    Euclidean one (``Poly.prem``), so of its sign everywhere."""
     chain = [p, p.derivative()]
     while chain[-1].degree > 0:
-        r = chain[-2] % chain[-1]
+        r = chain[-2].prem(chain[-1])
         if r.is_zero():
             break
         chain.append(-r)
-    return [_int_coeffs(q) for q in chain]
+    return chain
 
 
-def _sign_changes(chain: list[list[int]], x: Fraction) -> int:
+def _sign_changes(chain: list[Poly], x: Fraction) -> int:
     signs = [s for s in (_sign(q, x) for q in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
@@ -141,8 +131,7 @@ def _try_rational(p: Poly, x_mpf) -> Optional[Fraction]:
     p can only have rational roots u/a_n with u an integer (rational root
     theorem), so u is x·a_n rounded.
     """
-    ints = _int_coeffs(p)
-    a_n = abs(ints[-1]) // gcd(*ints)
+    a_n = abs(p.nums[p.degree]) // gcd(*p.nums.values())
     cand = Fraction(round(rationalize(x_mpf) * a_n), a_n)
     return cand if p(cand) == 0 else None
 
@@ -184,11 +173,10 @@ def _refine(p: Poly, lo: Fraction, hi: Fraction, digits: int):
     endpoints' size; a Newton root steers the remaining halvings, and exact
     signs at both ends certify their bracket (else exact bisection goes on),
     so bracket and value are those of exact bisection all the way."""
-    ints = _int_coeffs(p)
-    s_lo = _sign(ints, lo)
+    s_lo = _sign(p, lo)
 
     def exact(mid):
-        s = _sign(ints, mid)
+        s = _sign(p, mid)
         return None if s == 0 else s == s_lo
 
     width = Fraction(1, 10 ** (digits + 5))

@@ -1,6 +1,7 @@
 """Scalar values: exact rationals with a controlled escape hatch to decimals.
 
-All series algebra in this package runs on ``fractions.Fraction``.  Decimals
+All series algebra in this package is exact: ``fractions.Fraction`` scalars,
+and polynomials whose integer numerators share one denominator.  Decimals
 (mpmath ``mpf``) enter only where the mathematics genuinely leaves the
 rationals: root refinement and quadrature.  A ``Scalar`` is therefore either a
 ``Fraction`` (exact) or an ``mpf`` (correct to a stated number of digits).

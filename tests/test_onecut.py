@@ -116,6 +116,13 @@ class TestExpandRegular:
         want = (DATA / "expand_regular_quartic_1_1_T2_K4.json").read_text(encoding="utf-8")
         assert json.dumps(doc, ensure_ascii=False) == want.strip()
 
+    def test_sextic_k5_json_pinned(self):
+        # W' of a sextic is quadratic, so every r_k is reduced by a gcd of
+        # degree > 1; frozen from the Euclidean gcd over fractions
+        doc = expand_regular(SEXTIC, F(1), 5).to_json()
+        want = (DATA / "expand_regular_sextic_42_-11_1_T1_K5.json").read_text(encoding="utf-8")
+        assert json.dumps(doc, ensure_ascii=False) == want.strip()
+
     @given(
         g2=st.integers(min_value=1, max_value=6),
         g4=st.integers(min_value=1, max_value=6),
@@ -309,6 +316,15 @@ class TestUSeriesTable:
         orders = u_series_coefficients(QUARTIC, K=1)
         assert orders[1].pole(3) == orders[1].poles[2]
         assert orders[1].pole(7).is_zero()
+
+    def test_pole_past_the_table_is_a_zero_of_its_kind(self):
+        symbolic = u_series_coefficients(QUARTIC, K=2)
+        evaluated = u_series_coefficients(QUARTIC, r0=F(1, 3), K=2)
+        for s, e in zip(symbolic, evaluated):
+            past = len(s.poles) + 1
+            assert isinstance(s.pole(past), RationalFunc) and s.pole(past).is_zero()
+            assert type(e.pole(past)) is F and e.pole(past) == 0
+        assert all(type(p) is F for p in evaluated[2].poles)
 
     def test_tables_json_pinned(self):
         # every pole and element slot of quartic:1,1 through K = 3, and the

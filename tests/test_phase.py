@@ -327,6 +327,13 @@ class TestScan:
         assert [r["s"] for r in rows] == [2, 1, 1]
         assert [r["status"] for r in rows] == ["regular", "critical", "regular"]
 
+    def test_nonpositive_temperature_refused(self):
+        for T in (F(0), F(-1), mpmath.mpf(-0.5)):
+            with pytest.raises(ValueError, match="need T > 0"):
+                classify_phase(QUARTIC, T)
+        with pytest.raises(ValueError, match="need T > 0"):
+            phase_scan(QUARTIC, [F(1), F(0)])
+
     def test_invalid_row(self):
         rows = phase_scan(SEXTIC, [F(20)])
         assert rows[0]["status"] == "invalid" and rows[0]["s"] == 0

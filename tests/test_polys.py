@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from largen.mpolys import MOD_P, MPoly, MRatFunc, greedy_div, mod_image, swap_vars
-from largen.polys import Poly, RationalFunc, poly_from_pairs
+from largen.polys import Poly, RationalFunc
 from largen.wring import _pshift
 
 small_fracs = st.fractions(
@@ -89,10 +89,44 @@ def test_poly_render():
     assert (Fraction(-1, 2) * x).render("t") == "-1/2*t"
 
 
-def test_poly_from_pairs_merges_duplicates():
-    p = poly_from_pairs([(2, 1), (0, 3), (2, 2)])
-    assert p == Poly([3, 0, 3])
-    assert poly_from_pairs([]).is_zero()
+def test_poly_is_an_integer_table_in_lowest_terms():
+    p = Poly([Fraction(1, 2), 0, Fraction(-3, 4)])
+    assert (p.den, p.nums) == (4, {0: 2, 2: -3})
+    assert (p * 4).den == 1 and (p - p).nums == {} and (p - p).den == 1
+    assert p.coeffs == (Fraction(1, 2), Fraction(0), Fraction(-3, 4))
+    assert Poly([2, 4]) * Fraction(1, 2) == Poly([1, 2]) == 1 + 2 * Poly.x()
+
+
+def _euclid_gcd(a: list, b: list) -> list:
+    """Monic gcd of Fraction coefficient lists (lowest first), by Euclid's
+    algorithm over the rationals: the reference for ``Poly.gcd``."""
+    def strip(cs):
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return cs
+
+    a, b = strip(list(a)), strip(list(b))
+    while b:
+        rem = list(a)
+        while len(rem) >= len(b):
+            c = rem[-1] / b[-1]
+            for j, bj in enumerate(b):
+                rem[len(rem) - len(b) + j] -= c * bj
+            rem = strip(rem[:-1])
+        a, b = b, rem
+    return [c / a[-1] for c in a] if a else []
+
+
+@given(small_polys, small_polys, small_polys)
+@settings(max_examples=80, deadline=None)
+def test_poly_gcd_matches_euclid_over_fractions(a, b, c):
+    # a common factor c makes the gcd nontrivial
+    for p, q in ((a * c, b * c), (a, b), (a * c * c, (a * c).derivative())):
+        g = p.gcd(q)
+        assert list(g.coeffs) == _euclid_gcd(p.coeffs, q.coeffs)
+        if g:
+            assert g.leading() == 1
+            assert not p.divmod(g)[1] and not q.divmod(g)[1]
 
 
 @given(small_polys, small_polys, small_polys)

@@ -67,6 +67,11 @@ def test_json_round_trip():
         "quartic:-2,-1",  # leading coupling not positive
         '{"h": []}',
         "gs:1,0",
+        '{"g": [[1.5, 1], [1, 1]]}',  # a pair of non-integers, not g2 = 1
+        '{"g": [true, 1]}',  # a bool is not a coupling
+        "quartic:abc,1",
+        "quartic:1,2/0",
+        '{"g": [[1, 0], [1, 1]]}',  # a zero denominator
     ],
 )
 def test_rejects(bad):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from largen.polys import Poly
 from largen import roots
 from largen.roots import RealRoot, real_roots, yun_squarefree
-from largen.scalars import mpf_of
+from largen.scalars import mpf_of, rationalize
 
 SQRT2_40 = "1.414213562373095048801688724209698078570"
 
@@ -224,3 +224,44 @@ def test_newton_lifted_once_is_bit_for_bit_the_per_step_loop(cs, digits):
             got = roots._newton(factor, lo, hi, digits)
             want = _newton_per_step(factor, lo, hi, digits)
             assert got._mpf_ == want._mpf_
+
+
+# real roots as the Euclidean-remainder Sturm chains gave them, each value at its
+# exact binary value: rational and repeated roots, and a large integer content
+_X = Poly.x()
+_PINNED_ROOTS = [
+    ((_X - Fraction(1, 2)) ** 3 * (_X + 2) ** 2 * (3 * _X - 7),
+     [
+         ("-2", 2, True),
+         ("1/2", 3, True),
+         ("7/3", 1, True),
+     ]),
+    ((3 * _X - 1) ** 2 * (_X * _X - 2) * (_X - Fraction(7, 5)) * (_X * _X + 1) * Fraction(5, 6),
+     [
+         ("-30798844053504577477764322877136007286671/21778071482940061661655974875633165533184", 1, False),
+         ("1/3", 2, True),
+         ("7/5", 1, True),
+         ("30798844053504577477764322877136007286673/21778071482940061661655974875633165533184", 1, False),
+     ]),
+    ((_X * _X - 3) ** 2 * (_X * _X - _X - 1) * _X ** 3 * Fraction(-2, 9),
+     [
+         ("-75441452598638141794326388655556371793043/43556142965880123323311949751266331066368", 2, False),
+         ("-53838353543527135530428510690307157275665/87112285931760246646623899502532662132736", 1, False),
+         ("0", 3, True),
+         ("8809414967205461386065775637052488713025/5444517870735015415413993718908291383296", 1, False),
+         ("75441452598638141794326388655556371793043/43556142965880123323311949751266331066368", 2, False),
+     ]),
+    ((_X - Fraction(22, 7)) ** 2 * (_X * _X * 1000 - 2000 * _X + 999) * 12345,
+     [
+         ("21089388393619547609253987190983890253037/21778071482940061661655974875633165533184", 1, False),
+         ("44933509144521151428115925120564881626659/43556142965880123323311949751266331066368", 1, False),
+         ("22/7", 2, True),
+     ]),
+]
+
+
+@pytest.mark.parametrize("p, want", _PINNED_ROOTS,
+                         ids=["rational-repeated", "mixed", "irrational-repeated", "large-content"])
+def test_real_roots_unchanged_on_repeated_and_rational_roots(p, want):
+    got = [(str(rationalize(r.value)), r.multiplicity, r.exact) for r in real_roots(p, 30)]
+    assert got == want
