@@ -14,11 +14,13 @@ The package computes, exactly where possible:
   cross-check every expansion numerically.
 
 Everything symbolic is exact.  Polynomials in one variable (``Poly``), in
-several (``MPoly``) and differential ones (``DiffPoly``) are all integer
-numerators over one positive denominator, in lowest terms, so their
-arithmetic, gcds and Sturm signs run on Python ints; ``Fraction`` is the
-view they render and evaluate through.  Floating point enters only at
-evaluation boundaries, via mpmath at a caller-chosen precision.
+several (``MPoly``) and differential ones (``DiffPoly``) are
+``mpolys.IntTable``s: integer numerators over one positive denominator, in
+lowest terms.  The base class owns their scalars, sums, equality, hash and
+powers, each ring its product, calculus and rendering; arithmetic, gcds and
+Sturm signs run on Python ints, and ``Fraction`` is the view they render
+and evaluate through.  Floating point enters only at evaluation
+boundaries, via mpmath at a caller-chosen precision.
 
 Process-global caches.  Each memo is a ``functools.lru_cache(maxsize=32)``,
 emptied by its ``cache_clear()``.  The four large-N expansions share one

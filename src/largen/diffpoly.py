@@ -21,7 +21,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .errors import certify
-from .mpolys import IntTable, reduced
+from .mpolys import IntTable
 from .polys import Poly
 from .scalars import is_exact
 from .wring import Lattice, WElem
@@ -73,17 +73,7 @@ class DiffPoly(IntTable):
         for mono, c in (terms or {}).items():
             mono, c = _normalize_monomial(mono), _coerce_coeff(c)
             clean[mono] = clean.get(mono, 0) + c
-        den = lcm(*(c.denominator for c in clean.values()))
-        self.den, self.nums = reduced(
-            den, {m: c.numerator * (den // c.denominator) for m, c in clean.items()}
-        )
-
-    @classmethod
-    def _trusted(cls, den: int, nums: dict) -> "DiffPoly":
-        """The ring operations' constructor: canonical monomials, ``reduced``."""
-        out = cls.__new__(cls)
-        out.den, out.nums = reduced(den, nums)
-        return out
+        self._set_terms(clean)
 
     # -- constructors ---------------------------------------------------
     @classmethod
@@ -94,6 +84,8 @@ class DiffPoly(IntTable):
     def const(cls, c) -> "DiffPoly":
         c = _coerce_coeff(c)
         return cls._trusted(c.denominator, {(): c.numerator})
+
+    _scalar = const
 
     @classmethod
     def var(cls, name: str, order: int = 0) -> "DiffPoly":
@@ -117,37 +109,6 @@ class DiffPoly(IntTable):
         return Fraction(self.nums.get(_normalize_monomial(mono), 0), self.den)
 
     # -- ring operations -------------------------------------------------
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, DiffPoly):
-            return other
-        if is_exact(other):
-            return DiffPoly.const(other)
-        return NotImplemented
-
-    def __add__(self, other) -> "DiffPoly":
-        # a zero operand returns the other one as it is
-        if (isinstance(other, DiffPoly) or is_exact(other)) and not other:
-            return self
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return DiffPoly._trusted(*self._sum(other)) if self.nums else other
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "DiffPoly":
-        return DiffPoly._trusted(self.den, {m: -n for m, n in self.nums.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other) -> "DiffPoly":
         if is_exact(other):
             k = other.numerator
@@ -171,8 +132,10 @@ class DiffPoly(IntTable):
 
     __rmul__ = __mul__
 
-    # bound here, not inherited, like ``MPoly.__pow__``
-    __pow__ = IntTable.__pow__
+    # bound here, not inherited, as in ``MPoly``
+    __add__ = __radd__ = IntTable.__add__
+    __sub__, __rsub__ = IntTable.__sub__, IntTable.__rsub__
+    __neg__, __pow__ = IntTable.__neg__, IntTable.__pow__
 
     # -- calculus ----------------------------------------------------------
     def d_dx(self, times: int = 1) -> "DiffPoly":

@@ -2,11 +2,13 @@
 ring both regular engines compute in.
 
 An ``MPoly`` carries ρ = r₀ on one cut and the leading endpoints (a₀, b₀)
-on two.  It is an ``IntTable``, as is ``diffpoly.DiffPoly``: integer
-numerators over one positive denominator, {exponent tuple: int} / den, with
-gcd(den, numerators) = 1 and no zero entry, so equal polynomials have equal
-tables and the arithmetic runs on ints alone; ``terms`` is the read-only
-{exponents: Fraction} view, in the table's insertion order.  Exact division
+on two.  It is an ``IntTable``, as are ``polys.Poly`` and
+``diffpoly.DiffPoly``: integer numerators over one positive denominator,
+{exponent tuple: int} / den, with gcd(den, numerators) = 1 and no zero entry,
+so equal polynomials have equal tables and the arithmetic runs on ints alone;
+``terms`` is the read-only {exponents: Fraction} view, in the table's
+insertion order.  ``IntTable`` owns the algebra the three share; each adds
+its constant, product, calculus and rendering.  Exact division
 (``greedy_div``) divides by the primitive part of the divisor's numerators:
 by Gauss's lemma an exact quotient then has integer coefficients, so a
 leading coefficient that does not divide proves the division inexact.
@@ -60,10 +62,32 @@ def eval_terms(terms, point, zero):
 
 class IntTable:
     """Integer numerators ``nums`` {key: int} over ``den``, as ``reduced``
-    leaves them; subclasses supply ``_coerce`` and the ring operations, and
-    powers come by repeated squaring of their ``__mul__``."""
+    leaves them, with the algebra every such table shares: exact scalars as
+    constants (``_coerce``), +, − and negation (a zero operand, scalar or
+    table, gives back the other operand itself, so a sum keeps key order),
+    ``==`` with a hash that agrees (a constant hashes as the ``Fraction`` it
+    equals), and powers.  A subclass supplies ``_scalar(c)``, the constant c
+    of its kind, its key product ``__mul__``, and its calculus and rendering;
+    ``MPoly`` also overrides ``_like(den, nums)`` to keep its arity."""
 
     __slots__ = ("den", "nums")
+
+    @classmethod
+    def _trusted(cls, den: int, nums: dict):
+        """Wrap numerators over ``den`` > 0 in lowest terms (``reduced``), in
+        their insertion order."""
+        out = cls.__new__(cls)
+        out.den, out.nums = reduced(den, nums)
+        return out
+
+    def _like(self, den: int, nums: dict):
+        return self._trusted(den, nums)
+
+    def _set_terms(self, terms: dict) -> None:
+        """Take {key: Fraction} as numerators over the lcm of the reduced
+        denominators, which share no factor with it: lowest terms."""
+        self.den = den = lcm(*(c.denominator for c in terms.values()))
+        self.nums = {k: c.numerator * (den // c.denominator) for k, c in terms.items() if c}
 
     @property
     def terms(self) -> dict:
@@ -76,19 +100,58 @@ class IntTable:
     def __bool__(self) -> bool:
         return bool(self.nums)
 
+    def _coerce(self, other):
+        """other as a table of self's kind, or NotImplemented."""
+        if isinstance(other, type(self)):
+            return other
+        if is_exact(other):
+            return self._scalar(other)
+        return NotImplemented
+
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
+        try:
+            other = self._coerce(other)
+        except ValueError:  # a table of this kind that cannot mix with self
+            return False
         if other is NotImplemented:
             return NotImplemented
         return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
+        if self.nums.keys() <= self._scalar(1).nums.keys():  # zero or a constant
+            return hash(Fraction(sum(self.nums.values()), self.den))
         return hash((self.den, frozenset(self.nums.items())))
+
+    def __add__(self, other):
+        if is_exact(other) and not other:  # no table is built for a zero scalar
+            return self
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if not other.nums:
+            return self
+        if not self.nums:
+            return other
+        return self._like(*self._sum(other))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like(self.den, {k: -n for k, n in self.nums.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -(self - other)
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError(f"negative power of {type(self).__name__}")
-        result, base = self._coerce(1), self
+        result, base = self._scalar(1), self
         while n:
             if n & 1:
                 result = result * base
@@ -120,19 +183,20 @@ class MPoly(IntTable):
                     if len(exps) != nvars:
                         raise ValueError("exponent tuple has wrong arity")
                     clean[tuple(exps)] = clean.get(tuple(exps), _ZERO) + c
-        # over the lcm of the reduced denominators, numerators share no factor with it
-        den = lcm(*(c.denominator for c in clean.values()))
-        self.nvars, self.den = nvars, den
-        self.nums = {e: c.numerator * (den // c.denominator) for e, c in clean.items() if c}
+        self.nvars = nvars
+        self._set_terms(clean)
 
     @classmethod
     def _trusted(cls, nvars: int, den: int, nums: dict) -> "MPoly":
-        """Wrap numerators over ``den`` > 0 in lowest terms (``reduced``), in
-        their insertion order (``eval`` sums in it)."""
+        """``IntTable._trusted`` in ``nvars`` variables (``eval`` sums in the
+        insertion order it keeps)."""
         out = cls.__new__(cls)
         out.nvars = nvars
         out.den, out.nums = reduced(den, nums)
         return out
+
+    def _like(self, den: int, nums: dict) -> "MPoly":
+        return MPoly._trusted(self.nvars, den, nums)
 
     @classmethod
     def const(cls, nvars: int, c) -> "MPoly":
@@ -145,34 +209,13 @@ class MPoly(IntTable):
         e[i] = 1
         return cls._trusted(nvars, 1, {tuple(e): 1})
 
+    def _scalar(self, c) -> "MPoly":
+        return MPoly.const(self.nvars, c)
+
     def _coerce(self, other):
-        if isinstance(other, MPoly):
-            if other.nvars != self.nvars:
-                raise ValueError("mixing MPolys of different arity")
-            return other
-        if is_exact(other):
-            return MPoly.const(self.nvars, other)
-        return NotImplemented
-
-    def __add__(self, other) -> "MPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return MPoly._trusted(self.nvars, *self._sum(other))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "MPoly":
-        return MPoly._trusted(self.nvars, self.den, {e: -n for e, n in self.nums.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
+        if isinstance(other, MPoly) and other.nvars != self.nvars:
+            raise ValueError("mixing MPolys of different arity")
+        return IntTable._coerce(self, other)
 
     def __mul__(self, other) -> "MPoly":
         other = self._coerce(other)
@@ -190,7 +233,9 @@ class MPoly(IntTable):
 
     # bound here, not inherited: the benchmark's spans look MPoly's own
     # operations up in its __dict__
-    __pow__ = IntTable.__pow__
+    __add__ = __radd__ = IntTable.__add__
+    __sub__, __rsub__ = IntTable.__sub__, IntTable.__rsub__
+    __neg__, __pow__ = IntTable.__neg__, IntTable.__pow__
 
     def diff(self, i: int) -> "MPoly":
         out: dict[tuple, int] = {}

@@ -16,12 +16,12 @@ denominator, which makes equality structural.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Sequence
 
 import mpmath
 
-from .mpolys import IntTable, MPoly, reduced
+from .mpolys import IntTable, MPoly
 from .scalars import as_fraction, is_exact, mpfs_of
 
 
@@ -69,17 +69,7 @@ class Poly(IntTable):
     __slots__ = ("_ints",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [as_fraction(c) for c in coeffs]
-        # over the lcm of the reduced denominators, numerators share no factor with it
-        self.den = den = lcm(*(c.denominator for c in cs))
-        self.nums = {i: c.numerator * (den // c.denominator) for i, c in enumerate(cs) if c}
-
-    @classmethod
-    def _trusted(cls, den: int, nums: dict) -> "Poly":
-        """Wrap numerators over ``den`` > 0 in lowest terms (``reduced``)."""
-        out = cls.__new__(cls)
-        out.den, out.nums = reduced(den, nums)
-        return out
+        self._set_terms(dict(enumerate(map(as_fraction, coeffs))))
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -97,6 +87,8 @@ class Poly(IntTable):
     @classmethod
     def const(cls, c) -> "Poly":
         return cls((as_fraction(c),))
+
+    _scalar = const
 
     # -- basic queries -------------------------------------------------
     @property
@@ -126,29 +118,7 @@ class Poly(IntTable):
         return Fraction(self.nums.get(k, 0), self.den)
 
     # -- arithmetic ----------------------------------------------------
-    def __add__(self, other) -> "Poly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Poly._trusted(*self._sum(other))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Poly":
-        return Poly._trusted(self.den, {i: -n for i, n in self.nums.items()})
-
-    def __sub__(self, other) -> "Poly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Poly":
-        return -(self - other)
-
     def __mul__(self, other) -> "Poly":
-        if isinstance(other, RationalFunc):
-            return NotImplemented
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -160,14 +130,6 @@ class Poly(IntTable):
         return Poly._trusted(self.den * other.den, out)
 
     __rmul__ = __mul__
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, Poly):
-            return other
-        if is_exact(other):
-            return Poly.const(other)
-        return NotImplemented
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Euclidean division; exact over the rationals.  With A, B the

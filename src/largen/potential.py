@@ -88,9 +88,10 @@ class Potential:
         return {"g": [[g.numerator, g.denominator] for g in self.gs]}
 
     def describe(self) -> str:
-        if self.label:
-            return f"{self.label}:" + ",".join(str(g) for g in self.gs)
-        return "gs:" + ",".join(str(g) for g in self.gs)
+        """The ``parse_potential`` text of this potential."""
+        if self.label in ("gaussian", "bmp"):
+            return self.label
+        return f"{self.label or 'gs'}:" + ",".join(str(g) for g in self.gs)
 
     def __str__(self) -> str:
         terms = []
@@ -158,8 +159,8 @@ def parse_potential(text: str) -> Potential:
 
 
 def potential_from_json(obj) -> Potential:
+    if isinstance(obj, dict) and "g" in obj:
+        obj = obj["g"]
     if isinstance(obj, list):
         return Potential(tuple(obj))
-    if isinstance(obj, dict) and "g" in obj:
-        return Potential(tuple(obj["g"]))
     raise BadPotential('potential JSON must be {"g": [[num,den],...]} or a plain list')

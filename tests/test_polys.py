@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from largen.diffpoly import DiffPoly
 from largen.mpolys import MOD_P, MPoly, MRatFunc, greedy_div, mod_image, swap_vars
 from largen.polys import Poly, RationalFunc
 from largen.wring import _pshift
@@ -365,3 +366,72 @@ def test_mpoly_ops_drop_cancelled_terms():
     assert ((a + b) * (a - b)).terms == {(2, 0): Fraction(1), (0, 2): Fraction(-1)}
     assert (a + b + (-(a + b))).is_zero()
     assert (b * b + 3).diff(0).is_zero()
+
+
+# The three integer tables, each as (its keys, a constructor from {key:
+# Fraction}, its constant key, its constant constructor).  Their additive
+# group, scalar coercion, equality and hash are the one shared ``IntTable``'s.
+_U, _V = ("u", 0, 1), ("v", 0, 1)
+TABLE_KINDS = {
+    "Poly": (
+        st.integers(0, 4),
+        lambda t: Poly([t.get(i, 0) for i in range(5)]),
+        0,
+        Poly.const,
+    ),
+    "MPoly-2": (
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        lambda t: MPoly(2, t),
+        (0, 0),
+        lambda c: MPoly.const(2, c),
+    ),
+    "DiffPoly": (
+        st.sampled_from([(), (_U,), (("u", 1, 1),), (("u", 0, 2),), (_U, _V)]),
+        DiffPoly,
+        (),
+        DiffPoly.const,
+    ),
+}
+
+
+def _plus(*tables) -> dict:
+    """Σ of {key: Fraction} tables, zero entries dropped."""
+    out: dict = {}
+    for t in tables:
+        for k, c in t.items():
+            out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+@pytest.mark.parametrize("kind", sorted(TABLE_KINDS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_shared_table_algebra(kind, data):
+    keys, make, one, const = TABLE_KINDS[kind]
+    table = st.dictionaries(keys, small_fracs, max_size=4).map(make)
+    a, b = data.draw(table), data.draw(table)
+    c = data.draw(st.one_of(small_fracs, st.integers(-5, 5)))
+    neg = lambda t: {k: -v for k, v in t.items()}
+    cs = {one: Fraction(c)}
+    assert (a + b).terms == _plus(a.terms, b.terms)
+    assert (a - b).terms == _plus(a.terms, neg(b.terms))
+    assert (-a).terms == neg(a.terms)
+    assert (c + a).terms == (a + c).terms == _plus(a.terms, cs)
+    assert (a - c).terms == _plus(a.terms, neg(cs))
+    assert (c - a).terms == _plus(cs, neg(a.terms))
+    # a zero operand, scalar or table, gives back the other operand itself
+    zero = const(0)
+    for z in (0, Fraction(0), zero):
+        assert a + z is a and a - z is a
+        assert z + a is (zero if z is zero and not a else a)
+    # the hash agrees with ==, constants hashing as the Fraction they equal
+    assert hash(zero) == hash(0) and hash(a + b - b) == hash(a)
+    assert hash(const(c)) == hash(Fraction(c)) and const(c) == c
+    assert len({const(3), 3}) == 1 and len({const(Fraction(1, 2)), Fraction(1, 2)}) == 1
+
+
+def test_mpolys_of_different_arity_are_unequal():
+    assert MPoly.var(2, 0) != MPoly.var(3, 0)
+    assert not MPoly.const(1, 0) == MPoly.const(2, 0)
+    with pytest.raises(ValueError):
+        MPoly.const(2, 1) + MPoly.const(3, 1)

@@ -72,11 +72,24 @@ def test_json_round_trip():
         "quartic:abc,1",
         "quartic:1,2/0",
         '{"g": [[1, 0], [1, 1]]}',  # a zero denominator
+        '{"g": 5}',  # "g" must be a list of couplings
+        '{"g": null}',
+        '{"g": {"a": 1}}',
+        '{"g": {"1": 1}}',  # not g2 = 1 from the keys of a dict
     ],
 )
 def test_rejects(bad):
     with pytest.raises(BadPotential):
         parse_potential(bad)
+
+
+@pytest.mark.parametrize(
+    "text", ["gaussian", "bmp", "quartic:-2,1", "sextic:42,-11,1", "octic:1,-2,1/3,1", "gs:1,0,1/2"]
+)
+def test_describe_parses_back(text):
+    p = parse_potential(text)
+    assert p.describe() == text
+    assert parse_potential(p.describe()) == p
 
 
 def test_float_coupling_rejected():
