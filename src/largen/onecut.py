@@ -290,7 +290,7 @@ def u_series_coefficients(g: Potential, r0=None, K: int = 1) -> list[USeriesOrde
     ℚ[ρ, 1/W'(ρ)] on every call; each pole and each element coefficient is
     then reduced once to a ``RationalFunc`` of ρ.
     With r0 = None the tables stay rational functions of ρ; an exact r0
-    evaluates them at that point.
+    evaluates them at that point, and an mpf r0 at ``DEFAULT_DIGITS``.
     """
     if K < 0:
         raise ValueError("truncation order must be nonnegative")
@@ -311,8 +311,9 @@ def u_series_coefficients(g: Potential, r0=None, K: int = 1) -> list[USeriesOrde
         tables.append(USeriesOrder(k=k, element=u_k.map_coeffs(reduced), poles=poles))
     if r0 is None:
         return tables
-    x = lifted(r0)
-    return [replace(o, poles=tuple(p(x) for p in o.poles), zero=0 * x) for o in tables]
+    with mpmath.workdps(DEFAULT_DIGITS):
+        x = lifted(r0)
+        return [replace(o, poles=tuple(p(x) for p in o.poles), zero=0 * x) for o in tables]
 
 
 # -- critical points -------------------------------------------------------------

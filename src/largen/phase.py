@@ -5,6 +5,10 @@ h entering the eigenvalue density, admissibility of candidate solutions
 (density positivity plus the effective-potential inequalities outside and
 between the cuts), and classification at a given temperature T.
 
+One rule picks each phase's physical branch wherever it is solved for: the
+first candidate by increasing r₀ (one cut) or a₀ (two cuts) that the one
+verdict shared by both phases admits.
+
 Conventions.  The support lives on the real z-axis; in λ = z² every even
 model has its one-cut support on [0, α²] with α² = 4r₀, and its two-cut
 support on [α², β²].  The polynomial part of V_z/w₁ factors through an even
@@ -109,9 +113,7 @@ def compute_h(g: Potential, endpoints: Sequence) -> Poly:
     lo, hi = (as_fraction(e) for e in endpoints)
     if not 0 <= lo < hi:
         raise ValueError("endpoints must satisfy 0 <= lo < hi")
-    if lo == 0:
-        return Poly(_h_curve_coeffs(g, -hi, _ZERO, 1))
-    return Poly(_h_curve_coeffs(g, -(lo + hi), lo * hi, 2))
+    return Poly(_h_curve_coeffs(g, -(lo + hi), lo * hi, 1 if lo == 0 else 2))
 
 
 def branch_density_positive(g: Potential, r0, digits: int | None = None) -> bool:
@@ -123,22 +125,20 @@ def branch_density_positive(g: Potential, r0, digits: int | None = None) -> bool
     still meaningful as long as its density stays positive.
     """
     digits = digits or DEFAULT_DIGITS
-    endpoints, hc = _one_cut_curve(g, r0, digits)
+    endpoints, hc = _curve(g, (r0,), digits)
     return _h_status(_HTilde(hc, digits), *endpoints) == _CLEAR
 
 
-def _one_cut_curve(g: Potential, r0, digits: int) -> tuple:
-    """((0, A), h̃) for the one-cut support, A = 4r₀; exact when r₀ is."""
+def _curve(g: Potential, point: tuple, digits: int) -> tuple:
+    """(λ-plane cut, h̃) of the s-cut phase at ``point``, s = len(point): (0, A)
+    with A = 4r₀ at (r₀,), or (α², β²) at (a₀, b₀) with a₀ > b₀ > 0.  h̃ is
+    exact when the point is; the two-cut endpoints are mpf."""
     with mpmath.workdps(digits + 10):
-        A = 4 * lifted(r0, digits + 10)
-        return (_ZERO, A), _h_curve_coeffs(g, -A, _ZERO, 1)
-
-
-def _two_cut_curve(g: Potential, a0, b0, digits: int) -> tuple:
-    """((α², β²), h̃) for the two-cut phase at (a₀, b₀), a₀ > b₀ > 0.  h̃ is
-    exact when a₀ and b₀ are; the endpoints are mpf."""
-    with mpmath.workdps(digits + 10):
-        a0, b0 = lifted((a0, b0), digits + 10)
+        point = lifted(point, digits + 10)
+        if len(point) == 1:
+            A = 4 * point[0]
+            return (_ZERO, A), _h_curve_coeffs(g, -A, _ZERO, 1)
+        a0, b0 = point
         hc = _h_curve_coeffs(g, -2 * (a0 + b0), (a0 - b0) ** 2, 2)
         a0, b0 = mpf_of(a0, digits + 10), mpf_of(b0, digits + 10)
         sab, s_sum = mpmath.sqrt(a0 * b0), a0 + b0
@@ -257,60 +257,84 @@ def _running_integral(integrand, start, stops, digits: int) -> str:
     return verdict
 
 
-def _outside_inequality(h: _HTilde, lam_roots) -> str:
+def _radicand(lam, branch):
+    """Π(λ − e) over the λ-plane branch points e: w₁² at z² = λ."""
+    out = mpmath.mpf(1)
+    for e in branch:
+        out *= lam - e
+    return out
+
+
+def _integrand(h: _HTilde, branch, sign: int):
+    """x ↦ ±x^{s−1}·h̃(x²)·√Π(x² − e) over the s λ-plane branch points e in
+    ``branch``: h·w₁ on the real z-axis wherever the radicand is positive,
+    with the sign w₁ takes there.  Call it at the working precision."""
+    cs, s = h.lifted, len(branch)
+    es = [mpf_of(e, h.digits + 10) for e in branch]
+
+    def integrand(x):
+        lam = x * x
+        return sign * x ** (s - 1) * horner(cs, lam) * mpmath.sqrt(_radicand(lam, es))
+
+    return integrand
+
+
+def _outside_inequality(h: _HTilde, branch) -> str:
     """∫_β^x h·w₁ ≥ 0 for x > β (the left inequality follows by parity).
 
-    ``lam_roots`` are the λ-plane branch points.  The running integral is
-    monotone between zeros of h̃, so testing it at every zero beyond the
-    support decides the inequality.
+    ``branch`` are the λ-plane branch points, β² the last.  The running
+    integral is monotone between zeros of h̃, so testing it at every zero
+    beyond the support decides the inequality.
     """
     digits = h.digits
     with mpmath.workdps(digits + 10):
         tol = tolerance(digits)
-        top = mpf_of(max(lam_roots, key=lambda r: mpf_of(r, digits + 10)), digits + 10)
-        hroots = [r for r in h.roots if r > top + tol]
-        two_cut = len(lam_roots) == 2
-        roots_f = [mpf_of(r, digits + 10) for r in lam_roots]
-        cs = h.lifted
-
-        def integrand(x):
-            lam = x * x
-            acc = mpmath.mpf(1)
-            for r in roots_f:
-                acc *= lam - r
-            w = mpmath.sqrt(acc)
-            hval = horner(cs, lam)
-            return (x * hval if two_cut else hval) * w
-
-        stops = [mpmath.sqrt(r) for r in hroots]
-        return _running_integral(integrand, mpmath.sqrt(top), stops, digits)
+        top = mpf_of(branch[-1], digits + 10)
+        stops = [mpmath.sqrt(r) for r in h.roots if r > top + tol]
+        return _running_integral(_integrand(h, branch, 1), mpmath.sqrt(top), stops, digits)
 
 
-def _gap_inequality(h: _HTilde, alpha2, beta2) -> str:
-    """Two-cut only: ∫_{-α}^x h·w₁ ≥ 0 across the gap (-α, α).
+def _gap_inequality(h: _HTilde, branch) -> str:
+    """Two-cut only: ∫_{-α}^x h·w₁ ≥ 0 across the gap (-α, α), where w₁ < 0.
 
     When h̃ ≥ 0 on [0, α²] the running integral is a strict interior hump
     (it rises for x < 0, falls for x > 0, and vanishes only at ±α), so the
     inequality is strict for free.  Only a sign dip of h̃ inside the gap
     forces numeric evaluation at the interior critical points.
     """
-    if _h_status(h, _ZERO, alpha2) != _BAD:
+    if _h_status(h, _ZERO, branch[0]) != _BAD:
         return _CLEAR
     digits = h.digits
     with mpmath.workdps(digits + 10):
         tol = tolerance(digits)
-        a2 = mpf_of(alpha2, digits + 10)
-        b2 = mpf_of(beta2, digits + 10)
-        cs = h.lifted
-
-        def integrand(x):
-            lam = x * x
-            w_gap = -mpmath.sqrt((a2 - lam) * (b2 - lam))  # w₁ < 0 in the gap
-            return x * horner(cs, lam) * w_gap
-
+        a2 = mpf_of(branch[0], digits + 10)
         hroots = [r for r in h.roots if tol < r < a2 - tol]
         stops = sorted([mpmath.sqrt(r) for r in hroots] + [-mpmath.sqrt(r) for r in hroots])
-        return _running_integral(integrand, -mpmath.sqrt(a2), stops, digits)
+        return _running_integral(_integrand(h, branch, -1), -mpmath.sqrt(a2), stops, digits)
+
+
+def _verdict(s: int, endpoints, hc, digits: int) -> Optional[str]:
+    """None if inadmissible, else "regular" / "critical", for the s-cut
+    phase on the λ-plane cut ``endpoints`` with h̃ = ``hc`` (``_curve``).  It
+    needs h̃ ≥ 0 on the support, then, for two cuts, the gap inequality, then
+    the outside one.  A zero of h̃ on the closed support, a collapsed gap or a
+    saturated inequality is critical."""
+    lo, hi = endpoints
+    if s == 2:
+        with mpmath.workdps(digits + 10):
+            if lo <= tolerance(digits):
+                return "critical" if negligible(lo, digits) else None
+    h = _HTilde(hc, digits)
+    inside = _h_status(h, lo, hi)
+    if inside != _CLEAR:
+        return "critical" if inside == _TOUCH else None
+    branch = endpoints[2 - s:]  # one cut's lower end λ = 0 is no branch point
+    seen = []
+    for inequality in (_gap_inequality, _outside_inequality)[2 - s:]:
+        seen.append(inequality(h, branch))
+        if seen[-1] == _BAD:
+            return None
+    return "critical" if _TOUCH in seen else "regular"
 
 
 # -- one-cut --------------------------------------------------------------------
@@ -324,36 +348,18 @@ def _one_cut_candidates(g: Potential, T, digits: int) -> list:
         return [r for r in _real_roots_of(cs, digits) if r > 0]
 
 
-def _one_cut_verdict(endpoints, hc, digits: int) -> Optional[str]:
-    """None if inadmissible, else "regular" / "critical"; see ``_one_cut_curve``."""
-    h = _HTilde(hc, digits)
-    inside = _h_status(h, *endpoints)
-    if inside == _BAD:
-        return None
-    if inside == _TOUCH:
-        # a zero of h on the closed support marks the model critical outright
-        return "critical"
-    outside = _outside_inequality(h, [endpoints[1]])
-    if outside == _BAD:
-        return None
-    return "critical" if outside == _TOUCH else "regular"
-
-
 def solve_one_cut(g: Potential, T, digits: int | None = None) -> Scalar:
     """The admissible one-cut r₀ with W(r₀) = T.
 
     Among positive roots of the hodograph equation, admissible means the
     induced density is nonnegative on the support and the outside
     inequality holds; if several qualify, the smallest — the branch
-    continuous from T → 0⁺ — is returned.
+    continuous from T → 0⁺ — is returned (``_admissible``).
     """
-    digits = digits or DEFAULT_DIGITS
-    if not lifted(T, digits) > 0:
-        raise ValueError("need T > 0")
-    for r0 in _one_cut_candidates(g, T, digits):
-        if _one_cut_verdict(*_one_cut_curve(g, r0, digits), digits) is not None:
-            return r0
-    raise NoAdmissibleRoot(f"no admissible one-cut solution at T={T}")
+    p = _admissible(g, T, 1, digits or DEFAULT_DIGITS)
+    if p is None:
+        raise NoAdmissibleRoot(f"no admissible one-cut solution at T={T}")
+    return p.r0
 
 
 # -- two-cut --------------------------------------------------------------------
@@ -419,30 +425,14 @@ def _two_cut_candidates(g: Potential, T, digits: int) -> list[tuple]:
 def solve_two_cut(g: Potential, T, digits: int | None = None):
     """Endpoint data (a₀, b₀) with a₀ > b₀ > 0 for the two-cut phase: the
     closed form for quartics, else exact elimination on the branch curve
-    (module notes).  The first candidate, smallest a₀, is returned; a refusal
-    says whether there is no real solution or none with a₀ > b₀ > 0."""
-    return _two_cut_candidates(g, T, digits or DEFAULT_DIGITS)[0]
-
-
-def _two_cut_verdict(endpoints, hc, digits: int) -> Optional[str]:
-    """None if inadmissible, else "regular" / "critical"; see ``_two_cut_curve``."""
-    a2, b2 = endpoints
-    with mpmath.workdps(digits + 10):
-        if a2 <= tolerance(digits):
-            return "critical" if negligible(a2, digits) else None
-        h = _HTilde(hc, digits)
-        on_support = _h_status(h, a2, b2)
-        if on_support == _BAD:
-            return None
-        if on_support == _TOUCH:
-            return "critical"
-        gap = _gap_inequality(h, a2, b2)
-        if gap == _BAD:
-            return None
-        outside = _outside_inequality(h, [a2, b2])
-        if outside == _BAD:
-            return None
-    return "critical" if _TOUCH in (gap, outside) else "regular"
+    (module notes).  The first admissible pair by increasing a₀ is returned
+    (``_admissible``), the one ``classify_phase`` reports; a refusal says
+    whether there is no real solution, none with a₀ > b₀ > 0, or none
+    admissible."""
+    p = _admissible(g, T, 2, digits or DEFAULT_DIGITS)
+    if p is None:
+        raise NoTwoCutSolution(f"no admissible two-cut solution at T={T}")
+    return p.a0, p.b0
 
 
 # -- classification ----------------------------------------------------------------
@@ -458,35 +448,43 @@ def _phase_result(s: int, endpoints, hc, status: str, T, **point) -> PhaseResult
     )
 
 
+def _admissible(g: Potential, T, s: int, digits: int) -> Optional[PhaseResult]:
+    """The physical s-cut branch at T, or None: the first candidate by
+    increasing r₀ (s = 1) or a₀ (s = 2) that ``_verdict`` admits.  The
+    two-cut search's NoTwoCutSolution propagates."""
+    if not lifted(T, digits) > 0:
+        raise ValueError("need T > 0")
+    if s == 1:
+        points, names = [(r0,) for r0 in _one_cut_candidates(g, T, digits)], ("r0",)
+    else:
+        points, names = _two_cut_candidates(g, T, digits), ("a0", "b0")
+    for point in points:
+        endpoints, hc = _curve(g, point, digits)
+        verdict = _verdict(s, endpoints, hc, digits)
+        if verdict is not None:
+            return _phase_result(s, endpoints, hc, verdict, T, **dict(zip(names, point)))
+    return None
+
+
 def classify_phase(g: Potential, T, digits: int | None = None) -> PhaseResult:
     """Decide the s = 1 or s = 2 phase at temperature T.
 
-    Regular solutions must pass all strict inequalities; a zero of h̃ on
-    the closed support, a collapsed gap, or a saturated inequality marks
-    the model critical.  If both phases survive at the working resolution
-    (possible only on the critical curve) the result is reported critical
-    with the competing candidate attached.
+    Each phase contributes its physical branch (``_admissible``).  Regular
+    solutions must pass all strict inequalities; a zero of h̃ on the closed
+    support, a collapsed gap, or a saturated inequality marks the model
+    critical.  If both phases survive at the working resolution (possible
+    only on the critical curve) the result is reported critical with the
+    competing candidate attached.
     """
-    if not T > 0:
-        raise ValueError("need T > 0")
     digits = digits or DEFAULT_DIGITS
     results: list[PhaseResult] = []
-    for r0 in _one_cut_candidates(g, T, digits):
-        curve = _one_cut_curve(g, r0, digits)
-        verdict = _one_cut_verdict(*curve, digits)
-        if verdict is not None:
-            results.append(_phase_result(1, *curve, verdict, T, r0=r0))
-            break  # smallest admissible root is the physical branch
-    try:
-        pairs = _two_cut_candidates(g, T, digits)
-    except NoTwoCutSolution:
-        pairs = []
-    for a0, b0 in pairs:
-        curve = _two_cut_curve(g, a0, b0, digits)
-        verdict = _two_cut_verdict(*curve, digits)
-        if verdict is not None:
-            results.append(_phase_result(2, *curve, verdict, T, a0=a0, b0=b0))
-            break  # the first admissible pair, as for one cut
+    for s in (1, 2):
+        try:
+            p = _admissible(g, T, s, digits)
+        except NoTwoCutSolution:
+            p = None
+        if p is not None:
+            results.append(p)
     if not results:
         raise Unclassifiable(f"no admissible phase found at T={T}")
     regular = [r for r in results if r.status == "regular"]
@@ -510,8 +508,13 @@ def classify_phase(g: Potential, T, digits: int | None = None) -> PhaseResult:
 # -- density -------------------------------------------------------------------------
 
 
+_OUTSIDE = {1: "|x| exceeds the support radius",
+            2: "x lies in the spectral gap or beyond the support"}
+
+
 def density(g: Potential, phase: PhaseResult, x, digits: int | None = None):
-    """Eigenvalue density ρ(x) = h(x)·w₁₊(x)/(2πi·T) on the closed support."""
+    """Eigenvalue density ρ(x) = h(x)·w₁₊(x)/(2πi·T) on the closed support:
+    |x|^{s−1}·h̃(x²)·√(−Π(x² − e))/(2πT) over the s λ-plane branch points e."""
     digits = digits or DEFAULT_DIGITS
     hc = phase.h_coeffs()
     if not hc:
@@ -522,18 +525,11 @@ def density(g: Potential, phase: PhaseResult, x, digits: int | None = None):
         T_f = mpf_of(phase.T, digits + 10)
         tol = tolerance(digits)
         hval = horner(mpfs_of(hc, digits + 10), lam)
-        if phase.s == 1:
-            A = mpf_of(phase.endpoints[1], digits + 10)
-            if lam > A + tol:
-                raise OutsideSupport("|x| exceeds the support radius")
-            rad = max(A - lam, mpmath.mpf(0))
-            return hval * mpmath.sqrt(rad) / (2 * mpmath.pi * T_f)
-        a2 = mpf_of(phase.endpoints[0], digits + 10)
-        b2 = mpf_of(phase.endpoints[1], digits + 10)
-        if lam < a2 - tol or lam > b2 + tol:
-            raise OutsideSupport("x lies in the spectral gap or beyond the support")
-        rad = max((lam - a2) * (b2 - lam), mpmath.mpf(0))
-        return abs(xf) * hval * mpmath.sqrt(rad) / (2 * mpmath.pi * T_f)
+        lo, hi = (mpf_of(e, digits + 10) for e in phase.endpoints)
+        if not lo - tol <= lam <= hi + tol:
+            raise OutsideSupport(_OUTSIDE[phase.s])
+        rad = max(-_radicand(lam, (lo, hi)[2 - phase.s:]), mpmath.mpf(0))
+        return abs(xf) ** (phase.s - 1) * hval * mpmath.sqrt(rad) / (2 * mpmath.pi * T_f)
 
 
 # -- scanning --------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from largen.onecut import (
     scaled_series,
     u_series_coefficients,
 )
+from largen.phase import solve_one_cut
 from largen.polys import Poly, RationalFunc
 from largen.potential import Potential, parse_potential
 from largen.structured import c_weight
@@ -307,6 +308,17 @@ class TestUSeriesTable:
     def test_evaluated_table(self):
         orders = u_series_coefficients(BMP, r0=F(2), K=1)
         assert orders[1].poles[0] == F(1, 16200)  # 2·r1(2)
+
+    def test_mpf_point_evaluates_at_default_digits(self):
+        # an mpf r0 is evaluated at DEFAULT_DIGITS, not at the caller's
+        # ambient 15 digits
+        r0 = solve_one_cut(QUARTIC, F(1), 40)
+        got = u_series_coefficients(QUARTIC, r0=r0, K=2)
+        with mpmath.workdps(40):
+            for order, symbolic in zip(got, u_series_coefficients(QUARTIC, K=2)):
+                for value, pole in zip(order.poles, symbolic.poles):
+                    want = pole(r0)
+                    assert abs(value - want) <= mpmath.mpf(10) ** -25 * abs(want)
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):

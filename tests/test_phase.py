@@ -333,6 +333,10 @@ class TestScan:
                 classify_phase(QUARTIC, T)
         with pytest.raises(ValueError, match="need T > 0"):
             phase_scan(QUARTIC, [F(1), F(0)])
+        for g, T in ((QUARTIC, F(0)), (QUARTIC, F(-1)), (MERGE2, F(-1))):
+            for solve in (solve_two_cut, lambda g, T: expand_two_cut_regular(g, T, 1)):
+                with pytest.raises(ValueError, match="need T > 0"):
+                    solve(g, T)
 
     def test_invalid_row(self):
         rows = phase_scan(SEXTIC, [F(20)])
@@ -421,6 +425,30 @@ def test_sextic_outside_inequality_radicand_rounds_negative(T):
     classify_phase(SEXTIC, T)
 
 
+@pytest.mark.xfail(raises=TypeError, strict=True)
+def test_sextic_gap_inequality_radicand_rounds_negative():
+    # The same defect in the gap inequality: the first pair is inadmissible,
+    # and checking the second raises TypeError, as classify_phase does here.
+    solve_two_cut(parse_potential("sextic:30,-12,1"), F(1))
+
+
+# (potential, T): sextics whose first pair by a₀ is inadmissible, then points
+# with a single candidate
+CLASSIFIED = [("sextic:12,-8,1", 2), ("sextic:12,-8,1", 6), ("sextic:24,-13,2", 2),
+              ("sextic:30,-12,1", 8), ("quartic:-2,1", F(1, 2)), ("quartic:1,1", 2),
+              ("sextic:-6,-3,1", 6), ("sextic:-6,-3,1", 14), ("sextic:42,-11,1", 13)]
+
+
+@pytest.mark.parametrize("name,T", CLASSIFIED, ids=[f"{n}:T={T}" for n, T in CLASSIFIED])
+def test_solvers_take_the_classified_branch(name, T):
+    g = parse_potential(name)
+    p = classify_phase(g, F(T))
+    if p.s == 1:
+        assert solve_one_cut(g, F(T)) == p.r0
+    else:
+        assert solve_two_cut(g, F(T)) == (p.a0, p.b0)
+
+
 # (potential, T, PhaseResult fields, numeric root sets of h̃ per verdict): the
 # exact one-cut check at bmp's critical T = 60 finds h̃'s zero exactly and
 # needs none
@@ -439,14 +467,15 @@ def test_each_verdict_finds_the_roots_of_h_once(name, T, want, per_verdict, monk
     numeric = phase._poly_real_roots_numeric
     monkeypatch.setattr(phase, "_poly_real_roots_numeric",
                         lambda cs, digits: calls.append(digits) or numeric(cs, digits))
-    for verdict in ("_one_cut_verdict", "_two_cut_verdict"):
-        def counted(*args, _verdict=getattr(phase, verdict)):
-            before = len(calls)
-            try:
-                return _verdict(*args)
-            finally:
-                per.append(len(calls) - before)
-        monkeypatch.setattr(phase, verdict, counted)
+    verdict = phase._verdict
+
+    def counted(*args):
+        before = len(calls)
+        try:
+            return verdict(*args)
+        finally:
+            per.append(len(calls) - before)
+    monkeypatch.setattr(phase, "_verdict", counted)
     p = classify_phase(parse_potential(name), F(T), 30)
     assert per == per_verdict
     assert (p.s, p.status, *(scalar_str(e, 25) for e in p.endpoints)) == want
