@@ -67,6 +67,7 @@ class DiffPoly(IntTable):
     """Exact differential polynomial; immutable by convention."""
 
     __slots__ = ()
+    _UNIT = ()
 
     def __init__(self, terms: Mapping[Monomial, object] | None = None):
         clean: dict = {}

@@ -4,14 +4,22 @@ ring both regular engines compute in.
 An ``MPoly`` carries ρ = r₀ on one cut and the leading endpoints (a₀, b₀)
 on two.  It is an ``IntTable``, as are ``polys.Poly`` and
 ``diffpoly.DiffPoly``: integer numerators over one positive denominator,
-{exponent tuple: int} / den, with gcd(den, numerators) = 1 and no zero entry,
-so equal polynomials have equal tables and the arithmetic runs on ints alone;
-``terms`` is the read-only {exponents: Fraction} view, in the table's
-insertion order.  ``IntTable`` owns the algebra the three share; each adds
-its constant, product, calculus and rendering.  Exact division
-(``greedy_div``) divides by the primitive part of the divisor's numerators:
-by Gauss's lemma an exact quotient then has integer coefficients, so a
-leading coefficient that does not divide proves the division inexact.
+{key: int} / den, with gcd(den, numerators) = 1 and no zero entry, so equal
+polynomials have equal tables and the arithmetic runs on ints alone.
+``IntTable`` owns the algebra the three share; each adds its constant,
+product, calculus and rendering.  Exact division (``greedy_div``) divides by
+the primitive part of the divisor's numerators: by Gauss's lemma an exact
+quotient then has integer coefficients, so a leading coefficient that does
+not divide proves the division inexact.
+
+An ``MPoly`` key is its monomial packed into one int (Monagan & Pearce,
+CASC 2007): the exponent of x_i is a ``_WIDTH``-bit field, x₀ in the most
+significant, so a product of monomials is a sum of keys, int order is lex
+order, and one variable's keys are its powers, as in ``Poly``.  Exponents
+lie in [0, 2^(_WIDTH−1)); the top bit of each field stays clear, and a
+product or quotient step that sets one raises ``OverflowError`` rather than
+alias into the next field.  ``terms`` is the read-only {exponent tuple:
+Fraction} view, in the table's insertion order.
 
 ``_Loc`` is ℚ[x][1/f_1, .., 1/f_k] for fixed factors f_i, kept canonical
 by trial division that a modular image filters.
@@ -24,8 +32,10 @@ arithmetic and a reliable equality test, which cross-multiplication provides.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, reduce
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, or_, sub
+from struct import Struct, error as StructError
 from typing import Mapping
 
 import mpmath
@@ -33,6 +43,14 @@ import mpmath
 from .scalars import as_fraction, is_exact, mpfs_of
 
 _ZERO = Fraction(0)
+_WIDTH = 32  # an exponent field is one big-endian unsigned 32-bit word
+_FIELD = (1 << _WIDTH) - 1
+
+
+@cache
+def _layout(nvars: int) -> tuple[Struct, int]:
+    """(the Struct of an ``nvars``-variable key's words, their top bits)."""
+    return Struct(f">{nvars}I"), int.from_bytes(b"\x80\0\0\0" * nvars, "big")
 
 
 def reduced(den: int, nums: dict) -> tuple[int, dict]:
@@ -66,11 +84,14 @@ class IntTable:
     constants (``_coerce``), +, − and negation (a zero operand, scalar or
     table, gives back the other operand itself, so a sum keeps key order),
     ``==`` with a hash that agrees (a constant hashes as the ``Fraction`` it
-    equals), and powers.  A subclass supplies ``_scalar(c)``, the constant c
-    of its kind, its key product ``__mul__``, and its calculus and rendering;
+    equals), and powers.  A key is a power in ``Poly``, a packed monomial in
+    ``MPoly`` and a tuple of factors in ``DiffPoly``; ``_UNIT`` is the key of
+    the constants.  A subclass supplies ``_scalar(c)``, the constant c of its
+    kind, its key product ``__mul__``, and its calculus and rendering;
     ``MPoly`` also overrides ``_like(den, nums)`` to keep its arity."""
 
     __slots__ = ("den", "nums")
+    _UNIT = 0
 
     @classmethod
     def _trusted(cls, den: int, nums: dict):
@@ -118,7 +139,7 @@ class IntTable:
         return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        if self.nums.keys() <= self._scalar(1).nums.keys():  # zero or a constant
+        if self.nums.keys() <= {self._UNIT}:  # zero or a constant
             return hash(Fraction(sum(self.nums.values()), self.den))
         return hash((self.den, frozenset(self.nums.items())))
 
@@ -155,8 +176,9 @@ class IntTable:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # no square past the top bit: it would cost most, or overflow
+                base = base * base
         return result
 
     def _sum(self, other: "IntTable") -> tuple[int, dict]:
@@ -170,19 +192,23 @@ class IntTable:
 
 
 class MPoly(IntTable):
-    """Polynomial in ``nvars`` variables: ``nums`` {exponent tuple: int} over ``den``."""
+    """Polynomial in ``nvars`` variables: ``nums`` {packed monomial: int} over
+    ``den`` (module notes); ``terms`` reads the keys as exponent tuples."""
 
     __slots__ = ("nvars",)
 
     def __init__(self, nvars: int, terms: Mapping[tuple, object] | None = None):
-        clean: dict[tuple, Fraction] = {}
-        if terms:
-            for exps, c in terms.items():
-                c = as_fraction(c)
-                if c:
-                    if len(exps) != nvars:
-                        raise ValueError("exponent tuple has wrong arity")
-                    clean[tuple(exps)] = clean.get(tuple(exps), _ZERO) + c
+        words, top = _layout(nvars)
+        clean: dict[int, Fraction] = {}
+        for exps, c in (terms or {}).items():
+            try:
+                key = int.from_bytes(words.pack(*exps), "big")
+            except StructError:  # wrong arity, or not integers in [0, 2^_WIDTH)
+                key = top
+            if key & top:
+                raise ValueError(f"exponents {exps} are not {nvars} ints in [0, 2^{_WIDTH - 1})")
+            if c := as_fraction(c):
+                clean[key] = clean.get(key, _ZERO) + c
         self.nvars = nvars
         self._set_terms(clean)
 
@@ -201,13 +227,11 @@ class MPoly(IntTable):
     @classmethod
     def const(cls, nvars: int, c) -> "MPoly":
         c = as_fraction(c)
-        return cls._trusted(nvars, c.denominator, {(0,) * nvars: c.numerator})
+        return cls._trusted(nvars, c.denominator, {0: c.numerator})
 
     @classmethod
     def var(cls, nvars: int, i: int) -> "MPoly":
-        e = [0] * nvars
-        e[i] = 1
-        return cls._trusted(nvars, 1, {tuple(e): 1})
+        return cls._trusted(nvars, 1, {1 << _WIDTH * (nvars - 1 - i): 1})
 
     def _scalar(self, c) -> "MPoly":
         return MPoly.const(self.nvars, c)
@@ -217,16 +241,25 @@ class MPoly(IntTable):
             raise ValueError("mixing MPolys of different arity")
         return IntTable._coerce(self, other)
 
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple: Fraction coefficient}, a fresh dict in insertion order."""
+        words, den = _layout(self.nvars)[0], self.den
+        size, unpack = words.size, words.unpack
+        return {unpack(k.to_bytes(size, "big")): Fraction(n, den) for k, n in self.nums.items()}
+
     def __mul__(self, other) -> "MPoly":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[tuple, int] = {}
+        out: dict[int, int] = {}
         get = out.get
         for e1, n1 in self.nums.items():
             for e2, n2 in other.nums.items():
-                e = tuple(map(add, e1, e2))
+                e = e1 + e2
                 out[e] = get(e, 0) + n1 * n2
+        if reduce(or_, out, 0) & _layout(self.nvars)[1]:
+            raise OverflowError(f"an exponent of the product reaches 2^{_WIDTH - 1}")
         return MPoly._trusted(self.nvars, self.den * other.den, out)
 
     __rmul__ = __mul__
@@ -238,12 +271,11 @@ class MPoly(IntTable):
     __neg__, __pow__ = IntTable.__neg__, IntTable.__pow__
 
     def diff(self, i: int) -> "MPoly":
-        out: dict[tuple, int] = {}
+        s = _WIDTH * (self.nvars - 1 - i)
+        out: dict[int, int] = {}
         for e, n in self.nums.items():
-            if e[i]:
-                e2 = list(e)
-                e2[i] -= 1
-                out[tuple(e2)] = n * e[i]
+            if k := e >> s & _FIELD:
+                out[e - (1 << s)] = n * k
         return MPoly._trusted(self.nvars, self.den, out)
 
     def eval(self, point):
@@ -261,7 +293,7 @@ class MPoly(IntTable):
         return list(zip(terms, mpfs_of(terms.values(), digits)))
 
     def total_degree(self) -> int:
-        return max((sum(e) for e in self.nums), default=-1)
+        return max((sum(e) for e in self.terms), default=-1)
 
     def render(self, names=None) -> str:
         terms = self.terms
@@ -271,12 +303,7 @@ class MPoly(IntTable):
         parts = []
         for e in sorted(terms, key=lambda t: (sum(t), t), reverse=True):
             c = terms[e]
-            mons = [
-                names[i] if k == 1 else f"{names[i]}^{k}"
-                for i, k in enumerate(e)
-                if k
-            ]
-            mon = "*".join(mons)
+            mon = "*".join(names[i] if k == 1 else f"{names[i]}^{k}" for i, k in enumerate(e) if k)
             if not mon:
                 parts.append(str(c))
             elif c == 1:
@@ -300,8 +327,10 @@ def greedy_div(p: MPoly, d: MPoly):
     Greedy leading-term division in lex order of p's numerators by the
     primitive part of d's, which for a monomial order succeeds if and only
     if d | p.  An exact quotient is then integral (Gauss's lemma), so a
-    leading coefficient that does not divide ends it early.
+    leading coefficient that does not divide ends it early.  A field of
+    e − lead that borrows clears the top bit set in it first: x^lead ∤ x^e.
     """
+    top = _layout(p.nvars)[1]
     content = gcd(*d.nums.values())
     dn = {e: n // content for e, n in d.nums.items()}
     lead = max(dn)
@@ -309,15 +338,18 @@ def greedy_div(p: MPoly, d: MPoly):
     rem, out = dict(p.nums), {}
     while rem:
         e = max(rem)
-        q = tuple(a - b for a, b in zip(e, lead))
-        if min(q) < 0:
+        q = (e | top) - lead
+        if q & top != top:
             return None
+        q ^= top
         c, r = divmod(rem.pop(e), lc)
         if r:
             return None
         out[q] = c
         for de, dc in dn.items():
-            ke = tuple(map(add, q, de))
+            ke = q + de
+            if ke & top:
+                raise OverflowError(f"an exponent of the division reaches 2^{_WIDTH - 1}")
             nc = rem.get(ke, 0) - c * dc
             if nc:
                 rem[ke] = nc
@@ -360,19 +392,22 @@ def mod_image(p: MPoly):
     mod P otherwise, so this is φ(p) up to that unit, which divisibility ignores."""
     if not p.den % MOD_P:
         return None
-    out = [0] * (max((e[0] for e in p.nums), default=-1) + 1)
+    s = _WIDTH * (p.nvars - 1)
+    out = [0] * ((max(p.nums, default=-1) >> s) + 1)
     if p.nvars == 1:
-        for (ea,), n in p.nums.items():
+        for ea, n in p.nums.items():
             out[ea] += n
         return out
-    for (ea, eb), n in p.nums.items():
-        out[ea] += n * (_BPOW[eb] if eb < len(_BPOW) else pow(_BSTAR, eb, MOD_P))
+    for e, n in p.nums.items():
+        eb = e & _FIELD
+        out[e >> s] += n * (_BPOW[eb] if eb < 64 else pow(_BSTAR, eb, MOD_P))
     return out
 
 
 def swap_vars(p: MPoly) -> MPoly:
     """p with its two variables exchanged."""
-    return MPoly._trusted(2, p.den, {(e[1], e[0]): n for e, n in p.nums.items()})
+    return MPoly._trusted(2, p.den, {(e & _FIELD) << _WIDTH | e >> _WIDTH: n
+                                     for e, n in p.nums.items()})
 
 
 class MRatFunc:

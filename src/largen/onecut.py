@@ -170,18 +170,10 @@ class ScaledOneCut:
 # -- the regular engine ---------------------------------------------------------
 
 
-def _mpoly(p: Poly) -> MPoly:
-    return MPoly._trusted(1, p.den, {(k,): n for k, n in p.nums.items()})
-
-
-def _poly(p: MPoly) -> Poly:
-    return Poly._trusted(p.den, {k: n for (k,), n in p.nums.items()})
-
-
 def _ratfunc(c: _Loc) -> RationalFunc:
     """The one reduction of an engine coefficient, applied on output."""
-    q = c.to_ratfunc()
-    return RationalFunc(_poly(q.num), _poly(q.den))
+    q = c.to_ratfunc()  # one variable: MPoly and Poly share their tables
+    return RationalFunc(*(Poly._trusted(p.den, p.nums) for p in (q.num, q.den)))
 
 
 class _RegularEngine:
@@ -196,8 +188,9 @@ class _RegularEngine:
 
     def __init__(self, g: Potential):
         self.W = g.hodograph()
-        self.fs = loc_factors(_mpoly(self.W.derivative()))
-        self.Wp = Wp = self._c(self.W.derivative())
+        wp = self.W.derivative()
+        self.fs = loc_factors(MPoly._trusted(1, wp.den, wp.nums))
+        self.Wp = Wp = self._c(wp)
         self.rho = self._c(Poly.x())
         d1 = self._c(Poly((0, -4)))  # -4ρ
         self.d0 = d0 = self._c(Poly.zero())
@@ -212,7 +205,7 @@ class _RegularEngine:
         certify(q_weight == Wp, "string weight of the r_k term must be W'")
 
     def _c(self, p: Poly) -> _Loc:
-        return _Loc(self.fs, _mpoly(p))
+        return _Loc(self.fs, MPoly._trusted(1, p.den, p.nums))
 
     def run(self, K: int) -> tuple[tuple, tuple]:
         """Solve orders 0..K; returns ((r₀..r_K), (U₀..U_K)) in its ring.

@@ -381,11 +381,11 @@ def _quartic_two_cut(g: Potential, T, digits: int):
 
 @lru_cache(maxsize=32)
 def _branch_elimination(g: Potential) -> tuple:
-    """(W_a, L, R) for ``g``'s two-cut endpoint equations, once per process
-    for each potential: none of them depends on T (module notes)."""
+    """(W_a, L, R.terms) for ``g``'s two-cut endpoint equations, once per
+    process for each potential: none of them depends on T (module notes)."""
     W_a, W_b = twocut_hodographs(g.gs)
     L = branch_curve(W_a, W_b)
-    return W_a, L, branch_resultant(L, W_a)
+    return W_a, L, branch_resultant(L, W_a).terms
 
 
 def _two_cut_candidates(g: Potential, T, digits: int) -> list[tuple]:
@@ -398,8 +398,8 @@ def _two_cut_candidates(g: Potential, T, digits: int) -> list[tuple]:
     W_a, L, R = _branch_elimination(g)
     solutions = []
     with mpmath.workdps(digits + 10):
-        cs = [0] * (max(e[0] for e in R.terms) + 1)
-        for (k, j), c in R.terms.items():
+        cs = [0] * (max(e[0] for e in R) + 1)
+        for (k, j), c in R.items():
             c, t = lifted((c, T), digits + 10)
             cs[k] += c * t**j
         roots = _real_roots_of(cs, digits)

@@ -4,7 +4,8 @@
 spectral variable, hodograph polynomials).  It is an ``mpolys.IntTable``, as
 are ``MPoly`` and ``DiffPoly``: integer numerators {power: int} over one
 positive denominator, in lowest terms, so equal polynomials have equal
-tables; ``coeffs`` is the read-only dense ``Fraction`` view.  Division,
+tables; a one-variable ``MPoly`` has this very table, so the two convert by
+sharing it.  ``coeffs`` is the read-only dense ``Fraction`` view.  Division,
 gcds and Sturm sequences run on the numerators alone, by pseudo-division
 (Knuth, TAOCP Vol. 2, §4.6.1): a remainder comes back as a positive multiple
 of the Euclidean one, in primitive form, so no fraction is formed in the
@@ -192,7 +193,7 @@ class Poly(IntTable):
 
     def render(self, var: str = "x") -> str:
         """Highest power first, as the one-variable ``MPoly`` renders."""
-        return MPoly._trusted(1, self.den, {(i,): n for i, n in self.nums.items()}).render([var])
+        return MPoly._trusted(1, self.den, self.nums).render([var])
 
 
 class RationalFunc:

@@ -290,7 +290,7 @@ def _divide_over_q(p: MPoly, d: MPoly):
 
 def _image_over_q(p: MPoly, b):
     """φ(den·p) mod P from the Fraction terms, x₁ ↦ b: lowest x₀-power first."""
-    out = [0] * (max((e[0] for e in p.nums), default=-1) + 1)
+    out = [0] * (max((e[0] for e in p.terms), default=-1) + 1)
     for (ea, eb), c in p.terms.items():
         out[ea] = (out[ea] + int(c * p.den) * pow(b, eb, MOD_P)) % MOD_P
     return out
@@ -366,6 +366,70 @@ def test_mpoly_ops_drop_cancelled_terms():
     assert ((a + b) * (a - b)).terms == {(2, 0): Fraction(1), (0, 2): Fraction(-1)}
     assert (a + b + (-(a + b))).is_zero()
     assert (b * b + 3).diff(0).is_zero()
+
+
+def test_mpoly_refuses_exponents_outside_its_fields():
+    # a negative exponent used to be kept, and landed in mod_image's last slot
+    for bad in ((-1, 0), (0, -2), (1.5, 0), (2**31, 0), (0, 2**31)):
+        with pytest.raises(ValueError):
+            MPoly(2, {bad: 1, (1, 0): 1})
+    top = 2**31 - 1
+    assert MPoly(2, {(top, 1): 1}).terms == {(top, 1): Fraction(1)}
+
+
+def test_mpoly_exponents_never_alias_into_the_next_field():
+    a, b = MPoly.var(2, 0), MPoly.var(2, 1)
+    with pytest.raises(OverflowError):
+        b ** 2**31
+    with pytest.raises(OverflowError):
+        MPoly(2, {(0, 2**31 - 1): 1}) * b
+    with pytest.raises(OverflowError):  # the quotient b^(2^30+5) times b^(2^30)
+        greedy_div(MPoly(2, {(1, 2**30 + 5): 1}), a + MPoly(2, {(0, 2**30): 1}))
+    assert (a * b ** (2**31 - 2) * b).terms == {(1, 2**31 - 1): Fraction(1)}
+
+
+def test_greedy_div_refuses_a_quotient_with_a_negative_exponent():
+    a, b = MPoly.var(2, 0), MPoly.var(2, 1)
+    assert greedy_div(a, b) is None
+    assert greedy_div(b**3, a * a) is None
+    assert greedy_div(a * a * b, a * b) == a
+
+
+_wide_terms = st.dictionaries(
+    st.tuples(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1)),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    max_size=8,
+)
+
+
+@given(st.one_of(_mpoly_terms, _wide_terms))
+@settings(max_examples=60, deadline=None)
+def test_packed_keys_are_lex_ordered_and_read_back_as_tuples(t):
+    p = MPoly(2, t)
+    if p:
+        assert list(MPoly(2, {max(p.terms): 1}).nums) == [max(p.nums)]
+    again = MPoly(2, p.terms)
+    _same(again, p)
+    assert list(again.nums) == list(p.nums)
+    _same(swap_vars(swap_vars(p)), p)
+
+
+@given(_mpoly_terms, st.integers(0, 3), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_greedy_div_by_a_monomial(t, i, j):
+    p, m = MPoly(2, t), MPoly(2, {(i, j): 3})
+    got = greedy_div(p, m)
+    if all(ea >= i and eb >= j for ea, eb in p.terms):
+        assert got * m == p
+    else:
+        assert got is None
+
+
+def test_one_variable_mpoly_and_poly_share_one_table():
+    p = Poly([Fraction(1, 2), 0, 3])
+    m = MPoly(1, {(0,): Fraction(1, 2), (2,): 3})
+    assert (m.den, m.nums) == (p.den, p.nums)
+    assert m.render(["x"]) == p.render() == "3*x^2 + 1/2"
 
 
 # The three integer tables, each as (its keys, a constructor from {key:

@@ -29,7 +29,7 @@ from largen.mpolys import (
     mod_image,
     swap_vars,
 )
-from largen.onecut import _RegularEngine, _mpoly, _ratfunc, find_critical
+from largen.onecut import _RegularEngine, _ratfunc, find_critical
 from largen.polys import RationalFunc
 from largen.potential import Potential, parse_potential
 from largen.structured import gamma_moment, phi_moment, psi_poly
@@ -196,6 +196,13 @@ class TestRegularExpansion:
 
 
 A0, B0 = MPoly.var(2, 0), MPoly.var(2, 1)
+
+
+def _mpoly(p) -> MPoly:
+    """The Poly p as a one-variable MPoly: the two share one table format."""
+    return MPoly._trusted(1, p.den, p.nums)
+
+
 # the factors a _Loc canonicalizes against: two Jacobian determinants, b₀-a₀
 # and a one-cut W'(ρ)
 DIVISORS = {
