@@ -19,8 +19,10 @@ several (``MPoly``) and differential ones (``DiffPoly``) are
 lowest terms.  The base class owns their scalars, sums, equality, hash and
 powers, each ring its product, calculus and rendering; arithmetic, gcds and
 Sturm signs run on Python ints, and ``Fraction`` is the view they render
-and evaluate through.  Floating point enters only at evaluation
-boundaries, via mpmath at a caller-chosen precision.
+and evaluate through.  The regular engines compute in ``mpolys._Loc``,
+whose factors certified prime (Ben-Or's test) spare products trial division.
+Floating point enters only at evaluation boundaries, via mpmath at a
+caller-chosen precision.
 
 Process-global caches.  Each memo is a ``functools.lru_cache(maxsize=32)``,
 emptied by its ``cache_clear()``.  The four large-N expansions share one

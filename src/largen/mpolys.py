@@ -21,8 +21,8 @@ product or quotient step that sets one raises ``OverflowError`` rather than
 alias into the next field.  ``terms`` is the read-only {exponent tuple:
 Fraction} view, in the table's insertion order.
 
-``_Loc`` is ℚ[x][1/f_1, .., 1/f_k] for fixed factors f_i, kept canonical
-by trial division that a modular image filters.
+``_Loc`` is ℚ[x][1/f_1, .., 1/f_k] for fixed factors f_i, kept canonical by
+trial division, filtered mod P and run only where an f_i can divide.
 
 ``MRatFunc`` deliberately skips gcd reduction — multivariate gcds are
 expensive and nothing downstream needs canonical forms, only exact
@@ -40,6 +40,7 @@ from typing import Mapping
 
 import mpmath
 
+from .errors import certify
 from .scalars import as_fraction, is_exact, mpfs_of
 
 _ZERO = Fraction(0)
@@ -384,6 +385,7 @@ def bareiss_det(rows: list) -> MPoly:
 MOD_P = 2**61 - 1
 _BSTAR = 0x1C6F_3A5E_92B4_D071
 _BPOW = tuple(pow(_BSTAR, k, MOD_P) for k in range(64))
+_PRIMES = tuple(p for p in range(3, 84) if all(p % q for q in range(2, p)))  # for _irreducible
 
 
 def mod_image(p: MPoly):
@@ -519,45 +521,80 @@ class MRatFunc:
 # -- the localised ring ---------------------------------------------------------
 
 
-def _monic_image(d: MPoly):
-    """φ(d) made monic, or None when it cannot filter: the denominator of d
-    is divisible by P, or φ(d) is a constant (or zero)."""
-    img = mod_image(d)
-    if img is None:
-        return None
-    img = [v % MOD_P for v in img]
+def _monic(img: list, p: int = MOD_P) -> list:
+    """img mod p as a monic list, lowest power first, trailing zeros dropped."""
+    img = [v % p for v in img]
     while img and not img[-1]:
         img.pop()
-    if len(img) < 2:
-        return None
-    inv = pow(img[-1], -1, MOD_P)
-    return [v * inv % MOD_P for v in img]
+    inv = pow(img[-1], -1, p) if img else 0
+    return [v * inv % p for v in img]
 
 
-def _image_divisible(f: list, g: list) -> bool:
-    """Whether the monic g divides f in F_P[x₀] (f is consumed)."""
+def _monic_image(d: MPoly):
+    """φ(d) made monic, or None when it cannot filter (P | den, or φ(d) constant)."""
+    img = _monic(mod_image(d) or [])
+    return img if len(img) > 1 else None
+
+
+def _rem(f: list, g: list, p: int = MOD_P) -> list:
+    """f mod the monic g in F_p[x₀], entries not reduced (f is consumed)."""
     n = len(g) - 1
     for top in range(len(f) - 1, n - 1, -1):
-        c = f[top] % MOD_P
+        c = f[top] % p
         if c:
             base = top - n
             for k in range(n):
                 f[base + k] -= c * g[k]
-    return not any(v % MOD_P for v in f[:n])
+    return f[:n]
+
+
+def _image_divisible(f: list, g: list) -> bool:
+    """Whether the monic g divides f in F_P[x₀] (f is consumed)."""
+    return not any(v % MOD_P for v in _rem(f, g))
+
+
+def _ben_or(f: list, p: int) -> bool:
+    """Ben-Or's test that the monic f is irreducible in F_p[x]: gcd(x^(p^i) − x,
+    f) = 1 for all i ≤ deg f / 2 (von zur Gathen & Gerhard, *Modern Computer Algebra*)."""
+    def mul(a, b):  # a·b mod f
+        out = [sum(u * b[k - i] for i, u in enumerate(a) if 0 <= k - i < len(b))
+               for k in range(len(a) + len(b) - 1)]
+        return [v % p for v in _rem(out, f, p)]
+
+    for i in range(1, (len(f) - 1) // 2 + 1):
+        h, x, e = [1], [0, 1], p**i
+        while e:  # h = x^(p^i) mod f
+            h, x, e = mul(h, x) if e & 1 else h, mul(x, x), e >> 1
+        a, b = f, _monic([h[0], h[1] - 1, *h[2:]], p)
+        while b:  # a = gcd(h - x, f)
+            a, b = b, _monic(_rem(list(a), b, p), p)
+        if len(a) > 1:
+            return False
+    return True
+
+
+def _irreducible(f: MPoly) -> bool:
+    """Whether f in one or two variables is certified irreducible over ℚ: f is
+    linear, or has a pure x₀^d term (d its total degree, so f = gh gives f(x₀, c) =
+    g(x₀, c)·h(x₀, c) in degrees ≥ 1) and f(x₀, c) is irreducible mod a p ∤ it."""
+    d, s = f.total_degree(), _WIDTH * (f.nvars - 1)
+    lead = f.nums.get(d << s, 0) if d > 1 else 0
+    for c, p in enumerate(_PRIMES, 2):
+        if lead % p:
+            img = [0] * (d + 1)
+            for e, n in f.nums.items():
+                img[e >> s] += n * pow(c, e - (e >> s << s), p)
+            if _ben_or(_monic(img, p), p):
+                return True
+    return d == 1
 
 
 def _exact_div(p: MPoly, d: MPoly, d_img, img=None):
-    """p/d as an MPoly, or None when d does not divide p.
-
-    ``d_img`` is ``_monic_image(d)``, and ``img`` is ``mod_image(p)`` when
-    the caller has it (the list is consumed).  φ (``mod_image``) reads the
-    integer numerators of p and d directly.  If p = q·d over ℚ and neither
-    denominator is divisible by P, Gauss's lemma over ℤ_(P) makes q
-    P-integral, so φ(d) divides φ(p); a nonzero remainder of φ(p) mod φ(d)
-    therefore proves d ∤ p.  Every other case is decided by ``greedy_div``,
-    whose integer leading-coefficient test (Gauss's lemma over ℤ) can stop
-    it early.
-    """
+    """p/d as an MPoly, or None when d does not divide p.  ``d_img`` is
+    ``_monic_image(d)``, and ``img`` is ``mod_image(p)`` when the caller has
+    it (the list is consumed).  If p = q·d over ℚ and P divides neither
+    denominator, Gauss's lemma over ℤ_(P) makes q P-integral, so a nonzero
+    φ(p) mod φ(d) proves d ∤ p; ``greedy_div`` decides every other case."""
     if d_img is not None:
         img = mod_image(p) if img is None else img
         if img is not None and not _image_divisible(img, d_img):
@@ -575,44 +612,52 @@ def _divide_out(num: MPoly, d: MPoly, d_img, img) -> tuple:
 
 
 def loc_factors(*factors: MPoly) -> tuple:
-    """The fixed factors f_i of a localised ring, as ``_Loc`` shares them:
-    (factors, trial divisors, swap signs).  A trial divisor is (i, f_i,
-    ``_monic_image(f_i)``) for each f_i of positive degree; a unit is never
-    trial-divided, since ``greedy_div`` by a constant always succeeds.  The
-    swap sign is ±1 when f_i(x₁, x₀) = ±f_i(x₀, x₁), else None."""
-    trials = tuple(
-        (i, f, _monic_image(f)) for i, f in enumerate(factors) if f.total_degree() > 0
-    )
+    """(factors, trial divisors, swap signs, product trials) of a localised
+    ring, as ``_Loc`` shares them.  A trial divisor is (i, f_i,
+    ``_monic_image(f_i)``, prime, coprime, moves) for each f_i of positive
+    degree (``greedy_div`` by a unit never fails): prime if ``_irreducible``
+    certifies f_i; coprime if f_i or all other factors are prime, no factor
+    dividing another; moves[k] if prime and ∂f_i/∂x_k ≠ 0.  Product trials
+    are those not prime.  A swap sign is ±1 if f_i(x₁, x₀) = ±f_i(x₀, x₁), else None."""
+    trials = [(i, f, _irreducible(f)) for i, f in enumerate(factors) if f.total_degree() > 0]
+    certify(all(i == j or greedy_div(g, f) is None for i, f, _ in trials for j, g, _ in trials),
+            "a localising factor divides another")
+    lone = sum(not prime for *_, prime in trials) <= 1
+    trials = tuple((i, f, _monic_image(f), prime, prime or lone,
+                    tuple(prime and bool(f.diff(k)) for k in range(f.nvars)))
+                   for i, f, prime in trials)
     swaps = [swap_vars(f) if f.nvars == 2 else None for f in factors]
     signs = tuple(1 if s == f else -1 if s == -f else None for f, s in zip(factors, swaps))
-    return factors, trials, signs
+    return factors, trials, signs, tuple(t for t in trials if not t[3])
 
 
 class _Loc:
     """num · Π f_i^{-e_i}: the polynomial ring localised at the fixed factors
     (``loc_factors``) every denominator of a regular expansion is built from —
-    W'(ρ) on one cut, the hodograph Jacobian det and b₀-a₀ on two.
-
-    Unreduced quotients square in size under the d/dT chains the lattice
-    shifts generate; tracking the known factors as integer exponents instead
-    keeps all polynomial arithmetic on numerators.  Construction
-    re-canonicalizes by trial division, so exponents can go negative
-    (factors in the numerator) and values have one representation — cheap
-    equality.  Most trial divisions fail, and ``_exact_div`` proves that from
-    the image mod P of the integer numerators before dividing; a division it
-    lets through runs on those integers too (``greedy_div``).  Fraction and
-    int operands act as constants.  Every result is built in a fixed
-    operation order, since an MPoly's term order fixes how ``eval`` sums it.
+    the factors of W'(ρ) on one cut, the hodograph Jacobian det and b₀-a₀ on
+    two.  Integer exponents keep all arithmetic on numerators (unreduced
+    quotients square in size under the lattice's d/dT chains).  Values are
+    canonical, no f_i dividing num: exponents can go negative and equality is
+    cheap.  A new numerator is trial-divided (``_divide_out``, filtered mod P)
+    only by the f_i that can divide it: in a product, the f_i not certified
+    prime, as a prime divides a product only if it divides a factor; in a
+    sum, the f_i at equal exponents in both operands (or not coprime to the
+    rest), as else one lifted operand is divisible by f_i and the other is
+    not; in ∂/∂x_k, unless f_i is prime, e_i ≠ 0 and ∂_k f_i ≠ 0, as then the
+    numerator is −e_i·num·∂_k f_i·Π_{j≠i} f_j mod f_i.  A zero summand gives
+    back the other; Fraction and int operands are constants.  Results keep a
+    fixed operation order: an MPoly's term order fixes how ``eval`` sums it.
     """
 
     __slots__ = ("fs", "num", "e")
 
-    def __init__(self, fs: tuple, num: MPoly, e: tuple | None = None, canonical: bool = False):
+    def __init__(self, fs: tuple, num: MPoly, e: tuple | None = None, trials: tuple | None = None):
         if not num or e is None:
             e = (0,) * len(fs[0])
-        if num and not canonical:
+        trials = fs[1] if trials is None else trials
+        if num and trials:
             img = mod_image(num)
-            for i, f, f_img in fs[1]:
+            for i, f, f_img, *_ in trials:
                 num, times, img = _divide_out(num, f, f_img, img)
                 if times:
                     e = e[:i] + (e[i] - times,) + e[i + 1:]
@@ -632,7 +677,7 @@ class _Loc:
         if isinstance(other, _Loc):
             return other
         if isinstance(other, (Fraction, int)):
-            return _Loc(self.fs, MPoly.const(self.num.nvars, other), canonical=True)
+            return _Loc(self.fs, MPoly.const(self.num.nvars, other), trials=())
         return None
 
     def __bool__(self) -> bool:
@@ -649,13 +694,16 @@ class _Loc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if not o.num or not self.num:
+            return self if self.num else o
         E = tuple(map(max, self.e, o.e))
-        return _Loc(self.fs, self._lift(E) + o._lift(E), E)
+        trials = tuple(t for t in self.fs[1] if not t[4] or self.e[t[0]] == o.e[t[0]])
+        return _Loc(self.fs, self._lift(E) + o._lift(E), E, trials)
 
     __radd__ = __add__
 
     def __neg__(self) -> "_Loc":
-        return _Loc(self.fs, -self.num, self.e, canonical=True)
+        return _Loc(self.fs, -self.num, self.e, ())
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -668,17 +716,17 @@ class _Loc:
 
     def __mul__(self, other):
         if isinstance(other, (Fraction, int)):
-            return _Loc(self.fs, self.num * other, self.e, canonical=True)
+            return _Loc(self.fs, self.num * other, self.e, ())
         if not isinstance(other, _Loc):
             return NotImplemented
-        return _Loc(self.fs, self.num * other.num, tuple(map(add, self.e, other.e)))
+        return _Loc(self.fs, self.num * other.num, tuple(map(add, self.e, other.e)), self.fs[3])
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "_Loc":
         if n < 0:
             raise ValueError("negative powers only via division")
-        out = _Loc(self.fs, MPoly.const(self.num.nvars, 1), canonical=True)
+        out = _Loc(self.fs, MPoly.const(self.num.nvars, 1), trials=())
         for _ in range(n):
             out = out * self
         return out
@@ -690,7 +738,7 @@ class _Loc:
         if o.num.total_degree() != 0:
             raise TypeError("division only by factor monomials in the localized ring")
         c = next(iter(o.num.terms.values()))
-        return _Loc(self.fs, self.num * (1 / c), tuple(map(sub, self.e, o.e)), canonical=True)
+        return _Loc(self.fs, self.num * (1 / c), tuple(map(sub, self.e, o.e)), ())
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -711,7 +759,8 @@ class _Loc:
                     if j != i:
                         rest = rest * f
                 num = num - self.num * rest * e
-        return _Loc(self.fs, num, tuple(e + 1 for e in self.e))
+        trials = tuple(t for t in self.fs[1] if not (t[5][k] and self.e[t[0]]))
+        return _Loc(self.fs, num, tuple(e + 1 for e in self.e), trials)
 
     def swapped(self) -> "_Loc":
         """The image under x₀ ↔ x₁ (a₀ ↔ b₀ on two cuts), each factor mapped
@@ -723,7 +772,7 @@ class _Loc:
                     raise ValueError("a factor has no image under the swap")
                 negate ^= s < 0
         num = swap_vars(self.num)
-        return _Loc(self.fs, -num if negate else num, self.e, canonical=True)
+        return _Loc(self.fs, -num if negate else num, self.e, ())
 
     def to_ratfunc(self) -> MRatFunc:
         num, den = self.num, MPoly.const(self.num.nvars, 1)

@@ -11,8 +11,8 @@ ring, its derivation and the bookkeeping of orders:
 
 * regular: U and r carry even powers of ε = 1/N; coefficients live in
   ℚ[ρ, 1/W'(ρ)] with ρ standing for r₀(T) — the localised ring
-  ``mpolys._Loc`` the two-cut engine uses too, which divides W' out of
-  every numerator — and are reduced to ℚ(ρ) only on output; the curve
+  ``mpolys._Loc`` the two-cut engine uses too, which divides the factors
+  of W' out of every numerator — and are reduced to ℚ(ρ) only on output; the curve
   w² = λ(λ - 4ρ) moves with T, and d/dT acts as f ↦ f'/W'(ρ).
   Each even order is solved affinely — the unknown pair (U_k, r_k) enters
   linearly and the string integral eliminates r_k because
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import mpmath
 
@@ -179,17 +179,26 @@ def _ratfunc(c: _Loc) -> RationalFunc:
 class _RegularEngine:
     """The regular one-cut expansion with coefficients in ℚ[ρ, 1/W'(ρ)].
 
-    The ring is ``mpolys._Loc`` localised only at W'(ρ), the one
-    denominator the expansion produces, where d/dT = (1/W')·d/dρ; the pole
-    tables need no other, so callers reduce to ``RationalFunc`` only what
-    they output.  Every certificate raises ``Mismatch`` and survives
-    ``python -O``.
-    """
+    The ring is ``mpolys._Loc`` localised at the factors of W'(ρ), the one
+    denominator the expansion produces (d/dT = (1/W')·d/dρ): a linear one
+    at each rational root and the rest as one, certified to multiply back to
+    W'; callers reduce to ``RationalFunc`` only what they output.  Every
+    certificate raises ``Mismatch`` and survives ``python -O``."""
 
     def __init__(self, g: Potential):
         self.W = g.hodograph()
         wp = self.W.derivative()
-        self.fs = loc_factors(MPoly._trusted(1, wp.den, wp.nums))
+        # W' = Π (vρ - u)^m · rest over the rational roots u/v real_roots finds, in
+        # integer factors (a unit rest folded in) that make no new denominator
+        lines = [(Poly((-r.value.numerator, r.value.denominator)), r.multiplicity)
+                 for r in real_roots(wp) if r.exact]
+        back = reduce(Poly.__mul__, (f**m for f, m in lines), Poly.one())
+        rest = wp.divmod(back)[0]
+        certify(back * rest == wp, "the factors of W' do not multiply back to W'")
+        factors = [f for f, _ in lines] + [rest]
+        if rest.degree < 1 and len(factors) > 1:
+            factors[-2:] = [factors[-2] * rest]
+        self.fs = loc_factors(*(MPoly._trusted(1, f.den, f.nums) for f in factors))
         self.Wp = Wp = self._c(wp)
         self.rho = self._c(Poly.x())
         d1 = self._c(Poly((0, -4)))  # -4ρ

@@ -234,11 +234,11 @@ class _TwoCutRegularEngine:
     from the curve and certified against the hodographs' actual partials.
 
     Coefficients live in ``mpolys._Loc`` over ℚ[a₀, b₀] localised at the
-    factors (det, b₀-a₀), so the only polynomial products are numerator ×
-    numerator.  Its derivation is certified against the quotient rule of
-    MRatFunc at construction: the defect and string residuals hold for
-    whatever d/dT the ring implements.  ``_two_cut`` builds one engine per
-    solve of orders 0..K and keeps only what it outputs.
+    factors (det, b₀-a₀); where both are certified prime, a product of
+    numerators runs no trial division.  The derivation is certified against
+    MRatFunc's quotient rule at construction: the defect and string residuals
+    hold for whatever d/dT the ring implements.  ``_two_cut`` builds one
+    engine per solve of orders 0..K and keeps only what it outputs.
     """
 
     def __init__(self, g: Potential):

@@ -124,6 +124,13 @@ class TestExpandRegular:
         want = (DATA / "expand_regular_sextic_42_-11_1_T1_K5.json").read_text(encoding="utf-8")
         assert json.dumps(doc, ensure_ascii=False) == want.strip()
 
+    def test_second_split_sextic_k4_json_pinned(self):
+        # W' = 24(3ρ - 2)(5ρ - 1) splits into two linear factors, as
+        # sextic:42,-11,1's does; frozen before the ring localised at them
+        doc = expand_regular(parse_potential("sextic:24,-13,2"), F(1, 4), 4).to_json()
+        want = (DATA / "expand_regular_sextic_24_-13_2_T1_4_K4.json").read_text(encoding="utf-8")
+        assert json.dumps(doc, ensure_ascii=False) == want.strip()
+
     @given(
         g2=st.integers(min_value=1, max_value=6),
         g4=st.integers(min_value=1, max_value=6),
@@ -195,7 +202,7 @@ CORRUPTIONS = {
         "twocut._Loc",
         "__neg__",
         "lambda self: W(self.fs, self.num if self.e[0] >= 2 else -self.num, self.e,"
-        " canonical=True)",
+        " trials=())",
         TWO_CUT_RUN,
         "solvability: the V-residual at order 1",
     ),
@@ -236,6 +243,16 @@ CORRUPTIONS = {
         "lambda self, times=1, f=W.d_dx: f(self, times) * 2",
         SYMMETRIC_RUN,
         "d/dx of the double-scaled engine differs",
+    ),
+    # sextic:42,-11,1 localises at W' = 12(15ρ - 7)(ρ - 1): one of its
+    # linear factors moved off its root
+    "W'-factor-off-its-root": (
+        "onecut",
+        "real_roots",
+        "lambda p, *a, f=W.real_roots: [__import__('dataclasses').replace(r, value=r.value + 1)"
+        " if r.exact and i == 0 else r for i, r in enumerate(f(p, *a))]",
+        'onecut._RegularEngine(parse_potential("sextic:42,-11,1")).run(1)',
+        "the factors of W' do not multiply back to W'",
     ),
 }
 

@@ -22,6 +22,7 @@ from largen.mpolys import (
     MPoly,
     MRatFunc,
     _exact_div,
+    _irreducible,
     _Loc,
     _monic_image,
     greedy_div,
@@ -285,8 +286,8 @@ class TestExactDivision:
             _solvable(one, 1, "probe")
 
 
-# the localised rings of both regular engines: W'(ρ) of a quartic and of a
-# sextic on one cut, (det, b₀-a₀) on two cuts
+# localised rings: W'(ρ) of a quartic, a sextic's W' = 12(15ρ - 7)(ρ - 1)
+# kept as one factor (reducible, so without a certificate), and (det, b₀-a₀)
 LOC_FACTORS = {
     "quartic": (_mpoly(parse_potential("quartic:1,1").hodograph().derivative()),),
     "sextic": (DIVISORS["sextic W'"],),
@@ -339,7 +340,7 @@ class TestLocRing:
         x = _Loc(fs, num, e)
         e_up = tuple(v + lift if k == i else v for k, v in enumerate(e))
         for y in (_Loc(fs, num * fs[0][i] ** lift, e_up),
-                  _Loc(fs, num * fs[0][i] ** lift, e_up, canonical=True)):
+                  _Loc(fs, num * fs[0][i] ** lift, e_up, trials=())):
             assert x == y
             assert x.diff(0) == y.diff(0)
             assert not x - y
@@ -365,6 +366,109 @@ class TestLocRing:
         gauss = _RegularEngine(Potential.gaussian())
         assert gauss.rho.e == (0,) and gauss.rho / gauss.Wp == gauss.rho * F(1, 2)
         assert all(d.total_degree() > 0 for d in divisors)
+
+
+# the engines' own rings: W' split into certified linear factors on one cut,
+# (det, b₀-a₀) on two, det certified through a specialisation b₀ ↦ c
+ENGINE_RINGS = {
+    "sextic:42,-11,1": _RegularEngine(parse_potential("sextic:42,-11,1")).fs,
+    "sextic:24,-13,2": _RegularEngine(parse_potential("sextic:24,-13,2")).fs,
+    "quartic:-2,1": _TwoCutRegularEngine(MERGING).a0.fs,
+    "sextic:-6,-3,1": _TwoCutRegularEngine(SEXTIC2).a0.fs,
+}
+# and a factor free of b₀, whose ∂/∂b₀-numerator it divides
+RULE_RINGS = {**ENGINE_RINGS, "a0+1, b0-a0": loc_factors(A0 + 1, B0 - A0)}
+
+
+def _every_trial(fs) -> tuple:
+    """The ring of fs with no factor certified: every operation tries every
+    factor, as the ring did before certificates."""
+    trials = tuple((i, f, img, False, False, (False,) * f.nvars) for i, f, img, *_ in fs[1])
+    return fs[0], trials, fs[2], trials
+
+
+def _same(x: _Loc, y: _Loc) -> bool:
+    """One representation: exponents, denominator, and numerator keys in order."""
+    return (x.e, x.num.den, list(x.num.nums.items())) == (y.e, y.num.den, list(y.num.nums.items()))
+
+
+class TestTrialRules:
+    """A trial skipped by a rule of ``_Loc`` could only have failed: each
+    product, sum and derivative of canonical elements equals the same
+    operation in the ring that tries every factor, representation and all."""
+
+    def test_engine_factors_are_certified(self):
+        for fs in ENGINE_RINGS.values():
+            assert fs[1] and all(prime for _, _, _, prime, *_ in fs[1])
+            assert fs[3] == ()  # no product trials
+
+    @pytest.mark.parametrize("name", sorted(RULE_RINGS))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_rules_skip_only_failing_trials(self, name, data):
+        fs = RULE_RINGS[name]
+        slow = _every_trial(fs)
+        factors = fs[0]
+        elements = []
+        for _ in range(2):
+            num, e = _loc_element(data, fs)
+            # a numerator with factors in it, so that canonicalisation divides
+            for i, k in enumerate(data.draw(st.tuples(*[st.integers(0, 2)] * len(factors)))):
+                num = num * factors[i] ** k
+            elements.append(_Loc(fs, num, e))
+        x, y = elements
+        sx, sy = (_Loc(slow, c.num, c.e, trials=()) for c in elements)
+        assert _same(x * y, sx * sy)
+        assert _same(x + y, sx + sy)
+        assert _same(x - y, sx - sy)
+        for k in range(factors[0].nvars):
+            assert _same(x.diff(k), sx.diff(k))
+        # a zero summand gives back the other, which re-canonicalises to itself
+        zero = _Loc(fs, MPoly.const(factors[0].nvars, 0))
+        for z in (x + zero, zero + x, x + 0, x - 0):
+            assert z is x or not (x or z)
+        assert _same(x, _Loc(slow, x.num, x.e))
+        E = tuple(max(v, 0) for v in x.e)
+        assert x == _Loc(slow, x._lift(E), E)
+
+    def test_uncertified_factor_keeps_product_trials(self, monkeypatch):
+        # x⁴ - 10x² + 1, the minimal polynomial of √2 + √3, is irreducible
+        # over ℚ but reducible modulo every prime: no certificate exists
+        x = MPoly.var(1, 0)
+        f = x**4 - x**2 * 10 + 1
+        assert not _irreducible(f)
+        fs = loc_factors(f)
+        assert fs[3] == fs[1]
+        u, v = _Loc(fs, x + 1), _Loc(fs, x**2 + 2)
+        tried = []
+        monkeypatch.setattr("largen.mpolys._exact_div",
+                            lambda p, d, *a: tried.append(d) or _exact_div(p, d, *a))
+        product = u * v
+        assert tried == [f]
+        assert (product.num, product.e) == ((x + 1) * (x**2 + 2), (0,))
+
+    def test_reducible_factor_divides_a_product(self):
+        # (x² - 2)(x² - 3) as one factor: neither canonical operand is
+        # divisible by it, their product is
+        x = MPoly.var(1, 0)
+        f = x**4 - x**2 * 5 + 6
+        fs = loc_factors(f)
+        assert fs[3] == fs[1]
+        product = _Loc(fs, x**2 - 2) * _Loc(fs, x**2 - 3)
+        assert product.e == (-1,) and product.num.total_degree() == 0
+
+    def test_certificates(self):
+        x = MPoly.var(1, 0)
+        assert [_irreducible(p) for p in (x + 3, x**2 - 2, x**3 - 2, x**5 - x - 1)] == [True] * 4
+        assert not any(_irreducible(p) for p in (x**2 - 4, x**4 + 1, (x**2 + 1) * (x**2 + 2)))
+        # two variables: a pure a₀^d term keeps the degree of every b₀ ↦ c
+        assert _irreducible(A0 * A0 + B0 * B0 + 1)
+        assert not _irreducible((A0 + B0) * (A0 - B0 + 1))
+        assert not _irreducible(A0 * B0 + 1)  # irreducible, but no a₀² term
+
+    def test_a_factor_dividing_another_is_refused(self):
+        with pytest.raises(Mismatch, match="a localising factor divides another"):
+            loc_factors(B0 - A0, (B0 - A0) * (A0 + 1))
 
 
 class TestFindMerging:
