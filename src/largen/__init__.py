@@ -19,8 +19,11 @@ several (``MPoly``) and differential ones (``DiffPoly``) are
 lowest terms.  The base class owns their scalars, sums, equality, hash and
 powers, each ring its product, calculus and rendering; arithmetic, gcds and
 Sturm signs run on Python ints, and ``Fraction`` is the view they render
-and evaluate through.  The regular engines compute in ``mpolys._Loc``,
-whose factors certified prime (Ben-Or's test) spare products trial division.
+and evaluate through.  Their quotients share one fraction field,
+``mpolys.Quotient``: reduced with a monic denominator in one variable,
+unreduced in several (``MRatFunc``).  The regular engines compute in
+``mpolys._Loc``, whose factors certified prime (Ben-Or's test) spare
+products trial division.
 Floating point enters only at evaluation boundaries, via mpmath at a
 caller-chosen precision.
 

@@ -24,9 +24,12 @@ Fraction} view, in the table's insertion order.
 ``_Loc`` is ℚ[x][1/f_1, .., 1/f_k] for fixed factors f_i, kept canonical by
 trial division, filtered mod P and run only where an f_i can divide.
 
-``MRatFunc`` deliberately skips gcd reduction — multivariate gcds are
-expensive and nothing downstream needs canonical forms, only exact
-arithmetic and a reliable equality test, which cross-multiplication provides.
+``Quotient`` is the one fraction field over these tables, ``==`` by
+cross-multiplication; its kinds differ only in their constructor's
+normalisation.  The quotient of ``Poly``s in ``polys`` is reduced with a
+monic denominator, so it hashes; ``MRatFunc`` is unreduced (multivariate
+gcds are expensive and no caller needs canonical forms), so no cheap hash
+could agree with ``==``.
 """
 
 from __future__ import annotations
@@ -190,6 +193,97 @@ class IntTable:
         for k, n in other.nums.items():
             out[k] = out.get(k, 0) + n * m2
         return den, out
+
+
+class Quotient:
+    """num/den over a ring of ``IntTable``s, with the field arithmetic every
+    such quotient shares: exact scalars and numerator-kind tables as
+    quotients (``_coerce``), ``==`` by cross-multiplication, +, −, ×, ÷,
+    integer powers, the quotient rule and rendering.  Each result is built as
+    ``type(self)(num, den)``, so the subclass's constructor normalises it."""
+
+    __slots__ = ("num", "den")
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def __bool__(self) -> bool:
+        return not self.is_zero()
+
+    def _coerce(self, other):
+        """other as a quotient of self's kind, or NotImplemented."""
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, type(self.num)):
+            return type(self)(other)
+        if is_exact(other):
+            return type(self)(self.num._scalar(other))
+        return NotImplemented
+
+    def __eq__(self, other) -> bool:
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.num * other.den == other.num * self.den
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if self.den == other.den:
+            return type(self)(self.num + other.num, self.den)
+        return type(self)(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)(-self.num, self.den)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -(self - other)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return type(self)(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if other.is_zero():
+            raise ZeroDivisionError(f"division by the zero {type(self).__name__}")
+        return type(self)(self.num * other.den, self.den * other.num)
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) / self
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return type(self)(self.den**-n, self.num**-n)
+        return type(self)(self.num**n, self.den**n)
+
+    def _quotient_rule(self, d):
+        """(num/den)′ for a derivation d of the numerators' ring."""
+        return type(self)(d(self.num) * self.den - self.num * d(self.den), self.den * self.den)
+
+    def render(self, *names) -> str:
+        """num, or (num)/(den), each rendered by its own ring with ``names``."""
+        if self.den == 1:
+            return self.num.render(*names)
+        return f"({self.num.render(*names)})/({self.den.render(*names)})"
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.render()})"
 
 
 class MPoly(IntTable):
@@ -412,110 +506,37 @@ def swap_vars(p: MPoly) -> MPoly:
                                      for e, n in p.nums.items()})
 
 
-class MRatFunc:
-    """Quotient of MPolys, kept unreduced; equality by cross-multiplication."""
+class MRatFunc(Quotient):
+    """A ``Quotient`` of MPolys, kept unreduced: equal functions may have
+    different parts, and only a zero numerator is normalised (den 1)."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ()
 
     def __init__(self, num: MPoly, den: MPoly | None = None):
-        if den is None:
-            den = MPoly.const(num.nvars, 1)
-        if den.is_zero():
+        one = MPoly.const(num.nvars, 1)
+        if den is not None and den.is_zero():
             raise ZeroDivisionError("MRatFunc with zero denominator")
-        if num.is_zero():
-            den = MPoly.const(num.nvars, 1)
-        self.num, self.den = num, den
+        self.num, self.den = num, one if den is None or num.is_zero() else den
 
     @classmethod
     def const(cls, nvars: int, c) -> "MRatFunc":
         return cls(MPoly.const(nvars, c))
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def _coerce(self, other):
-        if isinstance(other, MRatFunc):
-            return other
-        if isinstance(other, MPoly):
-            return MRatFunc(other)
-        if is_exact(other):
-            return MRatFunc.const(self.num.nvars, other)
-        return NotImplemented
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __add__(self, other) -> "MRatFunc":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.den == other.den:
-            return MRatFunc(self.num + other.num, self.den)
-        return MRatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "MRatFunc":
-        return MRatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other) -> "MRatFunc":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return MRatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "MRatFunc":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero MRatFunc")
-        return MRatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, n: int) -> "MRatFunc":
-        if n < 0:
-            return MRatFunc(self.den**-n, self.num**-n)
-        return MRatFunc(self.num**n, self.den**n)
+    # bound here, not inherited: the benchmark's spans read the class __dict__
+    __add__ = __radd__ = Quotient.__add__
+    __sub__, __rsub__ = Quotient.__sub__, Quotient.__rsub__
+    __mul__ = __rmul__ = Quotient.__mul__
+    __truediv__, __rtruediv__ = Quotient.__truediv__, Quotient.__rtruediv__
+    __neg__, __pow__ = Quotient.__neg__, Quotient.__pow__
 
     def diff(self, i: int) -> "MRatFunc":
-        return MRatFunc(
-            self.num.diff(i) * self.den - self.num * self.den.diff(i),
-            self.den * self.den,
-        )
+        return self._quotient_rule(lambda p: p.diff(i))
 
     def eval(self, point):
         den = self.den.eval(point)
         if den == 0:
             raise ZeroDivisionError("pole of MRatFunc at evaluation point")
         return self.num.eval(point) / den
-
-    def render(self, names=None) -> str:
-        if self.den == MPoly.const(self.den.nvars, 1):
-            return self.num.render(names)
-        return f"({self.num.render(names)})/({self.den.render(names)})"
-
-    def __repr__(self):
-        return f"MRatFunc({self.render()})"
 
 
 # -- the localised ring ---------------------------------------------------------

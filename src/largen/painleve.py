@@ -55,7 +55,7 @@ from fractions import Fraction
 from .diffpoly import DiffPoly, XRelation
 from .errors import Mismatch, certify
 from .onecut import OneCutCritical, scaled_series
-from .polys import Poly
+from .polys import Poly, RationalFunc
 from .potential import Potential
 from .scalars import as_fraction, is_exact, scalar_str
 from .twocut import MergingPoint, symmetric_scaled_series
@@ -98,11 +98,8 @@ class Homogeneous:
 
 
 def _rho_power(c, k: int) -> str:
-    """c·ρ^k rendered as ``RationalFunc.render`` renders it: the polynomial
-    for k ≥ 0, and (c)/(ρ^{-k}) for k < 0."""
-    if k >= 0:
-        return (Poly.x() ** k * c).render("rho")
-    return f"({c})/({(Poly.x() ** -k).render('rho')})"
+    """c·ρ^k as a rational function of ρ renders it."""
+    return RationalFunc(Poly.x() ** max(k, 0) * c, Poly.x() ** max(-k, 0)).render("rho")
 
 
 def _at(unit: DiffPoly, m: int, rc):

@@ -10,8 +10,8 @@ gcds and Sturm sequences run on the numerators alone, by pseudo-division
 (Knuth, TAOCP Vol. 2, §4.6.1): a remainder comes back as a positive multiple
 of the Euclidean one, in primitive form, so no fraction is formed in the
 loop and every sign is kept.
-``RationalFunc`` is a reduced quotient of two ``Poly``s with a monic
-denominator, which makes equality structural.
+``RationalFunc`` is the ``mpolys.Quotient`` of two ``Poly``s in its reduced
+normalisation (module notes there).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import mpmath
 
-from .mpolys import IntTable, MPoly
+from .mpolys import IntTable, MPoly, Quotient
 from .scalars import as_fraction, is_exact, mpfs_of
 
 
@@ -196,10 +196,11 @@ class Poly(IntTable):
         return MPoly._trusted(1, self.den, self.nums).render([var])
 
 
-class RationalFunc:
-    """Reduced quotient num/den of Polys with monic denominator."""
+class RationalFunc(Quotient):
+    """A ``Quotient`` of Polys in lowest terms with a monic denominator, so
+    equal functions have equal parts."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ()
 
     def __init__(self, num, den=None):
         num = num if isinstance(num, Poly) else Poly.const(num)
@@ -226,92 +227,22 @@ class RationalFunc:
     def var(cls) -> "RationalFunc":
         return cls(Poly.x())
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a polynomial hashes as the Poly (or the exact constant) it equals
+        return hash(self.num) if self.den == 1 else hash((self.num, self.den))
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, RationalFunc):
-            return other
-        if isinstance(other, Poly):
-            return RationalFunc(other)
-        if is_exact(other):
-            return RationalFunc.const(other)
-        return NotImplemented
-
-    def __add__(self, other) -> "RationalFunc":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RationalFunc":
-        return RationalFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other) -> "RationalFunc":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return RationalFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "RationalFunc":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, n: int) -> "RationalFunc":
-        if n < 0:
-            return RationalFunc(self.den**-n, self.num**-n)
-        return RationalFunc(self.num**n, self.den**n)
+    # bound here, not inherited: the benchmark's spans read the class __dict__
+    __add__ = __radd__ = Quotient.__add__
+    __sub__, __rsub__ = Quotient.__sub__, Quotient.__rsub__
+    __mul__ = __rmul__ = Quotient.__mul__
+    __truediv__, __rtruediv__ = Quotient.__truediv__, Quotient.__rtruediv__
+    __neg__, __pow__ = Quotient.__neg__, Quotient.__pow__
 
     def derivative(self) -> "RationalFunc":
-        return RationalFunc(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
+        return self._quotient_rule(Poly.derivative)
 
     def __call__(self, x):
         den = self.den(x)
         if is_exact(x) and den == 0:
             raise ZeroDivisionError(f"pole at {x}")
         return self.num(x) / den
-
-    def render(self, var: str = "x") -> str:
-        if self.den == Poly.one():
-            return self.num.render(var)
-        return f"({self.num.render(var)})/({self.den.render(var)})"
-
-    def __repr__(self) -> str:
-        return f"RationalFunc({self.render()})"
-

@@ -204,6 +204,73 @@ def test_ratfunc_field_axioms(an, ad, bn, bd):
         assert (a / b) * b == a
 
 
+def test_ratfunc_hash_agrees_with_equality():
+    x = Poly.x()
+    assert RationalFunc.const(3) == 3 and len({RationalFunc.const(3), 3}) == 1
+    assert RationalFunc(x) == x and len({RationalFunc(x), x}) == 1
+    assert hash(RationalFunc.const(Fraction(-1, 2))) == hash(Fraction(-1, 2))
+    assert hash(RationalFunc(x + 1, x - 2)) == hash(RationalFunc(2 * x + 2, 2 * x - 4))
+    with pytest.raises(TypeError):  # unreduced: no cheap hash agrees with ==
+        hash(MRatFunc(MPoly.var(2, 0), MPoly.var(2, 1)))
+
+
+# -- the shared quotient algebra: reduced one-variable RationalFunc against
+# the unreduced MRatFunc in one variable, whose MPoly shares Poly's table
+
+
+def _mp(p: Poly) -> MPoly:
+    return MPoly._trusted(1, p.den, dict(p.nums))
+
+
+def _agree(r: RationalFunc, m: MRatFunc) -> bool:
+    """r and m are the same function: equal cross-products of their parts."""
+    return _mp(r.num) * m.den == m.num * _mp(r.den)
+
+
+@given(small_polys, small_polys, small_polys, small_polys, small_fracs,
+       st.integers(-5, 5), st.integers(-3, 3))
+@settings(max_examples=60)
+def test_quotient_kinds_agree(an, ad, bn, bd, c, k, n):
+    if ad.is_zero() or bd.is_zero():
+        return
+    r1, r2 = RationalFunc(an, ad), RationalFunc(bn, bd)
+    m1, m2 = MRatFunc(_mp(an), _mp(ad)), MRatFunc(_mp(bn), _mp(bd))
+    pairs = [(r1 + r2, m1 + m2), (r1 - r2, m1 - m2), (r1 * r2, m1 * m2), (-r1, -m1),
+             (r1.derivative(), m1.diff(0)), (r1 + r1, m1 + m1)]
+    for s in (c, k):  # Fraction and int scalars, on both sides
+        pairs += [(r1 + s, m1 + s), (s + r1, s + m1), (r1 - s, m1 - s), (s - r1, s - m1),
+                  (r1 * s, m1 * s), (s * r1, s * m1)]
+        if s:
+            pairs.append((r1 / s, m1 / s))
+        if r1:
+            pairs.append((s / r1, s / m1))
+    if r2:
+        pairs.append((r1 / r2, m1 / m2))
+    if r1 or n >= 0:
+        pairs.append((r1**n, m1**n))
+    for r, m in pairs:
+        assert _agree(r, m)
+    # cross-multiplied == is the structural test on RationalFunc's reduced parts
+    same = RationalFunc(an * bd, ad * bd)
+    for other in (r2, same):
+        assert (r1 == other) == (r1.num == other.num and r1.den == other.den)
+    assert (m1 == m2) == (r1 == r2)
+
+
+def test_quotient_kinds_normalise_zero_and_refuse_zero_divisors():
+    x = Poly.x()
+    for r, zero, one in ((RationalFunc(Poly.zero(), x + 1), Poly.zero(), Poly.one()),
+                         (MRatFunc(_mp(Poly.zero()), _mp(x + 1)), _mp(Poly.zero()), _mp(Poly.one()))):
+        assert r.is_zero() and not r and r == 0
+        assert r.num == zero and r.den == one  # den 1 whatever den was given
+        f = type(r)(one, one + one)
+        assert (f - f).den == one
+        for bad in (lambda: type(r)(one, zero), lambda: f / r, lambda: f / 0,
+                    lambda: r**-1, lambda: 1 / r):
+            with pytest.raises(ZeroDivisionError):
+                bad()
+
+
 # -- MPoly / MRatFunc --------------------------------------------------
 
 
