@@ -43,7 +43,10 @@ potential, since none of it depends on T.
 ``oracle._standard_nodes`` keeps the tanh-sinh node levels
 per (level, precision), ``diffpoly.certify_d_dx`` the ``Poly`` side of its
 probe per derivative order, and ``painleve`` its two hierarchy tables, which
-only grow.
+only grow.  ``diffpoly``'s jet registry only grows too: it gives each jet
+v^{(k)} its key field on first use, and keeps the decoded factor tuple of
+every key read.  No output reads field order, so none depends on which jets
+a process met first.
 """
 
 __version__ = "0.1.0"

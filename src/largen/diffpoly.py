@@ -11,24 +11,61 @@ as the critical radius ρ enters as a number, never as a coefficient (the
 symbolic-ρ hierarchies in ``painleve`` restore ρ at output).  There is no
 explicit x inside a DiffPoly; relations that need a bare x carry it
 structurally (see ``XRelation``).
+
+A key is its monomial packed into one int, as in ``MPoly``: each jet v^{(k)}
+gets a ``_WIDTH``-bit exponent field the first time a ``DiffPoly`` meets it,
+and a key is Σ e·2^(shift of its jet), the constants key 0.  A product of
+monomials is then a sum of keys, and d/dx moves one power from v^{(k)} to
+v^{(k+1)} by adding a difference of unit keys.  Exponents lie in
+[0, 2^(_WIDTH−1)): a product or derivative step that sets a field's top bit
+raises ``OverflowError`` rather than alias into the next jet.  Field order is
+the order of first use, so nothing reads it: ``terms``, the sort and every
+rendering decode a key to its sorted factor tuple (``Monomial``).  The
+registry and its decodes are process-global and only grow.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from math import gcd, lcm
+from operator import or_
 from typing import Iterable, Mapping
 
 from .errors import certify
-from .mpolys import IntTable
+from .mpolys import _FIELD, _WIDTH, IntTable
 from .polys import Poly
 from .scalars import is_exact
 from .wring import Lattice, WElem
 
-# a factor (name, order, exponent); a monomial is a sorted tuple of factors
+# a factor (name, order, exponent); a monomial, as ``terms`` and every
+# rendering read a key, is the sorted tuple of its factors
 Factor = tuple[str, int, int]
 Monomial = tuple[Factor, ...]
+
+# The jet registry (module notes): (name, order) -> the shift of its field,
+# the jets by field index, the top bits of all fields and the decoded
+# monomial of each key read so far.  All only grow.
+_SHIFT: dict[tuple[str, int], int] = {}
+_JETS: list[tuple[str, int]] = []
+_TOP = 0
+_DECODED: dict[int, Monomial] = {}
+
+
+def _shift(name: str, order: int) -> int:
+    """The shift of the field of v^(order) for v = name, given on first use."""
+    s = _SHIFT.get((name, order))
+    if s is None:
+        global _TOP
+        s = _SHIFT[name, order] = _WIDTH * len(_JETS)
+        _JETS.append((name, order))
+        _TOP |= 1 << (s + _WIDTH - 1)
+    return s
+
+
+def _step(name: str, order: int) -> int:
+    """The key difference that moves one power of v^(order) to v^(order+1)."""
+    return (1 << _shift(name, order + 1)) - (1 << _shift(name, order))
 
 
 def _normalize_monomial(factors: Iterable[tuple[str, int, int]]) -> Monomial:
@@ -41,20 +78,37 @@ def _normalize_monomial(factors: Iterable[tuple[str, int, int]]) -> Monomial:
     return tuple(sorted((n, o, e) for (n, o), e in agg.items() if e))
 
 
-def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1 or not m2:
-        return m1 or m2
-    agg = {(n, o): e for n, o, e in m1}
-    for n, o, e in m2:
-        agg[n, o] = agg.get((n, o), 0) + e
-    return tuple(sorted((n, o, e) for (n, o), e in agg.items()))
+def _key(mono: Monomial) -> int:
+    """The packed key of a normalised monomial."""
+    key = 0
+    for name, order, exp in mono:
+        if not isinstance(exp, int) or exp >> (_WIDTH - 1):
+            raise ValueError(f"exponent {exp} of {name}^({order}) is not an int "
+                             f"in [0, 2^{_WIDTH - 1})")
+        key += exp << _shift(name, order)
+    return key
 
 
-def _drop(mono: Monomial, idx: int) -> Monomial:
-    """mono with one power of its idx-th factor taken away."""
-    name, order, exp = mono[idx]
-    low = ((name, order, exp - 1),) if exp > 1 else ()
-    return mono[:idx] + low + mono[idx + 1 :]
+def _decode(key: int) -> Monomial:
+    """The sorted factors of a packed key."""
+    mono = _DECODED.get(key)
+    if mono is None:
+        factors, rest = [], key
+        while rest:
+            s = (rest & -rest).bit_length() - 1
+            s -= s % _WIDTH
+            exp = rest >> s & _FIELD
+            factors.append((*_JETS[s // _WIDTH], exp))
+            rest -= exp << s
+        mono = _DECODED[key] = tuple(sorted(factors))
+    return mono
+
+
+def _checked(out: dict, what: str) -> dict:
+    """out, unless one of its keys has set a field's top bit."""
+    if reduce(or_, out, 0) & _TOP:
+        raise OverflowError(f"an exponent of the {what} reaches 2^{_WIDTH - 1}")
+    return out
 
 
 def _coerce_coeff(c) -> Fraction:
@@ -63,17 +117,21 @@ def _coerce_coeff(c) -> Fraction:
     raise TypeError(f"bad DiffPoly coefficient: {type(c).__name__}")
 
 
+def _lead_num(p: "DiffPoly") -> int:
+    """The numerator of p's leading term in ``sorted_terms`` order."""
+    return p.nums[max(p.nums, key=lambda k: DiffPoly._mono_sort_key(_decode(k)))]
+
+
 class DiffPoly(IntTable):
     """Exact differential polynomial; immutable by convention."""
 
     __slots__ = ()
-    _UNIT = ()
 
     def __init__(self, terms: Mapping[Monomial, object] | None = None):
         clean: dict = {}
         for mono, c in (terms or {}).items():
-            mono, c = _normalize_monomial(mono), _coerce_coeff(c)
-            clean[mono] = clean.get(mono, 0) + c
+            key, c = _key(_normalize_monomial(mono)), _coerce_coeff(c)
+            clean[key] = clean.get(key, 0) + c
         self._set_terms(clean)
 
     # -- constructors ---------------------------------------------------
@@ -84,7 +142,7 @@ class DiffPoly(IntTable):
     @classmethod
     def const(cls, c) -> "DiffPoly":
         c = _coerce_coeff(c)
-        return cls._trusted(c.denominator, {(): c.numerator})
+        return cls._trusted(c.denominator, {0: c.numerator})
 
     _scalar = const
 
@@ -93,43 +151,56 @@ class DiffPoly(IntTable):
         return cls({((name, order, 1),): 1})
 
     # -- queries ----------------------------------------------------------
+    @property
+    def terms(self) -> dict:
+        """{sorted factor tuple: Fraction coefficient}, a fresh dict in insertion order."""
+        den = self.den
+        return {_decode(k): Fraction(n, den) for k, n in self.nums.items()}
+
     def dependent_vars(self) -> set[str]:
-        return {name for mono in self.nums for name, _, _ in mono}
+        return {name for key in self.nums for name, _, _ in _decode(key)}
 
     def max_order(self, name: str | None = None) -> int:
-        orders = (o for mono in self.nums for n, o, _ in mono if name is None or n == name)
+        orders = (o for key in self.nums for n, o, _ in _decode(key) if name is None or n == name)
         return max(orders, default=-1)
 
     def total_degree(self) -> int:
-        return max((sum(e for _, _, e in m) for m in self.nums), default=0)
+        return max((sum(e for _, _, e in _decode(k)) for k in self.nums), default=0)
 
     def constant_term(self) -> Fraction:
         return self.coefficient(())
 
     def coefficient(self, mono) -> Fraction:
-        return Fraction(self.nums.get(_normalize_monomial(mono), 0), self.den)
+        return Fraction(self.nums.get(_key(_normalize_monomial(mono)), 0), self.den)
 
     # -- ring operations -------------------------------------------------
     def __mul__(self, other) -> "DiffPoly":
         if is_exact(other):
+            if other == 1:
+                return self
+            if not other:
+                return DiffPoly.zero()
             k = other.numerator
             return DiffPoly._trusted(self.den * other.denominator,
                                      {m: n * k for m, n in self.nums.items()})
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        den = self.den * other.den
-        for c, p in ((other, self), (self, other)):  # a constant factor scales
-            if len(c.nums) == 1 and () in c.nums:
-                k = c.nums[()]
-                return DiffPoly._trusted(den, {m: n * k for m, n in p.nums.items()})
+        for c, p in ((other, self), (self, other)):
+            if not c.nums:
+                return c
+            if len(c.nums) == 1 and 0 in c.nums:  # a constant factor scales
+                k = c.nums[0]
+                if k == c.den == 1:
+                    return p
+                return DiffPoly._trusted(p.den * c.den, {m: n * k for m, n in p.nums.items()})
         out: dict = {}
         get = out.get
         for m1, n1 in self.nums.items():
             for m2, n2 in other.nums.items():
-                m = _mono_mul(m1, m2)
+                m = m1 + m2
                 out[m] = get(m, 0) + n1 * n2
-        return DiffPoly._trusted(den, out)
+        return DiffPoly._trusted(self.den * other.den, _checked(out, "product"))
 
     __rmul__ = __mul__
 
@@ -141,25 +212,29 @@ class DiffPoly(IntTable):
     # -- calculus ----------------------------------------------------------
     def d_dx(self, times: int = 1) -> "DiffPoly":
         """Total x-derivative; coefficients are x-independent."""
+        if times < 0:
+            raise ValueError("negative derivative count")
         p = self
         for _ in range(times):
             out: dict = {}
             get = out.get
-            for mono, n in p.nums.items():
-                for idx, (name, order, exp) in enumerate(mono):
-                    m = _mono_mul(_drop(mono, idx), ((name, order + 1, 1),))
+            for key, n in p.nums.items():
+                for name, order, exp in _decode(key):
+                    m = key + _step(name, order)
                     out[m] = get(m, 0) + n * exp
-            p = DiffPoly._trusted(p.den, out)
+            p = DiffPoly._trusted(p.den, _checked(out, "derivative"))
         return p
 
     def partial(self, name: str, order: int) -> "DiffPoly":
         """Formal partial derivative with respect to the jet variable v^(order)."""
+        s = _SHIFT.get((name, order))
         out: dict = {}
-        for mono, c in self.nums.items():
-            for idx, (n, o, e) in enumerate(mono):
-                if n == name and o == order:
-                    # one factor per (name, order): no other term maps here
-                    out[_drop(mono, idx)] = c * e
+        if s is not None:
+            unit = 1 << s
+            for key, n in self.nums.items():
+                if exp := key >> s & _FIELD:
+                    # one field per (name, order): no other term maps here
+                    out[key - unit] = n * exp
         return DiffPoly._trusted(self.den, out)
 
     # -- substitution -------------------------------------------------------
@@ -175,9 +250,9 @@ class DiffPoly(IntTable):
             return cache[key]
 
         out = DiffPoly.zero()
-        for mono, n in self.nums.items():
-            term = DiffPoly._trusted(self.den, {(): n})
-            for name, order, exp in mono:
+        for key, n in self.nums.items():
+            term = DiffPoly._trusted(self.den, {0: n})
+            for name, order, exp in _decode(key):
                 term = term * image(name, order) ** exp
             out = out + term
         return out
@@ -265,8 +340,7 @@ class XRelation:
         den = lcm(p.den, q.den)
         scale = Fraction(den, gcd(*(n * (den // p.den) for n in p.nums.values()),
                                   *(n * (den // q.den) for n in q.nums.values())))
-        lead = p if p.nums else q
-        if lead.nums[max(lead.nums, key=DiffPoly._mono_sort_key)] < 0:
+        if _lead_num(p if p.nums else q) < 0:
             scale = -scale
         return XRelation(p * scale, q * scale)
 
@@ -274,8 +348,7 @@ class XRelation:
         ps = self.p.render(latex=latex)
         if self.q.is_zero():
             return f"{ps} = 0"
-        cq = self.q.nums[max(self.q.nums, key=DiffPoly._mono_sort_key)]
-        q, sign = (-self.q, "-") if cq < 0 else (self.q, "+")
+        q, sign = (-self.q, "-") if _lead_num(self.q) < 0 else (self.q, "+")
         qs = q.render(latex=latex)
         xterm = "x" if qs == "1" else (f"x \\, ({qs})" if latex else f"x*({qs})")
         if self.p.is_zero():

@@ -86,11 +86,12 @@ class IntTable:
     """Integer numerators ``nums`` {key: int} over ``den``, as ``reduced``
     leaves them, with the algebra every such table shares: exact scalars as
     constants (``_coerce``), +, − and negation (a zero operand, scalar or
-    table, gives back the other operand itself, so a sum keeps key order),
+    table, gives back the other operand itself, so a sum keeps key order,
+    and −0 is that zero),
     ``==`` with a hash that agrees (a constant hashes as the ``Fraction`` it
     equals), and powers.  A key is a power in ``Poly``, a packed monomial in
-    ``MPoly`` and a tuple of factors in ``DiffPoly``; ``_UNIT`` is the key of
-    the constants.  A subclass supplies ``_scalar(c)``, the constant c of its
+    ``MPoly`` and a packed jet monomial in ``DiffPoly``; ``_UNIT`` is the key
+    of the constants.  A subclass supplies ``_scalar(c)``, the constant c of its
     kind, its key product ``__mul__``, and its calculus and rendering;
     ``MPoly`` also overrides ``_like(den, nums)`` to keep its arity."""
 
@@ -162,9 +163,13 @@ class IntTable:
     __radd__ = __add__
 
     def __neg__(self):
+        if not self.nums:
+            return self
         return self._like(self.den, {k: -n for k, n in self.nums.items()})
 
     def __sub__(self, other):
+        if is_exact(other) and not other:
+            return self
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -366,6 +371,8 @@ class MPoly(IntTable):
     __neg__, __pow__ = IntTable.__neg__, IntTable.__pow__
 
     def diff(self, i: int) -> "MPoly":
+        if not 0 <= i < self.nvars:
+            raise ValueError(f"no variable x{i} among {self.nvars}")
         s = _WIDTH * (self.nvars - 1 - i)
         out: dict[int, int] = {}
         for e, n in self.nums.items():
@@ -570,7 +577,13 @@ def _rem(f: list, g: list, p: int = MOD_P) -> list:
 
 
 def _image_divisible(f: list, g: list) -> bool:
-    """Whether the monic g divides f in F_P[x₀] (f is consumed)."""
+    """Whether the monic g divides f in F_P[x₀] (f is consumed); a linear
+    x₀ + g₀ does when f(−g₀) = 0, one Horner pass."""
+    if len(g) == 2:
+        root, acc = -g[0], 0
+        for v in reversed(f):
+            acc = (acc * root + v) % MOD_P
+        return not acc
     return not any(v % MOD_P for v in _rem(f, g))
 
 

@@ -166,6 +166,8 @@ class Poly(IntTable):
         return a * (1 / a.leading())
 
     def derivative(self, order: int = 1) -> "Poly":
+        if order < 0:
+            raise ValueError("negative derivative order")
         p = self
         for _ in range(order):
             p = Poly._trusted(p.den, {i - 1: i * n for i, n in p.nums.items() if i})

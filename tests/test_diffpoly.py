@@ -139,6 +139,46 @@ def ref_json(a: dict) -> list:
     ]
 
 
+def ref_times(a: dict, b: dict) -> dict:
+    return ref_collect(
+        (_normalize_monomial(m1 + m2), c1 * c2) for m1, c1 in a.items() for m2, c2 in b.items()
+    )
+
+
+def ref_pow(a: dict, n: int) -> dict:
+    """a**n by the square-and-multiply order of ``IntTable.__pow__``."""
+    result, base = {(): F(1)}, a
+    while n:
+        if n & 1:
+            result = ref_times(result, base)
+        n >>= 1
+        if n:
+            base = ref_times(base, base)
+    return result
+
+
+def ref_partial(a: dict, name: str, order: int) -> dict:
+    return ref_collect(
+        (_normalize_monomial(mono[:i] + ((n, o, e - 1),) + mono[i + 1 :]), c * e)
+        for mono, c in a.items()
+        for i, (n, o, e) in enumerate(mono)
+        if (n, o) == (name, order)
+    )
+
+
+def ref_substitute(a: dict, mapping: dict) -> dict:
+    out: dict = {}
+    for mono, c in a.items():
+        term = {(): c}
+        for n, o, e in mono:
+            image = mapping.get(n, {((n, 0, 1),): F(1)})
+            for _ in range(o):
+                image = ref_d_dx(image)
+            term = ref_times(term, ref_pow(image, e))
+        out = ref_collect([*out.items(), *term.items()])
+    return out
+
+
 def only_fractions(p: DiffPoly) -> bool:
     return all(type(c) is F for c in p.terms.values())
 
@@ -156,18 +196,9 @@ def in_lowest_terms(p: DiffPoly) -> bool:
 def test_rational_coefficients_match_reference(a, b):
     ra, rb = dict(a.terms), dict(b.terms)
     assert (a + b).to_json() == ref_json(ref_collect([*ra.items(), *rb.items()]))
-    prod = [
-        (_normalize_monomial(m1 + m2), c1 * c2) for m1, c1 in ra.items() for m2, c2 in rb.items()
-    ]
-    assert (a * b).to_json() == ref_json(ref_collect(prod))
+    assert (a * b).to_json() == ref_json(ref_times(ra, rb))
     assert a.d_dx().to_json() == ref_json(ref_d_dx(ra))
-    part = [
-        (_normalize_monomial(mono[:i] + ((n, o, e - 1),) + mono[i + 1 :]), c * e)
-        for mono, c in ra.items()
-        for i, (n, o, e) in enumerate(mono)
-        if (n, o) == ("u", 1)
-    ]
-    assert a.partial("u", 1).to_json() == ref_json(ref_collect(part))
+    assert a.partial("u", 1).to_json() == ref_json(ref_partial(ra, "u", 1))
     # ints and Fractions are one coefficient, and every result is over ℚ,
     # stored in lowest terms
     assert a * 2 == a * F(2) and hash(a * 2) == hash(a * F(2))
@@ -201,3 +232,116 @@ def test_double_scaled_engines_run_over_q():
     polys += [p for o in sym.orders for p in (o.C, *o.A, *o.B)]
     assert sum(len(p.terms) for p in polys) > 100
     assert all(only_fractions(p) and in_lowest_terms(p) for p in polys)
+
+
+# -- packed keys: the tuple reference in ``terms`` order, overflow, field order --
+
+
+@given(a=rational, b=rational, k=fracs, n=st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_packed_keys_agree_with_the_tuple_reference_in_terms_order(a, b, k, n):
+    ra, rb = a.terms, b.terms
+    cases = (
+        (a + b, ref_collect([*ra.items(), *rb.items()])),
+        (a - b, ref_collect([*ra.items(), *((m, -c) for m, c in rb.items())])),
+        (a * b, ref_times(ra, rb)),
+        (a * k, ref_times(ra, {(): k})),
+        (a**n, ref_pow(ra, n)),
+        (a.d_dx(), ref_d_dx(ra)),
+        (a.d_dx(2), ref_d_dx(ref_d_dx(ra))),
+        (a.partial("u", 1), ref_partial(ra, "u", 1)),
+        (a.partial("v", 0), ref_partial(ra, "v", 0)),
+        (a.substitute({"u": b}), ref_substitute(ra, {"u": rb})),
+    )
+    for got, want in cases:
+        assert list(got.terms.items()) == list(want.items())
+
+
+@given(a=rational)
+@settings(max_examples=30, deadline=None)
+def test_no_op_operands_build_no_table(a):
+    one, zero = DiffPoly.const(1), DiffPoly.zero()
+    assert a * 1 is a and a * F(1) is a and a * one is a
+    assert one * a is a or a.max_order() < 0  # of two constants, either may scale
+    assert (a * 0).is_zero() and (a * zero).is_zero() and (zero * a).is_zero()
+    assert -zero is zero and a - 0 is a and a - F(0) is a and a - zero is a
+
+
+def test_exponents_outside_the_fields_are_refused():
+    for bad in (-1, F(3, 2), 1.0, 2**31):
+        with pytest.raises(ValueError):
+            DiffPoly({(("u", 0, bad),): 1})
+    with pytest.raises(ValueError):  # two factors of one jet sum past its field
+        DiffPoly({(("u", 0, 2**30), ("u", 0, 2**30)): 1})
+    with pytest.raises(ValueError):
+        DiffPoly.var("u", -1)
+    top = 2**31 - 1
+    assert DiffPoly({(("u", 0, top),): 1}).terms == {(("u", 0, top),): F(1)}
+
+
+def test_exponents_never_alias_into_the_next_jet():
+    top = DiffPoly({(("u", 0, 2**31 - 1),): 1})
+    with pytest.raises(OverflowError):
+        top * u
+    with pytest.raises(OverflowError):
+        u ** 2**31
+    with pytest.raises(OverflowError):  # d/dx moves u's power onto the full u_x field
+        (DiffPoly({(("u", 1, 2**31 - 1),): 1}) * u).d_dx()
+    assert (top * v).terms == {(("u", 0, 2**31 - 1), ("v", 0, 1)): F(1)}
+    assert top.d_dx().terms == {(("u", 0, 2**31 - 2), ("u", 1, 1)): F(2**31 - 1)}
+    assert u.partial("a jet no table has met", 0).is_zero()
+
+
+def test_negative_derivative_counts_are_refused():
+    with pytest.raises(ValueError):
+        u.d_dx(-1)
+    assert u.d_dx(0) is u
+
+
+# the double-scaled documents: scaled_series(bmp, K=5), the symmetric series of
+# quartic:-2,1 at K=7 and the crosscheck at each exact critical or merging point
+DOCUMENTS = """
+import json
+from largen.onecut import find_critical, scaled_series
+from largen.painleve import crosscheck_via_series
+from largen.potential import parse_potential
+from largen.twocut import find_merging, symmetric_scaled_series
+
+
+def documents() -> str:
+    bmp, quartic = parse_potential("bmp"), parse_potential("quartic:-2,1")
+    sc = scaled_series(bmp, find_critical(bmp)[0], 5)
+    sym = symmetric_scaled_series(quartic, find_merging(quartic)[0], 7)
+    doc = {"scaled": [rel.to_json() for rel in sc.ladder],
+           "poles": [[p.to_json() for p in o.poles] for o in sc.orders],
+           "symmetric": [rel.to_json() for rel in sym.ladder],
+           "sym_poles": [[p.to_json() for p in (o.C, *o.A, *o.B)] for o in sym.orders]}
+    for name, find in (("sextic:42,-11,1", find_critical), ("bmp", find_critical),
+                       ("quartic:-2,1", find_merging), ("sextic:-6,-3,1", find_merging)):
+        g = parse_potential(name)
+        report = crosscheck_via_series(g, find(g)[0])
+        doc[name] = [report.member.to_json(), report.derived.to_json()]
+    return json.dumps(doc, ensure_ascii=False)
+"""
+
+
+def test_outputs_do_not_depend_on_jet_registration_order(run_under_O):
+    # a fresh interpreter gives the fields in the reverse of their usual order:
+    # every jet the documents meet, highest order and last name first
+    out = run_under_O(
+        """
+from largen.diffpoly import DiffPoly, _JETS
+names = ["u", "v", *(f"r{k}" for k in range(1, 6)), *(f"a{k}" for k in range(1, 8))]
+for name in reversed(names):
+    for order in range(12, -1, -1):
+        DiffPoly.var(name, order)
+print(*_JETS[0])
+"""
+        + DOCUMENTS
+        + "\nprint(documents())\n"
+    )
+    first, docs = out.rstrip("\n").split("\n")
+    assert first == "a7 12"
+    ns: dict = {}
+    exec(DOCUMENTS, ns)
+    assert docs == ns["documents"]()

@@ -345,6 +345,18 @@ class TestCrosscheck:
         with pytest.raises(ValueError):
             crosscheck_via_series(SEXTIC2, point, K=4)
 
+    def test_four_points_pinned(self):
+        # frozen member and derived documents at every exact critical and
+        # merging point the package finds
+        doc = {}
+        for name, g, find in (("sextic:42,-11,1", SEXTIC, find_critical),
+                              ("bmp", BMP, find_critical),
+                              ("quartic:-2,1", MERGING, find_merging),
+                              ("sextic:-6,-3,1", SEXTIC2, find_merging)):
+            report = crosscheck_via_series(g, find(g)[0])
+            doc[name] = {"member": report.member.to_json(), "derived": report.derived.to_json()}
+        assert json.dumps(doc, ensure_ascii=False) == pinned("crosscheck_four_points.json")
+
     def test_wrong_constant_is_caught(self):
         good = find_critical(SEXTIC)[0]
         forged = OneCutCritical(r_c=good.r_c, T_c=good.T_c, m=good.m, c_m=F(-7))

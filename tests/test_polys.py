@@ -9,7 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from largen.diffpoly import DiffPoly
-from largen.mpolys import MOD_P, MPoly, MRatFunc, greedy_div, mod_image, swap_vars
+from largen.mpolys import (
+    MOD_P,
+    MPoly,
+    MRatFunc,
+    _image_divisible,
+    _rem,
+    greedy_div,
+    mod_image,
+    swap_vars,
+)
 from largen.polys import Poly, RationalFunc
 from largen.wring import _pshift
 
@@ -453,6 +462,33 @@ def test_mpoly_exponents_never_alias_into_the_next_field():
     with pytest.raises(OverflowError):  # the quotient b^(2^30+5) times b^(2^30)
         greedy_div(MPoly(2, {(1, 2**30 + 5): 1}), a + MPoly(2, {(0, 2**30): 1}))
     assert (a * b ** (2**31 - 2) * b).terms == {(1, 2**31 - 1): Fraction(1)}
+
+
+def test_derivative_counts_and_variable_indices_are_checked():
+    # a negative count used to return the input, and diff(-1) gave 0
+    with pytest.raises(ValueError):
+        Poly((1, 2, 3)).derivative(-1)
+    assert Poly((1, 2, 3)).derivative(0) == Poly((1, 2, 3))
+    for i in (-1, 2, 5):
+        with pytest.raises(ValueError):
+            MPoly.var(2, 0).diff(i)
+    assert MPoly.var(2, 0).diff(1).is_zero() and MPoly.var(2, 0).diff(0) == 1
+
+
+_residues = st.integers(-(2**70), 2**70)
+
+
+@given(st.lists(_residues, max_size=8), st.integers(0, MOD_P - 1), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_linear_image_test_agrees_with_the_remainder(f, g0, divisible):
+    # the Horner pass at -g0 decides x + g0 | f as the generic remainder does
+    g = [g0, 1]
+    if divisible:  # f·(x + g0), unreduced
+        f = [a + g0 * b for a, b in zip([0, *f], [*f, 0])]
+    want = not any(v % MOD_P for v in _rem(list(f), g))
+    assert _image_divisible(list(f), g) == want
+    if divisible:
+        assert want
 
 
 def test_greedy_div_refuses_a_quotient_with_a_negative_exponent():
