@@ -16,8 +16,9 @@ The package computes, exactly where possible:
 Everything symbolic is exact.  Polynomials in one variable (``Poly``), in
 several (``MPoly``) and differential ones (``DiffPoly``) are
 ``mpolys.IntTable``s: integer numerators over one positive denominator, in
-lowest terms.  The base class owns their scalars, sums, equality, hash and
-powers, each ring its product, calculus and rendering; arithmetic, gcds and
+lowest terms.  The base class owns their scalars, sums, products (keys
+multiply by adding), equality, hash and powers, each ring the top bits of
+its exponent fields, its calculus and rendering; arithmetic, gcds and
 Sturm signs run on Python ints, and ``Fraction`` is the view they render
 and evaluate through.  Their quotients share one fraction field,
 ``mpolys.Quotient``: reduced with a monic denominator in one variable,

@@ -15,21 +15,21 @@ structurally (see ``XRelation``).
 A key is its monomial packed into one int, as in ``MPoly``: each jet v^{(k)}
 gets a ``_WIDTH``-bit exponent field the first time a ``DiffPoly`` meets it,
 and a key is Σ e·2^(shift of its jet), the constants key 0.  A product of
-monomials is then a sum of keys, and d/dx moves one power from v^{(k)} to
-v^{(k+1)} by adding a difference of unit keys.  Exponents lie in
-[0, 2^(_WIDTH−1)): a product or derivative step that sets a field's top bit
-raises ``OverflowError`` rather than alias into the next jet.  Field order is
-the order of first use, so nothing reads it: ``terms``, the sort and every
-rendering decode a key to its sorted factor tuple (``Monomial``).  The
-registry and its decodes are process-global and only grow.
+monomials is then a sum of keys (``IntTable``'s product), and d/dx moves one
+power from v^{(k)} to v^{(k+1)} by adding a difference of unit keys.
+Exponents lie in [0, 2^(_WIDTH−1)): a product or derivative step that sets a
+field's top bit, as registered at that call, raises ``OverflowError`` rather
+than alias into the next jet.  Field order is the order of first use, so
+nothing reads it: ``terms``, the sort and every rendering decode a key to its
+sorted factor tuple (``Monomial``).  The registry and its decodes are
+process-global and only grow, though no read (``coefficient``) registers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 from math import gcd, lcm
-from operator import or_
 from typing import Iterable, Mapping
 
 from .errors import certify
@@ -69,24 +69,23 @@ def _step(name: str, order: int) -> int:
 
 
 def _normalize_monomial(factors: Iterable[tuple[str, int, int]]) -> Monomial:
+    """The sorted factors, one per jet, each exponent an int that fits a field."""
     agg: dict[tuple[str, int], int] = {}
     for name, order, exp in factors:
         if order < 0 or exp < 0:
             raise ValueError("negative order or exponent")
         if exp:
             agg[(name, order)] = agg.get((name, order), 0) + exp
+    for (name, order), exp in agg.items():
+        if not isinstance(exp, int) or exp >> (_WIDTH - 1):
+            raise ValueError(f"exponent {exp} of {name}^({order}) is not an int "
+                             f"in [0, 2^{_WIDTH - 1})")
     return tuple(sorted((n, o, e) for (n, o), e in agg.items() if e))
 
 
 def _key(mono: Monomial) -> int:
-    """The packed key of a normalised monomial."""
-    key = 0
-    for name, order, exp in mono:
-        if not isinstance(exp, int) or exp >> (_WIDTH - 1):
-            raise ValueError(f"exponent {exp} of {name}^({order}) is not an int "
-                             f"in [0, 2^{_WIDTH - 1})")
-        key += exp << _shift(name, order)
-    return key
+    """The packed key of a normalised monomial, registering its new jets."""
+    return sum(exp << _shift(name, order) for name, order, exp in mono)
 
 
 def _decode(key: int) -> Monomial:
@@ -102,13 +101,6 @@ def _decode(key: int) -> Monomial:
             rest -= exp << s
         mono = _DECODED[key] = tuple(sorted(factors))
     return mono
-
-
-def _checked(out: dict, what: str) -> dict:
-    """out, unless one of its keys has set a field's top bit."""
-    if reduce(or_, out, 0) & _TOP:
-        raise OverflowError(f"an exponent of the {what} reaches 2^{_WIDTH - 1}")
-    return out
 
 
 def _coerce_coeff(c) -> Fraction:
@@ -171,40 +163,17 @@ class DiffPoly(IntTable):
         return self.coefficient(())
 
     def coefficient(self, mono) -> Fraction:
-        return Fraction(self.nums.get(_key(_normalize_monomial(mono)), 0), self.den)
+        """The coefficient of mono; 0, registering nothing, if a jet of it is new."""
+        mono = _normalize_monomial(mono)
+        known = all((name, order) in _SHIFT for name, order, _ in mono)
+        return Fraction(self.nums.get(_key(mono), 0) if known else 0, self.den)
 
     # -- ring operations -------------------------------------------------
-    def __mul__(self, other) -> "DiffPoly":
-        if is_exact(other):
-            if other == 1:
-                return self
-            if not other:
-                return DiffPoly.zero()
-            k = other.numerator
-            return DiffPoly._trusted(self.den * other.denominator,
-                                     {m: n * k for m, n in self.nums.items()})
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        for c, p in ((other, self), (self, other)):
-            if not c.nums:
-                return c
-            if len(c.nums) == 1 and 0 in c.nums:  # a constant factor scales
-                k = c.nums[0]
-                if k == c.den == 1:
-                    return p
-                return DiffPoly._trusted(p.den * c.den, {m: n * k for m, n in p.nums.items()})
-        out: dict = {}
-        get = out.get
-        for m1, n1 in self.nums.items():
-            for m2, n2 in other.nums.items():
-                m = m1 + m2
-                out[m] = get(m, 0) + n1 * n2
-        return DiffPoly._trusted(self.den * other.den, _checked(out, "product"))
-
-    __rmul__ = __mul__
+    def _top(self) -> int:
+        return _TOP  # read at call time: the registry grows
 
     # bound here, not inherited, as in ``MPoly``
+    __mul__ = __rmul__ = IntTable.__mul__
     __add__ = __radd__ = IntTable.__add__
     __sub__, __rsub__ = IntTable.__sub__, IntTable.__rsub__
     __neg__, __pow__ = IntTable.__neg__, IntTable.__pow__
@@ -222,20 +191,13 @@ class DiffPoly(IntTable):
                 for name, order, exp in _decode(key):
                     m = key + _step(name, order)
                     out[m] = get(m, 0) + n * exp
-            p = DiffPoly._trusted(p.den, _checked(out, "derivative"))
+            p = DiffPoly._trusted(p.den, p._checked(out, "derivative"))
         return p
 
     def partial(self, name: str, order: int) -> "DiffPoly":
         """Formal partial derivative with respect to the jet variable v^(order)."""
         s = _SHIFT.get((name, order))
-        out: dict = {}
-        if s is not None:
-            unit = 1 << s
-            for key, n in self.nums.items():
-                if exp := key >> s & _FIELD:
-                    # one field per (name, order): no other term maps here
-                    out[key - unit] = n * exp
-        return DiffPoly._trusted(self.den, out)
+        return DiffPoly.zero() if s is None else self._field_derivative(s)
 
     # -- substitution -------------------------------------------------------
     def substitute(self, mapping: Mapping[str, "DiffPoly"]) -> "DiffPoly":
@@ -249,13 +211,13 @@ class DiffPoly(IntTable):
                 cache[key] = DiffPoly.var(name, order) if src is None else src.d_dx(order)
             return cache[key]
 
-        out = DiffPoly.zero()
+        terms = []
         for key, n in self.nums.items():
             term = DiffPoly._trusted(self.den, {0: n})
             for name, order, exp in _decode(key):
                 term = term * image(name, order) ** exp
-            out = out + term
-        return out
+            terms.append(term)
+        return DiffPoly.zero().sum(*terms)
 
     # -- rendering ----------------------------------------------------------
     @staticmethod

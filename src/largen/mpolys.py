@@ -6,8 +6,9 @@ on two.  It is an ``IntTable``, as are ``polys.Poly`` and
 ``diffpoly.DiffPoly``: integer numerators over one positive denominator,
 {key: int} / den, with gcd(den, numerators) = 1 and no zero entry, so equal
 polynomials have equal tables and the arithmetic runs on ints alone.
-``IntTable`` owns the algebra the three share; each adds its constant,
-product, calculus and rendering.  Exact division (``greedy_div``) divides by
+``IntTable`` owns the algebra the three share, the product included: keys
+multiply by adding.  Each adds its constant, the top bits of its exponent
+fields, calculus and rendering.  Exact division (``greedy_div``) divides by
 the primitive part of the divisor's numerators: by Gauss's lemma an exact
 quotient then has integer coefficients, so a leading coefficient that does
 not divide proves the division inexact.
@@ -87,12 +88,12 @@ class IntTable:
     leaves them, with the algebra every such table shares: exact scalars as
     constants (``_coerce``), +, − and negation (a zero operand, scalar or
     table, gives back the other operand itself, so a sum keeps key order,
-    and −0 is that zero),
+    and −0 is that zero), the n-ary ``sum``, the key-sum product ×,
     ``==`` with a hash that agrees (a constant hashes as the ``Fraction`` it
     equals), and powers.  A key is a power in ``Poly``, a packed monomial in
     ``MPoly`` and a packed jet monomial in ``DiffPoly``; ``_UNIT`` is the key
     of the constants.  A subclass supplies ``_scalar(c)``, the constant c of its
-    kind, its key product ``__mul__``, and its calculus and rendering;
+    kind, ``_top()``, the top bits of its key fields, its calculus and rendering;
     ``MPoly`` also overrides ``_like(den, nums)`` to keep its arity."""
 
     __slots__ = ("den", "nums")
@@ -154,13 +155,32 @@ class IntTable:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not other.nums:
-            return self
-        if not self.nums:
-            return other
-        return self._like(*self._sum(other))
+        if not (self.nums and other.nums):
+            return other if other.nums else self
+        return self.sum(other)
 
     __radd__ = __add__
+
+    def sum(self, *others):
+        """self + others[0] + .. (tables of self's kind) in one pass, as the left
+        fold of ``+`` leaves it: the first nonzero table copied, a key whose sum
+        cancels dropped, so that a later operand appends it anew."""
+        if not self.nums and others:
+            return others[0].sum(*others[1:])
+        den = self.den
+        for t in others:
+            den = lcm(den, t.den)
+        m = den // self.den
+        out = dict(self.nums) if m == 1 else {k: n * m for k, n in self.nums.items()}
+        get = out.get
+        for t in others:
+            m = den // t.den
+            for k, n in t.nums.items():
+                if v := get(k, 0) + n * m:
+                    out[k] = v
+                else:
+                    del out[k]
+        return self._like(den, out)
 
     def __neg__(self):
         if not self.nums:
@@ -190,14 +210,53 @@ class IntTable:
                 base = base * base
         return result
 
-    def _sum(self, other: "IntTable") -> tuple[int, dict]:
-        """The numerators of self + other over the lcm of the denominators."""
-        den = lcm(self.den, other.den)
-        m1, m2 = den // self.den, den // other.den
-        out = dict(self.nums) if m1 == 1 else {k: n * m1 for k, n in self.nums.items()}
-        for k, n in other.nums.items():
-            out[k] = out.get(k, 0) + n * m2
-        return den, out
+    def __mul__(self, other):
+        """The key-sum convolution, outer loop over self; a constant scales."""
+        if is_exact(other):
+            if other == 1:
+                return self
+            if not other:
+                return self._like(1, {})
+            k = other.numerator
+            return self._like(self.den * other.denominator, {m: n * k for m, n in self.nums.items()})
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        for c, p in ((other, self), (self, other)):
+            if not c.nums:
+                return c
+            if len(c.nums) == 1 and 0 in c.nums:  # a constant factor scales
+                k = c.nums[0]
+                if k == c.den == 1:
+                    return p
+                return p._like(p.den * c.den, {m: n * k for m, n in p.nums.items()})
+        out: dict = {}
+        get = out.get
+        for m1, n1 in self.nums.items():
+            for m2, n2 in other.nums.items():
+                m = m1 + m2
+                out[m] = get(m, 0) + n1 * n2
+        return self._like(self.den * other.den, self._checked(out, "product"))
+
+    __rmul__ = __mul__
+
+    def _top(self) -> int:
+        return 0  # the top bits of the key's exponent fields: a power has none
+
+    def _checked(self, out: dict, what: str) -> dict:
+        """out, unless one of its keys has set the top bit of a field."""
+        top = self._top()
+        if top and reduce(or_, out, 0) & top:
+            raise OverflowError(f"an exponent of the {what} reaches 2^{_WIDTH - 1}")
+        return out
+
+    def _field_derivative(self, s: int):
+        """∂/∂v for the variable v whose exponent is the key field at shift s."""
+        unit, out = 1 << s, {}
+        for k, n in self.nums.items():
+            if e := k >> s & _FIELD:
+                out[k - unit] = n * e  # one field per variable: no key is hit twice
+        return self._like(self.den, out)
 
 
 class Quotient:
@@ -348,24 +407,12 @@ class MPoly(IntTable):
         size, unpack = words.size, words.unpack
         return {unpack(k.to_bytes(size, "big")): Fraction(n, den) for k, n in self.nums.items()}
 
-    def __mul__(self, other) -> "MPoly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out: dict[int, int] = {}
-        get = out.get
-        for e1, n1 in self.nums.items():
-            for e2, n2 in other.nums.items():
-                e = e1 + e2
-                out[e] = get(e, 0) + n1 * n2
-        if reduce(or_, out, 0) & _layout(self.nvars)[1]:
-            raise OverflowError(f"an exponent of the product reaches 2^{_WIDTH - 1}")
-        return MPoly._trusted(self.nvars, self.den * other.den, out)
-
-    __rmul__ = __mul__
+    def _top(self) -> int:
+        return _layout(self.nvars)[1]
 
     # bound here, not inherited: the benchmark's spans look MPoly's own
     # operations up in its __dict__
+    __mul__ = __rmul__ = IntTable.__mul__
     __add__ = __radd__ = IntTable.__add__
     __sub__, __rsub__ = IntTable.__sub__, IntTable.__rsub__
     __neg__, __pow__ = IntTable.__neg__, IntTable.__pow__
@@ -373,12 +420,7 @@ class MPoly(IntTable):
     def diff(self, i: int) -> "MPoly":
         if not 0 <= i < self.nvars:
             raise ValueError(f"no variable x{i} among {self.nvars}")
-        s = _WIDTH * (self.nvars - 1 - i)
-        out: dict[int, int] = {}
-        for e, n in self.nums.items():
-            if k := e >> s & _FIELD:
-                out[e - (1 << s)] = n * k
-        return MPoly._trusted(self.nvars, self.den, out)
+        return self._field_derivative(_WIDTH * (self.nvars - 1 - i))
 
     def eval(self, point):
         """Evaluate at a point of exact or mpf coordinates."""

@@ -109,7 +109,7 @@ def _at(unit: DiffPoly, m: int, rc):
 
 def _product(a: list, b: list, k: int) -> DiffPoly:
     """Σ_{i+j=k} a_i·b_j: the ζ^{-k} coefficient of the product of two series."""
-    return sum((a[i] * b[k - i] for i in range(k + 1)), DiffPoly.zero())
+    return DiffPoly.zero().sum(*(a[i] * b[k - i] for i in range(k + 1)))
 
 
 _GD_CACHE: list = [DiffPoly.const(1)]

@@ -4,12 +4,13 @@
 spectral variable, hodograph polynomials).  It is an ``mpolys.IntTable``, as
 are ``MPoly`` and ``DiffPoly``: integer numerators {power: int} over one
 positive denominator, in lowest terms, so equal polynomials have equal
-tables; a one-variable ``MPoly`` has this very table, so the two convert by
-sharing it.  ``coeffs`` is the read-only dense ``Fraction`` view.  Division,
-gcds and Sturm sequences run on the numerators alone, by pseudo-division
-(Knuth, TAOCP Vol. 2, §4.6.1): a remainder comes back as a positive multiple
-of the Euclidean one, in primitive form, so no fraction is formed in the
-loop and every sign is kept.
+tables, multiplied by ``IntTable``'s key-sum product; a one-variable
+``MPoly`` has this very table, so the two convert by sharing it.  ``coeffs``
+is the read-only dense ``Fraction`` view.  Division, gcds and Sturm
+sequences run on the numerators alone, by pseudo-division (Knuth, TAOCP
+Vol. 2, §4.6.1): a remainder comes back as a positive multiple of the
+Euclidean one, in primitive form, so no fraction is formed in the loop and
+every sign is kept.
 ``RationalFunc`` is the ``mpolys.Quotient`` of two ``Poly``s in its reduced
 normalisation (module notes there).
 """
@@ -119,19 +120,6 @@ class Poly(IntTable):
         return Fraction(self.nums.get(k, 0), self.den)
 
     # -- arithmetic ----------------------------------------------------
-    def __mul__(self, other) -> "Poly":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out: dict[int, int] = {}
-        get = out.get
-        for i, a in self.nums.items():
-            for j, b in other.nums.items():
-                out[i + j] = get(i + j, 0) + a * b
-        return Poly._trusted(self.den * other.den, out)
-
-    __rmul__ = __mul__
-
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Euclidean division; exact over the rationals.  With A, B the
         numerators over a, b and m·A = Q·B + R, self = (Q·b/(m·a))·other + R/(m·a)."""

@@ -267,7 +267,7 @@ class WElem:
                 p0 = p0 - carry.pop(j)
             # λ(r + sλ) = -d0·s + (r - d1·s)λ + s·w²  ⇒  s = -p0/d0, r = p1 + d1·s
             if inv_d0 is None:
-                inv_d0 = _reciprocal(self.d0)
+                inv_d0 = _ONE / self.d0
             s = -(p0 * inv_d0)
             r = p1 + self.d1 * s
             out = _trim([r, s])
@@ -354,14 +354,6 @@ class WElem:
     def __repr__(self) -> str:  # debug aid only
         bits = " + ".join(f"w^-{j}*{self.slots[j]!r}" for j in sorted(self.slots))
         return f"WElem({bits or 0})"
-
-
-def _reciprocal(c):
-    """1/c for the coefficient rings in play."""
-    if isinstance(c, (Fraction, int)):
-        return Fraction(1) / c
-    one = c * 0 + Fraction(1)
-    return one / c
 
 
 # -- truncated ε-series ----------------------------------------------------

@@ -1,13 +1,16 @@
 """Tests for the differential-polynomial algebra."""
 
 from fractions import Fraction as F
+from functools import reduce
 from math import gcd
+from operator import add
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from largen.diffpoly import DiffPoly, XRelation, _normalize_monomial
+from largen.diffpoly import _JETS, DiffPoly, XRelation, _normalize_monomial
+from largen.mpolys import MPoly
 from largen.onecut import find_critical, scaled_series
 from largen.polys import Poly, RationalFunc
 from largen.potential import Potential, parse_potential
@@ -112,6 +115,12 @@ monos = st.lists(
     st.tuples(st.sampled_from("uv"), st.integers(0, 2), st.integers(1, 2)), max_size=2
 ).map(_normalize_monomial)
 rational = st.dictionaries(monos, fracs, max_size=4).map(DiffPoly)
+# the two other IntTable rings, for the product and sum they share
+univariate = st.lists(fracs, max_size=5).map(Poly)
+bivariate = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), fracs, max_size=4
+).map(lambda terms: MPoly(2, terms))
+tables = st.one_of(rational, univariate, bivariate)
 
 
 def ref_collect(pairs) -> dict:
@@ -139,10 +148,9 @@ def ref_json(a: dict) -> list:
     ]
 
 
-def ref_times(a: dict, b: dict) -> dict:
-    return ref_collect(
-        (_normalize_monomial(m1 + m2), c1 * c2) for m1, c1 in a.items() for m2, c2 in b.items()
-    )
+def ref_times(a: dict, b: dict, join=lambda m1, m2: _normalize_monomial(m1 + m2)) -> dict:
+    """The convolution a·b, outer loop over a, monomials multiplied by ``join``."""
+    return ref_collect((join(m1, m2), c1 * c2) for m1, c1 in a.items() for m2, c2 in b.items())
 
 
 def ref_pow(a: dict, n: int) -> dict:
@@ -237,10 +245,12 @@ def test_double_scaled_engines_run_over_q():
 # -- packed keys: the tuple reference in ``terms`` order, overflow, field order --
 
 
-@given(a=rational, b=rational, k=fracs, n=st.integers(0, 3))
+@given(a=rational, b=rational, k=fracs, n=st.integers(0, 3), p=univariate, q=univariate,
+       r=bivariate, s=bivariate)
 @settings(max_examples=60, deadline=None)
-def test_packed_keys_agree_with_the_tuple_reference_in_terms_order(a, b, k, n):
+def test_packed_keys_agree_with_the_tuple_reference_in_terms_order(a, b, k, n, p, q, r, s):
     ra, rb = a.terms, b.terms
+    exponents = lambda e1, e2: tuple(map(add, e1, e2))  # noqa: E731
     cases = (
         (a + b, ref_collect([*ra.items(), *rb.items()])),
         (a - b, ref_collect([*ra.items(), *((m, -c) for m, c in rb.items())])),
@@ -252,19 +262,41 @@ def test_packed_keys_agree_with_the_tuple_reference_in_terms_order(a, b, k, n):
         (a.partial("u", 1), ref_partial(ra, "u", 1)),
         (a.partial("v", 0), ref_partial(ra, "v", 0)),
         (a.substitute({"u": b}), ref_substitute(ra, {"u": rb})),
+        # the one product of all three rings, on Poly's powers and MPoly's exponents
+        (p * q, ref_times(p.terms, q.terms, add)),
+        (p * k, ref_times(p.terms, {0: k}, add)),
+        (p + q, ref_collect([*p.terms.items(), *q.terms.items()])),
+        (r * s, ref_times(r.terms, s.terms, exponents)),
+        (r * k, ref_times(r.terms, {(0, 0): k}, exponents)),
+        (r + s, ref_collect([*r.terms.items(), *s.terms.items()])),
     )
     for got, want in cases:
         assert list(got.terms.items()) == list(want.items())
 
 
-@given(a=rational)
-@settings(max_examples=30, deadline=None)
-def test_no_op_operands_build_no_table(a):
-    one, zero = DiffPoly.const(1), DiffPoly.zero()
-    assert a * 1 is a and a * F(1) is a and a * one is a
-    assert one * a is a or a.max_order() < 0  # of two constants, either may scale
+@given(a=tables, k=fracs)
+@settings(max_examples=60, deadline=None)
+def test_no_op_operands_build_no_table(a, k):
+    one, zero = a._scalar(1), a._scalar(0)
+    assert a * 1 is a and 1 * a is a and a * F(1) is a and a * one is a
+    assert one * a is a or set(a.nums) <= {0}  # of two constants, either may scale
     assert (a * 0).is_zero() and (a * zero).is_zero() and (zero * a).is_zero()
     assert -zero is zero and a - 0 is a and a - F(0) is a and a - zero is a
+    # a scalar or a constant table scales a's table, in a's key order
+    scaled = [(m, c * k) for m, c in a.terms.items() if k]
+    for got in (a * k, k * a, a * a._scalar(k), a._scalar(k) * a):
+        assert list(got.terms.items()) == scaled and type(got) is type(a)
+
+
+@given(ps=st.one_of(*(st.lists(ring, min_size=1, max_size=5)
+                      for ring in (rational, univariate, bivariate))))
+@settings(max_examples=60, deadline=None)
+def test_one_pass_sum_is_the_left_fold_of_plus(ps):
+    # the negated operands cancel keys that the last one brings back, at the end
+    ps = [*ps, *(-p for p in ps[:2]), ps[0]]
+    want = reduce(add, ps)
+    for got in (ps[0].sum(*ps[1:]), ps[0]._scalar(0).sum(*ps)):  # a zero start is skipped
+        assert got == want and list(got.terms.items()) == list(want.terms.items())
 
 
 def test_exponents_outside_the_fields_are_refused():
@@ -290,6 +322,16 @@ def test_exponents_never_alias_into_the_next_jet():
     assert (top * v).terms == {(("u", 0, 2**31 - 1), ("v", 0, 1)): F(1)}
     assert top.d_dx().terms == {(("u", 0, 2**31 - 2), ("u", 1, 1)): F(2**31 - 1)}
     assert u.partial("a jet no table has met", 0).is_zero()
+
+
+def test_reading_a_coefficient_registers_no_jet():
+    jets = len(_JETS)
+    assert DiffPoly.const(1).coefficient((("a jet only read", 3, 1),)) == 0
+    assert len(_JETS) == jets
+    assert (u * u).coefficient((("u", 0, 2),)) == 1 and u.coefficient((("u", 0, 2),)) == 0
+    with pytest.raises(ValueError):
+        u.coefficient((("a jet only read", 0, 2**31),))
+    assert len(_JETS) == jets
 
 
 def test_negative_derivative_counts_are_refused():
