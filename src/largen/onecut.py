@@ -52,6 +52,7 @@ from .scalars import (
     mpf_of,
     negligible,
     scalar_str,
+    working_digits,
 )
 from .structured import c_weight
 from .wring import Defect, Lattice, WElem, _pshift
@@ -95,7 +96,7 @@ class OneCutExpansion:
 
     def values(self, digits: int | None = None) -> list:
         """The coefficients evaluated at this expansion's r₀."""
-        digits = digits or DEFAULT_DIGITS
+        digits = working_digits(digits)
         with mpmath.workdps(digits):
             x = lifted(self.r0, digits)
             return [c(x) for c in self.coeffs]
@@ -272,7 +273,7 @@ def expand_regular(
     """Large-N coefficients r₀..r_K on the one-cut branch through (g, T)."""
     if K < 0:
         raise ValueError("truncation order must be nonnegative")
-    digits = digits or DEFAULT_DIGITS
+    digits = working_digits(digits)
     r0 = solve_one_cut(g, T, digits)
     wp = g.hodograph().derivative()
     with mpmath.workdps(digits):
@@ -342,7 +343,7 @@ def find_critical(g: Potential, digits: int | None = None) -> tuple[OneCutCritic
     from the support may already fail there — a critical point reached along
     a metastable branch is still a critical point.)
     """
-    digits = digits or DEFAULT_DIGITS
+    digits = working_digits(digits)
     W = g.hodograph()
     Wp = W.derivative()
     delta = Fraction(1, 1000)

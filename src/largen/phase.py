@@ -52,7 +52,6 @@ from .polys import Poly, horner
 from .potential import Potential
 from .roots import real_roots
 from .scalars import (
-    DEFAULT_DIGITS,
     Scalar,
     as_fraction,
     is_exact,
@@ -62,6 +61,7 @@ from .scalars import (
     negligible,
     sqrt_scalar,
     tolerance,
+    working_digits,
 )
 from .structured import branch_curve, branch_poly_part, branch_resultant, twocut_hodographs
 
@@ -124,7 +124,7 @@ def branch_density_positive(g: Potential, r0, digits: int | None = None) -> bool
     measure has already jumped to another configuration, where the branch is
     still meaningful as long as its density stays positive.
     """
-    digits = digits or DEFAULT_DIGITS
+    digits = working_digits(digits)
     endpoints, hc = _curve(g, (r0,), digits)
     return _h_status(_HTilde(hc, digits), *endpoints) == _CLEAR
 
@@ -356,7 +356,7 @@ def solve_one_cut(g: Potential, T, digits: int | None = None) -> Scalar:
     inequality holds; if several qualify, the smallest — the branch
     continuous from T → 0⁺ — is returned (``_admissible``).
     """
-    p = _admissible(g, T, 1, digits or DEFAULT_DIGITS)
+    p = _admissible(g, T, 1, working_digits(digits))
     if p is None:
         raise NoAdmissibleRoot(f"no admissible one-cut solution at T={T}")
     return p.r0
@@ -429,7 +429,7 @@ def solve_two_cut(g: Potential, T, digits: int | None = None):
     (``_admissible``), the one ``classify_phase`` reports; a refusal says
     whether there is no real solution, none with a₀ > b₀ > 0, or none
     admissible."""
-    p = _admissible(g, T, 2, digits or DEFAULT_DIGITS)
+    p = _admissible(g, T, 2, working_digits(digits))
     if p is None:
         raise NoTwoCutSolution(f"no admissible two-cut solution at T={T}")
     return p.a0, p.b0
@@ -476,7 +476,7 @@ def classify_phase(g: Potential, T, digits: int | None = None) -> PhaseResult:
     only on the critical curve) the result is reported critical with the
     competing candidate attached.
     """
-    digits = digits or DEFAULT_DIGITS
+    digits = working_digits(digits)
     results: list[PhaseResult] = []
     for s in (1, 2):
         try:
@@ -515,7 +515,7 @@ _OUTSIDE = {1: "|x| exceeds the support radius",
 def density(g: Potential, phase: PhaseResult, x, digits: int | None = None):
     """Eigenvalue density ρ(x) = h(x)·w₁₊(x)/(2πi·T) on the closed support:
     |x|^{s−1}·h̃(x²)·√(−Π(x² − e))/(2πT) over the s λ-plane branch points e."""
-    digits = digits or DEFAULT_DIGITS
+    digits = working_digits(digits)
     hc = phase.h_coeffs()
     if not hc:
         raise ValueError("phase carries no h-polynomial data")
@@ -537,7 +537,7 @@ def density(g: Potential, phase: PhaseResult, x, digits: int | None = None):
 
 def phase_scan(g: Potential, T_values: Sequence, digits: int | None = None) -> list[dict]:
     """Rows (g2, g4, .., g_{2p}, T, s, alpha2, beta2, status) across a temperature sweep."""
-    digits = digits or DEFAULT_DIGITS
+    digits = working_digits(digits)
     couplings = {f"g{2 * k}": c for k, c in enumerate(g.gs, start=1)}
     rows = []
     for T in T_values:

@@ -1,24 +1,26 @@
 """Real root finding for exact polynomials.
 
 Roots are isolated exactly, by Sturm sequences of primitive pseudo-remainders
-whose signs are taken on ``Poly``'s integer numerators, refined with
-bisection/Newton in mpmath, and reported with their multiplicities from a
-Yun squarefree decomposition.  Roots that are in fact rational are detected
-by the rational root theorem plus an exact check, so downstream code can
-stay in exact arithmetic whenever the data allows it.
+whose signs are taken on ``Poly``'s integer numerators.  Each is refined by
+exact bisection to about 2⁻⁶⁰ of its size, then to the bisection bracket of
+an mpf Newton root, taken in closed form and certified by exact signs, and
+polished by Newton; multiplicities come from a Yun squarefree decomposition.
+Roots that are in fact rational are detected by the rational root theorem
+plus an exact check, so downstream code can stay in exact arithmetic
+whenever the data allows it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import ceil, gcd
 from typing import Optional
 
 import mpmath
 
 from .polys import Poly, horner
-from .scalars import DEFAULT_DIGITS, Scalar, mpf_of, mpfs_of, rationalize
+from .scalars import Scalar, mpf_of, mpfs_of, rationalize, working_digits
 
 
 @dataclass(frozen=True)
@@ -148,6 +150,20 @@ def _halve(lo: Fraction, hi: Fraction, width: Fraction, above) -> tuple:
     return lo, hi
 
 
+def _steer(lo: Fraction, hi: Fraction, width: Fraction, guide: Fraction) -> tuple:
+    """``_halve(lo, hi, width, lambda mid: mid < guide)`` in one division.
+
+    Those halvings stop after the least n with (hi − lo)/2ⁿ < width, at the
+    cell of the grid lo + (hi − lo)·j/2ⁿ whose upper end is the first grid
+    point at or above the guide, clamped to the bracket.  A Fraction is
+    canonical, so the ends are the loop's very values."""
+    d = hi - lo
+    n = (d // width).bit_length()
+    i = min(max(ceil((guide - lo) * 2**n / d) - 1, 0), 2**n - 1)
+    step = d / 2**n
+    return lo + i * step, lo + (i + 1) * step
+
+
 def _newton(p: Poly, lo: Fraction, hi: Fraction, digits: int):
     """The root of p in (lo, hi), by mpf Newton from the midpoint."""
     wp = digits + 10
@@ -169,10 +185,11 @@ def _newton(p: Poly, lo: Fraction, hi: Fraction, digits: int):
 def _refine(p: Poly, lo: Fraction, hi: Fraction, digits: int):
     """(value, lo, hi): (lo, hi) shrunk inside the given bracket to below
     10^−(digits+5), and its root as a Fraction when a midpoint hits it, else
-    Newton-polished in mpf.  Exact bisection stops at about 2⁻⁶⁰ of the
-    endpoints' size; a Newton root steers the remaining halvings, and exact
-    signs at both ends certify their bracket (else exact bisection goes on),
-    so bracket and value are those of exact bisection all the way."""
+    Newton-polished in mpf.  Exact bisection (``_halve``) stops at about 2⁻⁶⁰
+    of the endpoints' size; the bisection grid's cell that holds a Newton root
+    is then taken in closed form (``_steer``), and exact signs at both its
+    ends certify it (else exact bisection goes on), so bracket and value are
+    those of exact bisection all the way."""
     s_lo = _sign(p, lo)
 
     def exact(mid):
@@ -184,7 +201,7 @@ def _refine(p: Poly, lo: Fraction, hi: Fraction, digits: int):
     lo, hi = (lo, lo) if s_lo == 0 else _halve(lo, hi, rough, exact)
     if lo < hi:
         guide = rationalize(_newton(p, lo, hi, digits))
-        steered = _halve(lo, hi, width, lambda mid: mid < guide)
+        steered = _steer(lo, hi, width, guide)
         certified = exact(steered[0]) is True and exact(steered[1]) is False
         lo, hi = steered if certified else _halve(lo, hi, width, exact)
     if lo == hi:
@@ -200,7 +217,7 @@ def real_roots(p: Poly, digits: int | None = None,
     Exact rational roots come back as Fractions with ``exact=True``;
     the rest are mpf values accurate to roughly ``digits`` digits.
     """
-    digits = digits or DEFAULT_DIGITS
+    digits = working_digits(digits)
     if p.is_zero():
         raise ValueError("zero polynomial has every point as a root")
     roots: list[RealRoot] = []

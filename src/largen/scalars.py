@@ -8,7 +8,8 @@ rationals: root refinement and quadrature.  A ``Scalar`` is therefore either a
 Whether a value goes on exactly is decided by ``lifted``, and whether it
 counts as zero by ``negligible``, here and nowhere else.
 
-The default working precision is ``DEFAULT_DIGITS`` decimal digits.
+The default working precision is ``DEFAULT_DIGITS`` decimal digits, and
+``working_digits`` is the one rule for a precision a caller passes.
 """
 
 from __future__ import annotations
@@ -22,6 +23,16 @@ import mpmath
 Scalar = Union[Fraction, mpmath.mpf]
 
 DEFAULT_DIGITS = 30
+
+
+def working_digits(digits) -> int:
+    """The precision a caller asked for: ``DEFAULT_DIGITS`` for None, else an
+    int of at least 1; anything else is refused with ValueError."""
+    if digits is None:
+        return DEFAULT_DIGITS
+    if type(digits) is not int or digits < 1:
+        raise ValueError(f"digits must be an int of at least 1 or None, not {digits!r}")
+    return digits
 
 
 def is_exact(x) -> bool:

@@ -58,7 +58,6 @@ from .phase import solve_two_cut
 from .potential import Potential
 from .roots import real_roots
 from .scalars import (
-    DEFAULT_DIGITS,
     Scalar,
     as_fraction,
     is_exact,
@@ -67,6 +66,7 @@ from .scalars import (
     negligible,
     rationalize,
     scalar_str,
+    working_digits,
 )
 from .structured import gamma_moment, phi_moment, psi_poly, twocut_hodographs
 from .wring import Defect, Lattice, WElem, _pmul, _pshift
@@ -117,13 +117,13 @@ class TwoCutExpansion:
 
     def values(self, digits: int | None = None) -> list:
         """[(a_k, b_k)] evaluated at this expansion's endpoint pair."""
-        digits = digits or DEFAULT_DIGITS
+        digits = working_digits(digits)
         with mpmath.workdps(digits):
             pt = lifted((self.a0, self.b0), digits)
             return [(ak.eval(pt), bk.eval(pt)) for ak, bk in self.coeffs]
 
     def slope_values(self, digits: int | None = None) -> tuple:
-        digits = digits or DEFAULT_DIGITS
+        digits = working_digits(digits)
         with mpmath.workdps(digits):
             pt = lifted((self.a0, self.b0), digits)
             return (self.slopes[0].eval(pt), self.slopes[1].eval(pt))
@@ -364,7 +364,7 @@ def expand_two_cut_regular(
     """
     if K < 0:
         raise ValueError("truncation order must be nonnegative")
-    digits = digits or DEFAULT_DIGITS
+    digits = working_digits(digits)
     try:
         a0, b0 = solve_two_cut(g, T, digits)
     except NoTwoCutSolution:
@@ -415,7 +415,7 @@ def find_merging(g: Potential, digits: int | None = None) -> tuple[MergingPoint,
     sampling — because the defining moments already are the derivatives of
     the endpoint functional.
     """
-    digits = digits or DEFAULT_DIGITS
+    digits = working_digits(digits)
     W = g.hodograph()
     psi = psi_poly(g.gs)
     found = []

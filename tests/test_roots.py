@@ -138,9 +138,15 @@ def _isolated(p):
 
 
 def _bisect_then_newton(p, lo, hi, digits):
-    """Exact bisection down to 10^−(digits+5), then the mpf Newton polish."""
-    lo, hi = roots._halve(lo, hi, Fraction(1, 10 ** (digits + 5)),
-                          lambda mid: None if p(mid) == 0 else (p(mid) > 0) == (p(lo) > 0))
+    """Exact bisection down to 10^−(digits+5), then the mpf Newton polish:
+    a plain Fraction loop, independent of ``roots._halve``."""
+    width, s_lo = Fraction(1, 10 ** (digits + 5)), p(lo) > 0
+    while hi - lo >= width:
+        mid = (lo + hi) / 2
+        value = p(mid)
+        if value == 0:
+            return mid, mid, mid
+        lo, hi = (mid, hi) if (value > 0) == s_lo else (lo, mid)
     return roots._newton(p, lo, hi, digits), lo, hi
 
 
@@ -186,6 +192,32 @@ def test_refine_falls_back_when_the_guide_misleads(monkeypatch):
     monkeypatch.undo()
     assert got == _bisect_then_newton(RESULTANT_T6, lo, hi, 30)
     assert len(guides) == 2
+
+
+@st.composite
+def _steered_cases(draw):
+    """(lo, hi, width, guide) as ``_refine`` meets them: non-dyadic ends like
+    ``_root_bound``'s and ``_isolate``'s, a width from above hi − lo down to
+    10⁻⁴⁰, and a guide off either end, on either end, on a grid point of the
+    halvings, or anywhere between."""
+    lo = Fraction(draw(st.integers(-10**6, 10**6)), draw(st.integers(1, 10**6)))
+    d = Fraction(draw(st.integers(1, 10**6)), draw(st.integers(1, 10**9)))
+    width = draw(st.sampled_from([2 * d, d, d / 3]) | st.builds(
+        lambda m, e: Fraction(m, 10 ** e), st.integers(1, 9), st.integers(0, 40)))
+    n = (d // width).bit_length()
+    guide = draw(st.sampled_from([lo, lo + d])
+                 | st.builds(lambda e: lo - e, st.fractions(min_value=0, max_value=5))
+                 | st.builds(lambda e: lo + d + e, st.fractions(min_value=0, max_value=5))
+                 | st.builds(lambda j: lo + d * j / 2**n, st.integers(0, 2**n))
+                 | st.builds(lambda t: lo + d * t, st.fractions(min_value=0, max_value=1)))
+    return lo, lo + d, width, guide
+
+
+@given(_steered_cases())
+@settings(max_examples=300, deadline=None)
+def test_steer_is_the_halving_loop_toward_the_guide(case):
+    lo, hi, width, guide = case
+    assert roots._steer(lo, hi, width, guide) == roots._halve(lo, hi, width, lambda mid: mid < guide)
 
 
 def _converted_per_step(p, x):
