@@ -28,26 +28,29 @@ products trial division.
 Floating point enters only at evaluation boundaries, via mpmath at a
 caller-chosen precision.
 
-Process-global caches.  Each memo is a ``functools.lru_cache(maxsize=32)``,
-emptied by its ``cache_clear()``.  The four large-N expansions share one
-policy: a memo keeps an entry point's finished output per (potential, K), and
-a miss solves orders 0..K afresh and keeps none of the solve's working state,
-so a call's cost does not depend on which calls came before it and only a
-repeat of the same K is served.  ``onecut._regular`` and ``twocut._two_cut``
-are keyed by the potential and K (their solve does not depend on T) and
-build an engine per miss, which is dropped on return; ``onecut._scaled``,
-keyed by (potential, critical point, K), and ``twocut._symmetric``, keyed by
-(potential, merging point, K), solve in the memo function itself.  A call
-that raises stores nothing.
-``phase._branch_elimination`` keeps the two-cut elimination (W_a, L, R) per
-potential, since none of it depends on T.
-``oracle._standard_nodes`` keeps the tanh-sinh node levels
-per (level, precision), ``diffpoly.certify_d_dx`` the ``Poly`` side of its
-probe per derivative order, and ``painleve`` its two hierarchy tables, which
-only grow.  ``diffpoly``'s jet registry only grows too: it gives each jet
-v^{(k)} its key field on first use, and keeps the decoded factor tuple of
-every key read.  No output reads field order, so none depends on which jets
-a process met first.
+Process-global tables, each with the work that reuses it; no other
+module-level table grows (``tests/test_memos.py``).  The memos are
+``functools`` caches, emptied by ``cache_clear()``.  The four large-N
+expansions keep an entry point's finished output (``lru_cache(maxsize=32)``);
+a miss solves orders 0..K afresh and keeps none of its working state, so
+only a repeat of the same key is served, and a call that raises stores nothing.
+* ``onecut._regular`` and ``twocut._two_cut``, per (potential, K): a
+  temperature sweep repeats each K, and the solve does not depend on T.
+* ``onecut._scaled`` per (potential, critical point, K) and
+  ``twocut._symmetric`` per (potential, merging point, K): a crosscheck and
+  a series asked for at the same point and order share one entry.
+* ``phase._branch_elimination``, the two-cut elimination (W_a, L, R) per
+  potential: classification asks for it at each temperature of a sweep.
+* ``oracle._standard_nodes``, the tanh-sinh node levels per (level,
+  precision): every moment table at that precision reads them.
+* ``mpolys._layout``, the key layout per variable count: every ``MPoly`` reads it.
+* ``diffpoly._DECODED``, the sorted factor tuple of each packed key read:
+  d/dx, the sorts and every rendering decode the same keys many times.
+* ``diffpoly._SHIFT``, ``diffpoly._JETS`` and ``diffpoly._TOP``, the jet
+  registry: the key field of each jet v^{(k)}, given on first use.  It is the
+  key encoding, not a memo, and the one table whose size changes a call's
+  cost: jets met late get high fields, so keys that use them are wide ints.
+  No output reads field order, so none depends on which jets came first.
 """
 
 __version__ = "0.1.0"

@@ -28,7 +28,6 @@ process-global and only grow, though no read (``coefficient``) registers.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
@@ -324,23 +323,14 @@ class XRelation:
         return f"XRelation({self.render()})"
 
 
-_PROBE_V = Poly((1, -1, 0, 3))  # v(x) in the probe of certify_d_dx
-
-
-@cache
-def _at_probe_v(mono: Monomial) -> Poly:
-    """A monomial evaluated at v = ``_PROBE_V``, as a polynomial in x."""
-    out = Poly.const(1)
-    for _, order, exp in mono:
-        out = out * _PROBE_V.derivative(order) ** exp
-    return out
-
-
-@cache
-def _probe_reference(times: int) -> Poly:
-    """d^times/dx^times of v²·v′ + v″/2 at v = ``_PROBE_V``, in ``Poly`` alone."""
-    v = _PROBE_V
-    return (v * v * v.derivative() + v.derivative(2) * Fraction(1, 2)).derivative(times)
+# The probe of ``certify_d_dx``, constants built at import: v(x) = 1 - x + 3x³
+# and its derivatives (every one from the fourth on is 0), and the first two
+# derivatives of v²·v′ + v″/2 at that v, in ``Poly`` alone.
+_PROBE_V = tuple(Poly((1, -1, 0, 3)).derivative(k) for k in range(5))
+_PROBE_REFERENCE = tuple(
+    (_PROBE_V[0] ** 2 * _PROBE_V[1] + _PROBE_V[2] * Fraction(1, 2)).derivative(times)
+    for times in (1, 2)
+)
 
 
 def certify_d_dx() -> None:
@@ -348,16 +338,18 @@ def certify_d_dx() -> None:
     v²·v′ + v″/2 at v(x) = 1 - x + 3x³.  A double-scaled engine's residual holds
     for whatever derivation it is given; this is the check that sees a wrong one.
 
-    The probe is built and differentiated on every call, so a derivation
-    changed after the first call is still seen; the ``Poly`` side is computed
-    once per process."""
+    Each call builds and differentiates the probe and evaluates every monomial
+    of its images at v, so a derivation changed after an earlier call is still
+    seen; only the ``Poly`` side is fixed, as module constants."""
     probe = DiffPoly.var("v") ** 2 * DiffPoly.var("v", 1) + DiffPoly.var("v", 2) * Fraction(1, 2)
-    for times in (1, 2):
-        image = probe.d_dx(times).terms.items()
-        certify(
-            sum((_at_probe_v(mono) * c for mono, c in image), Poly.zero()) == _probe_reference(times),
-            "d/dx of the double-scaled engine differs from Poly.derivative",
-        )
+    for times, reference in zip((1, 2), _PROBE_REFERENCE):
+        at_v = Poly.zero()
+        for mono, c in probe.d_dx(times).terms.items():
+            term = Poly.const(c)
+            for _, order, exp in mono:
+                term = term * _PROBE_V[min(order, 4)] ** exp
+            at_v = at_v + term
+        certify(at_v == reference, "d/dx of the double-scaled engine differs from Poly.derivative")
 
 
 def scaled_lattice(rc: Fraction) -> tuple[Lattice, WElem]:
@@ -378,7 +370,7 @@ def string_ladder(elems, vp, T_c, critical: int) -> list[XRelation]:
     """
     ladder = []
     for k, e in enumerate(elems):
-        p = DiffPoly.zero() + e.contour_pair(vp)
+        p = e.contour_pair(vp)
         q = DiffPoly.zero()
         if k == 0:
             certify(p == DiffPoly.const(T_c), "order-0 string must give T_c")

@@ -231,8 +231,7 @@ class _RegularEngine:
         for k in range(1, K + 1):
             F.certify(2 * k - 1, "odd defect order")
             base = F.coefficient(2 * k).div_w().scale(Fraction(1, 2))
-            # contour_pair of an element without odd slots is a scalar 0
-            r_k = -(self.d0 + base.contour_pair(self.vp)) / self.Wp
+            r_k = -base.contour_pair(self.vp) / self.Wp
             u_list.append(base + self.q_elem.scale(r_k))
             r_list.append(r_k)
             F.certify(2 * k, "defect")
@@ -301,9 +300,6 @@ def u_series_coefficients(g: Potential, r0=None, K: int = 1) -> list[USeriesOrde
     # U₀ lives on w² = λ(λ - 4ρ): its branch data are d1 = -4ρ and d0 = 0
     four, zero = -u_list[0].d1, u_list[0].d0
 
-    def reduced(c):  # slot padding stays scalar
-        return _ratfunc(c) if isinstance(c, _Loc) else c
-
     tables = []
     for k, u_k in enumerate(u_list):
         poles = ()
@@ -311,7 +307,7 @@ def u_series_coefficients(g: Potential, r0=None, K: int = 1) -> list[USeriesOrde
             u0_part, poles = _pole_basis(u_k, four, zero)
             certify(not u0_part, "U_k acquired a pole-free part")
             poles = tuple(_ratfunc(p) for p in poles)
-        tables.append(USeriesOrder(k=k, element=u_k.map_coeffs(reduced), poles=poles))
+        tables.append(USeriesOrder(k=k, element=u_k.map_coeffs(_ratfunc), poles=poles))
     if r0 is None:
         return tables
     with mpmath.workdps(DEFAULT_DIGITS):

@@ -34,10 +34,10 @@ the second recursion and for a zero constant term.
 
 Both recursions are homogeneous of degree k in (u, ρ), so
 R_k(u; ρ) = ρ^k R_k(u/ρ; 1): the coefficient c of a monomial of degree d in
-u at ρ = 1 is c·ρ^{k−d} at any ρ.  Each recursion therefore runs once, over
-ℚ at ρ = 1, and ρ is restored at output: at an exact r_c as the number
-c·r_c^{k−d}, and with ρ kept symbolic as a ``Homogeneous`` member, which
-renders c·ρ^{k−d}.
+u at ρ = 1 is c·ρ^{k−d} at any ρ.  Each call therefore runs its recursion
+from the seed, over ℚ at ρ = 1, and ρ is restored at output: at an exact r_c
+as the number c·r_c^{k−d}, and with ρ kept symbolic as a ``Homogeneous``
+member, which renders c·ρ^{k−d}.
 
 ``emit_critical_ode`` turns a classified critical point into the fully
 numeric ODE in canonical form (integer coprime coefficients, positive
@@ -112,22 +112,18 @@ def _product(a: list, b: list, k: int) -> DiffPoly:
     return DiffPoly.zero().sum(*(a[i] * b[k - i] for i in range(k + 1)))
 
 
-_GD_CACHE: list = [DiffPoly.const(1)]
-
-
 def gelfand_dikii(m: int, rc=None) -> DiffPoly | Homogeneous:
     """R_m of the Painlevé I / KdV hierarchy at ρ = rc; ``rc=None`` keeps ρ
     symbolic and returns the ``Homogeneous`` member.
 
-    Each step reads R_{k+1} off the ζ^{-k} coefficient of the first integral
-    at ρ = 1, and certifies that its derivative is the operator image of R_k
-    and that it has no constant term.
+    Each call runs the recursion from R₀ = 1: each step reads R_{k+1} off the
+    ζ^{-k} coefficient of the first integral at ρ = 1, and certifies that its
+    derivative is the operator image of R_k and that it has no constant term.
     """
     if m < 0:
         raise ValueError("hierarchy index must be nonnegative")
-    R = _GD_CACHE
-    while len(R) <= m:
-        k = len(R) - 1
+    R = [DiffPoly.const(1)]
+    for k in range(m):
         D1 = [r.d_dx() for r in R]
         D2 = [r.d_dx() for r in D1]
         nxt = (
@@ -141,23 +137,19 @@ def gelfand_dikii(m: int, rc=None) -> DiffPoly | Homogeneous:
     return _at(R[m], m, rc)
 
 
-_PII_CACHE: list = [(_U * Fraction(-1, 2), _U * _U * Fraction(-1, 8))]
-
-
 def pii_hierarchy(m: int, rc=None) -> tuple:
     """(R_m, S_m) of the Painlevé II hierarchy at ρ = rc; ``rc=None`` keeps ρ
     symbolic and returns the pair of ``Homogeneous`` members.
 
-    m = 0 returns the seed pair.  R_{k+1} comes from the first recursion and
-    S_{k+1} from the ζ^{-k} coefficient of the first integral at ρ = 1; S_{k+1}
-    is certified against the second recursion, and neither carries a constant
-    term.
+    Each call runs the recursion from the seed pair, which m = 0 returns.
+    R_{k+1} comes from the first recursion and S_{k+1} from the ζ^{-k}
+    coefficient of the first integral at ρ = 1; S_{k+1} is certified against
+    the second recursion, and neither carries a constant term.
     """
     if m < 0:
         raise ValueError("hierarchy index must be nonnegative")
-    while len(_PII_CACHE) <= m:
-        k = len(_PII_CACHE) - 1
-        R, S = (list(col) for col in zip(*_PII_CACHE))
+    R, S = [_U * Fraction(-1, 2)], [_U * _U * Fraction(-1, 8)]
+    for k in range(m):
         R.append(-R[k].d_dx(2) + _U * S[k] * 2)
         D1 = [r.d_dx() for r in R]
         Sn = (
@@ -167,9 +159,8 @@ def pii_hierarchy(m: int, rc=None) -> tuple:
         certify(Sn.d_dx() * 2 == _U * D1[-1], f"S_{k + 1} does not integrate the second recursion")
         certify(not R[-1].constant_term(), f"R_{k + 1} has a constant term")
         certify(not Sn.constant_term(), f"S_{k + 1} has a constant term")
-        _PII_CACHE.append((R[-1], Sn))
-    R, S = _PII_CACHE[m]
-    return _at(R, m, rc), _at(S, m, rc)
+        S.append(Sn)
+    return _at(R[m], m, rc), _at(S[m], m, rc)
 
 
 # -- emission ---------------------------------------------------------------------

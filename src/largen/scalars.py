@@ -95,9 +95,9 @@ def lifted(x, digits: int | None = None):
 
 
 def tolerance(digits: int) -> mpmath.mpf:
-    """10^-(digits//2), at the working precision: the largest |x| that counts
-    as zero for an mpf carried at ``digits``."""
-    return mpmath.mpf(10) ** (-(digits // 2))
+    """10^-max(1, digits//2), at the working precision: the largest |x| that
+    counts as zero for an mpf carried at ``digits``, never more than 1/10."""
+    return mpmath.mpf(10) ** -max(1, digits // 2)
 
 
 def negligible(x, digits: int) -> bool:

@@ -329,9 +329,8 @@ class _TwoCutRegularEngine:
             DV.certify(2 * k, "V-defect")
             DW.certify(2 * k, "W-defect")
         # a ↔ b symmetry of every order
-        swap = lambda c: c if isinstance(c, (Fraction, int)) else c.swapped()
         for v_k, w_k in zip(v_list, w_list):
-            certify(w_k == v_k.map_coeffs(swap), "V/W swap symmetry broken")
+            certify(w_k == v_k.map_coeffs(_Loc.swapped), "V/W swap symmetry broken")
         for a_k, b_k in zip(a_list, b_list):
             certify(b_k == a_k.swapped(), "a/b swap symmetry broken")
         return tuple(a_list), tuple(b_list), tuple(v_list), tuple(w_list)
@@ -524,10 +523,7 @@ def _symmetric(g: Potential, point: MergingPoint, K: int) -> SymmetricTwoCut:
     # the merged strings: ∮V_λ·λ/w_c = T_c (certified by ``string_ladder``
     # at order 0) and ∮V_λ/w_c = 0
     one_over_w = WElem.from_poly(lat.d1, lat.d0, [DiffPoly.const(1)], wpow=1)
-    certify(
-        not DiffPoly.zero() + one_over_w.contour_pair(vp),
-        "merged string ∮V_λ/w_c must vanish",
-    )
+    certify(not one_over_w.contour_pair(vp), "merged string ∮V_λ/w_c must vanish")
 
     a_list = [DiffPoly.const(rc)] + [DiffPoly.var(f"a{k}") for k in range(1, K + 1)]
     v_list, flipped = [v0], [v0]

@@ -27,11 +27,12 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import certify
+from .scalars import is_exact
 from .structured import branch_coeff
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_LAMBDA = [_ZERO, _ONE]
+_LAMBDA = (_ZERO, _ONE)
 
 
 def _trim(coeffs: list) -> list:
@@ -310,9 +311,10 @@ class WElem:
         return WElem(self.d1, self.d0, out)
 
     def map_coeffs(self, f: Callable) -> "WElem":
-        """f applied to every coefficient, the branch data d1, d0 included."""
+        """f applied to each ring coefficient, d1 and d0 too; exact scalars stay as they are."""
+        g = lambda c: c if is_exact(c) else f(c)
         return WElem(
-            f(self.d1), f(self.d0), {j: [f(c) for c in cs] for j, cs in self.slots.items()}
+            g(self.d1), g(self.d0), {j: [g(c) for c in cs] for j, cs in self.slots.items()}
         )
 
     # -- extraction -----------------------------------------------------------
@@ -340,16 +342,15 @@ class WElem:
         honest rational functions — the engines never produce them inside a
         string integrand, so they are rejected loudly.
         """
-        acc = None
+        acc = self.d1 * 0  # the ring's zero, also when no slot is odd
         for j, cs in self.slots.items():
             if j == 0:
                 continue
             if j % 2 == 0:
                 raise ValueError("even w-power inside a contour integrand")
             num = _pmul(cs, list(weight))
-            term = branch_coeff(num, self.d1, self.d0, -j, 0, -1)
-            acc = term if acc is None else acc + term
-        return acc if acc is not None else _ZERO
+            acc = acc + branch_coeff(num, self.d1, self.d0, -j, 0, -1)
+        return acc
 
     def __repr__(self) -> str:  # debug aid only
         bits = " + ".join(f"w^-{j}*{self.slots[j]!r}" for j in sorted(self.slots))

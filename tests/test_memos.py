@@ -5,11 +5,14 @@ and a miss solves orders 0..K on a ``wring.Defect`` built for that call
 alone; phase classification keeps the two-cut elimination per potential.  No
 output may depend on what the process computed before, a hit builds no
 defect, no lattice or defect outlives its call, and a call that raises
-leaves nothing behind."""
+leaves nothing behind.  The tables the package docstring names and two
+constant tables are the only module-level tables of the package."""
 
 import gc
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -17,11 +20,12 @@ from pathlib import Path
 
 import pytest
 
-from largen import onecut, phase, twocut, wring
+import largen
+from largen import onecut, painleve, phase, twocut, wring
 from largen.diffpoly import DiffPoly
 from largen.errors import Mismatch
 from largen.onecut import expand_regular, find_critical, scaled_series, u_series_coefficients
-from largen.painleve import crosscheck_via_series
+from largen.painleve import crosscheck_via_series, gelfand_dikii, pii_hierarchy
 from largen.phase import classify_phase
 from largen.potential import parse_potential
 from largen.scalars import rationalize
@@ -277,3 +281,45 @@ def test_the_elimination_is_built_once_per_potential(monkeypatch):
     assert memo.cache_info().currsize == 0
     classify_phase(DOUBLE_WELL, F(10), 30)
     assert len(built) == 2
+
+
+# the tables the package keeps across calls, each named in its docstring with
+# the work that reuses it, and the two it only reads
+GROWING_TABLES = {
+    "onecut._regular", "onecut._scaled", "twocut._two_cut", "twocut._symmetric",
+    "phase._branch_elimination", "oracle._standard_nodes", "mpolys._layout",
+    "diffpoly._SHIFT", "diffpoly._JETS", "diffpoly._DECODED",
+}
+CONSTANT_TABLES = {"phase._OUTSIDE", "potential._NAMED_ARITY"}
+
+
+def module_tables() -> set:
+    """Every module-level list, dict and set and every ``functools`` cache
+    defined in a ``largen`` module, as "module.name"."""
+    found = set()
+    for info in pkgutil.iter_modules(largen.__path__):
+        module = importlib.import_module(f"largen.{info.name}")
+        for name, value in vars(module).items():
+            memo = hasattr(value, "cache_clear") and value.__module__ == module.__name__
+            if not name.startswith("__") and (memo or type(value) in (list, dict, set)):
+                found.add(f"{info.name}.{name}")
+    return found
+
+
+def test_the_process_global_tables_are_the_documented_ones():
+    assert module_tables() == GROWING_TABLES | CONSTANT_TABLES
+    assert sorted(t for t in GROWING_TABLES if f"``{t}``" not in largen.__doc__) == []
+
+
+@pytest.mark.parametrize("member, certificate", [
+    (gelfand_dikii, "R_1 does not integrate the recursion"),
+    (pii_hierarchy, "S_1 does not integrate the second recursion"),
+])
+def test_a_hierarchy_certifies_every_call(member, certificate, monkeypatch):
+    # an earlier call leaves nothing for a later one to read: the recursion
+    # and its certificates run again
+    member(2)
+    product = painleve._product
+    monkeypatch.setattr(painleve, "_product", lambda a, b, k: product(a, b, k) * 2)
+    with pytest.raises(Mismatch, match=certificate):
+        member(2)

@@ -44,6 +44,12 @@ class TestNegligible:
         assert tolerance(30) == mpmath.mpf(10) ** -15
         assert tolerance(31) == tolerance(30)
 
+    def test_tolerance_is_at_most_a_tenth(self):
+        # half of one digit is 0, and 10⁰ = 1 would count every |x| ≤ 1 as zero
+        assert [tolerance(d) for d in (1, 2, 3)] == [mpmath.mpf(10) ** -1] * 3
+        assert tolerance(4) == mpmath.mpf(10) ** -2
+        assert not negligible(mpmath.mpf("0.5"), 1) and negligible(mpmath.mpf("0.05"), 1)
+
     def test_tiny_nonzero_fraction_is_not_negligible(self):
         assert not negligible(F(1, 10**100), 30)
         assert negligible(F(0), 30) and negligible(0, 30)
@@ -82,6 +88,14 @@ class TestWorkingDigits:
 
 _Q, _QM = parse_potential("quartic:1,1"), parse_potential("quartic:-2,1")
 
+
+@pytest.mark.parametrize("digits", [1, 2, 3])
+@pytest.mark.parametrize("T", [F(1, 100), F(1, 10), F(1)])
+def test_the_least_precision_classifies_as_the_others_do(T, digits):
+    # quartic:1,1 is one-cut regular at every T > 0; with a tolerance of 1,
+    # digits=1 reported a critical point at these three temperatures
+    assert classify_phase(_Q, T, digits).status == "regular"
+
 # every public entry point that takes ``digits``, as a function of it
 ENTRY_POINTS = {
     "real_roots": lambda d: real_roots(Poly([-2, 0, 1]), d),
@@ -104,8 +118,8 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("bad", [0, -3, 2.5])
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_entry_points_refuse_a_digits_that_is_no_precision(entry, bad):
-    # refused at entry, not deep inside: at -3, tolerance(−3) = 10² would count
-    # W'(r0) ≈ 7 as zero, and 2.5 cannot size Fraction(1, 10 ** (digits + 5))
+    # refused at entry, not deep inside: 0 and -3 name no precision, and 2.5
+    # cannot size Fraction(1, 10 ** (digits + 5))
     with pytest.raises(ValueError, match=re.escape(repr(bad))):
         ENTRY_POINTS[entry](bad)
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from largen import onecut, twocut, wring
-from largen.diffpoly import DiffPoly
+from largen.diffpoly import DiffPoly, scaled_lattice
 from largen.onecut import _RegularEngine, find_critical, scaled_series
 from largen.polys import Poly
 from largen.potential import parse_potential
@@ -173,6 +173,19 @@ class TestContour:
 
     def test_polynomial_slot_contributes_nothing(self):
         assert elem({0: [F(1), F(2), F(3)]}).contour_pair([F(1), F(1)]) == 0
+
+    def test_no_odd_slot_integrates_to_the_zero_of_its_ring(self):
+        # a regular engine's U₀ over _Loc and a double-scaled one's over DiffPoly
+        u0 = _RegularEngine(parse_potential("quartic:1,1")).u0
+        _, v0 = scaled_lattice(F(1, 12))
+        for e in (u0, v0):
+            ring = type(e.d1)
+            got = WElem(e.d1, e.d0, {0: [F(1), e.d1]}).contour_pair([F(1), F(2)])
+            assert type(got) is ring and not got
+            # and map_coeffs maps ring entries only, leaving the scalar padding
+            padded, seen = WElem(e.d1, e.d0, {1: [F(0), e.d1]}), []
+            assert padded.map_coeffs(lambda c: seen.append(c) or c) == padded
+            assert {type(c) for c in seen} == {ring}
 
 
 class TestEpsSeries:
