@@ -42,7 +42,7 @@ from .mpolys import MPoly, _Loc, loc_factors
 from .phase import _one_cut_candidates, branch_density_positive, solve_one_cut
 from .polys import Poly, RationalFunc
 from .potential import Potential
-from .roots import real_roots
+from .roots import rational_roots, real_roots
 from .scalars import (
     DEFAULT_DIGITS,
     Scalar,
@@ -189,10 +189,9 @@ class _RegularEngine:
     def __init__(self, g: Potential):
         self.W = g.hodograph()
         wp = self.W.derivative()
-        # W' = Π (vρ - u)^m · rest over the rational roots u/v real_roots finds, in
-        # integer factors (a unit rest folded in) that make no new denominator
-        lines = [(Poly((-r.value.numerator, r.value.denominator)), r.multiplicity)
-                 for r in real_roots(wp) if r.exact]
+        # W' = Π (vρ - u)^m · rest over its rational roots u/v, in integer
+        # factors (a unit rest folded in) that make no new denominator
+        lines = [(Poly((-r.numerator, r.denominator)), m) for r, m in rational_roots(wp)]
         back = reduce(Poly.__mul__, (f**m for f, m in lines), Poly.one())
         rest = wp.divmod(back)[0]
         certify(back * rest == wp, "the factors of W' do not multiply back to W'")

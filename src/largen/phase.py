@@ -26,15 +26,18 @@ The two-cut endpoints solve W_a(a₀, b₀) = T = W_b(a₀, b₀) by exact
 elimination: W_a − W_b = (a₀ − b₀)·L on the T-free branch curve L, and both
 endpoints of every real solution are real roots of R(b₀, T) = Res_{a₀}(L,
 W_a − T), isolated exactly at an exact T (a double root stays exact) and
-numerically at an mpf T.  Quartics keep the closed form, which is this
-elimination for p = 2 with no resultant to build.
+numerically at an mpf T.  Only roots that certified brackets cannot settle
+are refined (``_two_cut_candidates``), as the one-cut search refines only
+roots of W(r₀) = T that may be positive.  Quartics keep the closed form,
+which is this elimination for p = 2 with no resultant to build.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import Optional, Sequence
 
 import mpmath
@@ -50,7 +53,7 @@ from .errors import (
 from .mpolys import eval_terms
 from .polys import Poly, horner
 from .potential import Potential
-from .roots import real_roots
+from .roots import bracket, certified_irrational, isolate, real_roots, refine
 from .scalars import (
     Scalar,
     as_fraction,
@@ -165,14 +168,6 @@ def _poly_real_roots_numeric(coeffs, digits: int) -> list:
                 f"at {digits} digits"
             ) from exc
         return sorted(r.real for r in roots if negligible(r.imag, digits))
-
-
-def _real_roots_of(coeffs, digits: int) -> list:
-    """Real roots of Σ coeffs[k]·x^k, ascending: isolated exactly (rational
-    ones stay Fractions) when every coefficient is exact, else numeric."""
-    if all(is_exact(c) for c in coeffs):
-        return [r.value for r in real_roots(Poly(coeffs), digits)]
-    return _poly_real_roots_numeric(coeffs, digits)
 
 
 class _HTilde:
@@ -345,7 +340,11 @@ def _one_cut_candidates(g: Potential, T, digits: int) -> list:
     with mpmath.workdps(digits + 10):
         *cs, t = lifted((*g.hodograph().coeffs, T), digits + 10)
         cs[0] -= t
-        return [r for r in _real_roots_of(cs, digits) if r > 0]
+        if not is_exact(t):
+            return [r for r in _poly_real_roots_numeric(cs, digits) if r > 0]
+        # an isolating interval (a, b] with b ≤ 0 holds no root r₀ > 0
+        found = [refine(f, a, b, digits) for f, _, a, b in isolate(Poly(cs)) if b > 0]
+        return [r for r in sorted(found, key=lambda r: mpf_of(r, digits + 5)) if r > 0]
 
 
 def solve_one_cut(g: Potential, T, digits: int | None = None) -> Scalar:
@@ -388,38 +387,85 @@ def _branch_elimination(g: Potential) -> tuple:
     return W_a, L, branch_resultant(L, W_a).terms
 
 
+# a root of R(·, T): squarefree factor, isolating interval, certified bracket
+_Root = namedtuple("_Root", "f a b lo hi")
+
+
+def _on_brackets(x: _Root, y: _Root, tests: tuple, digits: int) -> Optional[bool]:
+    """Whether roots x ≥ y of R(·, T) solve L = 0 = W_a − T, decided on their
+    brackets, or None when they do not suffice (``_two_cut_candidates``)."""
+    # pad: how far past its bracket a refined value may lie
+    pad, tol, bounds = Fraction(1, 10 ** (digits + 4)), float(tolerance(digits)), []
+    try:
+        d, cx, cy = (float(v) for v in (max(x.hi - x.lo, y.hi - y.lo) / 2 + pad,
+                                        (x.lo + x.hi) / 2, (y.lo + y.hi) / 2))
+        for P, _, shift in tests:
+            # over the box each c·a^i·b^j moves by under d·S, S = |shift| + Σ|c|·(i+j+1)·
+            # X^i·Y^j; a float (an mpf) sum rounds by under 10⁻¹²·S (10^−(digits+7)·S)
+            terms = [(i, j, float(c)) for (i, j), c in P.terms.items()]
+            S = abs(shift) + sum(abs(c) * (i + j + 1) * (abs(cx) + 1 + d)**i
+                                 * (abs(cy) + 1 + d)**j for i, j, c in terms)
+            if abs(sum(c * cx**i * cy**j for i, j, c in terms) - shift) > 2 * tol + (d + 1e-12) * S:
+                return False
+            bounds.append((d + 10.0 ** -(digits + 7)) * S)
+    except OverflowError:  # a bracket too far out for floats
+        return None
+    centre = tuple(mpf_of((r.lo + r.hi) / 2, digits + 10) for r in (x, y))
+    small = (x is y or y.hi + pad < 0) and all(  # never kept: a₀ = b₀ or b₀ < 0
+        abs(eval_terms(lift, centre, mpmath.mpf(0)) - shift) + bound < tol / 2
+        for (_, lift, shift), bound in zip(tests, bounds))
+    return True if small and any(certified_irrational(r.f, r.lo, r.hi) for r in (x, y)) else None
+
+
 def _two_cut_candidates(g: Potential, T, digits: int) -> list[tuple]:
     """Every (a₀, b₀) with a₀ > b₀ > 0 solving W_a = T = W_b, by increasing
     a₀, or NoTwoCutSolution with its reason.  Beyond quartics the real
     solutions are the pairs x ≥ y of real roots of R(·, T) with L(x, y) and
-    W_a(x, y) − T negligible (module notes)."""
+    W_a(x, y) − T negligible (module notes).  At an exact T a pair is first
+    decided on its roots' brackets (``_on_brackets``): it is none if a residue
+    at their centres minus a bound on its variation over them exceeds 2·tol;
+    it is one, unrefined, if it cannot have a₀ > b₀ > 0, both residues plus
+    bounds are below tol/2 and a root is certified irrational (so the test is
+    the mpf one).  Any other pair has both roots refined and tested."""
     if len(g.gs) == 2:
         return [_quartic_two_cut(g, T, digits)]
     W_a, L, R = _branch_elimination(g)
-    solutions = []
+    solved, kept = False, []
     with mpmath.workdps(digits + 10):
         cs = [0] * (max(e[0] for e in R) + 1)
         for (k, j), c in R.items():
             c, t = lifted((c, T), digits + 10)
             cs[k] += c * t**j
-        roots = _real_roots_of(cs, digits)
         L_f, W_f, zero = L.lift(digits + 10), W_a.lift(digits + 10), mpmath.mpf(0)
+        tests, exact = ((L, L_f, 0), (W_a, W_f, T)), is_exact(T)
+        value = cache(lambda r: refine(r.f, r.a, r.b, digits))
+        if exact:  # by bracket, which is real_roots' order unless two brackets overlap
+            roots = sorted((_Root(f, a, b, *bracket(f, a, b, digits))
+                            for f, _, a, b in isolate(Poly(cs))), key=lambda r: r.lo + r.hi)
+            if any(u.hi > v.lo for u, v in zip(roots, roots[1:])):
+                roots.sort(key=lambda r: mpf_of(value(r), digits + 5))
+        else:
+            roots = _poly_real_roots_numeric(cs, digits)
         for i, x in enumerate(roots):
             for y in roots[: i + 1]:
-                a0, b0, t = lifted((x, y, T), digits + 10)
+                if exact and (decided := _on_brackets(x, y, tests, digits)) is not None:
+                    solved |= decided
+                    continue
+                a0, b0, t = lifted((value(x), value(y), T) if exact else (x, y, T), digits + 10)
                 if is_exact(t):
                     residues = (L.eval((a0, b0)), W_a.eval((a0, b0)) - t)
                 else:
                     residues = (eval_terms(L_f, (a0, b0), zero),
                                 eval_terms(W_f, (a0, b0), zero) - t)
                 if all(negligible(r, digits) for r in residues):
-                    solutions.append((a0, b0))
-    if not solutions:
+                    solved = True
+                    if a0 > b0 > 0:
+                        kept.append((a0, b0))
+    if not solved:
         raise NoTwoCutSolution("no real solution of W_a = T = W_b")
-    ordered = [(a0, b0) for a0, b0 in solutions if a0 > b0 > 0]
-    if not ordered:
+    if not kept:
         raise NoTwoCutSolution("no solution with a₀ > b₀ > 0")
-    return ordered
+    return kept
 
 
 def solve_two_cut(g: Potential, T, digits: int | None = None):

@@ -1,13 +1,14 @@
 """Real root finding for exact polynomials.
 
-Roots are isolated exactly, by Sturm sequences of primitive pseudo-remainders
-whose signs are taken on ``Poly``'s integer numerators.  Each is refined by
-exact bisection to about 2⁻⁶⁰ of its size, then to the bisection bracket of
-an mpf Newton root, taken in closed form and certified by exact signs, and
-polished by Newton; multiplicities come from a Yun squarefree decomposition.
-Roots that are in fact rational are detected by the rational root theorem
-plus an exact check, so downstream code can stay in exact arithmetic
-whenever the data allows it.
+``isolate`` isolates roots exactly, by Sturm sequences of primitive
+pseudo-remainders with signs taken on ``Poly``'s integer numerators, and
+takes multiplicities from Yun's squarefree decomposition.  ``refine`` bisects
+one root exactly to about 2⁻⁶⁰ of its size, then to the bisection bracket of
+an mpf Newton root (closed form, certified by exact signs), polishes it, and
+finds it rational by the rational root theorem and an exact check.
+``real_roots`` refines every root.  ``bracket`` certifies a Newton guess by
+two signs and ``certified_irrational`` proves a root irrational, so the phase
+solvers refine only the roots they keep; ``onecut`` needs ``rational_roots``.
 """
 
 from __future__ import annotations
@@ -126,16 +127,16 @@ def _isolate(p: Poly, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fracti
     return found
 
 
-def _try_rational(p: Poly, x_mpf) -> Optional[Fraction]:
-    """The rational root of p next to x_mpf, if there is one (verified exactly).
+def _lead(p: Poly) -> int:
+    """a_n, p's primitive integer leading coefficient: rational roots are u/a_n."""
+    return abs(p.nums[p.degree]) // gcd(*p.nums.values())
 
-    Cleared to primitive integer coefficients with leading coefficient a_n,
-    p can only have rational roots u/a_n with u an integer (rational root
-    theorem), so u is x·a_n rounded.
-    """
-    a_n = abs(p.nums[p.degree]) // gcd(*p.nums.values())
-    cand = Fraction(round(rationalize(x_mpf) * a_n), a_n)
-    return cand if p(cand) == 0 else None
+
+def _try_rational(p: Poly, x, lo: Fraction, hi: Fraction) -> Optional[Fraction]:
+    """The root u/a_n of p in [lo, hi] with u = x·a_n rounded, if it is one."""
+    a_n = _lead(p)
+    cand = Fraction(round(rationalize(x) * a_n), a_n)
+    return cand if lo <= cand <= hi and not _sign(p, cand) else None
 
 
 def _halve(lo: Fraction, hi: Fraction, width: Fraction, above) -> tuple:
@@ -209,6 +210,67 @@ def _refine(p: Poly, lo: Fraction, hi: Fraction, digits: int):
     return _newton(p, lo, hi, digits), lo, hi
 
 
+def isolate(p: Poly, lo: Fraction | None = None,
+            hi: Fraction | None = None) -> list[tuple[Poly, int, Fraction, Fraction]]:
+    """(squarefree factor, multiplicity, a, b) for each real root of p (in
+    [lo, hi] if given): the factor's one root in (a, b], or a == b = root."""
+    if p.is_zero():
+        raise ValueError("zero polynomial has every point as a root")
+    found = []
+    for factor, mult in yun_squarefree(p):
+        bound = _root_bound(factor)
+        a = Fraction(lo) if lo is not None else -bound
+        b = Fraction(hi) if hi is not None else bound
+        if a < b and factor.degree == 1:
+            r = -factor[0] / factor[1]
+            found += [(factor, mult, r, r)] if a <= r <= b else []
+        elif a < b:
+            found += [(factor, mult, ia, ib) for ia, ib in _isolate(factor, a, b)]
+    return found
+
+
+def refine(p: Poly, a: Fraction, b: Fraction, digits: int) -> Scalar:
+    """The root of squarefree p in (a, b] from ``isolate``: a Fraction if it is
+    rational, else an mpf to about ``digits`` digits."""
+    x, lo, hi = _refine(p, a, b, digits) if a < b else (a, a, a)
+    cand = None if isinstance(x, Fraction) else _try_rational(p, x, lo, hi)
+    return x if cand is None else cand
+
+
+def bracket(p: Poly, a: Fraction, b: Fraction, digits: int) -> tuple[Fraction, Fraction]:
+    """[g − δ, g + δ] ∩ [a, b], δ = (1 + |g|)·10^−digits, around g from float
+    Newton polished by ``_newton``, when p's exact signs at its ends differ,
+    else [a, b]: a closed bracket of p's root in (a, b], with no bisection."""
+    try:
+        cs, x = [float(c) for c in reversed(p.coeffs)], float((a + b) / 2)
+        for _ in range(100):
+            v, dv = mpmath.fp.polyval(cs, x, derivative=True)
+            x -= v / dv
+            if abs(v / dv) <= 1e-15 * (1 + abs(x)):
+                break
+        g = rationalize(_newton(p, Fraction(x), Fraction(x), digits))
+    except (ArithmeticError, ValueError):  # an overflow, a zero slope, a nan
+        return a, b
+    lo, hi = max(g - (1 + abs(g)) / 10**digits, a), min(g + (1 + abs(g)) / 10**digits, b)
+    return (lo, hi) if lo < hi and _sign(p, lo) * _sign(p, hi) < 0 else (a, b)
+
+
+def certified_irrational(p: Poly, lo: Fraction, hi: Fraction) -> bool:
+    """Is p's root in [lo, hi] irrational: the one u/a_n it may hold is none."""
+    return hi - lo < Fraction(1, 2 * _lead(p)) and _try_rational(p, (lo + hi) / 2, lo, hi) is None
+
+
+def rational_roots(p: Poly) -> list[tuple[Fraction, int]]:
+    """(root, multiplicity) for the rational roots of p, ascending, unrefined:
+    exact bisection to below 1/(2·a_n), a root at a midpoint kept as an end."""
+    found = []
+    for f, m, a, b in isolate(p):
+        a, b = _halve(a, b, Fraction(1, 2 * _lead(f)), lambda x, s=_sign(f, a): _sign(f, x) == s)
+        r = a if a == b else _try_rational(f, (a + b) / 2, a, b)
+        found += [(r, m)] if r is not None else []
+    return sorted(found)
+
+
 def real_roots(p: Poly, digits: int | None = None,
                lo: Fraction | None = None,
                hi: Fraction | None = None) -> list[RealRoot]:
@@ -218,39 +280,12 @@ def real_roots(p: Poly, digits: int | None = None,
     the rest are mpf values accurate to roughly ``digits`` digits.
     """
     digits = working_digits(digits)
-    if p.is_zero():
-        raise ValueError("zero polynomial has every point as a root")
-    roots: list[RealRoot] = []
-    for factor, mult in yun_squarefree(p):
-        bound = _root_bound(factor)
-        a = Fraction(lo) if lo is not None else -bound
-        b = Fraction(hi) if hi is not None else bound
-        if a >= b:
-            continue
-        if factor.degree == 1:
-            r = -factor[0] / factor[1]
-            if a <= r <= b:
-                roots.append(RealRoot(r, mult, True))
-            continue
-        for ia, ib in _isolate(factor, a, b):
-            x, flo, fhi = _refine(factor, ia, ib, digits)
-            if isinstance(x, Fraction):
-                if a <= x <= b:
-                    roots.append(RealRoot(x, mult, True))
-                continue
-            cand = _try_rational(factor, x)
-            if cand is not None and flo <= cand <= fhi:
-                if a <= cand <= b:
-                    roots.append(RealRoot(cand, mult, True))
-            else:
-                with mpmath.workdps(digits + 5):
-                    in_range = mpf_of(a, digits + 5) <= x <= mpf_of(b, digits + 5)
-                if in_range:
-                    roots.append(RealRoot(x, mult, False))
-
-    def _key(r: RealRoot):
-        with mpmath.workdps(digits + 5):
-            return mpf_of(r.value, digits + 5)
-
-    roots.sort(key=_key)
+    roots = []
+    for f, m, a, b in isolate(p, lo, hi):
+        x = refine(f, a, b, digits)
+        exact = isinstance(x, Fraction)
+        ends = [e if exact else mpf_of(e, digits + 5) for e in (lo, x, hi) if e is not None]
+        if ends == sorted(ends):  # lo ≤ x ≤ hi, exactly for a Fraction x
+            roots.append(RealRoot(x, m, exact))
+    roots.sort(key=lambda r: mpf_of(r.value, digits + 5))
     return roots

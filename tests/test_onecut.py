@@ -248,9 +248,9 @@ CORRUPTIONS = {
     # linear factors moved off its root
     "W'-factor-off-its-root": (
         "onecut",
-        "real_roots",
-        "lambda p, *a, f=W.real_roots: [__import__('dataclasses').replace(r, value=r.value + 1)"
-        " if r.exact and i == 0 else r for i, r in enumerate(f(p, *a))]",
+        "rational_roots",
+        "lambda p, f=W.rational_roots: [(r + 1, m) if i == 0 else (r, m)"
+        " for i, (r, m) in enumerate(f(p))]",
         'onecut._RegularEngine(parse_potential("sextic:42,-11,1")).run(1)',
         "the factors of W' do not multiply back to W'",
     ),

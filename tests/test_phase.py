@@ -7,7 +7,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from largen import errors, phase
+from largen import errors, phase, roots
 from largen.errors import (
     NoAdmissibleRoot,
     NoTwoCutSolution,
@@ -23,10 +23,11 @@ from largen.phase import (
     solve_one_cut,
     solve_two_cut,
 )
+from largen.mpolys import MPoly, eval_terms
 from largen.polys import Poly
 from largen.potential import Potential, parse_potential
 from largen.roots import real_roots
-from largen.scalars import mpf_of, scalar_str
+from largen.scalars import is_exact, lifted, mpf_of, negligible, scalar_str
 from largen.structured import branch_curve, branch_resultant, twocut_hodographs
 from largen.twocut import expand_two_cut_regular
 
@@ -480,3 +481,183 @@ def test_each_verdict_finds_the_roots_of_h_once(name, T, want, per_verdict, monk
     assert per == per_verdict
     assert (p.s, p.status, *(scalar_str(e, 25) for e in p.endpoints)) == want
     assert p.alternates == ()
+
+
+# -- refinement on demand: the candidate searches against refine-everything --------
+
+
+def reference_one_cut_candidates(g, T, digits):
+    """``_one_cut_candidates`` as it was before refinement on demand: every
+    root of W(r₀) = T refined by ``real_roots``, then those > 0 kept."""
+    with mpmath.workdps(digits + 10):
+        *cs, t = lifted((*g.hodograph().coeffs, T), digits + 10)
+        cs[0] -= t
+        if all(is_exact(c) for c in cs):
+            roots = [r.value for r in real_roots(Poly(cs), digits)]
+        else:
+            roots = phase._poly_real_roots_numeric(cs, digits)
+        return [r for r in roots if r > 0]
+
+
+def reference_two_cut_candidates(g, T, digits):
+    """``_two_cut_candidates`` as it was before refinement on demand: every
+    real root of R(·, T) refined, and every pair x ≥ y of them tested."""
+    if len(g.gs) == 2:
+        return [phase._quartic_two_cut(g, T, digits)]
+    W_a, L, R = phase._branch_elimination(g)
+    solutions = []
+    with mpmath.workdps(digits + 10):
+        cs = [0] * (max(e[0] for e in R) + 1)
+        for (k, j), c in R.items():
+            c, t = lifted((c, T), digits + 10)
+            cs[k] += c * t**j
+        if all(is_exact(c) for c in cs):
+            roots = [r.value for r in real_roots(Poly(cs), digits)]
+        else:
+            roots = phase._poly_real_roots_numeric(cs, digits)
+        L_f, W_f, zero = L.lift(digits + 10), W_a.lift(digits + 10), mpmath.mpf(0)
+        for i, x in enumerate(roots):
+            for y in roots[: i + 1]:
+                a0, b0, t = lifted((x, y, T), digits + 10)
+                if is_exact(t):
+                    residues = (L.eval((a0, b0)), W_a.eval((a0, b0)) - t)
+                else:
+                    residues = (eval_terms(L_f, (a0, b0), zero),
+                                eval_terms(W_f, (a0, b0), zero) - t)
+                if all(negligible(r, digits) for r in residues):
+                    solutions.append((a0, b0))
+    if not solutions:
+        raise NoTwoCutSolution("no real solution of W_a = T = W_b")
+    ordered = [(a0, b0) for a0, b0 in solutions if a0 > b0 > 0]
+    if not ordered:
+        raise NoTwoCutSolution("no solution with a₀ > b₀ > 0")
+    return ordered
+
+
+def _bits(search, *args):
+    """A search's outcome to the bit: Fractions as they are, mpfs by ``_mpf_``,
+    a refusal by its message."""
+    try:
+        found = search(*args)
+    except NoTwoCutSolution as exc:
+        return str(exc)
+    return [tuple(v if isinstance(v, F) else v._mpf_ for v in (p if isinstance(p, tuple) else (p,)))
+            for p in found]
+
+
+# the phase workload's sextic grids, three sextics with several pairs across a
+# T grid, an mpf T, and a sextic whose one pair (2, 1) is rational
+TWO_CUT_INPUTS = (
+    [("sextic:42,-11,1", T) for T in (1, 3, 6, 9, 12, 15, 18, 21, 24)]
+    + [("bmp", T) for T in (10, 30, 50, 60, 70, 90)]
+    + [("sextic:-6,-3,1", T) for T in (2, 6, 10, 12, 14, 20)]
+    + [(name, T) for name in ("sextic:12,-8,1", "sextic:24,-13,2", "sextic:30,-12,1")
+       for T in (F(1, 4), 1, 2, 3, 6, 8)]
+    + [("sextic:-6,-3,1", mpmath.mpf(6)), ("sextic:-15,-4,1", 40), ("sextic:9,-8,1", 8)]
+)
+ONE_CUT_INPUTS = [(name, T) for name in ("gaussian", "quartic:-2,1", "quartic:1,1", "quartic:-1,2",
+                                         "quartic:-3,1", "bmp", "sextic:42,-11,1",
+                                         "sextic:-6,-3,1", "sextic:24,-13,2", "sextic:12,-8,1")
+                  for T in (F(1, 4), 1, F(3, 2), 6, 60)]
+
+
+def _potential(name):
+    return Potential.gaussian() if name == "gaussian" else parse_potential(name)
+
+
+@pytest.mark.parametrize("name,T", TWO_CUT_INPUTS, ids=[f"{n}:T={T}" for n, T in TWO_CUT_INPUTS])
+def test_two_cut_candidates_match_refining_every_root(name, T):
+    g, T = _potential(name), T if isinstance(T, mpmath.mpf) else F(T)
+    with mpmath.workdps(40):
+        assert (_bits(phase._two_cut_candidates, g, T, 30)
+                == _bits(reference_two_cut_candidates, g, T, 30))
+
+
+@pytest.mark.parametrize("name,T", ONE_CUT_INPUTS, ids=[f"{n}:T={T}" for n, T in ONE_CUT_INPUTS])
+def test_one_cut_candidates_match_refining_every_root(name, T):
+    g = _potential(name)
+    assert _bits(phase._one_cut_candidates, g, T, 30) == _bits(reference_one_cut_candidates, g, T, 30)
+
+
+def _refinements(monkeypatch) -> list:
+    """The (lo, hi) of every ``roots._refine`` call from here on."""
+    calls, refine = [], roots._refine
+    monkeypatch.setattr(roots, "_refine", lambda p, lo, hi, digits: calls.append((lo, hi))
+                        or refine(p, lo, hi, digits))
+    return calls
+
+
+class TestRefinementOnDemand:
+    def test_a_solution_with_b0_below_zero_is_decided_unrefined(self, monkeypatch):
+        # R(·, 3)'s one real solution is a mirror pair with b₀ < 0, certified
+        # on brackets; the refusal keeps its reason
+        calls = _refinements(monkeypatch)
+        with pytest.raises(NoTwoCutSolution, match="^no solution with a₀ > b₀ > 0$"):
+            phase._two_cut_candidates(SEXTIC, F(3), 30)
+        assert calls == []
+
+    def test_only_the_kept_pair_is_refined(self, monkeypatch):
+        calls = _refinements(monkeypatch)
+        [(a0, b0)] = phase._two_cut_candidates(MERGE2, F(6), 30)
+        assert len(calls) == 2
+        with mpmath.workdps(40):
+            for v, (lo, hi) in zip(sorted((b0, a0)), sorted(calls)):
+                assert mpf_of(lo, 40) < v <= mpf_of(hi, 40)
+
+    def test_quartic_one_cut_refines_its_positive_root_only(self, monkeypatch):
+        calls = _refinements(monkeypatch)
+        [r0] = phase._one_cut_candidates(parse_potential("quartic:1,1"), F(1), 30)
+        assert r0 > 0 and len(calls) == 1 and calls[0][1] > 0
+
+    def test_rational_pair_keeps_the_exact_test(self, monkeypatch):
+        # TestExactness's quartic takes the closed form, never the pair search;
+        # this sextic's one pair (a₀, b₀) = (2, 1) is rational, both its roots
+        # are refined, and its residues are tested exactly
+        tested, negligible_ = [], phase.negligible
+        monkeypatch.setattr(phase, "negligible",
+                            lambda x, digits: tested.append(x) or negligible_(x, digits))
+        calls = _refinements(monkeypatch)
+        g = parse_potential("sextic:-15,-4,1")
+        assert phase._two_cut_candidates(g, F(40), 30) == [(F(2), F(1))]
+        assert len(calls) == 2 and tested == [F(0), F(0)]
+        p = classify_phase(g, F(40))
+        assert (p.s, p.status, p.a0, p.b0) == (2, "regular", F(2), F(1))
+
+    def test_brackets_as_wide_as_the_isolating_intervals_change_nothing(self, monkeypatch):
+        # every bracket the isolating interval itself: fewer pairs are decided
+        # on brackets, and at T = 12, where R(·, T) has a fourfold root as a
+        # factor of its own, brackets of different factors overlap, so the
+        # roots take real_roots' order by value
+        monkeypatch.setattr(phase, "bracket", lambda f, a, b, digits: (a, b))
+        for name, T in (("sextic:-6,-3,1", 6), ("sextic:-6,-3,1", 12), ("sextic:42,-11,1", 3),
+                        ("sextic:24,-13,2", 1), ("sextic:-15,-4,1", 40)):
+            g = parse_potential(name)
+            assert (_bits(phase._two_cut_candidates, g, F(T), 30)
+                    == _bits(reference_two_cut_candidates, g, F(T), 30))
+
+    @pytest.mark.parametrize("p,rational", [(Poly([-1, 0, 4]), True), (Poly([-2, 0, 1]), False)],
+                             ids=["±1/2", "±√2"])
+    def test_a_rational_pair_is_never_settled_on_brackets(self, p, rational):
+        # L = a₀ + b₀ − 10⁻²⁰ is 10⁻²⁰ off zero at the mirror pair x = −y:
+        # negligible in mpf, but not zero in the exact test a rational pair gets
+        (f, _, a, b), (g, _, c, e) = roots.isolate(p)
+        y, x = (phase._Root(f, a, b, *roots.bracket(f, a, b, 30)),
+                phase._Root(g, c, e, *roots.bracket(g, c, e, 30)))
+        L = MPoly(2, {(1, 0): 1, (0, 1): 1})
+        tests = ((L, L.lift(40), mpmath.mpf(10) ** -20),)
+        with mpmath.workdps(40):
+            assert phase._on_brackets(x, y, tests, 30) is (None if rational else True)
+
+    def test_overlapping_brackets_take_real_roots_order(self, monkeypatch):
+        # R(·, 12) has roots −1.37, 0.366 and a fourfold 1; giving 1 the wide
+        # but certified bracket [−1, 3/2] puts its centre below 0.366's, so the
+        # roots must be put in order by value before pairs x ≥ y are formed
+        monkeypatch.setattr(phase, "bracket",
+                            lambda f, a, b, digits: (a, b) if a < b else (F(-1), F(3, 2)))
+        seen, on_brackets = [], phase._on_brackets
+        monkeypatch.setattr(phase, "_on_brackets",
+                            lambda x, y, *rest: seen.append((x, y)) or on_brackets(x, y, *rest))
+        with pytest.raises(NoTwoCutSolution, match=f"^{OUT_OF_ORDER}$"):
+            phase._two_cut_candidates(MERGE2, F(12), 30)
+        value = {r: mpf_of(roots.refine(r.f, r.a, r.b, 30), 40) for pair in seen for r in pair}
+        assert len(seen) == 6 and all(value[x] >= value[y] for x, y in seen)

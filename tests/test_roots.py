@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from largen.polys import Poly
+from largen.potential import parse_potential
 from largen import roots
 from largen.roots import RealRoot, real_roots, yun_squarefree
 from largen.scalars import mpf_of, rationalize
@@ -297,3 +298,61 @@ _PINNED_ROOTS = [
 def test_real_roots_unchanged_on_repeated_and_rational_roots(p, want):
     got = [(str(rationalize(r.value)), r.multiplicity, r.exact) for r in real_roots(p, 30)]
     assert got == want
+
+
+# -- isolation and refinement as separate steps --------------------------------
+
+
+@given(
+    st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=6), max_size=3),
+    st.lists(st.integers(min_value=1, max_value=3), min_size=3, max_size=3),
+    st.lists(st.integers(min_value=2, max_value=30), max_size=2),
+)
+@settings(max_examples=40, deadline=None)
+def test_rational_roots_are_the_exact_real_roots(rs, mults, squares):
+    # planted rational roots with multiplicities, times irrational pairs ±√n
+    p = Poly.const(Fraction(3, 7))
+    for r, m in zip(rs, mults):
+        p = p * Poly([-r, 1]) ** m
+    for n in squares:
+        p = p * Poly([-n, 0, 1])
+    if p.degree < 1:
+        return
+    want = [(r.value, r.multiplicity) for r in real_roots(p) if r.exact]
+    assert roots.rational_roots(p) == want
+
+
+@pytest.mark.parametrize("name", ["sextic:42,-11,1", "sextic:24,-13,2", "bmp", "quartic:-2,1"])
+def test_rational_roots_split_the_hodograph_slope(name):
+    wp = parse_potential(name).hodograph().derivative()
+    assert roots.rational_roots(wp) == [(r.value, r.multiplicity) for r in real_roots(wp) if r.exact]
+
+
+def test_real_roots_is_isolate_then_refine():
+    for f, m, a, b in roots.isolate(RESULTANT_T6):
+        assert (m, a < b) == (1, True)
+    got = [roots.refine(f, a, b, 30) for f, _, a, b in roots.isolate(RESULTANT_T6)]
+    assert [v._mpf_ for v in got] == [r.value._mpf_ for r in real_roots(RESULTANT_T6, 30)]
+
+
+@pytest.mark.parametrize("p", [RESULTANT_T6, Poly([-2, 0, 1]), _poly_from_roots([Fraction(1, 3), 5])],
+                         ids=["resultant", "x^2-2", "rational"])
+def test_bracket_holds_the_refined_root(p):
+    for f, _, a, b in roots.isolate(p):
+        lo, hi = roots.bracket(f, a, b, 30)
+        value = roots.refine(f, a, b, 30)
+        assert a <= lo <= hi <= b
+        assert hi - lo <= 2 * (1 + abs(rationalize(value))) / Fraction(10) ** 30  # Newton's
+        with mpmath.workdps(40):
+            assert mpf_of(lo, 40) <= mpf_of(value, 40) <= mpf_of(hi, 40)
+        assert roots.certified_irrational(f, lo, hi) is not isinstance(value, Fraction)
+
+
+def test_bracket_falls_back_to_the_isolating_interval(monkeypatch):
+    # a Newton guess inside (a, b) but off the root fails the sign check
+    f, _, a, b = roots.isolate(Poly([-2, 0, 1]))[1]
+    off = a + (b - a) / 16
+    assert a < off < b and abs(off - Fraction(99, 70)) > 1  # √2 ≈ 99/70
+    monkeypatch.setattr(roots, "_newton", lambda p, lo, hi, digits: mpf_of(off, 40))
+    assert roots.bracket(f, a, b, 30) == (a, b)
+    assert not roots.certified_irrational(f, a, b)  # wider than 1/(2·a_n)
