@@ -44,13 +44,13 @@ only a repeat of the same key is served, and a call that raises stores nothing.
 * ``oracle._standard_nodes``, the tanh-sinh node levels per (level,
   precision): every moment table at that precision reads them.
 * ``mpolys._layout``, the key layout per variable count: every ``MPoly`` reads it.
-* ``diffpoly._DECODED``, the sorted factor tuple of each packed key read:
-  d/dx, the sorts and every rendering decode the same keys many times.
-* ``diffpoly._SHIFT``, ``diffpoly._JETS`` and ``diffpoly._TOP``, the jet
-  registry: the key field of each jet v^{(k)}, given on first use.  It is the
-  key encoding, not a memo, and the one table whose size changes a call's
-  cost: jets met late get high fields, so keys that use them are wide ints.
-  No output reads field order, so none depends on which jets came first.
+* ``diffpoly._LAYOUT``, the jet layout of ``DiffPoly`` keys: the field of each
+  jet v^{(k)}, given on first use, and the factors of each key decoded, which
+  d/dx, the sorts and every rendering read many times.  It is the key
+  encoding, not a memo, and no output reads field order.  The double-scaled
+  and Painlevé entry points each solve in a new one (a memo entry keeps it),
+  so jets the process met before widen none of their working keys; only what
+  they return is re-encoded into the caller's layout, and takes its width.
 """
 
 __version__ = "0.1.0"

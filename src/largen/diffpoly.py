@@ -18,16 +18,23 @@ and a key is Σ e·2^(shift of its jet), the constants key 0.  A product of
 monomials is then a sum of keys (``IntTable``'s product), and d/dx moves one
 power from v^{(k)} to v^{(k+1)} by adding a difference of unit keys.
 Exponents lie in [0, 2^(_WIDTH−1)): a product or derivative step that sets a
-field's top bit, as registered at that call, raises ``OverflowError`` rather
+field's top bit, as given at that call, raises ``OverflowError`` rather
 than alias into the next jet.  Field order is the order of first use, so
 nothing reads it: ``terms``, the sort and every rendering decode a key to its
-sorted factor tuple (``Monomial``).  The registry and its decodes are
-process-global and only grow, though no read (``coefficient``) registers.
+sorted factor tuple (``Monomial``).  The fields are a jet layout's, which
+only grows, though no read (``coefficient``) adds to it.  Each double-scaled
+and Painlevé entry point runs in a new one (``own_layout``), so its keys are
+only as wide as its own jets, and re-encodes what it takes in and gives back
+(``moved``); other DiffPolys share the process's layout.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, fields, is_dataclass, replace
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
@@ -42,29 +49,79 @@ from .wring import Lattice, WElem
 Factor = tuple[str, int, int]
 Monomial = tuple[Factor, ...]
 
-# The jet registry (module notes): (name, order) -> the shift of its field,
-# the jets by field index, the top bits of all fields and the decoded
-# monomial of each key read so far.  All only grow.
-_SHIFT: dict[tuple[str, int], int] = {}
-_JETS: list[tuple[str, int]] = []
-_TOP = 0
-_DECODED: dict[int, Monomial] = {}
+class _Layout:
+    """(name, order) -> the shift of its field, the jets by field index, the top
+    bits of all fields and the decoded monomial of each key read: all only grow."""
+
+    __slots__ = ("shift", "jets", "top", "decoded")
+
+    def __init__(self):
+        self.shift, self.jets, self.top, self.decoded = {}, [], 0, {}
+
+    def field(self, name: str, order: int) -> int:
+        """The shift of the field of v^(order) for v = name, given on first use."""
+        s = self.shift.get((name, order))
+        if s is None:
+            s = self.shift[name, order] = _WIDTH * len(self.jets)
+            self.jets.append((name, order))
+            self.top |= 1 << (s + _WIDTH - 1)
+        return s
+
+    def key(self, mono: Monomial) -> int:
+        """The packed key of a normalised monomial, giving its new jets fields."""
+        return sum(exp << self.field(name, order) for name, order, exp in mono)
+
+    def decode(self, key: int) -> Monomial:
+        """The sorted factors of a packed key."""
+        mono = self.decoded.get(key)
+        if mono is None:
+            factors, rest = [], key
+            while rest:
+                s = (rest & -rest).bit_length() - 1
+                s -= s % _WIDTH
+                exp = rest >> s & _FIELD
+                factors.append((*self.jets[s // _WIDTH], exp))
+                rest -= exp << s
+            mono = self.decoded[key] = tuple(sorted(factors))
+        return mono
 
 
-def _shift(name: str, order: int) -> int:
-    """The shift of the field of v^(order) for v = name, given on first use."""
-    s = _SHIFT.get((name, order))
-    if s is None:
-        global _TOP
-        s = _SHIFT[name, order] = _WIDTH * len(_JETS)
-        _JETS.append((name, order))
-        _TOP |= 1 << (s + _WIDTH - 1)
-    return s
+# the layout of the running double-scaled or Painlevé call, else the process's
+_LAYOUT: ContextVar[_Layout] = ContextVar("jet layout", default=_Layout())
 
 
-def _step(name: str, order: int) -> int:
-    """The key difference that moves one power of v^(order) to v^(order+1)."""
-    return (1 << _shift(name, order + 1)) - (1 << _shift(name, order))
+@contextmanager
+def own_layout():
+    """A new jet layout for the block: yields (the caller's layout, the new one)."""
+    outer, token = _LAYOUT.get(), _LAYOUT.set(_Layout())
+    try:
+        yield outer, _LAYOUT.get()
+    finally:
+        _LAYOUT.reset(token)
+
+
+def moved(src: _Layout, obj, new=None):
+    """obj, each DiffPoly key in it re-encoded (once, by ``new``) from the layout src
+    into the current one; tuples, lists, WElems and dataclasses are rebuilt."""
+    if new is None:
+        key = _LAYOUT.get().key
+        new = cache(lambda k: key(src.decode(k)))
+    if isinstance(obj, DiffPoly):  # in lowest terms already: only the keys change
+        out = DiffPoly.__new__(DiffPoly)
+        out.den, out.nums = obj.den, {new(k): n for k, n in obj.nums.items()}
+        return out
+    if isinstance(obj, (tuple, list)):
+        return type(obj)([moved(src, o, new) for o in obj])
+    if isinstance(obj, WElem):
+        slots = {j: moved(src, cs, new) for j, cs in obj.slots.items()}
+        return WElem(moved(src, obj.d1, new), moved(src, obj.d0, new), slots)
+    if is_dataclass(obj):
+        return replace(obj, **{f.name: moved(src, getattr(obj, f.name), new) for f in fields(obj)})
+    return obj
+
+
+def _decode(key: int) -> Monomial:
+    return _LAYOUT.get().decode(key)
 
 
 def _normalize_monomial(factors: Iterable[tuple[str, int, int]]) -> Monomial:
@@ -80,26 +137,6 @@ def _normalize_monomial(factors: Iterable[tuple[str, int, int]]) -> Monomial:
             raise ValueError(f"exponent {exp} of {name}^({order}) is not an int "
                              f"in [0, 2^{_WIDTH - 1})")
     return tuple(sorted((n, o, e) for (n, o), e in agg.items() if e))
-
-
-def _key(mono: Monomial) -> int:
-    """The packed key of a normalised monomial, registering its new jets."""
-    return sum(exp << _shift(name, order) for name, order, exp in mono)
-
-
-def _decode(key: int) -> Monomial:
-    """The sorted factors of a packed key."""
-    mono = _DECODED.get(key)
-    if mono is None:
-        factors, rest = [], key
-        while rest:
-            s = (rest & -rest).bit_length() - 1
-            s -= s % _WIDTH
-            exp = rest >> s & _FIELD
-            factors.append((*_JETS[s // _WIDTH], exp))
-            rest -= exp << s
-        mono = _DECODED[key] = tuple(sorted(factors))
-    return mono
 
 
 def _coerce_coeff(c) -> Fraction:
@@ -119,10 +156,10 @@ class DiffPoly(IntTable):
     __slots__ = ()
 
     def __init__(self, terms: Mapping[Monomial, object] | None = None):
-        clean: dict = {}
+        clean, key = {}, _LAYOUT.get().key
         for mono, c in (terms or {}).items():
-            key, c = _key(_normalize_monomial(mono)), _coerce_coeff(c)
-            clean[key] = clean.get(key, 0) + c
+            k, c = key(_normalize_monomial(mono)), _coerce_coeff(c)
+            clean[k] = clean.get(k, 0) + c
         self._set_terms(clean)
 
     # -- constructors ---------------------------------------------------
@@ -145,8 +182,8 @@ class DiffPoly(IntTable):
     @property
     def terms(self) -> dict:
         """{sorted factor tuple: Fraction coefficient}, a fresh dict in insertion order."""
-        den = self.den
-        return {_decode(k): Fraction(n, den) for k, n in self.nums.items()}
+        den, decode = self.den, _LAYOUT.get().decode
+        return {decode(k): Fraction(n, den) for k, n in self.nums.items()}
 
     def dependent_vars(self) -> set[str]:
         return {name for key in self.nums for name, _, _ in _decode(key)}
@@ -163,13 +200,13 @@ class DiffPoly(IntTable):
 
     def coefficient(self, mono) -> Fraction:
         """The coefficient of mono; 0, registering nothing, if a jet of it is new."""
-        mono = _normalize_monomial(mono)
-        known = all((name, order) in _SHIFT for name, order, _ in mono)
-        return Fraction(self.nums.get(_key(mono), 0) if known else 0, self.den)
+        mono, layout = _normalize_monomial(mono), _LAYOUT.get()
+        known = all((name, order) in layout.shift for name, order, _ in mono)
+        return Fraction(self.nums.get(layout.key(mono), 0) if known else 0, self.den)
 
     # -- ring operations -------------------------------------------------
     def _top(self) -> int:
-        return _TOP  # read at call time: the registry grows
+        return _LAYOUT.get().top  # read at call time: the layout grows
 
     # bound here, not inherited, as in ``MPoly``
     __mul__ = __rmul__ = IntTable.__mul__
@@ -182,20 +219,21 @@ class DiffPoly(IntTable):
         """Total x-derivative; coefficients are x-independent."""
         if times < 0:
             raise ValueError("negative derivative count")
-        p = self
+        p, layout = self, _LAYOUT.get()
+        field = layout.field
         for _ in range(times):
             out: dict = {}
             get = out.get
             for key, n in p.nums.items():
-                for name, order, exp in _decode(key):
-                    m = key + _step(name, order)
+                for name, order, exp in layout.decode(key):
+                    m = key + (1 << field(name, order + 1)) - (1 << field(name, order))
                     out[m] = get(m, 0) + n * exp
             p = DiffPoly._trusted(p.den, p._checked(out, "derivative"))
         return p
 
     def partial(self, name: str, order: int) -> "DiffPoly":
         """Formal partial derivative with respect to the jet variable v^(order)."""
-        s = _SHIFT.get((name, order))
+        s = _LAYOUT.get().shift.get((name, order))
         return DiffPoly.zero() if s is None else self._field_derivative(s)
 
     # -- substitution -------------------------------------------------------
@@ -210,10 +248,10 @@ class DiffPoly(IntTable):
                 cache[key] = DiffPoly.var(name, order) if src is None else src.d_dx(order)
             return cache[key]
 
-        terms = []
+        terms, decode = [], _LAYOUT.get().decode
         for key, n in self.nums.items():
             term = DiffPoly._trusted(self.den, {0: n})
-            for name, order, exp in _decode(key):
+            for name, order, exp in decode(key):
                 term = term * image(name, order) ** exp
             terms.append(term)
         return DiffPoly.zero().sum(*terms)
@@ -274,6 +312,7 @@ class DiffPoly(IntTable):
         return f"DiffPoly({self.render()})"
 
 
+@dataclass(slots=True)
 class XRelation:
     """A relation  p(u, ...) + x·q(u, ...) = 0  between differential polynomials.
 
@@ -281,16 +320,8 @@ class XRelation:
     emitted equations are canonical and byte-stable.
     """
 
-    __slots__ = ("p", "q")
-
-    def __init__(self, p: DiffPoly, q: DiffPoly):
-        self.p = p
-        self.q = q
-
-    def __eq__(self, other):
-        if not isinstance(other, XRelation):
-            return NotImplemented
-        return self.p == other.p and self.q == other.q
+    p: DiffPoly
+    q: DiffPoly
 
     def normalize(self) -> "XRelation":
         """Scale so all coefficients are coprime integers and the leading

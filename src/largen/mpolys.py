@@ -94,10 +94,13 @@ class IntTable:
     ``MPoly`` and a packed jet monomial in ``DiffPoly``; ``_UNIT`` is the key
     of the constants.  A subclass supplies ``_scalar(c)``, the constant c of its
     kind, ``_top()``, the top bits of its key fields, its calculus and rendering;
-    ``MPoly`` also overrides ``_like(den, nums)`` to keep its arity."""
+    ``MPoly`` also overrides ``_like(den, nums)`` to keep its arity.  The
+    operators take an operand of the same class and ``nvars`` as it is, and
+    send every other one through ``_coerce``."""
 
     __slots__ = ("den", "nums")
     _UNIT = 0
+    nvars = None  # the arity of ``MPoly`` keys; the other tables have none
 
     @classmethod
     def _trusted(cls, den: int, nums: dict):
@@ -150,23 +153,26 @@ class IntTable:
         return hash((self.den, frozenset(self.nums.items())))
 
     def __add__(self, other):
-        if is_exact(other) and not other:  # no table is built for a zero scalar
-            return self
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not type(self) or other.nvars != self.nvars:
+            if is_exact(other) and not other:  # no table is built for a zero scalar
+                return self
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not (self.nums and other.nums):
             return other if other.nums else self
         return self.sum(other)
 
     __radd__ = __add__
 
-    def sum(self, *others):
+    def sum(self, *others, sign: int = 1):
         """self + others[0] + .. (tables of self's kind) in one pass, as the left
-        fold of ``+`` leaves it: the first nonzero table copied, a key whose sum
+        fold of ``+`` leaves it, or self − others[0] − .. for sign −1, as the fold
+        of ``+ (−t)`` does: the first nonzero table copied, a key whose sum
         cancels dropped, so that a later operand appends it anew."""
         if not self.nums and others:
-            return others[0].sum(*others[1:])
+            first = others[0] if sign == 1 else -others[0]
+            return first.sum(*others[1:], sign=sign)
         den = self.den
         for t in others:
             den = lcm(den, t.den)
@@ -174,7 +180,7 @@ class IntTable:
         out = dict(self.nums) if m == 1 else {k: n * m for k, n in self.nums.items()}
         get = out.get
         for t in others:
-            m = den // t.den
+            m = sign * (den // t.den)
             for k, n in t.nums.items():
                 if v := get(k, 0) + n * m:
                     out[k] = v
@@ -188,12 +194,16 @@ class IntTable:
         return self._like(self.den, {k: -n for k, n in self.nums.items()})
 
     def __sub__(self, other):
-        if is_exact(other) and not other:
-            return self
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        """self + (−other) in one pass, in the order that sum leaves."""
+        if type(other) is not type(self) or other.nvars != self.nvars:
+            if is_exact(other) and not other:
+                return self
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if not (self.nums and other.nums):
+            return -other if other.nums else self
+        return self.sum(other, sign=-1)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -212,24 +222,27 @@ class IntTable:
 
     def __mul__(self, other):
         """The key-sum convolution, outer loop over self; a constant scales."""
-        if is_exact(other):
-            if other == 1:
-                return self
-            if not other:
-                return self._like(1, {})
-            k = other.numerator
-            return self._like(self.den * other.denominator, {m: n * k for m, n in self.nums.items()})
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        for c, p in ((other, self), (self, other)):
-            if not c.nums:
-                return c
-            if len(c.nums) == 1 and 0 in c.nums:  # a constant factor scales
-                k = c.nums[0]
-                if k == c.den == 1:
-                    return p
-                return p._like(p.den * c.den, {m: n * k for m, n in p.nums.items()})
+        if type(other) is not type(self) or other.nvars != self.nvars:
+            if is_exact(other):
+                if other == 1:
+                    return self
+                if not other:
+                    return self._like(1, {})
+                k = other.numerator
+                return self._like(self.den * other.denominator,
+                                  {m: n * k for m, n in self.nums.items()})
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        if len(other.nums) < 2 or len(self.nums) < 2:
+            for c, p in ((other, self), (self, other)):
+                if not c.nums:
+                    return c
+                if len(c.nums) == 1 and 0 in c.nums:  # a constant factor scales
+                    k = c.nums[0]
+                    if k == c.den == 1:
+                        return p
+                    return p._like(p.den * c.den, {m: n * k for m, n in p.nums.items()})
         out: dict = {}
         get = out.get
         for m1, n1 in self.nums.items():
@@ -752,7 +765,7 @@ class _Loc:
     def _coerce(self, other):
         if isinstance(other, _Loc):
             return other
-        if isinstance(other, (Fraction, int)):
+        if is_exact(other):
             return _Loc(self.fs, MPoly.const(self.num.nvars, other), trials=())
         return None
 
@@ -766,15 +779,20 @@ class _Loc:
         E = tuple(map(max, self.e, o.e))
         return self._lift(E) == o._lift(E)
 
-    def __add__(self, other) -> "_Loc":
+    def _plus(self, other, sign: int) -> "_Loc":
+        """self + sign·other; for sign −1 in one pass, as self + (−other) leaves it."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if not o.num or not self.num:
-            return self if self.num else o
+            return self if self.num else o if sign == 1 else -o
         E = tuple(map(max, self.e, o.e))
         trials = tuple(t for t in self.fs[1] if not t[4] or self.e[t[0]] == o.e[t[0]])
-        return _Loc(self.fs, self._lift(E) + o._lift(E), E, trials)
+        a, b = self._lift(E), o._lift(E)
+        return _Loc(self.fs, a + b if sign == 1 else a - b, E, trials)
+
+    def __add__(self, other) -> "_Loc":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -782,16 +800,13 @@ class _Loc:
         return _Loc(self.fs, -self.num, self.e, ())
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        if isinstance(other, (Fraction, int)):
+        if is_exact(other):
             return _Loc(self.fs, self.num * other, self.e, ())
         if not isinstance(other, _Loc):
             return NotImplemented

@@ -36,7 +36,7 @@ from functools import lru_cache, reduce
 
 import mpmath
 
-from .diffpoly import DiffPoly, XRelation, scaled_lattice, string_ladder
+from .diffpoly import DiffPoly, XRelation, moved, own_layout, scaled_lattice, string_ladder
 from .errors import CriticalPointHit, certify
 from .mpolys import MPoly, _Loc, loc_factors
 from .phase import _one_cut_candidates, branch_density_positive, solve_one_cut
@@ -375,44 +375,46 @@ def find_critical(g: Potential, digits: int | None = None) -> tuple[OneCutCritic
 
 
 @lru_cache(maxsize=32)
-def _scaled(g: Potential, crit: OneCutCritical, K: int) -> ScaledOneCut:
-    """``scaled_series`` once per process for each (potential, critical point, K).
+def _scaled(g: Potential, crit: OneCutCritical, K: int) -> tuple:
+    """(jet layout, ``scaled_series``) once per process per (potential, critical point, K).
 
     The ε̄-expansion at a one-cut critical point, with DiffPoly coefficients
     over ℚ: U^{[0]}..U^{[K]} are solved and certified per order as in
     ``_RegularEngine.run``, on a ``wring.Defect`` local to this call, then
     the string ladder and the pole tables are read off them.  Every call
-    solves orders 0..K afresh, so its cost does not depend on what the
-    process asked for before; only a repeat of the same K is served.
+    solves orders 0..K afresh in a jet layout of its own, so its cost does
+    not depend on what the process asked for before; only a repeat of the
+    same K is served.
     """
     if not is_exact(crit.r_c):
         raise ValueError("double-scaled series needs an exact critical point")
-    rc, Tc = as_fraction(crit.r_c), as_fraction(crit.T_c)
-    lat, u0 = scaled_lattice(rc)
-    vp = list(g.v_lambda().coeffs)
-    r_list = [DiffPoly.const(rc)] + [DiffPoly.var(f"r{k}") for k in range(1, K + 1)]
-    u_list = [u0]
-    F = Defect(lat, u_list, u_list, r_list, 2)
-    F.certify(0, "scaled defect")
-    for k in range(1, K + 1):
-        F.certify(2 * k - 1, "odd scaled defect order")
-        u_list.append(F.coefficient(2 * k).div_w().scale(Fraction(1, 2)))
-        F.certify(2 * k, "scaled defect")
+    with own_layout() as (_, layout):
+        rc, Tc = as_fraction(crit.r_c), as_fraction(crit.T_c)
+        lat, u0 = scaled_lattice(rc)
+        vp = list(g.v_lambda().coeffs)
+        r_list = [DiffPoly.const(rc)] + [DiffPoly.var(f"r{k}") for k in range(1, K + 1)]
+        u_list = [u0]
+        F = Defect(lat, u_list, u_list, r_list, 2)
+        F.certify(0, "scaled defect")
+        for k in range(1, K + 1):
+            F.certify(2 * k - 1, "odd scaled defect order")
+            u_list.append(F.coefficient(2 * k).div_w().scale(Fraction(1, 2)))
+            F.certify(2 * k, "scaled defect")
 
-    ladder = string_ladder(u_list, vp, Tc, crit.m)
-    for k in range(1, min(crit.m, K + 1)):
-        certify(
-            ladder[k].p.is_zero(),
-            "constraint below the critical order did not vanish; "
-            "the scaling exponent would be wrong",
-        )
-    orders = [ScaledOrder(k=0, element=u0, poles=())]
-    for k in range(1, K + 1):
-        u0_part, poles = _pole_basis(u_list[k], 4 * rc, DiffPoly.zero())
-        certify(not u0_part, "U^[k] acquired a pole-free part")
-        certify(len(poles) <= k, "double-scaled pole depth exceeded its order")
-        orders.append(ScaledOrder(k=k, element=u_list[k], poles=tuple(poles)))
-    return ScaledOneCut(crit=crit, K=K, orders=tuple(orders), ladder=tuple(ladder))
+        ladder = string_ladder(u_list, vp, Tc, crit.m)
+        for k in range(1, min(crit.m, K + 1)):
+            certify(
+                ladder[k].p.is_zero(),
+                "constraint below the critical order did not vanish; "
+                "the scaling exponent would be wrong",
+            )
+        orders = [ScaledOrder(k=0, element=u0, poles=())]
+        for k in range(1, K + 1):
+            u0_part, poles = _pole_basis(u_list[k], 4 * rc, DiffPoly.zero())
+            certify(not u0_part, "U^[k] acquired a pole-free part")
+            certify(len(poles) <= k, "double-scaled pole depth exceeded its order")
+            orders.append(ScaledOrder(k=k, element=u_list[k], poles=tuple(poles)))
+        return layout, ScaledOneCut(crit=crit, K=K, orders=tuple(orders), ladder=tuple(ladder))
 
 
 def scaled_series(g: Potential, crit: OneCutCritical, K: int) -> ScaledOneCut:
@@ -424,4 +426,4 @@ def scaled_series(g: Potential, crit: OneCutCritical, K: int) -> ScaledOneCut:
         )
     if K < crit.m:
         raise ValueError("need K ≥ m to reach the Painlevé relation")
-    return _scaled(g, crit, K)
+    return moved(*_scaled(g, crit, K))

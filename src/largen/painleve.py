@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diffpoly import DiffPoly, XRelation
+from .diffpoly import DiffPoly, XRelation, moved, own_layout
 from .errors import Mismatch, certify
 from .onecut import OneCutCritical, scaled_series
 from .polys import Poly, RationalFunc
@@ -116,51 +116,56 @@ def gelfand_dikii(m: int, rc=None) -> DiffPoly | Homogeneous:
     """R_m of the Painlevé I / KdV hierarchy at ρ = rc; ``rc=None`` keeps ρ
     symbolic and returns the ``Homogeneous`` member.
 
-    Each call runs the recursion from R₀ = 1: each step reads R_{k+1} off the
-    ζ^{-k} coefficient of the first integral at ρ = 1, and certifies that its
-    derivative is the operator image of R_k and that it has no constant term.
+    Each call runs the recursion from R₀ = 1, in a jet layout of its own: each
+    step reads R_{k+1} off the ζ^{-k} coefficient of the first integral at
+    ρ = 1, and certifies that its derivative is the operator image of R_k and
+    that it has no constant term.
     """
     if m < 0:
         raise ValueError("hierarchy index must be nonnegative")
-    R = [DiffPoly.const(1)]
-    for k in range(m):
-        D1 = [r.d_dx() for r in R]
-        D2 = [r.d_dx() for r in D1]
-        nxt = (
-            _product(R, D2, k) - _product(D1, D1, k) * Fraction(1, 2) + _U * _product(R, R, k) * 2
-            - _product(R[1:], R[1:], k - 1) * Fraction(1, 2)
-        )
-        rhs = D2[k].d_dx() + _U * D1[k] * 4 + _U.d_dx() * R[k] * 2
-        certify(nxt.d_dx() == rhs, f"R_{k + 1} does not integrate the recursion")
-        certify(not nxt.constant_term(), f"R_{k + 1} has a constant term")
-        R.append(nxt)
-    return _at(R[m], m, rc)
+    with own_layout() as (outer, layout):
+        u, R = moved(outer, _U), [DiffPoly.const(1)]
+        for k in range(m):
+            D1 = [r.d_dx() for r in R]
+            D2 = [r.d_dx() for r in D1]
+            nxt = (
+                _product(R, D2, k) - _product(D1, D1, k) * Fraction(1, 2)
+                + u * _product(R, R, k) * 2 - _product(R[1:], R[1:], k - 1) * Fraction(1, 2)
+            )
+            rhs = D2[k].d_dx() + u * D1[k] * 4 + u.d_dx() * R[k] * 2
+            certify(nxt.d_dx() == rhs, f"R_{k + 1} does not integrate the recursion")
+            certify(not nxt.constant_term(), f"R_{k + 1} has a constant term")
+            R.append(nxt)
+    return _at(moved(layout, R[m]), m, rc)
 
 
 def pii_hierarchy(m: int, rc=None) -> tuple:
     """(R_m, S_m) of the Painlevé II hierarchy at ρ = rc; ``rc=None`` keeps ρ
     symbolic and returns the pair of ``Homogeneous`` members.
 
-    Each call runs the recursion from the seed pair, which m = 0 returns.
-    R_{k+1} comes from the first recursion and S_{k+1} from the ζ^{-k}
-    coefficient of the first integral at ρ = 1; S_{k+1} is certified against
-    the second recursion, and neither carries a constant term.
+    Each call runs the recursion from the seed pair, which m = 0 returns, in a
+    jet layout of its own.  R_{k+1} comes from the first recursion and S_{k+1}
+    from the ζ^{-k} coefficient of the first integral at ρ = 1; S_{k+1} is
+    certified against the second recursion, and neither carries a constant term.
     """
     if m < 0:
         raise ValueError("hierarchy index must be nonnegative")
-    R, S = [_U * Fraction(-1, 2)], [_U * _U * Fraction(-1, 8)]
-    for k in range(m):
-        R.append(-R[k].d_dx(2) + _U * S[k] * 2)
-        D1 = [r.d_dx() for r in R]
-        Sn = (
-            _product(S, S, k) * 2 - _product(R, R, k + 1) * Fraction(1, 2)
-            - _product(D1, D1, k) * Fraction(1, 2)
-        )
-        certify(Sn.d_dx() * 2 == _U * D1[-1], f"S_{k + 1} does not integrate the second recursion")
-        certify(not R[-1].constant_term(), f"R_{k + 1} has a constant term")
-        certify(not Sn.constant_term(), f"S_{k + 1} has a constant term")
-        S.append(Sn)
-    return _at(R[m], m, rc), _at(S[m], m, rc)
+    with own_layout() as (outer, layout):
+        u = moved(outer, _U)
+        R, S = [u * Fraction(-1, 2)], [u * u * Fraction(-1, 8)]
+        for k in range(m):
+            R.append(-R[k].d_dx(2) + u * S[k] * 2)
+            D1 = [r.d_dx() for r in R]
+            Sn = (
+                _product(S, S, k) * 2 - _product(R, R, k + 1) * Fraction(1, 2)
+                - _product(D1, D1, k) * Fraction(1, 2)
+            )
+            certify(Sn.d_dx() * 2 == u * D1[-1],
+                    f"S_{k + 1} does not integrate the second recursion")
+            certify(not R[-1].constant_term(), f"R_{k + 1} has a constant term")
+            certify(not Sn.constant_term(), f"S_{k + 1} has a constant term")
+            S.append(Sn)
+    return tuple(_at(member, m, rc) for member in moved(layout, (R[m], S[m])))
 
 
 # -- emission ---------------------------------------------------------------------

@@ -35,8 +35,14 @@ def working_digits(digits) -> int:
     return digits
 
 
+# the exact scalar types, matched by type: isinstance would run Fraction's ABC
+# check on every table operand that is not one
+_EXACT = (int, Fraction, bool)
+
+
 def is_exact(x) -> bool:
-    return isinstance(x, (Fraction, int))
+    """Whether x is an exact scalar: an int, a bool or a Fraction."""
+    return type(x) in _EXACT
 
 
 def as_fraction(x) -> Fraction:

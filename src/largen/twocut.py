@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .diffpoly import DiffPoly, XRelation, scaled_lattice, string_ladder
+from .diffpoly import DiffPoly, XRelation, moved, own_layout, scaled_lattice, string_ladder
 from .errors import (
     Mismatch,
     NoTwoCutSolution,
@@ -500,8 +500,8 @@ def _two_pole_basis(elem: WElem, four_rc: Fraction, zero) -> tuple:
 
 
 @lru_cache(maxsize=32)
-def _symmetric(g: Potential, point: MergingPoint, K: int) -> SymmetricTwoCut:
-    """``symmetric_scaled_series`` once per process for each (potential,
+def _symmetric(g: Potential, point: MergingPoint, K: int) -> tuple:
+    """(jet layout, ``symmetric_scaled_series``) once per process per (potential,
     merging point, K).
 
     The ε̄-expansion of the single merged equation, with DiffPoly
@@ -512,54 +512,55 @@ def _symmetric(g: Potential, point: MergingPoint, K: int) -> SymmetricTwoCut:
     ``wring.Defect`` local to this call (partner 𝕍(-ε̄)) and certifies it
     right after, on its final value; the string ladder and the two-pole
     tables are then read off 𝕍^{[0]}..𝕍^{[K]}.  Every call solves orders
-    0..K afresh, so its cost does not depend on what the process asked for
-    before; only a repeat of the same K is served.
+    0..K afresh in a jet layout of its own, so its cost does not depend on
+    what the process asked for before; only a repeat of the same K is served.
     """
     if not is_exact(point.r_c):
         raise ValueError("double-scaled series needs an exact merging point")
-    rc, Tc = as_fraction(point.r_c), as_fraction(point.T_c)
-    lat, v0 = scaled_lattice(rc)
-    vp = list(g.v_lambda().coeffs)
-    # the merged strings: ∮V_λ·λ/w_c = T_c (certified by ``string_ladder``
-    # at order 0) and ∮V_λ/w_c = 0
-    one_over_w = WElem.from_poly(lat.d1, lat.d0, [DiffPoly.const(1)], wpow=1)
-    certify(not one_over_w.contour_pair(vp), "merged string ∮V_λ/w_c must vanish")
+    with own_layout() as (_, layout):
+        rc, Tc = as_fraction(point.r_c), as_fraction(point.T_c)
+        lat, v0 = scaled_lattice(rc)
+        vp = list(g.v_lambda().coeffs)
+        # the merged strings: ∮V_λ·λ/w_c = T_c (certified by ``string_ladder``
+        # at order 0) and ∮V_λ/w_c = 0
+        one_over_w = WElem.from_poly(lat.d1, lat.d0, [DiffPoly.const(1)], wpow=1)
+        certify(not one_over_w.contour_pair(vp), "merged string ∮V_λ/w_c must vanish")
 
-    a_list = [DiffPoly.const(rc)] + [DiffPoly.var(f"a{k}") for k in range(1, K + 1)]
-    v_list, flipped = [v0], [v0]
-    F = Defect(lat, v_list, flipped, a_list, 1)
-    F.certify(0, "merged defect")
-    for k in range(1, K + 1):
-        R = F.coefficient(k)
-        if k % 2 == 0:
-            # unknown enters as -2w·𝕍^[k]
-            v_k = R.div_w().scale(Fraction(1, 2))
-        else:
-            # unknown enters as -2(λ²/w)·𝕍^[k]
-            v_k = _solvable(R.mul_w(), 2, f"the merged residual at order {k}")
-            v_k = v_k.scale(Fraction(1, 2))
-        v_list.append(v_k)
-        flipped.append(-v_k if k % 2 else v_k)
-        F.certify(k, "merged defect")
-    ladder = string_ladder(v_list, vp, Tc, 2 * point.m)
+        a_list = [DiffPoly.const(rc)] + [DiffPoly.var(f"a{k}") for k in range(1, K + 1)]
+        v_list, flipped = [v0], [v0]
+        F = Defect(lat, v_list, flipped, a_list, 1)
+        F.certify(0, "merged defect")
+        for k in range(1, K + 1):
+            R = F.coefficient(k)
+            if k % 2 == 0:
+                # unknown enters as -2w·𝕍^[k]
+                v_k = R.div_w().scale(Fraction(1, 2))
+            else:
+                # unknown enters as -2(λ²/w)·𝕍^[k]
+                v_k = _solvable(R.mul_w(), 2, f"the merged residual at order {k}")
+                v_k = v_k.scale(Fraction(1, 2))
+            v_list.append(v_k)
+            flipped.append(-v_k if k % 2 else v_k)
+            F.certify(k, "merged defect")
+        ladder = string_ladder(v_list, vp, Tc, 2 * point.m)
 
-    four_rc = 4 * rc
-    orders = [SymmetricScaledOrder(k=0, element=v0, C=DiffPoly.zero(), A=(), B=())]
-    phis = [phi_moment(g.gs, j, rc) for j in range(1, K // 2 + 1)]
-    gammas = [gamma_moment(g.gs, j, rc) for j in range(1, K // 2 + 1)]
-    for k in range(1, K + 1):
-        C, A, B = _two_pole_basis(v_list[k], four_rc, DiffPoly.zero())
-        certify(len(A) <= k // 2 and len(B) <= k // 2, "pole depth exceeded k/2")
-        # the ladder relation must equal its moment form (C drops out since
-        # ∮V_λ/w_c = 0 at a merging point)
-        moment = DiffPoly.zero()
-        for j, Aj in enumerate(A, start=1):
-            moment = moment + Aj * phis[j - 1]
-        for j, Bj in enumerate(B, start=1):
-            moment = moment + Bj * gammas[j - 1]
-        certify(ladder[k].p == moment, f"ladder/moment mismatch at order {k}")
-        orders.append(SymmetricScaledOrder(k=k, element=v_list[k], C=C, A=tuple(A), B=tuple(B)))
-    return SymmetricTwoCut(point=point, K=K, orders=tuple(orders), ladder=tuple(ladder))
+        four_rc = 4 * rc
+        orders = [SymmetricScaledOrder(k=0, element=v0, C=DiffPoly.zero(), A=(), B=())]
+        phis = [phi_moment(g.gs, j, rc) for j in range(1, K // 2 + 1)]
+        gammas = [gamma_moment(g.gs, j, rc) for j in range(1, K // 2 + 1)]
+        for k in range(1, K + 1):
+            C, A, B = _two_pole_basis(v_list[k], four_rc, DiffPoly.zero())
+            certify(len(A) <= k // 2 and len(B) <= k // 2, "pole depth exceeded k/2")
+            # the ladder relation must equal its moment form (C drops out since
+            # ∮V_λ/w_c = 0 at a merging point)
+            moment = DiffPoly.zero()
+            for j, Aj in enumerate(A, start=1):
+                moment = moment + Aj * phis[j - 1]
+            for j, Bj in enumerate(B, start=1):
+                moment = moment + Bj * gammas[j - 1]
+            certify(ladder[k].p == moment, f"ladder/moment mismatch at order {k}")
+            orders.append(SymmetricScaledOrder(k, v_list[k], C, tuple(A), tuple(B)))
+        return layout, SymmetricTwoCut(point, K, tuple(orders), tuple(ladder))
 
 
 def symmetric_scaled_series(g: Potential, point: MergingPoint, K: int) -> SymmetricTwoCut:
@@ -577,4 +578,4 @@ def symmetric_scaled_series(g: Potential, point: MergingPoint, K: int) -> Symmet
         )
     if K < 2 * point.m + 1:
         raise ValueError("need K ≥ 2m+1 to reach the closing pair of relations")
-    return _symmetric(g, point, K)
+    return moved(*_symmetric(g, point, K))

@@ -24,9 +24,13 @@ only its coefficient ring, its derivation and its per-order solve.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from itertools import zip_longest
+from operator import add
 from typing import Callable, Sequence
 
 from .errors import certify
+from .mpolys import IntTable
 from .scalars import is_exact
 from .structured import branch_coeff
 
@@ -52,6 +56,37 @@ def _padd(a: list, b: list) -> list:
     return _trim(out)
 
 
+def _total(terms: list):
+    """terms[0] + terms[1] + .., as the left fold of ``+`` leaves it: past two
+    terms one ``IntTable.sum`` when all are tables of one kind, else pairwise.
+    A ``_Loc`` sum stays pairwise: each one trial-divides its result, which
+    changes the key order that the later sums, and the two-cut ``eval``
+    strings, read."""
+    first = terms[0]
+    kind = type(first)
+    if len(terms) > 2 and issubclass(kind, IntTable):
+        for t in terms:
+            if type(t) is not kind:
+                break
+        else:
+            return first.sum(*terms[1:])
+    return reduce(add, terms)
+
+
+def _psum(polys: list, tables: bool) -> list:
+    """Σ polys, coefficient lists: the left fold of ``_padd``, or past two
+    lists over tables its value as one ``_total`` per λ-power of the entries
+    that are not a scalar 0 (key order may differ where ``_padd`` put a
+    longer list first; no output reads a ``DiffPoly``'s key order)."""
+    if len(polys) < 3 or not tables:
+        return reduce(_padd, polys)
+    out = []
+    for column in zip_longest(*polys):
+        terms = [c for c in column if c is not None and (type(c) is not Fraction or c)]
+        out.append(_total(terms) if terms else _ZERO)
+    return _trim(out)
+
+
 def _minus(entry, prod):
     # a scalar entry takes the product's own subtraction, negated, not its
     # reflected one: the same value, without Fraction's failed forward op
@@ -61,18 +96,19 @@ def _minus(entry, prod):
 def _pmul(a: Sequence, b: Sequence) -> list:
     if not a or not b:
         return []
-    # None marks a power no product reached yet: its first product is stored
-    # as it is, not added to a scalar 0 through the operands' reflected add
+    # the products reaching each power, summed in order; a power no product
+    # reaches is a scalar 0, and a lone product is stored as it is
     out: list = [None] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if not ca:
             continue
         for j, cb in enumerate(b):
-            if not cb:
-                continue
-            k, p = i + j, ca * cb
-            out[k] = p if out[k] is None else out[k] + p
-    return _trim([_ZERO if c is None else c for c in out])
+            if cb:
+                if (ps := out[i + j]) is None:
+                    out[i + j] = [ca * cb]
+                else:
+                    ps.append(ca * cb)
+    return _trim([_ZERO if ps is None else _total(ps) for ps in out])
 
 
 def _pscale(a: Sequence, s) -> list:
@@ -127,7 +163,7 @@ class WElem:
         # in trimmed and nonempty, so with no slot j ≥ 2 past λ¹ there is nothing to do.
         if all(len(cs) <= 2 for j, cs in self.slots.items() if j >= 2):
             return
-        top = max(self.slots, default=0)
+        top, d0 = max(self.slots, default=0), self.d0
         for j in range(top, 1, -1):
             if j not in self.slots:
                 continue
@@ -143,7 +179,7 @@ class WElem:
                     overflow.append(None)
                 overflow[k] = top if overflow[k] is None else overflow[k] + top
                 cs[k + 1] = _minus(cs[k + 1], top * self.d1)
-                cs[k] = _minus(cs[k], top * self.d0)
+                cs[k] = _minus(cs[k], top * d0 if d0 else d0)  # a zero d0 is its own product
             _trim(cs)
             if not cs:
                 del self.slots[j]
@@ -157,7 +193,8 @@ class WElem:
             del self.slots[j]
 
     def _check_mate(self, other: "WElem") -> None:
-        if self.d1 != other.d1 or self.d0 != other.d0:
+        if (self.d1 is not other.d1 or self.d0 is not other.d0) and (
+                self.d1 != other.d1 or self.d0 != other.d0):
             raise ValueError("branch data mismatch")
 
     # -- ring structure ---------------------------------------------------
@@ -174,6 +211,20 @@ class WElem:
             self.d1, self.d0, {j: [-c for c in cs] for j, cs in self.slots.items()}
         )
 
+    def sum(self, *others: "WElem") -> "WElem":
+        """self + others[0] + ..: the left fold of ``+``, or past two elements
+        over tables its value, one pass per slot (``_psum``)."""
+        if not self.slots and others:
+            return others[0].sum(*others[1:])
+        if len(others) < 2 or not isinstance(self.d1, IntTable):
+            return reduce(add, others, self)
+        out: dict = {}
+        for e in (self, *others):
+            self._check_mate(e)
+            for j, cs in e.slots.items():
+                out.setdefault(j, []).append(cs)
+        return WElem(self.d1, self.d0, {j: _psum(ps, True) for j, ps in out.items()})
+
     def __sub__(self, other: "WElem") -> "WElem":
         return self + (-other)
 
@@ -181,14 +232,14 @@ class WElem:
         if not isinstance(other, WElem):
             return self.scale(other)
         self._check_mate(other)
-        out: dict = {}
+        out: dict = {}  # the products reaching each slot, summed in order
         for ja, ca in self.slots.items():
             for jb, cb in other.slots.items():
                 prod = _pmul(ca, cb)
                 if prod:
-                    j = ja + jb
-                    out[j] = _padd(out.get(j, []), prod) if j in out else prod
-        return WElem(self.d1, self.d0, out)
+                    out.setdefault(ja + jb, []).append(prod)
+        tables = isinstance(self.d1, IntTable)
+        return WElem(self.d1, self.d0, {j: _psum(ps, tables) for j, ps in out.items()})
 
     def __rmul__(self, other) -> "WElem":
         return self.scale(other)
@@ -463,8 +514,8 @@ class Lattice:
         return WElem.from_poly(self.d1, self.d0, [c])
 
     def d_dT(self, e: WElem) -> WElem:
-        scalar = (Fraction, int)  # slot padding is scalar
-        return e.d_dT(lambda c: _ZERO if isinstance(c, scalar) else self.derive(c), self.dw2)
+        # slot padding is scalar
+        return e.d_dT(lambda c: _ZERO if is_exact(c) else self.derive(c), self.dw2)
 
     def defect(self, x: EpsSeries, y: EpsSeries, a: EpsSeries) -> EpsSeries:
         """a·(x + y(T-ε))·(x + y(T+ε)) - λ(x² - 1), order by order."""
@@ -505,26 +556,28 @@ class Defect:
     def _shift(self, n: int) -> tuple:
         s, x, zero = self.step, self.x, self.lat.zero
         # x_{n/s} plus Σ Dⁱy_j/i! over i + s·j = n, split by the parity of i
-        parts = [x[n // s] if n % s == 0 and n // s < len(x) else zero, zero]
+        parts = ([x[n // s]] if n % s == 0 and n // s < len(x) else [], [])
         for j in range(min(n // s + 1, len(self.y))):
             if j == len(self.towers):
                 self.towers.append([self.y[j]])
             row, i = self.towers[j], n - s * j
             while len(row) <= i:
                 row.append(self.lat.d_dT(row[-1]).scale(Fraction(1, len(row))))
-            parts[i % 2] = parts[i % 2] + row[i]
-        return parts[0] + parts[1].scale(-_ONE), parts[0] + parts[1]
+            parts[i % 2].append(row[i])
+        even, odd = zero.sum(*parts[0]), zero.sum(*parts[1])
+        return even + odd.scale(-_ONE), even + odd
 
     def _prod(self, n: int) -> WElem:
         def fresh(m):
             # at step 2, Q_q = (−1)^q·P_q, so at even m the terms q and m − q
             # agree; odd m, the odd-order certificates, sum every term
             half = self.step == 2 and m % 2 == 0
-            out = self.lat.zero
+            terms = []
             for q in range(m // 2 if half else m + 1):
                 p, r = self._sum(q)[0], self._sum(m - q)[1]
                 if p and r:
-                    out = out + p * r
+                    terms.append(p * r)
+            out = self.lat.zero.sum(*terms)
             if half:
                 out = out.scale(2)
                 p, r = self._sum(m // 2)
@@ -547,14 +600,15 @@ class Defect:
                 self.prods.append(pq + cross)
             value = value + lat.embed(a[0]) * cross - (x[0] * x[L]).scale(2).mul_poly(_LAMBDA)
             return value + lat.embed(a[L]) * self._prod(0) if before[2] == L else value
-        pq, value, sq = self._prod(n), lat.zero, lat.zero
+        pq, terms, squares = self._prod(n), [], []
         for p in range(min(n // s + 1, len(a))):
             c = self._prod(n - s * p) if p else pq
             if c:
-                value = value + lat.embed(a[p]) * c
+                terms.append(lat.embed(a[p]) * c)
         if n % s == 0:
             for p in range(max(0, n // s + 1 - len(x)), min(n // s + 1, len(x))):
-                sq = sq + x[p] * x[n // s - p]
+                squares.append(x[p] * x[n // s - p])
+        value, sq = lat.zero.sum(*terms), lat.zero.sum(*squares)
         value = value - (sq - lat.embed(lat.one) if n == 0 else sq).mul_poly(_LAMBDA)
         if n and n % s == 0 and lengths[0] == lengths[1] == n // s <= lengths[2]:
             self.pending = (n, lengths, pq, value)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from largen.diffpoly import _JETS, DiffPoly, XRelation, _normalize_monomial
+from largen.diffpoly import _LAYOUT, DiffPoly, XRelation, _normalize_monomial
 from largen.mpolys import MPoly
 from largen.onecut import find_critical, scaled_series
 from largen.polys import Poly, RationalFunc
@@ -299,6 +299,24 @@ def test_one_pass_sum_is_the_left_fold_of_plus(ps):
         assert got == want and list(got.terms.items()) == list(want.terms.items())
 
 
+# a one-variable MPoly, whose table a Poly shares
+univariate_mpoly = st.dictionaries(
+    st.tuples(st.integers(0, 4)), fracs, max_size=4
+).map(lambda terms: MPoly(1, terms))
+
+
+@given(data=st.data(), ring=st.sampled_from((rational, univariate, univariate_mpoly, bivariate)))
+@settings(max_examples=80, deadline=None)
+def test_one_pass_difference_is_the_sum_with_the_negation(data, ring):
+    a, b = data.draw(ring), data.draw(ring)
+    zero, k = a._scalar(0), data.draw(fracs)
+    # b's keys cancel in a + b - b and a - a, and none is left of zero - b
+    for x, y in ((a, b), (b, a), (a + b, b), (a, a), (zero, b), (a, zero), (a, k), (a, a._scalar(k))):
+        got, want = x - y, x + (-y)
+        assert got == want and got.den == want.den
+        assert list(got.nums.items()) == list(want.nums.items())
+
+
 def test_exponents_outside_the_fields_are_refused():
     for bad in (-1, F(3, 2), 1.0, 2**31):
         with pytest.raises(ValueError):
@@ -325,13 +343,13 @@ def test_exponents_never_alias_into_the_next_jet():
 
 
 def test_reading_a_coefficient_registers_no_jet():
-    jets = len(_JETS)
+    jets = len(_LAYOUT.get().jets)
     assert DiffPoly.const(1).coefficient((("a jet only read", 3, 1),)) == 0
-    assert len(_JETS) == jets
+    assert len(_LAYOUT.get().jets) == jets
     assert (u * u).coefficient((("u", 0, 2),)) == 1 and u.coefficient((("u", 0, 2),)) == 0
     with pytest.raises(ValueError):
         u.coefficient((("a jet only read", 0, 2**31),))
-    assert len(_JETS) == jets
+    assert len(_LAYOUT.get().jets) == jets
 
 
 def test_negative_derivative_counts_are_refused():
@@ -372,12 +390,12 @@ def test_outputs_do_not_depend_on_jet_registration_order(run_under_O):
     # every jet the documents meet, highest order and last name first
     out = run_under_O(
         """
-from largen.diffpoly import DiffPoly, _JETS
+from largen.diffpoly import DiffPoly, _LAYOUT
 names = ["u", "v", *(f"r{k}" for k in range(1, 6)), *(f"a{k}" for k in range(1, 8))]
 for name in reversed(names):
     for order in range(12, -1, -1):
         DiffPoly.var(name, order)
-print(*_JETS[0])
+print(*_LAYOUT.get().jets[0])
 """
         + DOCUMENTS
         + "\nprint(documents())\n"
@@ -387,3 +405,32 @@ print(*_JETS[0])
     ns: dict = {}
     exec(DOCUMENTS, ns)
     assert docs == ns["documents"]()
+
+
+# scaled_series(bmp, K=6) timed in a fresh interpreter that first gave fields
+# to the given number of unrelated jets; the best of three solves
+HISTORY = """
+import time
+from largen.diffpoly import DiffPoly
+from largen.onecut import _scaled, find_critical, scaled_series
+from largen.potential import parse_potential
+for i in range({jets}):
+    DiffPoly.var(f"unrelated{{i}}")
+bmp = parse_potential("bmp")
+crit, best = find_critical(bmp)[0], float("inf")
+for _ in range(3):
+    _scaled.cache_clear()
+    start = time.process_time()
+    scaled_series(bmp, crit, 6)
+    best = min(best, time.process_time() - start)
+print(best)
+"""
+
+
+def test_jets_the_process_met_before_leave_a_solve_cost_alone(run_under_O):
+    # the solve gives fields only to the jets it meets, so 2,000 jets given
+    # fields first widen none of its keys; only its result is re-encoded
+    # into the process's layout.  Sharing one layout, it ran 13 to 19 times slower.
+    fresh = float(run_under_O(HISTORY.format(jets=0)))
+    after = float(run_under_O(HISTORY.format(jets=2000)))
+    assert after <= 3 * fresh, (fresh, after)

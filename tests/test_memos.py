@@ -15,6 +15,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from contextvars import ContextVar
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -288,20 +289,21 @@ def test_the_elimination_is_built_once_per_potential(monkeypatch):
 GROWING_TABLES = {
     "onecut._regular", "onecut._scaled", "twocut._two_cut", "twocut._symmetric",
     "phase._branch_elimination", "oracle._standard_nodes", "mpolys._layout",
-    "diffpoly._SHIFT", "diffpoly._JETS", "diffpoly._DECODED",
+    "diffpoly._LAYOUT",
 }
 CONSTANT_TABLES = {"phase._OUTSIDE", "potential._NAMED_ARITY"}
 
 
 def module_tables() -> set:
-    """Every module-level list, dict and set and every ``functools`` cache
-    defined in a ``largen`` module, as "module.name"."""
+    """Every module-level list, dict, set and context variable and every
+    ``functools`` cache defined in a ``largen`` module, as "module.name"."""
     found = set()
     for info in pkgutil.iter_modules(largen.__path__):
         module = importlib.import_module(f"largen.{info.name}")
         for name, value in vars(module).items():
             memo = hasattr(value, "cache_clear") and value.__module__ == module.__name__
-            if not name.startswith("__") and (memo or type(value) in (list, dict, set)):
+            kinds = (list, dict, set, ContextVar)
+            if not name.startswith("__") and (memo or type(value) in kinds):
                 found.add(f"{info.name}.{name}")
     return found
 

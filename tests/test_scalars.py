@@ -7,6 +7,8 @@ from fractions import Fraction as F
 import mpmath
 import pytest
 
+from largen.diffpoly import DiffPoly
+from largen.mpolys import MPoly
 from largen.onecut import expand_regular, find_critical
 from largen.phase import (
     branch_density_positive,
@@ -19,7 +21,15 @@ from largen.phase import (
 from largen.polys import Poly
 from largen.potential import parse_potential
 from largen.roots import real_roots
-from largen.scalars import DEFAULT_DIGITS, lifted, negligible, rationalize, tolerance, working_digits
+from largen.scalars import (
+    DEFAULT_DIGITS,
+    is_exact,
+    lifted,
+    negligible,
+    rationalize,
+    tolerance,
+    working_digits,
+)
 from largen.twocut import expand_two_cut_regular, find_merging
 
 
@@ -64,6 +74,15 @@ class TestNegligible:
     def test_boundary_counts_as_zero(self):
         tol = tolerance(30)
         assert negligible(tol, 30) and negligible(-tol, 30)
+
+
+def test_is_exact_means_int_bool_or_fraction():
+    # matched by type: no table, decimal or string counts, not even one that
+    # equals an exact constant
+    assert all(is_exact(x) for x in (0, -7, 2**70, True, False, F(0), F(-3, 4)))
+    tables = (Poly.zero(), Poly.const(2), MPoly.const(1, 2), MPoly.var(2, 1), DiffPoly.zero(),
+              DiffPoly.const(1), DiffPoly.var("u"))
+    assert not any(is_exact(x) for x in (mpmath.mpf(1), mpmath.mpf(0), 1.0, 0.0, "1", *tables))
 
 
 def test_rationalize_is_exact_on_every_input():

@@ -329,6 +329,20 @@ class TestLocRing:
             assert _quotient(x.swapped()) == MRatFunc(swap_vars(fx.num), swap_vars(fx.den))
 
     @pytest.mark.parametrize("name", sorted(LOC_FACTORS))
+    @given(data=st.data(), k=st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    @settings(max_examples=30, deadline=None)
+    def test_one_pass_difference_is_the_sum_with_the_negation(self, name, data, k):
+        # the same lifts, trials and numerator key order as x + (−y), whose
+        # order the two-cut eval strings read
+        fs = loc_factors(*LOC_FACTORS[name])
+        x, y = (_Loc(fs, *_loc_element(data, fs)) for _ in range(2))
+        zero = x * 0
+        for a, b in ((x, y), (y, x), (x + y, y), (x, x), (zero, y), (x, zero), (x, k)):
+            got, want = a - b, a + (-b)
+            assert got.e == want.e and got.num.den == want.num.den
+            assert list(got.num.nums.items()) == list(want.num.nums.items())
+
+    @pytest.mark.parametrize("name", sorted(LOC_FACTORS))
     @given(data=st.data(), lift=st.integers(min_value=1, max_value=3))
     @settings(max_examples=20, deadline=None)
     def test_equality_sees_through_lifting(self, name, data, lift):
