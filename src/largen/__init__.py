@@ -48,9 +48,10 @@ only a repeat of the same key is served, and a call that raises stores nothing.
   jet v^{(k)}, given on first use, and the factors of each key decoded, which
   d/dx, the sorts and every rendering read many times.  It is the key
   encoding, not a memo, and no output reads field order.  The double-scaled
-  and Painlevé entry points each solve in a new one (a memo entry keeps it),
-  so jets the process met before widen none of their working keys; only what
-  they return is re-encoded into the caller's layout, and takes its width.
+  and Painlevé entry points each solve in a new one, so jets the process met
+  before widen none of their working keys; only what they return is
+  re-encoded into the caller's layout, and takes its width.  A memo entry is
+  held in the layout of its last caller, so a repeat there is served as it is.
 """
 
 __version__ = "0.1.0"

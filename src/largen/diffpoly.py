@@ -24,8 +24,10 @@ nothing reads it: ``terms``, the sort and every rendering decode a key to its
 sorted factor tuple (``Monomial``).  The fields are a jet layout's, which
 only grows, though no read (``coefficient``) adds to it.  Each double-scaled
 and Painlevé entry point runs in a new one (``own_layout``), so its keys are
-only as wide as its own jets, and re-encodes what it takes in and gives back
-(``moved``); other DiffPolys share the process's layout.
+only as wide as its own jets, and re-encodes what it gives back into the
+caller's (``moved``); a memo holds its value in the layout of its last caller
+(``Held``), so a repeat there is served as it is.  Other DiffPolys share the
+process's layout.
 """
 
 from __future__ import annotations
@@ -92,12 +94,30 @@ _LAYOUT: ContextVar[_Layout] = ContextVar("jet layout", default=_Layout())
 
 @contextmanager
 def own_layout():
-    """A new jet layout for the block: yields (the caller's layout, the new one)."""
-    outer, token = _LAYOUT.get(), _LAYOUT.set(_Layout())
+    """A new jet layout for the block: yields it."""
+    token = _LAYOUT.set(_Layout())
     try:
-        yield outer, _LAYOUT.get()
+        yield _LAYOUT.get()
     finally:
         _LAYOUT.reset(token)
+
+
+class Held:
+    """A memo's value and the layout its DiffPolys are encoded in.  ``get``
+    gives it as it is in that layout, else re-encodes it into the current
+    one and holds it there."""
+
+    __slots__ = ("held",)
+
+    def __init__(self, layout: _Layout, value):
+        self.held = layout, value
+
+    def get(self):
+        (layout, value), current = self.held, _LAYOUT.get()
+        if layout is not current:
+            value = moved(layout, value)
+            self.held = current, value
+        return value
 
 
 def moved(src: _Layout, obj, new=None):

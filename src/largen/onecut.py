@@ -36,7 +36,7 @@ from functools import lru_cache, reduce
 
 import mpmath
 
-from .diffpoly import DiffPoly, XRelation, moved, own_layout, scaled_lattice, string_ladder
+from .diffpoly import DiffPoly, Held, XRelation, own_layout, scaled_lattice, string_ladder
 from .errors import CriticalPointHit, certify
 from .mpolys import MPoly, _Loc, loc_factors
 from .phase import _one_cut_candidates, branch_density_positive, solve_one_cut
@@ -375,8 +375,9 @@ def find_critical(g: Potential, digits: int | None = None) -> tuple[OneCutCritic
 
 
 @lru_cache(maxsize=32)
-def _scaled(g: Potential, crit: OneCutCritical, K: int) -> tuple:
-    """(jet layout, ``scaled_series``) once per process per (potential, critical point, K).
+def _scaled(g: Potential, crit: OneCutCritical, K: int) -> Held:
+    """``scaled_series`` once per process per (potential, critical point, K),
+    held in the jet layout of its last caller.
 
     The ε̄-expansion at a one-cut critical point, with DiffPoly coefficients
     over ℚ: U^{[0]}..U^{[K]} are solved and certified per order as in
@@ -388,7 +389,7 @@ def _scaled(g: Potential, crit: OneCutCritical, K: int) -> tuple:
     """
     if not is_exact(crit.r_c):
         raise ValueError("double-scaled series needs an exact critical point")
-    with own_layout() as (_, layout):
+    with own_layout() as layout:
         rc, Tc = as_fraction(crit.r_c), as_fraction(crit.T_c)
         lat, u0 = scaled_lattice(rc)
         vp = list(g.v_lambda().coeffs)
@@ -414,7 +415,7 @@ def _scaled(g: Potential, crit: OneCutCritical, K: int) -> tuple:
             certify(not u0_part, "U^[k] acquired a pole-free part")
             certify(len(poles) <= k, "double-scaled pole depth exceeded its order")
             orders.append(ScaledOrder(k=k, element=u_list[k], poles=tuple(poles)))
-        return layout, ScaledOneCut(crit=crit, K=K, orders=tuple(orders), ladder=tuple(ladder))
+        return Held(layout, ScaledOneCut(crit, K, tuple(orders), tuple(ladder)))
 
 
 def scaled_series(g: Potential, crit: OneCutCritical, K: int) -> ScaledOneCut:
@@ -426,4 +427,4 @@ def scaled_series(g: Potential, crit: OneCutCritical, K: int) -> ScaledOneCut:
         )
     if K < crit.m:
         raise ValueError("need K ≥ m to reach the Painlevé relation")
-    return moved(*_scaled(g, crit, K))
+    return _scaled(g, crit, K).get()

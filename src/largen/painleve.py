@@ -60,9 +60,6 @@ from .potential import Potential
 from .scalars import as_fraction, is_exact, scalar_str
 from .twocut import MergingPoint, symmetric_scaled_series
 
-_U = DiffPoly.var("u")
-
-
 # -- the two recursions ----------------------------------------------------------
 
 
@@ -123,8 +120,8 @@ def gelfand_dikii(m: int, rc=None) -> DiffPoly | Homogeneous:
     """
     if m < 0:
         raise ValueError("hierarchy index must be nonnegative")
-    with own_layout() as (outer, layout):
-        u, R = moved(outer, _U), [DiffPoly.const(1)]
+    with own_layout() as layout:
+        u, R = DiffPoly.var("u"), [DiffPoly.const(1)]
         for k in range(m):
             D1 = [r.d_dx() for r in R]
             D2 = [r.d_dx() for r in D1]
@@ -150,8 +147,8 @@ def pii_hierarchy(m: int, rc=None) -> tuple:
     """
     if m < 0:
         raise ValueError("hierarchy index must be nonnegative")
-    with own_layout() as (outer, layout):
-        u = moved(outer, _U)
+    with own_layout() as layout:
+        u = DiffPoly.var("u")
         R, S = [u * Fraction(-1, 2)], [u * u * Fraction(-1, 8)]
         for k in range(m):
             R.append(-R[k].d_dx(2) + u * S[k] * 2)
@@ -228,7 +225,7 @@ def emit_critical_ode(crit) -> HierarchyMember:
         rc = as_fraction(crit.r_c)
         phim = as_fraction(phim)
         R, S = pii_hierarchy(crit.m, rc)
-        equation = XRelation(R * (2 * rc * phim), _U).normalize()
+        equation = XRelation(R * (2 * rc * phim), DiffPoly.var("u")).normalize()
         return HierarchyMember("PII", crit.m, rc, phim, R, S, equation)
     raise TypeError(f"not a critical point: {crit!r}")
 
@@ -310,9 +307,8 @@ def _eliminate_two_cut(sc, m: int) -> XRelation:
             carrying = (name, px, qx)
     deps = P.dependent_vars() | Q.dependent_vars()
     certify(deps <= {"a1"}, f"elimination left {sorted(deps - {'a1'})} unresolved")
-    return XRelation(
-        P.substitute({"a1": _U}), Q.substitute({"a1": _U})
-    ).normalize()
+    u = DiffPoly.var("u")
+    return XRelation(P.substitute({"a1": u}), Q.substitute({"a1": u})).normalize()
 
 
 def crosscheck_via_series(g: Potential, crit, K: int | None = None) -> CrosscheckReport:
@@ -330,9 +326,8 @@ def crosscheck_via_series(g: Potential, crit, K: int | None = None) -> Crosschec
             raise ValueError(f"need K >= {crit.m} to reach the critical order")
         sc = scaled_series(g, crit, k)
         rel = sc.painleve_relation()
-        derived = XRelation(
-            rel.p.substitute({"r1": _U}), rel.q.substitute({"r1": _U})
-        ).normalize()
+        u = DiffPoly.var("u")
+        derived = XRelation(rel.p.substitute({"r1": u}), rel.q.substitute({"r1": u})).normalize()
     else:
         kmin = 2 * crit.m + 1
         k = kmin if K is None else K

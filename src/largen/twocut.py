@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .diffpoly import DiffPoly, XRelation, moved, own_layout, scaled_lattice, string_ladder
+from .diffpoly import DiffPoly, Held, XRelation, own_layout, scaled_lattice, string_ladder
 from .errors import (
     Mismatch,
     NoTwoCutSolution,
@@ -500,9 +500,9 @@ def _two_pole_basis(elem: WElem, four_rc: Fraction, zero) -> tuple:
 
 
 @lru_cache(maxsize=32)
-def _symmetric(g: Potential, point: MergingPoint, K: int) -> tuple:
-    """(jet layout, ``symmetric_scaled_series``) once per process per (potential,
-    merging point, K).
+def _symmetric(g: Potential, point: MergingPoint, K: int) -> Held:
+    """``symmetric_scaled_series`` once per process per (potential, merging
+    point, K), held in the jet layout of its last caller.
 
     The ε̄-expansion of the single merged equation, with DiffPoly
     coefficients over ℚ.  The pair of equations collapses because
@@ -517,7 +517,7 @@ def _symmetric(g: Potential, point: MergingPoint, K: int) -> tuple:
     """
     if not is_exact(point.r_c):
         raise ValueError("double-scaled series needs an exact merging point")
-    with own_layout() as (_, layout):
+    with own_layout() as layout:
         rc, Tc = as_fraction(point.r_c), as_fraction(point.T_c)
         lat, v0 = scaled_lattice(rc)
         vp = list(g.v_lambda().coeffs)
@@ -560,7 +560,7 @@ def _symmetric(g: Potential, point: MergingPoint, K: int) -> tuple:
                 moment = moment + Bj * gammas[j - 1]
             certify(ladder[k].p == moment, f"ladder/moment mismatch at order {k}")
             orders.append(SymmetricScaledOrder(k, v_list[k], C, tuple(A), tuple(B)))
-        return layout, SymmetricTwoCut(point, K, tuple(orders), tuple(ladder))
+        return Held(layout, SymmetricTwoCut(point, K, tuple(orders), tuple(ladder)))
 
 
 def symmetric_scaled_series(g: Potential, point: MergingPoint, K: int) -> SymmetricTwoCut:
@@ -578,4 +578,4 @@ def symmetric_scaled_series(g: Potential, point: MergingPoint, K: int) -> Symmet
         )
     if K < 2 * point.m + 1:
         raise ValueError("need K ≥ 2m+1 to reach the closing pair of relations")
-    return moved(*_symmetric(g, point, K))
+    return _symmetric(g, point, K).get()

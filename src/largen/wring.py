@@ -24,13 +24,9 @@ only its coefficient ring, its derivation and its per-order solve.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from itertools import zip_longest
-from operator import add
 from typing import Callable, Sequence
 
 from .errors import certify
-from .mpolys import IntTable
 from .scalars import is_exact
 from .structured import branch_coeff
 
@@ -56,37 +52,6 @@ def _padd(a: list, b: list) -> list:
     return _trim(out)
 
 
-def _total(terms: list):
-    """terms[0] + terms[1] + .., as the left fold of ``+`` leaves it: past two
-    terms one ``IntTable.sum`` when all are tables of one kind, else pairwise.
-    A ``_Loc`` sum stays pairwise: each one trial-divides its result, which
-    changes the key order that the later sums, and the two-cut ``eval``
-    strings, read."""
-    first = terms[0]
-    kind = type(first)
-    if len(terms) > 2 and issubclass(kind, IntTable):
-        for t in terms:
-            if type(t) is not kind:
-                break
-        else:
-            return first.sum(*terms[1:])
-    return reduce(add, terms)
-
-
-def _psum(polys: list, tables: bool) -> list:
-    """Σ polys, coefficient lists: the left fold of ``_padd``, or past two
-    lists over tables its value as one ``_total`` per λ-power of the entries
-    that are not a scalar 0 (key order may differ where ``_padd`` put a
-    longer list first; no output reads a ``DiffPoly``'s key order)."""
-    if len(polys) < 3 or not tables:
-        return reduce(_padd, polys)
-    out = []
-    for column in zip_longest(*polys):
-        terms = [c for c in column if c is not None and (type(c) is not Fraction or c)]
-        out.append(_total(terms) if terms else _ZERO)
-    return _trim(out)
-
-
 def _minus(entry, prod):
     # a scalar entry takes the product's own subtraction, negated, not its
     # reflected one: the same value, without Fraction's failed forward op
@@ -96,19 +61,18 @@ def _minus(entry, prod):
 def _pmul(a: Sequence, b: Sequence) -> list:
     if not a or not b:
         return []
-    # the products reaching each power, summed in order; a power no product
-    # reaches is a scalar 0, and a lone product is stored as it is
+    # None marks a power no product reached yet: its first product is stored
+    # as it is, not added to a scalar 0 through the operands' reflected add
     out: list = [None] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if not ca:
             continue
         for j, cb in enumerate(b):
-            if cb:
-                if (ps := out[i + j]) is None:
-                    out[i + j] = [ca * cb]
-                else:
-                    ps.append(ca * cb)
-    return _trim([_ZERO if ps is None else _total(ps) for ps in out])
+            if not cb:
+                continue
+            k, p = i + j, ca * cb
+            out[k] = p if out[k] is None else out[k] + p
+    return _trim([_ZERO if c is None else c for c in out])
 
 
 def _pscale(a: Sequence, s) -> list:
@@ -211,20 +175,6 @@ class WElem:
             self.d1, self.d0, {j: [-c for c in cs] for j, cs in self.slots.items()}
         )
 
-    def sum(self, *others: "WElem") -> "WElem":
-        """self + others[0] + ..: the left fold of ``+``, or past two elements
-        over tables its value, one pass per slot (``_psum``)."""
-        if not self.slots and others:
-            return others[0].sum(*others[1:])
-        if len(others) < 2 or not isinstance(self.d1, IntTable):
-            return reduce(add, others, self)
-        out: dict = {}
-        for e in (self, *others):
-            self._check_mate(e)
-            for j, cs in e.slots.items():
-                out.setdefault(j, []).append(cs)
-        return WElem(self.d1, self.d0, {j: _psum(ps, True) for j, ps in out.items()})
-
     def __sub__(self, other: "WElem") -> "WElem":
         return self + (-other)
 
@@ -232,14 +182,14 @@ class WElem:
         if not isinstance(other, WElem):
             return self.scale(other)
         self._check_mate(other)
-        out: dict = {}  # the products reaching each slot, summed in order
+        out: dict = {}
         for ja, ca in self.slots.items():
             for jb, cb in other.slots.items():
                 prod = _pmul(ca, cb)
                 if prod:
-                    out.setdefault(ja + jb, []).append(prod)
-        tables = isinstance(self.d1, IntTable)
-        return WElem(self.d1, self.d0, {j: _psum(ps, tables) for j, ps in out.items()})
+                    j = ja + jb
+                    out[j] = _padd(out.get(j, []), prod) if j in out else prod
+        return WElem(self.d1, self.d0, out)
 
     def __rmul__(self, other) -> "WElem":
         return self.scale(other)
@@ -556,28 +506,26 @@ class Defect:
     def _shift(self, n: int) -> tuple:
         s, x, zero = self.step, self.x, self.lat.zero
         # x_{n/s} plus Σ Dⁱy_j/i! over i + s·j = n, split by the parity of i
-        parts = ([x[n // s]] if n % s == 0 and n // s < len(x) else [], [])
+        parts = [x[n // s] if n % s == 0 and n // s < len(x) else zero, zero]
         for j in range(min(n // s + 1, len(self.y))):
             if j == len(self.towers):
                 self.towers.append([self.y[j]])
             row, i = self.towers[j], n - s * j
             while len(row) <= i:
                 row.append(self.lat.d_dT(row[-1]).scale(Fraction(1, len(row))))
-            parts[i % 2].append(row[i])
-        even, odd = zero.sum(*parts[0]), zero.sum(*parts[1])
-        return even + odd.scale(-_ONE), even + odd
+            parts[i % 2] = parts[i % 2] + row[i]
+        return parts[0] + parts[1].scale(-_ONE), parts[0] + parts[1]
 
     def _prod(self, n: int) -> WElem:
         def fresh(m):
             # at step 2, Q_q = (−1)^q·P_q, so at even m the terms q and m − q
             # agree; odd m, the odd-order certificates, sum every term
             half = self.step == 2 and m % 2 == 0
-            terms = []
+            out = self.lat.zero
             for q in range(m // 2 if half else m + 1):
                 p, r = self._sum(q)[0], self._sum(m - q)[1]
                 if p and r:
-                    terms.append(p * r)
-            out = self.lat.zero.sum(*terms)
+                    out = out + p * r
             if half:
                 out = out.scale(2)
                 p, r = self._sum(m // 2)
@@ -600,15 +548,14 @@ class Defect:
                 self.prods.append(pq + cross)
             value = value + lat.embed(a[0]) * cross - (x[0] * x[L]).scale(2).mul_poly(_LAMBDA)
             return value + lat.embed(a[L]) * self._prod(0) if before[2] == L else value
-        pq, terms, squares = self._prod(n), [], []
+        pq, value, sq = self._prod(n), lat.zero, lat.zero
         for p in range(min(n // s + 1, len(a))):
             c = self._prod(n - s * p) if p else pq
             if c:
-                terms.append(lat.embed(a[p]) * c)
+                value = value + lat.embed(a[p]) * c
         if n % s == 0:
             for p in range(max(0, n // s + 1 - len(x)), min(n // s + 1, len(x))):
-                squares.append(x[p] * x[n // s - p])
-        value, sq = lat.zero.sum(*terms), lat.zero.sum(*squares)
+                sq = sq + x[p] * x[n // s - p]
         value = value - (sq - lat.embed(lat.one) if n == 0 else sq).mul_poly(_LAMBDA)
         if n and n % s == 0 and lengths[0] == lengths[1] == n // s <= lengths[2]:
             self.pending = (n, lengths, pq, value)

@@ -387,21 +387,29 @@ def documents() -> str:
 
 def test_outputs_do_not_depend_on_jet_registration_order(run_under_O):
     # a fresh interpreter gives the fields in the reverse of their usual order:
-    # every jet the documents meet, highest order and last name first
+    # every jet the documents meet, highest order and last name first, in the
+    # process's layout and in each new one that a solve or recursion runs in
     out = run_under_O(
         """
-from largen.diffpoly import DiffPoly, _LAYOUT
+from largen import diffpoly
+from largen.diffpoly import DiffPoly, _Layout, own_layout
 names = ["u", "v", *(f"r{k}" for k in range(1, 6)), *(f"a{k}" for k in range(1, 8))]
-for name in reversed(names):
-    for order in range(12, -1, -1):
-        DiffPoly.var(name, order)
-print(*_LAYOUT.get().jets[0])
+init = _Layout.__init__
+def reversed_init(self):
+    init(self)
+    for name in reversed(names):
+        for order in range(12, -1, -1):
+            self.field(name, order)
+_Layout.__init__ = reversed_init
+reversed_init(diffpoly._LAYOUT.get())
+with own_layout() as layout:
+    print(*diffpoly._LAYOUT.get().jets[0], *layout.jets[0])
 """
         + DOCUMENTS
         + "\nprint(documents())\n"
     )
     first, docs = out.rstrip("\n").split("\n")
-    assert first == "a7 12"
+    assert first == "a7 12 a7 12"
     ns: dict = {}
     exec(DOCUMENTS, ns)
     assert docs == ns["documents"]()

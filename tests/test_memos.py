@@ -23,7 +23,7 @@ import pytest
 
 import largen
 from largen import onecut, painleve, phase, twocut, wring
-from largen.diffpoly import DiffPoly
+from largen.diffpoly import DiffPoly, own_layout
 from largen.errors import Mismatch
 from largen.onecut import expand_regular, find_critical, scaled_series, u_series_coefficients
 from largen.painleve import crosscheck_via_series, gelfand_dikii, pii_hierarchy
@@ -229,6 +229,25 @@ def test_a_hit_runs_no_engine(kind, monkeypatch):
     assert per_solve == (2 if kind == "two-cut" else 1)
     document(kind, orders[2])
     assert len(made) == 2 * per_solve
+
+
+def test_a_hit_in_the_callers_layout_is_served_as_it_is():
+    # a double-scaled memo entry is held in the jet layout of its last caller:
+    # a repeat there returns the very result, and a caller in another layout
+    # gets it re-encoded, the same in every rendering
+    crit, point = find_critical(BMP)[0], find_merging(MERGING)[0]
+    for call in (lambda: scaled_series(BMP, crit, 4),
+                 lambda: symmetric_scaled_series(MERGING, point, 4)):
+        first = call()
+        ladder = [rel.to_json() for rel in first.ladder]
+        assert call() is first
+        with own_layout():
+            DiffPoly.var("a jet only this layout has")
+            inside = call()
+            assert inside is not first and call() is inside
+            assert [rel.to_json() for rel in inside.ladder] == ladder
+        again = call()
+        assert again is not first and [rel.to_json() for rel in again.ladder] == ladder
 
 
 def _alive(kinds) -> list:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from largen.diffpoly import DiffPoly, XRelation
+from largen.diffpoly import DiffPoly, XRelation, own_layout
 from largen.errors import Mismatch
 from largen.onecut import OneCutCritical, find_critical
 from largen.painleve import (
@@ -364,3 +364,28 @@ class TestCrosscheck:
             crosscheck_via_series(SEXTIC, forged)
         dp, dq = exc.value.difference
         assert not dp.is_zero() or not dq.is_zero()
+
+
+def layout_documents() -> str:
+    """Members, emitted equations and crosschecks, rendered in the layout in force."""
+    doc = {
+        "gd": [gelfand_dikii(m).to_json() for m in range(4)] + [gelfand_dikii(3, F(2, 3)).render()],
+        "pii": [[p.to_json() for p in pii_hierarchy(m)] for m in range(3)]
+        + [[p.render() for p in pii_hierarchy(2, F(-1, 2))]],
+    }
+    for name, g, find in (("bmp", BMP, find_critical), ("quartic:-2,1", MERGING, find_merging)):
+        report = crosscheck_via_series(g, find(g)[0])
+        doc[name] = [emit_critical_ode(find(g)[0]).to_json(), report.derived.to_json()]
+    return json.dumps(doc, ensure_ascii=False)
+
+
+def test_members_do_not_depend_on_the_layout_in_force():
+    # inside a layout where u is not the first jet, every recursion still
+    # starts from u itself, and what the memos hold is re-encoded to it
+    top = layout_documents()
+    with own_layout():
+        for name in ("x", "r1", "a1"):
+            DiffPoly.var(name, 2)
+        inside = layout_documents()
+    assert inside == top
+    assert layout_documents() == top

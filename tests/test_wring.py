@@ -1,8 +1,6 @@
 """Tests for the spectral-curve Laurent module and ε-series scaffolding."""
 
 from fractions import Fraction as F
-from functools import reduce
-from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -90,32 +88,6 @@ class TestArithmetic:
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-
-
-    @given(
-        st.lists(st.tuples(st.integers(0, 4), st.lists(st.integers(-3, 3), min_size=1, max_size=4),
-                           st.integers(0, 2)), min_size=1, max_size=6),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_sum_is_the_left_fold_of_plus(self, parts):
-        # over DiffPoly coefficients the slots sum past two terms in one pass,
-        # with the fold's value; over _Loc ones the fold itself runs, key order
-        # included, since the two-cut eval strings read it
-        d1, d0 = DiffPoly.const(-4 * R0), DiffPoly.zero()
-        jets = [DiffPoly.var("r1", k) for k in range(3)]
-        es = [WElem(d1, d0, {j: [jets[k] * c + c for c in cs]}) for j, cs, k in parts]
-        es += [-es[0], es[0]]  # cancel a slot and bring it back
-        assert es[0].sum(*es[1:]) == reduce(add, es)
-        engine = _RegularEngine(parse_potential("sextic:24,-13,2"))
-        u0, lat, x = engine.u0, engine.lat, engine.u0.d1 * F(len(parts), 3)
-        # a short slot 0 first, then a longer one: the fold adds the longer on the left
-        ls = [lat.embed(x), WElem.from_poly(u0.d1, u0.d0, [x * x, x + 1, x]),
-              lat.embed(x * 3 + 1), u0 * u0, lat.d_dT(u0)]
-        got, want = ls[0].sum(*ls[1:]), reduce(add, ls)
-        assert got.slots.keys() == want.slots.keys()
-        for j, cs in want.slots.items():
-            assert [list(c.num.nums.items()) for c in got.slots[j]] == [
-                list(c.num.nums.items()) for c in cs]
 
 
 class TestWMoves:
