@@ -44,14 +44,12 @@ only a repeat of the same key is served, and a call that raises stores nothing.
 * ``oracle._standard_nodes``, the tanh-sinh node levels per (level,
   precision): every moment table at that precision reads them.
 * ``mpolys._layout``, the key layout per variable count: every ``MPoly`` reads it.
-* ``diffpoly._LAYOUT``, the jet layout of ``DiffPoly`` keys: the field of each
-  jet v^{(k)}, given on first use, and the factors of each key decoded, which
-  d/dx, the sorts and every rendering read many times.  It is the key
+* ``diffpoly._LAYOUT``, the jet layout a new ``DiffPoly`` takes: the field of
+  each jet v^{(k)}, given on first use, and the factors of each key decoded,
+  which d/dx, the sorts and every rendering read many times.  It is the key
   encoding, not a memo, and no output reads field order.  The double-scaled
-  and Painlevé entry points each solve in a new one, so jets the process met
-  before widen none of their working keys; only what they return is
-  re-encoded into the caller's layout, and takes its width.  A memo entry is
-  held in the layout of its last caller, so a repeat there is served as it is.
+  and Painlevé entry points each solve in a new one, which their results
+  keep, so jets the process met before widen none of their keys.
 """
 
 __version__ = "0.1.0"

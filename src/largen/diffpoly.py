@@ -22,26 +22,27 @@ field's top bit, as given at that call, raises ``OverflowError`` rather
 than alias into the next jet.  Field order is the order of first use, so
 nothing reads it: ``terms``, the sort and every rendering decode a key to its
 sorted factor tuple (``Monomial``).  The fields are a jet layout's, which
-only grows, though no read (``coefficient``) adds to it.  Each double-scaled
-and Painlevé entry point runs in a new one (``own_layout``), so its keys are
-only as wide as its own jets, and re-encodes what it gives back into the
-caller's (``moved``); a memo holds its value in the layout of its last caller
-(``Held``), so a repeat there is served as it is.  Other DiffPolys share the
-process's layout.
+only grows, though no read (``coefficient``, ``==``) adds to it.  Each
+DiffPoly carries its layout (``layout``, its ``IntTable`` ring), as an
+``MPoly`` carries its arity: a result keeps its first table operand's, and an
+operand of another layout is re-encoded into it (``_coerce``), the one place
+two layouts meet; ``==`` and the hash read across layouts by monomial.  A
+DiffPoly built from scratch takes the layout in force: the process's, or a
+new one that each double-scaled and Painlevé entry point runs in
+(``own_layout``), so its keys are only as wide as its own jets.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .errors import certify
-from .mpolys import _FIELD, _WIDTH, IntTable
+from .mpolys import _FIELD, _WIDTH, IntTable, reduced
 from .polys import Poly
 from .scalars import is_exact
 from .wring import Lattice, WElem
@@ -102,48 +103,6 @@ def own_layout():
         _LAYOUT.reset(token)
 
 
-class Held:
-    """A memo's value and the layout its DiffPolys are encoded in.  ``get``
-    gives it as it is in that layout, else re-encodes it into the current
-    one and holds it there."""
-
-    __slots__ = ("held",)
-
-    def __init__(self, layout: _Layout, value):
-        self.held = layout, value
-
-    def get(self):
-        (layout, value), current = self.held, _LAYOUT.get()
-        if layout is not current:
-            value = moved(layout, value)
-            self.held = current, value
-        return value
-
-
-def moved(src: _Layout, obj, new=None):
-    """obj, each DiffPoly key in it re-encoded (once, by ``new``) from the layout src
-    into the current one; tuples, lists, WElems and dataclasses are rebuilt."""
-    if new is None:
-        key = _LAYOUT.get().key
-        new = cache(lambda k: key(src.decode(k)))
-    if isinstance(obj, DiffPoly):  # in lowest terms already: only the keys change
-        out = DiffPoly.__new__(DiffPoly)
-        out.den, out.nums = obj.den, {new(k): n for k, n in obj.nums.items()}
-        return out
-    if isinstance(obj, (tuple, list)):
-        return type(obj)([moved(src, o, new) for o in obj])
-    if isinstance(obj, WElem):
-        slots = {j: moved(src, cs, new) for j, cs in obj.slots.items()}
-        return WElem(moved(src, obj.d1, new), moved(src, obj.d0, new), slots)
-    if is_dataclass(obj):
-        return replace(obj, **{f.name: moved(src, getattr(obj, f.name), new) for f in fields(obj)})
-    return obj
-
-
-def _decode(key: int) -> Monomial:
-    return _LAYOUT.get().decode(key)
-
-
 def _normalize_monomial(factors: Iterable[tuple[str, int, int]]) -> Monomial:
     """The sorted factors, one per jet, each exponent an int that fits a field."""
     agg: dict[tuple[str, int], int] = {}
@@ -165,68 +124,85 @@ def _coerce_coeff(c) -> Fraction:
     raise TypeError(f"bad DiffPoly coefficient: {type(c).__name__}")
 
 
-def _lead_num(p: "DiffPoly") -> int:
-    """The numerator of p's leading term in ``sorted_terms`` order."""
-    return p.nums[max(p.nums, key=lambda k: DiffPoly._mono_sort_key(_decode(k)))]
-
-
 class DiffPoly(IntTable):
     """Exact differential polynomial; immutable by convention."""
 
-    __slots__ = ()
+    __slots__ = ("layout",)
 
     def __init__(self, terms: Mapping[Monomial, object] | None = None):
-        clean, key = {}, _LAYOUT.get().key
+        self.layout = layout = _LAYOUT.get()
+        clean, key = {}, layout.key
         for mono, c in (terms or {}).items():
             k, c = key(_normalize_monomial(mono)), _coerce_coeff(c)
             clean[k] = clean.get(k, 0) + c
         self._set_terms(clean)
 
+    def _like(self, den: int, nums: dict) -> "DiffPoly":
+        out = DiffPoly.__new__(DiffPoly)
+        out.layout, (out.den, out.nums) = self.layout, reduced(den, nums)
+        return out
+
     # -- constructors ---------------------------------------------------
     @classmethod
     def zero(cls) -> "DiffPoly":
-        return cls._trusted(1, {})
+        return cls()
 
     @classmethod
     def const(cls, c) -> "DiffPoly":
-        c = _coerce_coeff(c)
-        return cls._trusted(c.denominator, {0: c.numerator})
-
-    _scalar = const
+        return cls({(): c})
 
     @classmethod
     def var(cls, name: str, order: int = 0) -> "DiffPoly":
         return cls({((name, order, 1),): 1})
 
+    def _scalar(self, c) -> "DiffPoly":
+        return self._like(1, {0: 1}) * _coerce_coeff(c)
+
+    def _coerce(self, other):  # the one place two layouts meet
+        if isinstance(other, DiffPoly) and other.layout is not self.layout:
+            key, decode = self.layout.key, other.layout.decode
+            return self._like(other.den, {key(decode(k)): n for k, n in other.nums.items()})
+        return IntTable._coerce(self, other)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, DiffPoly) and other.layout is not self.layout:
+            return self.terms == other.terms  # decoded, so neither layout grows
+        return IntTable.__eq__(self, other)
+
+    def __hash__(self):
+        if self.nums.keys() <= {0}:  # zero or a constant: the same keys in every layout
+            return IntTable.__hash__(self)
+        return hash(frozenset(self.terms.items()))
+
     # -- queries ----------------------------------------------------------
     @property
     def terms(self) -> dict:
         """{sorted factor tuple: Fraction coefficient}, a fresh dict in insertion order."""
-        den, decode = self.den, _LAYOUT.get().decode
+        den, decode = self.den, self.layout.decode
         return {decode(k): Fraction(n, den) for k, n in self.nums.items()}
 
     def dependent_vars(self) -> set[str]:
-        return {name for key in self.nums for name, _, _ in _decode(key)}
+        return {name for mono in self.terms for name, _, _ in mono}
 
     def max_order(self, name: str | None = None) -> int:
-        orders = (o for key in self.nums for n, o, _ in _decode(key) if name is None or n == name)
+        orders = (o for mono in self.terms for n, o, _ in mono if name is None or n == name)
         return max(orders, default=-1)
 
     def total_degree(self) -> int:
-        return max((sum(e for _, _, e in _decode(k)) for k in self.nums), default=0)
+        return max((sum(e for _, _, e in mono) for mono in self.terms), default=0)
 
     def constant_term(self) -> Fraction:
         return self.coefficient(())
 
     def coefficient(self, mono) -> Fraction:
         """The coefficient of mono; 0, registering nothing, if a jet of it is new."""
-        mono, layout = _normalize_monomial(mono), _LAYOUT.get()
+        mono, layout = _normalize_monomial(mono), self.layout
         known = all((name, order) in layout.shift for name, order, _ in mono)
         return Fraction(self.nums.get(layout.key(mono), 0) if known else 0, self.den)
 
     # -- ring operations -------------------------------------------------
     def _top(self) -> int:
-        return _LAYOUT.get().top  # read at call time: the layout grows
+        return self.layout.top  # read at call time: the layout grows
 
     # bound here, not inherited, as in ``MPoly``
     __mul__ = __rmul__ = IntTable.__mul__
@@ -239,7 +215,7 @@ class DiffPoly(IntTable):
         """Total x-derivative; coefficients are x-independent."""
         if times < 0:
             raise ValueError("negative derivative count")
-        p, layout = self, _LAYOUT.get()
+        p, layout = self, self.layout
         field = layout.field
         for _ in range(times):
             out: dict = {}
@@ -248,33 +224,34 @@ class DiffPoly(IntTable):
                 for name, order, exp in layout.decode(key):
                     m = key + (1 << field(name, order + 1)) - (1 << field(name, order))
                     out[m] = get(m, 0) + n * exp
-            p = DiffPoly._trusted(p.den, p._checked(out, "derivative"))
+            p = p._like(p.den, p._checked(out, "derivative"))
         return p
 
     def partial(self, name: str, order: int) -> "DiffPoly":
         """Formal partial derivative with respect to the jet variable v^(order)."""
-        s = _LAYOUT.get().shift.get((name, order))
-        return DiffPoly.zero() if s is None else self._field_derivative(s)
+        s = self.layout.shift.get((name, order))
+        return self._like(1, {}) if s is None else self._field_derivative(s)
 
     # -- substitution -------------------------------------------------------
     def substitute(self, mapping: Mapping[str, "DiffPoly"]) -> "DiffPoly":
         """Replace variables by differential polynomials, v^{(k)} -> d^k(image)."""
-        cache: dict[tuple[str, int], DiffPoly] = {}
+        layout, cache = self.layout, {}
 
         def image(name: str, order: int) -> DiffPoly:
             key = (name, order)
             if key not in cache:
                 src = mapping.get(name)
-                cache[key] = DiffPoly.var(name, order) if src is None else src.d_dx(order)
+                cache[key] = (self._like(1, {1 << layout.field(name, order): 1}) if src is None
+                              else self._coerce(src).d_dx(order))
             return cache[key]
 
-        terms, decode = [], _LAYOUT.get().decode
+        terms, decode = [], layout.decode
         for key, n in self.nums.items():
-            term = DiffPoly._trusted(self.den, {0: n})
+            term = self._like(self.den, {0: n})
             for name, order, exp in decode(key):
                 term = term * image(name, order) ** exp
             terms.append(term)
-        return DiffPoly.zero().sum(*terms)
+        return self._like(1, {})._sum(terms, 1)
 
     # -- rendering ----------------------------------------------------------
     @staticmethod
@@ -332,6 +309,9 @@ class DiffPoly(IntTable):
         return f"DiffPoly({self.render()})"
 
 
+DiffPoly.ring = DiffPoly.layout  # the layout's slot, under the name IntTable's operators read
+
+
 @dataclass(slots=True)
 class XRelation:
     """A relation  p(u, ...) + x·q(u, ...) = 0  between differential polynomials.
@@ -352,7 +332,7 @@ class XRelation:
         den = lcm(p.den, q.den)
         scale = Fraction(den, gcd(*(n * (den // p.den) for n in p.nums.values()),
                                   *(n * (den // q.den) for n in q.nums.values())))
-        if _lead_num(p if p.nums else q) < 0:
+        if (p if p.nums else q).sorted_terms()[0][1] < 0:
             scale = -scale
         return XRelation(p * scale, q * scale)
 
@@ -360,7 +340,7 @@ class XRelation:
         ps = self.p.render(latex=latex)
         if self.q.is_zero():
             return f"{ps} = 0"
-        q, sign = (-self.q, "-") if _lead_num(self.q) < 0 else (self.q, "+")
+        q, sign = (-self.q, "-") if self.q.sorted_terms()[0][1] < 0 else (self.q, "+")
         qs = q.render(latex=latex)
         xterm = "x" if qs == "1" else (f"x \\, ({qs})" if latex else f"x*({qs})")
         if self.p.is_zero():

@@ -93,14 +93,15 @@ class IntTable:
     equals), and powers.  A key is a power in ``Poly``, a packed monomial in
     ``MPoly`` and a packed jet monomial in ``DiffPoly``; ``_UNIT`` is the key
     of the constants.  A subclass supplies ``_scalar(c)``, the constant c of its
-    kind, ``_top()``, the top bits of its key fields, its calculus and rendering;
-    ``MPoly`` also overrides ``_like(den, nums)`` to keep its arity.  The
-    operators take an operand of the same class and ``nvars`` as it is, and
-    send every other one through ``_coerce``."""
+    kind, ``_top()``, the top bits of its key fields, its calculus and rendering.
+    ``ring`` is what a key means beyond its class: an ``MPoly``'s arity
+    (``nvars``), a ``DiffPoly``'s jet layout (``layout``), kept by their
+    ``_like(den, nums)``; a ``Poly`` has none.  The operators and ``sum`` take
+    an operand of the same class and ring as it is, the rest through ``_coerce``."""
 
     __slots__ = ("den", "nums")
     _UNIT = 0
-    nvars = None  # the arity of ``MPoly`` keys; the other tables have none
+    ring = None
 
     @classmethod
     def _trusted(cls, den: int, nums: dict):
@@ -153,7 +154,7 @@ class IntTable:
         return hash((self.den, frozenset(self.nums.items())))
 
     def __add__(self, other):
-        if type(other) is not type(self) or other.nvars != self.nvars:
+        if type(other) is not type(self) or other.ring != self.ring:
             if is_exact(other) and not other:  # no table is built for a zero scalar
                 return self
             other = self._coerce(other)
@@ -161,18 +162,26 @@ class IntTable:
                 return NotImplemented
         if not (self.nums and other.nums):
             return other if other.nums else self
-        return self.sum(other)
+        return self._sum((other,), 1)
 
     __radd__ = __add__
 
     def sum(self, *others, sign: int = 1):
-        """self + others[0] + .. (tables of self's kind) in one pass, as the left
-        fold of ``+`` leaves it, or self − others[0] − .. for sign −1, as the fold
-        of ``+ (−t)`` does: the first nonzero table copied, a key whose sum
-        cancels dropped, so that a later operand appends it anew."""
+        """self + others[0] + .., or self − others[0] − .. for sign −1, in one
+        pass (``_sum``), each operand taken as ``+`` takes it."""
+        tables = [t if type(t) is type(self) and t.ring == self.ring else self._coerce(t)
+                  for t in others]
+        if any(t is NotImplemented for t in tables):
+            raise TypeError(f"unsupported operand type for {type(self).__name__}.sum")
+        return self._sum(tables, sign)
+
+    def _sum(self, others, sign: int):
+        """``sum`` of tables of self's class and ring, as the left fold of ``+``
+        (of ``+ (−t)`` for sign −1) leaves it: the first nonzero table copied,
+        a key whose sum cancels dropped, so that a later operand appends it anew."""
         if not self.nums and others:
             first = others[0] if sign == 1 else -others[0]
-            return first.sum(*others[1:], sign=sign)
+            return first._sum(others[1:], sign)
         den = self.den
         for t in others:
             den = lcm(den, t.den)
@@ -195,7 +204,7 @@ class IntTable:
 
     def __sub__(self, other):
         """self + (−other) in one pass, in the order that sum leaves."""
-        if type(other) is not type(self) or other.nvars != self.nvars:
+        if type(other) is not type(self) or other.ring != self.ring:
             if is_exact(other) and not other:
                 return self
             other = self._coerce(other)
@@ -203,7 +212,7 @@ class IntTable:
                 return NotImplemented
         if not (self.nums and other.nums):
             return -other if other.nums else self
-        return self.sum(other, sign=-1)
+        return self._sum((other,), -1)
 
     def __rsub__(self, other):
         return -(self - other)
@@ -222,7 +231,7 @@ class IntTable:
 
     def __mul__(self, other):
         """The key-sum convolution, outer loop over self; a constant scales."""
-        if type(other) is not type(self) or other.nvars != self.nvars:
+        if type(other) is not type(self) or other.ring != self.ring:
             if is_exact(other):
                 if other == 1:
                     return self
@@ -476,6 +485,9 @@ class MPoly(IntTable):
 
     def __repr__(self):
         return f"MPoly({self.render()})"
+
+
+MPoly.ring = MPoly.nvars  # the arity's slot, under the name IntTable's operators read
 
 
 def greedy_div(p: MPoly, d: MPoly):

@@ -36,7 +36,7 @@ from functools import lru_cache, reduce
 
 import mpmath
 
-from .diffpoly import DiffPoly, Held, XRelation, own_layout, scaled_lattice, string_ladder
+from .diffpoly import DiffPoly, XRelation, own_layout, scaled_lattice, string_ladder
 from .errors import CriticalPointHit, certify
 from .mpolys import MPoly, _Loc, loc_factors
 from .phase import _one_cut_candidates, branch_density_positive, solve_one_cut
@@ -375,21 +375,20 @@ def find_critical(g: Potential, digits: int | None = None) -> tuple[OneCutCritic
 
 
 @lru_cache(maxsize=32)
-def _scaled(g: Potential, crit: OneCutCritical, K: int) -> Held:
-    """``scaled_series`` once per process per (potential, critical point, K),
-    held in the jet layout of its last caller.
+def _scaled(g: Potential, crit: OneCutCritical, K: int) -> ScaledOneCut:
+    """``scaled_series`` once per process per (potential, critical point, K).
 
     The ε̄-expansion at a one-cut critical point, with DiffPoly coefficients
     over ℚ: U^{[0]}..U^{[K]} are solved and certified per order as in
     ``_RegularEngine.run``, on a ``wring.Defect`` local to this call, then
     the string ladder and the pole tables are read off them.  Every call
-    solves orders 0..K afresh in a jet layout of its own, so its cost does
-    not depend on what the process asked for before; only a repeat of the
-    same K is served.
+    solves orders 0..K afresh in a jet layout of its own, which its result
+    keeps, so neither its cost nor its keys depend on what the process asked
+    for before; only a repeat of the same K is served.
     """
     if not is_exact(crit.r_c):
         raise ValueError("double-scaled series needs an exact critical point")
-    with own_layout() as layout:
+    with own_layout():
         rc, Tc = as_fraction(crit.r_c), as_fraction(crit.T_c)
         lat, u0 = scaled_lattice(rc)
         vp = list(g.v_lambda().coeffs)
@@ -415,7 +414,7 @@ def _scaled(g: Potential, crit: OneCutCritical, K: int) -> Held:
             certify(not u0_part, "U^[k] acquired a pole-free part")
             certify(len(poles) <= k, "double-scaled pole depth exceeded its order")
             orders.append(ScaledOrder(k=k, element=u_list[k], poles=tuple(poles)))
-        return Held(layout, ScaledOneCut(crit, K, tuple(orders), tuple(ladder)))
+        return ScaledOneCut(crit, K, tuple(orders), tuple(ladder))
 
 
 def scaled_series(g: Potential, crit: OneCutCritical, K: int) -> ScaledOneCut:
@@ -427,4 +426,4 @@ def scaled_series(g: Potential, crit: OneCutCritical, K: int) -> ScaledOneCut:
         )
     if K < crit.m:
         raise ValueError("need K ≥ m to reach the Painlevé relation")
-    return _scaled(g, crit, K).get()
+    return _scaled(g, crit, K)

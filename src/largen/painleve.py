@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diffpoly import DiffPoly, XRelation, moved, own_layout
+from .diffpoly import DiffPoly, XRelation, own_layout
 from .errors import Mismatch, certify
 from .onecut import OneCutCritical, scaled_series
 from .polys import Poly, RationalFunc
@@ -120,7 +120,7 @@ def gelfand_dikii(m: int, rc=None) -> DiffPoly | Homogeneous:
     """
     if m < 0:
         raise ValueError("hierarchy index must be nonnegative")
-    with own_layout() as layout:
+    with own_layout():
         u, R = DiffPoly.var("u"), [DiffPoly.const(1)]
         for k in range(m):
             D1 = [r.d_dx() for r in R]
@@ -133,7 +133,7 @@ def gelfand_dikii(m: int, rc=None) -> DiffPoly | Homogeneous:
             certify(nxt.d_dx() == rhs, f"R_{k + 1} does not integrate the recursion")
             certify(not nxt.constant_term(), f"R_{k + 1} has a constant term")
             R.append(nxt)
-    return _at(moved(layout, R[m]), m, rc)
+        return _at(R[m], m, rc)
 
 
 def pii_hierarchy(m: int, rc=None) -> tuple:
@@ -147,7 +147,7 @@ def pii_hierarchy(m: int, rc=None) -> tuple:
     """
     if m < 0:
         raise ValueError("hierarchy index must be nonnegative")
-    with own_layout() as layout:
+    with own_layout():
         u = DiffPoly.var("u")
         R, S = [u * Fraction(-1, 2)], [u * u * Fraction(-1, 8)]
         for k in range(m):
@@ -162,7 +162,7 @@ def pii_hierarchy(m: int, rc=None) -> tuple:
             certify(not R[-1].constant_term(), f"R_{k + 1} has a constant term")
             certify(not Sn.constant_term(), f"S_{k + 1} has a constant term")
             S.append(Sn)
-    return tuple(_at(member, m, rc) for member in moved(layout, (R[m], S[m])))
+        return _at(R[m], m, rc), _at(S[m], m, rc)
 
 
 # -- emission ---------------------------------------------------------------------
@@ -173,7 +173,7 @@ class HierarchyMember:
     """A Painlevé hierarchy ODE for the scaling function u(x).
 
     ``equation`` is canonical: denominators cleared, overall integer content
-    removed, leading derivative term positive.  ``constant`` is c_m for the
+    divided out, leading derivative term positive.  ``constant`` is c_m for the
     PI family and φ_m for PII; ``R`` (and ``S`` for PII) are the generating
     differential polynomials with ρ already evaluated at ``r_c``.
     """

@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .diffpoly import DiffPoly, Held, XRelation, own_layout, scaled_lattice, string_ladder
+from .diffpoly import DiffPoly, XRelation, own_layout, scaled_lattice, string_ladder
 from .errors import (
     Mismatch,
     NoTwoCutSolution,
@@ -500,9 +500,9 @@ def _two_pole_basis(elem: WElem, four_rc: Fraction, zero) -> tuple:
 
 
 @lru_cache(maxsize=32)
-def _symmetric(g: Potential, point: MergingPoint, K: int) -> Held:
+def _symmetric(g: Potential, point: MergingPoint, K: int) -> SymmetricTwoCut:
     """``symmetric_scaled_series`` once per process per (potential, merging
-    point, K), held in the jet layout of its last caller.
+    point, K).
 
     The ε̄-expansion of the single merged equation, with DiffPoly
     coefficients over ℚ.  The pair of equations collapses because
@@ -512,12 +512,13 @@ def _symmetric(g: Potential, point: MergingPoint, K: int) -> Held:
     ``wring.Defect`` local to this call (partner 𝕍(-ε̄)) and certifies it
     right after, on its final value; the string ladder and the two-pole
     tables are then read off 𝕍^{[0]}..𝕍^{[K]}.  Every call solves orders
-    0..K afresh in a jet layout of its own, so its cost does not depend on
-    what the process asked for before; only a repeat of the same K is served.
+    0..K afresh in a jet layout of its own, which its result keeps, so
+    neither its cost nor its keys depend on what the process asked for
+    before; only a repeat of the same K is served.
     """
     if not is_exact(point.r_c):
         raise ValueError("double-scaled series needs an exact merging point")
-    with own_layout() as layout:
+    with own_layout():
         rc, Tc = as_fraction(point.r_c), as_fraction(point.T_c)
         lat, v0 = scaled_lattice(rc)
         vp = list(g.v_lambda().coeffs)
@@ -560,7 +561,7 @@ def _symmetric(g: Potential, point: MergingPoint, K: int) -> Held:
                 moment = moment + Bj * gammas[j - 1]
             certify(ladder[k].p == moment, f"ladder/moment mismatch at order {k}")
             orders.append(SymmetricScaledOrder(k, v_list[k], C, tuple(A), tuple(B)))
-        return Held(layout, SymmetricTwoCut(point, K, tuple(orders), tuple(ladder)))
+        return SymmetricTwoCut(point, K, tuple(orders), tuple(ladder))
 
 
 def symmetric_scaled_series(g: Potential, point: MergingPoint, K: int) -> SymmetricTwoCut:
@@ -578,4 +579,4 @@ def symmetric_scaled_series(g: Potential, point: MergingPoint, K: int) -> Symmet
         )
     if K < 2 * point.m + 1:
         raise ValueError("need K ≥ 2m+1 to reach the closing pair of relations")
-    return _symmetric(g, point, K).get()
+    return _symmetric(g, point, K)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from largen.diffpoly import _LAYOUT, DiffPoly, XRelation, _normalize_monomial
+from largen.diffpoly import _LAYOUT, DiffPoly, XRelation, _normalize_monomial, own_layout
 from largen.mpolys import MPoly
 from largen.onecut import find_critical, scaled_series
 from largen.polys import Poly, RationalFunc
@@ -114,7 +114,8 @@ fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 monos = st.lists(
     st.tuples(st.sampled_from("uv"), st.integers(0, 2), st.integers(1, 2)), max_size=2
 ).map(_normalize_monomial)
-rational = st.dictionaries(monos, fracs, max_size=4).map(DiffPoly)
+term_dicts = st.dictionaries(monos, fracs, max_size=4)
+rational = term_dicts.map(DiffPoly)
 # the two other IntTable rings, for the product and sum they share
 univariate = st.lists(fracs, max_size=5).map(Poly)
 bivariate = st.dictionaries(
@@ -317,6 +318,58 @@ def test_one_pass_difference_is_the_sum_with_the_negation(data, ring):
         assert list(got.nums.items()) == list(want.nums.items())
 
 
+def test_sum_takes_its_operands_as_plus_does():
+    # an operand of another class or ring goes through _coerce, as in +: a
+    # key of another arity or layout means another monomial
+    with pytest.raises(ValueError):  # as + raises (test_polys.py::test_mpoly_arity_mismatch)
+        MPoly.var(1, 0).sum(MPoly.var(2, 0))
+    with pytest.raises(TypeError):
+        Poly((1, 2)).sum(MPoly.var(1, 0))
+    with pytest.raises(TypeError):
+        Poly((1, 2)) + MPoly.var(1, 0)
+    assert Poly((1, 2)).sum(3, F(1, 2)) == Poly((1, 2)) + 3 + F(1, 2)
+    with own_layout():
+        other = DiffPoly.var("a jet only this layout has") + u
+    for got, want in ((u.sum(other), u + other), (u.sum(other, sign=-1), u - other)):
+        assert got == want and got.layout is u.layout
+        assert list(got.terms.items()) == list(want.terms.items())
+
+
+def reversed_layout_copy(terms: dict) -> DiffPoly:
+    """DiffPoly(terms) in a new layout whose fields give v and u, highest order
+    first, the reverse of the process's first use."""
+    with own_layout() as layout:
+        for name in "vu":
+            for order in range(6, -1, -1):
+                layout.field(name, order)
+        return DiffPoly(terms)
+
+
+@given(ta=term_dicts, tb=term_dicts, k=fracs)
+@settings(max_examples=60, deadline=None)
+def test_algebra_across_layouts_agrees_with_one_layout(ta, tb, k):
+    a, b = DiffPoly(ta), DiffPoly(tb)
+    a2 = reversed_layout_copy(ta)
+    layouts = (a2.layout, b.layout)
+    jets = [len(layout.jets) for layout in layouts]
+    assert (a2 == a) and (a == a2) and hash(a2) == hash(a)
+    assert (a2 == b) == (a == b) and (b != a2) == (b != a)
+    assert [len(layout.jets) for layout in layouts] == jets
+    cases = (
+        (a2 + b, a + b), (b + a2, b + a), (a2 - b, a - b), (b - a2, b - a),
+        (a2 * b, a * b), (b * a2, b * a), (a2 * k - b, a * k - b), (a2**2 * b, a**2 * b),
+        ((a2 * b).d_dx(), (a * b).d_dx()), (a2.d_dx(2), a.d_dx(2)),
+        (a2.substitute({"u": b}), a.substitute({"u": b})),
+        (b.substitute({"v": a2}), b.substitute({"v": a})),
+    )
+    for got, want in cases:
+        assert got.terms == want.terms and got.to_json() == want.to_json()
+        assert got == want and want == got and hash(got) == hash(want)
+    # a result keeps its first table operand's layout
+    assert (a2 + b).layout is a2.layout and (b * a2).layout is b.layout
+    assert a2.substitute({"u": b}).layout is a2.layout
+
+
 def test_exponents_outside_the_fields_are_refused():
     for bad in (-1, F(3, 2), 1.0, 2**31):
         with pytest.raises(ValueError):
@@ -350,6 +403,13 @@ def test_reading_a_coefficient_registers_no_jet():
     with pytest.raises(ValueError):
         u.coefficient((("a jet only read", 0, 2**31),))
     assert len(_LAYOUT.get().jets) == jets
+    # nor does == or a hash across layouts, whatever jets the other one has
+    with own_layout() as other:
+        only_other = DiffPoly.var("a jet only the other layout has") * 2
+        same_u = DiffPoly.var("u") * 2
+    assert only_other != u * 2 and u * 2 != only_other and not only_other == u * 2
+    assert same_u == u * 2 and u * 2 == same_u and hash(same_u) == hash(u * 2)
+    assert len(_LAYOUT.get().jets) == jets and len(other.jets) == 2
 
 
 def test_negative_derivative_counts_are_refused():
@@ -437,8 +497,43 @@ print(best)
 
 def test_jets_the_process_met_before_leave_a_solve_cost_alone(run_under_O):
     # the solve gives fields only to the jets it meets, so 2,000 jets given
-    # fields first widen none of its keys; only its result is re-encoded
-    # into the process's layout.  Sharing one layout, it ran 13 to 19 times slower.
+    # fields first widen none of its keys, nor of the result, which keeps the
+    # solve's layout.  Sharing one layout, it ran 13 to 19 times slower.
     fresh = float(run_under_O(HISTORY.format(jets=0)))
     after = float(run_under_O(HISTORY.format(jets=2000)))
     assert after <= 3 * fresh, (fresh, after)
+
+
+# the widest key among the double-scaled and Painlevé results, in a fresh
+# interpreter that first gave fields to the given number of unrelated jets:
+# the ladders and pole tables of both series, R_4 and each crosscheck's relation
+WIDTHS = """
+from largen.diffpoly import DiffPoly
+from largen.onecut import find_critical, scaled_series
+from largen.painleve import crosscheck_via_series, gelfand_dikii
+from largen.potential import parse_potential
+from largen.twocut import find_merging, symmetric_scaled_series
+for i in range({jets}):
+    DiffPoly.var(f"unrelated{{i}}")
+bmp, quartic = parse_potential("bmp"), parse_potential("quartic:-2,1")
+sc = scaled_series(bmp, find_critical(bmp)[0], 8)
+sym = symmetric_scaled_series(quartic, find_merging(quartic)[0], 10)
+polys = [p for series in (sc, sym) for rel in series.ladder for p in (rel.p, rel.q)]
+polys += [p for o in sc.orders for p in o.poles]
+polys += [p for o in sym.orders for p in (o.C, *o.A, *o.B)]
+polys.append(gelfand_dikii(4).unit)
+for name, find in (("sextic:42,-11,1", find_critical), ("bmp", find_critical),
+                   ("quartic:-2,1", find_merging), ("sextic:-6,-3,1", find_merging)):
+    g = parse_potential(name)
+    derived = crosscheck_via_series(g, find(g)[0]).derived
+    polys += [derived.p, derived.q]
+print(max(key.bit_length() for p in polys for key in p.nums))
+"""
+
+
+def test_jets_the_process_met_before_widen_no_result_key(run_under_O):
+    # each result keeps the layout it was built in, so the caller's 5,000
+    # jets widen none of its keys (2,177 bits here); re-encoded into the
+    # caller's layout, the widest was 163,457 bits, against 3,457 fresh
+    fresh = int(run_under_O(WIDTHS.format(jets=0)))
+    assert int(run_under_O(WIDTHS.format(jets=5000))) == fresh

@@ -232,7 +232,7 @@ CORRUPTIONS = {
     "diffpoly-add-perturbing-a-numerator": (
         "onecut.DiffPoly",
         "__add__",
-        "lambda self, o, f=W.__add__: (lambda s: f(s, W._trusted(s.den, {next(iter(s.nums)): 1}))"
+        "lambda self, o, f=W.__add__: (lambda s: f(s, s._like(s.den, {next(iter(s.nums)): 1}))"
         " if 'r1' in s.dependent_vars() else s)(f(self, o))",
         SCALED_RUN,
         "scaled defect at ε^2",

@@ -381,7 +381,7 @@ def layout_documents() -> str:
 
 def test_members_do_not_depend_on_the_layout_in_force():
     # inside a layout where u is not the first jet, every recursion still
-    # starts from u itself, and what the memos hold is re-encoded to it
+    # starts from u itself, and each result keeps the layout it was built in
     top = layout_documents()
     with own_layout():
         for name in ("x", "r1", "a1"):
