@@ -166,14 +166,14 @@ class IntTable:
 
     __radd__ = __add__
 
-    def sum(self, *others, sign: int = 1):
-        """self + others[0] + .., or self − others[0] − .. for sign −1, in one
-        pass (``_sum``), each operand taken as ``+`` takes it."""
+    def sum(self, *others):
+        """self + others[0] + .. in one pass (``_sum``), each operand taken as
+        ``+`` takes it."""
         tables = [t if type(t) is type(self) and t.ring == self.ring else self._coerce(t)
                   for t in others]
         if any(t is NotImplemented for t in tables):
             raise TypeError(f"unsupported operand type for {type(self).__name__}.sum")
-        return self._sum(tables, sign)
+        return self._sum(tables, 1)
 
     def _sum(self, others, sign: int):
         """``sum`` of tables of self's class and ring, as the left fold of ``+``

@@ -225,7 +225,7 @@ def emit_critical_ode(crit) -> HierarchyMember:
         rc = as_fraction(crit.r_c)
         phim = as_fraction(phim)
         R, S = pii_hierarchy(crit.m, rc)
-        equation = XRelation(R * (2 * rc * phim), DiffPoly.var("u")).normalize()
+        equation = XRelation(R * (2 * rc * phim), R._coerce(DiffPoly.var("u"))).normalize()
         return HierarchyMember("PII", crit.m, rc, phim, R, S, equation)
     raise TypeError(f"not a critical point: {crit!r}")
 

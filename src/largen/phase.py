@@ -25,10 +25,11 @@ and α²β² = (a₀-b₀)², never the irrational endpoints themselves.
 The two-cut endpoints solve W_a(a₀, b₀) = T = W_b(a₀, b₀) by exact
 elimination: W_a − W_b = (a₀ − b₀)·L on the T-free branch curve L, and both
 endpoints of every real solution are real roots of R(b₀, T) = Res_{a₀}(L,
-W_a − T), isolated exactly at an exact T (a double root stays exact) and
-numerically at an mpf T.  Only roots that certified brackets cannot settle
-are refined (``_two_cut_candidates``), as the one-cut search refines only
-roots of W(r₀) = T that may be positive.  Quartics keep the closed form,
+W_a − T).  Both searches isolate their roots exactly, by Sturm sequences, at
+every T: an mpf T is the binary rational it holds (``rationalize``), so a
+double root stays exact at any T.  Only roots that certified brackets cannot
+settle are refined (``_two_cut_candidates``), as the one-cut search refines
+only roots of W(r₀) = T that may be positive.  Quartics keep the closed form,
 which is this elimination for p = 2 with no resultant to build.
 """
 
@@ -62,6 +63,7 @@ from .scalars import (
     mpf_of,
     mpfs_of,
     negligible,
+    rationalize,
     sqrt_scalar,
     tolerance,
     working_digits,
@@ -151,25 +153,6 @@ def _curve(g: Potential, point: tuple, digits: int) -> tuple:
 # -- sign analysis ------------------------------------------------------------
 
 
-def _poly_real_roots_numeric(coeffs, digits: int) -> list:
-    """Real roots of a polynomial given by mpf/Fraction coefficients."""
-    cs = mpfs_of(coeffs, digits + 10)
-    with mpmath.workdps(digits + 10):
-        while cs and cs[-1] == 0:
-            cs.pop()
-        if len(cs) <= 1:
-            return []
-        try:
-            roots = mpmath.polyroots(list(reversed(cs)), maxsteps=200, extraprec=80)
-        except NoConvergence as exc:
-            # a (near-)multiple root, as at a critical or merging temperature
-            raise PrecisionExhausted(
-                f"the roots of a degree-{len(cs) - 1} polynomial did not converge "
-                f"at {digits} digits"
-            ) from exc
-        return sorted(r.real for r in roots if negligible(r.imag, digits))
-
-
 class _HTilde:
     """h̃ of one candidate, shared by its verdict's checks: the coefficients,
     and their mpf lift and numeric real roots, each made once, when first asked."""
@@ -183,7 +166,24 @@ class _HTilde:
 
     @cached_property
     def roots(self) -> list:
-        return _poly_real_roots_numeric(self.coeffs, self.digits)
+        """The real roots, by ``mpmath.polyroots`` on the lift.  h̃ has mpf
+        coefficients at every two-cut or irrational point; isolating their
+        binary rationals exactly changed no verdict but was slower."""
+        cs, digits = list(self.lifted), self.digits
+        with mpmath.workdps(digits + 10):
+            while cs and cs[-1] == 0:
+                cs.pop()
+            if len(cs) <= 1:
+                return []
+            try:
+                roots = mpmath.polyroots(cs[::-1], maxsteps=200, extraprec=80)
+            except NoConvergence as exc:
+                # a (near-)multiple root, as at a critical or merging point
+                raise PrecisionExhausted(
+                    f"the roots of a degree-{len(cs) - 1} polynomial did not converge "
+                    f"at {digits} digits"
+                ) from exc
+            return sorted(r.real for r in roots if negligible(r.imag, digits))
 
 
 def _h_status_exact(h: Poly, lo: Fraction, hi: Fraction, digits: int) -> str:
@@ -336,15 +336,13 @@ def _verdict(s: int, endpoints, hc, digits: int) -> Optional[str]:
 
 
 def _one_cut_candidates(g: Potential, T, digits: int) -> list:
-    """The roots r₀ > 0 of W(r₀) = T, ascending."""
-    with mpmath.workdps(digits + 10):
-        *cs, t = lifted((*g.hodograph().coeffs, T), digits + 10)
-        cs[0] -= t
-        if not is_exact(t):
-            return [r for r in _poly_real_roots_numeric(cs, digits) if r > 0]
-        # an isolating interval (a, b] with b ≤ 0 holds no root r₀ > 0
-        found = [refine(f, a, b, digits) for f, _, a, b in isolate(Poly(cs)) if b > 0]
-        return [r for r in sorted(found, key=lambda r: mpf_of(r, digits + 5)) if r > 0]
+    """The roots r₀ > 0 of W(r₀) = T, ascending: isolated exactly at the
+    binary rational an mpf T holds (``rationalize``), and refined only where
+    an isolating interval (a, b] reaches above 0, as one with b ≤ 0 holds no
+    r₀ > 0."""
+    W = g.hodograph() - rationalize(T)
+    found = [refine(f, a, b, digits) for f, _, a, b in isolate(W) if b > 0]
+    return [r for r in sorted(found, key=lambda r: mpf_of(r, digits + 5)) if r > 0]
 
 
 def solve_one_cut(g: Potential, T, digits: int | None = None) -> Scalar:
@@ -421,40 +419,38 @@ def _two_cut_candidates(g: Potential, T, digits: int) -> list[tuple]:
     """Every (a₀, b₀) with a₀ > b₀ > 0 solving W_a = T = W_b, by increasing
     a₀, or NoTwoCutSolution with its reason.  Beyond quartics the real
     solutions are the pairs x ≥ y of real roots of R(·, T) with L(x, y) and
-    W_a(x, y) − T negligible (module notes).  At an exact T a pair is first
-    decided on its roots' brackets (``_on_brackets``): it is none if a residue
-    at their centres minus a bound on its variation over them exceeds 2·tol;
-    it is one, unrefined, if it cannot have a₀ > b₀ > 0, both residues plus
-    bounds are below tol/2 and a root is certified irrational (so the test is
-    the mpf one).  Any other pair has both roots refined and tested."""
+    W_a(x, y) − T negligible (module notes), isolated exactly at the binary
+    rational an mpf T holds (``rationalize``).  A pair is first decided on
+    its roots' brackets (``_on_brackets``): it is none if a residue at their
+    centres minus a bound on its variation over them exceeds 2·tol; it is
+    one, unrefined, if it cannot have a₀ > b₀ > 0, both residues plus bounds
+    are below tol/2 and a root is certified irrational (so the test is the
+    mpf one).  Any other pair has both roots refined and tested."""
     if len(g.gs) == 2:
         return [_quartic_two_cut(g, T, digits)]
     W_a, L, R = _branch_elimination(g)
-    solved, kept = False, []
+    T, solved, kept = rationalize(T), False, []
     with mpmath.workdps(digits + 10):
         cs = [0] * (max(e[0] for e in R) + 1)
         for (k, j), c in R.items():
-            c, t = lifted((c, T), digits + 10)
-            cs[k] += c * t**j
+            cs[k] += c * T**j
         L_f, W_f, zero = L.lift(digits + 10), W_a.lift(digits + 10), mpmath.mpf(0)
-        tests, exact = ((L, L_f, 0), (W_a, W_f, T)), is_exact(T)
+        tests = ((L, L_f, 0), (W_a, W_f, T))
         value = cache(lambda r: refine(r.f, r.a, r.b, digits))
-        if exact:  # by bracket, which is real_roots' order unless two brackets overlap
-            roots = sorted((_Root(f, a, b, *bracket(f, a, b, digits))
-                            for f, _, a, b in isolate(Poly(cs))), key=lambda r: r.lo + r.hi)
-            if any(u.hi > v.lo for u, v in zip(roots, roots[1:])):
-                roots.sort(key=lambda r: mpf_of(value(r), digits + 5))
-        else:
-            roots = _poly_real_roots_numeric(cs, digits)
+        # by bracket, which is real_roots' order unless two brackets overlap
+        roots = sorted((_Root(f, a, b, *bracket(f, a, b, digits))
+                        for f, _, a, b in isolate(Poly(cs))), key=lambda r: r.lo + r.hi)
+        if any(u.hi > v.lo for u, v in zip(roots, roots[1:])):
+            roots.sort(key=lambda r: mpf_of(value(r), digits + 5))
         for i, x in enumerate(roots):
             for y in roots[: i + 1]:
-                if exact and (decided := _on_brackets(x, y, tests, digits)) is not None:
+                if (decided := _on_brackets(x, y, tests, digits)) is not None:
                     solved |= decided
                     continue
-                a0, b0, t = lifted((value(x), value(y), T) if exact else (x, y, T), digits + 10)
+                a0, b0, t = lifted((value(x), value(y), T), digits + 10)
                 if is_exact(t):
                     residues = (L.eval((a0, b0)), W_a.eval((a0, b0)) - t)
-                else:
+                else:  # an irrational root: the lifted test
                     residues = (eval_terms(L_f, (a0, b0), zero),
                                 eval_terms(W_f, (a0, b0), zero) - t)
                 if all(negligible(r, digits) for r in residues):

@@ -330,9 +330,9 @@ def test_sum_takes_its_operands_as_plus_does():
     assert Poly((1, 2)).sum(3, F(1, 2)) == Poly((1, 2)) + 3 + F(1, 2)
     with own_layout():
         other = DiffPoly.var("a jet only this layout has") + u
-    for got, want in ((u.sum(other), u + other), (u.sum(other, sign=-1), u - other)):
-        assert got == want and got.layout is u.layout
-        assert list(got.terms.items()) == list(want.terms.items())
+    got, want = u.sum(other), u + other
+    assert got == want and got.layout is u.layout
+    assert list(got.terms.items()) == list(want.terms.items())
 
 
 def reversed_layout_copy(terms: dict) -> DiffPoly:
@@ -506,7 +506,8 @@ def test_jets_the_process_met_before_leave_a_solve_cost_alone(run_under_O):
 
 # the widest key among the double-scaled and Painlevé results, in a fresh
 # interpreter that first gave fields to the given number of unrelated jets:
-# the ladders and pole tables of both series, R_4 and each crosscheck's relation
+# the ladders and pole tables of both series, R_4, and each crosscheck's derived
+# relation and emitted member
 WIDTHS = """
 from largen.diffpoly import DiffPoly
 from largen.onecut import find_critical, scaled_series
@@ -525,8 +526,9 @@ polys.append(gelfand_dikii(4).unit)
 for name, find in (("sextic:42,-11,1", find_critical), ("bmp", find_critical),
                    ("quartic:-2,1", find_merging), ("sextic:-6,-3,1", find_merging)):
     g = parse_potential(name)
-    derived = crosscheck_via_series(g, find(g)[0]).derived
-    polys += [derived.p, derived.q]
+    report = crosscheck_via_series(g, find(g)[0])
+    rels = (report.derived, report.member.equation)
+    polys += [p for rel in rels for p in (rel.p, rel.q)]
 print(max(key.bit_length() for p in polys for key in p.nums))
 """
 

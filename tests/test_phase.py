@@ -27,7 +27,7 @@ from largen.mpolys import MPoly, eval_terms
 from largen.polys import Poly
 from largen.potential import Potential, parse_potential
 from largen.roots import real_roots
-from largen.scalars import is_exact, lifted, mpf_of, negligible, scalar_str
+from largen.scalars import is_exact, lifted, mpf_of, negligible, rationalize, scalar_str
 from largen.structured import branch_curve, branch_resultant, twocut_hodographs
 from largen.twocut import expand_two_cut_regular
 
@@ -405,16 +405,24 @@ class TestMpfTemperature:
                 if name == "quartic:-2,1":
                     assert mpmath.nstr(got, 8) == "-2.8498341"
 
-    @pytest.mark.parametrize("name,T,degree", [("bmp", 60, 3), ("sextic:-6,-3,1", 12, 6)])
-    def test_multiple_root_exhausts_precision(self, name, T, degree):
-        # at a critical (bmp) or merging (sextic) temperature the numeric
-        # root finder meets a (near-)double root and does not converge; the
-        # same temperature as a Fraction is isolated exactly
+    @pytest.mark.parametrize("name,T", [("bmp", 60), ("sextic:-6,-3,1", 12)])
+    def test_multiple_root_classifies_as_its_fraction(self, name, T):
+        # at a critical (bmp) or merging (sextic) temperature W(r₀) − T has a
+        # double root; the mpf T is the binary rational it holds, so it is
+        # isolated exactly, as the same temperature as a Fraction is
         g = parse_potential(name)
-        with pytest.raises(errors.PrecisionExhausted, match=f"degree-{degree} .* 30 digits") as info:
-            classify_phase(g, mpmath.mpf(T), 30)
+        p = classify_phase(g, mpmath.mpf(T), 30)
+        assert p == classify_phase(g, F(T), 30) and isinstance(p.T, mpmath.mpf)
+        assert (p.s, p.status, p.endpoints, p.r0) == (1, "critical", (0, 4), 1)
+
+    def test_h_tilde_at_a_triple_root_exhausts_precision(self):
+        # h̃ with mpf coefficients keeps the numeric root finder, which does
+        # not converge at (λ − 1)³ (a double root still does)
+        assert phase._HTilde([mpmath.mpf(c) for c in (1, -2, 1)], 30).roots == [1, 1]
+        h = phase._HTilde([mpmath.mpf(c) for c in (-1, 3, -3, 1)], 30)
+        with pytest.raises(errors.PrecisionExhausted, match="degree-3 .* 30 digits") as info:
+            h.roots
         assert type(info.value.__cause__).__name__ == "NoConvergence"
-        assert classify_phase(g, F(T), 30).status == "critical"
 
 @pytest.mark.xfail(raises=TypeError, strict=True)
 @pytest.mark.parametrize("T", [F(6), F(9)], ids=["T=6", "T=9"])
@@ -465,9 +473,9 @@ ONE_ROOT_SET = [
                          ids=[f"{c[0]}:T={c[1]}" for c in ONE_ROOT_SET])
 def test_each_verdict_finds_the_roots_of_h_once(name, T, want, per_verdict, monkeypatch):
     calls, per = [], []
-    numeric = phase._poly_real_roots_numeric
-    monkeypatch.setattr(phase, "_poly_real_roots_numeric",
-                        lambda cs, digits: calls.append(digits) or numeric(cs, digits))
+    numeric = mpmath.polyroots
+    monkeypatch.setattr(mpmath, "polyroots",
+                        lambda cs, **kw: calls.append(cs) or numeric(cs, **kw))
     verdict = phase._verdict
 
     def counted(*args):
@@ -488,15 +496,10 @@ def test_each_verdict_finds_the_roots_of_h_once(name, T, want, per_verdict, monk
 
 def reference_one_cut_candidates(g, T, digits):
     """``_one_cut_candidates`` as it was before refinement on demand: every
-    root of W(r₀) = T refined by ``real_roots``, then those > 0 kept."""
-    with mpmath.workdps(digits + 10):
-        *cs, t = lifted((*g.hodograph().coeffs, T), digits + 10)
-        cs[0] -= t
-        if all(is_exact(c) for c in cs):
-            roots = [r.value for r in real_roots(Poly(cs), digits)]
-        else:
-            roots = phase._poly_real_roots_numeric(cs, digits)
-        return [r for r in roots if r > 0]
+    root of W(r₀) = T, at the rational T holds, refined by ``real_roots``,
+    then those > 0 kept."""
+    roots = [r.value for r in real_roots(g.hodograph() - rationalize(T), digits)]
+    return [r for r in roots if r > 0]
 
 
 def reference_two_cut_candidates(g, T, digits):
@@ -505,16 +508,12 @@ def reference_two_cut_candidates(g, T, digits):
     if len(g.gs) == 2:
         return [phase._quartic_two_cut(g, T, digits)]
     W_a, L, R = phase._branch_elimination(g)
-    solutions = []
+    solutions, T = [], rationalize(T)
     with mpmath.workdps(digits + 10):
         cs = [0] * (max(e[0] for e in R) + 1)
         for (k, j), c in R.items():
-            c, t = lifted((c, T), digits + 10)
-            cs[k] += c * t**j
-        if all(is_exact(c) for c in cs):
-            roots = [r.value for r in real_roots(Poly(cs), digits)]
-        else:
-            roots = phase._poly_real_roots_numeric(cs, digits)
+            cs[k] += c * T**j
+        roots = [r.value for r in real_roots(Poly(cs), digits)]
         L_f, W_f, zero = L.lift(digits + 10), W_a.lift(digits + 10), mpmath.mpf(0)
         for i, x in enumerate(roots):
             for y in roots[: i + 1]:
@@ -546,19 +545,24 @@ def _bits(search, *args):
 
 
 # the phase workload's sextic grids, three sextics with several pairs across a
-# T grid, an mpf T, and a sextic whose one pair (2, 1) is rational
+# T grid, a sextic whose one pair (2, 1) is rational, and mpf copies of integer
+# temperatures: bmp's critical 60, the merging 12 with its fourfold root, and
+# the rational pair
 TWO_CUT_INPUTS = (
     [("sextic:42,-11,1", T) for T in (1, 3, 6, 9, 12, 15, 18, 21, 24)]
     + [("bmp", T) for T in (10, 30, 50, 60, 70, 90)]
     + [("sextic:-6,-3,1", T) for T in (2, 6, 10, 12, 14, 20)]
     + [(name, T) for name in ("sextic:12,-8,1", "sextic:24,-13,2", "sextic:30,-12,1")
        for T in (F(1, 4), 1, 2, 3, 6, 8)]
-    + [("sextic:-6,-3,1", mpmath.mpf(6)), ("sextic:-15,-4,1", 40), ("sextic:9,-8,1", 8)]
+    + [("sextic:-15,-4,1", 40), ("sextic:9,-8,1", 8)]
+    + [(name, mpmath.mpf(T)) for name, T in (("sextic:-6,-3,1", 6), ("sextic:-6,-3,1", 12),
+                                             ("bmp", 60), ("sextic:42,-11,1", 3),
+                                             ("sextic:-15,-4,1", 40))]
 )
 ONE_CUT_INPUTS = [(name, T) for name in ("gaussian", "quartic:-2,1", "quartic:1,1", "quartic:-1,2",
                                          "quartic:-3,1", "bmp", "sextic:42,-11,1",
                                          "sextic:-6,-3,1", "sextic:24,-13,2", "sextic:12,-8,1")
-                  for T in (F(1, 4), 1, F(3, 2), 6, 60)]
+                  for T in (F(1, 4), 1, F(3, 2), 6, 60, mpmath.mpf(6), mpmath.mpf(60))]
 
 
 def _potential(name):
@@ -567,16 +571,20 @@ def _potential(name):
 
 @pytest.mark.parametrize("name,T", TWO_CUT_INPUTS, ids=[f"{n}:T={T}" for n, T in TWO_CUT_INPUTS])
 def test_two_cut_candidates_match_refining_every_root(name, T):
+    # an mpf T gives, to the bit, what the same search gives at its rational
     g, T = _potential(name), T if isinstance(T, mpmath.mpf) else F(T)
     with mpmath.workdps(40):
-        assert (_bits(phase._two_cut_candidates, g, T, 30)
-                == _bits(reference_two_cut_candidates, g, T, 30))
+        got = _bits(phase._two_cut_candidates, g, T, 30)
+        assert got == _bits(reference_two_cut_candidates, g, T, 30)
+        assert got == _bits(phase._two_cut_candidates, g, rationalize(T), 30)
 
 
 @pytest.mark.parametrize("name,T", ONE_CUT_INPUTS, ids=[f"{n}:T={T}" for n, T in ONE_CUT_INPUTS])
 def test_one_cut_candidates_match_refining_every_root(name, T):
     g = _potential(name)
-    assert _bits(phase._one_cut_candidates, g, T, 30) == _bits(reference_one_cut_candidates, g, T, 30)
+    got = _bits(phase._one_cut_candidates, g, T, 30)
+    assert got == _bits(reference_one_cut_candidates, g, T, 30)
+    assert got == _bits(phase._one_cut_candidates, g, rationalize(T), 30)
 
 
 def _refinements(monkeypatch) -> list:
