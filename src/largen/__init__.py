@@ -30,15 +30,17 @@ caller-chosen precision.
 
 Process-global tables, each with the work that reuses it; no other
 module-level table grows (``tests/test_memos.py``).  The memos are
-``functools`` caches, emptied by ``cache_clear()``.  The four large-N
-expansions keep an entry point's finished output (``lru_cache(maxsize=32)``);
-a miss solves orders 0..K afresh and keeps none of its working state, so
-only a repeat of the same key is served, and a call that raises stores nothing.
-* ``onecut._regular`` and ``twocut._two_cut``, per (potential, K): a
-  temperature sweep repeats each K, and the solve does not depend on T.
-* ``onecut._scaled`` per (potential, critical point, K) and
-  ``twocut._symmetric`` per (potential, merging point, K): a crosscheck and
-  a series asked for at the same point and order share one entry.
+``functools`` caches, the four large-N expansions' ``lru_cache(maxsize=32)``,
+emptied by ``cache_clear()``; a call that raises stores no output.
+* ``onecut._regular`` and ``twocut._two_cut``, the finished output per
+  (potential, K): a temperature sweep repeats one K, and the solve does not
+  depend on T.  A miss solves orders 0..K afresh and keeps no working state,
+  whose towers are large at depth: a sweep has no second K to extend to.
+* ``onecut._scaled`` per (potential, critical point) and ``twocut._symmetric``
+  per (potential, merging point), one growing ``diffpoly.HeldSolve`` each: a
+  double-scaling limit is read order by order, so callers ask one point at
+  rising K, and a deeper K extends the orders held.  It grows in place, so the
+  package is single-threaded, as its jet layouts already are.
 * ``phase._branch_elimination``, the two-cut elimination (W_a, L, R) per
   potential: classification asks for it at each temperature of a sweep.
 * ``oracle._standard_nodes``, the tanh-sinh node levels per (level,

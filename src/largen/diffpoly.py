@@ -27,8 +27,8 @@ DiffPoly carries its layout (``layout``, its ``IntTable`` ring), as an
 ``MPoly`` carries its arity: a result keeps its first table operand's, and an
 operand of another layout is re-encoded into it (``_coerce``), the one place
 two layouts meet; ``==`` and the hash read across layouts by monomial.  A
-DiffPoly built from scratch takes the layout in force: the process's, or a
-new one that each double-scaled and Painlevé entry point runs in
+DiffPoly built from scratch takes the layout in force: the process's, or
+one that each double-scaled solve, Painlevé recursion and crosscheck runs in
 (``own_layout``), so its keys are only as wide as its own jets.
 """
 
@@ -94,9 +94,9 @@ _LAYOUT: ContextVar[_Layout] = ContextVar("jet layout", default=_Layout())
 
 
 @contextmanager
-def own_layout():
-    """A new jet layout for the block: yields it."""
-    token = _LAYOUT.set(_Layout())
+def own_layout(layout: _Layout | None = None):
+    """The jet layout ``layout``, or a new one, for the block: yields it."""
+    token = _LAYOUT.set(_Layout() if layout is None else layout)
     try:
         yield _LAYOUT.get()
     finally:
@@ -385,28 +385,57 @@ def certify_d_dx() -> None:
 
 def scaled_lattice(rc: Fraction) -> tuple[Lattice, WElem]:
     """The lattice of a double-scaled engine, its curve frozen at w² = λ(λ - 4r_c)
-    and its derivation d/dx (certified), with the order-0 element λ/w."""
-    certify_d_dx()
+    and its derivation d/dx (``HeldSolve`` certifies it), with the order-0 element λ/w."""
     d1, d0 = DiffPoly.const(-4 * rc), DiffPoly.zero()
     lat = Lattice(d1, d0, DiffPoly.const(1), lambda c: c.d_dx(), None)
     return lat, WElem.from_poly(d1, d0, [d0, DiffPoly.const(1)], wpow=1)
 
 
-def string_ladder(elems, vp, T_c, critical: int) -> list[XRelation]:
-    """The string relations ∮ V_λ·elems[k] = δ_{k,0}·T_c + δ_{k,critical}·x of
-    a double-scaled series, as p + x·q = 0 (``vp`` is V_λ's coefficient list).
+def string_relation(k: int, elem: WElem, vp, T_c, critical: int) -> XRelation:
+    """The string relation ∮ V_λ·elem = δ_{k,0}·T_c + δ_{k,critical}·x at order k
+    of a double-scaled series, as p + x·q = 0 (``vp`` is V_λ's coefficient list).
+    Order 0 is certified to give T_c exactly, which ties the series to its point."""
+    p, q = elem.contour_pair(vp), DiffPoly.zero()
+    if k == 0:
+        certify(p == DiffPoly.const(T_c), "order-0 string must give T_c")
+        p = p - DiffPoly.const(T_c)
+    elif k == critical:
+        q = DiffPoly.const(-1)
+    return XRelation(p, q)
 
-    The order-0 entry is certified to give T_c exactly, which ties the series
-    to the critical point it was built at.
-    """
-    ladder = []
-    for k, e in enumerate(elems):
-        p = e.contour_pair(vp)
-        q = DiffPoly.zero()
-        if k == 0:
-            certify(p == DiffPoly.const(T_c), "order-0 string must give T_c")
-            p = p - DiffPoly.const(T_c)
-        elif k == critical:
-            q = DiffPoly.const(-1)
-        ladder.append(XRelation(p, q))
-    return ladder
+
+class HeldSolve:
+    """One double-scaled solve, held by its memo entry and grown in place (so the
+    package is single-threaded, as its jet layouts are).  ``kind(*args)`` starts
+    it at order 0, ``order(k)`` solves and certifies order k, and ``at(K)``
+    runs ``certify_d_dx`` and the orders up to K it lacks, in the solve's own
+    layout, then ``kind.output(point, K, orders, ladder)`` once per K.  Only the
+    solve may grow that layout: if its jet count moved, a caller grew it, and
+    the next extension starts afresh in a new one.  A call that raises drops
+    the solve."""
+
+    __slots__ = ("kind", "args", "solve", "layout", "K", "jets", "results")
+
+    def __init__(self, kind, *args):
+        self.kind, self.args, self.solve = kind, args, None
+
+    def at(self, K: int):
+        s = self.solve
+        try:
+            if s is None or K > self.K and len(self.layout.jets) != self.jets:
+                s, self.layout, self.K, self.results = None, _Layout(), 0, {}
+            if s is None or K > self.K:
+                with own_layout(self.layout):
+                    certify_d_dx()
+                    self.solve = s = s or self.kind(*self.args)
+                    for k in range(self.K + 1, K + 1):
+                        s.order(k)
+                        self.K = k
+                self.jets = len(self.layout.jets)
+        except BaseException:
+            self.solve = self.results = None
+            raise
+        if K not in self.results:
+            orders, ladder = (tuple(t[: K + 1]) for t in (s.orders, s.ladder))
+            self.results[K] = s.output(s.point, K, orders, ladder)
+        return self.results[K]

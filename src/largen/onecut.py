@@ -36,7 +36,7 @@ from functools import lru_cache, reduce
 
 import mpmath
 
-from .diffpoly import DiffPoly, XRelation, own_layout, scaled_lattice, string_ladder
+from .diffpoly import DiffPoly, HeldSolve, XRelation, scaled_lattice, string_relation
 from .errors import CriticalPointHit, certify
 from .mpolys import MPoly, _Loc, loc_factors
 from .phase import _one_cut_candidates, branch_density_positive, solve_one_cut
@@ -52,6 +52,7 @@ from .scalars import (
     mpf_of,
     negligible,
     scalar_str,
+    truncation_order,
     working_digits,
 )
 from .structured import c_weight
@@ -269,8 +270,7 @@ def expand_regular(
     g: Potential, T, K: int, digits: int | None = None
 ) -> OneCutExpansion:
     """Large-N coefficients r₀..r_K on the one-cut branch through (g, T)."""
-    if K < 0:
-        raise ValueError("truncation order must be nonnegative")
+    K = truncation_order(K)
     digits = working_digits(digits)
     r0 = solve_one_cut(g, T, digits)
     wp = g.hodograph().derivative()
@@ -293,9 +293,7 @@ def u_series_coefficients(g: Potential, r0=None, K: int = 1) -> list[USeriesOrde
     With r0 = None the tables stay rational functions of ρ; an exact r0
     evaluates them at that point, and an mpf r0 at ``DEFAULT_DIGITS``.
     """
-    if K < 0:
-        raise ValueError("truncation order must be nonnegative")
-    _, u_list = _regular(g, K)
+    _, u_list = _regular(g, truncation_order(K))
     # U₀ lives on w² = λ(λ - 4ρ): its branch data are d1 = -4ρ and d0 = 0
     four, zero = -u_list[0].d1, u_list[0].d0
 
@@ -374,47 +372,48 @@ def find_critical(g: Potential, digits: int | None = None) -> tuple[OneCutCritic
 # -- the double-scaled series ------------------------------------------------------
 
 
-@lru_cache(maxsize=32)
-def _scaled(g: Potential, crit: OneCutCritical, K: int) -> ScaledOneCut:
-    """``scaled_series`` once per process per (potential, critical point, K).
+class _ScaledSolve:
+    """The ε̄-expansion at a one-cut critical point, with DiffPoly coefficients
+    over ℚ, one order at a time (``HeldSolve``): U^{[k]} is solved and
+    certified as in ``_RegularEngine.run`` on the solve's ``wring.Defect``,
+    then its string relation and pole table are read off it."""
 
-    The ε̄-expansion at a one-cut critical point, with DiffPoly coefficients
-    over ℚ: U^{[0]}..U^{[K]} are solved and certified per order as in
-    ``_RegularEngine.run``, on a ``wring.Defect`` local to this call, then
-    the string ladder and the pole tables are read off them.  Every call
-    solves orders 0..K afresh in a jet layout of its own, which its result
-    keeps, so neither its cost nor its keys depend on what the process asked
-    for before; only a repeat of the same K is served.
-    """
+    output = ScaledOneCut
+
+    def __init__(self, g: Potential, crit: OneCutCritical):
+        self.point, self.rc, self.vp = crit, as_fraction(crit.r_c), list(g.v_lambda().coeffs)
+        self.lat, u0 = scaled_lattice(self.rc)
+        self.r_list, self.u_list = [DiffPoly.const(self.rc)], [u0]
+        self.F = Defect(self.lat, self.u_list, self.u_list, self.r_list, 2)
+        self.F.certify(0, "scaled defect")
+        self.ladder = [string_relation(0, u0, self.vp, as_fraction(crit.T_c), crit.m)]
+        self.orders = [ScaledOrder(k=0, element=u0, poles=())]
+
+    def order(self, k: int) -> None:
+        F, m = self.F, self.point.m
+        self.r_list.append(DiffPoly.var(f"r{k}"))
+        F.certify(2 * k - 1, "odd scaled defect order")
+        u_k = F.coefficient(2 * k).div_w().scale(Fraction(1, 2))
+        self.u_list.append(u_k)
+        F.certify(2 * k, "scaled defect")
+        self.ladder.append(string_relation(k, u_k, self.vp, None, m))
+        certify(k >= m or self.ladder[k].p.is_zero(), "constraint below the critical order "
+                "did not vanish; the scaling exponent would be wrong")
+        u0_part, poles = _pole_basis(u_k, 4 * self.rc, DiffPoly.zero())
+        certify(not u0_part, "U^[k] acquired a pole-free part")
+        certify(len(poles) <= k, "double-scaled pole depth exceeded its order")
+        self.orders.append(ScaledOrder(k=k, element=u_k, poles=tuple(poles)))
+
+
+@lru_cache(maxsize=32)
+def _scaled(g: Potential, crit: OneCutCritical) -> HeldSolve:
+    """The one growing ``_ScaledSolve`` per process per (potential, critical
+    point): ``scaled_series`` at K is built from its orders 0..K, extending it
+    first if it is shallower, so a series asked for after a shallower one or a
+    crosscheck solves only the new orders."""
     if not is_exact(crit.r_c):
         raise ValueError("double-scaled series needs an exact critical point")
-    with own_layout():
-        rc, Tc = as_fraction(crit.r_c), as_fraction(crit.T_c)
-        lat, u0 = scaled_lattice(rc)
-        vp = list(g.v_lambda().coeffs)
-        r_list = [DiffPoly.const(rc)] + [DiffPoly.var(f"r{k}") for k in range(1, K + 1)]
-        u_list = [u0]
-        F = Defect(lat, u_list, u_list, r_list, 2)
-        F.certify(0, "scaled defect")
-        for k in range(1, K + 1):
-            F.certify(2 * k - 1, "odd scaled defect order")
-            u_list.append(F.coefficient(2 * k).div_w().scale(Fraction(1, 2)))
-            F.certify(2 * k, "scaled defect")
-
-        ladder = string_ladder(u_list, vp, Tc, crit.m)
-        for k in range(1, min(crit.m, K + 1)):
-            certify(
-                ladder[k].p.is_zero(),
-                "constraint below the critical order did not vanish; "
-                "the scaling exponent would be wrong",
-            )
-        orders = [ScaledOrder(k=0, element=u0, poles=())]
-        for k in range(1, K + 1):
-            u0_part, poles = _pole_basis(u_list[k], 4 * rc, DiffPoly.zero())
-            certify(not u0_part, "U^[k] acquired a pole-free part")
-            certify(len(poles) <= k, "double-scaled pole depth exceeded its order")
-            orders.append(ScaledOrder(k=k, element=u_list[k], poles=tuple(poles)))
-        return ScaledOneCut(crit, K, tuple(orders), tuple(ladder))
+    return HeldSolve(_ScaledSolve, g, crit)
 
 
 def scaled_series(g: Potential, crit: OneCutCritical, K: int) -> ScaledOneCut:
@@ -424,6 +423,5 @@ def scaled_series(g: Potential, crit: OneCutCritical, K: int) -> ScaledOneCut:
             f"scaled_series needs a OneCutCritical from find_critical, not a "
             f"{type(crit).__name__}; a merging point goes to twocut.symmetric_scaled_series"
         )
-    if K < crit.m:
-        raise ValueError("need K ≥ m to reach the Painlevé relation")
-    return _scaled(g, crit, K)
+    K = truncation_order(K, crit.m, "need K ≥ m to reach the Painlevé relation")
+    return _scaled(g, crit).at(K)

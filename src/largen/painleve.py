@@ -57,7 +57,7 @@ from .errors import Mismatch, certify
 from .onecut import OneCutCritical, scaled_series
 from .polys import Poly, RationalFunc
 from .potential import Potential
-from .scalars import as_fraction, is_exact, scalar_str
+from .scalars import as_fraction, is_exact, scalar_str, truncation_order
 from .twocut import MergingPoint, symmetric_scaled_series
 
 # -- the two recursions ----------------------------------------------------------
@@ -266,7 +266,7 @@ def _substitute_x_pair(P, Q, name, px, qx):
     return newP, newQ
 
 
-def _eliminate_two_cut(sc, m: int) -> XRelation:
+def _eliminate_two_cut(ladder, m: int) -> XRelation:
     """Forward-eliminate the even corrections from the merging-point ladder.
 
     Orders 2..2m fix one correction each: the k-th relation must be linear
@@ -280,8 +280,7 @@ def _eliminate_two_cut(sc, m: int) -> XRelation:
     carrying = None  # (name, px, qx): the one x-carrying solved correction
     P = Q = DiffPoly.zero()
     for k in range(2, 2 * m + 2):
-        rel = sc.ladder[k]
-        P, Q = rel.p, rel.q
+        P, Q = ladder[k].p, ladder[k].q
         if plain:
             P, Q = P.substitute(plain), Q.substitute(plain)
         if carrying is not None:
@@ -317,24 +316,24 @@ def crosscheck_via_series(g: Potential, crit, K: int | None = None) -> Crosschec
     The comparison is exact, canonical-form DiffPoly equality.  K defaults
     to the minimal truncation that contains the member (m for one-cut
     points, 2m+1 for merging points); a mismatch raises ``Mismatch``
-    carrying the symbolic difference of the two relations.
+    carrying the symbolic difference of the two relations.  The relation is
+    derived in a jet layout of its own, from the ladder re-encoded into it,
+    so the held series' layout gains no jet.
     """
     member = emit_critical_ode(crit)
-    if isinstance(crit, OneCutCritical):
-        k = crit.m if K is None else K
-        if k < crit.m:
-            raise ValueError(f"need K >= {crit.m} to reach the critical order")
-        sc = scaled_series(g, crit, k)
-        rel = sc.painleve_relation()
-        u = DiffPoly.var("u")
-        derived = XRelation(rel.p.substitute({"r1": u}), rel.q.substitute({"r1": u})).normalize()
-    else:
-        kmin = 2 * crit.m + 1
-        k = kmin if K is None else K
-        if k < kmin:
-            raise ValueError(f"need K >= {kmin} to close the elimination ladder")
-        sc = symmetric_scaled_series(g, crit, k)
-        derived = _eliminate_two_cut(sc, crit.m)
+    one_cut = isinstance(crit, OneCutCritical)
+    kmin = crit.m if one_cut else 2 * crit.m + 1
+    k = kmin if K is None else truncation_order(K, kmin, f"need K >= {kmin} to " + (
+        "reach the critical order" if one_cut else "close the elimination ladder"))
+    sc = (scaled_series if one_cut else symmetric_scaled_series)(g, crit, k)
+    with own_layout():
+        here = DiffPoly.zero()._coerce
+        ladder = [XRelation(here(rel.p), here(rel.q)) for rel in sc.ladder[: kmin + 1]]
+        if one_cut:
+            u, rel = DiffPoly.var("u"), ladder[crit.m]
+            derived = XRelation(*(q.substitute({"r1": u}) for q in (rel.p, rel.q))).normalize()
+        else:
+            derived = _eliminate_two_cut(ladder, crit.m)
     if derived != member.equation:
         raise Mismatch(
             "scaled-series ladder disagrees with the emitted hierarchy member",

@@ -9,7 +9,8 @@ Whether a value goes on exactly is decided by ``lifted``, and whether it
 counts as zero by ``negligible``, here and nowhere else.
 
 The default working precision is ``DEFAULT_DIGITS`` decimal digits, and
-``working_digits`` is the one rule for a precision a caller passes.
+``working_digits`` is the one rule for a precision a caller passes, and
+``truncation_order`` the one rule for a truncation order K.
 """
 
 from __future__ import annotations
@@ -33,6 +34,15 @@ def working_digits(digits) -> int:
     if type(digits) is not int or digits < 1:
         raise ValueError(f"digits must be an int of at least 1 or None, not {digits!r}")
     return digits
+
+
+def truncation_order(K, least: int = 0, below: str = "truncation order must be nonnegative"):
+    """A caller's truncation order: an int, not a bool, of at least ``least``, else ValueError."""
+    if type(K) is not int:
+        raise ValueError(f"truncation order must be an int, not {K!r}")
+    if K < least:
+        raise ValueError(below)
+    return K
 
 
 # the exact scalar types, matched by type: isinstance would run Fraction's ABC

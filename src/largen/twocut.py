@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .diffpoly import DiffPoly, XRelation, own_layout, scaled_lattice, string_ladder
+from .diffpoly import DiffPoly, HeldSolve, XRelation, scaled_lattice, string_relation
 from .errors import (
     Mismatch,
     NoTwoCutSolution,
@@ -66,6 +66,7 @@ from .scalars import (
     negligible,
     rationalize,
     scalar_str,
+    truncation_order,
     working_digits,
 )
 from .structured import gamma_moment, phi_moment, psi_poly, twocut_hodographs
@@ -361,8 +362,7 @@ def expand_two_cut_regular(
     phase point (that is a merging point, handled by the scaled series) and
     propagates NoTwoCutSolution from the phase solve.
     """
-    if K < 0:
-        raise ValueError("truncation order must be nonnegative")
+    K = truncation_order(K)
     digits = working_digits(digits)
     try:
         a0, b0 = solve_two_cut(g, T, digits)
@@ -499,69 +499,68 @@ def _two_pole_basis(elem: WElem, four_rc: Fraction, zero) -> tuple:
     return C, A, B
 
 
-@lru_cache(maxsize=32)
-def _symmetric(g: Potential, point: MergingPoint, K: int) -> SymmetricTwoCut:
-    """``symmetric_scaled_series`` once per process per (potential, merging
-    point, K).
+class _SymmetricSolve:
+    """The ε̄-expansion of the single merged equation, with DiffPoly
+    coefficients over ℚ, one order at a time (``HeldSolve``).  The pair of
+    equations collapses because 𝔟(ε̄) = 𝔞(-ε̄) and 𝕎 = 𝕍(-ε̄), so one defect
+    with parity-flipped shifted slots carries all the content.  Order k solves
+    the ε̄^k coefficient on the solve's ``wring.Defect`` (partner 𝕍(-ε̄)), and
+    certifies it on its final value; its string relation and two-pole table
+    are then read off 𝕍^{[k]}."""
 
-    The ε̄-expansion of the single merged equation, with DiffPoly
-    coefficients over ℚ.  The pair of equations collapses because
-    𝔟(ε̄) = 𝔞(-ε̄) and 𝕎 = 𝕍(-ε̄): the second equation is the ε̄ → -ε̄ image
-    of the first, so one defect with parity-flipped shifted slots carries all
-    the content.  Order k solves only the ε̄^k coefficient on a
-    ``wring.Defect`` local to this call (partner 𝕍(-ε̄)) and certifies it
-    right after, on its final value; the string ladder and the two-pole
-    tables are then read off 𝕍^{[0]}..𝕍^{[K]}.  Every call solves orders
-    0..K afresh in a jet layout of its own, which its result keeps, so
-    neither its cost nor its keys depend on what the process asked for
-    before; only a repeat of the same K is served.
-    """
+    output = SymmetricTwoCut
+
+    def __init__(self, g: Potential, point: MergingPoint):
+        self.point, self.gs, self.rc = point, g.gs, as_fraction(point.r_c)
+        self.lat, v0 = scaled_lattice(self.rc)
+        self.vp = list(g.v_lambda().coeffs)
+        # the merged strings: ∮V_λ·λ/w_c = T_c (certified by ``string_relation``
+        # at order 0) and ∮V_λ/w_c = 0
+        one_over_w = WElem.from_poly(self.lat.d1, self.lat.d0, [DiffPoly.const(1)], wpow=1)
+        certify(not one_over_w.contour_pair(self.vp), "merged string ∮V_λ/w_c must vanish")
+        self.a_list, self.v_list, self.flipped = [DiffPoly.const(self.rc)], [v0], [v0]
+        self.F = Defect(self.lat, self.v_list, self.flipped, self.a_list, 1)
+        self.F.certify(0, "merged defect")
+        self.ladder = [string_relation(0, v0, self.vp, as_fraction(point.T_c), 2 * point.m)]
+        self.orders = [SymmetricScaledOrder(k=0, element=v0, C=DiffPoly.zero(), A=(), B=())]
+        self.phis, self.gammas = [], []
+
+    def order(self, k: int) -> None:
+        self.a_list.append(DiffPoly.var(f"a{k}"))
+        R = self.F.coefficient(k)
+        if k % 2 == 0:
+            # unknown enters as -2w·𝕍^[k]
+            v_k = R.div_w().scale(Fraction(1, 2))
+        else:
+            # unknown enters as -2(λ²/w)·𝕍^[k]
+            v_k = _solvable(R.mul_w(), 2, f"the merged residual at order {k}").scale(Fraction(1, 2))
+        self.v_list.append(v_k)
+        self.flipped.append(-v_k if k % 2 else v_k)
+        self.F.certify(k, "merged defect")
+        rel = string_relation(k, v_k, self.vp, None, 2 * self.point.m)
+        self.ladder.append(rel)
+        if k % 2 == 0:
+            self.phis.append(phi_moment(self.gs, k // 2, self.rc))
+            self.gammas.append(gamma_moment(self.gs, k // 2, self.rc))
+        C, A, B = _two_pole_basis(v_k, 4 * self.rc, DiffPoly.zero())
+        certify(len(A) <= k // 2 and len(B) <= k // 2, "pole depth exceeded k/2")
+        # the ladder relation must equal its moment form (C drops out since
+        # ∮V_λ/w_c = 0 at a merging point)
+        moment = DiffPoly.zero().sum(*(Aj * phi for Aj, phi in zip(A, self.phis)),
+                                     *(Bj * gamma for Bj, gamma in zip(B, self.gammas)))
+        certify(rel.p == moment, f"ladder/moment mismatch at order {k}")
+        self.orders.append(SymmetricScaledOrder(k, v_k, C, tuple(A), tuple(B)))
+
+
+@lru_cache(maxsize=32)
+def _symmetric(g: Potential, point: MergingPoint) -> HeldSolve:
+    """The one growing ``_SymmetricSolve`` per process per (potential, merging
+    point): ``symmetric_scaled_series`` at K is built from its orders 0..K,
+    extending it first if it is shallower, so a series asked for after a
+    shallower one or a crosscheck solves only the new orders."""
     if not is_exact(point.r_c):
         raise ValueError("double-scaled series needs an exact merging point")
-    with own_layout():
-        rc, Tc = as_fraction(point.r_c), as_fraction(point.T_c)
-        lat, v0 = scaled_lattice(rc)
-        vp = list(g.v_lambda().coeffs)
-        # the merged strings: ∮V_λ·λ/w_c = T_c (certified by ``string_ladder``
-        # at order 0) and ∮V_λ/w_c = 0
-        one_over_w = WElem.from_poly(lat.d1, lat.d0, [DiffPoly.const(1)], wpow=1)
-        certify(not one_over_w.contour_pair(vp), "merged string ∮V_λ/w_c must vanish")
-
-        a_list = [DiffPoly.const(rc)] + [DiffPoly.var(f"a{k}") for k in range(1, K + 1)]
-        v_list, flipped = [v0], [v0]
-        F = Defect(lat, v_list, flipped, a_list, 1)
-        F.certify(0, "merged defect")
-        for k in range(1, K + 1):
-            R = F.coefficient(k)
-            if k % 2 == 0:
-                # unknown enters as -2w·𝕍^[k]
-                v_k = R.div_w().scale(Fraction(1, 2))
-            else:
-                # unknown enters as -2(λ²/w)·𝕍^[k]
-                v_k = _solvable(R.mul_w(), 2, f"the merged residual at order {k}")
-                v_k = v_k.scale(Fraction(1, 2))
-            v_list.append(v_k)
-            flipped.append(-v_k if k % 2 else v_k)
-            F.certify(k, "merged defect")
-        ladder = string_ladder(v_list, vp, Tc, 2 * point.m)
-
-        four_rc = 4 * rc
-        orders = [SymmetricScaledOrder(k=0, element=v0, C=DiffPoly.zero(), A=(), B=())]
-        phis = [phi_moment(g.gs, j, rc) for j in range(1, K // 2 + 1)]
-        gammas = [gamma_moment(g.gs, j, rc) for j in range(1, K // 2 + 1)]
-        for k in range(1, K + 1):
-            C, A, B = _two_pole_basis(v_list[k], four_rc, DiffPoly.zero())
-            certify(len(A) <= k // 2 and len(B) <= k // 2, "pole depth exceeded k/2")
-            # the ladder relation must equal its moment form (C drops out since
-            # ∮V_λ/w_c = 0 at a merging point)
-            moment = DiffPoly.zero()
-            for j, Aj in enumerate(A, start=1):
-                moment = moment + Aj * phis[j - 1]
-            for j, Bj in enumerate(B, start=1):
-                moment = moment + Bj * gammas[j - 1]
-            certify(ladder[k].p == moment, f"ladder/moment mismatch at order {k}")
-            orders.append(SymmetricScaledOrder(k, v_list[k], C, tuple(A), tuple(B)))
-        return SymmetricTwoCut(point, K, tuple(orders), tuple(ladder))
+    return HeldSolve(_SymmetricSolve, g, point)
 
 
 def symmetric_scaled_series(g: Potential, point: MergingPoint, K: int) -> SymmetricTwoCut:
@@ -577,6 +576,6 @@ def symmetric_scaled_series(g: Potential, point: MergingPoint, K: int) -> Symmet
             f"symmetric_scaled_series needs a MergingPoint from find_merging, not a "
             f"{type(point).__name__}; a one-cut critical point goes to onecut.scaled_series"
         )
-    if K < 2 * point.m + 1:
-        raise ValueError("need K ≥ 2m+1 to reach the closing pair of relations")
-    return _symmetric(g, point, K)
+    K = truncation_order(K, 2 * point.m + 1,
+                         "need K ≥ 2m+1 to reach the closing pair of relations")
+    return _symmetric(g, point).at(K)

@@ -1,12 +1,14 @@
-"""The process-global memos of the large-N entry points.  All four expansions
-share one policy: the finished output is kept per (potential, K) for the
-regular expansions and per (potential, point, K) for the double-scaled ones,
-and a miss solves orders 0..K on a ``wring.Defect`` built for that call
-alone; phase classification keeps the two-cut elimination per potential.  No
-output may depend on what the process computed before, a hit builds no
-defect, no lattice or defect outlives its call, and a call that raises
-leaves nothing behind.  The tables the package docstring names and two
-constant tables are the only module-level tables of the package."""
+"""The process-global memos of the large-N entry points.  The regular
+expansions keep their finished output per (potential, K), and a miss solves
+orders 0..K on a ``wring.Defect`` built for that call alone.  The
+double-scaled series hold one growing solve per (potential, point): a call at
+K is built from its orders 0..K, a deeper K extends it, and a shallower or
+repeated one is served from it.  Phase classification keeps the two-cut
+elimination per potential.  No output may depend on what the process computed
+before, a hit builds no defect, no lattice or defect outlives its call or its
+memo entry, and a call that raises leaves nothing behind: no output, and no
+held solve.  The tables the package docstring names and two constant tables
+are the only module-level tables of the package."""
 
 import gc
 import importlib
@@ -47,6 +49,9 @@ KINDS = {
     "scaled": (onecut._scaled, (3, 4, 5)),
     "merged": (twocut._symmetric, (3, 4, 5)),
 }
+# the orders a double-scaled ladder asks for in one process
+LADDERS = {"scaled": range(3, 9), "merged": range(3, 11)}
+DOUBLE_SCALED = sorted(LADDERS)
 
 
 def document(kind: str, K: int) -> str:
@@ -94,7 +99,7 @@ def fresh_documents() -> dict:
     and each grid point's classification from an empty elimination memo."""
     out = {}
     for kind, (memo, orders) in KINDS.items():
-        for K in orders:
+        for K in sorted({*orders, *LADDERS.get(kind, ())}):
             memo.cache_clear()
             out[f"{kind}:{K}"] = document(kind, K)
     for T in PHASE_GRID:
@@ -113,10 +118,18 @@ def reference():
     return json.loads(run.stdout.splitlines()[-1])
 
 
+def site(kind: str) -> tuple:
+    """The potential and point of a double-scaled kind."""
+    return (BMP, find_critical(BMP)[0]) if kind == "scaled" else (MERGING, find_merging(MERGING)[0])
+
+
+def held(kind: str):
+    """The memo entry of a double-scaled kind's point: its ``HeldSolve``."""
+    return KINDS[kind][0](*site(kind))
+
+
 def crosscheck(kind: str) -> None:
-    g = BMP if kind == "scaled" else MERGING
-    point = find_critical(g)[0] if kind == "scaled" else find_merging(g)[0]
-    assert crosscheck_via_series(g, point).matches()
+    assert crosscheck_via_series(*site(kind)).matches()
 
 
 # crosscheck_via_series runs only the double-scaled engines
@@ -167,9 +180,86 @@ def test_failed_call_leaves_nothing(kind, monkeypatch, reference):
         corrupt(patched)
         with pytest.raises(Mismatch):
             document(kind, K)
-    # the output that failed was never stored, and the warm one stays
-    assert memo.cache_info().currsize == 1
+    if kind in LADDERS:
+        # the failed extension dropped the point's held solve, warm orders too
+        assert held(kind).solve is None
+    else:
+        # the output that failed was never stored, and the warm one stays
+        assert memo.cache_info().currsize == 1
     assert document(kind, K) == reference[f"{kind}:{K}"]
+    assert document(kind, warm) == reference[f"{kind}:{warm}"]
+
+
+def _fail_at_the_last_order(monkeypatch, n):
+    # the defect certificate at ε^n fails once the order it closes is solved
+    certify_n = wring.Defect.certify
+
+    def failing(self, m, what):
+        certify_n(self, m, what)
+        if m == n:
+            raise Mismatch(f"{what} at ε^{m} failed on purpose")
+
+    monkeypatch.setattr(wring.Defect, "certify", failing)
+
+
+@pytest.mark.parametrize("kind", DOUBLE_SCALED)
+def test_a_failed_extension_drops_the_held_solve(kind, monkeypatch, reference):
+    # the extension from order 3 to 5 fails after order 4 was appended
+    # and order 5 half solved: the solve is dropped, and the next calls
+    # solve afresh in a new layout with one new defect
+    KINDS[kind][0].cache_clear()
+    first = held(kind).at(3)
+    step = 2 if kind == "scaled" else 1
+    with monkeypatch.context() as patched:
+        _fail_at_the_last_order(patched, step * 5)
+        with pytest.raises(Mismatch, match="on purpose"):
+            document(kind, 5)
+    assert held(kind).solve is None
+    made = _count_defects(monkeypatch)
+    for K in (5, 3, 4):
+        assert document(kind, K) == reference[f"{kind}:{K}"], K
+    assert len(made) == 1 and held(kind).at(3) is not first
+
+
+def _count_defects(monkeypatch) -> list:
+    """The argument tuples of every ``wring.Defect`` built from here on."""
+    made = []
+    init = wring.Defect.__init__
+    monkeypatch.setattr(wring.Defect, "__init__",
+                        lambda self, *args: made.append(args) or init(self, *args))
+    return made
+
+
+# entry point -> (call at K, the least K it takes)
+TRUNCATED = {
+    "expand_regular": (lambda K: expand_regular(QUARTIC, F(2), K), 0),
+    "u_series_coefficients": (lambda K: u_series_coefficients(QUARTIC, K=K), 0),
+    "expand_two_cut_regular": (lambda K: expand_two_cut_regular(MERGING, F(3, 4), K, 30), 0),
+    "scaled_series": (lambda K: scaled_series(*site("scaled"), K), 3),
+    "symmetric_scaled_series": (lambda K: symmetric_scaled_series(*site("merged"), K), 3),
+    "crosscheck_via_series": (lambda K: crosscheck_via_series(*site("scaled"), K), 3),
+}
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["miss", "hit"])
+@pytest.mark.parametrize("name", sorted(TRUNCATED))
+def test_a_truncation_order_is_an_int(name, warm):
+    # K is checked before any memo is read, so a float, a bool or a string is
+    # refused alike whether its int value is held or not; an int below the
+    # least order keeps its own message
+    call, least = TRUNCATED[name]
+    for memo, _ in KINDS.values():
+        memo.cache_clear()
+    if warm:
+        for K in {1, least, 3} - set(range(least)):
+            call(K)
+    sizes = [memo.cache_info().currsize for memo, _ in KINDS.values()]
+    for K in (1.0, 3.0, True, "3"):
+        with pytest.raises(ValueError, match="truncation order must be an int"):
+            call(K)
+    assert [memo.cache_info().currsize for memo, _ in KINDS.values()] == sizes
+    with pytest.raises(ValueError, match="nonnegative" if least == 0 else "need K"):
+        call(least - 1)
 
 
 def test_warm_memo_sees_a_changed_derivation(run_under_O):
@@ -217,18 +307,51 @@ def test_a_hit_runs_no_engine(kind, monkeypatch):
     memo, orders = KINDS[kind]
     memo.cache_clear()
     document(kind, orders[1])
-    made = []
-    init = wring.Defect.__init__
-    monkeypatch.setattr(wring.Defect, "__init__",
-                        lambda self, *args: made.append(args) or init(self, *args))
+    made = _count_defects(monkeypatch)
     document(kind, orders[1])
     assert made == []
-    # any other K, lower or higher, is solved from order 0
     document(kind, orders[0])
-    per_solve = len(made)
-    assert per_solve == (2 if kind == "two-cut" else 1)
     document(kind, orders[2])
-    assert len(made) == 2 * per_solve
+    if kind in LADDERS:
+        # a lower K is read off the held solve and a higher one extends it:
+        # one defect per point
+        assert made == [] and memo.cache_info().currsize == 1
+    else:
+        # any other K, lower or higher, is solved from order 0
+        assert len(made) == 2 * (2 if kind == "two-cut" else 1)
+
+
+@pytest.mark.parametrize("kind", DOUBLE_SCALED)
+@pytest.mark.parametrize("sequence", ["ascending", "descending"])
+def test_a_ladder_grows_one_solve(kind, sequence, monkeypatch, reference):
+    # every order of the ladder equals a fresh interpreter's solve at that K
+    # alone, and the whole ladder builds one defect; a repeat of a K is the
+    # very object it was
+    KINDS[kind][0].cache_clear()
+    made = _count_defects(monkeypatch)
+    orders = sorted(LADDERS[kind], reverse=sequence == "descending")
+    for K in orders:
+        assert document(kind, K) == reference[f"{kind}:{K}"], K
+    assert len(made) == 1
+    assert all(held(kind).at(K) is held(kind).at(K) for K in orders)
+    assert [held(kind).at(K).K for K in orders] == orders
+
+
+def test_a_crosscheck_gives_the_held_layout_no_jet(monkeypatch):
+    # a crosscheck derives its relation in a layout of its own, so the series
+    # asked for after it extends the solve the crosscheck read
+    made = _count_defects(monkeypatch)
+    for kind in DOUBLE_SCALED:
+        KINDS[kind][0].cache_clear()
+        made.clear()
+        crosscheck(kind)
+        entry = held(kind)
+        layout, jets = entry.layout, len(entry.layout.jets)
+        crosscheck(kind)
+        assert len(layout.jets) == jets == entry.jets
+        for K in (3, 4, 5):
+            document(kind, K)
+        assert len(made) == 1 and entry.layout is layout
 
 
 def test_a_hit_in_the_callers_layout_is_served_as_it_is():
@@ -253,11 +376,13 @@ def _alive(kinds) -> list:
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_no_engine_outlives_its_call(kind):
-    # only the finished output is kept: the lattice and its wring.Defect
-    # towers go once the call returns.  The collector stays off, so a lattice
-    # held by a reference cycle (a derivation closing over the engine that
-    # owns it) fails.  Lattice and Defect have __slots__ and take no weakref,
-    # but both are tracked by the collector, so a live one is in its list.
+    # a regular memo keeps only the finished output, so the lattice and its
+    # wring.Defect towers go once the call returns; a double-scaled memo entry
+    # holds its point's one lattice and defect until ``cache_clear``.  The
+    # collector stays off, so a lattice held by a reference cycle (a
+    # derivation closing over the engine that owns it) fails.  Lattice and
+    # Defect have __slots__ and take no weakref, but both are tracked by the
+    # collector, so a live one is in its list.
     memo, orders = KINDS[kind]
     memo.cache_clear()
     kinds = (wring.Lattice, wring.Defect)
@@ -265,9 +390,13 @@ def test_no_engine_outlives_its_call(kind):
     gc.disable()
     try:
         before = _alive(kinds)
+        new = lambda: [o for o in _alive(kinds) if not any(o is b for b in before)]  # noqa: E731
         for K in orders:
             document(kind, K)
-        assert [o for o in _alive(kinds) if not any(o is b for b in before)] == []
+        if kind in LADDERS:
+            assert sorted(type(o).__name__ for o in new()) == ["Defect", "Lattice"]
+            memo.cache_clear()
+        assert new() == []
     finally:
         gc.enable()
 

@@ -299,6 +299,59 @@ class TestCertificatesUnderO:
         assert out.startswith("Mismatch: d/dx of the double-scaled engine differs"), out
 
 
+# a held double-scaled solve at K = 3, then a corruption that only orders
+# past 3 meet, then K = 5: (the series at K, corrupted attribute, replacement,
+# the certificate that must catch it on the extension)
+SCALED_AT = "onecut.scaled_series(BMP, onecut.find_critical(BMP)[0], K)"
+SYMMETRIC_AT = "twocut.symmetric_scaled_series(Q21, POINT, K)"
+EXTENSION_CORRUPTIONS = {
+    "scaled-add-perturbing-r4": (
+        SCALED_AT, "onecut.DiffPoly", "__add__",
+        "lambda self, o, f=W.__add__: (lambda s: f(s, s._like(s.den, {next(iter(s.nums)): 1}))"
+        " if 'r4' in s.dependent_vars() else s)(f(self, o))",
+        "scaled defect at ε^8",
+    ),
+    "merged-add-perturbing-a4": (
+        SYMMETRIC_AT, "onecut.DiffPoly", "__add__",
+        "lambda self, o, f=W.__add__: (lambda s: f(s, s._like(s.den, {next(iter(s.nums)): 1}))"
+        " if 'a4' in s.dependent_vars() else s)(f(self, o))",
+        "merged defect at ε^4",
+    ),
+    "merged-phi-off-by-one": (
+        SYMMETRIC_AT, "twocut", "phi_moment",
+        "lambda gs, k, rc, f=W.phi_moment: f(gs, k, rc) + 1",
+        # φ₂ joins at order 4, whose A₂ is 0; order 5 is the first to read it
+        "ladder/moment mismatch at order 5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSION_CORRUPTIONS))
+def test_an_extension_certifies_its_new_orders(name, run_under_O):
+    # an extension runs each new order's certificates, which hold under -O;
+    # the points are found before the corruption, so both calls share one
+    run, ring, attr, body, certificate = EXTENSION_CORRUPTIONS[name]
+    out = run_under_O(
+        f"""
+        assert False, "python -O should have stripped this"
+        from largen import onecut, twocut
+        from largen.errors import Mismatch
+        from largen.potential import parse_potential
+        BMP, Q21 = parse_potential("bmp"), parse_potential("quartic:-2,1")
+        POINT, K = twocut.find_merging(Q21)[0], 3
+        {run}
+        W = {ring}
+        W.{attr} = {body}
+        K = 5
+        try:
+            {run}
+        except Mismatch as exc:
+            print("Mismatch:", exc)
+        """
+    )
+    assert out.startswith(f"Mismatch: {certificate}"), out
+
+
 class TestUSeriesTable:
     def test_first_order_poles_quartic(self):
         orders = u_series_coefficients(QUARTIC, K=1)
