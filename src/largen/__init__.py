@@ -36,11 +36,11 @@ emptied by ``cache_clear()``; a call that raises stores no output.
   (potential, K): a temperature sweep repeats one K, and the solve does not
   depend on T.  A miss solves orders 0..K afresh and keeps no working state,
   whose towers are large at depth: a sweep has no second K to extend to.
-* ``onecut._scaled`` per (potential, critical point) and ``twocut._symmetric``
-  per (potential, merging point), one growing ``diffpoly.HeldSolve`` each: a
-  double-scaling limit is read order by order, so callers ask one point at
-  rising K, and a deeper K extends the orders held.  It grows in place, so the
-  package is single-threaded, as its jet layouts already are.
+* ``onecut._scaled``, the finished series per (potential, critical point, K),
+  each solved from order 0: its cost is that of K alone, where growth in K is read.
+* ``twocut._symmetric`` per (potential, merging point), a ``diffpoly.HeldSolve``:
+  the solve held at order 2m, which every K repeats, and the series forked from
+  it per K.  Forks grow the held layout, so the package is single-threaded.
 * ``phase._branch_elimination``, the two-cut elimination (W_a, L, R) per
   potential: classification asks for it at each temperature of a sweep.
 * ``oracle._standard_nodes``, the tanh-sinh node levels per (level,

@@ -385,7 +385,7 @@ def certify_d_dx() -> None:
 
 def scaled_lattice(rc: Fraction) -> tuple[Lattice, WElem]:
     """The lattice of a double-scaled engine, its curve frozen at w² = λ(λ - 4r_c)
-    and its derivation d/dx (``HeldSolve`` certifies it), with the order-0 element λ/w."""
+    and its derivation d/dx (certified per solve), with the order-0 element λ/w."""
     d1, d0 = DiffPoly.const(-4 * rc), DiffPoly.zero()
     lat = Lattice(d1, d0, DiffPoly.const(1), lambda c: c.d_dx(), None)
     return lat, WElem.from_poly(d1, d0, [d0, DiffPoly.const(1)], wpow=1)
@@ -405,37 +405,33 @@ def string_relation(k: int, elem: WElem, vp, T_c, critical: int) -> XRelation:
 
 
 class HeldSolve:
-    """One double-scaled solve, held by its memo entry and grown in place (so the
-    package is single-threaded, as its jet layouts are).  ``kind(*args)`` starts
-    it at order 0, ``order(k)`` solves and certifies order k, and ``at(K)``
-    runs ``certify_d_dx`` and the orders up to K it lacks, in the solve's own
-    layout, then ``kind.output(point, K, orders, ladder)`` once per K.  Only the
-    solve may grow that layout: if its jet count moved, a caller grew it, and
-    the next extension starts afresh in a new one.  A call that raises drops
-    the solve."""
+    """A double-scaled solve held by its memo entry at order ``held``, below every
+    K, as ``kind(*args)`` solves it; ``order(k)`` solves and certifies order k,
+    and ``fork()`` copies it.  ``at(K)`` at a new K runs ``certify_d_dx``, extends
+    a fork to K in the held layout (so the package is single-threaded) and builds
+    ``kind.output(point, K, orders, ladder)``, so a call costs its K alone.  If the
+    layout's jet count moved, a caller grew it, and the next new K starts afresh
+    in a new one.  A call that raises drops the held solve."""
 
-    __slots__ = ("kind", "args", "solve", "layout", "K", "jets", "results")
+    __slots__ = ("kind", "args", "solve", "layout", "jets", "results")
 
     def __init__(self, kind, *args):
         self.kind, self.args, self.solve = kind, args, None
 
     def at(self, K: int):
-        s = self.solve
-        try:
-            if s is None or K > self.K and len(self.layout.jets) != self.jets:
-                s, self.layout, self.K, self.results = None, _Layout(), 0, {}
-            if s is None or K > self.K:
+        if self.solve is None or K not in self.results:
+            try:
+                if self.solve is None or len(self.layout.jets) != self.jets:
+                    self.solve, self.layout, self.results = None, _Layout(), {}
                 with own_layout(self.layout):
                     certify_d_dx()
-                    self.solve = s = s or self.kind(*self.args)
-                    for k in range(self.K + 1, K + 1):
+                    self.solve = self.solve or self.kind(*self.args)
+                    s = self.solve.fork()
+                    for k in range(s.held + 1, K + 1):
                         s.order(k)
-                        self.K = k
                 self.jets = len(self.layout.jets)
-        except BaseException:
-            self.solve = self.results = None
-            raise
-        if K not in self.results:
-            orders, ladder = (tuple(t[: K + 1]) for t in (s.orders, s.ladder))
-            self.results[K] = s.output(s.point, K, orders, ladder)
+            except BaseException:
+                self.solve = self.results = None
+                raise
+            self.results[K] = s.output(s.point, K, tuple(s.orders), tuple(s.ladder))
         return self.results[K]

@@ -36,7 +36,7 @@ from functools import lru_cache, reduce
 
 import mpmath
 
-from .diffpoly import DiffPoly, HeldSolve, XRelation, scaled_lattice, string_relation
+from .diffpoly import DiffPoly, XRelation, certify_d_dx, own_layout, scaled_lattice, string_relation
 from .errors import CriticalPointHit, certify
 from .mpolys import MPoly, _Loc, loc_factors
 from .phase import _one_cut_candidates, branch_density_positive, solve_one_cut
@@ -372,48 +372,39 @@ def find_critical(g: Potential, digits: int | None = None) -> tuple[OneCutCritic
 # -- the double-scaled series ------------------------------------------------------
 
 
-class _ScaledSolve:
-    """The ε̄-expansion at a one-cut critical point, with DiffPoly coefficients
-    over ℚ, one order at a time (``HeldSolve``): U^{[k]} is solved and
-    certified as in ``_RegularEngine.run`` on the solve's ``wring.Defect``,
-    then its string relation and pole table are read off it."""
-
-    output = ScaledOneCut
-
-    def __init__(self, g: Potential, crit: OneCutCritical):
-        self.point, self.rc, self.vp = crit, as_fraction(crit.r_c), list(g.v_lambda().coeffs)
-        self.lat, u0 = scaled_lattice(self.rc)
-        self.r_list, self.u_list = [DiffPoly.const(self.rc)], [u0]
-        self.F = Defect(self.lat, self.u_list, self.u_list, self.r_list, 2)
-        self.F.certify(0, "scaled defect")
-        self.ladder = [string_relation(0, u0, self.vp, as_fraction(crit.T_c), crit.m)]
-        self.orders = [ScaledOrder(k=0, element=u0, poles=())]
-
-    def order(self, k: int) -> None:
-        F, m = self.F, self.point.m
-        self.r_list.append(DiffPoly.var(f"r{k}"))
-        F.certify(2 * k - 1, "odd scaled defect order")
-        u_k = F.coefficient(2 * k).div_w().scale(Fraction(1, 2))
-        self.u_list.append(u_k)
-        F.certify(2 * k, "scaled defect")
-        self.ladder.append(string_relation(k, u_k, self.vp, None, m))
-        certify(k >= m or self.ladder[k].p.is_zero(), "constraint below the critical order "
-                "did not vanish; the scaling exponent would be wrong")
-        u0_part, poles = _pole_basis(u_k, 4 * self.rc, DiffPoly.zero())
-        certify(not u0_part, "U^[k] acquired a pole-free part")
-        certify(len(poles) <= k, "double-scaled pole depth exceeded its order")
-        self.orders.append(ScaledOrder(k=k, element=u_k, poles=tuple(poles)))
-
-
 @lru_cache(maxsize=32)
-def _scaled(g: Potential, crit: OneCutCritical) -> HeldSolve:
-    """The one growing ``_ScaledSolve`` per process per (potential, critical
-    point): ``scaled_series`` at K is built from its orders 0..K, extending it
-    first if it is shallower, so a series asked for after a shallower one or a
-    crosscheck solves only the new orders."""
+def _scaled(g: Potential, crit: OneCutCritical, K: int) -> ScaledOneCut:
+    """``scaled_series`` once per process per (potential, critical point, K): the
+    ε̄-expansion at a one-cut critical point, with DiffPoly coefficients over ℚ.
+    Each U^{[k]} is solved and certified as in ``_RegularEngine.run``, then its
+    string relation and pole table are read off it, on a ``wring.Defect`` and in
+    a jet layout of this call's own, which the result keeps.  Its cost is that of
+    K alone, the measure of growth in K: no orders are held for a deeper K."""
     if not is_exact(crit.r_c):
         raise ValueError("double-scaled series needs an exact critical point")
-    return HeldSolve(_ScaledSolve, g, crit)
+    with own_layout():
+        certify_d_dx()
+        rc, vp, m = as_fraction(crit.r_c), list(g.v_lambda().coeffs), crit.m
+        lat, u0 = scaled_lattice(rc)
+        r_list, u_list = [DiffPoly.const(rc)], [u0]
+        F = Defect(lat, u_list, u_list, r_list, 2)
+        F.certify(0, "scaled defect")
+        ladder = [string_relation(0, u0, vp, as_fraction(crit.T_c), m)]
+        orders = [ScaledOrder(k=0, element=u0, poles=())]
+        for k in range(1, K + 1):
+            r_list.append(DiffPoly.var(f"r{k}"))
+            F.certify(2 * k - 1, "odd scaled defect order")
+            u_k = F.coefficient(2 * k).div_w().scale(Fraction(1, 2))
+            u_list.append(u_k)
+            F.certify(2 * k, "scaled defect")
+            ladder.append(string_relation(k, u_k, vp, None, m))
+            certify(k >= m or ladder[k].p.is_zero(), "constraint below the critical order "
+                    "did not vanish; the scaling exponent would be wrong")
+            u0_part, poles = _pole_basis(u_k, 4 * rc, DiffPoly.zero())
+            certify(not u0_part, "U^[k] acquired a pole-free part")
+            certify(len(poles) <= k, "double-scaled pole depth exceeded its order")
+            orders.append(ScaledOrder(k=k, element=u_k, poles=tuple(poles)))
+    return ScaledOneCut(crit, K, tuple(orders), tuple(ladder))
 
 
 def scaled_series(g: Potential, crit: OneCutCritical, K: int) -> ScaledOneCut:
@@ -424,4 +415,4 @@ def scaled_series(g: Potential, crit: OneCutCritical, K: int) -> ScaledOneCut:
             f"{type(crit).__name__}; a merging point goes to twocut.symmetric_scaled_series"
         )
     K = truncation_order(K, crit.m, "need K ≥ m to reach the Painlevé relation")
-    return _scaled(g, crit).at(K)
+    return _scaled(g, crit, K)

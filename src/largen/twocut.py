@@ -36,6 +36,7 @@ The module has three layers:
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -523,7 +524,16 @@ class _SymmetricSolve:
         self.F.certify(0, "merged defect")
         self.ladder = [string_relation(0, v0, self.vp, as_fraction(point.T_c), 2 * point.m)]
         self.orders = [SymmetricScaledOrder(k=0, element=v0, C=DiffPoly.zero(), A=(), B=())]
-        self.phis, self.gammas = [], []
+        self.phis, self.gammas, self.held = [], [], 2 * point.m
+        for k in range(1, self.held + 1):
+            self.order(k)
+
+    def fork(self) -> "_SymmetricSolve":
+        """A copy of the solve that grows apart from it."""
+        out = copy.copy(self)
+        out.__dict__.update((name, v[:]) for name, v in vars(self).items() if type(v) is list)
+        out.F = self.F.fork(out.v_list, out.flipped, out.a_list)
+        return out
 
     def order(self, k: int) -> None:
         self.a_list.append(DiffPoly.var(f"a{k}"))
@@ -554,10 +564,9 @@ class _SymmetricSolve:
 
 @lru_cache(maxsize=32)
 def _symmetric(g: Potential, point: MergingPoint) -> HeldSolve:
-    """The one growing ``_SymmetricSolve`` per process per (potential, merging
-    point): ``symmetric_scaled_series`` at K is built from its orders 0..K,
-    extending it first if it is shallower, so a series asked for after a
-    shallower one or a crosscheck solves only the new orders."""
+    """The ``_SymmetricSolve`` per process per (potential, merging point),
+    held at order 2m, one short of the least K: ``symmetric_scaled_series`` at
+    K, the crosscheck's 2m + 1 too, solves orders 2m + 1..K on a fork of it."""
     if not is_exact(point.r_c):
         raise ValueError("double-scaled series needs an exact merging point")
     return HeldSolve(_SymmetricSolve, g, point)

@@ -535,6 +535,13 @@ class Defect:
 
         return self._kept(self.prods, n, fresh)
 
+    def fork(self, x: list, y: list, a: list) -> "Defect":
+        """This defect, grown apart over copies ``x``, ``y``, ``a`` of its entry lists."""
+        out = Defect(self.lat, x, y, a, self.step)
+        out.towers, out.sums, out.prods = [r[:] for r in self.towers], self.sums[:], self.prods[:]
+        out.pending = self.pending
+        return out
+
     def coefficient(self, n: int) -> WElem:
         """The ε^n coefficient of the defect on the entries given so far."""
         lat, x, y, a, s = self.lat, self.x, self.y, self.a, self.step

@@ -541,38 +541,40 @@ def test_jets_the_process_met_before_widen_no_result_key(run_under_O):
     assert int(run_under_O(WIDTHS.format(jets=5000))) == fresh
 
 
-# scaled_series(bmp, K=8) timed in a fresh interpreter, best of three, each
-# from an empty memo: alone, or after the caller of a held K = 4 solve added
-# the given number of new jets to its ``ladder[4].p`` by sums; prints the time
-# and the widest key of the K = 8 ladder and pole tables
+# symmetric_scaled_series(quartic:-2,1, K=10) timed in a fresh interpreter,
+# best of three, each from an empty memo: alone, or after the caller of a K = 4
+# series, forked from the held solve, added the given number of new jets to its
+# ``ladder[4].p`` by sums; prints the time and the widest key of the K = 10
+# ladder and pole tables
 GROWN = """
 import time
 from largen.diffpoly import DiffPoly
-from largen.onecut import _scaled, find_critical, scaled_series
 from largen.potential import parse_potential
-bmp = parse_potential("bmp")
-crit, best = find_critical(bmp)[0], float("inf")
+from largen.twocut import _symmetric, find_merging, symmetric_scaled_series
+quartic = parse_potential("quartic:-2,1")
+point, best = find_merging(quartic)[0], float("inf")
 for _ in range(3):
-    _scaled.cache_clear()
+    _symmetric.cache_clear()
     if {jets}:
-        p = scaled_series(bmp, crit, 4).ladder[4].p
+        p = symmetric_scaled_series(quartic, point, 4).ladder[4].p
         for i in range({jets}):
             p = p + DiffPoly.var(f"z{{i}}")
         if len(p.layout.jets) <= {jets}:
             raise SystemExit("the sums gave the held layout no new jet")
     start = time.process_time()
-    sc = scaled_series(bmp, crit, 8)
+    sym = symmetric_scaled_series(quartic, point, 10)
     best = min(best, time.process_time() - start)
-polys = [q for rel in sc.ladder for q in (rel.p, rel.q)] + [q for o in sc.orders for q in o.poles]
+polys = [q for rel in sym.ladder for q in (rel.p, rel.q)]
+polys += [q for o in sym.orders for q in (o.C, *o.A, *o.B)]
 print(best, max(key.bit_length() for q in polys for key in q.nums))
 """
 
 
 def test_a_held_solve_grown_by_its_caller_is_not_extended_in_place(run_under_O):
     # a caller may still grow a handed-out result's layout, which is the held
-    # solve's; the next extension then solves afresh in a new layout, so it
-    # costs a fresh solve and its keys are as wide as fresh.  Extended in the
-    # grown layout, every new key lies past the caller's 2,000 jets
+    # solve's; the next new K then solves afresh in a new layout, so it costs
+    # a fresh solve and its keys are as wide as fresh.  Forked in the grown
+    # layout, every new key would lie past the caller's 2,000 jets
     fresh, fresh_bits = run_under_O(GROWN.format(jets=0)).split()
     after, after_bits = run_under_O(GROWN.format(jets=2000)).split()
     assert float(after) <= 3 * float(fresh), (fresh, after)

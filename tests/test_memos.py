@@ -1,14 +1,15 @@
 """The process-global memos of the large-N entry points.  The regular
-expansions keep their finished output per (potential, K), and a miss solves
-orders 0..K on a ``wring.Defect`` built for that call alone.  The
-double-scaled series hold one growing solve per (potential, point): a call at
-K is built from its orders 0..K, a deeper K extends it, and a shallower or
-repeated one is served from it.  Phase classification keeps the two-cut
-elimination per potential.  No output may depend on what the process computed
-before, a hit builds no defect, no lattice or defect outlives its call or its
-memo entry, and a call that raises leaves nothing behind: no output, and no
-held solve.  The tables the package docstring names and two constant tables
-are the only module-level tables of the package."""
+expansions and the one-cut double-scaled series keep their finished output
+per (potential, K) or (potential, point, K), and a miss solves orders 0..K on
+a ``wring.Defect`` built for that call alone.  The merging-point series holds
+one solve per (potential, point) one order short of its least K, and a call
+at a new K extends a fork of it, on a defect of its own, so its cost is that
+of its K alone.  Phase classification keeps the two-cut elimination per
+potential.  No output may depend on what the process computed before, a hit
+builds no defect, no lattice or defect outlives its call or its memo entry,
+and a call that raises leaves nothing behind: no output, and no held solve.
+The tables the package docstring names and two constant tables are the only
+module-level tables of the package."""
 
 import gc
 import importlib
@@ -52,6 +53,8 @@ KINDS = {
 # the orders a double-scaled ladder asks for in one process
 LADDERS = {"scaled": range(3, 9), "merged": range(3, 11)}
 DOUBLE_SCALED = sorted(LADDERS)
+# the kinds whose memo entry holds a solve per point, not an output per K
+HELD = ("merged",)
 
 
 def document(kind: str, K: int) -> str:
@@ -124,8 +127,14 @@ def site(kind: str) -> tuple:
 
 
 def held(kind: str):
-    """The memo entry of a double-scaled kind's point: its ``HeldSolve``."""
+    """The memo entry of a held kind's point: its ``HeldSolve``."""
     return KINDS[kind][0](*site(kind))
+
+
+def series(kind: str, K: int):
+    """A double-scaled kind's series at order K."""
+    call = scaled_series if kind == "scaled" else symmetric_scaled_series
+    return call(*site(kind), K)
 
 
 def crosscheck(kind: str) -> None:
@@ -180,7 +189,7 @@ def test_failed_call_leaves_nothing(kind, monkeypatch, reference):
         corrupt(patched)
         with pytest.raises(Mismatch):
             document(kind, K)
-    if kind in LADDERS:
+    if kind in HELD:
         # the failed extension dropped the point's held solve, warm orders too
         assert held(kind).solve is None
     else:
@@ -202,23 +211,22 @@ def _fail_at_the_last_order(monkeypatch, n):
     monkeypatch.setattr(wring.Defect, "certify", failing)
 
 
-@pytest.mark.parametrize("kind", DOUBLE_SCALED)
+@pytest.mark.parametrize("kind", HELD)
 def test_a_failed_extension_drops_the_held_solve(kind, monkeypatch, reference):
-    # the extension from order 3 to 5 fails after order 4 was appended
-    # and order 5 half solved: the solve is dropped, and the next calls
-    # solve afresh in a new layout with one new defect
+    # a fork's extension to order 5 fails after orders 3 and 4 were appended
+    # and order 5 half solved: the held solve is dropped, and the next calls
+    # solve afresh in a new layout, one defect held and one per K
     KINDS[kind][0].cache_clear()
     first = held(kind).at(3)
-    step = 2 if kind == "scaled" else 1
     with monkeypatch.context() as patched:
-        _fail_at_the_last_order(patched, step * 5)
+        _fail_at_the_last_order(patched, 5)
         with pytest.raises(Mismatch, match="on purpose"):
             document(kind, 5)
     assert held(kind).solve is None
     made = _count_defects(monkeypatch)
     for K in (5, 3, 4):
         assert document(kind, K) == reference[f"{kind}:{K}"], K
-    assert len(made) == 1 and held(kind).at(3) is not first
+    assert len(made) == 4 and held(kind).at(3) is not first
 
 
 def _count_defects(monkeypatch) -> list:
@@ -312,10 +320,10 @@ def test_a_hit_runs_no_engine(kind, monkeypatch):
     assert made == []
     document(kind, orders[0])
     document(kind, orders[2])
-    if kind in LADDERS:
-        # a lower K is read off the held solve and a higher one extends it:
-        # one defect per point
-        assert made == [] and memo.cache_info().currsize == 1
+    if kind in HELD:
+        # a lower or a higher K extends a fork of the held solve, on a
+        # defect of its own, in the point's one entry
+        assert len(made) == 2 and memo.cache_info().currsize == 1
     else:
         # any other K, lower or higher, is solved from order 0
         assert len(made) == 2 * (2 if kind == "two-cut" else 1)
@@ -323,35 +331,38 @@ def test_a_hit_runs_no_engine(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", DOUBLE_SCALED)
 @pytest.mark.parametrize("sequence", ["ascending", "descending"])
-def test_a_ladder_grows_one_solve(kind, sequence, monkeypatch, reference):
+def test_a_ladder_builds_one_defect_per_order(kind, sequence, monkeypatch, reference):
     # every order of the ladder equals a fresh interpreter's solve at that K
-    # alone, and the whole ladder builds one defect; a repeat of a K is the
-    # very object it was
+    # alone, whichever order the ladder runs in, and each K builds one defect,
+    # for a solve from order 0 or a fork of the held one (which is one more);
+    # a repeat of a K is the very object it was
     KINDS[kind][0].cache_clear()
     made = _count_defects(monkeypatch)
     orders = sorted(LADDERS[kind], reverse=sequence == "descending")
     for K in orders:
         assert document(kind, K) == reference[f"{kind}:{K}"], K
-    assert len(made) == 1
-    assert all(held(kind).at(K) is held(kind).at(K) for K in orders)
-    assert [held(kind).at(K).K for K in orders] == orders
+    assert len(made) == len(orders) + (kind in HELD)
+    assert all(series(kind, K) is series(kind, K) for K in orders)
+    assert [series(kind, K).K for K in orders] == orders
 
 
-def test_a_crosscheck_gives_the_held_layout_no_jet(monkeypatch):
-    # a crosscheck derives its relation in a layout of its own, so the series
-    # asked for after it extends the solve the crosscheck read
+@pytest.mark.parametrize("kind", DOUBLE_SCALED)
+def test_a_crosscheck_gives_the_series_layout_no_jet(kind, monkeypatch):
+    # a crosscheck derives its relation in a layout of its own, so the layout
+    # of the series it read gains no jet; the series asked for after it then
+    # fork the held solve that the crosscheck's series forked, in its layout
+    KINDS[kind][0].cache_clear()
     made = _count_defects(monkeypatch)
-    for kind in DOUBLE_SCALED:
-        KINDS[kind][0].cache_clear()
-        made.clear()
-        crosscheck(kind)
-        entry = held(kind)
-        layout, jets = entry.layout, len(entry.layout.jets)
-        crosscheck(kind)
-        assert len(layout.jets) == jets == entry.jets
+    crosscheck(kind)
+    layout = series(kind, 3).ladder[0].p.layout
+    jets = len(layout.jets)
+    crosscheck(kind)
+    assert len(layout.jets) == jets and len(made) == 1 + (kind in HELD)
+    if kind in HELD:
+        assert held(kind).jets == jets
         for K in (3, 4, 5):
             document(kind, K)
-        assert len(made) == 1 and entry.layout is layout
+        assert len(made) == 4 and held(kind).layout is layout
 
 
 def test_a_hit_in_the_callers_layout_is_served_as_it_is():
@@ -376,9 +387,10 @@ def _alive(kinds) -> list:
 
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_no_engine_outlives_its_call(kind):
-    # a regular memo keeps only the finished output, so the lattice and its
-    # wring.Defect towers go once the call returns; a double-scaled memo entry
-    # holds its point's one lattice and defect until ``cache_clear``.  The
+    # a memo of outputs keeps only the finished output, so the lattice and its
+    # wring.Defect towers go once the call returns; a held memo entry holds
+    # its point's one lattice and defect until ``cache_clear``, and each
+    # fork's defect goes with its call.  The
     # collector stays off, so a lattice held by a reference cycle (a
     # derivation closing over the engine that owns it) fails.  Lattice and
     # Defect have __slots__ and take no weakref, but both are tracked by the
@@ -393,7 +405,7 @@ def test_no_engine_outlives_its_call(kind):
         new = lambda: [o for o in _alive(kinds) if not any(o is b for b in before)]  # noqa: E731
         for K in orders:
             document(kind, K)
-        if kind in LADDERS:
+        if kind in HELD:
             assert sorted(type(o).__name__ for o in new()) == ["Defect", "Lattice"]
             memo.cache_clear()
         assert new() == []

@@ -299,18 +299,11 @@ class TestCertificatesUnderO:
         assert out.startswith("Mismatch: d/dx of the double-scaled engine differs"), out
 
 
-# a held double-scaled solve at K = 3, then a corruption that only orders
+# the held merging-point solve at K = 3, then a corruption that only orders
 # past 3 meet, then K = 5: (the series at K, corrupted attribute, replacement,
 # the certificate that must catch it on the extension)
-SCALED_AT = "onecut.scaled_series(BMP, onecut.find_critical(BMP)[0], K)"
 SYMMETRIC_AT = "twocut.symmetric_scaled_series(Q21, POINT, K)"
 EXTENSION_CORRUPTIONS = {
-    "scaled-add-perturbing-r4": (
-        SCALED_AT, "onecut.DiffPoly", "__add__",
-        "lambda self, o, f=W.__add__: (lambda s: f(s, s._like(s.den, {next(iter(s.nums)): 1}))"
-        " if 'r4' in s.dependent_vars() else s)(f(self, o))",
-        "scaled defect at ε^8",
-    ),
     "merged-add-perturbing-a4": (
         SYMMETRIC_AT, "onecut.DiffPoly", "__add__",
         "lambda self, o, f=W.__add__: (lambda s: f(s, s._like(s.den, {next(iter(s.nums)): 1}))"
@@ -337,7 +330,7 @@ def test_an_extension_certifies_its_new_orders(name, run_under_O):
         from largen import onecut, twocut
         from largen.errors import Mismatch
         from largen.potential import parse_potential
-        BMP, Q21 = parse_potential("bmp"), parse_potential("quartic:-2,1")
+        Q21 = parse_potential("quartic:-2,1")
         POINT, K = twocut.find_merging(Q21)[0], 3
         {run}
         W = {ring}
